@@ -214,7 +214,9 @@ class CompressedRankPool {
   /// Seals a compressed copy of `per_vertex` (each list strictly
   /// increasing). Takes a const ref — the caller keeps the build-side
   /// vectors, so a size-budget policy can retry with coarser blocks.
-  void Seal(const std::vector<std::vector<uint32_t>>& per_vertex,
+  /// Always succeeds (ranks are distinct, so no group can overflow a
+  /// block); returns true like `CompressedEntryPool::Seal`.
+  bool Seal(const std::vector<std::vector<uint32_t>>& per_vertex,
             size_t block_entries) {
     Clear();
     block_entries_ = ClampBlockEntries(block_entries);
@@ -237,6 +239,7 @@ class CompressedRankPool {
     skip_ = owned_skip_;
     data_ = owned_data_;
     sealed_ = true;
+    return true;
   }
 
   /// Seals the pool as a view over externally owned arrays (mmap

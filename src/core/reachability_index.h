@@ -164,13 +164,6 @@ class DynamicReachabilityIndex : public ReachabilityIndex {
   /// decides when to pay for this. Returns false when the index has
   /// nothing to fold or does not support it.
   virtual bool RebuildFromUpdates() { return false; }
-
-  /// Deprecated single-edge insert shim, kept for one release while call
-  /// sites migrate; forwards to `ApplyUpdate`.
-  [[deprecated("use ApplyUpdate(UpdateBatch) instead")]] void InsertEdge(
-      VertexId s, VertexId t) {
-    ApplyUpdate({EdgeUpdate::Insert(s, t)});
-  }
 };
 
 }  // namespace reach

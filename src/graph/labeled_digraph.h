@@ -25,6 +25,8 @@ class LabeledDigraph {
     Label label;
 
     friend bool operator==(const Arc&, const Arc&) = default;
+    /// (vertex, label) order — the order adjacency lists are sorted in.
+    friend auto operator<=>(const Arc&, const Arc&) = default;
   };
 
   LabeledDigraph() = default;

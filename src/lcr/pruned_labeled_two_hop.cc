@@ -1,17 +1,13 @@
 #include "lcr/pruned_labeled_two_hop.h"
 
 #include <algorithm>
-#include <atomic>
 #include <istream>
-#include <numeric>
 #include <ostream>
 #include <string_view>
 #include <utility>
 
 #include "core/label_kernels.h"
 #include "core/serialize.h"
-#include "obs/metrics_registry.h"
-#include "par/parallel_for.h"
 #include "par/thread_pool.h"
 
 namespace reach {
@@ -107,70 +103,85 @@ class SeenSets {
 
 }  // namespace
 
-template <typename ArcFn>
-void PrunedLabeledTwoHop::ArcsOut(VertexId v, ArcFn&& fn) const {
-  if (tomb_out_.empty() || tomb_out_[v].empty()) {
-    for (const auto& arc : graph_->OutArcs(v)) fn(arc);
-    if (!extra_out_.empty()) {
-      for (const auto& arc : extra_out_[v]) fn(arc);
-    }
-    return;
-  }
-  const auto& tomb = tomb_out_[v];
-  auto live = [&](const LabeledDigraph::Arc& arc) {
-    return std::find(tomb.begin(), tomb.end(), arc) == tomb.end();
-  };
-  for (const auto& arc : graph_->OutArcs(v)) {
-    if (live(arc)) fn(arc);
-  }
-  if (!extra_out_.empty()) {
-    for (const auto& arc : extra_out_[v]) {
-      if (live(arc)) fn(arc);
-    }
-  }
-}
+using Entry = LabeledTwoHopTraits::Entry;
+using Arc = LabeledDigraph::Arc;
+using LabeledCore = TwoHopCore<LabeledTwoHopTraits>;
 
-template <typename ArcFn>
-void PrunedLabeledTwoHop::ArcsIn(VertexId v, ArcFn&& fn) const {
-  if (tomb_in_.empty() || tomb_in_[v].empty()) {
-    for (const auto& arc : graph_->InArcs(v)) fn(arc);
-    if (!extra_in_.empty()) {
-      for (const auto& arc : extra_in_[v]) fn(arc);
+// The P2H+ label-BFS of one rank: forward populates Lin via hop -> x
+// states, backward populates Lout. States (vertex, label set) expand in
+// nondecreasing |label set|, so recorded SPLSs are minimal; a state is
+// pruned when dominated within the sweep or when the index built so far
+// already answers the corresponding query.
+class LabeledTwoHopTraits::Sweeper {
+ public:
+  explicit Sweeper(size_t n)
+      : local_(n), speculation_cap_(std::max<size_t>(1024, 4 * n)) {}
+
+  template <bool kSpeculative, typename Emit>
+  bool Run(const LabeledCore& core, uint32_t r, bool forward,
+           std::vector<VertexId>* touched, Emit&& emit) {
+    const VertexId hop = core.ByRank(r);
+    queue_.Clear();
+    seen_.Reset(local_.size());
+    for (VertexId v : local_touched_) local_[v].clear();
+    local_touched_.clear();
+    seen_.Add(hop, 0);
+    queue_.Push({0, hop});
+    // Label-BFS state counts can exceed n (one state per (vertex, mask)).
+    size_t evaluated = 0;
+    State state;
+    while (queue_.Pop(&state)) {
+      const auto visit = [&](const Arc& arc) {
+        const VertexId x = arc.vertex;
+        if (x == hop || core.Rank(x) < r) return;
+        const LabelSet next = state.mask | LabelBit(arc.label);
+        if (seen_.Dominates(x, next)) return;
+        ++evaluated;
+        bool covered = kSpeculative && ShadowCovers(x, next);
+        if (!covered) {
+          covered = forward ? core.LabelQuery(hop, x, next)
+                            : core.LabelQuery(x, hop, next);
+        }
+        seen_.Add(x, next);  // covered: blocks supersets, already answerable
+        if (covered) return;
+        if constexpr (kSpeculative) {
+          if (local_[x].empty()) local_touched_.push_back(x);
+          local_[x].push_back(next);
+        }
+        emit(x, Entry{r, next});
+        queue_.Push({next, x});
+      };
+      if (forward) {
+        for (const Arc& arc : core.graph().OutArcs(state.vertex)) visit(arc);
+      } else {
+        for (const Arc& arc : core.graph().InArcs(state.vertex)) visit(arc);
+      }
+      if (kSpeculative && evaluated > speculation_cap_) return false;
     }
-    return;
+    if constexpr (kSpeculative) *touched = seen_.Touched();
+    return true;
   }
-  const auto& tomb = tomb_in_[v];
-  auto live = [&](const LabeledDigraph::Arc& arc) {
-    return std::find(tomb.begin(), tomb.end(), arc) == tomb.end();
-  };
-  for (const auto& arc : graph_->InArcs(v)) {
-    if (live(arc)) fn(arc);
-  }
-  if (!extra_in_.empty()) {
-    for (const auto& arc : extra_in_[v]) {
-      if (live(arc)) fn(arc);
-    }
-  }
-}
 
-template <typename ArcFn>
-void PrunedLabeledTwoHop::ArcsOutSuperset(VertexId v, ArcFn&& fn) const {
-  for (const auto& arc : graph_->OutArcs(v)) fn(arc);
-  if (!extra_out_.empty()) {
-    for (const auto& arc : extra_out_[v]) fn(arc);
+ private:
+  bool ShadowCovers(VertexId x, LabelSet mask) const {
+    return std::any_of(local_[x].begin(), local_[x].end(),
+                       [mask](LabelSet m) { return IsSubsetOf(m, mask); });
   }
-}
 
-template <typename ArcFn>
-void PrunedLabeledTwoHop::ArcsInSuperset(VertexId v, ArcFn&& fn) const {
-  for (const auto& arc : graph_->InArcs(v)) fn(arc);
-  if (!extra_in_.empty()) {
-    for (const auto& arc : extra_in_[v]) fn(arc);
-  }
-}
+  BucketQueue queue_;
+  SeenSets seen_;
+  // The serial pruning oracle LabelQuery(hop, x, next) reads the rank-r
+  // entry group of Lin(x) — entries the *current sweep* inserted. A
+  // speculative sweep shadows that group here, so local-covered ||
+  // committed-prefix LabelQuery equals the serial oracle exactly (the
+  // committed prefix has no rank-r groups).
+  std::vector<std::vector<LabelSet>> local_;
+  std::vector<VertexId> local_touched_;
+  size_t speculation_cap_;
+};
 
-bool PrunedLabeledTwoHop::HasCoveredEntry(std::span<const Entry> entries,
-                                          uint32_t rank, LabelSet allowed) {
+bool LabeledTwoHopTraits::Covered(std::span<const Entry> entries,
+                                  uint32_t rank, LabelSet allowed) {
   // Entries are grouped by ascending rank; binary-search the group start.
   auto it = std::lower_bound(
       entries.begin(), entries.end(), rank,
@@ -181,9 +192,9 @@ bool PrunedLabeledTwoHop::HasCoveredEntry(std::span<const Entry> entries,
   return false;
 }
 
-bool PrunedLabeledTwoHop::IntersectEntryRanges(std::span<const Entry> out,
-                                               std::span<const Entry> in,
-                                               LabelSet allowed) {
+bool LabeledTwoHopTraits::Intersect(std::span<const Entry> out,
+                                    std::span<const Entry> in,
+                                    LabelSet allowed) {
   // First/last-rank prefilter: disjoint rank ranges cannot share a hop.
   if (out.empty() || in.empty()) return false;
   if (out.back().rank < in.front().rank ||
@@ -218,16 +229,7 @@ bool PrunedLabeledTwoHop::IntersectEntryRanges(std::span<const Entry> out,
   return false;
 }
 
-bool PrunedLabeledTwoHop::LabelQuery(VertexId s, VertexId t,
-                                     LabelSet allowed) const {
-  if (s == t) return true;
-  // Virtual self-hops: s itself or t itself as the common hop.
-  if (HasCoveredEntry(lin_[t], rank_[s], allowed)) return true;
-  if (HasCoveredEntry(lout_[s], rank_[t], allowed)) return true;
-  return IntersectEntryRanges(lout_[s], lin_[t], allowed);
-}
-
-bool PrunedLabeledTwoHop::CoveredInPool(const CompressedEntryPool<Entry>& pool,
+bool LabeledTwoHopTraits::CoveredInPool(const CompressedPool& pool,
                                         VertexId v, uint32_t rank,
                                         LabelSet allowed) {
   const size_t end = pool.BlockEnd(v);
@@ -235,14 +237,15 @@ bool PrunedLabeledTwoHop::CoveredInPool(const CompressedEntryPool<Entry>& pool,
   if (b == end || pool.Skip(b).first > rank) return false;
   // Rank groups are never split across blocks, so the whole group of
   // `rank` — if present — lives in this one block.
-  Entry buf[CompressedEntryPool<Entry>::kMaxBlockEntries];
+  Entry buf[CompressedPool::kMaxBlockEntries];
   const size_t count = pool.DecodeBlock(b, buf);
-  return HasCoveredEntry({buf, count}, rank, allowed);
+  return Covered({buf, count}, rank, allowed);
 }
 
-bool PrunedLabeledTwoHop::IntersectPools(
-    const CompressedEntryPool<Entry>& out_pool, VertexId s,
-    const CompressedEntryPool<Entry>& in_pool, VertexId t, LabelSet allowed) {
+bool LabeledTwoHopTraits::IntersectPools(const CompressedPool& out_pool,
+                                         VertexId s,
+                                         const CompressedPool& in_pool,
+                                         VertexId t, LabelSet allowed) {
   size_t i = out_pool.BlockBegin(s), j = in_pool.BlockBegin(t);
   const size_t i_end = out_pool.BlockEnd(s), j_end = in_pool.BlockEnd(t);
   if (i == i_end || j == j_end) return false;
@@ -251,7 +254,7 @@ bool PrunedLabeledTwoHop::IntersectPools(
       in_pool.Skip(j_end - 1).last < out_pool.Skip(i).first) {
     return false;
   }
-  constexpr size_t kCap = CompressedEntryPool<Entry>::kMaxBlockEntries;
+  constexpr size_t kCap = CompressedPool::kMaxBlockEntries;
   Entry buf_out[kCap], buf_in[kCap];
   size_t decoded_out = SIZE_MAX, decoded_in = SIZE_MAX;
   size_t count_out = 0, count_in = 0;
@@ -274,8 +277,7 @@ bool PrunedLabeledTwoHop::IntersectPools(
       count_in = in_pool.DecodeBlock(j, buf_in);
       decoded_in = j;
     }
-    if (IntersectEntryRanges({buf_out, count_out}, {buf_in, count_in},
-                             allowed)) {
+    if (Intersect({buf_out, count_out}, {buf_in, count_in}, allowed)) {
       return true;
     }
     // Equal-last advance-both is sound: blocks end at whole rank groups,
@@ -288,619 +290,49 @@ bool PrunedLabeledTwoHop::IntersectPools(
   return false;
 }
 
-bool PrunedLabeledTwoHop::IntersectPoolWithSpan(
-    const CompressedEntryPool<Entry>& pool, VertexId v,
-    std::span<const Entry> other, LabelSet allowed) {
+bool LabeledTwoHopTraits::IntersectPoolWithSpan(const CompressedPool& pool,
+                                                VertexId v,
+                                                std::span<const Entry> other,
+                                                LabelSet allowed) {
   if (other.empty()) return false;
   const size_t end = pool.BlockEnd(v);
   size_t b = pool.LowerBoundBlock(pool.BlockBegin(v), end,
                                   other.front().rank);
-  Entry buf[CompressedEntryPool<Entry>::kMaxBlockEntries];
+  Entry buf[CompressedPool::kMaxBlockEntries];
   for (; b != end && pool.Skip(b).first <= other.back().rank; ++b) {
     const size_t count = pool.DecodeBlock(b, buf);
-    if (IntersectEntryRanges({buf, count}, other, allowed)) return true;
+    if (Intersect({buf, count}, other, allowed)) return true;
   }
   return false;
 }
 
-bool PrunedLabeledTwoHop::AnswerQuery(VertexId s, VertexId t,
-                                      LabelSet allowed) const {
-  if (s == t) return true;
-  if (damage_ == 0) return SupersetAnswer(s, t, allowed);
-  return DamagedAnswer(s, t, allowed);
-}
-
-bool PrunedLabeledTwoHop::SupersetAnswer(VertexId s, VertexId t,
-                                         LabelSet allowed) const {
-  if (s == t) return true;
-  if (compressed_) {
-    if (CoveredInPool(lin_cpool_, t, rank_[s], allowed)) return true;
-    if (CoveredInPool(lout_cpool_, s, rank_[t], allowed)) return true;
-    if (IntersectPools(lout_cpool_, s, lin_cpool_, t, allowed)) return true;
-    if (!has_delta_) return false;
-    const std::span<const Entry> delta{delta_lin_[t]};
-    if (HasCoveredEntry(delta, rank_[s], allowed)) return true;
-    return IntersectPoolWithSpan(lout_cpool_, s, delta, allowed);
-  }
-  const std::span<const Entry> out = lout_pool_.Slice(s);
-  const std::span<const Entry> in = lin_pool_.Slice(t);
-  if (HasCoveredEntry(in, rank_[s], allowed)) return true;
-  if (HasCoveredEntry(out, rank_[t], allowed)) return true;
-  if (IntersectEntryRanges(out, in, allowed)) return true;
-  if (!has_delta_) return false;
-  // Delta entries live outside the pool, so every (pool, delta)
-  // combination that could supply the common hop is checked separately.
-  const std::span<const Entry> delta{delta_lin_[t]};
-  if (HasCoveredEntry(delta, rank_[s], allowed)) return true;
-  return IntersectEntryRanges(out, delta, allowed);
-}
-
-bool PrunedLabeledTwoHop::DamagedAnswer(VertexId s, VertexId t,
-                                        LabelSet allowed) const {
-  // Labels cover G+ ⊇ live graph, so "no covered witness" is an exact
-  // negative even while damaged. A covered witness certifies a G+ path;
-  // it is trusted — exact for the live graph — iff no damaging delete
-  // could have routed through it (its rank marks are clear). Damaged
-  // witnesses prove nothing either way: fall through to verification.
-  // The slow lane pays the merged-entry materialization (InEntries folds
-  // in the delta overlay); the damage_ == 0 hot path is untouched.
-  const std::vector<Entry> out = OutEntries(s);
-  const std::vector<Entry> in = InEntries(t);
-  bool damaged_witness = false;
-  // Case 1 — virtual hop s: (rank(s), S ⊆ allowed) ∈ Lin(t) claims
-  // "s reaches t"; stale only if s is a G+-ancestor of a cut source.
-  if (HasCoveredEntry(in, rank_[s], allowed)) {
-    if (!RankDamagedFwd(rank_[s])) return true;
-    damaged_witness = true;
-  }
-  // Case 2 — virtual hop t: stale only if t is a G+-descendant of a cut
-  // target.
-  if (HasCoveredEntry(out, rank_[t], allowed)) {
-    if (!RankDamagedBwd(rank_[t])) return true;
-    damaged_witness = true;
-  }
-  // Case 3 — real hop h: Lout(s) claims "s reaches h" (stale if h is
-  // backward-damaged), Lin(t) claims "h reaches t" (stale if h is
-  // forward-damaged); trusted iff both marks are clear. Plain rank-group
-  // two-pointer — the slow lane skips the galloping refinements.
-  size_t i = 0, j = 0;
-  while (i < out.size() && j < in.size()) {
-    if (out[i].rank < in[j].rank) {
-      ++i;
-    } else if (out[i].rank > in[j].rank) {
-      ++j;
-    } else {
-      const uint32_t rank = out[i].rank;
-      size_t i_end = i, j_end = j;
-      while (i_end < out.size() && out[i_end].rank == rank) ++i_end;
-      while (j_end < in.size() && in[j_end].rank == rank) ++j_end;
-      bool covered = false;
-      for (size_t a = i; a < i_end && !covered; ++a) {
-        if (!IsSubsetOf(out[a].mask, allowed)) continue;
-        for (size_t b = j; b < j_end; ++b) {
-          if (IsSubsetOf(in[b].mask, allowed)) {
-            covered = true;
-            break;
-          }
-        }
-      }
-      if (covered) {
-        if (!RankDamagedBwd(rank) && !RankDamagedFwd(rank)) return true;
-        damaged_witness = true;
-      }
-      i = i_end;
-      j = j_end;
-    }
-  }
-  if (!damaged_witness) return false;
-  return VerifyReach(s, t, allowed);
-}
-
-bool PrunedLabeledTwoHop::VerifyReach(VertexId s, VertexId t,
-                                      LabelSet allowed) const {
-  REACH_PROBE_INC(probe_, fallbacks);
-  const size_t n = graph_->NumVertices();
-  if (visit_stamp_.size() < n) visit_stamp_.assign(n, 0);
-  if (visit_epoch_ == UINT32_MAX) {
-    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
-    visit_epoch_ = 0;
-  }
-  const uint32_t epoch = ++visit_epoch_;
-  auto& queue = visit_queue_;
-  queue.clear();
-  visit_stamp_[s] = epoch;
-  queue.push_back(s);
-  for (size_t head = 0; head < queue.size(); ++head) {
-    const VertexId v = queue[head];
-    if (v == t) return true;
-    bool found = false;
-    ArcsOut(v, [&](const LabeledDigraph::Arc& arc) {
-      if (found || !IsSubsetOf(LabelBit(arc.label), allowed)) return;
-      const VertexId w = arc.vertex;
-      if (w == t) {
-        found = true;
-        return;
-      }
-      if (visit_stamp_[w] == epoch) return;
-      visit_stamp_[w] = epoch;
-      // A superset negative is final: no allowed path even in G+.
-      if (!SupersetAnswer(w, t, allowed)) return;
-      queue.push_back(w);
-    });
-    if (found) return true;
-  }
-  return false;
-}
-
-bool PrunedLabeledTwoHop::Query(VertexId s, VertexId t,
-                                LabelSet allowed) const {
-  REACH_PROBE_INC(probe_, queries);
-  // Worst case the rank-group sweep consults both full entry lists.
-  // (The build-time oracle is unprobed — the pruning tests would
-  // otherwise swamp the counts.)
-  REACH_PROBE_ADD(probe_, labels_scanned,
-                  (compressed_ ? lout_cpool_.ListEntries(s) +
-                                     lin_cpool_.ListEntries(t)
-                               : lout_pool_.Slice(s).size() +
-                                     lin_pool_.Slice(t).size()) +
-                      (has_delta_ ? delta_lin_[t].size() : 0));
-  const bool reachable = AnswerQuery(s, t, allowed);
-  if (reachable) {
-    REACH_PROBE_INC(probe_, positives);
-  } else {
-    REACH_PROBE_INC(probe_, label_rejections);  // complete label: no fallback
-  }
-  return reachable;
-}
-
-void PrunedLabeledTwoHop::Build(const LabeledDigraph& graph) {
-  BuildStatsScope build(&build_stats_);
-  probe_.Reset();
-  graph_ = &graph;
-  ResetDynamicState();
-  lin_pool_.Clear();
-  lout_pool_.Clear();
-  lin_cpool_.Clear();
-  lout_cpool_.Clear();
-  compressed_ = false;
-  const size_t n = graph.NumVertices();
-
-  BuildPhaseTimer order_timer(&build_stats_.phases, "order");
-  by_rank_.resize(n);
-  std::iota(by_rank_.begin(), by_rank_.end(), 0);
-  std::stable_sort(by_rank_.begin(), by_rank_.end(),
-                   [&](VertexId a, VertexId b) {
-                     return graph.Degree(a) > graph.Degree(b);
-                   });
-  rank_.resize(n);
-  for (uint32_t r = 0; r < n; ++r) rank_[by_rank_[r]] = r;
-  order_timer.Stop();
-
-  BuildPhaseTimer label_timer(&build_stats_.phases, "label_bfs");
-  BuildLabels(graph, ResolveThreads(num_threads_));
-  label_timer.Stop();
-
-  BuildPhaseTimer seal_timer(&build_stats_.phases, "seal");
-  SealLabels();
-  seal_timer.Stop();
-  build_stats_.size_bytes = IndexSizeBytes();
-  build_stats_.num_entries = TotalEntries();
-}
-
-void PrunedLabeledTwoHop::SealLabels() {
-  lin_pool_.Clear();
-  lout_pool_.Clear();
-  lin_cpool_.Clear();
-  lout_cpool_.Clear();
-  compressed_ = false;
-  budget_exceeded_ = false;
-  const size_t n = lin_.size();
-  size_t total_entries = 0;
-  for (size_t v = 0; v < n; ++v) {
-    total_entries += lin_[v].size() + lout_[v].size();
-  }
-  const size_t flat_bytes =
-      2 * (n + 1) * sizeof(uint64_t) + total_entries * sizeof(Entry);
-  const size_t budget = storage_.budget_mb * (size_t{1} << 20);
-  if (storage_.compress || (budget != 0 && flat_bytes > budget)) {
-    size_t block = std::clamp(storage_.block_entries,
-                              CompressedEntryPool<Entry>::kMinBlockEntries,
-                              CompressedEntryPool<Entry>::kMaxBlockEntries);
-    for (;;) {
-      if (!lin_cpool_.Seal(lin_, block) || !lout_cpool_.Seal(lout_, block)) {
-        // An oversized rank group refuses compression: stay flat.
-        lin_cpool_.Clear();
-        lout_cpool_.Clear();
-        break;
-      }
-      const size_t bytes =
-          lin_cpool_.MemoryBytes() + lout_cpool_.MemoryBytes();
-      if (budget != 0 && bytes > budget &&
-          block < CompressedEntryPool<Entry>::kMaxBlockEntries) {
-        block *= 2;
-        continue;
-      }
-      compressed_ = true;
-      budget_exceeded_ = budget != 0 && bytes > budget;
-      break;
-    }
-  }
-  if (compressed_) {
-    std::vector<std::vector<Entry>>().swap(lin_);
-    std::vector<std::vector<Entry>>().swap(lout_);
-  } else {
-    budget_exceeded_ = budget != 0 && flat_bytes > budget;
-    lin_pool_.Seal(std::move(lin_));
-    lout_pool_.Seal(std::move(lout_));
-    lin_.clear();
-    lout_.clear();
-  }
-  delta_lin_.clear();
-  has_delta_ = false;
-  PublishStorageGauges(flat_bytes);
-}
-
-void PrunedLabeledTwoHop::PublishStorageGauges(
-    size_t flat_equivalent_bytes) const {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  const size_t n = rank_.size();
-  const size_t bytes =
-      compressed_ ? lin_cpool_.MemoryBytes() + lout_cpool_.MemoryBytes()
-                  : lin_pool_.MemoryBytes() + lout_pool_.MemoryBytes();
-  reg.GetGauge("index.bytes").Set(static_cast<double>(bytes));
-  reg.GetGauge("index.bytes_per_vertex")
-      .Set(n == 0 ? 0.0
-                  : static_cast<double>(bytes) / static_cast<double>(n));
-  if (compressed_) {
-    reg.GetGauge("index.compression_ratio")
-        .Set(bytes == 0 ? 1.0
-                        : static_cast<double>(flat_equivalent_bytes) /
-                              static_cast<double>(bytes));
-  }
-  if (storage_.budget_mb != 0) {
-    reg.GetGauge("index.budget_exceeded").Set(budget_exceeded_ ? 1 : 0);
-  }
-}
-
-void PrunedLabeledTwoHop::BuildLabels(const LabeledDigraph& graph,
-                                      size_t threads) {
-  const size_t n = graph.NumVertices();
-  lin_.assign(n, {});
-  lout_.assign(n, {});
-  if (n == 0) return;
-
-  // lin_stamp[x] == batch_epoch iff the current batch already committed a
-  // Lin(x) entry (dually lout_stamp) — the reads that can invalidate a
-  // speculative sweep. During warmup / serial builds batch_epoch stays 0,
-  // matching the stamps' initial value, so stamping is a no-op there.
-  std::vector<uint32_t> lin_stamp(n, 0), lout_stamp(n, 0);
-  uint32_t batch_epoch = 0;
-
-  BucketQueue serial_queue;
-  SeenSets serial_seen;
-
-  // The exact serial sweep of P2H+: forward populates Lin via hop -> x
-  // label-BFS states, backward populates Lout. Also used for warmup and
-  // for conflict redos in the parallel build.
-  auto serial_sweep = [&](uint32_t r, bool forward) {
-    const VertexId hop = by_rank_[r];
-    State state;
-    serial_queue.Clear();
-    serial_seen.Reset(n);
-    serial_seen.Add(hop, 0);
-    serial_queue.Push({0, hop});
-    while (serial_queue.Pop(&state)) {
-      auto visit = [&](const LabeledDigraph::Arc& arc) {
-        const VertexId x = arc.vertex;
-        if (x == hop || rank_[x] < r) return;
-        const LabelSet next = state.mask | LabelBit(arc.label);
-        if (serial_seen.Dominates(x, next)) return;
-        if (forward ? LabelQuery(hop, x, next) : LabelQuery(x, hop, next)) {
-          serial_seen.Add(x, next);  // block supersets; already answerable
-          return;
-        }
-        serial_seen.Add(x, next);
-        if (forward) {
-          lin_[x].push_back({r, next});
-          lin_stamp[x] = batch_epoch;
-        } else {
-          lout_[x].push_back({r, next});
-          lout_stamp[x] = batch_epoch;
-        }
-        serial_queue.Push({next, x});
-      };
-      if (forward) {
-        ArcsOut(state.vertex, visit);
-      } else {
-        ArcsIn(state.vertex, visit);
-      }
-    }
-  };
-
-  if (threads <= 1) {
-    for (uint32_t r = 0; r < n; ++r) {
-      serial_sweep(r, /*forward=*/true);
-      serial_sweep(r, /*forward=*/false);
-    }
-    return;
-  }
-
-  // Rank-batched speculate/commit/redo (see PrunedTwoHop for the scheme
-  // and docs/PARALLELISM.md for the argument). One LCR-specific wrinkle:
-  // the serial pruning oracle LabelQuery(hop, x, next) reads the rank-r
-  // entry group of Lin(x) — entries the *current sweep* inserted. The
-  // speculative sweep shadows that group in a worker-local per-vertex
-  // mask list, so local-covered || committed-prefix LabelQuery equals the
-  // serial oracle exactly (the committed prefix has no rank-r groups).
-  struct Scratch {
-    BucketQueue queue;
-    SeenSets seen;
-    std::vector<std::vector<LabelSet>> local;  // own-rank group shadow
-    std::vector<VertexId> local_touched;
-  };
-  std::vector<Scratch> scratch(threads);
-  for (Scratch& s : scratch) s.local.assign(n, {});
-
-  // Outcome of one speculative sweep.
-  struct Sweep {
-    std::vector<std::pair<VertexId, LabelSet>> labeled;  // push order
-    std::vector<VertexId> touched;  // vertices the oracle evaluated
-    bool redo = false;              // overflowed the cap: rerun serially
-  };
-
-  // Label-BFS state counts can exceed n (one state per (vertex, mask));
-  // cut off speculative floods and redo those sweeps serially.
-  const size_t state_cap = std::max<size_t>(1024, 4 * n);
-  auto speculative_sweep = [&](uint32_t r, bool forward, Scratch& s,
-                               Sweep* out) {
-    const VertexId hop = by_rank_[r];
-    State state;
-    s.queue.Clear();
-    s.seen.Reset(n);
-    for (VertexId v : s.local_touched) s.local[v].clear();
-    s.local_touched.clear();
-    s.seen.Add(hop, 0);
-    s.queue.Push({0, hop});
-    size_t evaluated = 0;
-    while (!out->redo && s.queue.Pop(&state)) {
-      auto visit = [&](const LabeledDigraph::Arc& arc) {
-        const VertexId x = arc.vertex;
-        if (x == hop || rank_[x] < r) return;
-        const LabelSet next = state.mask | LabelBit(arc.label);
-        if (s.seen.Dominates(x, next)) return;
-        ++evaluated;
-        bool covered = false;
-        for (LabelSet m : s.local[x]) {
-          if (IsSubsetOf(m, next)) {
-            covered = true;
-            break;
-          }
-        }
-        if (!covered) {
-          covered = forward ? LabelQuery(hop, x, next)
-                            : LabelQuery(x, hop, next);
-        }
-        s.seen.Add(x, next);
-        if (covered) return;
-        if (s.local[x].empty()) s.local_touched.push_back(x);
-        s.local[x].push_back(next);
-        out->labeled.emplace_back(x, next);
-        s.queue.Push({next, x});
-      };
-      if (forward) {
-        ArcsOut(state.vertex, visit);
-      } else {
-        ArcsIn(state.vertex, visit);
-      }
-      if (evaluated > state_cap) out->redo = true;
-    }
-    if (out->redo) {
-      out->labeled.clear();
-    } else {
-      out->touched = s.seen.Touched();
-    }
-  };
-
-  // A forward oracle call reads Lout(hop) plus Lin(x) of evaluated
-  // vertices x (remaining reads are this sweep's own shadow group);
-  // backward is symmetric. The sweep is stale iff the batch committed to
-  // one of those since phase 1 snapshotted the labeling.
-  auto commit_rank = [&](uint32_t r, bool forward, Sweep& sweep) {
-    const VertexId hop = by_rank_[r];
-    bool conflict = sweep.redo;
-    if (!conflict) {
-      conflict = (forward ? lout_stamp : lin_stamp)[hop] == batch_epoch;
-    }
-    if (!conflict) {
-      const std::vector<uint32_t>& stamp = forward ? lin_stamp : lout_stamp;
-      for (VertexId x : sweep.touched) {
-        if (stamp[x] == batch_epoch) {
-          conflict = true;
-          break;
-        }
-      }
-    }
-    if (conflict) {
-      serial_sweep(r, forward);
-      return;
-    }
-    std::vector<uint32_t>& stamp = forward ? lin_stamp : lout_stamp;
-    auto& labels = forward ? lin_ : lout_;
-    for (const auto& [x, mask] : sweep.labeled) {
-      labels[x].push_back({r, mask});
-      stamp[x] = batch_epoch;
-    }
-  };
-
-  const uint32_t num_ranks = static_cast<uint32_t>(n);
-  uint32_t r = 0;
-  const uint32_t warmup = static_cast<uint32_t>(std::min<size_t>(n, 32));
-  for (; r < warmup; ++r) {
-    serial_sweep(r, /*forward=*/true);
-    serial_sweep(r, /*forward=*/false);
-  }
-
-  size_t batch_size = 2 * threads;
-  const size_t max_batch = std::max<size_t>(64 * threads, 256);
-  std::vector<Sweep> fwd, bwd;
-  while (r < num_ranks) {
-    const uint32_t batch_end =
-        static_cast<uint32_t>(std::min<size_t>(num_ranks, r + batch_size));
-    const size_t count = batch_end - r;
-    fwd.assign(count, Sweep{});
-    bwd.assign(count, Sweep{});
-    ++batch_epoch;
-
-    std::atomic<size_t> next{0};
-    ParallelForWorkers(threads, [&](size_t worker) {
-      Scratch& s = scratch[worker];
-      for (;;) {
-        const size_t unit = next.fetch_add(1, std::memory_order_relaxed);
-        if (unit >= 2 * count) return;
-        const uint32_t rank = r + static_cast<uint32_t>(unit / 2);
-        const bool forward = (unit % 2) == 0;
-        speculative_sweep(rank, forward, s,
-                          forward ? &fwd[unit / 2] : &bwd[unit / 2]);
-      }
-    });
-
-    for (uint32_t offset = 0; offset < count; ++offset) {
-      commit_rank(r + offset, /*forward=*/true, fwd[offset]);
-      commit_rank(r + offset, /*forward=*/false, bwd[offset]);
-    }
-    r = batch_end;
-    batch_size = std::min(batch_size * 2, max_batch);
-  }
-}
-
-UpdateResult PrunedLabeledTwoHop::ApplyUpdate(const LabeledUpdateBatch& batch) {
-  if (graph_ == nullptr) {
-    return UpdateResult::Rejected(
-        "no live graph: Build() before ApplyUpdate (Load'ed labelings are "
-        "read-only)");
-  }
-  // Validate-first: nothing is applied unless the whole batch is in
-  // range, so a rejection never leaves partial state behind.
-  const VertexId n = static_cast<VertexId>(graph_->NumVertices());
-  for (const LabeledEdgeUpdate& update : batch) {
-    if (update.source >= n || update.target >= n) {
-      return UpdateResult::Rejected("endpoint out of range");
-    }
-    if (update.label >= graph_->NumLabels()) {
-      return UpdateResult::Rejected("label out of range");
-    }
-  }
-  size_t applied = 0;
-  size_t ignored = 0;
-  for (const LabeledEdgeUpdate& update : batch) {
-    const bool changed =
-        update.IsInsert()
-            ? ApplyInsert(update.source, update.target, update.label)
-            : ApplyDelete(update.source, update.target, update.label);
-    if (changed) {
-      ++applied;
-    } else {
-      ++ignored;
-    }
-  }
-  return UpdateResult::Applied(applied, ignored, damage_, staleness_budget_);
-}
-
-bool PrunedLabeledTwoHop::IsTombstoned(VertexId s, VertexId t,
-                                       Label label) const {
-  if (tomb_out_.empty()) return false;
-  const auto& tomb = tomb_out_[s];
-  return std::find(tomb.begin(), tomb.end(),
-                   LabeledDigraph::Arc{t, label}) != tomb.end();
-}
-
-bool PrunedLabeledTwoHop::ApplyInsert(VertexId s, VertexId t, Label label) {
-  if (IsTombstoned(s, t, label)) {
-    // Resurrection: the arc is still in the superset the labels cover, so
-    // dropping the tombstone restores it exactly. Damage marks stay
-    // (conservative) until the next rebuild.
-    std::erase(tomb_out_[s], LabeledDigraph::Arc{t, label});
-    std::erase(tomb_in_[t], LabeledDigraph::Arc{s, label});
-    return true;
-  }
-  const LabeledDigraph::Arc arc{t, label};
-  bool exists = false;
-  ArcsOut(s, [&](const LabeledDigraph::Arc& a) { exists |= a == arc; });
-  if (exists) return false;
-  if (extra_out_.empty()) {
-    extra_out_.resize(graph_->NumVertices());
-    extra_in_.resize(graph_->NumVertices());
-  }
-  extra_out_[s].push_back({t, label});
-  extra_in_[t].push_back({s, label});
-
-  // The damage marks are transitive closures over the superset as of each
-  // damaging delete; this insert grows the superset, so re-close them. If
-  // t already reaches a damaged tombstone source, everything reaching s
-  // now does too (a simple path from t to that source cannot revisit t, so
-  // the pre-insert closure decides the check) — symmetrically for the
-  // backward marks. Without this, a vertex wired into a damaged region
-  // *after* the delete keeps unmarked claims routed through the dead arc,
-  // and the witness-trust protocol returns a stale positive.
-  if (!damaged_fwd_.empty()) {
-    if (!fwd_all_damaged_ && damaged_fwd_[rank_[t]] != 0 &&
-        damaged_fwd_[rank_[s]] == 0) {
-      if (!DamageSweep(s, /*backward=*/true)) fwd_all_damaged_ = true;
-    }
-    if (!bwd_all_damaged_ && damaged_bwd_[rank_[s]] != 0 &&
-        damaged_bwd_[rank_[t]] == 0) {
-      if (!DamageSweep(t, /*backward=*/false)) bwd_all_damaged_ = true;
-    }
-  }
-
+void LabeledTwoHopTraits::PropagateInsert(LabeledCore& core, VertexId s,
+                                          const Arc& arc) {
   // Every newly answerable pair (x, y, A) decomposes as x -> s (old paths,
   // mask M1 ⊆ A), the new edge (label ∈ A), then t -> y (old paths,
   // M2 ⊆ A). The old index answers (x, s, M1) through some hop entry of
   // Lin(s) (or a virtual endpoint hop), so propagating each such hop
   // through the new edge to everything reachable from t restores
-  // completeness. The sealed pool is immutable, so new entries land in the
-  // unsealed delta overlay the query path checks alongside the pool.
-  // Traversal prunes only by per-sweep dominance, never by index queries —
-  // minimality is traded for correctness (see header).
-  if (delta_lin_.empty()) delta_lin_.resize(graph_->NumVertices());
-  has_delta_ = true;
-  // InEntries merges the sealed slice (flat or decoded from the
-  // compressed pool) with the delta overlay, rank-sorted.
-  std::vector<Entry> hops = InEntries(s);
-  hops.push_back({rank_[s], 0});
-
+  // completeness. Traversal prunes only by per-sweep dominance, never by
+  // index queries — minimality is traded for correctness (see header).
+  std::vector<Entry> hops = core.InEntries(s);
+  hops.push_back({core.Rank(s), 0});
   BucketQueue queue;
   SeenSets seen;
   State state;
   for (const Entry& hop_entry : hops) {
-    const VertexId hop = by_rank_[hop_entry.rank];
+    const VertexId hop = core.ByRank(hop_entry.rank);
     queue.Clear();
-    seen.Reset(graph_->NumVertices());
-    const LabelSet start = hop_entry.mask | LabelBit(label);
-    seen.Add(t, start);
-    queue.Push({start, t});
+    seen.Reset(core.NumVertices());
+    const LabelSet start = hop_entry.mask | LabelBit(arc.label);
+    seen.Add(arc.vertex, start);
+    queue.Push({start, arc.vertex});
     while (queue.Pop(&state)) {
-      const bool sealed_covered =
-          compressed_
-              ? CoveredInPool(lin_cpool_, state.vertex, hop_entry.rank,
-                              state.mask)
-              : HasCoveredEntry(lin_pool_.Slice(state.vertex),
-                                hop_entry.rank, state.mask);
-      if (state.vertex != hop && !sealed_covered &&
-          !HasCoveredEntry(delta_lin_[state.vertex], hop_entry.rank,
-                           state.mask)) {
-        // Insert keeping rank-group ordering within the overlay.
-        auto& entries = delta_lin_[state.vertex];
-        auto it = std::upper_bound(
-            entries.begin(), entries.end(), hop_entry.rank,
-            [](uint32_t r, const Entry& e) { return r < e.rank; });
-        entries.insert(it, {hop_entry.rank, state.mask});
+      if (state.vertex != hop &&
+          !core.InCovered(state.vertex, hop_entry.rank, state.mask)) {
+        core.AddDeltaIn(state.vertex, {hop_entry.rank, state.mask});
       }
-      // Superset adjacency, not live: the delta overlay must keep
-      // describing the superset, or a later tombstone resurrection (which
-      // adds no labels) would leave pairs routed through the tombstoned
-      // arc without a witness — a wrong exact negative.
-      ArcsOutSuperset(state.vertex, [&](const LabeledDigraph::Arc& a) {
+      core.ForEachOutSuperset(state.vertex, [&](const Arc& a) {
         const LabelSet next = state.mask | LabelBit(a.label);
         if (seen.Dominates(a.vertex, next)) return;
         seen.Add(a.vertex, next);
@@ -908,206 +340,29 @@ bool PrunedLabeledTwoHop::ApplyInsert(VertexId s, VertexId t, Label label) {
       });
     }
   }
-  return true;
 }
 
-bool PrunedLabeledTwoHop::ApplyDelete(VertexId s, VertexId t, Label label) {
-  const LabeledDigraph::Arc arc{t, label};
-  bool exists = false;
-  for (const auto& a : graph_->OutArcs(s)) exists |= a == arc;
-  if (!exists && !extra_out_.empty()) {
-    exists = std::find(extra_out_[s].begin(), extra_out_[s].end(), arc) !=
-             extra_out_[s].end();
-  }
-  if (!exists) return false;
-  if (IsTombstoned(s, t, label)) return false;
-  if (tomb_out_.empty()) {
-    tomb_out_.resize(graph_->NumVertices());
-    tomb_in_.resize(graph_->NumVertices());
-  }
-  // The arc stays in base/extras (the labels describe the superset graph
-  // G+, which never forgets); only the live iterators skip it.
-  tomb_out_[s].push_back({t, label});
-  tomb_in_[t].push_back({s, label});
-  // A self-loop never changes reachability (queries are reflexive).
-  if (s == t) return true;
-  if (LocallyRedundant(s, t, label)) return true;
-  MarkDamage(s, t);
-  ++damage_;
-  return true;
+void PrunedLabeledTwoHop::Build(const LabeledDigraph& graph) {
+  core_.Build(graph, ResolveThreads(num_threads_), &build_stats_,
+              [](const LabeledDigraph& g) { return DegreeOrder(g); });
 }
 
-bool PrunedLabeledTwoHop::LocallyRedundant(VertexId u, VertexId v,
-                                           Label label) const {
-  // A live all-`label` detour keeps every answer: any query path through
-  // the deleted arc has `label` in its allowed mask, so splicing in the
-  // detour stays within the mask. Search only arcs labeled `label`,
-  // pruned by the superset oracle, up to the budget.
-  const size_t n = graph_->NumVertices();
-  if (visit_stamp_.size() < n) visit_stamp_.assign(n, 0);
-  if (visit_epoch_ == UINT32_MAX) {
-    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
-    visit_epoch_ = 0;
-  }
-  const uint32_t epoch = ++visit_epoch_;
-  const LabelSet mask = LabelBit(label);
-  auto& queue = visit_queue_;
-  queue.clear();
-  visit_stamp_[u] = epoch;
-  queue.push_back(u);
-  for (size_t head = 0; head < queue.size(); ++head) {
-    bool found = false;
-    ArcsOut(queue[head], [&](const LabeledDigraph::Arc& a) {
-      if (found || a.label != label) return;
-      const VertexId w = a.vertex;
-      if (w == v) {
-        found = true;
-        return;
-      }
-      if (visit_stamp_[w] == epoch) return;
-      visit_stamp_[w] = epoch;
-      if (!SupersetAnswer(w, v, mask)) return;
-      queue.push_back(w);
-    });
-    if (found) return true;
-    if (queue.size() > kLocalSearchBudget) return false;  // give up: damage
-  }
-  return false;
+bool PrunedLabeledTwoHop::Query(VertexId s, VertexId t,
+                                LabelSet allowed) const {
+  return core_.Answer(s, t, allowed, 0);
 }
 
-void PrunedLabeledTwoHop::MarkDamage(VertexId u, VertexId v) {
-  const size_t n = graph_->NumVertices();
-  if (damaged_fwd_.empty()) {
-    damaged_fwd_.assign(n, 0);
-    damaged_bwd_.assign(n, 0);
-  }
-  if (visit_stamp_.size() < n) visit_stamp_.assign(n, 0);
-  // Label-ignoring sweeps over G+ — an over-approximation of every
-  // constrained ancestor/descendant set, and over the superset adjacency
-  // on purpose: a stale claim may route through since-deleted arcs.
-  if (!DamageSweep(u, /*backward=*/true)) fwd_all_damaged_ = true;
-  if (!DamageSweep(v, /*backward=*/false)) bwd_all_damaged_ = true;
-}
-
-bool PrunedLabeledTwoHop::DamageSweep(VertexId start, bool backward) {
-  if (visit_epoch_ == UINT32_MAX) {
-    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
-    visit_epoch_ = 0;
-  }
-  const uint32_t epoch = ++visit_epoch_;
-  std::vector<uint8_t>& marks = backward ? damaged_fwd_ : damaged_bwd_;
-  auto& queue = visit_queue_;
-  queue.clear();
-  visit_stamp_[start] = epoch;
-  queue.push_back(start);
-  for (size_t head = 0; head < queue.size(); ++head) {
-    const VertexId x = queue[head];
-    marks[rank_[x]] = 1;
-    auto visit = [&](const LabeledDigraph::Arc& a) {
-      if (visit_stamp_[a.vertex] == epoch) return;
-      visit_stamp_[a.vertex] = epoch;
-      queue.push_back(a.vertex);
-    };
-    if (backward) {
-      ArcsInSuperset(x, visit);
-    } else {
-      ArcsOutSuperset(x, visit);
-    }
-    if (queue.size() > kLocalSearchBudget) return false;
-  }
-  return true;
+UpdateResult PrunedLabeledTwoHop::ApplyUpdate(const LabeledUpdateBatch& batch) {
+  return core_.ApplyUpdate(batch);
 }
 
 bool PrunedLabeledTwoHop::RebuildFromUpdates() {
-  if (graph_ == nullptr) return false;
-  std::vector<LabeledEdge> edges = graph_->Edges();
-  if (!extra_out_.empty()) {
-    for (VertexId v = 0; v < extra_out_.size(); ++v) {
-      for (const auto& arc : extra_out_[v]) {
-        edges.push_back({v, arc.vertex, arc.label});
-      }
-    }
-  }
-  if (!tomb_out_.empty()) {
-    std::erase_if(edges, [&](const LabeledEdge& e) {
-      const auto& tomb = tomb_out_[e.source];
-      return std::find(tomb.begin(), tomb.end(),
-                       LabeledDigraph::Arc{e.target, e.label}) != tomb.end();
-    });
-  }
-  owned_graph_ = LabeledDigraph::FromEdges(
-      static_cast<VertexId>(graph_->NumVertices()), graph_->NumLabels(),
-      std::move(edges));
   // Build resets every overlay (tombstones, damage, delta) and
   // re-minimizes the labeling over the live edge set.
-  Build(owned_graph_);
+  const LabeledDigraph* live = core_.MaterializeLiveGraph();
+  if (live == nullptr) return false;
+  Build(*live);
   return true;
-}
-
-void PrunedLabeledTwoHop::ResetDynamicState() {
-  extra_out_.clear();
-  extra_in_.clear();
-  tomb_out_.clear();
-  tomb_in_.clear();
-  delta_lin_.clear();
-  has_delta_ = false;
-  damage_ = 0;
-  damaged_fwd_.clear();
-  damaged_bwd_.clear();
-  fwd_all_damaged_ = false;
-  bwd_all_damaged_ = false;
-}
-
-size_t PrunedLabeledTwoHop::TotalEntries() const {
-  size_t total =
-      compressed_ ? lin_cpool_.NumEntries() + lout_cpool_.NumEntries()
-                  : lin_pool_.NumEntries() + lout_pool_.NumEntries();
-  for (const auto& e : delta_lin_) total += e.size();
-  return total;
-}
-
-size_t PrunedLabeledTwoHop::IndexSizeBytes() const {
-  size_t delta_bytes = 0;
-  if (has_delta_) {
-    delta_bytes = delta_lin_.size() * sizeof(std::vector<Entry>);
-    for (const auto& d : delta_lin_) delta_bytes += d.capacity() * sizeof(Entry);
-  }
-  const size_t pool_bytes =
-      compressed_ ? lin_cpool_.MemoryBytes() + lout_cpool_.MemoryBytes()
-                  : lin_pool_.MemoryBytes() + lout_pool_.MemoryBytes();
-  return pool_bytes +
-         (rank_.size() + by_rank_.size()) * sizeof(uint32_t) + delta_bytes;
-}
-
-std::vector<PrunedLabeledTwoHop::Entry> PrunedLabeledTwoHop::InEntries(
-    VertexId v) const {
-  std::vector<Entry> merged;
-  if (compressed_) {
-    lin_cpool_.Decode(v, &merged);
-  } else {
-    const std::span<const Entry> sealed = lin_pool_.Slice(v);
-    merged.assign(sealed.begin(), sealed.end());
-  }
-  if (has_delta_ && !delta_lin_[v].empty()) {
-    const std::vector<Entry>& delta = delta_lin_[v];
-    std::vector<Entry> out(merged.size() + delta.size());
-    std::merge(merged.begin(), merged.end(), delta.begin(), delta.end(),
-               out.begin(),
-               [](const Entry& a, const Entry& b) { return a.rank < b.rank; });
-    merged = std::move(out);
-  }
-  return merged;
-}
-
-std::vector<PrunedLabeledTwoHop::Entry> PrunedLabeledTwoHop::OutEntries(
-    VertexId v) const {
-  if (compressed_) {
-    std::vector<Entry> out;
-    lout_cpool_.Decode(v, &out);
-    return out;
-  }
-  const std::span<const Entry> sealed = lout_pool_.Slice(v);
-  return {sealed.begin(), sealed.end()};
 }
 
 namespace {
@@ -1129,13 +384,13 @@ using serialize_detail::WriteU32Vec;
 bool PrunedLabeledTwoHop::Save(std::ostream& out) const {
   // A damaged labeling is only exact together with the live tombstone
   // state, which the stream does not carry (header contract).
-  if (damage_ > 0) return false;
+  if (core_.Damage() > 0) return false;
   if (!WriteEnvelope(out, kP2hFormatName)) return false;
+  const size_t n = core_.NumVertices();
   WritePod(out, kP2hMagic);
-  WritePod(out, static_cast<uint64_t>(rank_.size()));
-  WriteU32Vec(out, rank_);
-  WriteU32Vec(out, by_rank_);
-  const size_t n = rank_.size();
+  WritePod(out, static_cast<uint64_t>(n));
+  WriteU32Vec(out, core_.rank_);
+  WriteU32Vec(out, core_.by_rank_);
   const auto write_entries = [&out](const std::vector<Entry>& entries) {
     WritePod(out, static_cast<uint64_t>(entries.size()));
     for (const Entry& e : entries) {
@@ -1143,8 +398,8 @@ bool PrunedLabeledTwoHop::Save(std::ostream& out) const {
       WritePod(out, static_cast<uint32_t>(e.mask));
     }
   };
-  for (VertexId v = 0; v < n; ++v) write_entries(InEntries(v));
-  for (VertexId v = 0; v < n; ++v) write_entries(OutEntries(v));
+  for (VertexId v = 0; v < n; ++v) write_entries(core_.InEntries(v));
+  for (VertexId v = 0; v < n; ++v) write_entries(core_.OutEntries(v));
   return static_cast<bool>(out);
 }
 
@@ -1156,15 +411,14 @@ LoadResult PrunedLabeledTwoHop::Load(std::istream& in) {
   uint64_t magic = 0, n = 0;
   if (!ReadPod(in, &magic) || magic != kP2hMagic) return corrupt;
   if (!ReadPod(in, &n)) return corrupt;
-  if (!ReadU32Vec(in, &rank_, n)) return corrupt;
-  std::vector<uint32_t> by_rank;
+  std::vector<uint32_t> rank, by_rank;
+  if (!ReadU32Vec(in, &rank, n)) return corrupt;
   if (!ReadU32Vec(in, &by_rank, n)) return corrupt;
-  by_rank_.assign(by_rank.begin(), by_rank.end());
-  if (rank_.size() != n || by_rank_.size() != n) return corrupt;
-  for (uint32_t r : rank_) {
+  if (rank.size() != n || by_rank.size() != n) return corrupt;
+  for (uint32_t r : rank) {
     if (r >= n) return corrupt;
   }
-  for (VertexId v : by_rank_) {
+  for (VertexId v : by_rank) {
     if (v >= n) return corrupt;
   }
   // Entry lists: each must be rank-sorted (the rank-group sweep's
@@ -1187,17 +441,15 @@ LoadResult PrunedLabeledTwoHop::Load(std::istream& in) {
     }
     return true;
   };
-  lin_.assign(n, {});
-  lout_.assign(n, {});
-  for (auto& entries : lin_) {
+  std::vector<std::vector<Entry>> lin(n), lout(n);
+  for (auto& entries : lin) {
     if (!read_entries(&entries)) return corrupt;
   }
-  for (auto& entries : lout_) {
+  for (auto& entries : lout) {
     if (!read_entries(&entries)) return corrupt;
   }
-  graph_ = nullptr;
-  ResetDynamicState();
-  SealLabels();
+  core_.Restore(std::move(rank), std::move(by_rank), std::move(lin),
+                std::move(lout));
   return LoadResult{};
 }
 

@@ -7,10 +7,91 @@
 #include <vector>
 
 #include "core/label_pool.h"
+#include "core/two_hop_core.h"
 #include "lcr/label_set.h"
 #include "lcr/lcr_index.h"
 
 namespace reach {
+
+class PrunedLabeledTwoHop;
+
+/// `TwoHopCore` vocabulary of label-constrained reachability: an entry is
+/// a (hop rank, SPLS) pair, an arc carries its label, and a query's
+/// constraint is the allowed-label mask. Entries of one rank form a *rank
+/// group* (one minimal label set each); the query kernels sweep groups.
+struct LabeledTwoHopTraits {
+  struct Entry {
+    uint32_t rank;
+    LabelSet mask;
+  };
+  using Arc = LabeledDigraph::Arc;
+  using Graph = LabeledDigraph;
+  using Edge = LabeledEdge;
+  using Constraint = LabelSet;
+  using CompressedPool = CompressedEntryPool<Entry>;
+  using Index = PrunedLabeledTwoHop;
+  class Sweeper;  // the label-BFS of one rank (pruned_labeled_two_hop.cc)
+
+  static uint32_t Rank(const Entry& e) { return e.rank; }
+  static VertexId Head(const Arc& arc) { return arc.vertex; }
+  static Arc Reverse(VertexId from, const Arc& arc) {
+    return {from, arc.label};
+  }
+  static bool ArcAllowed(const Arc& arc, LabelSet allowed) {
+    return IsSubsetOf(LabelBit(arc.label), allowed);
+  }
+  static std::span<const Arc> OutArcs(const LabeledDigraph& g, VertexId v) {
+    return g.OutArcs(v);
+  }
+  static std::span<const Arc> InArcs(const LabeledDigraph& g, VertexId v) {
+    return g.InArcs(v);
+  }
+  static Edge MakeEdge(VertexId from, const Arc& arc) {
+    return {from, arc.vertex, arc.label};
+  }
+  static LabeledDigraph MakeGraph(const LabeledDigraph& like,
+                                  std::vector<Edge> edges) {
+    return LabeledDigraph::FromEdges(
+        static_cast<VertexId>(like.NumVertices()), like.NumLabels(),
+        std::move(edges));
+  }
+  static Arc UpdateArc(const LabeledEdgeUpdate& update) {
+    return {update.target, update.label};
+  }
+  static bool ArcInRange(const LabeledDigraph& g, const Arc& arc) {
+    return arc.label < g.NumLabels();
+  }
+  /// Only an all-`label` detour keeps every answer: any query path through
+  /// the deleted arc has its label in the allowed mask, so splicing in
+  /// the detour stays within the mask.
+  static LabelSet DetourConstraint(const Arc& cut) {
+    return LabelBit(cut.label);
+  }
+
+  // Binary search to the rank group, then a subset test per mask; the
+  // rank-group two-pointer / galloping sweep over two sorted entry ranges
+  // (docs/QUERY_ENGINE.md); and their compressed-pool analogues: a rank
+  // group is never split across blocks, so the covered test decodes
+  // exactly one block and the intersection is a skip-table block-merge
+  // running `Intersect` on decoded block pairs (docs/SNAPSHOTS.md).
+  static bool Covered(std::span<const Entry> entries, uint32_t rank,
+                      LabelSet allowed);
+  static bool Intersect(std::span<const Entry> out,
+                        std::span<const Entry> in, LabelSet allowed);
+  static bool CoveredInPool(const CompressedPool& pool, VertexId v,
+                            uint32_t rank, LabelSet allowed);
+  static bool IntersectPools(const CompressedPool& out_pool, VertexId s,
+                             const CompressedPool& in_pool, VertexId t,
+                             LabelSet allowed);
+  static bool IntersectPoolWithSpan(const CompressedPool& pool, VertexId v,
+                                    std::span<const Entry> other,
+                                    LabelSet allowed);
+
+  /// Resumes a label-BFS through the new arc for every hop of
+  /// Lin(s) ∪ {s}.
+  static void PropagateInsert(TwoHopCore<LabeledTwoHopTraits>& core,
+                              VertexId s, const Arc& arc);
+};
 
 /// P2H+-style pruned labeled 2-hop index (Peng et al. [33], paper §4.1.3),
 /// with DLCR-style [10] incremental edge insertion — the 2-hop rows of
@@ -49,6 +130,11 @@ namespace reach {
 ///    constrained traversal pruned with superset label tests, so answers
 ///    stay exact at any damage level. `RebuildFromUpdates` re-minimizes
 ///    and clears the damage once it crosses the staleness budget.
+///
+/// Plain reachability is this index with a single label, and both run on
+/// `TwoHopCore` (core/two_hop_core.h); this class supplies the degree
+/// order, the label-BFS sweep, the rank-group kernels and the "p2h"
+/// payload.
 class PrunedLabeledTwoHop : public LcrIndex {
  public:
   /// Default `staleness_budget` (see constructor).
@@ -68,19 +154,17 @@ class PrunedLabeledTwoHop : public LcrIndex {
                                TwoHopStorageOptions storage = {},
                                size_t staleness_budget =
                                    kDefaultStalenessBudget)
-      : num_threads_(num_threads),
-        storage_(storage),
-        staleness_budget_(staleness_budget) {}
+      : num_threads_(num_threads), core_(storage, staleness_budget) {}
 
   void Build(const LabeledDigraph& graph) override;
   bool Query(VertexId s, VertexId t, LabelSet allowed) const override;
-  size_t IndexSizeBytes() const override;
+  size_t IndexSizeBytes() const override { return core_.IndexSizeBytes(); }
   /// Complete while undamaged; damaged witnesses fall back to constrained
   /// traversal until `RebuildFromUpdates`.
-  bool IsComplete() const override { return damage_ == 0; }
+  bool IsComplete() const override { return core_.Damage() == 0; }
   std::string Name() const override { return "p2h"; }
-  QueryProbe Probe() const override { return probe_; }
-  void ResetProbe() const override { probe_.Reset(); }
+  QueryProbe Probe() const override { return core_.Probe(); }
+  void ResetProbe() const override { core_.ResetProbe(); }
 
   /// Serializes the labeling (envelope + ranks + (hop, SPLS) entries) to
   /// a binary stream; the state already reflects any incremental
@@ -112,166 +196,24 @@ class PrunedLabeledTwoHop : public LcrIndex {
   bool RebuildFromUpdates();
 
   /// Number of damaging deletes absorbed since the last (re)build.
-  size_t Damage() const { return damage_; }
+  size_t Damage() const { return core_.Damage(); }
 
   /// The rebuild-recommendation threshold (0 = never recommend).
-  size_t StalenessBudget() const { return staleness_budget_; }
-
-  /// Incremental insertion of the labeled edge s -l-> t.
-  [[deprecated("use ApplyUpdate(LabeledUpdateBatch) instead")]] void
-  InsertEdge(VertexId s, VertexId t, Label label) {
-    ApplyUpdate({LabeledEdgeUpdate::Insert(s, t, label)});
-  }
+  size_t StalenessBudget() const { return core_.StalenessBudget(); }
 
   /// Total number of (hop, SPLS) entries across all vertices.
-  size_t TotalEntries() const;
+  size_t TotalEntries() const { return core_.TotalEntries(); }
 
   /// True when the sealed entries live in block-compressed pools.
-  bool CompressedStorage() const { return compressed_; }
+  bool CompressedStorage() const { return core_.Compressed(); }
   /// True when a `budget_mb` bound was requested but even the coarsest
   /// storage tier exceeds it (or a rank group forced the flat fallback).
-  bool BudgetExceeded() const { return budget_exceeded_; }
-  const TwoHopStorageOptions& Storage() const { return storage_; }
+  bool BudgetExceeded() const { return core_.BudgetExceeded(); }
+  const TwoHopStorageOptions& Storage() const { return core_.Storage(); }
 
  private:
-  struct Entry {
-    uint32_t rank;
-    LabelSet mask;
-  };
-
-  void BuildLabels(const LabeledDigraph& graph, size_t threads);
-  void SealLabels();
-  // Per-vertex entries as one rank-sorted vector: the sealed pool slice
-  // merged with the delta overlay (Lin only; Lout has no delta).
-  std::vector<Entry> InEntries(VertexId v) const;
-  std::vector<Entry> OutEntries(VertexId v) const;
-  // Build-time pruning oracle over the (unsealed) nested entry vectors.
-  bool LabelQuery(VertexId s, VertexId t, LabelSet allowed) const;
-  // The query dispatch every entry point routes through: the sealed hot
-  // path while undamaged, the witness-trust protocol once deletes have
-  // marked ranks.
-  bool AnswerQuery(VertexId s, VertexId t, LabelSet allowed) const;
-  // Exact answer for the superset graph G+ (pool slices + delta overlay,
-  // tombstones ignored) — the pre-deletion hot path, and the pruning
-  // oracle of the verification traversal (a G+ negative is final).
-  bool SupersetAnswer(VertexId s, VertexId t, LabelSet allowed) const;
-  // Witness-trust slow lane while damage_ > 0: a covered witness whose
-  // rank(s) are unmarked is exact; no witness at all is an exact
-  // negative (labels over-cover the live graph); only damaged witnesses
-  // fall through to VerifyReach.
-  bool DamagedAnswer(VertexId s, VertexId t, LabelSet allowed) const;
-  // Constrained BFS over live arcs (mask ⊆ allowed), pruned at vertices
-  // the superset labels rule out. Exact either way; unbounded on purpose
-  // (the exactness backstop).
-  bool VerifyReach(VertexId s, VertexId t, LabelSet allowed) const;
-  // True iff `entries` holds (rank, mask ⊆ allowed).
-  static bool HasCoveredEntry(std::span<const Entry> entries, uint32_t rank,
-                              LabelSet allowed);
-  // Rank-grouped two-pointer / galloping sweep over two sorted entry
-  // ranges (docs/QUERY_ENGINE.md).
-  static bool IntersectEntryRanges(std::span<const Entry> out,
-                                   std::span<const Entry> in,
-                                   LabelSet allowed);
-  // Compressed-pool analogues: a rank group is never split across blocks,
-  // so the covered test decodes exactly one block and the intersection is
-  // a skip-table block-merge calling `IntersectEntryRanges` on decoded
-  // block pairs (docs/SNAPSHOTS.md).
-  static bool CoveredInPool(const CompressedEntryPool<Entry>& pool,
-                            VertexId v, uint32_t rank, LabelSet allowed);
-  static bool IntersectPools(const CompressedEntryPool<Entry>& out_pool,
-                             VertexId s,
-                             const CompressedEntryPool<Entry>& in_pool,
-                             VertexId t, LabelSet allowed);
-  static bool IntersectPoolWithSpan(const CompressedEntryPool<Entry>& pool,
-                                    VertexId v, std::span<const Entry> other,
-                                    LabelSet allowed);
-  // Publishes the index.bytes / compression gauges after a (re)seal.
-  void PublishStorageGauges(size_t flat_equivalent_bytes) const;
-  // Live adjacency: base ∪ extras, minus tombstoned arcs.
-  template <typename ArcFn>
-  void ArcsOut(VertexId v, ArcFn&& fn) const;
-  template <typename ArcFn>
-  void ArcsIn(VertexId v, ArcFn&& fn) const;
-  // Superset adjacency G+: base ∪ extras, tombstones ignored — what the
-  // labels describe, and what damage marking must traverse (a later
-  // delete can break the detour that justified an earlier redundant
-  // one, so marking may not forget since-deleted arcs).
-  template <typename ArcFn>
-  void ArcsOutSuperset(VertexId v, ArcFn&& fn) const;
-  template <typename ArcFn>
-  void ArcsInSuperset(VertexId v, ArcFn&& fn) const;
-
-  // Single-update applicators; return true when graph state changed.
-  bool ApplyInsert(VertexId s, VertexId t, Label label);
-  bool ApplyDelete(VertexId s, VertexId t, Label label);
-  bool IsTombstoned(VertexId s, VertexId t, Label label) const;
-  // Bounded BFS restricted to arcs labeled exactly `label`: if a live
-  // all-`label` detour u ->* v survives the delete, any query path
-  // through the arc reroutes without growing its mask — zero damage.
-  // Budget overrun counts as "not redundant" (conservative).
-  bool LocallyRedundant(VertexId u, VertexId v, Label label) const;
-  // Label-ignoring sweeps over G+: backward from u marks forward-damaged
-  // ranks (their "reaches ..." claims may route through the cut);
-  // forward from v marks backward-damaged ranks. Budget overrun damages
-  // the whole side.
-  void MarkDamage(VertexId u, VertexId v);
-  // Transitive mark sweep over the superset adjacency; false = budget
-  // overrun (caller escalates to the matching *_all_damaged_ flag).
-  bool DamageSweep(VertexId start, bool backward);
-  bool RankDamagedFwd(uint32_t r) const {
-    return fwd_all_damaged_ || damaged_fwd_[r] != 0;
-  }
-  bool RankDamagedBwd(uint32_t r) const {
-    return bwd_all_damaged_ || damaged_bwd_[r] != 0;
-  }
-  // Clears every post-build overlay: extras, tombstones, delta, damage.
-  void ResetDynamicState();
-
-  static constexpr size_t kLocalSearchBudget = 4096;
-
   size_t num_threads_ = 0;
-  const LabeledDigraph* graph_ = nullptr;
-  LabeledDigraph owned_graph_;  // used after RebuildFromUpdates
-  std::vector<uint32_t> rank_;
-  std::vector<VertexId> by_rank_;
-  // Build-side accumulators (sorted by (rank, insertion)); SealLabels()
-  // moves them into the flat pools and leaves them empty.
-  std::vector<std::vector<Entry>> lin_;
-  std::vector<std::vector<Entry>> lout_;
-  // Sealed query-path layout: exactly one representation is live after
-  // SealLabels — the flat pools, or (when `storage_` asks for compression
-  // or the budget forces it) the block-compressed pools.
-  FlatLabelPool<Entry> lin_pool_;
-  FlatLabelPool<Entry> lout_pool_;
-  CompressedEntryPool<Entry> lin_cpool_;
-  CompressedEntryPool<Entry> lout_cpool_;
-  TwoHopStorageOptions storage_;
-  bool compressed_ = false;
-  bool budget_exceeded_ = false;
-  // Unsealed delta overlay: Lin entries added by InsertEdge after sealing
-  // (rank-ordered). Empty until the first insert.
-  std::vector<std::vector<Entry>> delta_lin_;
-  bool has_delta_ = false;
-  // Arcs inserted after Build. Deleted extras STAY here (tombstoned like
-  // base arcs) so the superset adjacency keeps every arc that ever
-  // existed — see ArcsOutSuperset.
-  std::vector<std::vector<LabeledDigraph::Arc>> extra_out_, extra_in_;
-  size_t staleness_budget_ = kDefaultStalenessBudget;
-  // Tombstoned (deleted) arcs, filtered out by the live iterators.
-  // Sized lazily on first delete; small linear-scanned lists.
-  std::vector<std::vector<LabeledDigraph::Arc>> tomb_out_, tomb_in_;
-  // Damaging deletes since the last (re)build, and the per-rank trust
-  // marks they left (sized lazily by MarkDamage).
-  size_t damage_ = 0;
-  std::vector<uint8_t> damaged_fwd_, damaged_bwd_;
-  bool fwd_all_damaged_ = false;
-  bool bwd_all_damaged_ = false;
-  // Epoch-stamped scratch for the verification / redundancy / marking
-  // traversals (slow lanes; queries are single-threaded through Query).
-  mutable std::vector<uint32_t> visit_stamp_;
-  mutable uint32_t visit_epoch_ = 0;
-  mutable std::vector<VertexId> visit_queue_;
-  mutable QueryProbe probe_;
+  TwoHopCore<LabeledTwoHopTraits> core_;
 };
 
 }  // namespace reach

@@ -20,6 +20,17 @@ uint64_t NextInstrumentId() {
 // instrument id -> this thread's cell within that instrument.
 thread_local std::unordered_map<uint64_t, void*> tls_cells;
 
+// Adds `n` to a cell field only the calling thread writes: a relaxed load
+// and store, never a read-modify-write.
+void OwnerAdd(std::atomic<uint64_t>& field, uint64_t n) {
+  field.store(field.load(std::memory_order_relaxed) + n,
+              std::memory_order_relaxed);
+}
+
+uint64_t Scrape(const std::atomic<uint64_t>& field) {
+  return field.load(std::memory_order_relaxed);
+}
+
 }  // namespace
 
 Counter::Cell& Counter::LocalCell() {
@@ -34,13 +45,13 @@ Counter::Cell& Counter::LocalCell() {
 
 void Counter::Add(uint64_t n) {
   if (!*enabled_) return;
-  LocalCell().value += n;
+  OwnerAdd(LocalCell().value, n);
 }
 
 uint64_t Counter::Value() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t total = 0;
-  for (const auto& cell : cells_) total += cell->value;
+  for (const auto& cell : cells_) total += Scrape(cell->value);
   return total;
 }
 
@@ -71,9 +82,9 @@ void Histogram::Record(uint64_t value) {
   size_t bucket = static_cast<size_t>(std::bit_width(value + 1)) - 1;
   if (bucket >= kNumBuckets) bucket = kNumBuckets - 1;
   Cell& cell = LocalCell();
-  ++cell.buckets[bucket];
-  ++cell.count;
-  cell.sum += value;
+  OwnerAdd(cell.buckets[bucket], 1);
+  OwnerAdd(cell.count, 1);
+  OwnerAdd(cell.sum, value);
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
@@ -124,10 +135,10 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
       std::lock_guard<std::mutex> cells_lock(histogram->mu_);
       for (const auto& cell : histogram->cells_) {
         for (size_t b = 0; b < Histogram::kNumBuckets; ++b) {
-          merged.buckets[b] += cell->buckets[b];
+          merged.buckets[b] += Scrape(cell->buckets[b]);
         }
-        merged.count += cell->count;
-        merged.sum += cell->sum;
+        merged.count += Scrape(cell->count);
+        merged.sum += Scrape(cell->sum);
       }
     }
     while (!merged.buckets.empty() && merged.buckets.back() == 0) {
@@ -142,7 +153,9 @@ void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, counter] : counters_) {
     std::lock_guard<std::mutex> cells_lock(counter->mu_);
-    for (const auto& cell : counter->cells_) cell->value = 0;
+    for (const auto& cell : counter->cells_) {
+      cell->value.store(0, std::memory_order_relaxed);
+    }
   }
   for (const auto& [name, gauge] : gauges_) {
     std::lock_guard<std::mutex> value_lock(gauge->mu_);
@@ -150,7 +163,13 @@ void MetricsRegistry::Reset() {
   }
   for (const auto& [name, histogram] : histograms_) {
     std::lock_guard<std::mutex> cells_lock(histogram->mu_);
-    for (const auto& cell : histogram->cells_) *cell = Histogram::Cell{};
+    for (const auto& cell : histogram->cells_) {
+      for (auto& bucket : cell->buckets) {
+        bucket.store(0, std::memory_order_relaxed);
+      }
+      cell->count.store(0, std::memory_order_relaxed);
+      cell->sum.store(0, std::memory_order_relaxed);
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef REACH_OBS_METRICS_REGISTRY_H_
 #define REACH_OBS_METRICS_REGISTRY_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -11,15 +12,15 @@
 namespace reach {
 
 /// A named monotonically increasing counter. Every thread that touches the
-/// counter writes to its own cell (plain uint64_t adds, no atomics, no
-/// cache-line ping-pong during parallel builds); cells are merged when the
-/// value is scraped. Counters are created by `MetricsRegistry::GetCounter`
-/// and live as long as their registry.
+/// counter writes to its own cell (no read-modify-write, no cache-line
+/// ping-pong during parallel builds); cells are merged when the value is
+/// scraped. Counters are created by `MetricsRegistry::GetCounter` and live
+/// as long as their registry.
 class Counter {
  public:
   /// Adds `n` to this thread's cell. Cheap: one thread-local hash lookup
-  /// (cached cell pointer) plus a plain add. No-op while the owning
-  /// registry is runtime-disabled.
+  /// (cached cell pointer) plus a relaxed load and store. No-op while the
+  /// owning registry is runtime-disabled.
   void Add(uint64_t n = 1);
 
   /// Merged value across all threads that ever touched the counter.
@@ -32,8 +33,11 @@ class Counter {
   Counter(std::string name, const bool* enabled)
       : name_(std::move(name)), enabled_(enabled) {}
 
+  // Only the owning thread writes a cell (a relaxed load plus store: an
+  // unsynchronized add compiles to the same code, but a scrape reading a
+  // plain field while the owner writes it would be a data race).
   struct Cell {
-    uint64_t value = 0;
+    std::atomic<uint64_t> value{0};
   };
   Cell& LocalCell();
 
@@ -88,10 +92,11 @@ class Histogram {
   Histogram(std::string name, const bool* enabled)
       : name_(std::move(name)), enabled_(enabled) {}
 
+  // Owner-written, scrape-read relaxed atomics, as in `Counter::Cell`.
   struct Cell {
-    uint64_t buckets[kNumBuckets] = {};
-    uint64_t count = 0;
-    uint64_t sum = 0;
+    std::atomic<uint64_t> buckets[kNumBuckets] = {};
+    std::atomic<uint64_t> count{0};
+    std::atomic<uint64_t> sum{0};
   };
   Cell& LocalCell();
 
@@ -127,8 +132,9 @@ struct MetricsSnapshot {
 /// progress, ...); tests and tools may create private registries.
 ///
 /// Thread-safety: instrument creation, scraping, and recording may race
-/// freely. Recording is per-thread-cell, so `Snapshot()` taken while
-/// writers run sees each cell either before or after its current add.
+/// freely. Recording is per-thread-cell (relaxed atomics), so `Snapshot()`
+/// taken while writers run sees each cell field either before or after its
+/// current add.
 /// `Reset()` is only exact when no writer is concurrently recording.
 class MetricsRegistry {
  public:

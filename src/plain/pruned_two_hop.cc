@@ -1,56 +1,103 @@
 #include "plain/pruned_two_hop.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <istream>
 #include <numeric>
 #include <ostream>
 #include <string_view>
 
-#include "core/label_kernels.h"
 #include "core/serialize.h"
 #include "graph/condensation.h"
 #include "graph/rng.h"
-#include "obs/metrics_registry.h"
-#include "par/parallel_for.h"
 #include "par/thread_pool.h"
 
 namespace reach {
 
-namespace {
+// One pruned BFS: hop = by_rank[r] adds itself to Lin of everything it
+// reaches (forward) or to Lout of everything reaching it (backward),
+// pruned where the labels built so far already answer Qr(hop, w) (resp.
+// Qr(w, hop)) and at higher-ranked vertices. A vertex is evaluated once
+// per sweep, so the plain oracle never sees the sweep's own entries.
+class PlainTwoHopTraits::Sweeper {
+ public:
+  explicit Sweeper(size_t n)
+      : mark_(n, 0), speculation_cap_(std::max<size_t>(1024, n / 16)) {}
 
-// Inserts `value` into sorted `v` if absent; returns true if inserted.
-bool SortedInsert(std::vector<uint32_t>& v, uint32_t value) {
-  auto it = std::lower_bound(v.begin(), v.end(), value);
-  if (it != v.end() && *it == value) return false;
-  v.insert(it, value);
-  return true;
+  template <bool kSpeculative, typename Emit>
+  bool Run(const TwoHopCore<PlainTwoHopTraits>& core, uint32_t r,
+           bool forward, std::vector<VertexId>* touched, Emit&& emit) {
+    const VertexId hop = core.ByRank(r);
+    ++epoch_;
+    queue_.clear();
+    queue_.push_back(hop);
+    mark_[hop] = epoch_;
+    for (size_t head = 0; head < queue_.size(); ++head) {
+      const auto visit = [&](VertexId w) {
+        if (mark_[w] == epoch_ || core.Rank(w) <= r) return;
+        mark_[w] = epoch_;
+        if constexpr (kSpeculative) touched->push_back(w);
+        if (forward ? core.LabelQuery(hop, w, {})
+                    : core.LabelQuery(w, hop, {})) {
+          return;  // prune: already covered
+        }
+        emit(w, r);  // ranks arrive ascending: lists stay sorted
+        queue_.push_back(w);
+      };
+      const VertexId x = queue_[head];
+      if (forward) {
+        for (VertexId w : core.graph().OutNeighbors(x)) visit(w);
+      } else {
+        for (VertexId w : core.graph().InNeighbors(x)) visit(w);
+      }
+      // A speculative sweep that floods far past the serial one (because
+      // the prefix is still thin) is cut off and redone serially —
+      // bounding wasted work without affecting the result.
+      if constexpr (kSpeculative) {
+        if (touched->size() > speculation_cap_) return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  std::vector<uint32_t> mark_;  // epoch-stamped visited marks
+  uint32_t epoch_ = 0;
+  std::vector<VertexId> queue_;
+  size_t speculation_cap_;
+};
+
+void PlainTwoHopTraits::PropagateInsert(TwoHopCore<PlainTwoHopTraits>& core,
+                                        VertexId s, VertexId t) {
+  // Any pair newly connected by (s, t) decomposes into x -> s (old paths)
+  // and t -> y (old paths); the old index answers x -> s with some hop
+  // h ∈ Lout(x) ∩ (Lin(s) ∪ {s}). Propagating every such h through the
+  // new edge to all of Reach(t) restores the invariant: h lands in Lin(y),
+  // so Qr(x, y) finds it. One shared sweep computes Reach(t); each hop is
+  // then added to the Lin of every vertex on it (one unpruned BFS per hop,
+  // without re-traversing the edges). No pruning beyond already-present
+  // labels: label minimality is traded for correctness (class comment).
+  std::vector<uint32_t> hops = core.InEntries(s);
+  hops.push_back(core.Rank(s));
+  const std::vector<VertexId>& reach = core.ReachableInSuperset(t);
+  for (uint32_t h : hops) {
+    const VertexId hop = core.ByRank(h);
+    for (VertexId x : reach) {
+      if (x != hop && !core.InCovered(x, h, {})) core.AddDeltaIn(x, h);
+    }
+  }
 }
 
-// Removes `value` from sorted `v` if present; returns true if removed.
-bool SortedErase(std::vector<VertexId>& v, VertexId value) {
-  auto it = std::lower_bound(v.begin(), v.end(), value);
-  if (it == v.end() || *it != value) return false;
-  v.erase(it);
-  return true;
-}
-
-}  // namespace
-
-void PrunedTwoHop::ComputeOrder(const Digraph& graph) {
+std::vector<VertexId> PrunedTwoHop::ComputeOrder(const Digraph& graph) const {
+  if (order_ == VertexOrder::kDegree) return DegreeOrder(graph);
   const size_t n = graph.NumVertices();
-  by_rank_.resize(n);
-  std::iota(by_rank_.begin(), by_rank_.end(), 0);
+  std::vector<VertexId> by_rank(n);
+  std::iota(by_rank.begin(), by_rank.end(), 0);
   switch (order_) {
     case VertexOrder::kDegree:
-      std::stable_sort(by_rank_.begin(), by_rank_.end(),
-                       [&](VertexId a, VertexId b) {
-                         return graph.Degree(a) > graph.Degree(b);
-                       });
       break;
     case VertexOrder::kReverseDegree:
-      std::stable_sort(by_rank_.begin(), by_rank_.end(),
+      std::stable_sort(by_rank.begin(), by_rank.end(),
                        [&](VertexId a, VertexId b) {
                          return graph.Degree(a) < graph.Degree(b);
                        });
@@ -61,7 +108,7 @@ void PrunedTwoHop::ComputeOrder(const Digraph& graph) {
       // degree breaks ties inside an SCC and between parallel components.
       Condensation cond = Condense(graph);
       std::stable_sort(
-          by_rank_.begin(), by_rank_.end(), [&](VertexId a, VertexId b) {
+          by_rank.begin(), by_rank.end(), [&](VertexId a, VertexId b) {
             const VertexId ca = cond.DagVertex(a), cb = cond.DagVertex(b);
             if (ca != cb) return ca > cb;
             return graph.Degree(a) > graph.Degree(b);
@@ -71,810 +118,39 @@ void PrunedTwoHop::ComputeOrder(const Digraph& graph) {
     case VertexOrder::kRandom: {
       Xoshiro256ss rng(seed_);
       for (size_t i = n; i > 1; --i) {
-        std::swap(by_rank_[i - 1], by_rank_[rng.NextBounded(i)]);
+        std::swap(by_rank[i - 1], by_rank[rng.NextBounded(i)]);
       }
       break;
     }
   }
-  rank_.resize(n);
-  for (uint32_t r = 0; r < n; ++r) rank_[by_rank_[r]] = r;
-}
-
-template <typename Fn>
-void PrunedTwoHop::ForEachOut(VertexId v, Fn&& fn) const {
-  if (tomb_out_.empty() || tomb_out_[v].empty()) {
-    for (VertexId w : graph_->OutNeighbors(v)) fn(w);
-    if (!extra_out_.empty()) {
-      for (VertexId w : extra_out_[v]) fn(w);
-    }
-    return;
-  }
-  const std::vector<VertexId>& tomb = tomb_out_[v];
-  for (VertexId w : graph_->OutNeighbors(v)) {
-    if (!std::binary_search(tomb.begin(), tomb.end(), w)) fn(w);
-  }
-  if (!extra_out_.empty()) {
-    for (VertexId w : extra_out_[v]) {
-      if (!std::binary_search(tomb.begin(), tomb.end(), w)) fn(w);
-    }
-  }
-}
-
-template <typename Fn>
-void PrunedTwoHop::ForEachIn(VertexId v, Fn&& fn) const {
-  if (tomb_in_.empty() || tomb_in_[v].empty()) {
-    for (VertexId w : graph_->InNeighbors(v)) fn(w);
-    if (!extra_in_.empty()) {
-      for (VertexId w : extra_in_[v]) fn(w);
-    }
-    return;
-  }
-  const std::vector<VertexId>& tomb = tomb_in_[v];
-  for (VertexId w : graph_->InNeighbors(v)) {
-    if (!std::binary_search(tomb.begin(), tomb.end(), w)) fn(w);
-  }
-  if (!extra_in_.empty()) {
-    for (VertexId w : extra_in_[v]) {
-      if (!std::binary_search(tomb.begin(), tomb.end(), w)) fn(w);
-    }
-  }
-}
-
-template <typename Fn>
-void PrunedTwoHop::ForEachOutSuperset(VertexId v, Fn&& fn) const {
-  for (VertexId w : graph_->OutNeighbors(v)) fn(w);
-  if (!extra_out_.empty()) {
-    for (VertexId w : extra_out_[v]) fn(w);
-  }
-}
-
-template <typename Fn>
-void PrunedTwoHop::ForEachInSuperset(VertexId v, Fn&& fn) const {
-  for (VertexId w : graph_->InNeighbors(v)) fn(w);
-  if (!extra_in_.empty()) {
-    for (VertexId w : extra_in_[v]) fn(w);
-  }
-}
-
-void PrunedTwoHop::BuildLabels(const Digraph& graph) {
-  const size_t n = graph.NumVertices();
-  lin_.assign(n, {});
-  lout_.assign(n, {});
-  std::vector<VertexId> queue;
-  std::vector<uint32_t> visited(n, UINT32_MAX);
-
-  for (uint32_t r = 0; r < n; ++r) {
-    const VertexId hop = by_rank_[r];
-    // Forward pruned BFS: add hop to Lin of everything it reaches, unless
-    // the current labels already answer Qr(hop, x).
-    queue.clear();
-    queue.push_back(hop);
-    visited[hop] = 2 * r;
-    for (size_t head = 0; head < queue.size(); ++head) {
-      const VertexId x = queue[head];
-      ForEachOut(x, [&](VertexId w) {
-        if (visited[w] == 2 * r || rank_[w] <= r) return;
-        visited[w] = 2 * r;
-        if (LabelQuery(hop, w)) return;  // prune: already covered
-        lin_[w].push_back(r);            // ranks arrive ascending: sorted
-        queue.push_back(w);
-      });
-    }
-    // Backward pruned BFS: add hop to Lout of everything that reaches it.
-    queue.clear();
-    queue.push_back(hop);
-    visited[hop] = 2 * r + 1;
-    for (size_t head = 0; head < queue.size(); ++head) {
-      const VertexId x = queue[head];
-      ForEachIn(x, [&](VertexId w) {
-        if (visited[w] == 2 * r + 1 || rank_[w] <= r) return;
-        visited[w] = 2 * r + 1;
-        if (LabelQuery(w, hop)) return;
-        lout_[w].push_back(r);
-        queue.push_back(w);
-      });
-    }
-  }
-}
-
-void PrunedTwoHop::BuildLabelsParallel(const Digraph& graph, size_t threads) {
-  const size_t n = graph.NumVertices();
-  lin_.assign(n, {});
-  lout_.assign(n, {});
-  if (n == 0) return;
-
-  // paraPLL-style speculate/validate/redo over rank batches. Phase 1 runs
-  // every sweep of the batch in parallel against the *committed* label
-  // prefix only. Phase 2 commits in rank order: a sweep whose pruning
-  // oracle never touched a label the batch committed in the meantime is
-  // appended verbatim; otherwise the sweep is redone serially against the
-  // live labeling. Pruning against fewer labels visits a superset of the
-  // serial sweep's vertices, so checking the speculative visited set is a
-  // sound (conservative) staleness test — the committed labeling is
-  // bit-identical to the serial build for any thread count or batching.
-
-  // Per-worker scratch: epoch-stamped visited marks + BFS queue.
-  struct Scratch {
-    std::vector<uint32_t> mark;
-    uint32_t epoch = 0;
-    std::vector<VertexId> queue;
-  };
-  // Outcome of one speculative sweep (one rank, one direction).
-  struct Sweep {
-    std::vector<VertexId> labeled;  // label targets, in BFS push order
-    std::vector<VertexId> visited;  // every vertex the oracle evaluated
-    bool redo = false;              // overflowed the cap: rerun serially
-  };
-
-  std::vector<Scratch> scratch(threads);
-  for (Scratch& s : scratch) s.mark.assign(n, 0);
-
-  // lin_stamp[w] == batch_epoch iff the current batch committed a Lin(w)
-  // entry already (dually lout_stamp) — exactly the reads that can make a
-  // speculative oracle stale.
-  std::vector<uint32_t> lin_stamp(n, 0), lout_stamp(n, 0);
-  uint32_t batch_epoch = 0;
-
-  // The exact serial sweep (identical to BuildLabels), also used for the
-  // warmup prefix and for conflict redos.
-  auto serial_sweep = [&](uint32_t r, bool forward, Scratch& s) {
-    const VertexId hop = by_rank_[r];
-    ++s.epoch;
-    s.queue.clear();
-    s.queue.push_back(hop);
-    s.mark[hop] = s.epoch;
-    for (size_t head = 0; head < s.queue.size(); ++head) {
-      const VertexId x = s.queue[head];
-      auto visit = [&](VertexId w) {
-        if (s.mark[w] == s.epoch || rank_[w] <= r) return;
-        s.mark[w] = s.epoch;
-        if (forward ? LabelQuery(hop, w) : LabelQuery(w, hop)) return;
-        if (forward) {
-          lin_[w].push_back(r);
-          lin_stamp[w] = batch_epoch;
-        } else {
-          lout_[w].push_back(r);
-          lout_stamp[w] = batch_epoch;
-        }
-        s.queue.push_back(w);
-      };
-      if (forward) {
-        for (VertexId w : graph.OutNeighbors(x)) visit(w);
-      } else {
-        for (VertexId w : graph.InNeighbors(x)) visit(w);
-      }
-    }
-  };
-
-  // A speculative sweep that floods far past the serial one (because the
-  // prefix is still thin) is cut off and redone serially — bounding wasted
-  // work without affecting the result.
-  const size_t visit_cap = std::max<size_t>(1024, n / 16);
-  auto speculative_sweep = [&](uint32_t r, bool forward, Scratch& s,
-                               Sweep* out) {
-    const VertexId hop = by_rank_[r];
-    ++s.epoch;
-    s.queue.clear();
-    s.queue.push_back(hop);
-    s.mark[hop] = s.epoch;
-    for (size_t head = 0; head < s.queue.size(); ++head) {
-      const VertexId x = s.queue[head];
-      auto visit = [&](VertexId w) {
-        if (s.mark[w] == s.epoch || rank_[w] <= r) return;
-        s.mark[w] = s.epoch;
-        out->visited.push_back(w);
-        if (forward ? LabelQuery(hop, w) : LabelQuery(w, hop)) return;
-        out->labeled.push_back(w);
-        s.queue.push_back(w);
-      };
-      if (forward) {
-        for (VertexId w : graph.OutNeighbors(x)) visit(w);
-      } else {
-        for (VertexId w : graph.InNeighbors(x)) visit(w);
-      }
-      if (out->visited.size() > visit_cap) {
-        out->redo = true;
-        out->labeled.clear();
-        out->visited.clear();
-        return;
-      }
-    }
-  };
-
-  // A forward oracle call LabelQuery(hop, w) reads Lout(hop) and Lin(w)
-  // for speculatively-visited w (the remaining branches cannot change
-  // during the batch); backward is symmetric. The sweep is stale iff the
-  // batch committed to one of those label sets after phase 1 snapshotted.
-  auto commit_rank = [&](uint32_t r, bool forward, Sweep& sweep) {
-    const VertexId hop = by_rank_[r];
-    bool conflict = sweep.redo;
-    if (!conflict) {
-      const std::vector<uint32_t>& hop_stamp =
-          forward ? lout_stamp : lin_stamp;
-      conflict = hop_stamp[hop] == batch_epoch;
-    }
-    if (!conflict) {
-      const std::vector<uint32_t>& stamp = forward ? lin_stamp : lout_stamp;
-      for (VertexId w : sweep.visited) {
-        if (stamp[w] == batch_epoch) {
-          conflict = true;
-          break;
-        }
-      }
-    }
-    if (conflict) {
-      serial_sweep(r, forward, scratch[0]);
-      return;
-    }
-    std::vector<uint32_t>& stamp = forward ? lin_stamp : lout_stamp;
-    auto& labels = forward ? lin_ : lout_;
-    for (VertexId w : sweep.labeled) {
-      labels[w].push_back(r);
-      stamp[w] = batch_epoch;
-    }
-  };
-
-  const uint32_t num_ranks = static_cast<uint32_t>(n);
-  // Warmup: early sweeps run against a nearly empty labeling and would
-  // speculatively flood the graph; run them serially.
-  uint32_t r = 0;
-  const uint32_t warmup = static_cast<uint32_t>(std::min<size_t>(n, 32));
-  for (; r < warmup; ++r) {
-    serial_sweep(r, /*forward=*/true, scratch[0]);
-    serial_sweep(r, /*forward=*/false, scratch[0]);
-  }
-
-  // Batches grow geometrically: small while the prefix is thin (frequent
-  // conflicts), large once pruning has kicked in and sweeps are cheap and
-  // almost always conflict-free.
-  size_t batch_size = 2 * threads;
-  const size_t max_batch = std::max<size_t>(64 * threads, 256);
-  std::vector<Sweep> fwd, bwd;
-  while (r < num_ranks) {
-    const uint32_t batch_end =
-        static_cast<uint32_t>(std::min<size_t>(num_ranks, r + batch_size));
-    const size_t count = batch_end - r;
-    fwd.assign(count, Sweep{});
-    bwd.assign(count, Sweep{});
-    ++batch_epoch;
-
-    std::atomic<size_t> next{0};
-    ParallelForWorkers(threads, [&](size_t worker) {
-      Scratch& s = scratch[worker];
-      for (;;) {
-        const size_t unit = next.fetch_add(1, std::memory_order_relaxed);
-        if (unit >= 2 * count) return;
-        const uint32_t rank = r + static_cast<uint32_t>(unit / 2);
-        const bool forward = (unit % 2) == 0;
-        speculative_sweep(rank, forward, s,
-                          forward ? &fwd[unit / 2] : &bwd[unit / 2]);
-      }
-    });
-
-    for (uint32_t offset = 0; offset < count; ++offset) {
-      commit_rank(r + offset, /*forward=*/true, fwd[offset]);
-      commit_rank(r + offset, /*forward=*/false, bwd[offset]);
-    }
-    r = batch_end;
-    batch_size = std::min(batch_size * 2, max_batch);
-  }
+  return by_rank;
 }
 
 void PrunedTwoHop::Build(const Digraph& graph) {
-  BuildStatsScope build(&build_stats_);
-  probes_.Reset();
-  graph_ = &graph;
-  ResetDynamicState();
-  lin_pool_.Clear();
-  lout_pool_.Clear();
-  lin_cpool_.Clear();
-  lout_cpool_.Clear();
-  compressed_ = false;
-  mapping_.reset();
-  {
-    BuildPhaseTimer timer(&build_stats_.phases, "order");
-    ComputeOrder(graph);
-  }
-  {
-    BuildPhaseTimer timer(&build_stats_.phases, "label");
-    const size_t threads = ResolveThreads(num_threads_);
-    if (threads <= 1) {
-      BuildLabels(graph);
-    } else {
-      BuildLabelsParallel(graph, threads);
-    }
-  }
-  {
-    BuildPhaseTimer timer(&build_stats_.phases, "seal");
-    SealLabels();
-  }
-  build_stats_.size_bytes = IndexSizeBytes();
-  build_stats_.num_entries = TotalLabelEntries();
-}
-
-void PrunedTwoHop::SealLabels() {
-  lin_pool_.Clear();
-  lout_pool_.Clear();
-  lin_cpool_.Clear();
-  lout_cpool_.Clear();
-  compressed_ = false;
-  budget_exceeded_ = false;
-  mapping_.reset();
-
-  // Flat-equivalent footprint, for the budget decision and the
-  // compression-ratio gauge.
-  const size_t n = lin_.size();
-  size_t entries = 0;
-  for (const auto& l : lin_) entries += l.size();
-  for (const auto& l : lout_) entries += l.size();
-  const size_t flat_bytes =
-      2 * (n + 1) * sizeof(uint64_t) + entries * sizeof(uint32_t);
-
-  const size_t budget = storage_.budget_mb * size_t{1024} * 1024;
-  const bool over_budget = budget != 0 && flat_bytes > budget;
-  if (!storage_.compress && !over_budget) {
-    lin_pool_.Seal(std::move(lin_));
-    lout_pool_.Seal(std::move(lout_));
-  } else {
-    // Compressed tiers: requested block size first; when a budget is set
-    // and still exceeded, fall back to coarser blocks (fewer skip
-    // entries) instead of failing.
-    size_t block = CompressedRankPool::ClampBlockEntries(
-        storage_.block_entries);
-    for (;;) {
-      lin_cpool_.Seal(lin_, block);
-      lout_cpool_.Seal(lout_, block);
-      const size_t bytes =
-          lin_cpool_.MemoryBytes() + lout_cpool_.MemoryBytes();
-      if (budget == 0 || bytes <= budget ||
-          block >= CompressedRankPool::kMaxBlockEntries) {
-        budget_exceeded_ = budget != 0 && bytes > budget;
-        break;
-      }
-      block *= 2;
-    }
-    compressed_ = true;
-  }
-  std::vector<std::vector<uint32_t>>().swap(lin_);
-  std::vector<std::vector<uint32_t>>().swap(lout_);
-  delta_lin_.clear();
-  has_delta_ = false;
-  PublishStorageGauges(flat_bytes);
-}
-
-void PrunedTwoHop::PublishStorageGauges(
-    size_t flat_equivalent_bytes) const {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  const size_t n = rank_.size();
-  const size_t bytes =
-      compressed_ ? lin_cpool_.MemoryBytes() + lout_cpool_.MemoryBytes()
-                  : lin_pool_.MemoryBytes() + lout_pool_.MemoryBytes();
-  reg.GetGauge("index.bytes").Set(static_cast<double>(bytes));
-  reg.GetGauge("index.bytes_per_vertex")
-      .Set(n == 0 ? 0.0
-                  : static_cast<double>(bytes) / static_cast<double>(n));
-  if (compressed_) {
-    reg.GetGauge("index.compression_ratio")
-        .Set(bytes == 0 ? 1.0
-                        : static_cast<double>(flat_equivalent_bytes) /
-                              static_cast<double>(bytes));
-  }
-  if (storage_.budget_mb != 0) {
-    reg.GetGauge("index.budget_exceeded").Set(budget_exceeded_ ? 1 : 0);
-  }
-}
-
-bool PrunedTwoHop::LabelQuery(VertexId s, VertexId t) const {
-  if (s == t) return true;
-  const std::vector<uint32_t>& lin_t = lin_[t];
-  const std::vector<uint32_t>& lout_s = lout_[s];
-  if (std::binary_search(lin_t.begin(), lin_t.end(), rank_[s])) return true;
-  if (std::binary_search(lout_s.begin(), lout_s.end(), rank_[t])) {
-    return true;
-  }
-  return IntersectSorted(lout_s.data(), lout_s.size(), lin_t.data(),
-                         lin_t.size());
-}
-
-bool PrunedTwoHop::SupersetAnswer(VertexId s, VertexId t) const {
-  if (s == t) return true;
-  if (compressed_) {
-    // Same three-case test, on the skip tables: membership decodes at
-    // most one block, the intersection only blocks that can overlap.
-    if (lin_cpool_.Contains(t, rank_[s])) return true;
-    if (lout_cpool_.Contains(s, rank_[t])) return true;
-    if (CompressedRankPool::Intersect(lout_cpool_, s, lin_cpool_, t)) {
-      return true;
-    }
-    if (!has_delta_) return false;
-    const std::vector<uint32_t>& delta_t = delta_lin_[t];
-    if (std::binary_search(delta_t.begin(), delta_t.end(), rank_[s])) {
-      return true;
-    }
-    return lout_cpool_.IntersectWithSorted(s, delta_t.data(),
-                                           delta_t.size());
-  }
-  const std::span<const uint32_t> lout_s = lout_pool_.Slice(s);
-  const std::span<const uint32_t> lin_t = lin_pool_.Slice(t);
-  if (std::binary_search(lin_t.begin(), lin_t.end(), rank_[s])) return true;
-  if (std::binary_search(lout_s.begin(), lout_s.end(), rank_[t])) {
-    return true;
-  }
-  if (IntersectSorted(lout_s.data(), lout_s.size(), lin_t.data(),
-                      lin_t.size())) {
-    return true;
-  }
-  if (!has_delta_) return false;
-  const std::vector<uint32_t>& delta_t = delta_lin_[t];
-  if (std::binary_search(delta_t.begin(), delta_t.end(), rank_[s])) {
-    return true;
-  }
-  return IntersectSorted(lout_s.data(), lout_s.size(), delta_t.data(),
-                         delta_t.size());
-}
-
-bool PrunedTwoHop::AnswerQuery(VertexId s, VertexId t, size_t slot) const {
-  if (s == t) return true;
-  // Zero damage is the common case and pays nothing for decremental
-  // support: the plain label test is exact (the live graph's reachability
-  // relation equals the superset's — every delete so far was locally
-  // redundant or there were none).
-  if (damage_ == 0) return SupersetAnswer(s, t);
-  return DamagedAnswer(s, t, slot);
-}
-
-bool PrunedTwoHop::DamagedAnswer(VertexId s, VertexId t, size_t slot) const {
-  // Witness-trust protocol (class comment): the labels over-approximate,
-  // so "no witness" is an exact negative; a witness whose hub ranks are
-  // unmarked is an exact positive (its claims provably survived every
-  // damaging delete); only damaged witnesses need live verification.
-  bool damaged_witness = false;
-  const uint32_t rs = rank_[s];
-  const uint32_t rt = rank_[t];
-  // Case 1: rank(s) ∈ Lin(t) — hub s claims s -> t (forward claim).
-  {
-    const bool present =
-        compressed_
-            ? lin_cpool_.Contains(t, rs)
-            : std::binary_search(lin_pool_.Slice(t).begin(),
-                                 lin_pool_.Slice(t).end(), rs);
-    const bool in_delta =
-        !present && has_delta_ &&
-        std::binary_search(delta_lin_[t].begin(), delta_lin_[t].end(), rs);
-    if (present || in_delta) {
-      if (!RankDamagedFwd(rs)) return true;
-      damaged_witness = true;
-    }
-  }
-  // Case 2: rank(t) ∈ Lout(s) — hub t claims s -> t (backward claim).
-  {
-    const bool present =
-        compressed_
-            ? lout_cpool_.Contains(s, rt)
-            : std::binary_search(lout_pool_.Slice(s).begin(),
-                                 lout_pool_.Slice(s).end(), rt);
-    if (present) {
-      if (!RankDamagedBwd(rt)) return true;
-      damaged_witness = true;
-    }
-  }
-  // Case 3: any r ∈ Lout(s) ∩ (Lin(t) ∪ Δ(t)) — hub by_rank_[r] claims
-  // both s -> hub and hub -> t; trusted iff neither direction is marked.
-  // Materializing the merged lists allocates, but damage mode is the
-  // explicitly slow lane between budget overrun and rebuild.
-  {
-    const std::vector<uint32_t> louts = OutLabels(s);
-    const std::vector<uint32_t> lints = InLabels(t);
-    auto a = louts.begin();
-    auto b = lints.begin();
-    while (a != louts.end() && b != lints.end()) {
-      if (*a < *b) {
-        ++a;
-      } else if (*b < *a) {
-        ++b;
-      } else {
-        if (!RankDamagedBwd(*a) && !RankDamagedFwd(*a)) return true;
-        damaged_witness = true;
-        ++a;
-        ++b;
-      }
-    }
-  }
-  if (!damaged_witness) return false;  // exact: superset has no s-t path
-  return VerifyReach(s, t, slot);
-}
-
-bool PrunedTwoHop::VerifyReach(VertexId s, VertexId t, size_t slot) const {
-  // Exact reachability over the live adjacency, pruned at vertices the
-  // superset labels already rule out (w can't reach t in the superset ⇒
-  // can't in the live graph). Unbounded on purpose: this is the exactness
-  // backstop, and the label pruning keeps the frontier near the damaged
-  // region.
-  SearchWorkspace& ws =
-      slot < verify_ws_.NumSlots() ? verify_ws_.Slot(slot) : ws_;
-  ws.Prepare(graph_->NumVertices());
-  std::vector<VertexId>& queue = ws.queue();
-  queue.push_back(s);
-  ws.MarkForward(s);
-  for (size_t head = 0; head < queue.size(); ++head) {
-    if (queue[head] == t) return true;
-    ForEachOut(queue[head], [&](VertexId w) {
-      if (ws.IsForwardMarked(w)) return;
-      if (!SupersetAnswer(w, t)) return;
-      ws.MarkForward(w);
-      queue.push_back(w);
-    });
-  }
-  return false;
+  core_.Build(graph, ResolveThreads(num_threads_), &build_stats_,
+              [this](const Digraph& g) { return ComputeOrder(g); });
 }
 
 bool PrunedTwoHop::Query(VertexId s, VertexId t) const {
-  return QueryInSlot(s, t, 0);
+  return core_.Answer(s, t, {}, 0);
 }
 
 bool PrunedTwoHop::QueryInSlot(VertexId s, VertexId t, size_t slot) const {
-  [[maybe_unused]] QueryProbe& probe = probes_.Slot(slot);
-  REACH_PROBE_INC(probe, queries);
-  // Worst-case entries consulted: the Lout(s) ∩ Lin(t) intersection scans
-  // both lists end to end. (The build-time oracle is left unprobed — the
-  // pruning tests would otherwise swamp the counts.)
-  REACH_PROBE_ADD(probe, labels_scanned,
-                  (compressed_ ? lout_cpool_.ListEntries(s) +
-                                     lin_cpool_.ListEntries(t)
-                               : lout_pool_.Slice(s).size() +
-                                     lin_pool_.Slice(t).size()) +
-                      (has_delta_ ? delta_lin_[t].size() : 0));
-  const bool reachable = AnswerQuery(s, t, slot);
-  if (reachable) {
-    REACH_PROBE_INC(probe, positives);
-  } else {
-    REACH_PROBE_INC(probe, label_rejections);  // labels ruled it out
-  }
-  return reachable;
+  return core_.Answer(s, t, {}, slot);
 }
 
 UpdateResult PrunedTwoHop::ApplyUpdate(const UpdateBatch& batch) {
-  if (graph_ == nullptr) {
-    return UpdateResult::Rejected(
-        "no live graph: Build() before ApplyUpdate (Load'ed labelings are "
-        "read-only)");
-  }
-  // Validate-first: a rejected batch must leave no partial state behind.
-  const VertexId n = static_cast<VertexId>(graph_->NumVertices());
-  for (const EdgeUpdate& update : batch) {
-    if (update.source >= n || update.target >= n) {
-      return UpdateResult::Rejected("endpoint out of range");
-    }
-  }
-  size_t applied = 0;
-  size_t ignored = 0;
-  for (const EdgeUpdate& update : batch) {
-    const bool changed = update.IsInsert()
-                             ? ApplyInsert(update.source, update.target)
-                             : ApplyDelete(update.source, update.target);
-    if (changed) {
-      ++applied;
-    } else {
-      ++ignored;
-    }
-  }
-  return UpdateResult::Applied(applied, ignored, damage_, staleness_budget_);
-}
-
-bool PrunedTwoHop::IsTombstoned(VertexId u, VertexId v) const {
-  return !tomb_out_.empty() &&
-         std::binary_search(tomb_out_[u].begin(), tomb_out_[u].end(), v);
-}
-
-bool PrunedTwoHop::ApplyInsert(VertexId s, VertexId t) {
-  if (s == t) return false;
-  if (IsTombstoned(s, t)) {
-    // Resurrecting a deleted edge: the labels already cover it (it is
-    // part of the superset), so dropping the tombstone is the whole
-    // update. Damage marks stay — conservative, cleared at rebuild.
-    SortedErase(tomb_out_[s], t);
-    SortedErase(tomb_in_[t], s);
-    return true;
-  }
-  if (graph_->HasEdge(s, t)) return false;
-  if (extra_out_.empty()) {
-    extra_out_.resize(graph_->NumVertices());
-    extra_in_.resize(graph_->NumVertices());
-  }
-  if (std::find(extra_out_[s].begin(), extra_out_[s].end(), t) !=
-      extra_out_[s].end()) {
-    return false;
-  }
-  extra_out_[s].push_back(t);
-  extra_in_[t].push_back(s);
-
-  // The damage marks are transitive closures over the superset as of each
-  // damaging delete; this insert grows the superset, so re-close them. If
-  // t already reaches a damaged tombstone source, everything reaching s
-  // now does too (any simple path from t to that source cannot revisit t,
-  // so the pre-insert closure decides the check) — symmetrically for the
-  // backward marks. Without this, a vertex wired into a damaged region
-  // *after* the delete keeps unmarked claims routed through the dead edge,
-  // and the witness-trust protocol returns a stale positive.
-  if (!damaged_fwd_.empty()) {
-    if (!fwd_all_damaged_ && damaged_fwd_[rank_[t]] != 0 &&
-        damaged_fwd_[rank_[s]] == 0) {
-      if (!DamageSweep(s, /*backward=*/true)) fwd_all_damaged_ = true;
-    }
-    if (!bwd_all_damaged_ && damaged_bwd_[rank_[s]] != 0 &&
-        damaged_bwd_[rank_[t]] == 0) {
-      if (!DamageSweep(t, /*backward=*/false)) bwd_all_damaged_ = true;
-    }
-  }
-
-  // Any pair newly connected by (s, t) decomposes into x -> s (old paths)
-  // and t -> y (old paths); the old index answers x -> s with some hop
-  // h ∈ Lout(x) ∩ (Lin(s) ∪ {s}). Propagating every such h through the new
-  // edge to all of Reach(t) restores the invariant: h lands in Lin(y), so
-  // Qr(x, y) finds it. The sealed pool is immutable, so the new entries go
-  // into the unsealed delta overlay (sorted, disjoint from the pool
-  // slice); the query path consults both. No pruning beyond per-BFS
-  // visited marks and already-present labels; this trades label minimality
-  // for correctness (see class comment).
-  if (delta_lin_.empty()) delta_lin_.resize(graph_->NumVertices());
-  has_delta_ = true;
-  std::vector<uint32_t> hops = InLabels(s);
-  hops.push_back(rank_[s]);
-  // One shared sweep computes Reach(t); each hop is then inserted into the
-  // Lin of every vertex on the list (equivalent to one unpruned BFS per
-  // hop, without re-traversing the edges). The sweep runs over the
-  // SUPERSET adjacency, not the live one: the delta overlay must keep
-  // describing the superset, or a later tombstone resurrection (which adds
-  // no labels) would leave pairs routed through the tombstoned edge
-  // without a witness — turning "no witness" into a wrong exact negative.
-  std::vector<VertexId> queue;
-  ws_.Prepare(graph_->NumVertices());
-  queue.push_back(t);
-  ws_.MarkForward(t);
-  for (size_t head = 0; head < queue.size(); ++head) {
-    ForEachOutSuperset(queue[head], [&](VertexId w) {
-      if (ws_.MarkForward(w)) queue.push_back(w);
-    });
-  }
-  for (uint32_t h : hops) {
-    const VertexId hop = by_rank_[h];
-    for (VertexId x : queue) {
-      if (x == hop) continue;
-      if (compressed_) {
-        if (lin_cpool_.Contains(x, h)) continue;
-      } else {
-        const std::span<const uint32_t> sealed = lin_pool_.Slice(x);
-        if (std::binary_search(sealed.begin(), sealed.end(), h)) continue;
-      }
-      SortedInsert(delta_lin_[x], h);
-    }
-  }
-  return true;
-}
-
-bool PrunedTwoHop::ApplyDelete(VertexId s, VertexId t) {
-  const bool in_base = graph_->HasEdge(s, t);
-  const bool in_extra =
-      !extra_out_.empty() &&
-      std::find(extra_out_[s].begin(), extra_out_[s].end(), t) !=
-          extra_out_[s].end();
-  if (!in_base && !in_extra) return false;   // never existed: no-op
-  if (IsTombstoned(s, t)) return false;      // already deleted: no-op
-  if (tomb_out_.empty()) {
-    tomb_out_.resize(graph_->NumVertices());
-    tomb_in_.resize(graph_->NumVertices());
-  }
-  // Tombstone rather than erase, even for extras: the superset adjacency
-  // (and the sealed + delta labels that describe it) must keep every edge
-  // that ever existed for damage marking to stay conservative.
-  auto it = std::lower_bound(tomb_out_[s].begin(), tomb_out_[s].end(), t);
-  tomb_out_[s].insert(it, t);
-  it = std::lower_bound(tomb_in_[t].begin(), tomb_in_[t].end(), s);
-  tomb_in_[t].insert(it, s);
-  if (s == t) return true;  // self-loop: reachability is reflexive anyway
-  if (LocallyRedundant(s, t)) {
-    // u still reaches v in the post-delete graph, so every old path
-    // through (s, t) reroutes: the reachability relation is untouched and
-    // the labels stay exact. Zero damage, zero query-time cost.
-    return true;
-  }
-  MarkDamage(s, t);
-  ++damage_;
-  return true;
-}
-
-bool PrunedTwoHop::LocallyRedundant(VertexId u, VertexId v) const {
-  // Bounded BFS from u over the live adjacency (the tombstone is already
-  // in place), pruned at vertices that cannot reach v even in the
-  // superset. Overrun counts as "not redundant" — conservative.
-  ws_.Prepare(graph_->NumVertices());
-  std::vector<VertexId>& queue = ws_.queue();
-  queue.push_back(u);
-  ws_.MarkForward(u);
-  for (size_t head = 0; head < queue.size(); ++head) {
-    if (queue[head] == v) return true;
-    if (queue.size() > kLocalSearchBudget) return false;
-    ForEachOut(queue[head], [&](VertexId w) {
-      if (ws_.IsForwardMarked(w)) return;
-      if (!SupersetAnswer(w, v)) return;
-      ws_.MarkForward(w);
-      queue.push_back(w);
-    });
-  }
-  return false;
-}
-
-void PrunedTwoHop::MarkDamage(VertexId u, VertexId v) {
-  const size_t n = graph_->NumVertices();
-  if (damaged_fwd_.empty()) {
-    damaged_fwd_.assign(n, 0);
-    damaged_bwd_.assign(n, 0);
-  }
-  // Every hub that reaches u in the *superset* may have forward claims
-  // routed through (u, v); every hub the superset reaches from v may have
-  // backward claims through it. Marking over the superset adjacency is
-  // what keeps this conservative: claims rerouted through since-deleted
-  // edges are still traced back to their hubs.
-  if (!DamageSweep(u, /*backward=*/true)) fwd_all_damaged_ = true;
-  if (!DamageSweep(v, /*backward=*/false)) bwd_all_damaged_ = true;
-}
-
-bool PrunedTwoHop::DamageSweep(VertexId start, bool backward) {
-  ws_.Prepare(graph_->NumVertices());
-  std::vector<VertexId>& queue = ws_.queue();
-  queue.push_back(start);
-  ws_.MarkForward(start);
-  std::vector<uint8_t>& marks = backward ? damaged_fwd_ : damaged_bwd_;
-  for (size_t head = 0; head < queue.size(); ++head) {
-    marks[rank_[queue[head]]] = 1;
-    if (queue.size() > kLocalSearchBudget) return false;
-    const auto visit = [&](VertexId w) {
-      if (ws_.MarkForward(w)) queue.push_back(w);
-    };
-    if (backward) {
-      ForEachInSuperset(queue[head], visit);
-    } else {
-      ForEachOutSuperset(queue[head], visit);
-    }
-  }
-  return true;
+  return core_.ApplyUpdate(batch);
 }
 
 bool PrunedTwoHop::RebuildFromUpdates() {
-  if (graph_ == nullptr) return false;
-  // Materialize the live edge set (base ∪ extras, minus tombstones) and
-  // rebuild over it: folds the delta overlay in, drops the tombstones,
-  // and resets damage — the payoff step of the rebuild-threshold policy.
-  std::vector<Edge> edges = graph_->Edges();
-  if (!extra_out_.empty()) {
-    for (VertexId v = 0; v < extra_out_.size(); ++v) {
-      for (VertexId w : extra_out_[v]) edges.push_back({v, w});
-    }
-  }
-  if (!tomb_out_.empty()) {
-    std::erase_if(edges, [&](const Edge& e) {
-      return std::binary_search(tomb_out_[e.source].begin(),
-                                tomb_out_[e.source].end(), e.target);
-    });
-  }
-  owned_graph_ = Digraph::FromEdges(
-      static_cast<VertexId>(graph_->NumVertices()), std::move(edges));
-  Build(owned_graph_);
+  // Rebuilding over the live edge set folds the delta overlay in, drops
+  // the tombstones, and resets damage — the payoff step of the
+  // rebuild-threshold policy.
+  const Digraph* live = core_.MaterializeLiveGraph();
+  if (live == nullptr) return false;
+  Build(*live);
   return true;
-}
-
-void PrunedTwoHop::ResetDynamicState() {
-  extra_out_.clear();
-  extra_in_.clear();
-  tomb_out_.clear();
-  tomb_in_.clear();
-  delta_lin_.clear();
-  has_delta_ = false;
-  damage_ = 0;
-  damaged_fwd_.clear();
-  damaged_bwd_.clear();
-  fwd_all_damaged_ = false;
-  bwd_all_damaged_ = false;
 }
 
 namespace {
@@ -930,17 +206,17 @@ bool PrunedTwoHop::Save(std::ostream& out) const {
   // A damaged labeling is only exact together with the live tombstone +
   // graph state, which the stream does not carry: refuse rather than
   // persist stale positives (header contract).
-  if (damage_ > 0) return false;
+  if (core_.Damage() > 0) return false;
   // The payload layout predates the flat pool and is kept byte-identical:
   // per-vertex sorted label vectors, reconstructed by merging each pool
   // slice with its delta overlay (exactly what the nested-vector layout
   // used to hold).
   if (!WriteEnvelope(out, kFormatName)) return false;
+  const size_t n = core_.NumVertices();
   WritePod(out, kMagic);
-  WritePod(out, static_cast<uint64_t>(rank_.size()));
-  WriteU32Vec(out, rank_);
-  WriteU32Vec(out, by_rank_);
-  const size_t n = rank_.size();
+  WritePod(out, static_cast<uint64_t>(n));
+  WriteU32Vec(out, core_.rank_);
+  WriteU32Vec(out, core_.by_rank_);
   for (VertexId v = 0; v < n; ++v) WriteU32Vec(out, InLabels(v));
   for (VertexId v = 0; v < n; ++v) WriteU32Vec(out, OutLabels(v));
   return static_cast<bool>(out);
@@ -964,7 +240,8 @@ LoadResult PrunedTwoHop::Load(std::istream& in) {
   if (!ReadPod(in, &n)) return CorruptAt("vertex count", at);
   // Hard sanity cap: label vectors can never exceed n entries.
   at = offset();
-  if (!ReadU32Vec(in, &rank_, n) || rank_.size() != n) {
+  std::vector<uint32_t> rank;
+  if (!ReadU32Vec(in, &rank, n) || rank.size() != n) {
     return CorruptAt("rank table", at);
   }
   at = offset();
@@ -972,114 +249,61 @@ LoadResult PrunedTwoHop::Load(std::istream& in) {
   if (!ReadU32Vec(in, &by_rank, n) || by_rank.size() != n) {
     return CorruptAt("by-rank table", at);
   }
-  by_rank_.assign(by_rank.begin(), by_rank.end());
-  lin_.assign(n, {});
-  lout_.assign(n, {});
+  std::vector<std::vector<uint32_t>> lin(n), lout(n);
   for (size_t v = 0; v < n; ++v) {
     at = offset();
-    if (!ReadU32Vec(in, &lin_[v], n)) {
+    if (!ReadU32Vec(in, &lin[v], n)) {
       return CorruptAt("Lin[" + std::to_string(v) + "]", at);
     }
   }
   for (size_t v = 0; v < n; ++v) {
     at = offset();
-    if (!ReadU32Vec(in, &lout_[v], n)) {
+    if (!ReadU32Vec(in, &lout[v], n)) {
       return CorruptAt("Lout[" + std::to_string(v) + "]", at);
     }
   }
   // Validate ranges so a corrupted stream cannot cause out-of-bounds use.
-  for (uint32_t r : rank_) {
+  for (uint32_t r : rank) {
     if (r >= n) return {LoadStatus::kCorrupt, "rank table: rank out of range"};
   }
-  for (VertexId v : by_rank_) {
+  for (VertexId v : by_rank) {
     if (v >= n) {
       return {LoadStatus::kCorrupt, "by-rank table: vertex out of range"};
     }
   }
-  for (const auto& labels : lin_) {
+  for (const auto& labels : lin) {
     for (uint32_t r : labels) {
       if (r >= n) return {LoadStatus::kCorrupt, "Lin labels: rank out of range"};
     }
   }
-  for (const auto& labels : lout_) {
+  for (const auto& labels : lout) {
     for (uint32_t r : labels) {
       if (r >= n) return {LoadStatus::kCorrupt, "Lout labels: rank out of range"};
     }
   }
-  graph_ = nullptr;
-  ResetDynamicState();
-  SealLabels();
+  core_.Restore(std::move(rank), std::move(by_rank), std::move(lin),
+                std::move(lout));
   return LoadResult{};
-}
-
-size_t PrunedTwoHop::IndexSizeBytes() const {
-  // The flat layout's real footprint: aligned entry blocks plus the CSR
-  // offset arrays, the rank translation tables, and any delta overlay.
-  size_t delta_bytes = 0;
-  if (has_delta_) {
-    delta_bytes = delta_lin_.size() * sizeof(std::vector<uint32_t>);
-    for (const auto& d : delta_lin_) delta_bytes += d.capacity() * sizeof(uint32_t);
-  }
-  const size_t pool_bytes =
-      compressed_ ? lin_cpool_.MemoryBytes() + lout_cpool_.MemoryBytes()
-                  : lin_pool_.MemoryBytes() + lout_pool_.MemoryBytes();
-  return pool_bytes +
-         (rank_.size() + by_rank_.size()) * sizeof(uint32_t) + delta_bytes;
-}
-
-size_t PrunedTwoHop::TotalLabelEntries() const {
-  size_t entries =
-      compressed_ ? lin_cpool_.NumEntries() + lout_cpool_.NumEntries()
-                  : lin_pool_.NumEntries() + lout_pool_.NumEntries();
-  for (const auto& d : delta_lin_) entries += d.size();
-  return entries;
-}
-
-std::vector<uint32_t> PrunedTwoHop::InLabels(VertexId v) const {
-  std::vector<uint32_t> merged;
-  if (compressed_) {
-    lin_cpool_.Decode(v, &merged);
-  } else {
-    const std::span<const uint32_t> sealed = lin_pool_.Slice(v);
-    merged.assign(sealed.begin(), sealed.end());
-  }
-  if (has_delta_ && !delta_lin_[v].empty()) {
-    const std::vector<uint32_t>& delta = delta_lin_[v];
-    std::vector<uint32_t> out(merged.size() + delta.size());
-    std::merge(merged.begin(), merged.end(), delta.begin(), delta.end(),
-               out.begin());
-    merged = std::move(out);
-  }
-  return merged;
-}
-
-std::vector<uint32_t> PrunedTwoHop::OutLabels(VertexId v) const {
-  if (compressed_) {
-    std::vector<uint32_t> out;
-    lout_cpool_.Decode(v, &out);
-    return out;
-  }
-  const std::span<const uint32_t> sealed = lout_pool_.Slice(v);
-  return {sealed.begin(), sealed.end()};
 }
 
 bool PrunedTwoHop::SaveSnapshot(std::ostream& out) const {
   // Same contract as `Save`: never persist a labeling whose exactness
   // depends on live tombstone state.
-  if (damage_ > 0) return false;
-  const size_t n = rank_.size();
+  const TwoHopCore<PlainTwoHopTraits>& core = core_;
+  if (core.damage_ > 0) return false;
+  const size_t n = core.NumVertices();
   // A post-build delta overlay is folded into temporary pools so the
   // snapshot always holds one sealed, delta-free labeling. The
   // temporaries must outlive WriteTo (sections point into them).
   FlatLabelPool<uint32_t> merged_flat;
   CompressedRankPool merged_compressed;
-  const FlatLabelPool<uint32_t>* lin_flat = &lin_pool_;
-  const CompressedRankPool* lin_c = &lin_cpool_;
-  if (has_delta_) {
+  const FlatLabelPool<uint32_t>* lin_flat = &core.lin_pool_;
+  const CompressedRankPool* lin_c = &core.lin_cpool_;
+  if (core.has_delta_) {
     std::vector<std::vector<uint32_t>> merged(n);
     for (VertexId v = 0; v < n; ++v) merged[v] = InLabels(v);
-    if (compressed_) {
-      merged_compressed.Seal(merged, lin_cpool_.BlockEntries());
+    if (core.compressed_) {
+      merged_compressed.Seal(merged, core.lin_cpool_.BlockEntries());
       lin_c = &merged_compressed;
     } else {
       merged_flat.Seal(std::move(merged));
@@ -1091,21 +315,21 @@ bool PrunedTwoHop::SaveSnapshot(std::ostream& out) const {
   SnapshotMeta meta{};
   meta.payload_magic = kMagic;
   meta.num_vertices = n;
-  meta.storage = compressed_ ? 1 : 0;
-  if (compressed_) {
+  meta.storage = core.compressed_ ? 1 : 0;
+  if (core.compressed_) {
     meta.lin_entries = lin_c->NumEntries();
-    meta.lout_entries = lout_cpool_.NumEntries();
+    meta.lout_entries = core.lout_cpool_.NumEntries();
     meta.block_entries = static_cast<uint32_t>(lin_c->BlockEntries());
   } else {
     meta.lin_entries = lin_flat->NumEntries();
-    meta.lout_entries = lout_pool_.NumEntries();
+    meta.lout_entries = core.lout_pool_.NumEntries();
   }
   writer.AddSection(kSecMeta, &meta, sizeof(meta));
-  writer.AddSection(kSecRank, rank_.data(),
-                    rank_.size() * sizeof(uint32_t));
-  writer.AddSection(kSecByRank, by_rank_.data(),
-                    by_rank_.size() * sizeof(VertexId));
-  if (compressed_) {
+  writer.AddSection(kSecRank, core.rank_.data(),
+                    core.rank_.size() * sizeof(uint32_t));
+  writer.AddSection(kSecByRank, core.by_rank_.data(),
+                    core.by_rank_.size() * sizeof(VertexId));
+  if (core.compressed_) {
     const auto add_pool = [&writer](uint32_t blocks_kind,
                                     uint32_t skip_kind, uint32_t data_kind,
                                     const CompressedRankPool& pool) {
@@ -1118,16 +342,16 @@ bool PrunedTwoHop::SaveSnapshot(std::ostream& out) const {
     };
     add_pool(kSecLinVertexBlocks, kSecLinSkip, kSecLinData, *lin_c);
     add_pool(kSecLoutVertexBlocks, kSecLoutSkip, kSecLoutData,
-             lout_cpool_);
+             core.lout_cpool_);
   } else {
     writer.AddSection(kSecLinOffsets, lin_flat->OffsetsRaw().data(),
                       lin_flat->OffsetsRaw().size_bytes());
     writer.AddSection(kSecLinEntries, lin_flat->EntriesRaw().data(),
                       lin_flat->EntriesRaw().size_bytes());
-    writer.AddSection(kSecLoutOffsets, lout_pool_.OffsetsRaw().data(),
-                      lout_pool_.OffsetsRaw().size_bytes());
-    writer.AddSection(kSecLoutEntries, lout_pool_.EntriesRaw().data(),
-                      lout_pool_.EntriesRaw().size_bytes());
+    writer.AddSection(kSecLoutOffsets, core.lout_pool_.OffsetsRaw().data(),
+                      core.lout_pool_.OffsetsRaw().size_bytes());
+    writer.AddSection(kSecLoutEntries, core.lout_pool_.EntriesRaw().data(),
+                      core.lout_pool_.EntriesRaw().size_bytes());
   }
   return writer.WriteTo(out);
 }
@@ -1189,26 +413,26 @@ LoadResult PrunedTwoHop::LoadSnapshot(std::shared_ptr<MappedFile> file) {
   // All header-level checks passed: reset storage, then point the pools
   // at the mapping. SealFromView validates the pool structure (CSR
   // monotonicity / block tables) before the pool goes live.
-  lin_pool_.Clear();
-  lout_pool_.Clear();
-  lin_cpool_.Clear();
-  lout_cpool_.Clear();
-  compressed_ = meta.storage == 1;
-  if (compressed_) {
-    if (!lin_cpool_.SealFromView(
+  TwoHopCore<PlainTwoHopTraits>& core = core_;
+  core.graph_ = nullptr;
+  core.ResetDynamicState();
+  core.ClearPools();
+  core.compressed_ = meta.storage == 1;
+  if (core.compressed_) {
+    if (!core.lin_cpool_.SealFromView(
             view.TypedSection<uint32_t>(kSecLinVertexBlocks),
             view.TypedSection<CompressedRankPool::SkipEntry>(kSecLinSkip),
             view.Section(kSecLinData), meta.lin_entries,
             meta.block_entries) ||
-        lin_cpool_.NumVertices() != n) {
+        core.lin_cpool_.NumVertices() != n) {
       return {LoadStatus::kCorrupt, "Lin block sections: malformed"};
     }
-    if (!lout_cpool_.SealFromView(
+    if (!core.lout_cpool_.SealFromView(
             view.TypedSection<uint32_t>(kSecLoutVertexBlocks),
             view.TypedSection<CompressedRankPool::SkipEntry>(kSecLoutSkip),
             view.Section(kSecLoutData), meta.lout_entries,
             meta.block_entries) ||
-        lout_cpool_.NumVertices() != n) {
+        core.lout_cpool_.NumVertices() != n) {
       return {LoadStatus::kCorrupt, "Lout block sections: malformed"};
     }
   } else {
@@ -1220,29 +444,26 @@ LoadResult PrunedTwoHop::LoadSnapshot(std::shared_ptr<MappedFile> file) {
         lout_entries.size() != meta.lout_entries) {
       return {LoadStatus::kCorrupt, "entry sections: size mismatch"};
     }
-    if (!lin_pool_.SealFromView(view.TypedSection<uint64_t>(kSecLinOffsets),
-                                lin_entries) ||
-        lin_pool_.NumVertices() != n) {
+    if (!core.lin_pool_.SealFromView(
+            view.TypedSection<uint64_t>(kSecLinOffsets), lin_entries) ||
+        core.lin_pool_.NumVertices() != n) {
       return {LoadStatus::kCorrupt, "Lin offsets: malformed CSR"};
     }
-    if (!lout_pool_.SealFromView(
+    if (!core.lout_pool_.SealFromView(
             view.TypedSection<uint64_t>(kSecLoutOffsets), lout_entries) ||
-        lout_pool_.NumVertices() != n) {
+        core.lout_pool_.NumVertices() != n) {
       return {LoadStatus::kCorrupt, "Lout offsets: malformed CSR"};
     }
   }
 
-  rank_.assign(rank.begin(), rank.end());
-  by_rank_.assign(by_rank.begin(), by_rank.end());
-  graph_ = nullptr;
-  ResetDynamicState();
-  budget_exceeded_ = false;
-  mapping_ = std::move(file);  // pool views point into this mapping
+  core.rank_.assign(rank.begin(), rank.end());
+  core.by_rank_.assign(by_rank.begin(), by_rank.end());
+  core.mapping_ = std::move(file);  // pool views point into this mapping
   const size_t flat_equivalent =
       2 * (static_cast<size_t>(n) + 1) * sizeof(uint64_t) +
       static_cast<size_t>(meta.lin_entries + meta.lout_entries) *
           sizeof(uint32_t);
-  PublishStorageGauges(flat_equivalent);
+  core.PublishStorageGauges(flat_equivalent);
   return LoadResult{};
 }
 

@@ -1,17 +1,19 @@
 #ifndef REACH_PLAIN_PRUNED_TWO_HOP_H_
 #define REACH_PLAIN_PRUNED_TWO_HOP_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/label_kernels.h"
 #include "core/label_pool.h"
 #include "core/mapped_file.h"
 #include "core/reachability_index.h"
-#include "core/search_workspace.h"
-#include "core/workspace_pool.h"
+#include "core/two_hop_core.h"
 #include "graph/digraph.h"
 
 namespace reach {
@@ -29,6 +31,86 @@ enum class VertexOrder {
   kReverseDegree,
   /// Uniformly random order — the ablation baseline.
   kRandom,
+};
+
+class PrunedTwoHop;
+
+/// `TwoHopCore` vocabulary of plain reachability: a label entry is a hop
+/// rank, an arc is the neighbor id, and queries carry no constraint. The
+/// superset query kernels are the sorted-rank intersection engine of
+/// core/label_kernels.h and the compressed pool's skip-table walks.
+struct PlainTwoHopTraits {
+  using Entry = uint32_t;
+  using Arc = VertexId;
+  using Graph = Digraph;
+  using Edge = ::reach::Edge;
+  struct Constraint {};
+  using CompressedPool = CompressedRankPool;
+  using Index = PrunedTwoHop;
+  class Sweeper;  // the pruned BFS of one rank (pruned_two_hop.cc)
+
+  static uint32_t Rank(Entry e) { return e; }
+  static VertexId Head(Arc arc) { return arc; }
+  static Arc Reverse(VertexId from, Arc) { return from; }
+  static bool ArcAllowed(Arc, Constraint) { return true; }
+  static std::span<const Arc> OutArcs(const Digraph& g, VertexId v) {
+    return g.OutNeighbors(v);
+  }
+  static std::span<const Arc> InArcs(const Digraph& g, VertexId v) {
+    return g.InNeighbors(v);
+  }
+  static Edge MakeEdge(VertexId from, Arc arc) { return {from, arc}; }
+  static Digraph MakeGraph(const Digraph& like, std::vector<Edge> edges) {
+    return Digraph::FromEdges(static_cast<VertexId>(like.NumVertices()),
+                              std::move(edges));
+  }
+  static Arc UpdateArc(const EdgeUpdate& update) { return update.target; }
+  static bool ArcInRange(const Digraph&, Arc) { return true; }
+  /// Any live detour u ->* v reroutes every path through a deleted (u, v).
+  static Constraint DetourConstraint(Arc) { return {}; }
+
+  // The membership test of the query hot path, forced inline and written
+  // out (std::lower_bound's loop) so it never becomes a call, however
+  // many callers the core gives it.
+  [[gnu::always_inline]] static bool Covered(std::span<const Entry> entries,
+                                             uint32_t rank, Constraint) {
+    const Entry* first = entries.data();
+    const Entry* const last = first + entries.size();
+    ptrdiff_t len = last - first;
+    while (len > 0) {
+      const ptrdiff_t half = len >> 1;
+      const Entry* middle = first + half;
+      if (*middle < rank) {
+        first = middle + 1;
+        len = len - half - 1;
+      } else {
+        len = half;
+      }
+    }
+    return first != last && !(rank < *first);
+  }
+  static bool Intersect(std::span<const Entry> a, std::span<const Entry> b,
+                        Constraint) {
+    return IntersectSorted(a.data(), a.size(), b.data(), b.size());
+  }
+  static bool CoveredInPool(const CompressedRankPool& pool, VertexId v,
+                            uint32_t rank, Constraint) {
+    return pool.Contains(v, rank);
+  }
+  static bool IntersectPools(const CompressedRankPool& out_pool, VertexId s,
+                             const CompressedRankPool& in_pool, VertexId t,
+                             Constraint) {
+    return CompressedRankPool::Intersect(out_pool, s, in_pool, t);
+  }
+  static bool IntersectPoolWithSpan(const CompressedRankPool& pool,
+                                    VertexId v, std::span<const Entry> other,
+                                    Constraint) {
+    return pool.IntersectWithSorted(v, other.data(), other.size());
+  }
+
+  /// Adds the hops of Lin(s) ∪ {s} to the Lin of everything `t` reaches.
+  static void PropagateInsert(TwoHopCore<PlainTwoHopTraits>& core,
+                              VertexId s, Arc t);
 };
 
 /// The 2-hop labeling framework of Cohen et al. [14] computed with pruned
@@ -59,13 +141,17 @@ enum class VertexOrder {
 ///    delete. A *locally redundant* delete (u still reaches v another way)
 ///    provably changes no answer and costs nothing at query time. A
 ///    *damaging* delete marks the hub ranks whose label entries may now be
-///    stale (bounded BFS over the superset adjacency); `AnswerQuery` then
-///    trusts only undamaged witnesses, and verifies damaged-witness
+///    stale (bounded BFS over the superset adjacency); queries then trust
+///    only undamaged witnesses, and verify damaged-witness
 ///    positives by a label-pruned BFS over the live adjacency — answers
 ///    stay exact at every damage level. Accumulated damage is the
 ///    staleness budget of the rebuild-threshold policy: once it crosses
 ///    `staleness_budget` the batch returns `kDeferredRebuild` and the
 ///    caller schedules `RebuildFromUpdates()`.
+///
+/// The machinery above is `TwoHopCore` (core/two_hop_core.h), shared with
+/// the labeled `PrunedLabeledTwoHop`; this class supplies the total order,
+/// the pruned BFS sweep, and the "pll" payload and snapshot I/O.
 class PrunedTwoHop : public DynamicReachabilityIndex {
  public:
   /// `num_threads` parallelizes the build with rank-batched speculative
@@ -83,8 +169,7 @@ class PrunedTwoHop : public DynamicReachabilityIndex {
       : order_(order),
         seed_(seed),
         num_threads_(num_threads),
-        storage_(storage),
-        staleness_budget_(staleness_budget) {}
+        core_(storage, staleness_budget) {}
 
   /// Default `staleness_budget`: damaging deletes tolerated before
   /// `ApplyUpdate` starts returning `kDeferredRebuild`. 0 = unbounded.
@@ -92,21 +177,16 @@ class PrunedTwoHop : public DynamicReachabilityIndex {
 
   void Build(const Digraph& graph) override;
   bool Query(VertexId s, VertexId t) const override;
-  size_t IndexSizeBytes() const override;
+  size_t IndexSizeBytes() const override { return core_.IndexSizeBytes(); }
   /// Complete while label-exact; damaging deletes flip this to false
   /// until `RebuildFromUpdates`/`Build` re-minimizes.
-  bool IsComplete() const override { return damage_ == 0; }
+  bool IsComplete() const override { return core_.Damage() == 0; }
   std::string Name() const override;
-  QueryProbe Probe() const override { return probes_.Aggregate(); }
-  void ResetProbe() const override { probes_.Reset(); }
+  QueryProbe Probe() const override { return core_.Probe(); }
+  void ResetProbe() const override { core_.ResetProbe(); }
 
   size_t PrepareConcurrentQueries(size_t slots) const override {
-    if (slots == 0) slots = 1;
-    probes_.EnsureSlots(slots);
-    // Damaged-witness verification traverses; give every slot its own
-    // scratch now — growing mid-fanout would race.
-    verify_ws_.EnsureSlots(slots);
-    return slots;
+    return core_.PrepareSlots(slots);
   }
   bool QueryInSlot(VertexId s, VertexId t, size_t slot) const override;
 
@@ -123,8 +203,8 @@ class PrunedTwoHop : public DynamicReachabilityIndex {
 
   /// Deletions currently answered through the repair machinery (0 =
   /// label-exact) and the configured budget, for tests and policy code.
-  size_t Damage() const { return damage_; }
-  size_t StalenessBudget() const { return staleness_budget_; }
+  size_t Damage() const { return core_.Damage(); }
+  size_t StalenessBudget() const { return core_.StalenessBudget(); }
 
   /// Serializes the labeling (envelope + ranks + Lin/Lout) to a binary
   /// stream — the persistence piece of the §5 "integration into GDBMSs"
@@ -167,143 +247,35 @@ class PrunedTwoHop : public DynamicReachabilityIndex {
 
   /// Total number of label entries sum |Lin| + |Lout| — the index-size
   /// measure of §3.2.
-  size_t TotalLabelEntries() const;
+  size_t TotalLabelEntries() const { return core_.TotalEntries(); }
 
   /// Number of vertices covered by the (built or loaded) labeling.
-  size_t NumIndexedVertices() const { return rank_.size(); }
+  size_t NumIndexedVertices() const { return core_.NumVertices(); }
 
   /// True when the sealed labels live in block-compressed pools.
-  bool CompressedStorage() const { return compressed_; }
+  bool CompressedStorage() const { return core_.Compressed(); }
   /// True when a `budget_mb` bound was requested but even the coarsest
   /// storage tier exceeds it.
-  bool BudgetExceeded() const { return budget_exceeded_; }
-  const TwoHopStorageOptions& Storage() const { return storage_; }
+  bool BudgetExceeded() const { return core_.BudgetExceeded(); }
+  const TwoHopStorageOptions& Storage() const { return core_.Storage(); }
 
   /// The hop ranks labeling `v` (ascending), for tests / ablation benches:
   /// the sealed pool slice merged with any post-build delta entries.
-  std::vector<uint32_t> InLabels(VertexId v) const;
-  std::vector<uint32_t> OutLabels(VertexId v) const;
+  std::vector<uint32_t> InLabels(VertexId v) const {
+    return core_.InEntries(v);
+  }
+  std::vector<uint32_t> OutLabels(VertexId v) const {
+    return core_.OutEntries(v);
+  }
 
  private:
-  void ComputeOrder(const Digraph& graph);
-  void BuildLabels(const Digraph& graph);
-  void BuildLabelsParallel(const Digraph& graph, size_t threads);
-  void SealLabels();
-  // Live adjacency: base graph minus tombstones, plus inserted extras.
-  template <typename Fn>
-  void ForEachOut(VertexId v, Fn&& fn) const;
-  template <typename Fn>
-  void ForEachIn(VertexId v, Fn&& fn) const;
-  // Superset adjacency: base ∪ every edge ever inserted, tombstones
-  // ignored — the graph the sealed labels are exact for.
-  template <typename Fn>
-  void ForEachOutSuperset(VertexId v, Fn&& fn) const;
-  template <typename Fn>
-  void ForEachInSuperset(VertexId v, Fn&& fn) const;
-  // Build-time pruning oracle over the (unsealed) nested label vectors.
-  bool LabelQuery(VertexId s, VertexId t) const;
-  // The three-case 2-hop test on the sealed pools + delta overlay — the
-  // single query hot path every entry point (Query, QueryInSlot, and
-  // wrapper indexes calling either) routes through. With zero damage it
-  // is the label test verbatim; under damage it layers the witness-trust
-  // protocol (`slot` picks the verification scratch).
-  bool AnswerQuery(VertexId s, VertexId t, size_t slot = 0) const;
-  // The plain label test: exact for the superset graph, hence exact
-  // negatives (and, with zero damage, exact positives) for the live one.
-  bool SupersetAnswer(VertexId s, VertexId t) const;
-  // Damage-mode answer: trusted witness -> true; no witness -> false;
-  // only damaged witnesses -> label-pruned BFS over the live adjacency.
-  bool DamagedAnswer(VertexId s, VertexId t, size_t slot) const;
-  // Exact live-graph reachability check, pruned at vertices whose
-  // superset answer is already negative.
-  bool VerifyReach(VertexId s, VertexId t, size_t slot) const;
-
-  // ApplyUpdate helpers. Both return true when graph state changed.
-  bool ApplyInsert(VertexId s, VertexId t);
-  bool ApplyDelete(VertexId s, VertexId t);
-  // True iff u still reaches v within `kLocalSearchBudget` visits of the
-  // post-delete graph — the delete is then provably answer-preserving.
-  bool LocallyRedundant(VertexId u, VertexId v) const;
-  // Marks the hub ranks whose entries the delete (u, v) may have staled.
-  void MarkDamage(VertexId u, VertexId v);
-  // Transitive mark sweep over the superset adjacency; false = budget
-  // overrun (caller escalates to the matching *_all_damaged_ flag).
-  bool DamageSweep(VertexId start, bool backward);
-  bool IsTombstoned(VertexId u, VertexId v) const;
-  bool RankDamagedFwd(uint32_t r) const {
-    return fwd_all_damaged_ || damaged_fwd_[r] != 0;
-  }
-  bool RankDamagedBwd(uint32_t r) const {
-    return bwd_all_damaged_ || damaged_bwd_[r] != 0;
-  }
-  void ResetDynamicState();
-
-  // Visit cap for the per-delete local searches (redundancy check and
-  // damage marking); overrun degrades to all-ranks-damaged, never to a
-  // wrong answer.
-  static constexpr size_t kLocalSearchBudget = 4096;
-
-  // Publishes the index.bytes / compression gauges after a (re)seal.
-  void PublishStorageGauges(size_t flat_equivalent_bytes) const;
+  // The vertices in `order_`'s rank order.
+  std::vector<VertexId> ComputeOrder(const Digraph& graph) const;
 
   VertexOrder order_;
   uint64_t seed_;
   size_t num_threads_;
-  TwoHopStorageOptions storage_;
-  size_t staleness_budget_;
-  const Digraph* graph_ = nullptr;
-  Digraph owned_graph_;  // used after RebuildFromUpdates
-  std::vector<uint32_t> rank_;       // rank_[v] = order position (0 = first)
-  std::vector<VertexId> by_rank_;    // inverse of rank_
-  // Build-side label accumulators (sorted hop ranks); SealLabels() moves
-  // them into the flat pools and leaves them empty.
-  std::vector<std::vector<uint32_t>> lin_;
-  std::vector<std::vector<uint32_t>> lout_;
-  // Sealed query-path layout (docs/QUERY_ENGINE.md). Exactly one of the
-  // two representations is live after SealLabels: the flat pools, or —
-  // when `storage_` asks for compression (or the budget forces it) — the
-  // block-compressed pools (`compressed_` says which).
-  FlatLabelPool<uint32_t> lin_pool_;
-  FlatLabelPool<uint32_t> lout_pool_;
-  CompressedRankPool lin_cpool_;
-  CompressedRankPool lout_cpool_;
-  bool compressed_ = false;
-  bool budget_exceeded_ = false;
-  // Keeps a zero-copy snapshot mapping alive while pool views point
-  // into it (docs/SNAPSHOTS.md lifetime rules).
-  std::shared_ptr<MappedFile> mapping_;
-  // Unsealed delta overlay: Lin entries added by inserts after sealing
-  // (sorted, disjoint from the pool slice). Empty until the first insert.
-  std::vector<std::vector<uint32_t>> delta_lin_;
-  bool has_delta_ = false;
-  // Edges inserted after Build (delta adjacency on top of *graph_).
-  std::vector<std::vector<VertexId>> extra_out_;
-  std::vector<std::vector<VertexId>> extra_in_;
-  // Deleted edges (sorted per vertex), base and extra alike; the
-  // live-adjacency iterators skip them. Deleted extras stay in extra_*
-  // on purpose: the superset adjacency (which the sealed + delta labels
-  // are exact for, and which damage marking traverses) must keep every
-  // edge that ever existed — a later delete can break the alternate path
-  // that justified an earlier "locally redundant" one, and the marking
-  // BFS is only conservative if it still sees the old route. Empty until
-  // the first delete.
-  std::vector<std::vector<VertexId>> tomb_out_;
-  std::vector<std::vector<VertexId>> tomb_in_;
-  // Damaging deletes absorbed since the last (re)build, and the per-rank
-  // stale-witness marks they left: damaged_fwd_[r] = hub by_rank_[r]'s
-  // forward claims (its Lin entries at other vertices) may be stale;
-  // damaged_bwd_[r] dually for its Lout entries. The all_damaged flags
-  // are the budget-overrun fallbacks of the bounded marking search.
-  size_t damage_ = 0;
-  std::vector<uint8_t> damaged_fwd_;
-  std::vector<uint8_t> damaged_bwd_;
-  bool fwd_all_damaged_ = false;
-  bool bwd_all_damaged_ = false;
-  mutable SearchWorkspace ws_;
-  // Per-slot scratch for damaged-witness verification (slot-parallel
-  // queries must not share ws_).
-  mutable WorkspacePool verify_ws_;
-  mutable ProbePool probes_;
+  TwoHopCore<PlainTwoHopTraits> core_;
 };
 
 }  // namespace reach

@@ -5,6 +5,9 @@
 // with zero full rebuilds until the staleness budget recommends one and
 // SCC split/merge transitions handled in place.
 
+#include <algorithm>
+#include <iterator>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -17,17 +20,23 @@
 #include "graph/rng.h"
 #include "lcr/lcr_bfs.h"
 #include "lcr/pruned_labeled_two_hop.h"
+#include "plain/pruned_two_hop.h"
 #include "traversal/online_search.h"
 
 namespace reach {
 namespace {
 
 // The deletion-capable plain roster, exercised through the factory so the
-// test covers exactly what `MakeIndex` hands out (wrapper included).
-const char* const kDecrementalSpecs[] = {"pll", "dagger", "pll:fastpath=1"};
+// test covers exactly what `MakeIndex` hands out (wrapper and compressed
+// label storage included).
+const char* const kDecrementalSpecs[] = {"pll", "dagger", "pll:fastpath=1",
+                                         "pll:compress=1"};
 
+// The spec is held as a std::string so the printed parameter, and with it
+// the discovered test name, shows the spec text rather than the
+// per-process address of a string literal.
 class PlainChurnTest
-    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {};
 
 TEST_P(PlainChurnTest, MixedBatchesMatchOracleWithoutEagerRebuilds) {
   const auto& [spec, seed] = GetParam();
@@ -100,8 +109,10 @@ TEST_P(PlainChurnTest, MixedBatchesMatchOracleWithoutEagerRebuilds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Roster, PlainChurnTest,
-    ::testing::Combine(::testing::ValuesIn(kDecrementalSpecs),
-                       ::testing::Values(811u, 812u)),
+    ::testing::Combine(
+        ::testing::ValuesIn(std::vector<std::string>(
+            std::begin(kDecrementalSpecs), std::end(kDecrementalSpecs))),
+        ::testing::Values(811u, 812u)),
     [](const auto& info) {
       std::string name = std::get<0>(info.param);
       for (char& c : name) {
@@ -174,19 +185,32 @@ TEST(StalenessPolicyTest, SpecParameterDrivesTheRebuildThreshold) {
   EXPECT_TRUE(made.plain->Query(2, 5));
 }
 
-class LcrChurnTest : public ::testing::TestWithParam<uint64_t> {};
+// One labeled churn run: the seed, and the storage the labels seal into.
+struct LcrChurnCase {
+  uint64_t seed;
+  TwoHopStorageOptions storage;
+};
+
+// Printed into the test name: the bare seed for flat storage, so the
+// names read "/911", and "/911_compress" for block-compressed pools.
+void PrintTo(const LcrChurnCase& c, std::ostream* os) {
+  *os << c.seed << (c.storage.compress ? "_compress" : "");
+}
+
+class LcrChurnTest : public ::testing::TestWithParam<LcrChurnCase> {};
 
 TEST_P(LcrChurnTest, LabeledMixedBatchesMatchOracle) {
-  const uint64_t seed = GetParam();
+  const auto [seed, storage] = GetParam();
   const VertexId n = 12;
   const Label num_labels = 2;
   Xoshiro256ss rng(seed);
   std::vector<LabeledEdge> live =
       RandomLabeledDigraph(n, 20, num_labels, seed).Edges();
-  PrunedLabeledTwoHop index;
+  PrunedLabeledTwoHop index(/*num_threads=*/0, storage);
   const LabeledDigraph base =
       LabeledDigraph::FromEdges(n, num_labels, live);
   index.Build(base);
+  ASSERT_EQ(index.CompressedStorage(), storage.compress);
 
   SearchWorkspace ws;
   for (int step = 0; step < 60; ++step) {
@@ -229,8 +253,84 @@ TEST_P(LcrChurnTest, LabeledMixedBatchesMatchOracle) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, LcrChurnTest,
-                         ::testing::Values(911, 912, 913));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, LcrChurnTest,
+    ::testing::Values(LcrChurnCase{911, {}}, LcrChurnCase{912, {}},
+                      LcrChurnCase{913, {}},
+                      LcrChurnCase{911, {.compress = true}},
+                      LcrChurnCase{912, {.compress = true}},
+                      LcrChurnCase{913, {.compress = true}}));
+
+// Plain reachability is LCR with a single label: the degree-order TOL
+// index and the labeled 2-hop index, built over the same edges (every
+// LCR arc carrying label 0), must hold the same number of entries, give
+// the same answers for any build thread count, and stay in step —
+// answers and damage alike — under the same insert/delete batches.
+TEST(SingleLabelEquivalenceTest, PlainMatchesOneLabelLcr) {
+  const VertexId n = 24;
+  const LabelSet only = LabelBit(0);
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    std::vector<Edge> edges = RandomDigraph(n, 48, 1301).Edges();
+    const auto labeled_edges = [](const std::vector<Edge>& plain) {
+      std::vector<LabeledEdge> out;
+      for (const Edge& e : plain) out.push_back({e.source, e.target, 0});
+      return out;
+    };
+    const Digraph graph = Digraph::FromEdges(n, edges);
+    const LabeledDigraph labeled =
+        LabeledDigraph::FromEdges(n, 1, labeled_edges(edges));
+    PrunedTwoHop plain(VertexOrder::kDegree, /*seed=*/0, threads);
+    PrunedLabeledTwoHop lcr(threads);
+    plain.Build(graph);
+    lcr.Build(labeled);
+    ASSERT_EQ(plain.TotalLabelEntries(), lcr.TotalEntries())
+        << threads << " threads";
+
+    const auto expect_same = [&](int step) {
+      for (VertexId s = 0; s < n; ++s) {
+        for (VertexId t = 0; t < n; ++t) {
+          ASSERT_EQ(plain.Query(s, t), lcr.Query(s, t, only))
+              << s << "->" << t << " step " << step << ", " << threads
+              << " threads";
+        }
+      }
+      ASSERT_EQ(plain.Damage(), lcr.Damage())
+          << "step " << step << ", " << threads << " threads";
+    };
+    expect_same(-1);
+
+    Xoshiro256ss rng(1302);
+    for (int step = 0; step < 40; ++step) {
+      UpdateBatch batch;
+      LabeledUpdateBatch labeled_batch;
+      for (size_t i = 0, size = 1 + rng.NextBounded(3); i < size; ++i) {
+        if (!edges.empty() && rng.NextBounded(10) < 4) {
+          const Edge e = edges[rng.NextBounded(edges.size())];
+          batch.push_back(EdgeUpdate::Delete(e.source, e.target));
+          labeled_batch.push_back(
+              LabeledEdgeUpdate::Delete(e.source, e.target, 0));
+          std::erase(edges, e);
+        } else {
+          const auto u = static_cast<VertexId>(rng.NextBounded(n));
+          const auto v = static_cast<VertexId>(rng.NextBounded(n));
+          if (u == v) continue;
+          batch.push_back(EdgeUpdate::Insert(u, v));
+          labeled_batch.push_back(LabeledEdgeUpdate::Insert(u, v, 0));
+          if (std::find(edges.begin(), edges.end(), Edge{u, v}) ==
+              edges.end()) {
+            edges.push_back({u, v});
+          }
+        }
+      }
+      const UpdateResult plain_result = plain.ApplyUpdate(batch);
+      const UpdateResult lcr_result = lcr.ApplyUpdate(labeled_batch);
+      ASSERT_TRUE(plain_result.ok()) << plain_result.reason;
+      ASSERT_TRUE(lcr_result.ok()) << lcr_result.reason;
+      ASSERT_EQ(plain_result.status, lcr_result.status) << "step " << step;
+      expect_same(step);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace reach

@@ -2,6 +2,7 @@
 // semantics (including per-thread cells and the runtime disable switch),
 // probe macros, build-phase timers, and the JSON/table exporters.
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -127,6 +128,45 @@ TEST(MetricsRegistryTest, SnapshotIsSortedAndResetZeroes) {
   const MetricsSnapshot after = registry.Snapshot();
   EXPECT_EQ(after.counters.at("a"), 0u);
   EXPECT_EQ(after.counters.at("b"), 0u);
+}
+
+// Scrapes race the owner threads' writes by design; run under TSan this
+// fails if a cell field is read without synchronization. Scraped values
+// never decrease while writers only add, and the final scrape is exact.
+TEST(MetricsRegistryTest, ScrapesWhileThreadsRecord) {
+  MetricsRegistry registry;
+  Counter& counter = registry.GetCounter("ops");
+  Histogram& histogram = registry.GetHistogram("ns");
+  constexpr int kThreads = 4;
+  constexpr uint64_t kOpsPerThread = 20000;
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> writers;
+  for (int i = 0; i < kThreads; ++i) {
+    writers.emplace_back([&]() {
+      for (uint64_t j = 0; j < kOpsPerThread; ++j) {
+        counter.Add();
+        histogram.Record(j % 100);
+      }
+      running.fetch_sub(1);
+    });
+  }
+  uint64_t last_count = 0;
+  uint64_t last_value = 0;
+  while (running.load() > 0) {
+    const MetricsSnapshot snap = registry.Snapshot();
+    const uint64_t value = counter.Value();
+    EXPECT_GE(value, last_value);
+    EXPECT_GE(snap.histograms.at("ns").count, last_count);
+    last_value = value;
+    last_count = snap.histograms.at("ns").count;
+  }
+  for (std::thread& t : writers) t.join();
+  const MetricsSnapshot final_snap = registry.Snapshot();
+  EXPECT_EQ(final_snap.counters.at("ops"), kThreads * kOpsPerThread);
+  EXPECT_EQ(final_snap.histograms.at("ns").count, kThreads * kOpsPerThread);
+  uint64_t bucketed = 0;
+  for (uint64_t b : final_snap.histograms.at("ns").buckets) bucketed += b;
+  EXPECT_EQ(bucketed, kThreads * kOpsPerThread);
 }
 
 TEST(MetricsRegistryTest, GlobalIsASingleton) {
