@@ -1,9 +1,12 @@
 #include "serve/reach_service.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <exception>
+#include <iterator>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "core/failpoint.h"
@@ -23,57 +26,141 @@ std::string ValidatedSpec(const std::string& spec) {
   return MakeIndex(spec).plain != nullptr ? spec : std::string("pll");
 }
 
-/// The pending-update list reduced to per-edge effective state: replaying
-/// the list in order, the last operation on each (source, target) pair
-/// wins. `adds` are the edges whose final op is an insert (the live graph
-/// gains them), `dels` those whose final op is a delete (base-graph arcs
-/// the live graph must mask). `has_deletes` reports whether ANY delete op
-/// was present in the raw list — the query path uses it to decide whether
-/// the insert-only monotonicity shortcut is still valid.
-struct EffectiveUpdates {
-  std::vector<Edge> adds;
-  std::vector<Edge> dels;  // sorted, for binary-search masking
-  bool has_deletes = false;
-};
+/// Folds one update into `gate`'s effective state: the last operation on
+/// each (source, target) pair wins, so the edge leaves whichever of
+/// `adds`/`dels` holds it and joins the one its kind names. Both stay
+/// sorted; a list bounded by the drain threshold keeps the memmoves tiny.
+void FoldUpdate(const EdgeUpdate& u, PendingGate* gate) {
+  const Edge e{u.source, u.target};
+  std::vector<Edge>& into = u.IsInsert() ? gate->adds : gate->dels;
+  std::vector<Edge>& from = u.IsInsert() ? gate->dels : gate->adds;
+  auto it = std::lower_bound(from.begin(), from.end(), e);
+  if (it != from.end() && *it == e) from.erase(it);
+  it = std::lower_bound(into.begin(), into.end(), e);
+  if (it == into.end() || *it != e) into.insert(it, e);
+  gate->has_deletes = gate->has_deletes || u.IsDelete();
+}
 
-EffectiveUpdates EffectiveState(const PendingUpdates& updates) {
-  EffectiveUpdates eff;
-  for (const EdgeUpdate& u : updates) {
-    if (u.IsDelete()) {
-      eff.has_deletes = true;
-      break;
-    }
+bool TestBit(const uint64_t* row, size_t i) {
+  return (row[i / 64] >> (i % 64) & 1) != 0;
+}
+
+void SetBit(uint64_t* row, size_t i) {
+  row[i / 64] |= uint64_t{1} << (i % 64);
+}
+
+bool Intersects(const uint64_t* a, const uint64_t* b, size_t words) {
+  for (size_t w = 0; w < words; ++w) {
+    if ((a[w] & b[w]) != 0) return true;
   }
-  if (!eff.has_deletes) {
-    // Insert-only fast path (the common churn-free case): no reduction
-    // needed — duplicates are harmless to the closure and the BFS.
-    eff.adds.reserve(updates.size());
-    for (const EdgeUpdate& u : updates) {
-      eff.adds.push_back(Edge{u.source, u.target});
+  return false;
+}
+
+void OrInto(uint64_t* into, const uint64_t* row, size_t words) {
+  for (size_t w = 0; w < words; ++w) into[w] |= row[w];
+}
+
+/// Appends insert `e` to the gate graph as gate n (unless it already is a
+/// gate) and keeps `closure` transitively closed, with 2n + 1 snapshot
+/// probes: n for the old gates whose target reaches `e.source`, n + 1 for
+/// the gate sources `e.target` reaches.
+template <typename Probe>
+void AddGate(const Edge& e, const Probe& probe, PendingGate* gate) {
+  std::vector<Edge>& gates = gate->gates;
+  if (std::find(gates.begin(), gates.end(), e) != gates.end()) return;
+  const size_t n = gates.size();
+  const size_t words = n / 64 + 1;
+  if (words != gate->words) {  // re-stride the rows one word wider
+    std::vector<uint64_t> wider(words * (n + 1), 0);
+    for (size_t i = 0; i < n; ++i) {
+      std::copy_n(gate->Row(i), gate->words, wider.begin() + i * words);
     }
-    return eff;
+    gate->closure = std::move(wider);
+    gate->words = words;
   }
-  // Last-op-wins reduction. The list is bounded by the drain threshold
-  // (plus a transient backpressure overshoot), so the quadratic scan
-  // stays tiny; a map would cost more in allocation than it saves.
-  std::vector<EdgeUpdate> last;
-  last.reserve(updates.size());
-  for (const EdgeUpdate& u : updates) {
-    bool found = false;
-    for (EdgeUpdate& l : last) {
-      if (l.source == u.source && l.target == u.target) {
-        l.kind = u.kind;
-        found = true;
-        break;
+  gate->closure.resize(words * (n + 1), 0);
+  gates.push_back(e);
+  uint64_t* const rows = gate->closure.data();
+  uint64_t* const row_n = rows + n * words;
+
+  std::vector<uint64_t> into_n(words, 0);  // old gates hopping straight in
+  for (size_t i = 0; i < n; ++i) {
+    if (probe(gates[i].target, e.source)) SetBit(into_n.data(), i);
+  }
+  // Row n from the old rows, which do not route through n yet...
+  for (size_t j = 0; j <= n; ++j) {
+    if (!probe(e.target, gates[j].source)) continue;
+    SetBit(row_n, j);
+    if (j < n) OrInto(row_n, rows + j * words, words);
+  }
+  // ...plus n itself when it reaches a gate that hops back into it (a
+  // direct self-hop already set bit n above).
+  if (Intersects(row_n, into_n.data(), words)) SetBit(row_n, n);
+  // An old gate that reaches n now reaches everything n reaches.
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t* const row_i = rows + i * words;
+    if (!TestBit(into_n.data(), i) &&
+        !Intersects(row_i, into_n.data(), words)) {
+      continue;
+    }
+    OrInto(row_i, row_n, words);
+    SetBit(row_i, n);
+  }
+}
+
+/// `BoundedUnionBfs` over the effective updates already folded into
+/// `gate` (its `adds` and `dels`; the gate graph itself is not read).
+BoundedBfsOutcome UnionBfs(const Digraph& graph, const PendingGate& gate,
+                           VertexId s, VertexId t, size_t max_visits) {
+  BoundedBfsOutcome out;
+  if (s == t) {
+    out.reachable = true;
+    return out;
+  }
+  // Live union graph: base arcs not masked by an effective delete, plus
+  // the effective inserts. This is the one place on the serve path that
+  // decides reachability against deletions exactly.
+  const std::vector<Edge>& by_source = gate.adds;  // sorted by source
+  const std::vector<Edge>& dels = gate.dels;       // sorted
+  std::vector<uint8_t> visited(graph.NumVertices(), 0);
+  std::vector<VertexId> queue;
+  queue.push_back(s);
+  visited[s] = 1;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    if (out.visits >= max_visits) {
+      out.complete = false;
+      return out;
+    }
+    ++out.visits;
+    const VertexId v = queue[head];
+    const auto enqueue = [&](VertexId n) {
+      if (visited[n] == 0) {
+        visited[n] = 1;
+        queue.push_back(n);
+      }
+      return n == t;
+    };
+    for (const VertexId n : graph.OutNeighbors(v)) {
+      if (!dels.empty() &&
+          std::binary_search(dels.begin(), dels.end(), Edge{v, n})) {
+        continue;  // tombstoned base arc
+      }
+      if (enqueue(n)) {
+        out.reachable = true;
+        return out;
       }
     }
-    if (!found) last.push_back(u);
+    const auto range = std::equal_range(
+        by_source.begin(), by_source.end(), Edge{v, 0},
+        [](const Edge& a, const Edge& b) { return a.source < b.source; });
+    for (auto it = range.first; it != range.second; ++it) {
+      if (enqueue(it->target)) {
+        out.reachable = true;
+        return out;
+      }
+    }
   }
-  for (const EdgeUpdate& u : last) {
-    (u.IsInsert() ? eff.adds : eff.dels).push_back(Edge{u.source, u.target});
-  }
-  std::sort(eff.dels.begin(), eff.dels.end());
-  return eff;
+  return out;
 }
 
 uint64_t ElapsedNs(Clock::time_point begin, Clock::time_point end) {
@@ -191,8 +278,9 @@ ReachService::ReachService(Digraph base, ServiceOptions options)
   auto snap = std::make_shared<ServeSnapshot>();
   snap->version = 0;
   snap->graph = std::move(base);
-  snapshot_.Store(std::move(snap));
-  pending_.Store(std::make_shared<const PendingUpdates>());
+  auto view = std::make_shared<ServeView>();
+  view->snapshot = std::move(snap);
+  view_.Store(std::move(view));
 
   MetricsRegistry& reg = MetricsRegistry::Global();
   queries_counter_ = &reg.GetCounter("serve.queries");
@@ -223,6 +311,7 @@ ReachService::ReachService(Digraph base, ServiceOptions options)
   rebuild_failure_counter_ = &reg.GetCounter("serve.rebuild.failures");
   rebuild_retry_counter_ = &reg.GetCounter("serve.rebuild.retries");
   watchdog_counter_ = &reg.GetCounter("serve.rebuild.watchdog_fired");
+  gate_probes_counter_ = &reg.GetCounter("serve.gate.probes");
   version_gauge_ = &reg.GetGauge("serve.snapshot_version");
   pending_gauge_ = &reg.GetGauge("serve.pending_edges");
   health_ready_gauge_ = &reg.GetGauge("serve.health.ready");
@@ -246,6 +335,9 @@ void ReachService::Start() {
 }
 
 LoadResult ReachService::StartWithSnapshot(const std::string& path) {
+  // write_mu_ before rebuild_mu_, the established order: the view is
+  // replaced below, and updates accepted before the start must stay in it.
+  std::lock_guard<std::mutex> wl(write_mu_);
   std::lock_guard<std::mutex> lock(rebuild_mu_);
   if (started_) {
     return {LoadStatus::kUnsupported, "service already started"};
@@ -265,14 +357,20 @@ LoadResult ReachService::StartWithSnapshot(const std::string& path) {
                 " vertices, service has " + std::to_string(num_vertices_)};
   }
   auto snap = std::make_shared<ServeSnapshot>();
-  snap->graph = snapshot_.Load()->graph;  // the base graph from the ctor
+  snap->graph = view_.Load()->snapshot->graph;  // the base graph from the ctor
   snap->index = std::move(index);
   const size_t granted = snap->index->PrepareConcurrentQueries(
       ResolveThreads(options_.slots));
   snap->slots.Reset(granted);
   snap->version = next_version_++;
   const uint64_t published_version = snap->version;
-  snapshot_.Store(std::move(snap));
+  // Updates accepted before the start stay pending over the loaded
+  // snapshot, with their gate built against its index.
+  auto next = std::make_shared<ServeView>();
+  next->pending = view_.Load()->pending;
+  ExtendGate(*snap, next->pending, &next->gate);
+  next->snapshot = std::move(snap);
+  view_.Store(std::move(next));
   version_gauge_->Set(static_cast<double>(published_version));
   started_ = true;  // rebuilds are insert-driven from here on
   return LoadResult{};
@@ -325,7 +423,7 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
     // The batch is one admission unit: it lands whole or not at all
     // (kForceRebuild may overshoot the cap by a whole batch, same
     // transient-overshoot contract as before).
-    if (cap > 0 && pending_.Load()->size() >= cap) {
+    if (cap > 0 && view_.Load()->pending.size() >= cap) {
       switch (options_.backpressure) {
         case BackpressurePolicy::kReject:
           stats_.backpressure_rejected.fetch_add(1,
@@ -349,7 +447,7 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
           // writers refilled it. (write_mu_ -> rebuild_mu_ is the
           // established lock order; the reverse never happens.)
           while (!stopped_.load(std::memory_order_relaxed) &&
-                 pending_.Load()->size() >= cap) {
+                 view_.Load()->pending.size() >= cap) {
             {
               std::lock_guard<std::mutex> rl(rebuild_mu_);
               ScheduleLocked();
@@ -365,13 +463,16 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
         }
       }
     }
-    const auto cur = pending_.Load();
-    auto next = std::make_shared<PendingUpdates>();
-    next->reserve(cur->size() + batch.size());
-    *next = *cur;
-    next->insert(next->end(), batch.begin(), batch.end());
-    pending_count = next->size();
-    pending_.Store(std::move(next));
+    const auto cur = view_.Load();
+    auto next = std::make_shared<ServeView>();
+    next->snapshot = cur->snapshot;
+    next->pending.reserve(cur->pending.size() + batch.size());
+    next->pending = cur->pending;
+    next->pending.insert(next->pending.end(), batch.begin(), batch.end());
+    next->gate = cur->gate;
+    ExtendGate(*next->snapshot, batch, &next->gate);
+    pending_count = next->pending.size();
+    view_.Store(std::move(next));
   }
   stats_.inserts.fetch_add(num_inserts, std::memory_order_relaxed);
   insert_counter_->Add(num_inserts);
@@ -381,7 +482,7 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
   update_batch_counter_->Add();
   pending_gauge_->Set(static_cast<double>(pending_count));
   if (negcache_ != nullptr && num_inserts > 0) {
-    // After the pending publish: a query sampling the new epoch is
+    // After the view publish: a query sampling the new epoch is
     // guaranteed to pin a pending list containing this batch, so every
     // negative it verifies (and caches) accounts for it. Delete-only
     // batches skip the bump — deletions only shrink reachability, so a
@@ -395,10 +496,32 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
     ScheduleLocked();
   }
   // Every accepted update is answered exactly from the moment it lands
-  // (delta closure / live-union verification), so the batch counts as
+  // (gate closure / live-union verification), so the batch counts as
   // incrementally applied with zero damage: the serve path never owes a
   // caller-visible rebuild.
   return UpdateResult::Applied(batch.size(), 0, 0, 0);
+}
+
+void ReachService::ExtendGate(const ServeSnapshot& snap,
+                              std::span<const EdgeUpdate> updates,
+                              PendingGate* gate) const {
+  REACH_TRACE_SPAN("serve.gate_extend");
+  for (const EdgeUpdate& u : updates) FoldUpdate(u, gate);
+  // Gates are only read next to an index; an unindexed startup snapshot
+  // leaves them to the drain that publishes the first index.
+  if (snap.index == nullptr) return;
+  std::optional<SlotLease> lease;
+  uint64_t probes = 0;
+  const auto probe = [&](VertexId from, VertexId to) {
+    ++probes;
+    return snap.index->QueryInSlot(from, to, lease->slot());
+  };
+  for (const EdgeUpdate& u : updates) {
+    if (!u.IsInsert()) continue;
+    if (!lease) lease.emplace(snap, nullptr);
+    AddGate(Edge{u.source, u.target}, probe, gate);
+  }
+  gate_probes_counter_->Add(probes);
 }
 
 void ReachService::Flush() {
@@ -408,7 +531,7 @@ void ReachService::Flush() {
   ScheduleLocked();
   rebuild_cv_.wait(lock, [&] {
     if (stopped_.load(std::memory_order_relaxed)) return true;
-    if (!rebuild_inflight_ && pending_.Load()->empty()) return true;
+    if (!rebuild_inflight_ && view_.Load()->pending.empty()) return true;
     // A drain finished but inserts raced past it: keep draining until
     // everything accepted before this Flush is absorbed.
     if (!rebuild_inflight_) {
@@ -433,11 +556,12 @@ void ReachService::RebuildLoop() {
   for (;;) {
     REACH_TRACE_SPAN("serve.rebuild");
     SetRebuildState(RebuildState::kRunning);
-    // Everything pending *now* goes into this generation; inserts racing
-    // past this load stay pending (the list only ever grows by append,
-    // so the drained list is a prefix of every later list). A retry
-    // re-loads here, so a re-queued drain picks up newly arrived edges.
-    const auto drained = pending_.Load();
+    // Everything pending *now* goes into this generation; updates racing
+    // past this load stay pending (between drains the list only grows by
+    // append, so the drained list is a prefix of every later list). A
+    // retry re-loads here, so a re-queued drain picks up newly arrived
+    // edges.
+    const auto drained = view_.Load();
     {
       std::lock_guard<std::mutex> lock(rebuild_mu_);
       flush_requested_ = false;
@@ -459,19 +583,17 @@ void ReachService::RebuildLoop() {
       }
       {
         REACH_TRACE_SPAN("serve.rebuild.graph");
-        // Materialize the drained updates: reduce to last-op-per-edge,
-        // drop every touched pair from the base set, then re-add the
-        // effective inserts. Replay order is already folded into the
-        // reduction, and the drop-then-add avoids duplicate edges when a
-        // pending insert races an existing base edge.
-        const EffectiveUpdates eff = EffectiveState(*drained);
+        // Materialize the drained updates from their effective state
+        // (last op per edge, folded when the view was published): drop
+        // every touched pair from the base set, then re-add the effective
+        // inserts. The drop-then-add avoids duplicate edges when a pending
+        // insert races an existing base edge.
+        const PendingGate& eff = drained->gate;
         std::vector<Edge> edges = base_edges_;
         if (eff.has_deletes) {
-          std::vector<Edge> touched = eff.adds;
-          touched.insert(touched.end(), eff.dels.begin(), eff.dels.end());
-          std::sort(touched.begin(), touched.end());
           std::erase_if(edges, [&](const Edge& e) {
-            return std::binary_search(touched.begin(), touched.end(), e);
+            return std::binary_search(eff.adds.begin(), eff.adds.end(), e) ||
+                   std::binary_search(eff.dels.begin(), eff.dels.end(), e);
           });
         }
         edges.insert(edges.end(), eff.adds.begin(), eff.adds.end());
@@ -512,7 +634,7 @@ void ReachService::RebuildLoop() {
       NoteRebuildFailure(error, consecutive_failures);
       if (consecutive_failures > options_.rebuild_max_retries) {
         // Retries exhausted: abandon the drain. Pending updates stay put
-        // — queries still answer them exactly via the delta closure and
+        // — queries still answer them exactly via the gate closure and
         // live-union verification — and the next ApplyUpdate/Flush
         // schedules a fresh loop.
         SetRebuildState(RebuildState::kFailed);
@@ -573,11 +695,35 @@ void ReachService::RebuildLoop() {
     base_edges_ = snap->graph.Edges();
     const uint64_t published_version = snap->version;
 
-    // Publish, then trim the absorbed prefix. Readers load pending
-    // BEFORE snapshot, so between the two stores they can only observe
-    // the new snapshot with a stale (longer) pending list — harmless
-    // double-counting, never a lost edge.
-    snapshot_.Store(std::move(snap));
+    // The still-pending suffix and its gate against the new snapshot,
+    // built outside write_mu_ so writers keep landing meanwhile; whatever
+    // they append is folded in under the lock, just before the one store
+    // that publishes snapshot, trimmed list and gate together.
+    const auto seen = view_.Load();
+    auto next = std::make_shared<ServeView>();
+    next->pending.assign(
+        seen->pending.begin() +
+            static_cast<ptrdiff_t>(drained->pending.size()),
+        seen->pending.end());
+    ExtendGate(*snap, next->pending, &next->gate);
+    size_t left = 0;
+    {
+      std::lock_guard<std::mutex> lock(write_mu_);
+      const auto cur = view_.Load();
+      if (cur->pending.size() > seen->pending.size()) {
+        const std::span<const EdgeUpdate> arrived =
+            std::span<const EdgeUpdate>(cur->pending)
+                .subspan(seen->pending.size());
+        next->pending.insert(next->pending.end(), arrived.begin(),
+                             arrived.end());
+        ExtendGate(*snap, arrived, &next->gate);
+      }
+      next->snapshot = std::move(snap);
+      left = next->pending.size();
+      view_.Store(std::move(next));
+      // Room just opened: release writers parked on kBlock backpressure.
+      backpressure_cv_.notify_all();
+    }
     REACH_TRACE_INSTANT("serve.snapshot_swap");
     version_gauge_->Set(static_cast<double>(published_version));
     if (negcache_ != nullptr) {
@@ -589,17 +735,6 @@ void ReachService::RebuildLoop() {
       negcache_->Invalidate();
       stats_.negcache_invalidations.fetch_add(1, std::memory_order_relaxed);
       negcache_invalidate_counter_->Add();
-    }
-    size_t left = 0;
-    {
-      std::lock_guard<std::mutex> lock(write_mu_);
-      const auto cur = pending_.Load();
-      auto next = std::make_shared<PendingUpdates>(
-          cur->begin() + static_cast<ptrdiff_t>(drained->size()), cur->end());
-      left = next->size();
-      pending_.Store(std::move(next));
-      // Room just opened: release writers parked on kBlock backpressure.
-      backpressure_cv_.notify_all();
     }
     pending_gauge_->Set(static_cast<double>(left));
     health_ready_gauge_->Set(1.0);
@@ -672,7 +807,7 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
     ans.reachable = false;
     ans.exact = false;
     ans.source = AnswerSource::kShedded;
-    ans.snapshot_version = snapshot_.Load()->version;
+    ans.snapshot_version = view_.Load()->snapshot->version;
     return ans;
   }
   if (tier == AdmissionTier::kCacheOnly) {
@@ -695,7 +830,7 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
           ? &rec
           : nullptr;
 
-  // Sample the negcache epoch BEFORE pinning: the pinned pending list
+  // Sample the negcache epoch BEFORE pinning: the pinned view's list
   // then contains every edge counted in the sampled epoch, so a negative
   // verified against it may be cached at that epoch. (An insert racing
   // between the sample and the pin only makes the verified edge set
@@ -713,42 +848,37 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
       ans.reachable = false;
       ans.exact = true;
       ans.source = AnswerSource::kNegCache;
-      ans.snapshot_version = snapshot_.Load()->version;
+      ans.snapshot_version = view_.Load()->snapshot->version;
       latency_hist_->Record(ElapsedNs(start, Clock::now()));
       return ans;
     }
   }
 
-  // Pin pending BEFORE the snapshot: a concurrent swap+trim between the
-  // two loads then yields a newer snapshot with an already-absorbed
-  // pending prefix (redundant but correct). The opposite order could
-  // pair an old snapshot with a trimmed list and lose edges.
-  std::shared_ptr<const PendingUpdates> pending;
-  std::shared_ptr<const ServeSnapshot> snap;
+  std::shared_ptr<const ServeView> view;
   {
     REACH_TRACE_SPAN("serve.snapshot_pin");
-    pending = pending_.Load();
-    snap = snapshot_.Load();
+    view = view_.Load();
   }
+  const ServeSnapshot& snap = *view->snapshot;
 
   ServeAnswer ans;
-  ans.snapshot_version = snap->version;
+  ans.snapshot_version = snap.version;
   if (s < num_vertices_ && t < num_vertices_) {
     if (tier == AdmissionTier::kBfsOnly) {
-      // Heavy load: skip slot acquisition and the delta closure entirely;
+      // Heavy load: skip slot acquisition and the gate closure entirely;
       // one bounded traversal with a tighter budget bounds the cost.
-      ans = DegradedAnswer(*snap, *pending, s, t,
-                           options_.degraded_visit_budget, recp);
-    } else if (snap->index == nullptr) {
+      ans = DegradedAnswer(*view, s, t, options_.degraded_visit_budget,
+                           recp);
+    } else if (snap.index == nullptr) {
       // Startup: the first index build is still in flight.
-      ans = DegradedAnswer(*snap, *pending, s, t,
-                           options_.fallback_visit_budget, recp);
+      ans = DegradedAnswer(*view, s, t, options_.fallback_visit_budget,
+                           recp);
     } else {
       const Clock::time_point deadline =
           options_.deadline.count() > 0 ? start + options_.deadline
                                         : Clock::time_point::max();
       bool waited = false;
-      ans = AnswerWithIndex(*snap, *pending, s, t, deadline,
+      ans = AnswerWithIndex(*view, s, t, deadline,
                             /*allow_delta=*/tier == AdmissionTier::kFull,
                             &waited, recp);
       if (waited) {
@@ -756,13 +886,13 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
         slot_wait_counter_->Add();
       }
     }
-    ans.snapshot_version = snap->version;
+    ans.snapshot_version = snap.version;
   }
   if (cacheable) {
     stats_.negcache_misses.fetch_add(1, std::memory_order_relaxed);
     negcache_miss_counter_->Add();
     if (!ans.reachable && ans.exact) {
-      // Verified unreachable against the pinned pending+snapshot union,
+      // Verified unreachable against the pinned view's union graph,
       // which covers everything counted in the sampled epoch.
       const auto outcome = negcache_->Insert(s, t, negcache_epoch);
       if (outcome == NegativeResultCache::InsertOutcome::kEvicted) {
@@ -790,7 +920,7 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
       rec.source = ans.source;
       rec.snapshot_version = ans.snapshot_version;
       rec.total_ns = total_ns;
-      rec.pending_edges = pending->size();
+      rec.pending_edges = view->pending.size();
       CaptureSlowQuery(rec);
     }
   }
@@ -821,11 +951,13 @@ void ReachService::CaptureSlowQuery(SlowQueryRecord rec) const {
   slow_captured_counter_->Add();
 }
 
-ServeAnswer ReachService::AnswerWithIndex(
-    const ServeSnapshot& snap, const PendingUpdates& pending, VertexId s,
-    VertexId t, Clock::time_point deadline, bool allow_delta, bool* waited,
-    SlowQueryRecord* rec) const {
+ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
+                                          VertexId t,
+                                          Clock::time_point deadline,
+                                          bool allow_delta, bool* waited,
+                                          SlowQueryRecord* rec) const {
   ServeAnswer ans;
+  const ServeSnapshot& snap = *view.snapshot;
   std::optional<SlotLease> lease;
   {
     StageScope stage(rec, ServeStage::kSlotAcquire);
@@ -839,19 +971,19 @@ ServeAnswer ReachService::AnswerWithIndex(
     return index.QueryInSlot(from, to, slot);
   };
 
-  // The decision runs over the SUPERSET graph first: snapshot ∪ effective
-  // pending inserts, deletes ignored. The live graph is a subgraph of it,
+  // The decision runs over the SUPERSET graph first: snapshot ∪ every
+  // pending insert, deletes ignored. The live graph is a subgraph of it,
   // so a superset negative is an exact negative. A superset positive is
   // final only while no deletes are pending (insert-only monotonicity);
   // with deletes pending it is a candidate that must be re-verified
   // against the live union graph by a bounded traversal.
-  const EffectiveUpdates eff = EffectiveState(pending);
+  const PendingGate& gate = view.gate;
   bool superset_reachable = false;
   {
     StageScope stage(rec, ServeStage::kIndexProbe);
     superset_reachable = probe(s, t);
   }
-  if (superset_reachable && !eff.has_deletes) {
+  if (superset_reachable && !gate.has_deletes) {
     // Reachability is monotone under insertion: an index hit on this
     // snapshot stays true no matter how many inserts are pending.
     ans.reachable = true;
@@ -859,15 +991,15 @@ ServeAnswer ReachService::AnswerWithIndex(
     index_counter_->Add();
     return ans;
   }
-  if (!superset_reachable && eff.adds.empty()) {
-    // No path even with every ever-pending edge present: exact negative
-    // regardless of pending deletes (they only remove more paths).
+  if (!superset_reachable && gate.adds.empty()) {
+    // The live graph is the snapshot minus pending deletes: a snapshot
+    // negative is exact.
     stats_.index_answers.fetch_add(1, std::memory_order_relaxed);
     index_counter_->Add();
     return ans;
   }
   if (!allow_delta) {
-    // Admission gate disallowed the O(k²) closure and the verification
+    // Admission gate disallowed the gate closure and the verification
     // traversal: the pending updates are unaccounted for, so this
     // negative is only approximate.
     ans.exact = false;
@@ -876,42 +1008,49 @@ ServeAnswer ReachService::AnswerWithIndex(
     return ans;
   }
 
-  // Superset index miss with pending inserts: close over them. Any s-t
-  // path in graph ∪ adds decomposes into base-graph segments joined by
-  // pending inserts, so a worklist of "usable" inserts (tail
-  // base-reachable from s, possibly through other usable inserts) decides
-  // the superset query with O(k²) index lookups, k = |adds| (bounded by
-  // the drain threshold).
+  // Superset index miss with pending inserts: any s-t path in the
+  // superset graph enters the gates at some gate j (s reaches its source
+  // through the snapshot) and leaves at a gate in {j} ∪ row j of the
+  // closure (whose target reaches t through the snapshot). So k probes
+  // s -> gate source collect the usable gates, and one probe per usable
+  // gate decides: at most 2k probes, k = gates.size().
   bool expired = false;
   if (!superset_reachable) {
     ans.source = AnswerSource::kDelta;
     StageScope stage(rec, ServeStage::kDeltaClosure);
-    const std::vector<Edge>& adds = eff.adds;
-    const size_t k = adds.size();
-    std::vector<uint8_t> usable(k, 0);
-    std::vector<size_t> work;
-    work.reserve(k);
-    const auto now_expired = [&deadline] { return Clock::now() > deadline; };
-    for (size_t i = 0; i < k; ++i) {
-      if (probe(s, adds[i].source)) {
-        usable[i] = 1;
-        work.push_back(i);
-      }
+    const bool timed = deadline != Clock::time_point::max();
+    size_t probes = 0;
+    const auto check_deadline = [&] {
+      // One clock read per 8 probes keeps the check off the probe cost.
+      if (timed && ++probes % 8 == 0) expired = Clock::now() > deadline;
+      return expired;
+    };
+    const std::vector<Edge>& gates = gate.gates;
+    const size_t words = gate.words;
+    uint64_t inline_words[4] = {};
+    std::vector<uint64_t> heap_words;
+    uint64_t* usable = inline_words;
+    if (words > std::size(inline_words)) {
+      heap_words.assign(words, 0);
+      usable = heap_words.data();
     }
-    while (!work.empty() && !expired) {
-      const size_t i = work.back();
-      work.pop_back();
-      if (probe(adds[i].target, t)) {
-        superset_reachable = true;
-        break;
-      }
-      for (size_t j = 0; j < k; ++j) {
-        if (usable[j] == 0 && probe(adds[i].target, adds[j].source)) {
-          usable[j] = 1;
-          work.push_back(j);
+    for (size_t j = 0; j < gates.size() && !check_deadline(); ++j) {
+      // A gate already usable adds nothing: its row is inside the row of
+      // the gate that made it usable.
+      if (TestBit(usable, j) || !probe(s, gates[j].source)) continue;
+      SetBit(usable, j);
+      OrInto(usable, gate.Row(j), words);
+    }
+    expired = expired || (timed && Clock::now() > deadline);
+    for (size_t w = 0; w < words && !expired && !superset_reachable; ++w) {
+      for (uint64_t bits = usable[w]; bits != 0; bits &= bits - 1) {
+        const size_t j = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+        if (probe(gates[j].target, t)) {
+          superset_reachable = true;
+          break;
         }
+        if (check_deadline()) break;
       }
-      expired = now_expired();
     }
   }
   if (expired && !superset_reachable) {
@@ -919,10 +1058,9 @@ ServeAnswer ReachService::AnswerWithIndex(
     stats_.deadline_degraded.fetch_add(1, std::memory_order_relaxed);
     deadline_counter_->Add();
     if (rec != nullptr) rec->deadline_degraded = true;
-    return DegradedAnswer(snap, pending, s, t, options_.fallback_visit_budget,
-                          rec);
+    return DegradedAnswer(view, s, t, options_.fallback_visit_budget, rec);
   }
-  if (!superset_reachable || !eff.has_deletes) {
+  if (!superset_reachable || !gate.has_deletes) {
     // Exact either way: a closure-exhausted negative, or a witness
     // segment chain with no deletes pending to invalidate it.
     ans.reachable = superset_reachable;
@@ -937,21 +1075,18 @@ ServeAnswer ReachService::AnswerWithIndex(
   // (then an inexact negative, flagged as such).
   stats_.delete_verifies.fetch_add(1, std::memory_order_relaxed);
   delete_verify_counter_->Add();
-  return DegradedAnswer(snap, pending, s, t, options_.fallback_visit_budget,
-                        rec);
+  return DegradedAnswer(view, s, t, options_.fallback_visit_budget, rec);
 }
 
-ServeAnswer ReachService::DegradedAnswer(const ServeSnapshot& snap,
-                                         const PendingUpdates& pending,
-                                         VertexId s, VertexId t,
-                                         size_t visit_budget,
+ServeAnswer ReachService::DegradedAnswer(const ServeView& view, VertexId s,
+                                         VertexId t, size_t visit_budget,
                                          SlowQueryRecord* rec) const {
   ServeAnswer ans;
   ans.source = AnswerSource::kFallbackBfs;
   BoundedBfsOutcome out;
   {
     StageScope stage(rec, ServeStage::kFallbackBfs);
-    out = BoundedUnionBfs(snap.graph, pending, s, t, visit_budget);
+    out = UnionBfs(view.snapshot->graph, view.gate, s, t, visit_budget);
   }
   if (rec != nullptr) rec->bfs_visits = out.visits;
   ans.reachable = out.reachable;
@@ -990,11 +1125,11 @@ void ReachService::NoteRebuildFailure(const std::string& error,
 
 ServiceHealth ReachService::Health() const {
   ServiceHealth health;
-  const auto snap = snapshot_.Load();
-  health.ready = snap->index != nullptr;
+  const auto view = view_.Load();
+  health.ready = view->snapshot->index != nullptr;
   health.accepting_writes = !stopped_.load(std::memory_order_relaxed);
-  health.snapshot_version = snap->version;
-  health.pending_edges = pending_.Load()->size();
+  health.snapshot_version = view->snapshot->version;
+  health.pending_edges = view->pending.size();
   health.max_pending_edges = options_.max_pending_edges;
   health.pending_fill =
       health.max_pending_edges > 0
@@ -1036,57 +1171,9 @@ ServiceHealth ReachService::Health() const {
 BoundedBfsOutcome BoundedUnionBfs(const Digraph& graph,
                                   const PendingUpdates& updates, VertexId s,
                                   VertexId t, size_t max_visits) {
-  BoundedBfsOutcome out;
-  if (s == t) {
-    out.reachable = true;
-    return out;
-  }
-  // Live union graph: base arcs not masked by an effective delete, plus
-  // the effective inserts. This is the one place on the serve path that
-  // decides reachability against deletions exactly.
-  const EffectiveUpdates eff = EffectiveState(updates);
-  std::vector<Edge> by_source = eff.adds;
-  std::sort(by_source.begin(), by_source.end());
-  const std::vector<Edge>& dels = eff.dels;  // already sorted
-  std::vector<uint8_t> visited(graph.NumVertices(), 0);
-  std::vector<VertexId> queue;
-  queue.push_back(s);
-  visited[s] = 1;
-  for (size_t head = 0; head < queue.size(); ++head) {
-    if (out.visits >= max_visits) {
-      out.complete = false;
-      return out;
-    }
-    ++out.visits;
-    const VertexId v = queue[head];
-    const auto enqueue = [&](VertexId n) {
-      if (visited[n] == 0) {
-        visited[n] = 1;
-        queue.push_back(n);
-      }
-      return n == t;
-    };
-    for (const VertexId n : graph.OutNeighbors(v)) {
-      if (!dels.empty() &&
-          std::binary_search(dels.begin(), dels.end(), Edge{v, n})) {
-        continue;  // tombstoned base arc
-      }
-      if (enqueue(n)) {
-        out.reachable = true;
-        return out;
-      }
-    }
-    const auto range = std::equal_range(
-        by_source.begin(), by_source.end(), Edge{v, 0},
-        [](const Edge& a, const Edge& b) { return a.source < b.source; });
-    for (auto it = range.first; it != range.second; ++it) {
-      if (enqueue(it->target)) {
-        out.reachable = true;
-        return out;
-      }
-    }
-  }
-  return out;
+  PendingGate effective;
+  for (const EdgeUpdate& u : updates) FoldUpdate(u, &effective);
+  return UnionBfs(graph, effective, s, t, max_visits);
 }
 
 }  // namespace reach

@@ -8,6 +8,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -171,8 +172,8 @@ struct SlowQueryRecord {
   uint64_t total_ns = 0;
   /// Nanoseconds spent per `ServeStage` (0 = stage not reached).
   uint64_t stage_ns[kNumServeStages] = {};
-  /// `QueryInSlot` calls issued (1 for a pure hit/miss; the delta closure
-  /// issues O(k²) of them).
+  /// `QueryInSlot` calls issued (1 for a pure hit/miss; the gate closure
+  /// issues at most 2k more, k = distinct pending inserts).
   uint64_t index_probes = 0;
   /// Pending-update buffer size observed by the query.
   uint64_t pending_edges = 0;
@@ -274,29 +275,33 @@ struct ServiceHealth {
 /// evolving edge set and serves exact point queries while absorbing a
 /// batched `ApplyUpdate` stream of edge inserts AND deletes:
 ///
-///  * Reads pin an immutable `ServeSnapshot` (graph + index + query
-///    slots) behind an atomic `shared_ptr`, lease a slot, and answer via
-///    `QueryInSlot` — many readers in parallel, zero locks on the hot
-///    path.
-///  * Writes append to a copy-on-write pending-update buffer; a
-///    background task on the shared thread pool (src/par/) drains the
-///    buffer into a freshly built snapshot and swaps it in. At most one
-///    rebuild is in flight; generations are strictly ordered. No write —
-///    insert or delete — ever rebuilds inline.
-///  * Queries stay exact across the swap. With only inserts pending,
-///    reachability is monotone: an index hit on the pinned snapshot is
-///    final, and an index miss is re-checked against the pending inserts
-///    by a closure over index queries (each base-graph gap between
-///    pending edges is one `QueryInSlot`). With deletes pending, the
-///    snapshot ∪ pending-inserts graph is a *superset* of the live
-///    graph, so a superset miss is still an exact negative; a superset
-///    hit is re-verified by a bounded traversal of the live union graph
-///    (snapshot minus effective deletes plus effective inserts). Pending
-///    deletes thus act as tombstones consulted across snapshot swaps
-///    until a drain materializes them. When there is no index yet —
-///    service just started — or the per-query deadline expires
-///    mid-closure, the answer degrades to the same bounded union BFS,
-///    and `ServeAnswer::exact` says whether the budget sufficed.
+///  * Reads pin one immutable `ServeView` — the snapshot (graph + index +
+///    query slots), the updates pending on top of it, and their gate
+///    graph — behind an atomic `shared_ptr`, lease a slot, and answer via
+///    `QueryInSlot`: many readers in parallel, zero locks on the hot path.
+///  * Writes publish a new view with the batch appended and the gate
+///    extended (2k + 1 index probes per new pending insert, k = gates so
+///    far, paid by the writer). A background task on the shared thread
+///    pool (src/par/) drains the pending list into a freshly built
+///    snapshot and publishes it with the trimmed list and that list's
+///    gate rebuilt against it, in one store. At most one rebuild is in
+///    flight; generations are strictly ordered. No write — insert or
+///    delete — ever rebuilds inline.
+///  * Queries stay exact across the swap. A query first decides the
+///    *superset* graph, snapshot ∪ every pending insert (deletes
+///    ignored): an index probe s → t, then on a miss at most 2k more —
+///    s → each gate source, OR-ing the closure rows of the hits, then
+///    gate target → t for the gates that leaves usable. The live graph is
+///    a subgraph of the superset, so a superset negative is exact. With
+///    only inserts pending the two graphs coincide, so a superset
+///    positive is exact too. With deletes pending, a superset positive is
+///    re-verified by a bounded traversal of the live union graph
+///    (snapshot minus effective deletes plus effective inserts): pending
+///    deletes act as tombstones consulted across snapshot swaps until a
+///    drain materializes them. When there is no index yet — service just
+///    started — or the per-query deadline expires mid-closure, the answer
+///    degrades to the same bounded union BFS, and `ServeAnswer::exact`
+///    says whether the budget sufficed.
 ///
 /// Thread-safety: `Query` may be called from any number of threads
 /// concurrently with `ApplyUpdate`, `Flush`, and the background rebuild.
@@ -341,8 +346,9 @@ class ReachService {
   /// first: a batch with an out-of-range endpoint (or arriving after
   /// `Stop()`, or bounced by `kReject` backpressure) is rejected whole
   /// with no state change. An accepted batch is visible to every
-  /// subsequent query atomically — readers pin the COW buffer, so they
-  /// see all of it or none of it.
+  /// subsequent query atomically — readers pin whole views, so they see
+  /// all of it or none of it. Each new pending insert costs the writer
+  /// 2k + 1 index probes (k = distinct pending inserts so far).
   UpdateResult ApplyUpdate(const UpdateBatch& batch);
 
   /// Single-edge convenience wrappers over `ApplyUpdate`. Return false
@@ -357,9 +363,11 @@ class ReachService {
 
   size_t NumVertices() const { return num_vertices_; }
   /// Version of the currently published snapshot (0 = unindexed startup).
-  uint64_t SnapshotVersion() const { return snapshot_.Load()->version; }
+  uint64_t SnapshotVersion() const {
+    return view_.Load()->snapshot->version;
+  }
   /// Updates (inserts + deletes) not yet absorbed into a snapshot.
-  size_t PendingEdgeCount() const { return pending_.Load()->size(); }
+  size_t PendingEdgeCount() const { return view_.Load()->pending.size(); }
   /// Queries currently inside `Query` (admitted or about to be triaged).
   size_t InflightQueries() const {
     return inflight_.load(std::memory_order_relaxed);
@@ -397,15 +405,18 @@ class ReachService {
   AdmissionTier AdmitTier(size_t inflight_now) const;
   void SetRebuildState(RebuildState state);
   void NoteRebuildFailure(const std::string& error, size_t consecutive);
-  ServeAnswer AnswerWithIndex(const ServeSnapshot& snap,
-                              const PendingUpdates& pending, VertexId s,
-                              VertexId t,
+  /// Folds `updates` into `gate`'s effective state and, when `snap` has
+  /// an index, appends their new inserts as gates and closes over them
+  /// (2k + 1 probes per new gate on one leased slot of `snap`).
+  void ExtendGate(const ServeSnapshot& snap,
+                  std::span<const EdgeUpdate> updates,
+                  PendingGate* gate) const;
+  ServeAnswer AnswerWithIndex(const ServeView& view, VertexId s, VertexId t,
                               std::chrono::steady_clock::time_point deadline,
                               bool allow_delta, bool* waited,
                               SlowQueryRecord* rec) const;
-  ServeAnswer DegradedAnswer(const ServeSnapshot& snap,
-                             const PendingUpdates& pending, VertexId s,
-                             VertexId t, size_t visit_budget,
+  ServeAnswer DegradedAnswer(const ServeView& view, VertexId s, VertexId t,
+                             size_t visit_budget,
                              SlowQueryRecord* rec) const;
   void CaptureSlowQuery(SlowQueryRecord rec) const;
 
@@ -414,17 +425,17 @@ class ReachService {
   // `options_.spec` validated against the factory ("pll" if unknown).
   const std::string spec_;
 
-  AtomicSharedPtr<const ServeSnapshot> snapshot_;
-  AtomicSharedPtr<const PendingUpdates> pending_;
-  // Verified-unreachable pairs, consulted before the snapshot is pinned;
+  // The published snapshot + pending list + gate; one load per query.
+  AtomicSharedPtr<const ServeView> view_;
+  // Verified-unreachable pairs, consulted before the view is pinned;
   // null when `negcache_capacity == 0`. Epoch-bumped after every
   // insert-carrying pending publish and every snapshot swap — delete-only
   // batches skip the bump because deletions only shrink reachability
   // (see Query for the sampling order).
   const std::unique_ptr<NegativeResultCache> negcache_;
 
-  // Serializes writers mutating the pending buffer (readers are
-  // lock-free via the COW shared_ptr).
+  // Serializes the writers and the drain replacing the view (readers
+  // are lock-free: views are immutable).
   mutable std::mutex write_mu_;
   // Wakes kBlock writers when a drain trims the pending buffer (and on
   // Stop). Guarded by write_mu_.
@@ -488,6 +499,8 @@ class ReachService {
   Counter* rebuild_failure_counter_;
   Counter* rebuild_retry_counter_;
   Counter* watchdog_counter_;
+  // Registry-only: index probes spent building gate closures.
+  Counter* gate_probes_counter_;
   Gauge* version_gauge_;
   Gauge* pending_gauge_;
   Gauge* health_ready_gauge_;

@@ -71,10 +71,10 @@ class SlotPool {
 
 /// One immutable generation of the serving state: the base graph, the
 /// index built over it, and the slot pool sized to what the index
-/// actually granted. Published behind an atomic `shared_ptr` swap
-/// (`AtomicSharedPtr`); readers pin a generation for the duration of one
-/// request and never observe a half-rebuilt index. All fields except the
-/// slot leases are frozen before publication.
+/// actually granted. Published inside a `ServeView` behind an atomic
+/// `shared_ptr` swap (`AtomicSharedPtr`); readers pin a generation for the
+/// duration of one request and never observe a half-rebuilt index. All
+/// fields except the slot leases are frozen before publication.
 struct ServeSnapshot {
   /// Monotonic generation number (0 = the unindexed startup snapshot).
   uint64_t version = 0;
@@ -90,13 +90,49 @@ struct ServeSnapshot {
 };
 
 /// Updates accepted by `ApplyUpdate` (inserts and deletes, in arrival
-/// order) but not yet absorbed into a snapshot. Copy-on-write: writers
-/// replace the whole (small, bounded by the drain threshold) vector under
-/// the service's write lock; readers pin the current list lock-free
-/// alongside the snapshot. Order matters — the live edge set is the
-/// snapshot graph with these updates replayed in sequence, so the last
-/// operation on an edge wins.
+/// order) but not yet absorbed into a snapshot. Order matters — the live
+/// edge set is the snapshot graph with these updates replayed in
+/// sequence, so the last operation on an edge wins.
 using PendingUpdates = std::vector<EdgeUpdate>;
+
+/// A pending-update list prepared once, when its view is published, so
+/// that no query re-derives it:
+///  * the effective updates (last operation per edge wins): `adds`, the
+///    edges the live graph gains, sorted (so by source, as the union BFS
+///    walks them); `dels`, the snapshot arcs it must mask, sorted;
+///  * the **gate graph** over the pending inserts (the gate vertices of
+///    CSIndex): `gates` holds every distinct insert the list carries, in
+///    arrival order, and `closure` one bitset row per gate — bit j of row
+///    i is set iff gate j's source is reachable from gate i's target
+///    through snapshot paths and other gates.
+/// Gates are append-only over raw inserts: an insert that a later delete
+/// cancels stays a gate, which only widens the superset graph
+/// (snapshot ∪ gates) that queries decide first. The gate graph is built
+/// against one snapshot's index and left empty when it has none.
+struct PendingGate {
+  std::vector<Edge> adds;
+  std::vector<Edge> dels;
+  /// Whether any delete op is in the list (the insert-only monotonicity
+  /// shortcut is off while one is).
+  bool has_deletes = false;
+  std::vector<Edge> gates;
+  /// Row stride of `closure`, in 64-bit words.
+  size_t words = 0;
+  std::vector<uint64_t> closure;
+
+  const uint64_t* Row(size_t i) const { return closure.data() + i * words; }
+};
+
+/// Everything one query pins, in one load: a snapshot, the updates
+/// pending on top of it, and their gate built against that snapshot's
+/// index. Immutable once published; writers and the drain replace the
+/// whole view with one store, so a reader never pairs a snapshot with a
+/// pending list it was not built for.
+struct ServeView {
+  std::shared_ptr<const ServeSnapshot> snapshot;
+  PendingUpdates pending;
+  PendingGate gate;
+};
 
 // TSan cannot see through libstdc++'s _Sp_atomic lock-bit protocol (the
 // pointer word is guarded by a bit spliced into the refcount word and

@@ -6,10 +6,12 @@
 
 #include "serve/reach_service.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -56,6 +58,44 @@ bool OracleReachable(const Digraph& base, const std::vector<Edge>& log,
     }
   }
   return false;
+}
+
+// Live edge set after replaying the first `watermark` updates of `log`
+// onto `base` (set semantics: a delete drops the pair, an insert adds it),
+// as per-vertex out-lists. Shares no code with the service.
+std::vector<std::vector<VertexId>> LiveAdjacency(
+    const Digraph& base, const std::vector<EdgeUpdate>& log,
+    size_t watermark) {
+  std::set<Edge> live;
+  for (const Edge& e : base.Edges()) live.insert(e);
+  for (size_t i = 0; i < watermark; ++i) {
+    const Edge e{log[i].source, log[i].target};
+    if (log[i].IsInsert()) {
+      live.insert(e);
+    } else {
+      live.erase(e);
+    }
+  }
+  std::vector<std::vector<VertexId>> out(base.NumVertices());
+  for (const Edge& e : live) out[e.source].push_back(e.target);
+  return out;
+}
+
+// Vertices `s` reaches over `adj` (BFS, reflexive).
+std::vector<uint8_t> ReachableFrom(
+    const std::vector<std::vector<VertexId>>& adj, VertexId s) {
+  std::vector<uint8_t> seen(adj.size(), 0);
+  std::vector<VertexId> queue = {s};
+  seen[s] = 1;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    for (VertexId n : adj[queue[head]]) {
+      if (!seen[n]) {
+        seen[n] = 1;
+        queue.push_back(n);
+      }
+    }
+  }
+  return seen;
 }
 
 // The acceptance differential. Watermark protocol: the writer publishes
@@ -159,6 +199,174 @@ TEST(ServeDifferentialTest, ConcurrentReadersAndWriterAcrossSwaps) {
       EXPECT_NE(json.find(key), std::string::npos) << key;
     }
   }
+}
+
+// The differential above with deletes mixed in. The writer logs each
+// update before applying it and bumps `applied` after; a small drain
+// threshold lands snapshot swaps mid-stream, and readers keep querying
+// until the writer is done. Deletes break monotonicity, so the check is
+// two-sided: a reader's exact answer must equal the live oracle at some
+// update count in its [applied before, logged after] window.
+TEST(ServeDifferentialTest, ConcurrentMixedUpdatesAcrossSwaps) {
+  constexpr size_t kReaders = 8;
+  constexpr size_t kUpdates = 160;
+  constexpr size_t kQueriesPerReader = 300;
+  constexpr VertexId kN = 160;
+  const Digraph base = RandomDigraph(kN, 320, 0xD1CE);
+
+  ServiceOptions opts;
+  opts.slots = kReaders;
+  opts.drain_threshold = 16;
+  ReachService service(base, opts);
+  service.Start();
+  service.Flush();
+
+  std::vector<EdgeUpdate> log(kUpdates);
+  std::atomic<size_t> logged{0};
+  std::atomic<size_t> applied{0};
+  std::atomic<bool> writer_done{false};
+  std::atomic<uint64_t> wrong{0};
+  std::atomic<uint64_t> inexact{0};
+  std::atomic<uint64_t> rejected{0};
+
+  std::thread writer([&] {
+    Xoshiro256ss rng(0xFEED);
+    std::vector<Edge> live = base.Edges();
+    for (size_t i = 0; i < kUpdates; ++i) {
+      EdgeUpdate u;
+      if (!live.empty() && rng.NextBounded(2) == 0) {
+        const size_t at = rng.NextBounded(live.size());
+        u = EdgeUpdate::Delete(live[at].source, live[at].target);
+        std::erase(live, live[at]);
+      } else {
+        u = EdgeUpdate::Insert(static_cast<VertexId>(rng.NextBounded(kN)),
+                               static_cast<VertexId>(rng.NextBounded(kN)));
+        live.push_back(Edge{u.source, u.target});
+      }
+      log[i] = u;
+      logged.store(i + 1, std::memory_order_release);
+      if (!service.ApplyUpdate({u}).ok()) ++rejected;
+      applied.store(i + 1, std::memory_order_release);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    writer_done.store(true, std::memory_order_release);
+  });
+
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Xoshiro256ss rng(0x2000 + r);
+      for (size_t q = 0; q < kQueriesPerReader ||
+                         !writer_done.load(std::memory_order_acquire);
+           ++q) {
+        const auto s = static_cast<VertexId>(rng.NextBounded(kN));
+        const auto t = static_cast<VertexId>(rng.NextBounded(kN));
+        const size_t w_before = applied.load(std::memory_order_acquire);
+        const ServeAnswer ans = service.Query(s, t);
+        const size_t w_after = logged.load(std::memory_order_acquire);
+        if (!ans.exact) {
+          ++inexact;
+          continue;
+        }
+        bool justified = false;
+        for (size_t w = w_before; w <= w_after && !justified; ++w) {
+          justified =
+              ReachableFrom(LiveAdjacency(base, log, w), s)[t] ==
+              static_cast<uint8_t>(ans.reachable);
+        }
+        if (!justified) ++wrong;
+      }
+    });
+  }
+  writer.join();
+  for (auto& th : readers) th.join();
+  service.Flush();
+
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(rejected.load(), 0u);
+  EXPECT_EQ(inexact.load(), 0u);  // the visit budget covers 160 vertices
+  EXPECT_GE(service.stats().rebuilds.load(), 4u);
+  EXPECT_EQ(service.PendingEdgeCount(), 0u);
+  const std::vector<std::vector<VertexId>> final_adj =
+      LiveAdjacency(base, log, kUpdates);
+  for (VertexId s = 0; s < kN; s += 7) {
+    const std::vector<uint8_t> oracle = ReachableFrom(final_adj, s);
+    for (VertexId t = 0; t < kN; ++t) {
+      EXPECT_EQ(service.Query(s, t).reachable, oracle[t] != 0)
+          << s << "->" << t;
+    }
+  }
+  service.Stop();
+}
+
+// The gate closure over more than 64 pending inserts (rows span two
+// words), with gates on a cycle, a duplicate insert, an insert that a
+// delete cancels and a later insert revives, and a deleted base edge:
+// all-pairs answers must match the live oracle, and no query may spend
+// more than 2k + 1 index probes (k = distinct pending inserts).
+TEST(ServeGateTest, ClosureOverTwoWordRowsMatchesOracleWithLinearProbes) {
+  constexpr VertexId kN = 120;
+  const Digraph base = RandomDag(kN, 100, 0x6A7E);
+  ASSERT_GT(base.NumEdges(), 0u);
+
+  ServiceOptions opts;
+  opts.drain_threshold = 1000;  // everything below stays pending
+  opts.negcache_capacity = 0;   // every query reaches the index
+  opts.slow_query_threshold = std::chrono::nanoseconds(1);
+  opts.slow_log_capacity = size_t{kN} * kN;
+  ReachService service(base, opts);
+  service.Start();
+  service.Flush();
+  ASSERT_GE(service.SnapshotVersion(), 1u);
+
+  const Edge base_edge = base.Edges().front();
+  std::vector<EdgeUpdate> log = {
+      // Gates on a cycle, then a duplicate of one of them.
+      EdgeUpdate::Insert(10, 20), EdgeUpdate::Insert(20, 30),
+      EdgeUpdate::Insert(30, 10), EdgeUpdate::Insert(10, 20),
+      // Insert, cancel, revive.
+      EdgeUpdate::Insert(40, 41), EdgeUpdate::Delete(40, 41),
+      EdgeUpdate::Insert(40, 41),
+      // A tombstoned base edge.
+      EdgeUpdate::Delete(base_edge.source, base_edge.target)};
+  Xoshiro256ss rng(0x6A7E);
+  std::set<Edge> distinct = {{10, 20}, {20, 30}, {30, 10}, {40, 41}};
+  while (distinct.size() < 70) {
+    const Edge e{static_cast<VertexId>(rng.NextBounded(kN)),
+                 static_cast<VertexId>(rng.NextBounded(kN))};
+    if (distinct.insert(e).second) {
+      log.push_back(EdgeUpdate::Insert(e.source, e.target));
+    }
+  }
+  for (const EdgeUpdate& u : log) ASSERT_TRUE(service.ApplyUpdate({u}).ok());
+  ASSERT_EQ(service.PendingEdgeCount(), log.size());
+  const size_t k = distinct.size();
+
+  const std::vector<std::vector<VertexId>> live =
+      LiveAdjacency(base, log, log.size());
+  size_t positives = 0;
+  for (VertexId s = 0; s < kN; ++s) {
+    const std::vector<uint8_t> oracle = ReachableFrom(live, s);
+    for (VertexId t = 0; t < kN; ++t) {
+      const ServeAnswer ans = service.Query(s, t);
+      EXPECT_EQ(ans.reachable, oracle[t] != 0) << s << "->" << t;
+      EXPECT_TRUE(ans.exact) << s << "->" << t;
+      positives += oracle[t];
+    }
+  }
+  // Both answers occur, and the closure decided some of them.
+  EXPECT_GT(positives, size_t{kN});
+  EXPECT_LT(positives, size_t{kN} * kN);
+  EXPECT_GT(service.stats().delta_answers.load(), 0u);
+
+  const std::vector<SlowQueryRecord> records = service.SlowQueries();
+  EXPECT_EQ(records.size(), size_t{kN} * kN);
+  for (const SlowQueryRecord& rec : records) {
+    EXPECT_LE(rec.index_probes, 2 * k + 1) << rec.s << "->" << rec.t;
+    EXPECT_EQ(rec.pending_edges, log.size());
+  }
+  service.Stop();
 }
 
 TEST(ServeFallbackTest, AnswersExactlyBeforeStartViaBoundedBfs) {
