@@ -121,8 +121,7 @@ void BM_ServeQueryLatencyUnderWrites(benchmark::State& state) {
       std::max<double>(1.0, static_cast<double>(stats.queries.load()));
   // Fast-path hit rate is hits / total verdicts from the registry deltas
   // (the denominator includes internal probes the service makes during
-  // delta closure, not just top-level queries; counts flush in batches of
-  // 64 per slot, so this is a slight undercount). Negcache hits come from
+  // delta closure, not just top-level queries). Negcache hits come from
   // the service stats, per top-level query.
   const double fp_hits = static_cast<double>(
       (registry.GetCounter("fastpath.hit.pos").Value() - fp_pos0) +

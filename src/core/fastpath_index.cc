@@ -8,34 +8,51 @@ namespace reach {
 
 namespace {
 
-// Verdict counts are buffered per slot and pushed into the shared
-// registry counters in batches, so the query path never touches the
-// registry's thread-local cell lookup.
-constexpr uint64_t kFlushBatch = 64;
+// A verdict count has one writer at a time (the query holding the slot):
+// a relaxed load plus store, never a read-modify-write.
+void Bump(std::atomic<uint64_t>& count) {
+  count.store(count.load(std::memory_order_relaxed) + 1,
+              std::memory_order_relaxed);
+}
 
 }  // namespace
 
 template <typename Base>
 BasicFastPathIndex<Base>::BasicFastPathIndex(
     std::unique_ptr<ReachabilityIndex> inner, ObservationStack::Options options)
-    : inner_(std::move(inner)),
-      stack_(options),
-      hit_pos_counter_(&MetricsRegistry::Global().GetCounter("fastpath.hit.pos")),
-      hit_neg_counter_(&MetricsRegistry::Global().GetCounter("fastpath.hit.neg")),
-      undecided_counter_(
-          &MetricsRegistry::Global().GetCounter("fastpath.undecided")) {
+    : inner_(std::move(inner)), stack_(options) {
   assert(inner_ != nullptr);
   inner_dynamic_ = dynamic_cast<DynamicReachabilityIndex*>(inner_.get());
   if constexpr (std::is_same_v<Base, DynamicReachabilityIndex>) {
     assert(inner_dynamic_ != nullptr &&
            "DynamicFastPathIndex requires a dynamic inner index");
   }
-  cells_.emplace_back();  // slot 0 always exists
+  AddCell();  // slot 0 always exists
 }
 
 template <typename Base>
 BasicFastPathIndex<Base>::~BasicFastPathIndex() {
-  FlushAllCells();
+  for (const Cell& cell : cells_) {
+    cell.ForEachCount([](const char* name, const std::atomic<uint64_t>& c) {
+      MetricsRegistry::Global().GetCounter(name).Detach(&c);
+    });
+  }
+}
+
+template <typename Base>
+void BasicFastPathIndex<Base>::AddCell() const {
+  cells_.emplace_back().ForEachCount(
+      [](const char* name, const std::atomic<uint64_t>& c) {
+        MetricsRegistry::Global().GetCounter(name).Attach(&c);
+      });
+}
+
+template <typename Base>
+void BasicFastPathIndex<Base>::ResetCells() const {
+  for (Cell& cell : cells_) {
+    cell.baseline = cell.Counts();
+    cell.probe.Reset();
+  }
 }
 
 template <typename Base>
@@ -58,14 +75,13 @@ void BasicFastPathIndex<Base>::Build(const Digraph& graph) {
   // directions sound again.
   inserted_ = false;
   deleted_ = false;
-  FlushAllCells();
-  for (Cell& cell : cells_) cell = Cell{};
+  ResetCells();
 }
 
 template <typename Base>
 size_t BasicFastPathIndex<Base>::PrepareConcurrentQueries(size_t slots) const {
   const size_t granted = inner_->PrepareConcurrentQueries(slots);
-  while (cells_.size() < granted) cells_.emplace_back();
+  while (cells_.size() < granted) AddCell();
   return granted;
 }
 
@@ -85,38 +101,18 @@ bool BasicFastPathIndex<Base>::QueryInSlot(VertexId s, VertexId t,
   // shrinks, so negatives stay sound but a cached positive may now be a
   // stale wrong answer — the dangerous direction.
   if (verdict > 0 && deleted_) verdict = 0;
-  // VerdictStats() stays exact in every build mode (like
-  // ReachService::stats()); only the registry mirroring is gated.
   if (verdict != 0) {
     if (verdict > 0) {
-      ++cell.stats.hit_pos;
+      Bump(cell.hit_pos);
       REACH_PROBE_INC(probe, positives);
     } else {
-      ++cell.stats.hit_neg;
+      Bump(cell.hit_neg);
       REACH_PROBE_INC(probe, label_rejections);
-    }
-    if constexpr (kMetricsCompiled) {
-      if (verdict > 0) {
-        ++cell.unflushed_pos;
-      } else {
-        ++cell.unflushed_neg;
-      }
-      if (cell.unflushed_pos + cell.unflushed_neg + cell.unflushed_undecided >=
-          kFlushBatch) {
-        FlushCell(cell);
-      }
     }
     return verdict > 0;
   }
-  ++cell.stats.undecided;
+  Bump(cell.undecided);
   REACH_PROBE_INC(probe, fallbacks);
-  if constexpr (kMetricsCompiled) {
-    ++cell.unflushed_undecided;
-    if (cell.unflushed_pos + cell.unflushed_neg + cell.unflushed_undecided >=
-        kFlushBatch) {
-      FlushCell(cell);
-    }
-  }
   const bool reachable = inner_->QueryInSlot(s, t, slot);
   if (reachable) REACH_PROBE_INC(probe, positives);
   return reachable;
@@ -129,7 +125,6 @@ size_t BasicFastPathIndex<Base>::IndexSizeBytes() const {
 
 template <typename Base>
 QueryProbe BasicFastPathIndex<Base>::Probe() const {
-  FlushAllCells();
   QueryProbe own;
   for (const Cell& cell : cells_) own.MergeFrom(cell.probe);
   // Same convention as SccCondensingIndex: queries/positives are counted
@@ -146,8 +141,7 @@ QueryProbe BasicFastPathIndex<Base>::Probe() const {
 
 template <typename Base>
 void BasicFastPathIndex<Base>::ResetProbe() const {
-  FlushAllCells();
-  for (Cell& cell : cells_) cell = Cell{};
+  ResetCells();
   inner_->ResetProbe();
 }
 
@@ -184,27 +178,12 @@ template <typename Base>
 FastPathVerdictStats BasicFastPathIndex<Base>::VerdictStats() const {
   FastPathVerdictStats total;
   for (const Cell& cell : cells_) {
-    total.hit_pos += cell.stats.hit_pos;
-    total.hit_neg += cell.stats.hit_neg;
-    total.undecided += cell.stats.undecided;
+    const FastPathVerdictStats counts = cell.Counts();
+    total.hit_pos += counts.hit_pos - cell.baseline.hit_pos;
+    total.hit_neg += counts.hit_neg - cell.baseline.hit_neg;
+    total.undecided += counts.undecided - cell.baseline.undecided;
   }
   return total;
-}
-
-template <typename Base>
-void BasicFastPathIndex<Base>::FlushCell(Cell& cell) const {
-  if (cell.unflushed_pos != 0) hit_pos_counter_->Add(cell.unflushed_pos);
-  if (cell.unflushed_neg != 0) hit_neg_counter_->Add(cell.unflushed_neg);
-  if (cell.unflushed_undecided != 0)
-    undecided_counter_->Add(cell.unflushed_undecided);
-  cell.unflushed_pos = 0;
-  cell.unflushed_neg = 0;
-  cell.unflushed_undecided = 0;
-}
-
-template <typename Base>
-void BasicFastPathIndex<Base>::FlushAllCells() const {
-  for (Cell& cell : cells_) FlushCell(cell);
 }
 
 template class BasicFastPathIndex<ReachabilityIndex>;

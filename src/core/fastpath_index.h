@@ -1,6 +1,7 @@
 #ifndef REACH_CORE_FASTPATH_INDEX_H_
 #define REACH_CORE_FASTPATH_INDEX_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -12,13 +13,12 @@
 
 namespace reach {
 
-class Counter;
-
 /// Aggregated three-way verdict counts of a `FastPathIndex`: how many
 /// queries the observation stack settled positively / negatively, and how
-/// many fell through to the wrapped index. The same values are exported
-/// as the `fastpath.hit.pos` / `fastpath.hit.neg` / `fastpath.undecided`
-/// registry counters (docs/OBSERVABILITY.md).
+/// many fell through to the wrapped index. The `fastpath.hit.pos` /
+/// `fastpath.hit.neg` / `fastpath.undecided` registry counters read the
+/// same cells at scrape time, so their deltas equal these counts exactly
+/// (docs/OBSERVABILITY.md).
 struct FastPathVerdictStats {
   uint64_t hit_pos = 0;
   uint64_t hit_neg = 0;
@@ -43,7 +43,8 @@ struct FastPathVerdictStats {
 ///
 /// Concurrency mirrors the wrapped index: `PrepareConcurrentQueries`
 /// grants what the inner index grants and sizes one verdict-counter cell
-/// per slot, so concurrent `QueryInSlot` streams never share counters.
+/// per slot, so concurrent `QueryInSlot` streams never share counters
+/// (each cell is written by one query at a time and read by scrapes).
 /// The observation stack itself is immutable after `Build`.
 ///
 /// Dynamic wrapping (`DynamicFastPathIndex`): reachability only grows
@@ -94,8 +95,7 @@ class BasicFastPathIndex : public Base {
   bool RebuildFromUpdates();
 
   /// Verdict counts accumulated since `Build` / `ResetProbe`, summed
-  /// across slots. Exact in every build mode, including REACH_METRICS=0
-  /// (only the registry mirroring is compiled out).
+  /// across slots. Exact in every build mode, including REACH_METRICS=0.
   FastPathVerdictStats VerdictStats() const;
 
   /// The precomputed observation stack (e.g. to size or probe it).
@@ -105,19 +105,35 @@ class BasicFastPathIndex : public Base {
   const ReachabilityIndex& inner() const { return *inner_; }
 
  private:
-  // Per-slot verdict counters: `stats` accumulates since Build/Reset;
-  // `unflushed_*` buffers increments until a batch is pushed into the
-  // shared registry counters, keeping the per-query cost to plain adds.
+  // Per-slot verdict counts. The query holding the slot writes them with
+  // a relaxed load plus store; they never reset, and each is attached to
+  // its "fastpath.*" registry counter for the cell's whole life.
+  // `baseline` is the counts at the last Build/ResetProbe.
   struct Cell {
-    FastPathVerdictStats stats;
+    std::atomic<uint64_t> hit_pos{0};
+    std::atomic<uint64_t> hit_neg{0};
+    std::atomic<uint64_t> undecided{0};
+    FastPathVerdictStats baseline;
     QueryProbe probe;
-    uint64_t unflushed_pos = 0;
-    uint64_t unflushed_neg = 0;
-    uint64_t unflushed_undecided = 0;
+
+    FastPathVerdictStats Counts() const {
+      return {hit_pos.load(std::memory_order_relaxed),
+              hit_neg.load(std::memory_order_relaxed),
+              undecided.load(std::memory_order_relaxed)};
+    }
+    /// Calls `fn(registry_name, count)` for each verdict count.
+    template <typename Fn>
+    void ForEachCount(Fn&& fn) const {
+      fn("fastpath.hit.pos", hit_pos);
+      fn("fastpath.hit.neg", hit_neg);
+      fn("fastpath.undecided", undecided);
+    }
   };
 
-  void FlushCell(Cell& cell) const;
-  void FlushAllCells() const;
+  // Appends a slot's cell and attaches its counts to the registry.
+  void AddCell() const;
+  // Restarts every cell's probe and verdict stats (rebases `baseline`).
+  void ResetCells() const;
 
   std::unique_ptr<ReachabilityIndex> inner_;
   DynamicReachabilityIndex* inner_dynamic_ = nullptr;  // null if static
@@ -128,10 +144,6 @@ class BasicFastPathIndex : public Base {
   bool inserted_ = false;  // suppress negative verdicts
   bool deleted_ = false;   // suppress positive verdicts
   mutable std::deque<Cell> cells_;  // slot-indexed; deque: stable refs
-  // Shared registry counters ("fastpath.*", created once per process).
-  Counter* hit_pos_counter_;
-  Counter* hit_neg_counter_;
-  Counter* undecided_counter_;
 };
 
 using FastPathIndex = BasicFastPathIndex<ReachabilityIndex>;

@@ -1,5 +1,6 @@
 #include "obs/metrics_registry.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <unordered_map>
@@ -48,10 +49,24 @@ void Counter::Add(uint64_t n) {
   OwnerAdd(LocalCell().value, n);
 }
 
+void Counter::Attach(const std::atomic<uint64_t>* cell) {
+  std::lock_guard<std::mutex> lock(mu_);
+  attached_.push_back(cell);
+}
+
+void Counter::Detach(const std::atomic<uint64_t>* cell) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = std::find(attached_.begin(), attached_.end(), cell);
+  if (it == attached_.end()) return;
+  offset_ += Scrape(*cell);
+  attached_.erase(it);
+}
+
 uint64_t Counter::Value() const {
   std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
+  uint64_t total = offset_;
   for (const auto& cell : cells_) total += Scrape(cell->value);
+  for (const std::atomic<uint64_t>* cell : attached_) total += Scrape(*cell);
   return total;
 }
 
@@ -155,6 +170,11 @@ void MetricsRegistry::Reset() {
     std::lock_guard<std::mutex> cells_lock(counter->mu_);
     for (const auto& cell : counter->cells_) {
       cell->value.store(0, std::memory_order_relaxed);
+    }
+    // Owners keep their cells; restart the counter from 0 by offset.
+    counter->offset_ = 0;
+    for (const std::atomic<uint64_t>* cell : counter->attached_) {
+      counter->offset_ -= Scrape(*cell);
     }
   }
   for (const auto& [name, gauge] : gauges_) {

@@ -16,6 +16,12 @@ namespace reach {
 /// ping-pong during parallel builds); cells are merged when the value is
 /// scraped. Counters are created by `MetricsRegistry::GetCounter` and live
 /// as long as their registry.
+///
+/// A counter can also read cells it does not own: an object that already
+/// counts an event in its own `std::atomic<uint64_t>` (`ServeStats`, the
+/// fast-path verdict cells) attaches that atomic instead of mirroring each
+/// increment with `Add`, so the event costs one write and a scrape sums
+/// the attached cells with the counter's own.
 class Counter {
  public:
   /// Adds `n` to this thread's cell. Cheap: one thread-local hash lookup
@@ -23,7 +29,17 @@ class Counter {
   /// owning registry is runtime-disabled.
   void Add(uint64_t n = 1);
 
-  /// Merged value across all threads that ever touched the counter.
+  /// Adds `*cell` to every later `Value()`, whatever the registry's
+  /// runtime switch: the owner counts unconditionally. `cell` must stay
+  /// alive until `Detach(cell)`.
+  void Attach(const std::atomic<uint64_t>* cell);
+  /// Stops reading `cell` and folds its last value into the counter, so
+  /// the value never goes backwards when the owner dies. After this
+  /// returns no scrape reads `cell` again.
+  void Detach(const std::atomic<uint64_t>* cell);
+
+  /// Merged value across all threads that ever touched the counter, plus
+  /// the attached cells.
   uint64_t Value() const;
 
   const std::string& name() const { return name_; }
@@ -46,6 +62,10 @@ class Counter {
   uint64_t id_ = 0;      // unique across all Counter instances ever made
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Cell>> cells_;
+  std::vector<const std::atomic<uint64_t>*> attached_;
+  // Added to the cells' sum, modulo 2^64: the final values of detached
+  // cells, minus the attached cells' values at the last `Reset()`.
+  uint64_t offset_ = 0;
 };
 
 /// A named last-written-wins value (e.g. roster sizes, configuration).
@@ -160,7 +180,8 @@ class MetricsRegistry {
   /// Merges every instrument's per-thread cells into one snapshot.
   MetricsSnapshot Snapshot() const;
 
-  /// Zeroes all instruments (cells are kept, values cleared).
+  /// Zeroes all instruments (cells are kept, values cleared). An attached
+  /// cell is left to its owner; its counter restarts from 0 by offset.
   void Reset();
 
  private:

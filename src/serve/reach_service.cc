@@ -283,35 +283,6 @@ ReachService::ReachService(Digraph base, ServiceOptions options)
   view_.Store(std::move(view));
 
   MetricsRegistry& reg = MetricsRegistry::Global();
-  queries_counter_ = &reg.GetCounter("serve.queries");
-  index_counter_ = &reg.GetCounter("serve.index_answers");
-  delta_counter_ = &reg.GetCounter("serve.delta_answers");
-  fallback_counter_ = &reg.GetCounter("serve.fallback_bfs");
-  deadline_counter_ = &reg.GetCounter("serve.deadline_degraded");
-  slot_wait_counter_ = &reg.GetCounter("serve.slot_waits");
-  inexact_counter_ = &reg.GetCounter("serve.inexact_answers");
-  insert_counter_ = &reg.GetCounter("serve.inserts");
-  delete_counter_ = &reg.GetCounter("serve.update.deletes");
-  update_batch_counter_ = &reg.GetCounter("serve.update.batches");
-  update_rejected_counter_ = &reg.GetCounter("serve.update.rejected");
-  delete_verify_counter_ = &reg.GetCounter("serve.update.delete_verifies");
-  rebuild_counter_ = &reg.GetCounter("serve.rebuilds");
-  slow_captured_counter_ = &reg.GetCounter("serve.slow.captured");
-  slow_dropped_counter_ = &reg.GetCounter("serve.slow.dropped");
-  negcache_hit_counter_ = &reg.GetCounter("serve.negcache.hit");
-  negcache_miss_counter_ = &reg.GetCounter("serve.negcache.miss");
-  negcache_evict_counter_ = &reg.GetCounter("serve.negcache.evict");
-  negcache_invalidate_counter_ = &reg.GetCounter("serve.negcache.invalidate");
-  shed_counter_ = &reg.GetCounter("serve.shed");
-  admission_cache_counter_ = &reg.GetCounter("serve.admission.cache_only");
-  admission_bfs_counter_ = &reg.GetCounter("serve.admission.bfs_only");
-  bp_blocked_counter_ = &reg.GetCounter("serve.backpressure.blocked");
-  bp_rejected_counter_ = &reg.GetCounter("serve.backpressure.rejected");
-  bp_forced_counter_ = &reg.GetCounter("serve.backpressure.forced");
-  rebuild_failure_counter_ = &reg.GetCounter("serve.rebuild.failures");
-  rebuild_retry_counter_ = &reg.GetCounter("serve.rebuild.retries");
-  watchdog_counter_ = &reg.GetCounter("serve.rebuild.watchdog_fired");
-  gate_probes_counter_ = &reg.GetCounter("serve.gate.probes");
   version_gauge_ = &reg.GetGauge("serve.snapshot_version");
   pending_gauge_ = &reg.GetGauge("serve.pending_edges");
   health_ready_gauge_ = &reg.GetGauge("serve.health.ready");
@@ -323,9 +294,19 @@ ReachService::ReachService(Digraph base, ServiceOptions options)
       .Set(negcache_ != nullptr
                ? static_cast<double>(negcache_->MemoryBytes())
                : 0.0);
+  // Last, so a throwing constructor leaves no attached cell behind.
+  stats_.ForEachCounter([&](const char* name, const std::atomic<uint64_t>& c) {
+    reg.GetCounter(name).Attach(&c);
+  });
 }
 
-ReachService::~ReachService() { Stop(); }
+ReachService::~ReachService() {
+  Stop();  // no drain touches stats_ after this
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  stats_.ForEachCounter([&](const char* name, const std::atomic<uint64_t>& c) {
+    reg.GetCounter(name).Detach(&c);
+  });
+}
 
 void ReachService::Start() {
   std::lock_guard<std::mutex> lock(rebuild_mu_);
@@ -404,14 +385,12 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
   for (const EdgeUpdate& update : batch) {
     if (update.source >= num_vertices_ || update.target >= num_vertices_) {
       stats_.update_rejected.fetch_add(1, std::memory_order_relaxed);
-      update_rejected_counter_->Add();
       return UpdateResult::Rejected("endpoint out of range");
     }
     update.IsInsert() ? ++num_inserts : ++num_deletes;
   }
   if (stopped_.load(std::memory_order_relaxed)) {
     stats_.update_rejected.fetch_add(1, std::memory_order_relaxed);
-    update_rejected_counter_->Add();
     return UpdateResult::Rejected("service stopped");
   }
   if (batch.empty()) return UpdateResult::Applied(0, 0, 0, 0);
@@ -428,20 +407,16 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
         case BackpressurePolicy::kReject:
           stats_.backpressure_rejected.fetch_add(1,
                                                  std::memory_order_relaxed);
-          bp_rejected_counter_->Add();
           stats_.update_rejected.fetch_add(1, std::memory_order_relaxed);
-          update_rejected_counter_->Add();
           return UpdateResult::Rejected("backpressure: pending buffer full");
         case BackpressurePolicy::kForceRebuild:
           // Accept past the cap; the forced drain pulls it back under.
           stats_.backpressure_forced.fetch_add(1, std::memory_order_relaxed);
-          bp_forced_counter_->Add();
           force_schedule = true;
           break;
         case BackpressurePolicy::kBlock: {
           stats_.backpressure_blocked.fetch_add(1,
                                                 std::memory_order_relaxed);
-          bp_blocked_counter_->Add();
           // Re-schedule on every wakeup that still finds the buffer full:
           // the drain that made room may have stopped before racing
           // writers refilled it. (write_mu_ -> rebuild_mu_ is the
@@ -456,7 +431,6 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
           }
           if (stopped_.load(std::memory_order_relaxed)) {
             stats_.update_rejected.fetch_add(1, std::memory_order_relaxed);
-            update_rejected_counter_->Add();
             return UpdateResult::Rejected("service stopped");
           }
           break;
@@ -475,11 +449,8 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
     view_.Store(std::move(next));
   }
   stats_.inserts.fetch_add(num_inserts, std::memory_order_relaxed);
-  insert_counter_->Add(num_inserts);
   stats_.deletes.fetch_add(num_deletes, std::memory_order_relaxed);
-  delete_counter_->Add(num_deletes);
   stats_.update_batches.fetch_add(1, std::memory_order_relaxed);
-  update_batch_counter_->Add();
   pending_gauge_->Set(static_cast<double>(pending_count));
   if (negcache_ != nullptr && num_inserts > 0) {
     // After the view publish: a query sampling the new epoch is
@@ -489,7 +460,6 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
     // cached verified negative can never turn stale positive.
     negcache_->Invalidate();
     stats_.negcache_invalidations.fetch_add(1, std::memory_order_relaxed);
-    negcache_invalidate_counter_->Add();
   }
   if (force_schedule || pending_count >= options_.drain_threshold) {
     std::lock_guard<std::mutex> lock(rebuild_mu_);
@@ -521,7 +491,7 @@ void ReachService::ExtendGate(const ServeSnapshot& snap,
     if (!lease) lease.emplace(snap, nullptr);
     AddGate(Edge{u.source, u.target}, probe, gate);
   }
-  gate_probes_counter_->Add(probes);
+  stats_.gate_probes.fetch_add(probes, std::memory_order_relaxed);
 }
 
 void ReachService::Flush() {
@@ -626,7 +596,6 @@ void ReachService::RebuildLoop() {
       failed = true;
       error = "watchdog: drain attempt exceeded deadline, re-queued";
       stats_.watchdog_fired.fetch_add(1, std::memory_order_relaxed);
-      watchdog_counter_->Add();
     }
     if (failed) {
       snap.reset();  // the last good snapshot keeps serving, untouched
@@ -683,7 +652,6 @@ void ReachService::RebuildLoop() {
         }
       }
       stats_.rebuild_retries.fetch_add(1, std::memory_order_relaxed);
-      rebuild_retry_counter_->Add();
       continue;
     }
     consecutive_failures = 0;
@@ -734,12 +702,10 @@ void ReachService::RebuildLoop() {
       // generation keeps the invariant local.
       negcache_->Invalidate();
       stats_.negcache_invalidations.fetch_add(1, std::memory_order_relaxed);
-      negcache_invalidate_counter_->Add();
     }
     pending_gauge_->Set(static_cast<double>(left));
     health_ready_gauge_->Set(1.0);
     stats_.rebuilds.fetch_add(1, std::memory_order_relaxed);
-    rebuild_counter_->Add();
 
     {
       // Exit handshake, same shape as the retries-exhausted one above: a
@@ -790,7 +756,6 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
   REACH_TRACE_SPAN("serve.query");
   const Clock::time_point start = Clock::now();
   stats_.queries.fetch_add(1, std::memory_order_relaxed);
-  queries_counter_->Add();
 
   InflightGuard inflight(*this);
   // Chaos site, inside the in-flight window on purpose: `delay(ms=N)`
@@ -802,7 +767,6 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
     // Over capacity: answer nothing rather than queue into collapse. The
     // shed reply is O(1), explicitly inexact, and never cached.
     stats_.shed.fetch_add(1, std::memory_order_relaxed);
-    shed_counter_->Add();
     ServeAnswer ans;
     ans.reachable = false;
     ans.exact = false;
@@ -812,10 +776,8 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
   }
   if (tier == AdmissionTier::kCacheOnly) {
     stats_.admission_cache_only.fetch_add(1, std::memory_order_relaxed);
-    admission_cache_counter_->Add();
   } else if (tier == AdmissionTier::kBfsOnly) {
     stats_.admission_bfs_only.fetch_add(1, std::memory_order_relaxed);
-    admission_bfs_counter_->Add();
   }
 
   // Keep a stage-by-stage record only when it could end up in the
@@ -843,7 +805,6 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
     StageScope stage(recp, ServeStage::kNegCacheProbe);
     if (negcache_->Lookup(s, t, negcache_epoch)) {
       stats_.negcache_hits.fetch_add(1, std::memory_order_relaxed);
-      negcache_hit_counter_->Add();
       ServeAnswer ans;
       ans.reachable = false;
       ans.exact = true;
@@ -883,27 +844,27 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
                             &waited, recp);
       if (waited) {
         stats_.slot_waits.fetch_add(1, std::memory_order_relaxed);
-        slot_wait_counter_->Add();
       }
     }
     ans.snapshot_version = snap.version;
+  } else {
+    // An endpoint outside the vertex range reaches nothing; the
+    // snapshot's vertex count decides that alone.
+    stats_.index_answers.fetch_add(1, std::memory_order_relaxed);
   }
   if (cacheable) {
     stats_.negcache_misses.fetch_add(1, std::memory_order_relaxed);
-    negcache_miss_counter_->Add();
     if (!ans.reachable && ans.exact) {
       // Verified unreachable against the pinned view's union graph,
       // which covers everything counted in the sampled epoch.
       const auto outcome = negcache_->Insert(s, t, negcache_epoch);
       if (outcome == NegativeResultCache::InsertOutcome::kEvicted) {
         stats_.negcache_evictions.fetch_add(1, std::memory_order_relaxed);
-        negcache_evict_counter_->Add();
       }
     }
   }
   if (!ans.exact) {
     stats_.inexact_answers.fetch_add(1, std::memory_order_relaxed);
-    inexact_counter_->Add();
   }
   const uint64_t total_ns = ElapsedNs(start, Clock::now());
   latency_hist_->Record(total_ns);
@@ -944,11 +905,9 @@ void ReachService::CaptureSlowQuery(SlowQueryRecord rec) const {
     if (slow_log_.size() > options_.slow_log_capacity) {
       slow_log_.pop_front();
       stats_.slow_dropped.fetch_add(1, std::memory_order_relaxed);
-      slow_dropped_counter_->Add();
     }
   }
   stats_.slow_captured.fetch_add(1, std::memory_order_relaxed);
-  slow_captured_counter_->Add();
 }
 
 ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
@@ -988,14 +947,12 @@ ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
     // snapshot stays true no matter how many inserts are pending.
     ans.reachable = true;
     stats_.index_answers.fetch_add(1, std::memory_order_relaxed);
-    index_counter_->Add();
     return ans;
   }
   if (!superset_reachable && gate.adds.empty()) {
     // The live graph is the snapshot minus pending deletes: a snapshot
     // negative is exact.
     stats_.index_answers.fetch_add(1, std::memory_order_relaxed);
-    index_counter_->Add();
     return ans;
   }
   if (!allow_delta) {
@@ -1004,7 +961,6 @@ ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
     // negative is only approximate.
     ans.exact = false;
     stats_.index_answers.fetch_add(1, std::memory_order_relaxed);
-    index_counter_->Add();
     return ans;
   }
 
@@ -1056,7 +1012,6 @@ ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
   if (expired && !superset_reachable) {
     // Budget blown mid-closure: degrade to the bounded traversal.
     stats_.deadline_degraded.fetch_add(1, std::memory_order_relaxed);
-    deadline_counter_->Add();
     if (rec != nullptr) rec->deadline_degraded = true;
     return DegradedAnswer(view, s, t, options_.fallback_visit_budget, rec);
   }
@@ -1066,7 +1021,6 @@ ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
     ans.reachable = superset_reachable;
     ans.source = AnswerSource::kDelta;
     stats_.delta_answers.fetch_add(1, std::memory_order_relaxed);
-    delta_counter_->Add();
     return ans;
   }
   // Superset positive with deletes pending: the witness may route through
@@ -1074,7 +1028,6 @@ ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
   // decides. It returns an exact answer unless the visit budget runs out
   // (then an inexact negative, flagged as such).
   stats_.delete_verifies.fetch_add(1, std::memory_order_relaxed);
-  delete_verify_counter_->Add();
   return DegradedAnswer(view, s, t, options_.fallback_visit_budget, rec);
 }
 
@@ -1093,7 +1046,6 @@ ServeAnswer ReachService::DegradedAnswer(const ServeView& view, VertexId s,
   // A found path is a witness; only unverified negatives are inexact.
   ans.exact = out.reachable || out.complete;
   stats_.fallback_answers.fetch_add(1, std::memory_order_relaxed);
-  fallback_counter_->Add();
   return ans;
 }
 
@@ -1118,7 +1070,6 @@ void ReachService::NoteRebuildFailure(const std::string& error,
                                       size_t consecutive) {
   rebuild_consecutive_failures_.store(consecutive, std::memory_order_relaxed);
   stats_.rebuild_failures.fetch_add(1, std::memory_order_relaxed);
-  rebuild_failure_counter_->Add();
   std::lock_guard<std::mutex> lock(health_mu_);
   last_rebuild_error_ = error;
 }

@@ -22,7 +22,6 @@
 
 namespace reach {
 
-class Counter;
 class Gauge;
 class Histogram;
 
@@ -181,9 +180,13 @@ struct SlowQueryRecord {
   uint64_t bfs_visits = 0;
 };
 
-/// Always-on service counters (independent of REACH_METRICS); the same
-/// values are mirrored into `MetricsRegistry::Global()` under "serve.*"
-/// when metrics are compiled in.
+/// Always-on service counters, one relaxed atomic per event (independent
+/// of REACH_METRICS). They are the only store: the service attaches every
+/// field to its `MetricsRegistry::Global()` counter (the name
+/// `ForEachCounter` gives it), so a registry scrape reads these atomics
+/// and a destroyed service's counts stay in the registry's totals.
+/// Every query lands in exactly one of `index_answers`, `delta_answers`,
+/// `fallback_answers`, `negcache_hits` and `shed`.
 struct ServeStats {
   std::atomic<uint64_t> queries{0};
   std::atomic<uint64_t> index_answers{0};
@@ -193,14 +196,14 @@ struct ServeStats {
   std::atomic<uint64_t> slot_waits{0};
   std::atomic<uint64_t> inexact_answers{0};
   std::atomic<uint64_t> inserts{0};
-  /// Deletes accepted into the pending buffer (`serve.update.deletes`).
+  /// Deletes accepted into the pending buffer.
   std::atomic<uint64_t> deletes{0};
   /// `ApplyUpdate` batches accepted / rejected (validation or
-  /// backpressure-reject) — `serve.update.batches` / `.rejected`.
+  /// backpressure-reject).
   std::atomic<uint64_t> update_batches{0};
   std::atomic<uint64_t> update_rejected{0};
   /// Positive superset answers that had to be re-verified by traversal
-  /// because deletes were pending (`serve.update.delete_verifies`).
+  /// because deletes were pending.
   std::atomic<uint64_t> delete_verifies{0};
   std::atomic<uint64_t> rebuilds{0};
   /// Negative-result cache outcomes (misses count every cache-enabled
@@ -227,6 +230,43 @@ struct ServeStats {
   std::atomic<uint64_t> rebuild_failures{0};
   std::atomic<uint64_t> rebuild_retries{0};
   std::atomic<uint64_t> watchdog_fired{0};
+  /// Index probes spent building gate closures, by writers and drains.
+  std::atomic<uint64_t> gate_probes{0};
+
+  /// Calls `fn(registry_name, field)` for every field, in declaration
+  /// order — the single map from fields to their "serve.*" registry keys.
+  template <typename Fn>
+  void ForEachCounter(Fn&& fn) const {
+    fn("serve.queries", queries);
+    fn("serve.index_answers", index_answers);
+    fn("serve.delta_answers", delta_answers);
+    fn("serve.fallback_bfs", fallback_answers);
+    fn("serve.deadline_degraded", deadline_degraded);
+    fn("serve.slot_waits", slot_waits);
+    fn("serve.inexact_answers", inexact_answers);
+    fn("serve.inserts", inserts);
+    fn("serve.update.deletes", deletes);
+    fn("serve.update.batches", update_batches);
+    fn("serve.update.rejected", update_rejected);
+    fn("serve.update.delete_verifies", delete_verifies);
+    fn("serve.rebuilds", rebuilds);
+    fn("serve.negcache.hit", negcache_hits);
+    fn("serve.negcache.miss", negcache_misses);
+    fn("serve.negcache.evict", negcache_evictions);
+    fn("serve.negcache.invalidate", negcache_invalidations);
+    fn("serve.slow.captured", slow_captured);
+    fn("serve.slow.dropped", slow_dropped);
+    fn("serve.shed", shed);
+    fn("serve.admission.cache_only", admission_cache_only);
+    fn("serve.admission.bfs_only", admission_bfs_only);
+    fn("serve.backpressure.blocked", backpressure_blocked);
+    fn("serve.backpressure.rejected", backpressure_rejected);
+    fn("serve.backpressure.forced", backpressure_forced);
+    fn("serve.rebuild.failures", rebuild_failures);
+    fn("serve.rebuild.retries", rebuild_retries);
+    fn("serve.rebuild.watchdog_fired", watchdog_fired);
+    fn("serve.gate.probes", gate_probes);
+  }
 };
 
 /// Coarse state of the background drain machinery, for health reporting.
@@ -470,37 +510,7 @@ class ReachService {
   // touches it, so no lock; fixed seed keeps chaos runs reproducible.
   Xoshiro256ss backoff_rng_{0xFA11};
 
-  // Cached obs-registry instruments mirroring ServeStats ("serve.*").
-  Counter* queries_counter_;
-  Counter* index_counter_;
-  Counter* delta_counter_;
-  Counter* fallback_counter_;
-  Counter* deadline_counter_;
-  Counter* slot_wait_counter_;
-  Counter* inexact_counter_;
-  Counter* insert_counter_;
-  Counter* delete_counter_;
-  Counter* update_batch_counter_;
-  Counter* update_rejected_counter_;
-  Counter* delete_verify_counter_;
-  Counter* rebuild_counter_;
-  Counter* slow_captured_counter_;
-  Counter* slow_dropped_counter_;
-  Counter* negcache_hit_counter_;
-  Counter* negcache_miss_counter_;
-  Counter* negcache_evict_counter_;
-  Counter* negcache_invalidate_counter_;
-  Counter* shed_counter_;
-  Counter* admission_cache_counter_;
-  Counter* admission_bfs_counter_;
-  Counter* bp_blocked_counter_;
-  Counter* bp_rejected_counter_;
-  Counter* bp_forced_counter_;
-  Counter* rebuild_failure_counter_;
-  Counter* rebuild_retry_counter_;
-  Counter* watchdog_counter_;
-  // Registry-only: index probes spent building gate closures.
-  Counter* gate_probes_counter_;
+  // Cached obs-registry instruments ("serve.*" counters read stats_).
   Gauge* version_gauge_;
   Gauge* pending_gauge_;
   Gauge* health_ready_gauge_;

@@ -7,8 +7,10 @@
 // observation-stack soundness, dynamic-insert semantics, and factory
 // capability propagation.
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,12 +20,36 @@
 #include "core/observation_stack.h"
 #include "graph/generators.h"
 #include "graph/rng.h"
+#include "obs/metrics_registry.h"
 #include "traversal/transitive_closure.h"
 
 namespace reach {
 namespace {
 
 constexpr size_t kPairsPerGraph = 10000;
+
+// The global registry's fastpath.* counters, in one scrape.
+FastPathVerdictStats RegistryVerdicts() {
+  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  const auto value = [&](const char* name) {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? uint64_t{0} : it->second;
+  };
+  FastPathVerdictStats stats;
+  stats.hit_pos = value("fastpath.hit.pos");
+  stats.hit_neg = value("fastpath.hit.neg");
+  stats.undecided = value("fastpath.undecided");
+  return stats;
+}
+
+FastPathVerdictStats Minus(const FastPathVerdictStats& a,
+                           const FastPathVerdictStats& b) {
+  FastPathVerdictStats d;
+  d.hit_pos = a.hit_pos - b.hit_pos;
+  d.hit_neg = a.hit_neg - b.hit_neg;
+  d.undecided = a.undecided - b.undecided;
+  return d;
+}
 
 struct TestGraph {
   const char* name;
@@ -138,6 +164,9 @@ TEST(FastPathIndexTest, VerdictStatsAccountForEveryQuery) {
   fast->Build(g);
   TransitiveClosure oracle;
   oracle.Build(g);
+  // The registry's fastpath.* counters read the verdict cells at scrape
+  // time, so their deltas match VerdictStats() exactly, at any count.
+  const FastPathVerdictStats registry_before = RegistryVerdicts();
   Xoshiro256ss rng(22);
   const size_t kQueries = 2000;
   for (size_t i = 0; i < kQueries; ++i) {
@@ -150,6 +179,69 @@ TEST(FastPathIndexTest, VerdictStatsAccountForEveryQuery) {
   // Sparse random DAGs are negative-dominated; the order filters alone
   // should decide well over half of the pairs (the ISSUE's hit-rate bar).
   EXPECT_GT(stats.Decided(), kQueries / 2);
+  const FastPathVerdictStats registry_delta =
+      Minus(RegistryVerdicts(), registry_before);
+  EXPECT_EQ(registry_delta.hit_pos, stats.hit_pos);
+  EXPECT_EQ(registry_delta.hit_neg, stats.hit_neg);
+  EXPECT_EQ(registry_delta.undecided, stats.undecided);
+  // Rebasing VerdictStats() leaves the registry alone, and destroying the
+  // index keeps its counts in the registry.
+  fast->ResetProbe();
+  EXPECT_EQ(fast->VerdictStats().Total(), 0u);
+  made.plain.reset();
+  EXPECT_EQ(Minus(RegistryVerdicts(), registry_before).Total(), kQueries);
+}
+
+// Threads query distinct slots while the main thread scrapes the global
+// registry: run under TSan this fails if a verdict cell is read without
+// synchronization. Scrapes never go backwards and the last one is exact.
+TEST(FastPathIndexTest, RegistryScrapesWhileSlotsQuery) {
+  auto made = MakeIndex("pll:fastpath=1");
+  auto* fast = dynamic_cast<DynamicFastPathIndex*>(made.plain.get());
+  ASSERT_NE(fast, nullptr);
+  constexpr VertexId kN = 200;
+  const Digraph g = RandomDag(kN, 500, 31);
+  fast->Build(g);
+  const size_t slots = fast->PrepareConcurrentQueries(4);
+  ASSERT_GE(slots, 1u);
+  TransitiveClosure oracle;
+  oracle.Build(g);
+  constexpr size_t kQueriesPerSlot = 4000;
+  struct Pair {
+    VertexId s, t;
+    bool reachable;
+  };
+  std::vector<std::vector<Pair>> work(slots);
+  Xoshiro256ss rng(32);
+  for (std::vector<Pair>& pairs : work) {
+    for (size_t i = 0; i < kQueriesPerSlot; ++i) {
+      const auto s = static_cast<VertexId>(rng.NextBounded(kN));
+      const auto t = static_cast<VertexId>(rng.NextBounded(kN));
+      pairs.push_back({s, t, oracle.Query(s, t)});
+    }
+  }
+  const uint64_t before = RegistryVerdicts().Total();
+  std::atomic<size_t> running{slots};
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> threads;
+  for (size_t slot = 0; slot < slots; ++slot) {
+    threads.emplace_back([&, slot] {
+      for (const Pair& p : work[slot]) {
+        if (fast->QueryInSlot(p.s, p.t, slot) != p.reachable) ++wrong;
+      }
+      running.fetch_sub(1);
+    });
+  }
+  uint64_t last = before;
+  while (running.load() > 0) {
+    const uint64_t now = RegistryVerdicts().Total();
+    EXPECT_GE(now, last);
+    last = now;
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(RegistryVerdicts().Total() - before, slots * kQueriesPerSlot);
+  EXPECT_EQ(fast->VerdictStats().Total(), slots * kQueriesPerSlot);
 }
 
 // ---------------------------------------------------------------------

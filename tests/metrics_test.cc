@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -49,6 +50,43 @@ TEST(CounterTest, PerThreadCellsMergeOnScrape) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(c.Value(), kThreads * kAddsPerThread);
+}
+
+// An attached cell is read at scrape time, on top of the counter's own
+// cells; detaching folds its last value in, and Reset restarts the
+// counter from 0 without touching the owner's cell.
+TEST(CounterTest, AttachedCellsSumFoldOnDetachAndReset) {
+  MetricsRegistry registry;
+  Counter& c = registry.GetCounter("events");
+  c.Add(5);
+  std::atomic<uint64_t> owned{0};
+  {
+    auto owner = std::make_unique<std::atomic<uint64_t>>(0);
+    c.Attach(owner.get());
+    c.Attach(&owned);
+    owner->fetch_add(7);
+    owned.fetch_add(3);
+    EXPECT_EQ(c.Value(), 15u);
+    // Attached cells count even while the registry is runtime-disabled.
+    registry.set_enabled(false);
+    owner->fetch_add(1);
+    EXPECT_EQ(c.Value(), 16u);
+    registry.set_enabled(true);
+    c.Detach(owner.get());
+  }  // the owner is gone; its 8 stay in the counter
+  EXPECT_EQ(c.Value(), 16u);
+  EXPECT_EQ(registry.Snapshot().counters.at("events"), 16u);
+
+  registry.Reset();
+  EXPECT_EQ(c.Value(), 0u);
+  EXPECT_EQ(owned.load(), 3u);  // the owner's own count is untouched
+  owned.fetch_add(2);
+  c.Add(1);
+  EXPECT_EQ(c.Value(), 3u);
+  c.Detach(&owned);
+  EXPECT_EQ(c.Value(), 3u);
+  owned.fetch_add(100);  // no longer read
+  EXPECT_EQ(c.Value(), 3u);
 }
 
 TEST(CounterTest, RuntimeDisableMakesAddANoOp) {
@@ -133,10 +171,13 @@ TEST(MetricsRegistryTest, SnapshotIsSortedAndResetZeroes) {
 // Scrapes race the owner threads' writes by design; run under TSan this
 // fails if a cell field is read without synchronization. Scraped values
 // never decrease while writers only add, and the final scrape is exact.
+// One more input is an attached atomic its owners `fetch_add` into.
 TEST(MetricsRegistryTest, ScrapesWhileThreadsRecord) {
   MetricsRegistry registry;
   Counter& counter = registry.GetCounter("ops");
   Histogram& histogram = registry.GetHistogram("ns");
+  std::atomic<uint64_t> attached{0};
+  counter.Attach(&attached);
   constexpr int kThreads = 4;
   constexpr uint64_t kOpsPerThread = 20000;
   std::atomic<int> running{kThreads};
@@ -145,6 +186,7 @@ TEST(MetricsRegistryTest, ScrapesWhileThreadsRecord) {
     writers.emplace_back([&]() {
       for (uint64_t j = 0; j < kOpsPerThread; ++j) {
         counter.Add();
+        attached.fetch_add(1, std::memory_order_relaxed);
         histogram.Record(j % 100);
       }
       running.fetch_sub(1);
@@ -162,7 +204,7 @@ TEST(MetricsRegistryTest, ScrapesWhileThreadsRecord) {
   }
   for (std::thread& t : writers) t.join();
   const MetricsSnapshot final_snap = registry.Snapshot();
-  EXPECT_EQ(final_snap.counters.at("ops"), kThreads * kOpsPerThread);
+  EXPECT_EQ(final_snap.counters.at("ops"), 2 * kThreads * kOpsPerThread);
   EXPECT_EQ(final_snap.histograms.at("ns").count, kThreads * kOpsPerThread);
   uint64_t bucketed = 0;
   for (uint64_t b : final_snap.histograms.at("ns").buckets) bucketed += b;

@@ -116,7 +116,11 @@ TEST(ServeDifferentialTest, ConcurrentReadersAndWriterAcrossSwaps) {
   ServiceOptions opts;
   opts.slots = kReaders;
   opts.drain_threshold = 24;  // several background swaps over 120 inserts
-  ReachService service(base, opts);
+  // The "serve.*" registry counters read the service's own ServeStats;
+  // each one's delta over the test must equal its field exactly.
+  const MetricsSnapshot registry_before = MetricsRegistry::Global().Snapshot();
+  std::optional<ReachService> holder;
+  ReachService& service = holder.emplace(base, opts);
   service.Start();
 
   std::vector<Edge> log(kInserts);
@@ -186,19 +190,38 @@ TEST(ServeDifferentialTest, ConcurrentReadersAndWriterAcrossSwaps) {
   EXPECT_GE(st.negcache_invalidations.load(), st.inserts.load());
   service.Stop();
 
-  // The serve.* admission/latency/fallback counters must be visible in
-  // the "reach.metrics.v1" export when metrics are compiled in.
-  if (kMetricsCompiled) {
-    MetricsExporter exporter;
-    exporter.SetRegistrySnapshot(MetricsRegistry::Global().Snapshot());
-    const std::string json = exporter.ToJson();
-    EXPECT_NE(json.find("reach.metrics.v1"), std::string::npos);
-    for (const char* key :
-         {"serve.queries", "serve.index_answers", "serve.fallback_bfs",
-          "serve.slot_waits", "serve.rebuilds", "serve.query_ns"}) {
-      EXPECT_NE(json.find(key), std::string::npos) << key;
+  // Registry parity for every counter, while the service is alive and
+  // after it is destroyed (detaching folds its counts into the registry).
+  std::vector<std::pair<std::string, uint64_t>> fields;
+  st.ForEachCounter([&](const char* name, const std::atomic<uint64_t>& c) {
+    fields.emplace_back(name, c.load());
+  });
+  EXPECT_EQ(fields.size(), 29u);
+  const auto expect_parity = [&](const char* when) {
+    const MetricsSnapshot now = MetricsRegistry::Global().Snapshot();
+    for (const auto& [name, value] : fields) {
+      ASSERT_EQ(now.counters.count(name), 1u) << name;
+      const auto before = registry_before.counters.find(name);
+      const uint64_t base_value =
+          before == registry_before.counters.end() ? 0 : before->second;
+      EXPECT_EQ(now.counters.at(name) - base_value, value)
+          << name << " " << when;
     }
+  };
+  expect_parity("while the service is alive");
+  holder.reset();
+  expect_parity("after the service is destroyed");
+
+  // The registry counters and the latency histogram reach the
+  // "reach.metrics.v1" export.
+  MetricsExporter exporter;
+  exporter.SetRegistrySnapshot(MetricsRegistry::Global().Snapshot());
+  const std::string json = exporter.ToJson();
+  EXPECT_NE(json.find("reach.metrics.v1"), std::string::npos);
+  for (const auto& [name, value] : fields) {
+    EXPECT_NE(json.find(name), std::string::npos) << name;
   }
+  EXPECT_NE(json.find("serve.query_ns"), std::string::npos);
 }
 
 // The differential above with deletes mixed in. The writer logs each
@@ -596,6 +619,16 @@ TEST(ServeLifecycleTest, OutOfRangeEndpointsAreRejected) {
   const ServeAnswer ans = service.Query(0, 99);
   EXPECT_FALSE(ans.reachable);
   EXPECT_TRUE(ans.exact);
+  EXPECT_EQ(ans.source, AnswerSource::kIndex);
+  EXPECT_FALSE(service.Query(99, 0).reachable);
+  // Every query lands in exactly one answer counter, out-of-range ones
+  // included (decided from the snapshot's vertex range).
+  const ServeStats& st = service.stats();
+  EXPECT_EQ(st.queries.load(), 2u);
+  EXPECT_EQ(st.index_answers.load() + st.delta_answers.load() +
+                st.fallback_answers.load() + st.negcache_hits.load() +
+                st.shed.load(),
+            st.queries.load());
   service.Stop();
 }
 
