@@ -118,7 +118,7 @@ void RegisterAll() {
                 "bench.table1." + gc.name + "." + spec;
             registry.GetGauge(row + ".bytes_per_vertex")
                 .Set(bytes_per_vertex);
-            if (spec.find("compress=1") != std::string::npos) {
+            if (IndexSpec(spec).Param("compress", 0) != 0) {
               // PublishStorageGauges ran during this Build, so the global
               // gauge is this index's flat-equivalent / compressed ratio.
               const double ratio =

@@ -163,11 +163,13 @@ void EmitMetrics(const Index& index) {
 int RunPlain(const reach::Digraph& graph, const std::string& spec,
              bool metrics, reach::ReorderStrategy reorder) {
   using namespace reach;
-  std::unique_ptr<ReachabilityIndex> index = MakeIndex(spec).plain;
-  if (index == nullptr) {
-    std::fprintf(stderr, "unknown index spec '%s'\n", spec.c_str());
+  MadeIndex made = MakeIndex(spec);
+  if (made.plain == nullptr) {
+    if (made) made.error = "'" + spec + "' is label-constrained; see --labeled";
+    std::fprintf(stderr, "error: %s\n", made.error.c_str());
     return 1;
   }
+  std::unique_ptr<ReachabilityIndex> index = std::move(made.plain);
   if (reorder != ReorderStrategy::kNone) {
     index = std::make_unique<ReorderingIndex>(std::move(index), reorder);
   }
@@ -473,8 +475,9 @@ int RunServe(const reach::Digraph& graph, const std::string& spec,
     }
     std::fprintf(stderr, "mapped snapshot %s as v%llu\n", load_path.c_str(),
                  static_cast<unsigned long long>(service.SnapshotVersion()));
-  } else {
-    service.Start();
+  } else if (const LoadResult result = service.Start(); !result) {
+    std::fprintf(stderr, "error: %s\n", result.detail.c_str());
+    return 1;
   }
   std::fprintf(stderr,
                "serving %zu vertices / %zu edges with '%s'; commands:\n"
@@ -716,9 +719,9 @@ int main(int argc, char** argv) {
   // path (after the serve engine has stopped and workers have quiesced).
   const int rc = [&]() -> int {
     // --fastpath is sugar for the factory's :fastpath=1 spec param; a spec
-    // that already asks for it explicitly is left alone.
+    // that sets the key explicitly is left alone.
     const auto with_fastpath = [&](std::string spec) {
-      if (fastpath && spec.find("fastpath") == std::string::npos) {
+      if (fastpath && !IndexSpec(spec).params.contains("fastpath")) {
         spec += ":fastpath=1";
       }
       return spec;

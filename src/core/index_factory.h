@@ -1,6 +1,7 @@
 #ifndef REACH_CORE_INDEX_FACTORY_H_
 #define REACH_CORE_INDEX_FACTORY_H_
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,11 +14,13 @@ namespace reach {
 /// A parsed index specification. Constructible implicitly from a string,
 /// so every call site can keep writing `MakeIndex("grail:k=5")`.
 ///
-/// Grammar: `["lcr:"] base [":" key "=" value]...`
+/// Grammar: `["lcr:"] base [":" key "=" n]...`, n a non-negative decimal
 ///   * "pll"                — plain 2-hop under the degree order
 ///   * "grail:k=5"          — GRAIL with five interval labelings
 ///   * "lcr:pll"            — labeled-constrained P2H+
 ///   * "lcr:landmark:k=8:b=2"
+/// The text is parsed once, here; which bases and keys exist is
+/// `MakeIndex`'s business.
 struct IndexSpec {
   IndexSpec(std::string spec_text);  // NOLINT(google-explicit-constructor)
   IndexSpec(const char* spec_text)   // NOLINT(google-explicit-constructor)
@@ -30,13 +33,15 @@ struct IndexSpec {
   /// Technique name with the family prefix and parameters stripped,
   /// e.g. "landmark".
   std::string base;
+  /// The `:key=n` pairs, e.g. {{"b", 2}, {"k", 8}}.
+  std::map<std::string, size_t> params;
+  /// Why the parameter tail does not parse (a part without `=`, a value
+  /// that is not a non-negative integer, a repeated key); empty when it
+  /// does. Parsing stops at the first bad part.
+  std::string error;
 
-  /// Integer parameter lookup over the ":key=value" tail; returns
-  /// `fallback` when `key` is absent.
+  /// `params[key]`, or `fallback` when `key` is absent.
   size_t Param(const std::string& key, size_t fallback) const;
-
- private:
-  std::string params_;  // the parameter tail, e.g. ":k=8:b=2"
 };
 
 /// What a constructed index can do — the factory's rendering of the
@@ -58,26 +63,25 @@ struct IndexCaps {
 };
 
 /// The result of `MakeIndex`: exactly one of `plain` / `lcr` is set (per
-/// `caps.labeled`), or neither for an unknown spec.
+/// `caps.labeled`), or neither and `error` says why.
 struct MadeIndex {
   std::unique_ptr<ReachabilityIndex> plain;
   std::unique_ptr<LcrIndex> lcr;
   IndexCaps caps;
+  /// Names the offending part of a rejected spec, e.g. "index spec
+  /// 'pll:compres=1': unknown parameter 'compres' for 'pll'".
+  std::string error;
 
   explicit operator bool() const { return plain != nullptr || lcr != nullptr; }
 };
 
 /// The single index-construction entry point: creates a ready-to-Build
-/// index from a spec string and reports its capabilities. DAG-only plain
+/// index from a spec and reports its capabilities. DAG-only plain
 /// techniques come pre-wrapped in `SccCondensingIndex`, so every returned
 /// index accepts general digraphs — mirroring how the survey's Table 1
-/// normalizes the Input column.
-///
-/// Plain specs: "bfs", "dfs", "bibfs", "tc", "treecover", "dual",
-/// "chaincover", "gripp", "grail[:k=<n>]", "ferrari[:k=<n>]", "pll",
-/// "tfl", "tol-random", "tol-revdeg", "dbl", "dagger[:k=<n>]",
-/// "oreach[:k=<n>]", "ip[:k=<n>]", "bfl[:bits=<n>]", "feline", "preach",
-/// and "auto" (Table 1 advisor, plain/auto_index.h).
+/// normalizes the Input column. `DescribeIndexSpecs` lists the specs and
+/// their keys; the LCR names "lcr:lcr-bfs", "lcr:jin-tree" and "lcr:p2h"
+/// are accepted as aliases.
 ///
 /// Every plain spec additionally accepts
 /// `:fastpath=1[:supports=<n>][:anti=<n>]`, which layers the O(1)
@@ -85,13 +89,9 @@ struct MadeIndex {
 /// in front of the constructed index. Capability propagation: `complete`
 /// and `dynamic` follow the wrapped index, `serializable` becomes false.
 ///
-/// LCR specs (all "lcr:"-prefixed): "lcr:bfs", "lcr:gtc", "lcr:tree",
-/// "lcr:landmark[:k=<n>][:b=<n>]", "lcr:pll"; the historical technique
-/// names "lcr:lcr-bfs", "lcr:jin-tree", and "lcr:p2h" are accepted as
-/// aliases.
-///
-/// Returns an empty `MadeIndex` (operator bool == false) for unknown
-/// specs.
+/// Builds nothing and sets `error` for a spec that does not parse, an
+/// unknown base, or a key the base does not accept (`:fastpath` on an
+/// "lcr:" spec included).
 MadeIndex MakeIndex(const IndexSpec& spec);
 
 enum class IndexFamily { kPlain, kLcr };
@@ -100,17 +100,16 @@ enum class IndexFamily { kPlain, kLcr };
 /// implemented Table 1 / Table 2 row plus the online baselines.
 std::vector<std::string> DefaultIndexSpecs(IndexFamily family);
 
-/// One roster entry's documentation line: the spec name, the `Param`
-/// knobs it accepts with their defaults (empty when the technique takes
-/// none), and a one-line summary. Used by `reach_cli --help` so the
-/// printed roster documents every accepted `:key=value` knob.
+/// One roster entry's documentation line: the spec name, the keys it
+/// accepts with their defaults (empty when the technique takes none), and
+/// a one-line summary. Used by `reach_cli --help` so the printed roster
+/// documents every accepted `:key=value` knob.
 struct SpecDoc {
   std::string spec;
   std::string params;
   std::string summary;
-  /// Write capability as `MakeIndex` would report it in `IndexCaps`:
+  /// Write capability from the `IndexCaps` that `MakeIndex` reports:
   /// "static", "dynamic (insert-only)", or "dynamic (insert+delete)".
-  /// Pinned to the factory's actual caps by index_factory_test.
   std::string caps;
 };
 

@@ -706,6 +706,10 @@ class TwoHopCore {
         if (!DamageSweep(t, /*backward=*/false)) bwd_all_damaged_ = true;
       }
     }
+    // The superset already connects s -> t under the arc's own constraint,
+    // so no superset closure grows and the labels stay exact: the dual of
+    // the delete's local-redundancy rule.
+    if (SupersetAnswer(s, t, Traits::DetourConstraint(arc))) return true;
 
     // The sealed pool is immutable, so the entries the new arc needs go
     // into the unsealed delta overlay, which the query path consults next

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/thread_cells.h"
+
 namespace reach {
 
 /// A named monotonically increasing counter. Every thread that touches the
@@ -24,8 +26,8 @@ namespace reach {
 /// the attached cells with the counter's own.
 class Counter {
  public:
-  /// Adds `n` to this thread's cell. Cheap: one thread-local hash lookup
-  /// (cached cell pointer) plus a relaxed load and store. No-op while the
+  /// Adds `n` to this thread's cell. Cheap: one thread-local slot load
+  /// (`ThreadCells`) plus a relaxed load and store. No-op while the
   /// owning registry is runtime-disabled.
   void Add(uint64_t n = 1);
 
@@ -49,19 +51,13 @@ class Counter {
   Counter(std::string name, const bool* enabled)
       : name_(std::move(name)), enabled_(enabled) {}
 
+  std::string name_;
+  const bool* enabled_;  // owning registry's runtime flag
   // Only the owning thread writes a cell (a relaxed load plus store: an
   // unsynchronized add compiles to the same code, but a scrape reading a
   // plain field while the owner writes it would be a data race).
-  struct Cell {
-    std::atomic<uint64_t> value{0};
-  };
-  Cell& LocalCell();
-
-  std::string name_;
-  const bool* enabled_;  // owning registry's runtime flag
-  uint64_t id_ = 0;      // unique across all Counter instances ever made
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Cell>> cells_;
+  ThreadCells<std::atomic<uint64_t>> cells_;
+  mutable std::mutex mu_;  // guards attached_ and offset_
   std::vector<const std::atomic<uint64_t>*> attached_;
   // Added to the cells' sum, modulo 2^64: the final values of detached
   // cells, minus the attached cells' values at the last `Reset()`.
@@ -112,19 +108,16 @@ class Histogram {
   Histogram(std::string name, const bool* enabled)
       : name_(std::move(name)), enabled_(enabled) {}
 
-  // Owner-written, scrape-read relaxed atomics, as in `Counter::Cell`.
+  // Owner-written, scrape-read relaxed atomics, as in `Counter`.
   struct Cell {
     std::atomic<uint64_t> buckets[kNumBuckets] = {};
     std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> sum{0};
   };
-  Cell& LocalCell();
 
   std::string name_;
   const bool* enabled_;
-  uint64_t id_ = 0;
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Cell>> cells_;
+  ThreadCells<Cell> cells_;
 };
 
 /// Merged view of one histogram at scrape time.

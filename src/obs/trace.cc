@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics_exporter.h"  // JsonEscape
@@ -11,14 +10,6 @@
 namespace reach {
 
 namespace {
-
-// Recorders are identified by a process-unique id, not by address, so a
-// destroyed recorder (tests create private ones) can never alias a live
-// recorder's thread-local buffer cache.
-std::atomic<uint64_t> g_next_recorder_id{1};
-
-// recorder id -> this thread's buffer within that recorder.
-thread_local std::unordered_map<uint64_t, void*> tls_buffers;
 
 // Span-nesting depth of the current thread (shared across recorders; in
 // practice exactly one recorder — the global — is live on hot paths).
@@ -38,9 +29,8 @@ struct TraceRecorder::ThreadBuffer {
   uint64_t recorded = 0;         // events ever recorded
 };
 
-TraceRecorder::TraceRecorder()
-    : epoch_(std::chrono::steady_clock::now()),
-      id_(g_next_recorder_id.fetch_add(1)) {}
+TraceRecorder::TraceRecorder() : epoch_(std::chrono::steady_clock::now()) {}
+TraceRecorder::~TraceRecorder() = default;
 
 TraceRecorder& TraceRecorder::Global() {
   static TraceRecorder* recorder = new TraceRecorder();
@@ -48,16 +38,14 @@ TraceRecorder& TraceRecorder::Global() {
 }
 
 TraceRecorder::ThreadBuffer& TraceRecorder::LocalBuffer() {
-  void*& slot = tls_buffers[id_];
-  if (slot == nullptr) {
-    auto buffer = std::make_shared<ThreadBuffer>();
-    std::lock_guard<std::mutex> lock(mu_);
-    buffer->tid = buffers_.size();
-    buffer->capacity = thread_capacity_;
-    buffers_.push_back(buffer);
-    slot = buffer.get();
-  }
-  return *static_cast<ThreadBuffer*>(slot);
+  // The maker runs under the cells' lock and takes mu_ inside it; no
+  // path takes the two in the other order.
+  return buffers_.Local([this](size_t tid) {
+    auto buffer = std::make_unique<ThreadBuffer>();
+    buffer->tid = tid;
+    buffer->capacity = thread_capacity();
+    return buffer;
+  });
 }
 
 uint32_t TraceRecorder::Intern(const std::string& name) {
@@ -123,37 +111,27 @@ void TraceRecorder::RecordInstant(uint32_t name_id) {
 }
 
 std::vector<TraceRecorder::ThreadTrace> TraceRecorder::Snapshot() const {
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    buffers = buffers_;
-  }
   std::vector<ThreadTrace> out;
-  out.reserve(buffers.size());
-  for (const auto& buffer : buffers) {
-    ThreadTrace trace;
-    std::lock_guard<std::mutex> lock(buffer->mu);
-    trace.tid = buffer->tid;
-    trace.name = buffer->name;
-    const size_t capacity = buffer->ring.size();
-    if (capacity == 0) {
-      out.push_back(std::move(trace));
-      continue;
-    }
+  buffers_.ForEach([&](const ThreadBuffer& buffer) {
+    ThreadTrace& trace = out.emplace_back();
+    std::lock_guard<std::mutex> lock(buffer.mu);
+    trace.tid = buffer.tid;
+    trace.name = buffer.name;
+    const size_t capacity = buffer.ring.size();
+    if (capacity == 0) return;
     const size_t count =
-        buffer->recorded < capacity ? static_cast<size_t>(buffer->recorded)
-                                    : capacity;
-    trace.dropped = buffer->recorded - count;
+        buffer.recorded < capacity ? static_cast<size_t>(buffer.recorded)
+                                   : capacity;
+    trace.dropped = buffer.recorded - count;
     trace.events.reserve(count);
     // Chronological: the ring's oldest surviving event sits at `head`
     // once wrapped, at 0 before that.
     const size_t first =
-        buffer->recorded < capacity ? 0 : buffer->head % capacity;
+        buffer.recorded < capacity ? 0 : buffer.head % capacity;
     for (size_t i = 0; i < count; ++i) {
-      trace.events.push_back(buffer->ring[(first + i) % capacity]);
+      trace.events.push_back(buffer.ring[(first + i) % capacity]);
     }
-    out.push_back(std::move(trace));
-  }
+  });
   return out;
 }
 
@@ -163,16 +141,11 @@ std::vector<std::string> TraceRecorder::Names() const {
 }
 
 void TraceRecorder::Reset() {
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    buffers = buffers_;
-  }
-  for (const auto& buffer : buffers) {
-    std::lock_guard<std::mutex> lock(buffer->mu);
-    buffer->head = 0;
-    buffer->recorded = 0;
-  }
+  buffers_.ForEach([](ThreadBuffer& buffer) {
+    std::lock_guard<std::mutex> lock(buffer.mu);
+    buffer.head = 0;
+    buffer.recorded = 0;
+  });
 }
 
 #if REACH_METRICS

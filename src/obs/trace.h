@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "obs/query_probe.h"  // for REACH_METRICS / kMetricsCompiled
+#include "obs/thread_cells.h"
 
 namespace reach {
 
@@ -55,6 +56,7 @@ class TraceRecorder {
   static constexpr size_t kDefaultThreadCapacity = 1 << 15;
 
   TraceRecorder();
+  ~TraceRecorder();
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
@@ -133,10 +135,9 @@ class TraceRecorder {
 
   const std::chrono::steady_clock::time_point epoch_;
   std::atomic<bool> enabled_{false};
-  const uint64_t id_;  // unique across all recorders ever made
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  // guards names_ and thread_capacity_
   std::vector<std::string> names_;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
+  ThreadCells<ThreadBuffer> buffers_;
   size_t thread_capacity_ = kDefaultThreadCapacity;
 };
 

@@ -43,7 +43,9 @@ class AutoIndex : public ReachabilityIndex {
   size_t IndexSizeBytes() const override {
     return chosen_->IndexSizeBytes();
   }
-  bool IsComplete() const override { return chosen_->IsComplete(); }
+  bool IsComplete() const override {
+    return chosen_ != nullptr && chosen_->IsComplete();
+  }
   std::string Name() const override {
     return "auto[" + (chosen_ ? chosen_->Name() : std::string("?")) + "]";
   }

@@ -22,8 +22,16 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string ValidatedSpec(const std::string& spec) {
-  return MakeIndex(spec).plain != nullptr ? spec : std::string("pll");
+// The plain index `spec` names, or why the service cannot serve it.
+LoadResult MakePlain(const std::string& spec,
+                     std::unique_ptr<ReachabilityIndex>* index) {
+  MadeIndex made = MakeIndex(spec);
+  if (made.plain == nullptr) {
+    return {LoadStatus::kUnsupported,
+            made ? "spec '" + spec + "' is label-constrained" : made.error};
+  }
+  *index = std::move(made.plain);
+  return {};
 }
 
 /// Folds one update into `gate`'s effective state: the last operation on
@@ -269,7 +277,6 @@ class ReachService::SlotLease {
 ReachService::ReachService(Digraph base, ServiceOptions options)
     : options_(std::move(options)),
       num_vertices_(base.NumVertices()),
-      spec_(ValidatedSpec(options_.spec)),
       negcache_(options_.negcache_capacity > 0
                     ? std::make_unique<NegativeResultCache>(
                           options_.negcache_shards, options_.negcache_capacity)
@@ -308,11 +315,15 @@ ReachService::~ReachService() {
   });
 }
 
-void ReachService::Start() {
+LoadResult ReachService::Start() {
+  std::unique_ptr<ReachabilityIndex> index;
+  LoadResult result = MakePlain(options_.spec, &index);
   std::lock_guard<std::mutex> lock(rebuild_mu_);
-  if (started_) return;
-  started_ = true;
-  ScheduleLocked();
+  if (result && !started_) {
+    started_ = true;
+    ScheduleLocked();
+  }
+  return result;
 }
 
 LoadResult ReachService::StartWithSnapshot(const std::string& path) {
@@ -323,11 +334,12 @@ LoadResult ReachService::StartWithSnapshot(const std::string& path) {
   if (started_) {
     return {LoadStatus::kUnsupported, "service already started"};
   }
-  auto index = MakeIndex(spec_).plain;
+  std::unique_ptr<ReachabilityIndex> index;
+  if (LoadResult made = MakePlain(options_.spec, &index); !made) return made;
   auto* two_hop = dynamic_cast<PrunedTwoHop*>(index.get());
   if (two_hop == nullptr) {
     return {LoadStatus::kUnsupported,
-            "spec '" + spec_ + "' has no snapshot support"};
+            "spec '" + options_.spec + "' has no snapshot support"};
   }
   LoadResult result = two_hop->LoadSnapshot(path);
   if (!result) return result;
@@ -582,7 +594,7 @@ void ReachService::RebuildLoop() {
         // The index must be built against the graph at its final address
         // — partial indexes keep a pointer into it for guided traversal.
         REACH_TRACE_SPAN("serve.rebuild.index");
-        snap->index = MakeIndex(spec_).plain;
+        snap->index = MakeIndex(options_.spec).plain;
         snap->index->Build(snap->graph);
       }
     } catch (const std::exception& e) {

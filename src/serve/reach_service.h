@@ -46,7 +46,7 @@ const char* BackpressurePolicyName(BackpressurePolicy policy);
 /// Configuration of a `ReachService`.
 struct ServiceOptions {
   /// `MakeIndex` spec of the plain index each snapshot is built with.
-  /// Unknown and non-plain specs fall back to "pll".
+  /// `Start()` rejects a spec `MakeIndex` rejects, and an "lcr:" spec.
   std::string spec = "pll";
   /// Concurrent-query slots requested per snapshot; the index may grant
   /// fewer (see `PrepareConcurrentQueries`). 0 = `DefaultThreads()`.
@@ -358,7 +358,10 @@ class ReachService {
 
   /// Publishes the startup snapshot (graph only — queries degrade to the
   /// bounded BFS) and schedules the first index build in the background.
-  void Start();
+  /// A spec `MakeIndex` rejects, or an "lcr:" one, returns `kUnsupported`
+  /// with the factory's message and leaves the service unstarted. A
+  /// second call is a no-op.
+  LoadResult Start();
 
   /// Near-instant startup/failover: mmap-loads an RCHX v2 snapshot file
   /// (docs/SNAPSHOTS.md) written by `PrunedTwoHop::SaveSnapshot` for the
@@ -462,8 +465,6 @@ class ReachService {
 
   const ServiceOptions options_;
   const size_t num_vertices_;
-  // `options_.spec` validated against the factory ("pll" if unknown).
-  const std::string spec_;
 
   // The published snapshot + pending list + gate; one load per query.
   AtomicSharedPtr<const ServeView> view_;

@@ -77,6 +77,35 @@ TEST(PrunedLabeledTwoHopTest, InsertDuplicateEdgeIsNoop) {
   EXPECT_EQ(index.TotalEntries(), before);
 }
 
+TEST(PrunedLabeledTwoHopTest, InsertOffTheDetourLabelIsNotRedundant) {
+  // 0 -0-> 1 -0-> 2 connects 0 to 2 under label 0 only. A label-1 arc
+  // 0 -> 2 opens the {1} answer, so it must add entries; a label-0 one
+  // after it is redundant and adds none.
+  std::vector<LabeledEdge> edges = {{0, 1, 0}, {1, 2, 0}};
+  PrunedLabeledTwoHop index;
+  const LabeledDigraph g = LabeledDigraph::FromEdges(3, 2, edges);
+  index.Build(g);
+  const size_t before = index.TotalEntries();
+  ASSERT_TRUE(index.ApplyUpdate({LabeledEdgeUpdate::Insert(0, 2, 1)}).ok());
+  EXPECT_GT(index.TotalEntries(), before);
+  const size_t after = index.TotalEntries();
+  ASSERT_TRUE(index.ApplyUpdate({LabeledEdgeUpdate::Insert(0, 2, 0)}).ok());
+  EXPECT_EQ(index.TotalEntries(), after);
+  edges.push_back({0, 2, 1});
+  edges.push_back({0, 2, 0});
+  const LabeledDigraph current = LabeledDigraph::FromEdges(3, 2, edges);
+  SearchWorkspace ws;
+  for (VertexId s = 0; s < 3; ++s) {
+    for (VertexId t = 0; t < 3; ++t) {
+      for (LabelSet mask = 0; mask < 4; ++mask) {
+        EXPECT_EQ(index.Query(s, t, mask),
+                  LcrBfsReachability(current, s, t, mask, ws))
+            << s << "->" << t << " mask=" << mask;
+      }
+    }
+  }
+}
+
 class LabeledInsertStreamTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(LabeledInsertStreamTest, IncrementalMatchesOracleAfterEveryBatch) {

@@ -115,6 +115,33 @@ TEST(PrunedTwoHopTest, InsertExistingEdgeIsNoop) {
   EXPECT_EQ(index.TotalLabelEntries(), before);
 }
 
+TEST(PrunedTwoHopTest, RedundantInsertAddsNoEntries) {
+  // An arc whose endpoints the graph already connects grows no closure, so
+  // the labels stay as they are — and stay exact.
+  const Digraph g = RandomDag(40, 90, 31);
+  PrunedTwoHop index;
+  index.Build(g);
+  TransitiveClosure before_oracle;
+  before_oracle.Build(g);
+  const size_t before = index.TotalLabelEntries();
+  std::vector<Edge> edges = g.Edges();
+  for (VertexId s = 0; s < 40; s += 3) {
+    for (VertexId t = 0; t < 40; t += 5) {
+      if (s == t || !before_oracle.Query(s, t)) continue;
+      const UpdateResult result =
+          index.ApplyUpdate({EdgeUpdate::Insert(s, t)});
+      ASSERT_TRUE(result.ok());
+      if (result.applied == 1) edges.push_back({s, t});
+    }
+  }
+  ASSERT_GT(edges.size(), g.NumEdges());
+  EXPECT_EQ(index.TotalLabelEntries(), before);
+  const Digraph after = Digraph::FromEdges(40, edges);
+  TransitiveClosure oracle;
+  oracle.Build(after);
+  ExpectMatchesOracle(index, oracle, 40, "after redundant inserts");
+}
+
 TEST(PrunedTwoHopTest, RejectedBatchLeavesNoTrace) {
   const Digraph g = Chain(4);
   PrunedTwoHop index;

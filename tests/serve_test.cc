@@ -632,21 +632,24 @@ TEST(ServeLifecycleTest, OutOfRangeEndpointsAreRejected) {
   service.Stop();
 }
 
-TEST(ServeLifecycleTest, UnknownSpecFallsBackToPll) {
+TEST(ServeLifecycleTest, RejectedSpecFailsStartAndPublishesNoIndex) {
   const Digraph g = figure1::PlainGraph();
-  ServiceOptions opts;
-  opts.spec = "definitely-not-an-index";
-  ReachService service(g, opts);
-  service.Start();
-  service.Flush();
-  ASSERT_GE(service.SnapshotVersion(), 1u);
-  for (VertexId s = 0; s < g.NumVertices(); ++s) {
-    for (VertexId t = 0; t < g.NumVertices(); ++t) {
-      EXPECT_EQ(service.Query(s, t).reachable, OracleReachable(g, {}, 0, s, t))
-          << s << "->" << t;
-    }
+  for (const char* spec : {"definitely-not-an-index", "pll:compres=1",
+                           "lcr:pll"}) {
+    ServiceOptions opts;
+    opts.spec = spec;
+    ReachService service(g, opts);
+    const LoadResult result = service.Start();
+    EXPECT_FALSE(result) << spec;
+    EXPECT_EQ(result.status, LoadStatus::kUnsupported) << spec;
+    EXPECT_NE(result.detail.find(spec), std::string::npos) << result.detail;
+    EXPECT_FALSE(service.StartWithSnapshot("no-such.rchx")) << spec;
+    service.Flush();  // nothing pending, nothing scheduled
+    EXPECT_EQ(service.SnapshotVersion(), 0u) << spec;
+    // Unindexed, queries still answer through the bounded BFS.
+    EXPECT_TRUE(service.Query(figure1::kA, figure1::kG).reachable) << spec;
+    service.Stop();
   }
-  service.Stop();
 }
 
 TEST(BoundedUnionBfsTest, RespectsVisitBudget) {
