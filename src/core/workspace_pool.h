@@ -5,6 +5,7 @@
 #include <deque>
 
 #include "core/search_workspace.h"
+#include "graph/types.h"
 #include "obs/query_probe.h"
 
 namespace reach {
@@ -48,6 +49,33 @@ class WorkspacePool {
  private:
   // mutable: probes and traversal scratch mutate under const Query().
   mutable std::deque<SearchWorkspace> slots_;
+};
+
+/// The slot plumbing of every plain index whose queries traverse: one
+/// `WorkspacePool`, `Query` is `QueryInSlot(s, t, 0)`, every slot asked
+/// for is granted, and `Probe()` sums the slots. `Derived` is the index
+/// (its `QueryInSlot` over `Workspace(slot)` is called without a second
+/// virtual dispatch); `Base` is `ReachabilityIndex` or
+/// `DynamicReachabilityIndex`.
+template <typename Derived, typename Base>
+class PooledSearchIndex : public Base {
+ public:
+  bool Query(VertexId s, VertexId t) const override {
+    return static_cast<const Derived&>(*this).Derived::QueryInSlot(s, t, 0);
+  }
+  size_t PrepareConcurrentQueries(size_t slots) const override {
+    if (slots == 0) slots = 1;
+    pool_.EnsureSlots(slots);
+    return slots;
+  }
+  QueryProbe Probe() const override { return pool_.AggregateProbe(); }
+  void ResetProbe() const override { pool_.ResetProbes(); }
+
+ protected:
+  SearchWorkspace& Workspace(size_t slot) const { return pool_.Slot(slot); }
+
+ private:
+  WorkspacePool pool_;
 };
 
 /// The no-traversal sibling: a bank of plain `QueryProbe`s for complete

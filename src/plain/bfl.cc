@@ -6,12 +6,13 @@
 #include "par/parallel_for.h"
 #include "par/thread_pool.h"
 #include "plain/interval_labeling.h"
+#include "traversal/guided_search.h"
 
 namespace reach {
 
 void Bfl::Build(const Digraph& graph) {
   BuildStatsScope build(&build_stats_);
-  ws_pool_.ResetProbes();
+  ResetProbe();
   graph_ = &graph;
   const size_t n = graph.NumVertices();
   bloom_out_.assign(n * words_, 0);
@@ -118,10 +119,6 @@ bool Bfl::BloomConsistent(VertexId s, VertexId t) const {
   return true;
 }
 
-int Bfl::FilterVerdict(VertexId s, VertexId t) const {
-  return FilterVerdictCounted(s, t, ws_pool_.Slot(0).probe());
-}
-
 int Bfl::FilterVerdictCounted(VertexId s, VertexId t,
                               [[maybe_unused]] QueryProbe& probe) const {
   REACH_PROBE_INC(probe, labels_scanned);
@@ -131,53 +128,14 @@ int Bfl::FilterVerdictCounted(VertexId s, VertexId t,
   return 0;
 }
 
-bool Bfl::Query(VertexId s, VertexId t) const {
-  return QueryInSlot(s, t, 0);
-}
-
 bool Bfl::QueryInSlot(VertexId s, VertexId t, size_t slot) const {
-  SearchWorkspace& ws = ws_pool_.Slot(slot);
-  REACH_PROBE_INC(ws.probe(), queries);
-  const int verdict = FilterVerdictCounted(s, t, ws.probe());
-  if (verdict > 0) {
-    REACH_PROBE_INC(ws.probe(), positives);
-    return true;
-  }
-  if (verdict < 0) {
-    REACH_PROBE_INC(ws.probe(), label_rejections);
-    return false;
-  }
-  // Guided DFS with per-vertex filter checks.
-  REACH_PROBE_INC(ws.probe(), fallbacks);
-  ws.Prepare(graph_->NumVertices());
-  auto& stack = ws.queue();
-  ws.MarkForward(s);
-  stack.push_back(s);
-  while (!stack.empty()) {
-    const VertexId v = stack.back();
-    stack.pop_back();
-    REACH_PROBE_INC(ws.probe(), vertices_visited);
-    for (VertexId w : graph_->OutNeighbors(v)) {
-      REACH_PROBE_INC(ws.probe(), edges_scanned);
-      if (w == t) {
-        REACH_PROBE_INC(ws.probe(), positives);
-        return true;
-      }
-      if (ws.IsForwardMarked(w)) continue;
-      const int wv = FilterVerdictCounted(w, t, ws.probe());
-      if (wv > 0) {
-        REACH_PROBE_INC(ws.probe(), positives);
-        return true;
-      }
-      if (wv == 0) {
-        ws.MarkForward(w);
-        stack.push_back(w);
-      } else {
-        REACH_PROBE_INC(ws.probe(), filter_prunes);
-      }
-    }
-  }
-  return false;
+  SearchWorkspace& ws = Workspace(slot);
+  const auto verdict = [&](VertexId v) {
+    return FilterVerdictCounted(v, t, ws.probe());
+  };
+  return GuidedQuery(s, t, ws, graph_->NumVertices(), verdict, [&] {
+    return GuidedDfs(s, t, ws, OutArcs(*graph_), verdict);
+  });
 }
 
 size_t Bfl::IndexSizeBytes() const {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/reachability_index.h"
-#include "core/search_workspace.h"
 #include "core/workspace_pool.h"
 #include "graph/digraph.h"
 
@@ -22,12 +21,13 @@ namespace reach {
 /// containment of §3.3 gives a no-false-negative rejection test:
 /// BloomOut(t) ⊄ BloomOut(s) or BloomIn(s) ⊄ BloomIn(t) proves t is not
 /// reachable from s. A DFS spanning-forest interval provides an O(1)
-/// positive certificate. Undecided queries run the recursive guided DFS
-/// the paper describes: "if all the neighbors of v do not reach the target
-/// vertex, then v can be skipped in the traversal".
+/// positive certificate. Undecided queries run the guided DFS the paper
+/// describes ("if all the neighbors of v do not reach the target vertex,
+/// then v can be skipped in the traversal") as `GuidedDfs`
+/// (traversal/guided_search.h) with the same verdict.
 ///
 /// Input must be a DAG (wrap in `SccCondensingIndex`).
-class Bfl : public ReachabilityIndex {
+class Bfl : public PooledSearchIndex<Bfl, ReachabilityIndex> {
  public:
   /// `filter_bits` is rounded up to a multiple of 64. `num_threads`
   /// parallelizes the two Bloom sweeps over dependency levels of the DAG
@@ -42,25 +42,19 @@ class Bfl : public ReachabilityIndex {
   }
 
   void Build(const Digraph& graph) override;
-  bool Query(VertexId s, VertexId t) const override;
+  bool QueryInSlot(VertexId s, VertexId t, size_t slot) const override;
   size_t IndexSizeBytes() const override;
   bool IsComplete() const override { return false; }
   std::string Name() const override {
     return "bfl(bits=" + std::to_string(words_ * 64) + ")";
   }
-  QueryProbe Probe() const override { return ws_pool_.AggregateProbe(); }
-  void ResetProbe() const override { ws_pool_.ResetProbes(); }
-
-  size_t PrepareConcurrentQueries(size_t slots) const override {
-    if (slots == 0) slots = 1;
-    ws_pool_.EnsureSlots(slots);
-    return slots;
-  }
-  bool QueryInSlot(VertexId s, VertexId t, size_t slot) const override;
 
   /// Pure-filter verdict: +1 reachable (tree interval), -1 unreachable
-  /// (Bloom containment violated), 0 undecided.
-  int FilterVerdict(VertexId s, VertexId t) const;
+  /// (Bloom containment violated), 0 undecided. Counts nothing.
+  int FilterVerdict(VertexId s, VertexId t) const {
+    QueryProbe uncounted;
+    return FilterVerdictCounted(s, t, uncounted);
+  }
 
  private:
   int FilterVerdictCounted(VertexId s, VertexId t, QueryProbe& probe) const;
@@ -74,7 +68,6 @@ class Bfl : public ReachabilityIndex {
   std::vector<uint64_t> bloom_in_;
   std::vector<uint32_t> post_;         // DFS intervals (positive cert)
   std::vector<uint32_t> subtree_low_;
-  mutable WorkspacePool ws_pool_;
 };
 
 }  // namespace reach

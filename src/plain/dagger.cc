@@ -5,47 +5,26 @@
 #include "graph/condensation.h"
 #include "graph/rng.h"
 #include "plain/interval_labeling.h"
+#include "traversal/guided_search.h"
 
 namespace reach {
 
-template <typename Fn>
-void Dagger::ForEachOut(VertexId v, Fn&& fn) const {
-  if (tomb_out_.empty() || tomb_out_[v].empty()) {
-    for (VertexId w : graph_->OutNeighbors(v)) fn(w);
-    if (!extra_out_.empty()) {
-      for (VertexId w : extra_out_[v]) fn(w);
-    }
-    return;
-  }
-  const std::vector<VertexId>& tomb = tomb_out_[v];
-  for (VertexId w : graph_->OutNeighbors(v)) {
-    if (!std::binary_search(tomb.begin(), tomb.end(), w)) fn(w);
-  }
-  if (!extra_out_.empty()) {
+auto Dagger::LiveOut() const {
+  return [this](VertexId v, auto&& visit) {
+    const std::vector<VertexId>* tomb =
+        tomb_out_.empty() || tomb_out_[v].empty() ? nullptr : &tomb_out_[v];
+    const auto visit_live = [&](VertexId w) {
+      return (tomb == nullptr ||
+              !std::binary_search(tomb->begin(), tomb->end(), w)) &&
+             visit(w);
+    };
+    if (OutArcs(*graph_)(v, visit_live)) return true;
+    if (extra_out_.empty()) return false;
     for (VertexId w : extra_out_[v]) {
-      if (!std::binary_search(tomb.begin(), tomb.end(), w)) fn(w);
+      if (visit_live(w)) return true;
     }
-  }
-}
-
-template <typename Fn>
-void Dagger::ForEachIn(VertexId v, Fn&& fn) const {
-  if (tomb_in_.empty() || tomb_in_[v].empty()) {
-    for (VertexId w : graph_->InNeighbors(v)) fn(w);
-    if (!extra_in_.empty()) {
-      for (VertexId w : extra_in_[v]) fn(w);
-    }
-    return;
-  }
-  const std::vector<VertexId>& tomb = tomb_in_[v];
-  for (VertexId w : graph_->InNeighbors(v)) {
-    if (!std::binary_search(tomb.begin(), tomb.end(), w)) fn(w);
-  }
-  if (!extra_in_.empty()) {
-    for (VertexId w : extra_in_[v]) {
-      if (!std::binary_search(tomb.begin(), tomb.end(), w)) fn(w);
-    }
-  }
+    return false;
+  };
 }
 
 template <typename Fn>
@@ -57,6 +36,9 @@ void Dagger::ForEachInSuperset(VertexId v, Fn&& fn) const {
 }
 
 void Dagger::Build(const Digraph& graph) {
+  BuildStatsScope build(&build_stats_);
+  BuildPhaseTimer timer(&build_stats_.phases, "label_columns");
+  ResetProbe();
   graph_ = &graph;
   extra_out_.clear();
   extra_in_.clear();
@@ -80,6 +62,7 @@ void Dagger::Build(const Digraph& graph) {
       high_[v * k_ + i] = forest.post[c];
     }
   }
+  build_stats_.size_bytes = IndexSizeBytes();
 }
 
 bool Dagger::MaybeReachable(VertexId s, VertexId t) const {
@@ -93,30 +76,14 @@ bool Dagger::MaybeReachable(VertexId s, VertexId t) const {
   return true;
 }
 
-bool Dagger::Query(VertexId s, VertexId t) const {
-  if (s == t) return true;
-  if (!MaybeReachable(s, t)) return false;
-  ws_.Prepare(graph_->NumVertices());
-  auto& stack = ws_.queue();
-  ws_.MarkForward(s);
-  stack.push_back(s);
-  bool found = false;
-  while (!stack.empty() && !found) {
-    const VertexId v = stack.back();
-    stack.pop_back();
-    ForEachOut(v, [&](VertexId w) {
-      if (found) return;
-      if (w == t) {
-        found = true;
-        return;
-      }
-      if (!ws_.IsForwardMarked(w) && MaybeReachable(w, t)) {
-        ws_.MarkForward(w);
-        stack.push_back(w);
-      }
-    });
-  }
-  return found;
+bool Dagger::QueryInSlot(VertexId s, VertexId t, size_t slot) const {
+  SearchWorkspace& ws = Workspace(slot);
+  const auto verdict = [&](VertexId v) {
+    return MaybeReachable(v, t) ? 0 : -1;
+  };
+  return GuidedQuery(s, t, ws, graph_->NumVertices(), verdict, [&] {
+    return GuidedDfs(s, t, ws, LiveOut(), verdict);
+  });
 }
 
 UpdateResult Dagger::ApplyUpdate(const UpdateBatch& batch) {
@@ -176,31 +143,13 @@ bool Dagger::ApplyDelete(VertexId s, VertexId t) {
   return true;
 }
 
-bool Dagger::LocallyRedundant(VertexId u, VertexId v) const {
-  ws_.Prepare(graph_->NumVertices());
-  auto& stack = ws_.queue();
-  ws_.MarkForward(u);
-  stack.push_back(u);
-  size_t visits = 0;
-  while (!stack.empty()) {
-    if (++visits > kLocalSearchBudget) return false;  // overrun: assume damage
-    const VertexId x = stack.back();
-    stack.pop_back();
-    bool found = false;
-    ForEachOut(x, [&](VertexId w) {
-      if (found) return;
-      if (w == v) {
-        found = true;
-        return;
-      }
-      if (!ws_.IsForwardMarked(w) && MaybeReachable(w, v)) {
-        ws_.MarkForward(w);
-        stack.push_back(w);
-      }
-    });
-    if (found) return true;
-  }
-  return false;
+bool Dagger::LocallyRedundant(VertexId u, VertexId v) {
+  delete_ws_.Prepare(graph_->NumVertices());
+  // An overrun (0) counts as damage.
+  return GuidedDfs(
+             u, v, delete_ws_, LiveOut(),
+             [&](VertexId w) { return MaybeReachable(w, v) ? 0 : -1; },
+             kLocalSearchBudget) > 0;
 }
 
 bool Dagger::RebuildFromUpdates() {

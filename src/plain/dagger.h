@@ -7,6 +7,7 @@
 
 #include "core/reachability_index.h"
 #include "core/search_workspace.h"
+#include "core/workspace_pool.h"
 #include "graph/digraph.h"
 
 namespace reach {
@@ -42,10 +43,11 @@ namespace reach {
 /// ever loosen relative to the live graph until `RebuildFromUpdates` /
 /// `Build` re-tightens them.
 ///
-/// Queries: filter + guided DFS over base and inserted edges minus
-/// tombstones. Input may be any digraph (condensation is internal);
+/// Queries: filter + `GuidedDfs` (traversal/guided_search.h) over base
+/// and inserted edges minus tombstones; the delete classifier runs the
+/// same kernel with a visit budget. Input may be any digraph (condensation is internal);
 /// insertions may create cycles, deletions may split SCCs.
-class Dagger : public DynamicReachabilityIndex {
+class Dagger : public PooledSearchIndex<Dagger, DynamicReachabilityIndex> {
  public:
   explicit Dagger(size_t k = 3, uint64_t seed = 0x64'61'67ULL,
                   size_t staleness_budget = kDefaultStalenessBudget)
@@ -56,7 +58,7 @@ class Dagger : public DynamicReachabilityIndex {
   static constexpr size_t kDefaultStalenessBudget = 64;
 
   void Build(const Digraph& graph) override;
-  bool Query(VertexId s, VertexId t) const override;
+  bool QueryInSlot(VertexId s, VertexId t, size_t slot) const override;
   size_t IndexSizeBytes() const override;
   bool IsComplete() const override { return false; }
   std::string Name() const override {
@@ -76,10 +78,9 @@ class Dagger : public DynamicReachabilityIndex {
   bool MaybeReachable(VertexId s, VertexId t) const;
 
  private:
-  template <typename Fn>
-  void ForEachOut(VertexId v, Fn&& fn) const;
-  template <typename Fn>
-  void ForEachIn(VertexId v, Fn&& fn) const;
+  // Live out-adjacency (base plus extras minus tombstones) as a
+  // `for_each_out` callable of traversal/guided_search.h.
+  auto LiveOut() const;
   // Superset in-adjacency: base plus extras, tombstones IGNORED. Bound
   // maintenance must sweep this, not the live view — see ApplyInsert.
   template <typename Fn>
@@ -88,7 +89,7 @@ class Dagger : public DynamicReachabilityIndex {
   bool ApplyDelete(VertexId s, VertexId t);
   bool IsTombstoned(VertexId u, VertexId v) const;
   // True iff u still reaches v within the visit budget post-delete.
-  bool LocallyRedundant(VertexId u, VertexId v) const;
+  bool LocallyRedundant(VertexId u, VertexId v);
 
   static constexpr size_t kLocalSearchBudget = 4096;
 
@@ -106,7 +107,9 @@ class Dagger : public DynamicReachabilityIndex {
   // cheap tombstone drop (their widened bounds remain valid either way).
   std::vector<std::vector<VertexId>> tomb_out_, tomb_in_;
   size_t damage_ = 0;
-  mutable SearchWorkspace ws_;
+  // Workspace of the delete classifier: update work, kept out of the query
+  // slots and their probes.
+  SearchWorkspace delete_ws_;
 };
 
 }  // namespace reach

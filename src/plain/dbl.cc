@@ -5,6 +5,7 @@
 
 #include "graph/condensation.h"
 #include "graph/rng.h"
+#include "traversal/guided_search.h"
 
 namespace reach {
 
@@ -12,23 +13,32 @@ namespace {
 constexpr size_t kNumLandmarks = 64;
 }  // namespace
 
-template <typename Fn>
-void Dbl::ForEachOut(VertexId v, Fn&& fn) const {
-  for (VertexId w : graph_->OutNeighbors(v)) fn(w);
-  if (!extra_out_.empty()) {
-    for (VertexId w : extra_out_[v]) fn(w);
-  }
+auto Dbl::LiveOut() const {
+  return [this](VertexId v, auto&& visit) {
+    if (OutArcs(*graph_)(v, visit)) return true;
+    if (extra_out_.empty()) return false;
+    for (VertexId w : extra_out_[v]) {
+      if (visit(w)) return true;
+    }
+    return false;
+  };
 }
 
-template <typename Fn>
-void Dbl::ForEachIn(VertexId v, Fn&& fn) const {
-  for (VertexId w : graph_->InNeighbors(v)) fn(w);
-  if (!extra_in_.empty()) {
-    for (VertexId w : extra_in_[v]) fn(w);
-  }
+auto Dbl::LiveIn() const {
+  return [this](VertexId v, auto&& visit) {
+    if (InArcs(*graph_)(v, visit)) return true;
+    if (extra_in_.empty()) return false;
+    for (VertexId w : extra_in_[v]) {
+      if (visit(w)) return true;
+    }
+    return false;
+  };
 }
 
 void Dbl::Build(const Digraph& graph) {
+  BuildStatsScope build(&build_stats_);
+  BuildPhaseTimer timer(&build_stats_.phases, "label_fixpoint");
+  ResetProbe();
   graph_ = &graph;
   extra_out_.clear();
   extra_in_.clear();
@@ -93,6 +103,7 @@ void Dbl::Build(const Digraph& graph) {
     bl_out_[v] = comp_bl_out[c];
     bl_in_[v] = comp_bl_in[c];
   }
+  build_stats_.size_bytes = IndexSizeBytes();
 }
 
 int Dbl::FilterVerdict(VertexId s, VertexId t) const {
@@ -105,71 +116,13 @@ int Dbl::FilterVerdict(VertexId s, VertexId t) const {
   return 0;
 }
 
-bool Dbl::Query(VertexId s, VertexId t) const {
-  const int verdict = FilterVerdict(s, t);
-  if (verdict != 0) return verdict > 0;
-
-  // Filter-pruned bidirectional BFS fallback.
-  ws_.Prepare(graph_->NumVertices());
-  auto& fwd = ws_.queue();
-  auto& bwd = ws_.backward_queue();
-  ws_.MarkForward(s);
-  ws_.MarkBackward(t);
-  fwd.push_back(s);
-  bwd.push_back(t);
-  size_t fwd_head = 0, bwd_head = 0;
-  while (fwd_head < fwd.size() && bwd_head < bwd.size()) {
-    const bool expand_forward =
-        (fwd.size() - fwd_head) <= (bwd.size() - bwd_head);
-    if (expand_forward) {
-      const size_t level_end = fwd.size();
-      for (; fwd_head < level_end; ++fwd_head) {
-        const VertexId v = fwd[fwd_head];
-        bool hit = false;
-        ForEachOut(v, [&](VertexId w) {
-          if (hit || ws_.IsBackwardMarked(w)) {
-            hit = true;
-            return;
-          }
-          if (!ws_.IsForwardMarked(w)) {
-            const int wv = FilterVerdict(w, t);
-            if (wv > 0) {
-              hit = true;
-              return;
-            }
-            if (wv < 0) return;  // w cannot reach t: prune
-            ws_.MarkForward(w);
-            fwd.push_back(w);
-          }
-        });
-        if (hit) return true;
-      }
-    } else {
-      const size_t level_end = bwd.size();
-      for (; bwd_head < level_end; ++bwd_head) {
-        const VertexId v = bwd[bwd_head];
-        bool hit = false;
-        ForEachIn(v, [&](VertexId w) {
-          if (hit || ws_.IsForwardMarked(w)) {
-            hit = true;
-            return;
-          }
-          if (!ws_.IsBackwardMarked(w)) {
-            const int wv = FilterVerdict(s, w);
-            if (wv > 0) {
-              hit = true;
-              return;
-            }
-            if (wv < 0) return;  // s cannot reach w: prune
-            ws_.MarkBackward(w);
-            bwd.push_back(w);
-          }
-        });
-        if (hit) return true;
-      }
-    }
-  }
-  return false;
+bool Dbl::QueryInSlot(VertexId s, VertexId t, size_t slot) const {
+  SearchWorkspace& ws = Workspace(slot);
+  const auto to_t = [&](VertexId v) { return FilterVerdict(v, t); };
+  return GuidedQuery(s, t, ws, graph_->NumVertices(), to_t, [&] {
+    return GuidedBiBfs(s, t, ws, LiveOut(), LiveIn(), to_t,
+                       [&](VertexId v) { return FilterVerdict(s, v); });
+  });
 }
 
 UpdateResult Dbl::ApplyUpdate(const UpdateBatch& batch) {
@@ -228,13 +181,14 @@ bool Dbl::ApplyInsert(VertexId s, VertexId t) {
   }
   for (size_t head = 0; head < queue.size(); ++head) {
     const VertexId v = queue[head];
-    ForEachIn(v, [&](VertexId w) {
+    LiveIn()(v, [&](VertexId w) {
       const uint64_t new_dl = dl_out_[w] | dl_out_[v];
       const uint64_t new_bl = bl_out_[w] | bl_out_[v];
-      if (new_dl == dl_out_[w] && new_bl == bl_out_[w]) return;
+      if (new_dl == dl_out_[w] && new_bl == bl_out_[w]) return false;
       dl_out_[w] = new_dl;
       bl_out_[w] = new_bl;
       queue.push_back(w);
+      return false;
     });
   }
   queue.clear();
@@ -245,13 +199,14 @@ bool Dbl::ApplyInsert(VertexId s, VertexId t) {
   }
   for (size_t head = 0; head < queue.size(); ++head) {
     const VertexId v = queue[head];
-    ForEachOut(v, [&](VertexId w) {
+    LiveOut()(v, [&](VertexId w) {
       const uint64_t new_dl = dl_in_[w] | dl_in_[v];
       const uint64_t new_bl = bl_in_[w] | bl_in_[v];
-      if (new_dl == dl_in_[w] && new_bl == bl_in_[w]) return;
+      if (new_dl == dl_in_[w] && new_bl == bl_in_[w]) return false;
       dl_in_[w] = new_dl;
       bl_in_[w] = new_bl;
       queue.push_back(w);
+      return false;
     });
   }
   return true;

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/reachability_index.h"
-#include "core/search_workspace.h"
+#include "core/workspace_pool.h"
 #include "graph/digraph.h"
 
 namespace reach {
@@ -24,19 +24,20 @@ namespace reach {
 ///    BlIn(s) ⊄ BlIn(t) certifies *un*reachability: a *no-false-negative*
 ///    negative filter.
 ///
-/// Queries undecided by both filters fall back to a bidirectional BFS that
-/// re-applies the filters per visited vertex. Inserts (via `ApplyUpdate`)
+/// Queries undecided by both filters fall back to `GuidedBiBfs`
+/// (traversal/guided_search.h) over the base graph plus inserted edges,
+/// re-applying the filters per visited vertex. Inserts (via `ApplyUpdate`)
 /// maintain both labels by monotone propagation (labels only gain bits),
 /// exactly the insert-only design the survey credits DBL with; deletions
 /// are unsupported (Table 1: insertion-only) — `SupportsDeletions()` is
 /// false and a batch containing any `kDelete` is rejected whole, with no
 /// partial application.
-class Dbl : public DynamicReachabilityIndex {
+class Dbl : public PooledSearchIndex<Dbl, DynamicReachabilityIndex> {
  public:
   explicit Dbl(uint64_t seed = 0x64'62'6cULL) : seed_(seed) {}
 
   void Build(const Digraph& graph) override;
-  bool Query(VertexId s, VertexId t) const override;
+  bool QueryInSlot(VertexId s, VertexId t, size_t slot) const override;
   size_t IndexSizeBytes() const override;
   bool IsComplete() const override { return false; }
   std::string Name() const override { return "dbl"; }
@@ -51,10 +52,10 @@ class Dbl : public DynamicReachabilityIndex {
   // Single-edge insert; returns true when graph state changed.
   bool ApplyInsert(VertexId s, VertexId t);
 
-  template <typename Fn>
-  void ForEachOut(VertexId v, Fn&& fn) const;
-  template <typename Fn>
-  void ForEachIn(VertexId v, Fn&& fn) const;
+  // Live adjacency (base plus inserted edges) as the `for_each_out` /
+  // `for_each_in` callables of traversal/guided_search.h.
+  auto LiveOut() const;
+  auto LiveIn() const;
 
   uint64_t seed_;
   const Digraph* graph_ = nullptr;
@@ -62,7 +63,6 @@ class Dbl : public DynamicReachabilityIndex {
   std::vector<uint64_t> bl_out_, bl_in_;  // bloom bitmasks
   std::vector<uint64_t> hash_bit_;        // each vertex's bloom bit
   std::vector<std::vector<VertexId>> extra_out_, extra_in_;
-  mutable SearchWorkspace ws_;
 };
 
 }  // namespace reach

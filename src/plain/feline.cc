@@ -1,35 +1,26 @@
 #include "plain/feline.h"
 
 #include "graph/topological.h"
+#include "traversal/guided_search.h"
 
 namespace reach {
 
 void Feline::Build(const Digraph& graph) {
+  ResetProbe();
   graph_ = &graph;
   x_ = RankOf(*TopologicalOrder(graph));
   y_ = RankOf(*TopologicalOrderReverseTies(graph));
   level_ = ForwardLevels(graph);
 }
 
-bool Feline::Query(VertexId s, VertexId t) const {
-  if (s == t) return true;
-  if (!MaybeReachable(s, t)) return false;
-  ws_.Prepare(graph_->NumVertices());
-  auto& stack = ws_.queue();
-  ws_.MarkForward(s);
-  stack.push_back(s);
-  while (!stack.empty()) {
-    const VertexId v = stack.back();
-    stack.pop_back();
-    for (VertexId w : graph_->OutNeighbors(v)) {
-      if (w == t) return true;
-      if (!ws_.IsForwardMarked(w) && MaybeReachable(w, t)) {
-        ws_.MarkForward(w);
-        stack.push_back(w);
-      }
-    }
-  }
-  return false;
+bool Feline::QueryInSlot(VertexId s, VertexId t, size_t slot) const {
+  SearchWorkspace& ws = Workspace(slot);
+  const auto verdict = [&](VertexId v) {
+    return MaybeReachable(v, t) ? 0 : -1;
+  };
+  return GuidedQuery(s, t, ws, graph_->NumVertices(), verdict, [&] {
+    return GuidedDfs(s, t, ws, OutArcs(*graph_), verdict);
+  });
 }
 
 size_t Feline::IndexSizeBytes() const {

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/reachability_index.h"
-#include "core/search_workspace.h"
+#include "core/workspace_pool.h"
 #include "graph/digraph.h"
 
 namespace reach {
@@ -19,16 +19,17 @@ namespace reach {
 /// heuristic of maximally disagreeing orders). s reaches t only if s
 /// dominates t in both coordinates (x(s) < x(t) and y(s) < y(t)); a
 /// violation proves unreachability with just two integer comparisons.
-/// Dominance-consistent queries fall back to a guided DFS pruned by the
-/// same dominance test (plus forward topological levels).
+/// Dominance-consistent queries fall back to `GuidedDfs`
+/// (traversal/guided_search.h) pruned by the same dominance test (plus
+/// forward topological levels).
 ///
 /// Index size is only 3 x 4 bytes per vertex. Input must be a DAG.
-class Feline : public ReachabilityIndex {
+class Feline : public PooledSearchIndex<Feline, ReachabilityIndex> {
  public:
   Feline() = default;
 
   void Build(const Digraph& graph) override;
-  bool Query(VertexId s, VertexId t) const override;
+  bool QueryInSlot(VertexId s, VertexId t, size_t slot) const override;
   size_t IndexSizeBytes() const override;
   bool IsComplete() const override { return false; }
   std::string Name() const override { return "feline"; }
@@ -44,7 +45,6 @@ class Feline : public ReachabilityIndex {
   std::vector<uint32_t> x_;
   std::vector<uint32_t> y_;
   std::vector<uint32_t> level_;
-  mutable SearchWorkspace ws_;
 };
 
 }  // namespace reach

@@ -8,12 +8,13 @@
 #include "par/parallel_for.h"
 #include "par/thread_pool.h"
 #include "plain/interval_labeling.h"
+#include "traversal/guided_search.h"
 
 namespace reach {
 
 void Ferrari::Build(const Digraph& graph) {
   BuildStatsScope build(&build_stats_);
-  ws_pool_.ResetProbes();
+  ResetProbe();
   graph_ = &graph;
   const size_t n = graph.NumVertices();
   BuildPhaseTimer forest_timer(&build_stats_.phases, "interval_forest");
@@ -112,72 +113,28 @@ void Ferrari::Build(const Digraph& graph) {
   build_stats_.num_entries = intervals_.size();
 }
 
-int Ferrari::Coverage(VertexId v, uint32_t target_post,
-                      [[maybe_unused]] QueryProbe& probe) const {
+int Ferrari::Verdict(VertexId v, uint32_t target_post,
+                     [[maybe_unused]] QueryProbe& probe) const {
   REACH_PROBE_INC(probe, labels_scanned);
   const Interval* begin = intervals_.data() + offsets_[v];
   const Interval* end = intervals_.data() + offsets_[v + 1];
   const Interval* it = std::upper_bound(
       begin, end, target_post,
       [](uint32_t value, const Interval& i) { return value < i.begin; });
-  if (it == begin) return 0;
+  if (it == begin) return -1;
   --it;
-  if (target_post > it->end) return 0;
-  return it->exact ? 2 : 1;
-}
-
-bool Ferrari::Query(VertexId s, VertexId t) const {
-  return QueryInSlot(s, t, 0);
+  if (target_post > it->end) return -1;
+  return it->exact ? 1 : 0;
 }
 
 bool Ferrari::QueryInSlot(VertexId s, VertexId t, size_t slot) const {
-  SearchWorkspace& ws = ws_pool_.Slot(slot);
-  REACH_PROBE_INC(ws.probe(), queries);
-  if (s == t) {
-    REACH_PROBE_INC(ws.probe(), positives);
-    return true;
-  }
-  const uint32_t target = post_[t];
-  const int coverage = Coverage(s, target, ws.probe());
-  if (coverage == 0) {
-    REACH_PROBE_INC(ws.probe(), label_rejections);
-    return false;
-  }
-  if (coverage == 2) {
-    REACH_PROBE_INC(ws.probe(), positives);
-    return true;
-  }
-  // Approximate hit: guided DFS with early exact acceptance.
-  REACH_PROBE_INC(ws.probe(), fallbacks);
-  ws.Prepare(graph_->NumVertices());
-  auto& stack = ws.queue();
-  ws.MarkForward(s);
-  stack.push_back(s);
-  while (!stack.empty()) {
-    const VertexId v = stack.back();
-    stack.pop_back();
-    REACH_PROBE_INC(ws.probe(), vertices_visited);
-    for (VertexId w : graph_->OutNeighbors(v)) {
-      REACH_PROBE_INC(ws.probe(), edges_scanned);
-      if (w == t) {
-        REACH_PROBE_INC(ws.probe(), positives);
-        return true;
-      }
-      if (ws.IsForwardMarked(w)) continue;
-      const int c = Coverage(w, target, ws.probe());
-      if (c == 2) {
-        REACH_PROBE_INC(ws.probe(), positives);
-        return true;
-      }
-      if (c == 1) {
-        ws.MarkForward(w);
-        stack.push_back(w);
-      } else {
-        REACH_PROBE_INC(ws.probe(), filter_prunes);
-      }
-    }
-  }
-  return false;
+  SearchWorkspace& ws = Workspace(slot);
+  const auto verdict = [&](VertexId v) {
+    return Verdict(v, post_[t], ws.probe());
+  };
+  return GuidedQuery(s, t, ws, graph_->NumVertices(), verdict, [&] {
+    return GuidedDfs(s, t, ws, OutArcs(*graph_), verdict);
+  });
 }
 
 size_t Ferrari::IndexSizeBytes() const {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/reachability_index.h"
-#include "core/search_workspace.h"
 #include "core/workspace_pool.h"
 #include "graph/digraph.h"
 
@@ -24,12 +23,13 @@ namespace reach {
 ///  * post[t] in no interval        -> certainly unreachable (no false
 ///                                     negatives — coverage only grows),
 ///  * post[t] in an exact interval  -> certainly reachable,
-///  * post[t] in an approximate one -> maybe; fall back to guided DFS,
-///    pruning vertices whose intervals exclude t and accepting early on
-///    any exact hit.
+///  * post[t] in an approximate one -> maybe; fall back to `GuidedDfs`
+///    (traversal/guided_search.h) with the same three-way verdict, which
+///    prunes vertices whose intervals exclude t and accepts early on any
+///    exact hit.
 ///
 /// Input must be a DAG (wrap in `SccCondensingIndex`).
-class Ferrari : public ReachabilityIndex {
+class Ferrari : public PooledSearchIndex<Ferrari, ReachabilityIndex> {
  public:
   /// At most `k` intervals per vertex (k >= 1). `num_threads`
   /// parallelizes interval inheritance over dependency levels of the DAG
@@ -40,26 +40,19 @@ class Ferrari : public ReachabilityIndex {
       : k_(k < 1 ? 1 : k), num_threads_(num_threads) {}
 
   void Build(const Digraph& graph) override;
-  bool Query(VertexId s, VertexId t) const override;
+  bool QueryInSlot(VertexId s, VertexId t, size_t slot) const override;
   size_t IndexSizeBytes() const override;
   bool IsComplete() const override { return false; }
   std::string Name() const override {
     return "ferrari(k=" + std::to_string(k_) + ")";
   }
-  QueryProbe Probe() const override { return ws_pool_.AggregateProbe(); }
-  void ResetProbe() const override { ws_pool_.ResetProbes(); }
-
-  size_t PrepareConcurrentQueries(size_t slots) const override {
-    if (slots == 0) slots = 1;
-    ws_pool_.EnsureSlots(slots);
-    return slots;
-  }
-  bool QueryInSlot(VertexId s, VertexId t, size_t slot) const override;
 
   /// Pure label test: true = covered by some interval (maybe reachable),
-  /// false = certainly unreachable. Never a false negative.
+  /// false = certainly unreachable. Never a false negative. Counts
+  /// nothing.
   bool MaybeReachable(VertexId s, VertexId t) const {
-    return s == t || Coverage(s, post_[t], ws_pool_.Slot(0).probe()) != 0;
+    QueryProbe uncounted;
+    return s == t || Verdict(s, post_[t], uncounted) >= 0;
   }
 
   /// Total stored intervals (<= k * V by construction).
@@ -76,9 +69,9 @@ class Ferrari : public ReachabilityIndex {
     bool exact;
   };
 
-  // Returns 0 = not covered, 1 = covered approximately, 2 = covered
-  // exactly, for post[t] against v's interval list.
-  int Coverage(VertexId v, uint32_t target_post, QueryProbe& probe) const;
+  // post[t] against v's interval list: -1 = not covered (unreachable),
+  // 0 = covered approximately (maybe), +1 = covered exactly (reachable).
+  int Verdict(VertexId v, uint32_t target_post, QueryProbe& probe) const;
 
   size_t k_;
   size_t num_threads_;
@@ -86,7 +79,6 @@ class Ferrari : public ReachabilityIndex {
   std::vector<uint32_t> post_;
   std::vector<size_t> offsets_;
   std::vector<Interval> intervals_;
-  mutable WorkspacePool ws_pool_;
 };
 
 }  // namespace reach

@@ -7,17 +7,17 @@
 #include "par/parallel_for.h"
 #include "par/thread_pool.h"
 #include "plain/interval_labeling.h"
+#include "traversal/guided_search.h"
 
 namespace reach {
 
 void Grail::Build(const Digraph& graph) {
   BuildStatsScope build(&build_stats_);
-  ws_pool_.ResetProbes();
+  ResetProbe();
   graph_ = &graph;
   const size_t n = graph.NumVertices();
   post_.assign(n * k_, 0);
   low_.assign(n * k_, 0);
-  label_only_rejections_.store(0, std::memory_order_relaxed);
   BuildPhaseTimer columns_timer(&build_stats_.phases, "label_columns");
   SplitMix64 seed_stream(seed_);
   std::vector<uint64_t> seeds(k_);
@@ -41,10 +41,6 @@ void Grail::Build(const Digraph& graph) {
   build_stats_.num_entries = post_.size() + low_.size();
 }
 
-bool Grail::MaybeReachable(VertexId s, VertexId t) const {
-  return MaybeReachableCounted(s, t, ws_pool_.Slot(0).probe());
-}
-
 bool Grail::MaybeReachableCounted(VertexId s, VertexId t,
                                   [[maybe_unused]] QueryProbe& probe) const {
   for (size_t i = 0; i < k_; ++i) {
@@ -57,50 +53,14 @@ bool Grail::MaybeReachableCounted(VertexId s, VertexId t,
   return true;
 }
 
-bool Grail::GuidedDfs(VertexId s, VertexId t, SearchWorkspace& ws) const {
-  ws.Prepare(graph_->NumVertices());
-  auto& stack = ws.queue();
-  ws.MarkForward(s);
-  stack.push_back(s);
-  while (!stack.empty()) {
-    const VertexId v = stack.back();
-    stack.pop_back();
-    REACH_PROBE_INC(ws.probe(), vertices_visited);
-    if (v == t) return true;
-    for (VertexId w : graph_->OutNeighbors(v)) {
-      REACH_PROBE_INC(ws.probe(), edges_scanned);
-      if (ws.IsForwardMarked(w)) continue;
-      if (!MaybeReachableCounted(w, t, ws.probe())) {
-        REACH_PROBE_INC(ws.probe(), filter_prunes);
-        continue;
-      }
-      ws.MarkForward(w);
-      stack.push_back(w);
-    }
-  }
-  return false;
-}
-
-bool Grail::Query(VertexId s, VertexId t) const {
-  return QueryInSlot(s, t, 0);
-}
-
 bool Grail::QueryInSlot(VertexId s, VertexId t, size_t slot) const {
-  SearchWorkspace& ws = ws_pool_.Slot(slot);
-  REACH_PROBE_INC(ws.probe(), queries);
-  if (s == t) {
-    REACH_PROBE_INC(ws.probe(), positives);
-    return true;
-  }
-  if (!MaybeReachableCounted(s, t, ws.probe())) {
-    label_only_rejections_.fetch_add(1, std::memory_order_relaxed);
-    REACH_PROBE_INC(ws.probe(), label_rejections);
-    return false;
-  }
-  REACH_PROBE_INC(ws.probe(), fallbacks);
-  const bool reachable = GuidedDfs(s, t, ws);
-  if (reachable) REACH_PROBE_INC(ws.probe(), positives);
-  return reachable;
+  SearchWorkspace& ws = Workspace(slot);
+  const auto verdict = [&](VertexId v) {
+    return MaybeReachableCounted(v, t, ws.probe()) ? 0 : -1;
+  };
+  return GuidedQuery(s, t, ws, graph_->NumVertices(), verdict, [&] {
+    return GuidedDfs(s, t, ws, OutArcs(*graph_), verdict);
+  });
 }
 
 size_t Grail::IndexSizeBytes() const {

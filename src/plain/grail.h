@@ -1,13 +1,11 @@
 #ifndef REACH_PLAIN_GRAIL_H_
 #define REACH_PLAIN_GRAIL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/reachability_index.h"
-#include "core/search_workspace.h"
 #include "core/workspace_pool.h"
 #include "graph/digraph.h"
 
@@ -21,13 +19,14 @@ namespace reach {
 /// s reaches t implies [low_i(t), post_i(t)] ⊆ [low_i(s), post_i(s)] in
 /// every traversal. The contrapositive gives a *no-false-negative* filter:
 /// any containment violation proves unreachability. Containment in all k
-/// traversals is only "maybe": the query falls back to an index-guided DFS
-/// that prunes every vertex whose intervals do not contain t's.
+/// traversals is only "maybe": the query falls back to `GuidedDfs`
+/// (traversal/guided_search.h), whose verdict prunes every vertex whose
+/// intervals do not contain t's.
 ///
 /// Build time and size are O(k (V + E)) — the linear scalability the survey
 /// credits for making indexes feasible on graphs with millions of vertices.
 /// Input must be a DAG (wrap in `SccCondensingIndex`).
-class Grail : public ReachabilityIndex {
+class Grail : public PooledSearchIndex<Grail, ReachabilityIndex> {
  public:
   /// `k` random traversals; `seed` drives their shuffles. `num_threads`
   /// parallelizes the traversals on the shared pool (the §5 "parallel
@@ -40,37 +39,23 @@ class Grail : public ReachabilityIndex {
       : k_(k), seed_(seed), num_threads_(num_threads) {}
 
   void Build(const Digraph& graph) override;
-  bool Query(VertexId s, VertexId t) const override;
+  bool QueryInSlot(VertexId s, VertexId t, size_t slot) const override;
   size_t IndexSizeBytes() const override;
   bool IsComplete() const override { return false; }
   std::string Name() const override {
     return "grail(k=" + std::to_string(k_) + ")";
   }
-  QueryProbe Probe() const override { return ws_pool_.AggregateProbe(); }
-  void ResetProbe() const override { ws_pool_.ResetProbes(); }
-
-  size_t PrepareConcurrentQueries(size_t slots) const override {
-    if (slots == 0) slots = 1;
-    ws_pool_.EnsureSlots(slots);
-    return slots;
-  }
-  bool QueryInSlot(VertexId s, VertexId t, size_t slot) const override;
 
   /// The pure label test: true = maybe reachable, false = certainly not.
   /// Exposed so tests/benches can measure the filter's false-positive rate
-  /// (it must never have false negatives).
-  bool MaybeReachable(VertexId s, VertexId t) const;
-
-  /// Number of label-only rejections since Build (negatives settled with
-  /// zero traversal — the §5 "many such vertices s" fast path). Counted
-  /// atomically so concurrent `BatchQuery` streams don't lose updates.
-  size_t label_only_rejections() const {
-    return label_only_rejections_.load(std::memory_order_relaxed);
+  /// (it must never have false negatives). Counts nothing.
+  bool MaybeReachable(VertexId s, VertexId t) const {
+    QueryProbe uncounted;
+    return MaybeReachableCounted(s, t, uncounted);
   }
 
  private:
   bool MaybeReachableCounted(VertexId s, VertexId t, QueryProbe& probe) const;
-  bool GuidedDfs(VertexId s, VertexId t, SearchWorkspace& ws) const;
 
   size_t k_;
   uint64_t seed_;
@@ -79,8 +64,6 @@ class Grail : public ReachabilityIndex {
   // Labels for traversal i of vertex v at [v * k_ + i].
   std::vector<uint32_t> post_;
   std::vector<uint32_t> low_;
-  mutable WorkspacePool ws_pool_;
-  mutable std::atomic<size_t> label_only_rejections_{0};
 };
 
 }  // namespace reach

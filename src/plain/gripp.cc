@@ -2,13 +2,17 @@
 
 #include <algorithm>
 
+#include "traversal/guided_search.h"
+
 namespace reach {
 
 void Gripp::Build(const Digraph& graph) {
+  BuildStatsScope build(&build_stats_);
+  BuildPhaseTimer timer(&build_stats_.phases, "instance_tree");
+  ResetProbe();
   num_vertices_ = graph.NumVertices();
   tree_.assign(num_vertices_, {});
   hop_order_.clear();
-  expanded_.assign(num_vertices_, false);
 
   std::vector<bool> visited(num_vertices_, false);
   struct Frame {
@@ -74,44 +78,30 @@ void Gripp::Build(const Digraph& graph) {
     std::sort(instance_pres_.begin() + instance_offsets_[v],
               instance_pres_.begin() + instance_offsets_[v + 1]);
   }
+  build_stats_.size_bytes = IndexSizeBytes();
 }
 
-bool Gripp::Query(VertexId s, VertexId t) const {
-  if (s == t) return true;
-  // Per-query scratch: cleared via touched list, not a full sweep.
-  std::vector<VertexId> touched;
-  std::vector<VertexId> worklist = {s};
-  expanded_[s] = true;
-  touched.push_back(s);
-  bool found = false;
-
+bool Gripp::QueryInSlot(VertexId s, VertexId t, size_t slot) const {
+  SearchWorkspace& ws = Workspace(slot);
   const uint32_t* t_begin = instance_pres_.data() + instance_offsets_[t];
   const uint32_t* t_end = instance_pres_.data() + instance_offsets_[t + 1];
-
-  for (size_t head = 0; head < worklist.size() && !found; ++head) {
-    const TreeInstance& interval = tree_[worklist[head]];
-    // Any instance of t strictly inside (pre, post)?
-    const uint32_t* it = std::upper_bound(t_begin, t_end, interval.pre);
-    if (it != t_end && *it < interval.post) {
-      found = true;
-      break;
-    }
-    // Hop instances inside the interval queue their vertices' trees.
-    auto hop_it = std::lower_bound(
-        hop_order_.begin(), hop_order_.end(), interval.pre,
+  // Any instance of t strictly inside v's tree interval (pre, post)?
+  const auto verdict = [&](VertexId v) {
+    const uint32_t* it = std::upper_bound(t_begin, t_end, tree_[v].pre);
+    return it != t_end && *it < tree_[v].post ? 1 : 0;
+  };
+  // The hop instances inside v's interval lead into their vertices' trees.
+  const auto hops = [&](VertexId v, auto&& visit) {
+    auto it = std::lower_bound(
+        hop_order_.begin(), hop_order_.end(), tree_[v].pre,
         [](const HopInstance& h, uint32_t pre) { return h.pre < pre; });
-    for (; hop_it != hop_order_.end() && hop_it->pre < interval.post;
-         ++hop_it) {
-      const VertexId w = hop_it->vertex;
-      if (!expanded_[w]) {
-        expanded_[w] = true;
-        touched.push_back(w);
-        worklist.push_back(w);
-      }
+    for (; it != hop_order_.end() && it->pre < tree_[v].post; ++it) {
+      if (visit(it->vertex)) return true;
     }
-  }
-  for (VertexId v : touched) expanded_[v] = false;
-  return found;
+    return false;
+  };
+  return GuidedQuery(s, t, ws, num_vertices_, verdict,
+                     [&] { return GuidedBfs(s, t, ws, hops, verdict); });
 }
 
 size_t Gripp::IndexSizeBytes() const {

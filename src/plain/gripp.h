@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/reachability_index.h"
+#include "core/workspace_pool.h"
 #include "graph/digraph.h"
 
 namespace reach {
@@ -24,15 +25,19 @@ namespace reach {
 /// query processes intervals through hop nodes, which is why the survey
 /// classifies GRIPP as partial: "it requires graph traversal if the
 /// partial index returns false". Positive hits inside the first interval
-/// are instant; there are no false positives at any stage.
+/// are instant; there are no false positives at any stage. The hop
+/// processing is `GuidedBfs` (traversal/guided_search.h) over the
+/// instance tree: a vertex's neighbours are the hop vertices inside its
+/// tree interval, and its verdict is positive when an instance of t lies
+/// there.
 ///
 /// Index size is O(V + E) instances regardless of graph shape.
-class Gripp : public ReachabilityIndex {
+class Gripp : public PooledSearchIndex<Gripp, ReachabilityIndex> {
  public:
   Gripp() = default;
 
   void Build(const Digraph& graph) override;
-  bool Query(VertexId s, VertexId t) const override;
+  bool QueryInSlot(VertexId s, VertexId t, size_t slot) const override;
   size_t IndexSizeBytes() const override;
   bool IsComplete() const override { return false; }
   std::string Name() const override { return "gripp"; }
@@ -62,7 +67,6 @@ class Gripp : public ReachabilityIndex {
   // all instance pre positions (tree + hop), CSR layout.
   std::vector<size_t> instance_offsets_;
   std::vector<uint32_t> instance_pres_;
-  mutable std::vector<bool> expanded_;  // per-vertex scratch for queries
 };
 
 }  // namespace reach

@@ -5,6 +5,7 @@
 
 #include "graph/rng.h"
 #include "graph/topological.h"
+#include "traversal/guided_search.h"
 
 namespace reach {
 
@@ -27,6 +28,7 @@ bool KMinConsistentSubset(std::span<const uint32_t> sub,
 }  // namespace
 
 void IpLabel::Build(const Digraph& graph) {
+  ResetProbe();
   graph_ = &graph;
   const size_t n = graph.NumVertices();
 
@@ -88,26 +90,14 @@ bool IpLabel::MaybeReachable(VertexId s, VertexId t) const {
   return true;
 }
 
-bool IpLabel::Query(VertexId s, VertexId t) const {
-  if (s == t) return true;
-  if (!MaybeReachable(s, t)) return false;
-  // Guided DFS: prune every vertex the filter rules out against t.
-  ws_.Prepare(graph_->NumVertices());
-  auto& stack = ws_.queue();
-  ws_.MarkForward(s);
-  stack.push_back(s);
-  while (!stack.empty()) {
-    const VertexId v = stack.back();
-    stack.pop_back();
-    for (VertexId w : graph_->OutNeighbors(v)) {
-      if (w == t) return true;
-      if (!ws_.IsForwardMarked(w) && MaybeReachable(w, t)) {
-        ws_.MarkForward(w);
-        stack.push_back(w);
-      }
-    }
-  }
-  return false;
+bool IpLabel::QueryInSlot(VertexId s, VertexId t, size_t slot) const {
+  SearchWorkspace& ws = Workspace(slot);
+  const auto verdict = [&](VertexId v) {
+    return MaybeReachable(v, t) ? 0 : -1;
+  };
+  return GuidedQuery(s, t, ws, graph_->NumVertices(), verdict, [&] {
+    return GuidedDfs(s, t, ws, OutArcs(*graph_), verdict);
+  });
 }
 
 size_t IpLabel::IndexSizeBytes() const {

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/reachability_index.h"
-#include "core/search_workspace.h"
+#include "core/workspace_pool.h"
 #include "graph/digraph.h"
 
 namespace reach {
@@ -19,17 +19,18 @@ namespace reach {
 /// Out(t) ⊆ Out(s), so every element of AP(Out(t)) small enough to belong
 /// among AP(Out(s))'s k minima must appear there — the contra-positive
 /// rejects with certainty and never produces false negatives. Undecided
-/// queries (plus a topological-level precheck) fall back to a guided DFS
-/// that prunes every vertex the filter rules out against t.
+/// queries (plus a topological-level precheck) fall back to `GuidedDfs`
+/// (traversal/guided_search.h), which prunes every vertex the filter rules
+/// out against t.
 ///
 /// Input must be a DAG (wrap in `SccCondensingIndex`).
-class IpLabel : public ReachabilityIndex {
+class IpLabel : public PooledSearchIndex<IpLabel, ReachabilityIndex> {
  public:
   explicit IpLabel(size_t k = 4, uint64_t seed = 0x69'70ULL)
       : k_(k < 1 ? 1 : k), seed_(seed) {}
 
   void Build(const Digraph& graph) override;
-  bool Query(VertexId s, VertexId t) const override;
+  bool QueryInSlot(VertexId s, VertexId t, size_t slot) const override;
   size_t IndexSizeBytes() const override;
   bool IsComplete() const override { return false; }
   std::string Name() const override {
@@ -56,7 +57,6 @@ class IpLabel : public ReachabilityIndex {
   std::vector<size_t> out_offsets_, in_offsets_;
   std::vector<uint32_t> out_min_, in_min_;
   std::vector<uint32_t> fwd_level_, bwd_level_;
-  mutable SearchWorkspace ws_;
 };
 
 }  // namespace reach

@@ -1,69 +1,22 @@
 #include "plain/oreach.h"
 
+#include "traversal/guided_search.h"
+
 namespace reach {
 
 void OReach::Build(const Digraph& graph) {
+  ResetProbe();
   graph_ = &graph;
   stack_.Build(graph);
 }
 
-bool OReach::Query(VertexId s, VertexId t) const {
-  const int verdict = stack_.Verdict(s, t);
-  if (verdict != 0) return verdict > 0;
-
-  // Bidirectional BFS over the undecided band: a candidate the stack
-  // settles positively ends the search, a negatively settled one is
-  // pruned, and only genuinely undecided vertices join the front.
-  ws_.Prepare(graph_->NumVertices());
-  auto& fwd = ws_.queue();
-  auto& bwd = ws_.backward_queue();
-  ws_.MarkForward(s);
-  ws_.MarkBackward(t);
-  fwd.push_back(s);
-  bwd.push_back(t);
-  size_t fwd_head = 0, bwd_head = 0;
-  while (fwd_head < fwd.size() && bwd_head < bwd.size()) {
-    const bool expand_forward =
-        (fwd.size() - fwd_head) <= (bwd.size() - bwd_head);
-    if (expand_forward) {
-      const size_t level_end = fwd.size();
-      for (; fwd_head < level_end; ++fwd_head) {
-        bool hit = false;
-        for (VertexId w : graph_->OutNeighbors(fwd[fwd_head])) {
-          if (ws_.IsBackwardMarked(w)) return true;
-          if (ws_.IsForwardMarked(w)) continue;
-          const int wv = stack_.Verdict(w, t);
-          if (wv > 0) {
-            hit = true;
-            break;
-          }
-          if (wv < 0) continue;
-          ws_.MarkForward(w);
-          fwd.push_back(w);
-        }
-        if (hit) return true;
-      }
-    } else {
-      const size_t level_end = bwd.size();
-      for (; bwd_head < level_end; ++bwd_head) {
-        bool hit = false;
-        for (VertexId w : graph_->InNeighbors(bwd[bwd_head])) {
-          if (ws_.IsForwardMarked(w)) return true;
-          if (ws_.IsBackwardMarked(w)) continue;
-          const int wv = stack_.Verdict(s, w);
-          if (wv > 0) {
-            hit = true;
-            break;
-          }
-          if (wv < 0) continue;
-          ws_.MarkBackward(w);
-          bwd.push_back(w);
-        }
-        if (hit) return true;
-      }
-    }
-  }
-  return false;
+bool OReach::QueryInSlot(VertexId s, VertexId t, size_t slot) const {
+  SearchWorkspace& ws = Workspace(slot);
+  const auto to_t = [&](VertexId v) { return stack_.Verdict(v, t); };
+  return GuidedQuery(s, t, ws, graph_->NumVertices(), to_t, [&] {
+    return GuidedBiBfs(s, t, ws, OutArcs(*graph_), InArcs(*graph_), to_t,
+                       [&](VertexId v) { return stack_.Verdict(s, v); });
+  });
 }
 
 }  // namespace reach

@@ -5,7 +5,7 @@
 
 #include "core/observation_stack.h"
 #include "core/reachability_index.h"
-#include "core/search_workspace.h"
+#include "core/workspace_pool.h"
 #include "graph/digraph.h"
 
 namespace reach {
@@ -18,13 +18,14 @@ namespace reach {
 /// containment — are the shared `ObservationStack`
 /// (core/observation_stack.h), configured with k supportive vertices and
 /// no anti vertices to match the historical O'Reach support selection.
-/// Undecided queries fall back to a filter-pruned bidirectional BFS: every
-/// traversal candidate is re-screened through the stack's verdict, so the
-/// search front stays inside the undecided band.
+/// Undecided queries fall back to `GuidedBiBfs`
+/// (traversal/guided_search.h): every traversal candidate is re-screened
+/// through the stack's verdict, so the search front stays inside the
+/// undecided band.
 ///
 /// Input must be a DAG (wrap in `SccCondensingIndex`; the stack itself
 /// condenses internally, but the guided BFS walks the input graph).
-class OReach : public ReachabilityIndex {
+class OReach : public PooledSearchIndex<OReach, ReachabilityIndex> {
  public:
   explicit OReach(size_t num_supports = 32)
       : num_supports_(num_supports > 64 ? 64 : num_supports),
@@ -33,7 +34,7 @@ class OReach : public ReachabilityIndex {
             /*.num_anti =*/0}) {}
 
   void Build(const Digraph& graph) override;
-  bool Query(VertexId s, VertexId t) const override;
+  bool QueryInSlot(VertexId s, VertexId t, size_t slot) const override;
   size_t IndexSizeBytes() const override { return stack_.SizeBytes(); }
   bool IsComplete() const override { return false; }
   std::string Name() const override {
@@ -49,7 +50,6 @@ class OReach : public ReachabilityIndex {
   size_t num_supports_;
   const Digraph* graph_ = nullptr;
   ObservationStack stack_;
-  mutable SearchWorkspace ws_;
 };
 
 }  // namespace reach

@@ -2,10 +2,12 @@
 
 #include "graph/topological.h"
 #include "plain/interval_labeling.h"
+#include "traversal/guided_search.h"
 
 namespace reach {
 
 void Preach::Build(const Digraph& graph) {
+  ResetProbe();
   graph_ = &graph;
   const IntervalForest fwd = BuildIntervalForest(graph, std::nullopt);
   post_ = fwd.post;
@@ -38,60 +40,13 @@ int Preach::FilterVerdict(VertexId s, VertexId t) const {
   return 0;
 }
 
-bool Preach::Query(VertexId s, VertexId t) const {
-  const int verdict = FilterVerdict(s, t);
-  if (verdict != 0) return verdict > 0;
-
-  ws_.Prepare(graph_->NumVertices());
-  auto& fwd = ws_.queue();
-  auto& bwd = ws_.backward_queue();
-  ws_.MarkForward(s);
-  ws_.MarkBackward(t);
-  fwd.push_back(s);
-  bwd.push_back(t);
-  size_t fwd_head = 0, bwd_head = 0;
-  while (fwd_head < fwd.size() && bwd_head < bwd.size()) {
-    const bool expand_forward =
-        (fwd.size() - fwd_head) <= (bwd.size() - bwd_head);
-    if (expand_forward) {
-      const size_t level_end = fwd.size();
-      for (; fwd_head < level_end; ++fwd_head) {
-        bool hit = false;
-        for (VertexId w : graph_->OutNeighbors(fwd[fwd_head])) {
-          if (ws_.IsBackwardMarked(w)) return true;
-          if (ws_.IsForwardMarked(w)) continue;
-          const int wv = FilterVerdict(w, t);
-          if (wv > 0) {
-            hit = true;
-            break;
-          }
-          if (wv < 0) continue;
-          ws_.MarkForward(w);
-          fwd.push_back(w);
-        }
-        if (hit) return true;
-      }
-    } else {
-      const size_t level_end = bwd.size();
-      for (; bwd_head < level_end; ++bwd_head) {
-        bool hit = false;
-        for (VertexId w : graph_->InNeighbors(bwd[bwd_head])) {
-          if (ws_.IsForwardMarked(w)) return true;
-          if (ws_.IsBackwardMarked(w)) continue;
-          const int wv = FilterVerdict(s, w);
-          if (wv > 0) {
-            hit = true;
-            break;
-          }
-          if (wv < 0) continue;
-          ws_.MarkBackward(w);
-          bwd.push_back(w);
-        }
-        if (hit) return true;
-      }
-    }
-  }
-  return false;
+bool Preach::QueryInSlot(VertexId s, VertexId t, size_t slot) const {
+  SearchWorkspace& ws = Workspace(slot);
+  const auto to_t = [&](VertexId v) { return FilterVerdict(v, t); };
+  return GuidedQuery(s, t, ws, graph_->NumVertices(), to_t, [&] {
+    return GuidedBiBfs(s, t, ws, OutArcs(*graph_), InArcs(*graph_), to_t,
+                       [&](VertexId v) { return FilterVerdict(s, v); });
+  });
 }
 
 size_t Preach::IndexSizeBytes() const {

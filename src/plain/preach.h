@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/reachability_index.h"
-#include "core/search_workspace.h"
+#include "core/workspace_pool.h"
 #include "graph/digraph.h"
 
 namespace reach {
@@ -23,14 +23,15 @@ namespace reach {
 ///    the post-order range of s's *full reachable set* (and dually on the
 ///    reversed graph); forward/backward topological levels must increase.
 ///
-/// Undecided queries run a bidirectional BFS applying all certificates to
-/// every frontier vertex. Input must be a DAG.
-class Preach : public ReachabilityIndex {
+/// Undecided queries run `GuidedBiBfs` (traversal/guided_search.h),
+/// applying all certificates to every frontier vertex. Input must be a
+/// DAG.
+class Preach : public PooledSearchIndex<Preach, ReachabilityIndex> {
  public:
   Preach() = default;
 
   void Build(const Digraph& graph) override;
-  bool Query(VertexId s, VertexId t) const override;
+  bool QueryInSlot(VertexId s, VertexId t, size_t slot) const override;
   size_t IndexSizeBytes() const override;
   bool IsComplete() const override { return false; }
   std::string Name() const override { return "preach"; }
@@ -45,7 +46,6 @@ class Preach : public ReachabilityIndex {
   // Same labels on the reversed graph.
   std::vector<uint32_t> rpost_, rsubtree_low_, rreach_low_;
   std::vector<uint32_t> fwd_level_, bwd_level_;
-  mutable SearchWorkspace ws_;
 };
 
 }  // namespace reach

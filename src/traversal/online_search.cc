@@ -1,5 +1,7 @@
 #include "traversal/online_search.h"
 
+#include "traversal/guided_search.h"
+
 namespace reach {
 
 bool BfsReachability(const Digraph& graph, VertexId s, VertexId t,
@@ -32,31 +34,13 @@ bool BfsReachability(const Digraph& graph, VertexId s, VertexId t,
 
 bool DfsReachability(const Digraph& graph, VertexId s, VertexId t,
                      SearchWorkspace& ws, size_t* visited) {
-  size_t count = 1;
-  bool found = (s == t);
-  if (!found) {
-    ws.Prepare(graph.NumVertices());
-    ws.MarkForward(s);
-    auto& stack = ws.queue();
-    stack.push_back(s);
-    while (!stack.empty() && !found) {
-      const VertexId v = stack.back();
-      stack.pop_back();
-      for (VertexId w : graph.OutNeighbors(v)) {
-        REACH_PROBE_INC(ws.probe(), edges_scanned);
-        if (w == t) {
-          found = true;
-          break;
-        }
-        if (ws.MarkForward(w)) {
-          stack.push_back(w);
-          ++count;
-        }
-      }
-    }
-  }
-  REACH_PROBE_ADD(ws.probe(), vertices_visited, count);
-  if (visited != nullptr) *visited = count;
+  size_t discovered = 1;
+  ws.Prepare(graph.NumVertices());
+  const bool found = GuidedDfs(s, t, ws, OutArcs(graph), [&](VertexId) {
+                       ++discovered;
+                       return 0;
+                     }) > 0;
+  if (visited != nullptr) *visited = discovered;
   return found;
 }
 
@@ -127,28 +111,26 @@ bool BiBfsReachability(const Digraph& graph, VertexId s, VertexId t,
 void OnlineSearch::Build(const Digraph& graph) {
   BuildStatsScope build(&build_stats_);
   graph_ = &graph;
-  total_visited_ = 0;
-  ws_.probe().Reset();
+  ResetProbe();
 }
 
-bool OnlineSearch::Query(VertexId s, VertexId t) const {
-  REACH_PROBE_INC(ws_.probe(), queries);
-  REACH_PROBE_INC(ws_.probe(), fallbacks);  // index-free: always traversal
-  size_t visited = 0;
+bool OnlineSearch::QueryInSlot(VertexId s, VertexId t, size_t slot) const {
+  SearchWorkspace& ws = Workspace(slot);
+  REACH_PROBE_INC(ws.probe(), queries);
+  REACH_PROBE_INC(ws.probe(), fallbacks);  // index-free: always traversal
   bool result = false;
   switch (kind_) {
     case TraversalKind::kBfs:
-      result = BfsReachability(*graph_, s, t, ws_, &visited);
+      result = BfsReachability(*graph_, s, t, ws);
       break;
     case TraversalKind::kDfs:
-      result = DfsReachability(*graph_, s, t, ws_, &visited);
+      result = DfsReachability(*graph_, s, t, ws);
       break;
     case TraversalKind::kBiBfs:
-      result = BiBfsReachability(*graph_, s, t, ws_, &visited);
+      result = BiBfsReachability(*graph_, s, t, ws);
       break;
   }
-  if (result) REACH_PROBE_INC(ws_.probe(), positives);
-  total_visited_ += visited;
+  if (result) REACH_PROBE_INC(ws.probe(), positives);
   return result;
 }
 

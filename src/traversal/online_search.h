@@ -6,6 +6,7 @@
 
 #include "core/reachability_index.h"
 #include "core/search_workspace.h"
+#include "core/workspace_pool.h"
 #include "graph/digraph.h"
 
 namespace reach {
@@ -20,6 +21,8 @@ bool BfsReachability(const Digraph& graph, VertexId s, VertexId t,
                      SearchWorkspace& ws, size_t* visited = nullptr);
 
 /// Iterative depth-first search from `s`; true iff `t` is reached.
+/// `GuidedDfs` (traversal/guided_search.h) with a verdict that always
+/// answers maybe.
 bool DfsReachability(const Digraph& graph, VertexId s, VertexId t,
                      SearchWorkspace& ws, size_t* visited = nullptr);
 
@@ -34,26 +37,19 @@ enum class TraversalKind { kBfs, kDfs, kBiBfs };
 /// Adapter exposing the online-traversal baselines through the
 /// `ReachabilityIndex` interface so benches and tests can treat them
 /// uniformly (index size 0; "partial" by definition — it is all traversal).
-class OnlineSearch : public ReachabilityIndex {
+class OnlineSearch : public PooledSearchIndex<OnlineSearch, ReachabilityIndex> {
  public:
   explicit OnlineSearch(TraversalKind kind) : kind_(kind) {}
 
   void Build(const Digraph& graph) override;
-  bool Query(VertexId s, VertexId t) const override;
+  bool QueryInSlot(VertexId s, VertexId t, size_t slot) const override;
   size_t IndexSizeBytes() const override { return 0; }
   bool IsComplete() const override { return false; }
   std::string Name() const override;
-  QueryProbe Probe() const override { return ws_.probe(); }
-  void ResetProbe() const override { ws_.probe().Reset(); }
-
-  /// Total vertices visited across all queries since Build (benchmarking).
-  size_t total_visited() const { return total_visited_; }
 
  private:
   TraversalKind kind_;
   const Digraph* graph_ = nullptr;
-  mutable SearchWorkspace ws_;
-  mutable size_t total_visited_ = 0;
 };
 
 }  // namespace reach

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "plain/bfl.h"
 #include "plain/ferrari.h"
 #include "plain/grail.h"
 #include "traversal/transitive_closure.h"
@@ -78,7 +79,35 @@ TEST(GrailTest, RejectionCounterAdvances) {
   Grail index(2, 1);
   index.Build(g);
   EXPECT_FALSE(index.Query(9, 0));
-  EXPECT_GE(index.label_only_rejections(), 1u);
+  if (kMetricsCompiled) {
+    EXPECT_GE(index.Probe().label_rejections, 1u);
+  }
+}
+
+// The pure label tests are read by tests and bench_ablation_k between
+// queries; they count into no query slot, so the probe stays all zero.
+TEST(FerrariTest, MaybeReachableCountsNothing) {
+  const Digraph g = RandomDag(48, 160, 83);
+  Ferrari ferrari(2);
+  Grail grail(2, 1);
+  Bfl bfl(64);
+  ferrari.Build(g);
+  grail.Build(g);
+  bfl.Build(g);
+  for (VertexId s = 0; s < g.NumVertices(); ++s) {
+    for (VertexId t = 0; t < g.NumVertices(); ++t) {
+      ferrari.MaybeReachable(s, t);
+      grail.MaybeReachable(s, t);
+      bfl.FilterVerdict(s, t);
+    }
+  }
+  for (const ReachabilityIndex* index :
+       std::initializer_list<const ReachabilityIndex*>{&ferrari, &grail,
+                                                        &bfl}) {
+    index->Probe().ForEachField([&](const char* field, uint64_t value) {
+      EXPECT_EQ(value, 0u) << index->Name() << "." << field;
+    });
+  }
 }
 
 TEST(GrailTest, IndexSizeIsLinearInKAndV) {

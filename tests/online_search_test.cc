@@ -6,6 +6,8 @@
 
 #include "graph/figure1.h"
 #include "graph/generators.h"
+#include "traversal/guided_search.h"
+#include "traversal/transitive_closure.h"
 
 namespace reach {
 namespace {
@@ -116,11 +118,87 @@ TEST_P(OnlineSearchPropertyTest, AdapterMatchesFreeFunctions) {
       EXPECT_EQ(index.Query(s, t), BfsReachability(g, s, t, ws));
     }
   }
-  EXPECT_GT(index.total_visited(), 0u);
+  if (kMetricsCompiled) {
+    EXPECT_GT(index.Probe().vertices_visited, 0u);
+  }
+}
+
+
+// Three verdict families for the guided kernels: one that never decides,
+// one that decides every pair exactly, and one that decides only some
+// pairs (it prunes half of the unreachable ones and confirms a third of
+// the reachable ones). Every decided answer is exact, as the kernels
+// require.
+enum class VerdictKind { kMaybe, kExact, kPartial };
+
+int OracleVerdict(const TransitiveClosure& tc, VertexId a, VertexId b,
+                  VerdictKind kind) {
+  switch (kind) {
+    case VerdictKind::kMaybe:
+      return 0;
+    case VerdictKind::kExact:
+      return tc.Query(a, b) ? 1 : -1;
+    case VerdictKind::kPartial:
+      if (tc.Query(a, b)) return (a + b) % 3 == 0 ? 1 : 0;
+      return (a ^ b) % 2 == 0 ? -1 : 0;
+  }
+  return 0;
+}
+
+TEST_P(OnlineSearchPropertyTest, GuidedKernelsMatchClosureForEveryVerdict) {
+  const uint64_t seed = GetParam();
+  const Digraph g = RandomDigraph(48, 96, seed ^ 0x9d);
+  TransitiveClosure tc;
+  tc.Build(g);
+  SearchWorkspace ws;
+  for (const VerdictKind kind :
+       {VerdictKind::kMaybe, VerdictKind::kExact, VerdictKind::kPartial}) {
+    for (VertexId s = 0; s < g.NumVertices(); ++s) {
+      for (VertexId t = 0; t < g.NumVertices(); ++t) {
+        const int expected = tc.Query(s, t) ? 1 : -1;
+        const auto to_t = [&](VertexId v) {
+          return OracleVerdict(tc, v, t, kind);
+        };
+        ws.Prepare(g.NumVertices());
+        ASSERT_EQ(GuidedDfs(s, t, ws, OutArcs(g), to_t), expected)
+            << "dfs s=" << s << " t=" << t << " kind=" << int(kind);
+        ws.Prepare(g.NumVertices());
+        ASSERT_EQ(GuidedBfs(s, t, ws, OutArcs(g), to_t), expected)
+            << "bfs s=" << s << " t=" << t << " kind=" << int(kind);
+        ws.Prepare(g.NumVertices());
+        ASSERT_EQ(GuidedBiBfs(s, t, ws, OutArcs(g), InArcs(g), to_t,
+                              [&](VertexId v) {
+                                return OracleVerdict(tc, s, v, kind);
+                              }),
+                  expected)
+            << "bibfs s=" << s << " t=" << t << " kind=" << int(kind);
+      }
+    }
+  }
+  if (kMetricsCompiled) {
+    EXPECT_GT(ws.probe().vertices_visited, 0u);
+    EXPECT_GT(ws.probe().edges_scanned, 0u);
+    EXPECT_GT(ws.probe().filter_prunes, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OnlineSearchPropertyTest,
                          ::testing::Values(31, 32, 33, 34, 35, 36));
+
+TEST(GuidedSearchTest, ExhaustedVisitBudgetReportsIncomplete) {
+  const Digraph g = Chain(100);
+  SearchWorkspace ws;
+  const auto maybe = [](VertexId) { return 0; };
+  ws.Prepare(g.NumVertices());
+  EXPECT_EQ(GuidedDfs(0, 99, ws, OutArcs(g), maybe, /*max_visits=*/10), 0);
+  ws.Prepare(g.NumVertices());
+  EXPECT_EQ(GuidedDfs(0, 99, ws, OutArcs(g), maybe, /*max_visits=*/99), 1);
+  // A search that runs dry inside the budget is complete either way.
+  ws.Prepare(g.NumVertices());
+  EXPECT_EQ(GuidedDfs(99, 0, ws, OutArcs(g), maybe, /*max_visits=*/10), -1);
+  ws.Prepare(g.NumVertices());
+  EXPECT_EQ(GuidedDfs(50, 50, ws, OutArcs(g), maybe, /*max_visits=*/0), 1);
+}
 
 }  // namespace
 }  // namespace reach

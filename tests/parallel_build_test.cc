@@ -7,14 +7,18 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/query_workload.h"
 #include "core/scc_condensing_index.h"
 #include "graph/figure1.h"
 #include "graph/generators.h"
+#include "core/index_factory.h"
 #include "lcr/pruned_labeled_two_hop.h"
 #include "plain/bfl.h"
+#include "plain/dagger.h"
+#include "plain/dbl.h"
 #include "plain/ferrari.h"
 #include "plain/grail.h"
 #include "plain/pruned_two_hop.h"
@@ -243,6 +247,30 @@ TEST(ParallelBuildTest, LcrTwoHopMatchesSerialOnRandomGraph) {
   }
 }
 
+// Every traversing plain spec grants the slots it is asked for, so a
+// 4-thread batch runs four guided searches at once over per-slot
+// workspaces; the answers must match the serial loop and the closure.
+void ExpectBatchMatchesSerialLoop(const ReachabilityIndex& index,
+                                  const Digraph& g,
+                                  const std::vector<QueryPair>& queries,
+                                  const std::string& label) {
+  TransitiveClosure oracle(1);
+  oracle.Build(g);
+  for (const size_t threads : {1ul, 4ul}) {
+    const std::vector<uint8_t> batch = index.BatchQuery(queries, threads);
+    ASSERT_EQ(batch.size(), queries.size()) << label;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const QueryPair& q = queries[i];
+      const bool expected = oracle.Query(q.source, q.target);
+      ASSERT_EQ(batch[i] != 0, expected) << label << " threads=" << threads
+                                         << " " << q.source << "->"
+                                         << q.target;
+      ASSERT_EQ(index.Query(q.source, q.target), expected) << label;
+    }
+  }
+  EXPECT_EQ(index.PrepareConcurrentQueries(4), 4u) << label;
+}
+
 TEST(ParallelBuildTest, BatchQueryMatchesSerialLoop) {
   const Digraph& g = BigDag();
   const std::vector<QueryPair> queries = RandomPairs(g, 5000, 0xb0);
@@ -260,6 +288,55 @@ TEST(ParallelBuildTest, BatchQueryMatchesSerialLoop) {
       ASSERT_EQ(tc_batch[i] != 0, tc.Query(q.source, q.target)) << i;
     }
   }
+
+  const Digraph cyclic = RandomDigraph(1024, 2048, 0xb1);
+  const std::vector<QueryPair> cyclic_queries = RandomPairs(cyclic, 2000, 0xb2);
+  for (const char* spec : {"bfs", "dfs", "bibfs", "gripp", "grail", "ferrari",
+                           "bfl", "feline", "ip", "oreach", "preach", "dbl",
+                           "dagger"}) {
+    auto index = MakeIndex(spec).plain;
+    ASSERT_NE(index, nullptr) << spec;
+    index->Build(cyclic);
+    ExpectBatchMatchesSerialLoop(*index, cyclic, cyclic_queries, spec);
+  }
+}
+
+// The overlay indexes answer over base plus inserted (minus deleted)
+// edges; their batch legs run after an update batch.
+TEST(ParallelBuildTest, DynamicSpecsBatchQueryAfterApplyUpdate) {
+  const Digraph g = RandomDigraph(1024, 2048, 0xb3);
+  std::vector<Edge> edges = g.Edges();
+  UpdateBatch inserts;
+  for (VertexId i = 0; i < 64; ++i) {
+    const VertexId s = (i * 131 + 7) % 1024;
+    const VertexId t = (i * 257 + 11) % 1024;
+    if (s == t || g.HasEdge(s, t)) continue;
+    inserts.push_back(EdgeUpdate::Insert(s, t));
+    edges.push_back({s, t});
+  }
+  UpdateBatch with_deletes = inserts;
+  std::vector<Edge> after_deletes = edges;
+  for (size_t i = 0; i < 64; ++i) {
+    const Edge e = edges[i * 29];
+    with_deletes.push_back(EdgeUpdate::Delete(e.source, e.target));
+    std::erase_if(after_deletes, [&](const Edge& x) {
+      return x.source == e.source && x.target == e.target;
+    });
+  }
+  const std::vector<QueryPair> queries = RandomPairs(g, 2000, 0xb4);
+
+  Dbl dbl;
+  dbl.Build(g);
+  ASSERT_TRUE(dbl.ApplyUpdate(inserts).ok());
+  ExpectBatchMatchesSerialLoop(
+      dbl, Digraph::FromEdges(1024, std::move(edges)), queries, "dbl");
+
+  Dagger dagger;
+  dagger.Build(g);
+  ASSERT_TRUE(dagger.ApplyUpdate(with_deletes).ok());
+  ExpectBatchMatchesSerialLoop(
+      dagger, Digraph::FromEdges(1024, std::move(after_deletes)), queries,
+      "dagger");
 }
 
 TEST(ParallelBuildTest, BatchQueryThroughSccWrapper) {

@@ -14,6 +14,7 @@
 #include "graph/generators.h"
 #include "obs/query_probe.h"
 #include "core/index_factory.h"
+#include "core/query_workload.h"
 #include "traversal/transitive_closure.h"
 
 namespace reach {
@@ -159,17 +160,20 @@ TEST(PlainProbeTest, GrailRecordsNegativeQueryEvidence) {
 }
 
 TEST(PlainProbeTest, InstrumentedRosterCountsQueriesAndBuildStats) {
-  const Digraph g = RandomDigraph(24, 72, 11);
-  // The indexes the tentpole instruments end-to-end (probe + phases).
-  for (const char* spec : {"bfs", "dfs", "bibfs", "tc", "treecover", "grail",
-                           "ferrari", "bfl", "pll", "tfl"}) {
+  // Sparse and large enough (more vertices than DBL's 64 landmarks) that
+  // the condensation keeps a deep DAG, so every partial index meets pairs
+  // its labels cannot settle.
+  const Digraph g = RandomDigraph(512, 768, 11);
+  const std::vector<QueryPair> queries = RandomPairs(g, 4000, 12);
+  for (const char* spec :
+       {"bfs", "dfs", "bibfs", "tc", "treecover", "grail", "ferrari", "bfl",
+        "pll", "tfl", "feline", "ip", "oreach", "preach", "dbl", "dagger",
+        "gripp"}) {
     auto index = MakeIndex(spec).plain;
     ASSERT_NE(index, nullptr) << spec;
     index->Build(g);
     index->ResetProbe();
-    for (VertexId s = 0; s < g.NumVertices(); ++s) {
-      index->Query(s, (s * 7 + 1) % g.NumVertices());
-    }
+    for (const QueryPair& q : queries) index->Query(q.source, q.target);
     const QueryProbe probe = index->Probe();
     // Online searches (bfs/dfs/bibfs) are index-free: their Build() only
     // stores a pointer, so phase/build-time assertions apply to the rest.
@@ -177,10 +181,17 @@ TEST(PlainProbeTest, InstrumentedRosterCountsQueriesAndBuildStats) {
         std::string(spec) != "bfs" && std::string(spec) != "dfs" &&
         std::string(spec) != "bibfs";
     if (kMetricsCompiled) {
-      EXPECT_EQ(probe.queries, g.NumVertices()) << spec;
+      EXPECT_EQ(probe.queries, queries.size()) << spec;
       if (builds_an_index) {
         EXPECT_GT(index->Stats().build_time.count(), 0) << spec;
         EXPECT_FALSE(index->Stats().phases.empty()) << spec;
+      }
+      // Every partial index hands its undecided pairs to a guided search,
+      // and that search fills the traversal fields.
+      if (!index->IsComplete()) {
+        EXPECT_GT(probe.fallbacks, 0u) << spec;
+        EXPECT_GT(probe.vertices_visited, 0u) << spec;
+        EXPECT_GT(probe.edges_scanned, 0u) << spec;
       }
     } else {
       EXPECT_EQ(probe.queries, 0u) << spec;
