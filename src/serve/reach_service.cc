@@ -68,14 +68,40 @@ void OrInto(uint64_t* into, const uint64_t* row, size_t words) {
   for (size_t w = 0; w < words; ++w) into[w] |= row[w];
 }
 
+/// Marks in `bits` (n zeroed bits) every vertex `from` reaches over
+/// `graph`, `from` included: along out-arcs, or along in-arcs when
+/// `backward`. `queue` is scratch. Returns the vertices visited.
+size_t Sweep(const Digraph& graph, VertexId from, bool backward,
+             uint64_t* bits, std::vector<VertexId>* queue) {
+  queue->assign(1, from);
+  SetBit(bits, from);
+  for (size_t head = 0; head < queue->size(); ++head) {
+    const VertexId v = (*queue)[head];
+    for (const VertexId n :
+         backward ? graph.InNeighbors(v) : graph.OutNeighbors(v)) {
+      if (TestBit(bits, n)) continue;
+      SetBit(bits, n);
+      queue->push_back(n);
+    }
+  }
+  return queue->size();
+}
+
 /// Appends insert `e` to the gate graph as gate n (unless it already is a
-/// gate) and keeps `closure` transitively closed, with 2n + 1 snapshot
-/// probes: n for the old gates whose target reaches `e.source`, n + 1 for
-/// the gate sources `e.target` reaches.
-template <typename Probe>
-void AddGate(const Edge& e, const Probe& probe, PendingGate* gate) {
+/// gate): sweeps its reach sets over `graph`, then keeps `closure`
+/// transitively closed with bit tests alone — old gate i hops straight
+/// into n iff n's source is in desc(i), and n into gate j iff j's source
+/// is in desc(n). Returns the vertices the two sweeps visited.
+size_t AddGate(const Edge& e, const Digraph& graph,
+               std::vector<VertexId>* queue, PendingGate* gate) {
   std::vector<Edge>& gates = gate->gates;
-  if (std::find(gates.begin(), gates.end(), e) != gates.end()) return;
+  if (std::find(gates.begin(), gates.end(), e) != gates.end()) return 0;
+  const size_t vertex_words = (graph.NumVertices() + 63) / 64;
+  auto sets = std::make_shared<uint64_t[]>(2 * vertex_words);
+  const size_t visits =
+      Sweep(graph, e.source, /*backward=*/true, sets.get(), queue) +
+      Sweep(graph, e.target, /*backward=*/false, sets.get() + vertex_words,
+            queue);
   const size_t n = gates.size();
   const size_t words = n / 64 + 1;
   if (words != gate->words) {  // re-stride the rows one word wider
@@ -88,16 +114,18 @@ void AddGate(const Edge& e, const Probe& probe, PendingGate* gate) {
   }
   gate->closure.resize(words * (n + 1), 0);
   gates.push_back(e);
+  gate->reach.push_back(std::move(sets));
+  gate->vertex_words = vertex_words;
   uint64_t* const rows = gate->closure.data();
   uint64_t* const row_n = rows + n * words;
 
   std::vector<uint64_t> into_n(words, 0);  // old gates hopping straight in
   for (size_t i = 0; i < n; ++i) {
-    if (probe(gates[i].target, e.source)) SetBit(into_n.data(), i);
+    if (TestBit(gate->Desc(i), e.source)) SetBit(into_n.data(), i);
   }
   // Row n from the old rows, which do not route through n yet...
   for (size_t j = 0; j <= n; ++j) {
-    if (!probe(e.target, gates[j].source)) continue;
+    if (!TestBit(gate->Desc(n), gates[j].source)) continue;
     SetBit(row_n, j);
     if (j < n) OrInto(row_n, rows + j * words, words);
   }
@@ -114,6 +142,7 @@ void AddGate(const Edge& e, const Probe& probe, PendingGate* gate) {
     OrInto(row_i, row_n, words);
     SetBit(row_i, n);
   }
+  return visits;
 }
 
 /// `BoundedUnionBfs` over the effective updates already folded into
@@ -492,23 +521,20 @@ void ReachService::ExtendGate(const ServeSnapshot& snap,
   // Gates are only read next to an index; an unindexed startup snapshot
   // leaves them to the drain that publishes the first index.
   if (snap.index == nullptr) return;
-  std::optional<SlotLease> lease;
-  uint64_t probes = 0;
-  const auto probe = [&](VertexId from, VertexId to) {
-    ++probes;
-    return snap.index->QueryInSlot(from, to, lease->slot());
-  };
+  std::vector<VertexId> queue;
+  uint64_t visits = 0;
   for (const EdgeUpdate& u : updates) {
-    if (!u.IsInsert()) continue;
-    if (!lease) lease.emplace(snap, nullptr);
-    AddGate(Edge{u.source, u.target}, probe, gate);
+    if (u.IsInsert()) {
+      visits += AddGate(Edge{u.source, u.target}, snap.graph, &queue, gate);
+    }
   }
-  stats_.gate_probes.fetch_add(probes, std::memory_order_relaxed);
+  stats_.gate_sweep_visits.fetch_add(visits, std::memory_order_relaxed);
 }
 
 void ReachService::Flush() {
   std::unique_lock<std::mutex> lock(rebuild_mu_);
-  if (stopped_.load(std::memory_order_relaxed)) return;
+  // Unstarted, no drain will ever run to absorb what is pending.
+  if (stopped_.load(std::memory_order_relaxed) || !started_) return;
   flush_requested_ = true;
   ScheduleLocked();
   rebuild_cv_.wait(lock, [&] {
@@ -929,18 +955,6 @@ ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
                                           SlowQueryRecord* rec) const {
   ServeAnswer ans;
   const ServeSnapshot& snap = *view.snapshot;
-  std::optional<SlotLease> lease;
-  {
-    StageScope stage(rec, ServeStage::kSlotAcquire);
-    lease.emplace(snap, waited);
-  }
-  if (rec != nullptr) rec->slot_waited = *waited;
-  const ReachabilityIndex& index = *snap.index;
-  const size_t slot = lease->slot();
-  const auto probe = [&](VertexId from, VertexId to) {
-    if (rec != nullptr) ++rec->index_probes;
-    return index.QueryInSlot(from, to, slot);
-  };
 
   // The decision runs over the SUPERSET graph first: snapshot ∪ every
   // pending insert, deletes ignored. The live graph is a subgraph of it,
@@ -951,8 +965,16 @@ ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
   const PendingGate& gate = view.gate;
   bool superset_reachable = false;
   {
+    // The one index probe of the query; the slot is held for it alone.
+    std::optional<SlotLease> lease;
+    {
+      StageScope stage(rec, ServeStage::kSlotAcquire);
+      lease.emplace(snap, waited);
+    }
+    if (rec != nullptr) rec->slot_waited = *waited;
     StageScope stage(rec, ServeStage::kIndexProbe);
-    superset_reachable = probe(s, t);
+    if (rec != nullptr) ++rec->index_probes;
+    superset_reachable = snap.index->QueryInSlot(s, t, lease->slot());
   }
   if (superset_reachable && !gate.has_deletes) {
     // Reachability is monotone under insertion: an index hit on this
@@ -979,21 +1001,13 @@ ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
   // Superset index miss with pending inserts: any s-t path in the
   // superset graph enters the gates at some gate j (s reaches its source
   // through the snapshot) and leaves at a gate in {j} ∪ row j of the
-  // closure (whose target reaches t through the snapshot). So k probes
-  // s -> gate source collect the usable gates, and one probe per usable
-  // gate decides: at most 2k probes, k = gates.size().
+  // closure (whose target reaches t through the snapshot). The gates'
+  // reach sets decide both ends: k bit tests s ∈ anc(j) collect the
+  // usable gates, and one bit test t ∈ desc(i) per usable gate decides.
   bool expired = false;
   if (!superset_reachable) {
     ans.source = AnswerSource::kDelta;
     StageScope stage(rec, ServeStage::kDeltaClosure);
-    const bool timed = deadline != Clock::time_point::max();
-    size_t probes = 0;
-    const auto check_deadline = [&] {
-      // One clock read per 8 probes keeps the check off the probe cost.
-      if (timed && ++probes % 8 == 0) expired = Clock::now() > deadline;
-      return expired;
-    };
-    const std::vector<Edge>& gates = gate.gates;
     const size_t words = gate.words;
     uint64_t inline_words[4] = {};
     std::vector<uint64_t> heap_words;
@@ -1002,22 +1016,21 @@ ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
       heap_words.assign(words, 0);
       usable = heap_words.data();
     }
-    for (size_t j = 0; j < gates.size() && !check_deadline(); ++j) {
+    for (size_t j = 0; j < gate.gates.size(); ++j) {
       // A gate already usable adds nothing: its row is inside the row of
       // the gate that made it usable.
-      if (TestBit(usable, j) || !probe(s, gates[j].source)) continue;
+      if (TestBit(usable, j) || !TestBit(gate.Anc(j), s)) continue;
       SetBit(usable, j);
       OrInto(usable, gate.Row(j), words);
     }
-    expired = expired || (timed && Clock::now() > deadline);
+    expired = deadline != Clock::time_point::max() && Clock::now() > deadline;
     for (size_t w = 0; w < words && !expired && !superset_reachable; ++w) {
       for (uint64_t bits = usable[w]; bits != 0; bits &= bits - 1) {
         const size_t j = w * 64 + static_cast<size_t>(std::countr_zero(bits));
-        if (probe(gates[j].target, t)) {
+        if (TestBit(gate.Desc(j), t)) {
           superset_reachable = true;
           break;
         }
-        if (check_deadline()) break;
       }
     }
   }

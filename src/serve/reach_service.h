@@ -148,7 +148,7 @@ enum class ServeStage : uint8_t {
   kNegCacheProbe = 0,  // negative-result cache lookup
   kSlotAcquire = 1,    // admission: leasing a concurrent-query slot
   kIndexProbe = 2,     // the pinned snapshot's index lookup(s)
-  kDeltaClosure = 3,   // pending-edge closure over index lookups
+  kDeltaClosure = 3,   // gate closure: bit tests on the gates' reach sets
   kFallbackBfs = 4,    // degraded bounded union BFS
 };
 inline constexpr size_t kNumServeStages = 5;
@@ -171,8 +171,9 @@ struct SlowQueryRecord {
   uint64_t total_ns = 0;
   /// Nanoseconds spent per `ServeStage` (0 = stage not reached).
   uint64_t stage_ns[kNumServeStages] = {};
-  /// `QueryInSlot` calls issued (1 for a pure hit/miss; the gate closure
-  /// issues at most 2k more, k = distinct pending inserts).
+  /// `QueryInSlot` calls issued: 1 for every query that reached the
+  /// index. The gate closure decides pending inserts with bit tests on
+  /// the gates' reach sets and issues none.
   uint64_t index_probes = 0;
   /// Pending-update buffer size observed by the query.
   uint64_t pending_edges = 0;
@@ -230,8 +231,9 @@ struct ServeStats {
   std::atomic<uint64_t> rebuild_failures{0};
   std::atomic<uint64_t> rebuild_retries{0};
   std::atomic<uint64_t> watchdog_fired{0};
-  /// Index probes spent building gate closures, by writers and drains.
-  std::atomic<uint64_t> gate_probes{0};
+  /// Vertices visited by the gate sweeps (two per new pending insert,
+  /// over the snapshot graph), by writers and drains.
+  std::atomic<uint64_t> gate_sweep_visits{0};
 
   /// Calls `fn(registry_name, field)` for every field, in declaration
   /// order — the single map from fields to their "serve.*" registry keys.
@@ -265,7 +267,7 @@ struct ServeStats {
     fn("serve.rebuild.failures", rebuild_failures);
     fn("serve.rebuild.retries", rebuild_retries);
     fn("serve.rebuild.watchdog_fired", watchdog_fired);
-    fn("serve.gate.probes", gate_probes);
+    fn("serve.gate.sweep_visits", gate_sweep_visits);
   }
 };
 
@@ -320,19 +322,23 @@ struct ServiceHealth {
 ///    graph — behind an atomic `shared_ptr`, lease a slot, and answer via
 ///    `QueryInSlot`: many readers in parallel, zero locks on the hot path.
 ///  * Writes publish a new view with the batch appended and the gate
-///    extended (2k + 1 index probes per new pending insert, k = gates so
-///    far, paid by the writer). A background task on the shared thread
-///    pool (src/par/) drains the pending list into a freshly built
-///    snapshot and publishes it with the trimmed list and that list's
-///    gate rebuilt against it, in one store. At most one rebuild is in
-///    flight; generations are strictly ordered. No write — insert or
-///    delete — ever rebuilds inline.
+///    extended. Each new pending insert a → b costs the writer two sweeps
+///    of the snapshot graph, backward from a and forward from b, whose
+///    reach sets the gate keeps (no slot, no index probe), plus O(k²/64)
+///    word operations on the closure, k = gates so far. A background task
+///    on the shared thread pool (src/par/) drains the pending list into a
+///    freshly built snapshot and publishes it with the trimmed list and
+///    that list's gate rebuilt against it, in one store. At most one
+///    rebuild is in flight; generations are strictly ordered. No write —
+///    insert or delete — ever rebuilds inline.
 ///  * Queries stay exact across the swap. A query first decides the
 ///    *superset* graph, snapshot ∪ every pending insert (deletes
-///    ignored): an index probe s → t, then on a miss at most 2k more —
-///    s → each gate source, OR-ing the closure rows of the hits, then
-///    gate target → t for the gates that leaves usable. The live graph is
-///    a subgraph of the superset, so a superset negative is exact. With
+///    ignored): one index probe s → t, then on a miss k bit tests — s in
+///    each gate's source ancestors, OR-ing the closure rows of the hits,
+///    then t in the target descendants of the gates that leaves usable.
+///    The reach sets are exact over the graph the index was built on, so
+///    each bit test equals the probe it replaces. The live graph is a
+///    subgraph of the superset, so a superset negative is exact. With
 ///    only inserts pending the two graphs coincide, so a superset
 ///    positive is exact too. With deletes pending, a superset positive is
 ///    re-verified by a bounded traversal of the live union graph
@@ -391,7 +397,9 @@ class ReachService {
   /// with no state change. An accepted batch is visible to every
   /// subsequent query atomically — readers pin whole views, so they see
   /// all of it or none of it. Each new pending insert costs the writer
-  /// 2k + 1 index probes (k = distinct pending inserts so far).
+  /// two O(n + m) sweeps of the snapshot graph and O(k²/64) closure work
+  /// (k = distinct pending inserts so far); publishing copies one
+  /// pointer per gate, no per-vertex data.
   UpdateResult ApplyUpdate(const UpdateBatch& batch);
 
   /// Single-edge convenience wrappers over `ApplyUpdate`. Return false
@@ -400,8 +408,9 @@ class ReachService {
   bool DeleteEdge(VertexId s, VertexId t);
 
   /// Blocks until every previously accepted update is absorbed into a
-  /// published snapshot (forcing a rebuild if needed). No-op when
-  /// stopped.
+  /// published snapshot (forcing a rebuild if needed). Returns at once
+  /// when stopped, or when never started (no `Start()` call, or one that
+  /// failed): no drain runs then, so updates stay pending.
   void Flush();
 
   size_t NumVertices() const { return num_vertices_; }
@@ -450,7 +459,7 @@ class ReachService {
   void NoteRebuildFailure(const std::string& error, size_t consecutive);
   /// Folds `updates` into `gate`'s effective state and, when `snap` has
   /// an index, appends their new inserts as gates and closes over them
-  /// (2k + 1 probes per new gate on one leased slot of `snap`).
+  /// (two sweeps of `snap.graph` per new gate; no slot, no probe).
   void ExtendGate(const ServeSnapshot& snap,
                   std::span<const EdgeUpdate> updates,
                   PendingGate* gate) const;

@@ -102,30 +102,49 @@ using PendingUpdates = std::vector<EdgeUpdate>;
 ///    walks them); `dels`, the snapshot arcs it must mask, sorted;
 ///  * the **gate graph** over the pending inserts (the gate vertices of
 ///    CSIndex): `gates` holds every distinct insert the list carries, in
-///    arrival order, and `closure` one bitset row per gate — bit j of row
-///    i is set iff gate j's source is reachable from gate i's target
-///    through snapshot paths and other gates.
+///    arrival order; `reach` the two reach sets of each gate j = (a → b)
+///    over the snapshot graph, from one backward sweep from a and one
+///    forward sweep from b; and `closure` one bitset row per gate — bit j
+///    of row i is set iff gate j's source is reachable from gate i's
+///    target through snapshot paths and other gates.
 /// Gates are append-only over raw inserts: an insert that a later delete
 /// cancels stays a gate, which only widens the superset graph
 /// (snapshot ∪ gates) that queries decide first. The gate graph is built
-/// against one snapshot's index and left empty when it has none.
+/// against one snapshot's graph and left empty when it has no index.
 struct PendingGate {
+  /// Gate j's reach sets, n bits each (n = snapshot vertices), in one
+  /// block of `2 * vertex_words` words: [0, w) is anc(j), the vertices
+  /// that reach gate j's source; [w, 2w) is desc(j), the vertices gate
+  /// j's target reaches. Both are reflexive. Immutable once swept and
+  /// shared by every view that carries the gate, so publishing a view
+  /// copies one pointer per gate, never per-vertex data.
+  using ReachSets = std::shared_ptr<const uint64_t[]>;
+
   std::vector<Edge> adds;
   std::vector<Edge> dels;
   /// Whether any delete op is in the list (the insert-only monotonicity
   /// shortcut is off while one is).
   bool has_deletes = false;
   std::vector<Edge> gates;
+  /// One entry per gate, parallel to `gates`.
+  std::vector<ReachSets> reach;
+  /// Words of one reach set.
+  size_t vertex_words = 0;
   /// Row stride of `closure`, in 64-bit words.
   size_t words = 0;
   std::vector<uint64_t> closure;
 
   const uint64_t* Row(size_t i) const { return closure.data() + i * words; }
+  /// Gate j's two reach sets (see `ReachSets`).
+  const uint64_t* Anc(size_t j) const { return reach[j].get(); }
+  const uint64_t* Desc(size_t j) const {
+    return reach[j].get() + vertex_words;
+  }
 };
 
 /// Everything one query pins, in one load: a snapshot, the updates
 /// pending on top of it, and their gate built against that snapshot's
-/// index. Immutable once published; writers and the drain replace the
+/// graph. Immutable once published; writers and the drain replace the
 /// whole view with one store, so a reader never pairs a snapshot with a
 /// pending list it was not built for.
 struct ServeView {

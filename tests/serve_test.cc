@@ -10,10 +10,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "graph/figure1.h"
 #include "graph/generators.h"
 #include "graph/rng.h"
+#include "graph/scc.h"
 #include "obs/metrics_exporter.h"
 #include "obs/metrics_registry.h"
 #include "obs/query_probe.h"
@@ -326,68 +329,180 @@ TEST(ServeDifferentialTest, ConcurrentMixedUpdatesAcrossSwaps) {
 // The gate closure over more than 64 pending inserts (rows span two
 // words), with gates on a cycle, a duplicate insert, an insert that a
 // delete cancels and a later insert revives, and a deleted base edge:
-// all-pairs answers must match the live oracle, and no query may spend
-// more than 2k + 1 index probes (k = distinct pending inserts).
+// all-pairs answers must match the live oracle, and every query makes
+// exactly one index probe (the closure decides on the gates' reach sets).
+// Two base graphs: a DAG, and a cyclic digraph with gates both inside its
+// largest SCC and across SCCs.
 TEST(ServeGateTest, ClosureOverTwoWordRowsMatchesOracleWithLinearProbes) {
   constexpr VertexId kN = 120;
-  const Digraph base = RandomDag(kN, 100, 0x6A7E);
-  ASSERT_GT(base.NumEdges(), 0u);
+  const Digraph dag = RandomDag(kN, 100, 0x6A7E);
+  const Digraph cyclic = RandomDigraph(kN, 150, 0x6A7E);
+
+  // Gates inside the cyclic graph's largest SCC and across SCCs.
+  const SccDecomposition scc = ComputeScc(cyclic);
+  std::vector<VertexId> size_of(scc.num_components, 0);
+  for (const VertexId c : scc.component_of) ++size_of[c];
+  const VertexId big = static_cast<VertexId>(
+      std::max_element(size_of.begin(), size_of.end()) - size_of.begin());
+  std::vector<VertexId> inside;
+  std::vector<VertexId> outside;
+  for (VertexId v = 0; v < kN; ++v) {
+    (scc.component_of[v] == big ? inside : outside).push_back(v);
+  }
+  ASSERT_GE(inside.size(), 3u);
+  ASSERT_GE(outside.size(), 2u);
+  const std::vector<EdgeUpdate> scc_gates = {
+      EdgeUpdate::Insert(inside[0], inside[2]),
+      EdgeUpdate::Insert(inside[2], inside[1]),
+      EdgeUpdate::Insert(inside[1], outside[0]),
+      EdgeUpdate::Insert(outside[1], inside[0]),
+      EdgeUpdate::Insert(outside[0], outside[1])};
+
+  for (const auto& [name, base, extra] :
+       {std::tuple{"dag", &dag, std::vector<EdgeUpdate>{}},
+        std::tuple{"cyclic", &cyclic, scc_gates}}) {
+    SCOPED_TRACE(name);
+    ASSERT_GT(base->NumEdges(), 0u);
+    ServiceOptions opts;
+    opts.drain_threshold = 1000;  // everything below stays pending
+    opts.negcache_capacity = 0;   // every query reaches the index
+    opts.slow_query_threshold = std::chrono::nanoseconds(1);
+    opts.slow_log_capacity = size_t{kN} * kN;
+    ReachService service(*base, opts);
+    service.Start();
+    service.Flush();
+    ASSERT_GE(service.SnapshotVersion(), 1u);
+
+    const Edge base_edge = base->Edges().front();
+    std::vector<EdgeUpdate> log = {
+        // Gates on a cycle, then a duplicate of one of them.
+        EdgeUpdate::Insert(10, 20), EdgeUpdate::Insert(20, 30),
+        EdgeUpdate::Insert(30, 10), EdgeUpdate::Insert(10, 20),
+        // Insert, cancel, revive.
+        EdgeUpdate::Insert(40, 41), EdgeUpdate::Delete(40, 41),
+        EdgeUpdate::Insert(40, 41),
+        // A tombstoned base edge.
+        EdgeUpdate::Delete(base_edge.source, base_edge.target)};
+    std::set<Edge> distinct = {{10, 20}, {20, 30}, {30, 10}, {40, 41}};
+    for (const EdgeUpdate& u : extra) {
+      log.push_back(u);
+      distinct.insert(Edge{u.source, u.target});
+    }
+    Xoshiro256ss rng(0x6A7E);
+    while (distinct.size() < 70) {
+      const Edge e{static_cast<VertexId>(rng.NextBounded(kN)),
+                   static_cast<VertexId>(rng.NextBounded(kN))};
+      if (distinct.insert(e).second) {
+        log.push_back(EdgeUpdate::Insert(e.source, e.target));
+      }
+    }
+    for (const EdgeUpdate& u : log) {
+      ASSERT_TRUE(service.ApplyUpdate({u}).ok());
+    }
+    ASSERT_EQ(service.PendingEdgeCount(), log.size());
+
+    const std::vector<std::vector<VertexId>> live =
+        LiveAdjacency(*base, log, log.size());
+    size_t positives = 0;
+    for (VertexId s = 0; s < kN; ++s) {
+      const std::vector<uint8_t> oracle = ReachableFrom(live, s);
+      for (VertexId t = 0; t < kN; ++t) {
+        const ServeAnswer ans = service.Query(s, t);
+        EXPECT_EQ(ans.reachable, oracle[t] != 0) << s << "->" << t;
+        EXPECT_TRUE(ans.exact) << s << "->" << t;
+        positives += oracle[t];
+      }
+    }
+    // Both answers occur, and the closure decided some of them.
+    EXPECT_GT(positives, size_t{kN});
+    EXPECT_LT(positives, size_t{kN} * kN);
+    EXPECT_GT(service.stats().delta_answers.load(), 0u);
+
+    const std::vector<SlowQueryRecord> records = service.SlowQueries();
+    EXPECT_EQ(records.size(), size_t{kN} * kN);
+    for (const SlowQueryRecord& rec : records) {
+      EXPECT_EQ(rec.index_probes, 1u) << rec.s << "->" << rec.t;
+      EXPECT_EQ(rec.pending_edges, log.size());
+    }
+    service.Stop();
+  }
+}
+
+// Inserts that land while a drain publishes are folded in under the
+// write lock and must be swept over the graph of the snapshot that drain
+// publishes. The drain here absorbs an arc h → x from a hub h into the
+// center x of a large star. Each gate a → b has b → h as its only base
+// arc, so a gate swept over the old graph would miss the whole star. The
+// writer paces its inserts, keeps going until the swap lands, and every
+// gate inserted around the swap must then answer exactly. Sweeping the
+// star takes the drain far longer than one paced insert, so inserts land
+// between the drain's suffix sweeps and its publish.
+TEST(ServeGateTest, InsertsRacingADrainSweepItsNewGraph) {
+  constexpr VertexId kLeaves = 1 << 16;
+  constexpr VertexId kCenter = 0;           // leaves are 1 .. kLeaves
+  constexpr VertexId kHub = kLeaves + 1;
+  constexpr VertexId kTargets = 16;         // gate targets, each -> hub
+  constexpr VertexId kSources = 1024;       // gate sources, isolated
+  constexpr VertexId kFirstTarget = kHub + 1;
+  constexpr VertexId kFirstSource = kFirstTarget + kTargets;
+  constexpr VertexId kN = kFirstSource + kSources;
+  constexpr size_t kDrainAt = 2048;
+  std::vector<Edge> edges;
+  for (VertexId v = 1; v <= kLeaves; ++v) edges.push_back({kCenter, v});
+  for (VertexId b = kFirstTarget; b < kFirstSource; ++b) {
+    edges.push_back({b, kHub});
+  }
+  const Digraph base = Digraph::FromEdges(kN, edges);
 
   ServiceOptions opts;
-  opts.drain_threshold = 1000;  // everything below stays pending
-  opts.negcache_capacity = 0;   // every query reaches the index
-  opts.slow_query_threshold = std::chrono::nanoseconds(1);
-  opts.slow_log_capacity = size_t{kN} * kN;
+  opts.drain_threshold = kDrainAt;
+  opts.negcache_capacity = 0;
   ReachService service(base, opts);
   service.Start();
   service.Flush();
-  ASSERT_GE(service.SnapshotVersion(), 1u);
+  ASSERT_EQ(service.SnapshotVersion(), 1u);
 
-  const Edge base_edge = base.Edges().front();
-  std::vector<EdgeUpdate> log = {
-      // Gates on a cycle, then a duplicate of one of them.
-      EdgeUpdate::Insert(10, 20), EdgeUpdate::Insert(20, 30),
-      EdgeUpdate::Insert(30, 10), EdgeUpdate::Insert(10, 20),
-      // Insert, cancel, revive.
-      EdgeUpdate::Insert(40, 41), EdgeUpdate::Delete(40, 41),
-      EdgeUpdate::Insert(40, 41),
-      // A tombstoned base edge.
-      EdgeUpdate::Delete(base_edge.source, base_edge.target)};
-  Xoshiro256ss rng(0x6A7E);
-  std::set<Edge> distinct = {{10, 20}, {20, 30}, {30, 10}, {40, 41}};
-  while (distinct.size() < 70) {
-    const Edge e{static_cast<VertexId>(rng.NextBounded(kN)),
-                 static_cast<VertexId>(rng.NextBounded(kN))};
-    if (distinct.insert(e).second) {
-      log.push_back(EdgeUpdate::Insert(e.source, e.target));
-    }
+  // The hub arc plus deletes of absent arcs fill the drain threshold, so
+  // this batch schedules the one drain of the test.
+  UpdateBatch join = {EdgeUpdate::Insert(kHub, kCenter)};
+  for (VertexId v = 1; join.size() < kDrainAt; ++v) {
+    join.push_back(EdgeUpdate::Delete(kHub, v));
   }
-  for (const EdgeUpdate& u : log) ASSERT_TRUE(service.ApplyUpdate({u}).ok());
-  ASSERT_EQ(service.PendingEdgeCount(), log.size());
-  const size_t k = distinct.size();
+  ASSERT_TRUE(service.ApplyUpdate(join).ok());
+  std::vector<Edge> gates;
+  for (VertexId a = kFirstSource;
+       a < kN && service.SnapshotVersion() == 1; ++a) {
+    gates.push_back({a, kFirstTarget + a % kTargets});
+    ASSERT_TRUE(service.InsertEdge(a, gates.back().target));
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  for (int i = 0; i < 2000 && service.SnapshotVersion() == 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(service.SnapshotVersion(), 2u);
+  // Below the threshold, no second drain absorbs the gates under test.
+  ASSERT_LT(service.PendingEdgeCount(), kDrainAt);
 
+  // A gate's source has no other arc, so it reaches itself and what the
+  // gate's target reaches in the live graph.
+  std::vector<EdgeUpdate> log = join;
+  for (const Edge& e : gates) {
+    log.push_back(EdgeUpdate::Insert(e.source, e.target));
+  }
   const std::vector<std::vector<VertexId>> live =
       LiveAdjacency(base, log, log.size());
-  size_t positives = 0;
-  for (VertexId s = 0; s < kN; ++s) {
-    const std::vector<uint8_t> oracle = ReachableFrom(live, s);
-    for (VertexId t = 0; t < kN; ++t) {
-      const ServeAnswer ans = service.Query(s, t);
-      EXPECT_EQ(ans.reachable, oracle[t] != 0) << s << "->" << t;
-      EXPECT_TRUE(ans.exact) << s << "->" << t;
-      positives += oracle[t];
-    }
+  std::vector<std::vector<uint8_t>> from_target;
+  for (VertexId b = kFirstTarget; b < kFirstSource; ++b) {
+    from_target.push_back(ReachableFrom(live, b));
   }
-  // Both answers occur, and the closure decided some of them.
-  EXPECT_GT(positives, size_t{kN});
-  EXPECT_LT(positives, size_t{kN} * kN);
-  EXPECT_GT(service.stats().delta_answers.load(), 0u);
-
-  const std::vector<SlowQueryRecord> records = service.SlowQueries();
-  EXPECT_EQ(records.size(), size_t{kN} * kN);
-  for (const SlowQueryRecord& rec : records) {
-    EXPECT_LE(rec.index_probes, 2 * k + 1) << rec.s << "->" << rec.t;
-    EXPECT_EQ(rec.pending_edges, log.size());
+  for (const Edge& e : gates) {
+    const std::vector<uint8_t>& oracle = from_target[e.target - kFirstTarget];
+    for (VertexId t = 0; t < kN; t += 257) {
+      const ServeAnswer ans = service.Query(e.source, t);
+      ASSERT_EQ(ans.reachable, t == e.source || oracle[t] != 0)
+          << e.source << "->" << t;
+      ASSERT_TRUE(ans.exact);
+    }
   }
   service.Stop();
 }
@@ -649,6 +764,35 @@ TEST(ServeLifecycleTest, RejectedSpecFailsStartAndPublishesNoIndex) {
     // Unindexed, queries still answer through the bounded BFS.
     EXPECT_TRUE(service.Query(figure1::kA, figure1::kG).reachable) << spec;
     service.Stop();
+  }
+}
+
+// A service that never started runs no drain, so Flush must not wait
+// for one: neither without a Start() call nor after a Start() that
+// failed. Flush runs on a thread with a bounded wait, so a regression
+// fails here instead of hanging the suite (Stop() releases a hung Flush).
+TEST(ServeLifecycleTest, FlushOnUnstartedServiceReturns) {
+  for (const char* spec : {"pll", "lcr:pll"}) {
+    SCOPED_TRACE(spec);
+    ServiceOptions opts;
+    opts.spec = spec;
+    ReachService service(Chain(6), opts);
+    if (std::string(spec) != "pll") {
+      EXPECT_FALSE(service.Start());
+    }
+    ASSERT_TRUE(service.InsertEdge(5, 1));
+    std::promise<void> flushed;
+    std::thread flusher([&] {
+      service.Flush();
+      flushed.set_value();
+    });
+    EXPECT_EQ(flushed.get_future().wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+    service.Stop();
+    flusher.join();
+    // The update stays pending and answered.
+    EXPECT_EQ(service.PendingEdgeCount(), 1u);
+    EXPECT_TRUE(service.Query(4, 2).reachable);
   }
 }
 
