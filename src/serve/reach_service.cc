@@ -200,6 +200,22 @@ BoundedBfsOutcome UnionBfs(const Digraph& graph, const PendingGate& gate,
   return out;
 }
 
+// One query in this many, per reader thread, records its end-to-end
+// latency into `serve.query_ns`.
+constexpr uint64_t kQueryNsSamplePeriod = 64;
+
+// The calling thread's view of `published`: the one its record caches,
+// unless a publish moved the generation since the record loaded it.
+const ServeView& CachedView(const AtomicSharedPtr<const ServeView>& published,
+                            ReaderRecord* reader) {
+  const uint64_t generation = published.Generation();
+  if (generation != reader->generation) {
+    reader->view = published.Load();
+    reader->generation = generation;
+  }
+  return *reader->view;
+}
+
 uint64_t ElapsedNs(Clock::time_point begin, Clock::time_point end) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
@@ -287,6 +303,102 @@ const char* ServeStageName(size_t stage) {
   return "?";
 }
 
+// Each thread's records, the last used first. Entries of destroyed
+// services are pruned when the thread claims its next record.
+struct ReaderRecords::ThreadMap {
+  struct Entry {
+    uint64_t id;
+    ReaderRecord* record;
+    std::weak_ptr<ReaderRecords> records;
+  };
+  std::vector<Entry> entries;
+
+  ThreadMap() = default;
+  ThreadMap(const ThreadMap&) = delete;
+  ThreadMap& operator=(const ThreadMap&) = delete;
+  ~ThreadMap() {
+    for (Entry& e : entries) {
+      if (const auto records = e.records.lock()) records->Release(*e.record);
+    }
+  }
+};
+
+ReaderRecords::ReaderRecords()
+    : id_([] {
+        static std::atomic<uint64_t> next{0};
+        return next.fetch_add(1, std::memory_order_relaxed);
+      }()) {}
+
+ReaderRecords::~ReaderRecords() {
+  for (ReaderRecord* r = head_.load(std::memory_order_relaxed); r != nullptr;) {
+    ReaderRecord* const next = r->next;
+    delete r;
+    r = next;
+  }
+}
+
+ReaderRecord& ReaderRecords::Local() {
+  thread_local ThreadMap map;
+  std::vector<ThreadMap::Entry>& entries = map.entries;
+  if (!entries.empty() && entries.front().id == id_) [[likely]] {
+    return *entries.front().record;
+  }
+  for (size_t i = 1; i < entries.size(); ++i) {
+    if (entries[i].id == id_) {
+      std::swap(entries.front(), entries[i]);
+      return *entries.front().record;
+    }
+  }
+  std::erase_if(entries, [](const ThreadMap::Entry& e) {
+    return e.records.expired();
+  });
+  ReaderRecord& record = Claim();
+  entries.insert(entries.begin(), {id_, &record, weak_from_this()});
+  return record;
+}
+
+size_t ReaderRecords::InFlight() const {
+  size_t n = 0;
+  for (const ReaderRecord* r = head_.load(std::memory_order_acquire);
+       r != nullptr; r = r->next) {
+    n += r->inflight.load(std::memory_order_seq_cst) ? 1 : 0;
+  }
+  return n;
+}
+
+size_t ReaderRecords::size() const {
+  size_t n = 0;
+  for (const ReaderRecord* r = head_.load(std::memory_order_acquire);
+       r != nullptr; r = r->next) {
+    ++n;
+  }
+  return n;
+}
+
+ReaderRecord& ReaderRecords::Claim() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ReaderRecord* const head = head_.load(std::memory_order_relaxed);
+  for (ReaderRecord* r = head; r != nullptr; r = r->next) {
+    if (!r->owned) {
+      r->owned = true;
+      return *r;
+    }
+  }
+  auto* const r = new ReaderRecord;
+  r->owned = true;
+  r->next = head;
+  head_.store(r, std::memory_order_release);  // scanners see it whole
+  return *r;
+}
+
+void ReaderRecords::Release(ReaderRecord& record) {
+  std::shared_ptr<const ServeView> dropped;  // freed after the unlock
+  std::lock_guard<std::mutex> lock(mu_);
+  dropped = std::move(record.view);
+  record.generation = 0;
+  record.owned = false;
+}
+
 /// RAII lease of one concurrent-query slot from a pinned snapshot.
 class ReachService::SlotLease {
  public:
@@ -310,6 +422,7 @@ ReachService::ReachService(Digraph base, ServiceOptions options)
                     ? std::make_unique<NegativeResultCache>(
                           options_.negcache_shards, options_.negcache_capacity)
                     : nullptr),
+      readers_(std::make_shared<ReaderRecords>()),
       base_edges_(base.Edges()) {
   auto snap = std::make_shared<ServeSnapshot>();
   snap->version = 0;
@@ -437,6 +550,7 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
   if (batch.empty()) return UpdateResult::Applied(0, 0, 0, 0);
   size_t pending_count = 0;
   bool force_schedule = false;
+  std::shared_ptr<const ServeView> freed;  // released after the unlock
   {
     std::unique_lock<std::mutex> lock(write_mu_);
     const size_t cap = options_.max_pending_edges;
@@ -488,6 +602,10 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
     ExtendGate(*next->snapshot, batch, &next->gate);
     pending_count = next->pending.size();
     view_.Store(std::move(next));
+    // Readers that cached `cur` drop it when they reload; holding it
+    // until the next publish makes this writer, not one of them, free
+    // it. It shares the new view's snapshot, so no index stays alive.
+    freed = std::exchange(superseded_, cur);
   }
   stats_.inserts.fetch_add(num_inserts, std::memory_order_relaxed);
   stats_.deletes.fetch_add(num_deletes, std::memory_order_relaxed);
@@ -713,8 +831,11 @@ void ReachService::RebuildLoop() {
         seen->pending.end());
     ExtendGate(*snap, next->pending, &next->gate);
     size_t left = 0;
+    std::shared_ptr<const ServeView> freed;  // released after the unlock
     {
       std::lock_guard<std::mutex> lock(write_mu_);
+      // A view of the old snapshot: not kept past the swap.
+      freed = std::move(superseded_);
       const auto cur = view_.Load();
       if (cur->pending.size() > seen->pending.size()) {
         const std::span<const EdgeUpdate> arrived =
@@ -770,54 +891,29 @@ void ReachService::RebuildLoop() {
   }
 }
 
-/// RAII registration in the in-flight count that AdmitTier reads. The
-/// count includes this query — the first query under cap m sees 1.
+/// RAII in-flight flag in the calling thread's reader record, which
+/// `AdmitTier` and `Health` count. Under an admission gate the flag is
+/// set with a seq_cst store, so the scan that follows sees every racing
+/// query or is seen by it; ungated, nothing scans on the query path.
 class ReachService::InflightGuard {
  public:
-  explicit InflightGuard(const ReachService& service) : service_(service) {
-    now_ = service_.inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
+  InflightGuard(ReaderRecord& reader, bool gated) : reader_(reader) {
+    reader_.inflight.store(true, gated ? std::memory_order_seq_cst
+                                       : std::memory_order_relaxed);
   }
   ~InflightGuard() {
-    service_.inflight_.fetch_sub(1, std::memory_order_relaxed);
+    reader_.inflight.store(false, std::memory_order_release);
   }
   InflightGuard(const InflightGuard&) = delete;
   InflightGuard& operator=(const InflightGuard&) = delete;
 
-  size_t now() const { return now_; }
-
  private:
-  const ReachService& service_;
-  size_t now_;
+  ReaderRecord& reader_;
 };
 
 ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
   REACH_TRACE_SPAN("serve.query");
-  const Clock::time_point start = Clock::now();
-  stats_.queries.fetch_add(1, std::memory_order_relaxed);
-
-  InflightGuard inflight(*this);
-  // Chaos site, inside the in-flight window on purpose: `delay(ms=N)`
-  // stretches every query to simulate slow readers, which is how tests
-  // push the admission gate into degradation and shedding.
-  REACH_FAILPOINT("serve.query");
-  const AdmissionTier tier = AdmitTier(inflight.now());
-  if (tier == AdmissionTier::kShed) {
-    // Over capacity: answer nothing rather than queue into collapse. The
-    // shed reply is O(1), explicitly inexact, and never cached.
-    stats_.shed.fetch_add(1, std::memory_order_relaxed);
-    ServeAnswer ans;
-    ans.reachable = false;
-    ans.exact = false;
-    ans.source = AnswerSource::kShedded;
-    ans.snapshot_version = view_.Load()->snapshot->version;
-    return ans;
-  }
-  if (tier == AdmissionTier::kCacheOnly) {
-    stats_.admission_cache_only.fetch_add(1, std::memory_order_relaxed);
-  } else if (tier == AdmissionTier::kBfsOnly) {
-    stats_.admission_bfs_only.fetch_add(1, std::memory_order_relaxed);
-  }
-
+  ReaderRecord& reader = readers_->Local();
   // Keep a stage-by-stage record only when it could end up in the
   // slow-query log — otherwise the extra clock reads never happen. A
   // query can qualify by latency (threshold set) or by degrading on its
@@ -829,14 +925,57 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
                options_.deadline.count() > 0)
           ? &rec
           : nullptr;
+  // The clock is read only for a sampled query, a deadline or the slow
+  // log: two reads cost more than an idle query's answer path.
+  const bool sampled = reader.queries++ % kQueryNsSamplePeriod == 0;
+  const bool timed =
+      sampled || recp != nullptr || options_.deadline.count() > 0;
+  const Clock::time_point start = timed ? Clock::now() : Clock::time_point{};
+  stats_.queries.fetch_add(1, std::memory_order_relaxed);
+
+  const bool gated = options_.max_inflight_queries > 0;
+  InflightGuard inflight(reader, gated);
+  // Chaos site, inside the in-flight window on purpose: `delay(ms=N)`
+  // stretches every query to simulate slow readers, which is how tests
+  // push the admission gate into degradation and shedding.
+  REACH_FAILPOINT("serve.query");
+  const AdmissionTier tier =
+      gated ? AdmitTier(readers_->InFlight()) : AdmissionTier::kFull;
 
   // Sample the negcache epoch BEFORE pinning: the pinned view's list
   // then contains every edge counted in the sampled epoch, so a negative
   // verified against it may be cached at that epoch. (An insert racing
   // between the sample and the pin only makes the verified edge set
-  // larger — a negative on a superset is valid for the subset.)
+  // larger — a negative on a superset is valid for the subset.) A
+  // publish bumps the view generation before it bumps the epoch, so a
+  // cached view is never older than the sampled epoch.
   const uint64_t negcache_epoch =
       negcache_ != nullptr ? negcache_->Epoch() : 0;
+  const ServeView* pinned;
+  {
+    REACH_TRACE_SPAN("serve.snapshot_pin");
+    pinned = &CachedView(view_, &reader);
+  }
+  const ServeView& view = *pinned;
+  const ServeSnapshot& snap = *view.snapshot;
+
+  if (tier == AdmissionTier::kShed) {
+    // Over capacity: answer nothing rather than queue into collapse. The
+    // shed reply is O(1), explicitly inexact, and never cached.
+    stats_.shed.fetch_add(1, std::memory_order_relaxed);
+    ServeAnswer ans;
+    ans.reachable = false;
+    ans.exact = false;
+    ans.source = AnswerSource::kShedded;
+    ans.snapshot_version = snap.version;
+    return ans;
+  }
+  if (tier == AdmissionTier::kCacheOnly) {
+    stats_.admission_cache_only.fetch_add(1, std::memory_order_relaxed);
+  } else if (tier == AdmissionTier::kBfsOnly) {
+    stats_.admission_bfs_only.fetch_add(1, std::memory_order_relaxed);
+  }
+
   const bool cacheable = negcache_ != nullptr && s < num_vertices_ &&
                          t < num_vertices_ && s != t;
   if (cacheable) {
@@ -847,18 +986,11 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
       ans.reachable = false;
       ans.exact = true;
       ans.source = AnswerSource::kNegCache;
-      ans.snapshot_version = view_.Load()->snapshot->version;
-      latency_hist_->Record(ElapsedNs(start, Clock::now()));
+      ans.snapshot_version = snap.version;
+      if (sampled) latency_hist_->Record(ElapsedNs(start, Clock::now()));
       return ans;
     }
   }
-
-  std::shared_ptr<const ServeView> view;
-  {
-    REACH_TRACE_SPAN("serve.snapshot_pin");
-    view = view_.Load();
-  }
-  const ServeSnapshot& snap = *view->snapshot;
 
   ServeAnswer ans;
   ans.snapshot_version = snap.version;
@@ -866,18 +998,16 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
     if (tier == AdmissionTier::kBfsOnly) {
       // Heavy load: skip slot acquisition and the gate closure entirely;
       // one bounded traversal with a tighter budget bounds the cost.
-      ans = DegradedAnswer(*view, s, t, options_.degraded_visit_budget,
-                           recp);
+      ans = DegradedAnswer(view, s, t, options_.degraded_visit_budget, recp);
     } else if (snap.index == nullptr) {
       // Startup: the first index build is still in flight.
-      ans = DegradedAnswer(*view, s, t, options_.fallback_visit_budget,
-                           recp);
+      ans = DegradedAnswer(view, s, t, options_.fallback_visit_budget, recp);
     } else {
       const Clock::time_point deadline =
           options_.deadline.count() > 0 ? start + options_.deadline
                                         : Clock::time_point::max();
       bool waited = false;
-      ans = AnswerWithIndex(*view, s, t, deadline,
+      ans = AnswerWithIndex(view, s, t, deadline,
                             /*allow_delta=*/tier == AdmissionTier::kFull,
                             &waited, recp);
       if (waited) {
@@ -892,9 +1022,12 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
   }
   if (cacheable) {
     stats_.negcache_misses.fetch_add(1, std::memory_order_relaxed);
-    if (!ans.reachable && ans.exact) {
-      // Verified unreachable against the pinned view's union graph,
-      // which covers everything counted in the sampled epoch.
+    // Verified unreachable against the pinned view's union graph, which
+    // covers everything counted in the sampled epoch. Not while inserts
+    // are pending: the next insert or swap would invalidate the entry,
+    // and writing it clears a whole stripe once per epoch.
+    if (!ans.reachable && ans.exact && view.gate.adds.empty()) {
+      StageScope stage(recp, ServeStage::kNegCacheProbe);
       const auto outcome = negcache_->Insert(s, t, negcache_epoch);
       if (outcome == NegativeResultCache::InsertOutcome::kEvicted) {
         stats_.negcache_evictions.fetch_add(1, std::memory_order_relaxed);
@@ -904,8 +1037,9 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
   if (!ans.exact) {
     stats_.inexact_answers.fetch_add(1, std::memory_order_relaxed);
   }
+  if (!timed) return ans;
   const uint64_t total_ns = ElapsedNs(start, Clock::now());
-  latency_hist_->Record(total_ns);
+  if (sampled) latency_hist_->Record(total_ns);
   if (recp != nullptr) {
     const bool over_threshold =
         options_.slow_query_threshold.count() > 0 &&
@@ -919,7 +1053,7 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
       rec.source = ans.source;
       rec.snapshot_version = ans.snapshot_version;
       rec.total_ns = total_ns;
-      rec.pending_edges = view->pending.size();
+      rec.pending_edges = view.pending.size();
       CaptureSlowQuery(rec);
     }
   }
@@ -1099,6 +1233,8 @@ void ReachService::NoteRebuildFailure(const std::string& error,
   last_rebuild_error_ = error;
 }
 
+size_t ReachService::InflightQueries() const { return readers_->InFlight(); }
+
 ServiceHealth ReachService::Health() const {
   ServiceHealth health;
   const auto view = view_.Load();
@@ -1112,7 +1248,7 @@ ServiceHealth ReachService::Health() const {
           ? static_cast<double>(health.pending_edges) /
                 static_cast<double>(health.max_pending_edges)
           : 0.0;
-  health.inflight_queries = inflight_.load(std::memory_order_relaxed);
+  health.inflight_queries = InflightQueries();
   health.max_inflight_queries = options_.max_inflight_queries;
   health.inflight_fill =
       health.max_inflight_queries > 0

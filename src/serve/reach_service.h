@@ -75,7 +75,10 @@ struct ServiceOptions {
   /// insert-carrying `ApplyUpdate` and on every snapshot swap, so a
   /// stale negative is never served; delete-only batches keep the cache
   /// warm (deletions only shrink reachability, so a verified negative
-  /// stays negative). 0 disables the cache.
+  /// stays negative). A negative verified while inserts are pending is
+  /// not cached: the next insert or swap would invalidate it, and each
+  /// write after an invalidation clears a whole stripe. 0 disables the
+  /// cache.
   size_t negcache_capacity = 1 << 14;
   /// Lock stripes of the negative-result cache (rounded to a power of
   /// two). More stripes = less writer contention.
@@ -321,6 +324,10 @@ struct ServiceHealth {
 ///    query slots), the updates pending on top of it, and their gate
 ///    graph — behind an atomic `shared_ptr`, lease a slot, and answer via
 ///    `QueryInSlot`: many readers in parallel, zero locks on the hot path.
+///    Each querying thread has a reader record (`ReaderRecords`) that
+///    caches the view it last pinned and holds its in-flight flag, so an
+///    idle query re-pins only after a publish and makes no shared
+///    read-modify-write to pin or to be counted.
 ///  * Writes publish a new view with the batch appended and the gate
 ///    extended. Each new pending insert a → b costs the writer two sweeps
 ///    of the snapshot graph, backward from a and forward from b, whose
@@ -420,17 +427,16 @@ class ReachService {
   }
   /// Updates (inserts + deletes) not yet absorbed into a snapshot.
   size_t PendingEdgeCount() const { return view_.Load()->pending.size(); }
-  /// Queries currently inside `Query` (admitted or about to be triaged).
-  size_t InflightQueries() const {
-    return inflight_.load(std::memory_order_relaxed);
-  }
+  /// Queries currently inside `Query` (admitted or about to be triaged):
+  /// the in-flight flags of the reader records, one per querying thread.
+  size_t InflightQueries() const;
   const ServeStats& stats() const { return stats_; }
   const ServiceOptions& options() const { return options_; }
 
   /// Snapshot of readiness, backlog, admission load, and rebuild state;
   /// refreshes the `serve.health.*` gauges as a side effect so a metrics
   /// scrape after any `Health()` call carries the same picture.
-  /// Thread-safe, O(1).
+  /// Thread-safe; O(1) plus one load per reader record.
   ServiceHealth Health() const;
 
   /// The slow-query log, oldest first: every query that exceeded
@@ -477,16 +483,21 @@ class ReachService {
 
   // The published snapshot + pending list + gate; one load per query.
   AtomicSharedPtr<const ServeView> view_;
-  // Verified-unreachable pairs, consulted before the view is pinned;
-  // null when `negcache_capacity == 0`. Epoch-bumped after every
+  // Verified-unreachable pairs, consulted before the index probe; null
+  // when `negcache_capacity == 0`. Epoch-bumped after every
   // insert-carrying pending publish and every snapshot swap — delete-only
   // batches skip the bump because deletions only shrink reachability
   // (see Query for the sampling order).
   const std::unique_ptr<NegativeResultCache> negcache_;
+  // One record per querying thread: its cached view and in-flight flag.
+  const std::shared_ptr<ReaderRecords> readers_;
 
   // Serializes the writers and the drain replacing the view (readers
   // are lock-free: views are immutable).
   mutable std::mutex write_mu_;
+  // The view the last `ApplyUpdate` replaced, kept until the next
+  // publish so that the writer frees it. Guarded by write_mu_.
+  std::shared_ptr<const ServeView> superseded_;
   // Wakes kBlock writers when a drain trims the pending buffer (and on
   // Stop). Guarded by write_mu_.
   std::condition_variable backpressure_cv_;
@@ -509,8 +520,6 @@ class ReachService {
   mutable std::mutex slow_mu_;
   mutable std::deque<SlowQueryRecord> slow_log_;
 
-  // Admission gate: queries currently inside Query (RAII-maintained).
-  mutable std::atomic<size_t> inflight_{0};
   // Health state of the drain machinery (RebuildState values).
   std::atomic<uint8_t> rebuild_state_{0};
   std::atomic<uint64_t> rebuild_consecutive_failures_{0};
@@ -527,6 +536,7 @@ class ReachService {
   Gauge* health_state_gauge_;
   Gauge* health_pending_fill_gauge_;
   Gauge* health_inflight_fill_gauge_;
+  // serve.query_ns: one query in 64 per reader thread (see Query).
   Histogram* latency_hist_;
 };
 

@@ -73,7 +73,8 @@ class SlotPool {
 /// index built over it, and the slot pool sized to what the index
 /// actually granted. Published inside a `ServeView` behind an atomic
 /// `shared_ptr` swap (`AtomicSharedPtr`); readers pin a generation for the
-/// duration of one request and never observe a half-rebuilt index. All
+/// duration of one request (a reader record keeps it cached until its
+/// thread's next query) and never observe a half-rebuilt index. All
 /// fields except the slot leases are frozen before publication.
 struct ServeSnapshot {
   /// Monotonic generation number (0 = the unindexed startup snapshot).
@@ -172,13 +173,23 @@ struct ServeView {
 /// it (libstdc++ >= 12, the toolchain this repo targets), with a mutex
 /// fallback elsewhere and under TSan. Load/Store are the only operations
 /// the serving path needs.
+///
+/// Every `Store` bumps `Generation()` (release) after storing the
+/// pointer, so a reader that sees generation g and then calls `Load` gets
+/// the g-th stored pointer or a later one. A reader that cached a pointer
+/// loaded after seeing g may keep using it while the generation still
+/// reads g: one acquire load per use instead of a refcounted `Load`.
 template <typename T>
 class AtomicSharedPtr {
  public:
+  uint64_t Generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
 #if defined(__cpp_lib_atomic_shared_ptr) && !REACH_SERVE_TSAN
   std::shared_ptr<T> Load() const { return ptr_.load(std::memory_order_acquire); }
   void Store(std::shared_ptr<T> p) {
     ptr_.store(std::move(p), std::memory_order_release);
+    generation_.fetch_add(1, std::memory_order_release);
   }
 
  private:
@@ -189,14 +200,74 @@ class AtomicSharedPtr {
     return ptr_;
   }
   void Store(std::shared_ptr<T> p) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ptr_ = std::move(p);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ptr_ = std::move(p);
+    }
+    generation_.fetch_add(1, std::memory_order_release);
   }
 
  private:
   mutable std::mutex mu_;
   std::shared_ptr<T> ptr_;
 #endif
+  std::atomic<uint64_t> generation_{0};
+};
+
+/// One reader thread's state in one `ReachService` (see `ReaderRecords`).
+/// Its own cache line, so no two readers' flags share one.
+struct alignas(64) ReaderRecord {
+  /// Set by the owning thread while it is inside `Query`; admission
+  /// control and health sum the flags of every record.
+  std::atomic<bool> inflight{false};
+  /// Owner-only: the view the thread last loaded, and the publish
+  /// generation it saw before loading it (0 = none cached).
+  uint64_t generation = 0;
+  std::shared_ptr<const ServeView> view;
+  /// Owner-only: queries this record has served (latency sampling).
+  uint64_t queries = 0;
+  /// Immutable once the record is published in its list.
+  ReaderRecord* next = nullptr;
+  /// Whether a live thread owns the record. Guarded by the list's mutex.
+  bool owned = false;
+};
+
+/// The reader records of one service: an append-only list that
+/// admission control scans without a lock, and a per-thread lookup. A
+/// thread finds its record through a small `thread_local` map keyed by
+/// the list's id, which is never reused, so a service built at a dead
+/// one's address never matches the dead one's entries.
+///
+/// Lifetime: a thread's first `Local()` claims a free record or appends
+/// one. When the thread exits, its records drop their cached views and
+/// become free for the next thread. Destroying the list destroys every
+/// record and the view it caches. So a thread keeps at most one
+/// superseded view per service alive, until its next query there.
+/// Defined in reach_service.cc.
+class ReaderRecords : public std::enable_shared_from_this<ReaderRecords> {
+ public:
+  ReaderRecords();
+  ~ReaderRecords();
+  ReaderRecords(const ReaderRecords&) = delete;
+  ReaderRecords& operator=(const ReaderRecords&) = delete;
+
+  /// The calling thread's record. Must be owned by a `shared_ptr`.
+  ReaderRecord& Local();
+  /// Records whose `inflight` flag is set. Lock-free; each load is
+  /// seq_cst, so a query that sets its flag with a seq_cst store and
+  /// then scans sees every racing query, or is seen by it.
+  size_t InFlight() const;
+  /// Records allocated so far, owned or free.
+  size_t size() const;
+
+ private:
+  struct ThreadMap;
+  ReaderRecord& Claim();
+  void Release(ReaderRecord& record);
+
+  const uint64_t id_;
+  mutable std::mutex mu_;
+  std::atomic<ReaderRecord*> head_{nullptr};
 };
 
 }  // namespace reach

@@ -11,6 +11,8 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <latch>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -692,6 +694,34 @@ TEST(ServeUpdateTest, DeleteOnlyBatchKeepsNegativeCacheWarm) {
   service.Stop();
 }
 
+TEST(ServeUpdateTest, NegativeVerifiedWithAnInsertPendingIsNotCached) {
+  const Digraph g = Chain(10);
+  ServiceOptions opts;
+  opts.drain_threshold = 1000;
+  opts.negcache_capacity = 256;
+  ReachService service(g, opts);
+  service.Start();
+  service.Flush();
+
+  // 9 -> 4 is pending; 3 still cannot reach 0 through it. The exact
+  // negative is not cached, so its repeat is verified again.
+  ASSERT_TRUE(service.InsertEdge(9, 4));
+  const ServeAnswer first = service.Query(3, 0);
+  EXPECT_FALSE(first.reachable);
+  EXPECT_TRUE(first.exact);
+  const ServeAnswer repeat = service.Query(3, 0);
+  EXPECT_FALSE(repeat.reachable);
+  EXPECT_TRUE(repeat.exact);
+  EXPECT_EQ(repeat.source, AnswerSource::kDelta);
+  EXPECT_EQ(service.stats().negcache_hits.load(), 0u);
+
+  // With nothing pending the same negative is cached again.
+  service.Flush();
+  ASSERT_FALSE(service.Query(3, 0).reachable);
+  EXPECT_EQ(service.Query(3, 0).source, AnswerSource::kNegCache);
+  service.Stop();
+}
+
 TEST(ServeDeadlineTest, ExpiredDeadlineDegradesToBoundedBfs) {
   const Digraph g = Chain(64);
   ServiceOptions opts;
@@ -838,6 +868,178 @@ TEST(BoundedUnionBfsTest, MasksDeletedBaseArcsWithLastOpWins) {
                    g, {EdgeUpdate::Insert(3, 0), EdgeUpdate::Delete(3, 0)}, 3,
                    0, 100)
                    .reachable);
+}
+
+// ---------------------------------------------------------------------
+// Reader records (serve/serve_snapshot.h): the per-thread cached view,
+// in-flight flag and latency sampling.
+
+// A reader that keeps its cached view between queries still sees a
+// write another thread made, as soon as that ApplyUpdate returned, and
+// the drained snapshot once Flush returned.
+TEST(ServeReaderTest, CachedViewSeesInsertOnceApplyReturnsAndSwapAfterFlush) {
+  const Digraph g = Chain(10);
+  ServiceOptions opts;
+  opts.drain_threshold = 1000;  // no automatic drain
+  ReachService service(g, opts);
+  service.Start();
+  service.Flush();
+
+  std::promise<void> inserted;
+  std::promise<void> flushed;
+  std::promise<ServeAnswer> before;
+  std::promise<ServeAnswer> after_insert;
+  std::promise<ServeAnswer> after_flush;
+  std::thread reader([&] {
+    before.set_value(service.Query(9, 0));
+    inserted.get_future().wait();
+    after_insert.set_value(service.Query(9, 0));
+    flushed.get_future().wait();
+    after_flush.set_value(service.Query(9, 0));
+  });
+  const ServeAnswer a = before.get_future().get();
+  EXPECT_FALSE(a.reachable);
+  ASSERT_TRUE(service.InsertEdge(9, 0));
+  inserted.set_value();
+  const ServeAnswer b = after_insert.get_future().get();
+  EXPECT_TRUE(b.reachable);
+  EXPECT_EQ(b.source, AnswerSource::kDelta);
+  EXPECT_EQ(b.snapshot_version, a.snapshot_version);
+  service.Flush();
+  flushed.set_value();
+  const ServeAnswer c = after_flush.get_future().get();
+  EXPECT_TRUE(c.reachable);
+  EXPECT_EQ(c.source, AnswerSource::kIndex);
+  EXPECT_GT(c.snapshot_version, a.snapshot_version);
+  reader.join();
+  service.Stop();
+}
+
+// A thread finds its record by the service's id, not its address: a new
+// service in the storage of a destroyed one answers for its own graph.
+TEST(ServeReaderTest, NewServiceAtADestroyedOnesAddressAnswersForItsGraph) {
+  std::optional<ReachService> holder;
+  holder.emplace(Chain(8));
+  holder->Start();
+  holder->Flush();
+  EXPECT_TRUE(holder->Query(0, 7).reachable);
+  EXPECT_FALSE(holder->Query(7, 0).reachable);
+  const ReachService* const first = &*holder;
+  holder.reset();
+
+  std::vector<Edge> reversed;
+  for (VertexId v = 0; v + 1 < 8; ++v) reversed.push_back({v + 1, v});
+  holder.emplace(Digraph::FromEdges(8, reversed));
+  ASSERT_EQ(&*holder, first);
+  holder->Start();
+  holder->Flush();
+  EXPECT_FALSE(holder->Query(0, 7).reachable);
+  EXPECT_TRUE(holder->Query(7, 0).reachable);
+}
+
+// Short-lived reader threads: each exit frees the thread's record for
+// the next thread, and leaves no in-flight flag behind.
+TEST(ServeReaderTest, ShortLivedThreadsReuseRecordsAndLeaveNoneInFlight) {
+  ServiceOptions opts;
+  opts.max_inflight_queries = 64;  // the gated path scans the records
+  ReachService service(Chain(16), opts);
+  service.Start();
+  service.Flush();
+  for (int i = 0; i < 64; ++i) {
+    std::thread([&] {
+      EXPECT_TRUE(service.Query(0, 15).reachable);
+      EXPECT_FALSE(service.Query(15, 0).reachable);
+    }).join();
+  }
+  EXPECT_EQ(service.InflightQueries(), 0u);
+  EXPECT_EQ(service.Health().inflight_queries, 0u);
+  service.Stop();
+
+  // The same lookup on a bare record list: 64 threads one after another
+  // share one record, and eight waves of eight live threads share eight.
+  const auto records = std::make_shared<ReaderRecords>();
+  for (int i = 0; i < 64; ++i) {
+    std::thread([&] { records->Local(); }).join();
+  }
+  EXPECT_EQ(records->size(), 1u);
+  for (int wave = 0; wave < 8; ++wave) {
+    std::latch all_hold_one(8);
+    std::latch all_counted(8);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < 8; ++i) {
+      threads.emplace_back([&] {
+        records->Local().inflight.store(true);
+        all_hold_one.arrive_and_wait();
+        EXPECT_EQ(records->InFlight(), 8u);
+        all_counted.arrive_and_wait();
+        records->Local().inflight.store(false);
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  EXPECT_EQ(records->size(), 8u);
+  EXPECT_EQ(records->InFlight(), 0u);
+}
+
+TEST(ServeReaderTest, QueryLatencyIsSampledOneQueryIn64PerThread) {
+  if (!kMetricsCompiled) GTEST_SKIP() << "REACH_METRICS is OFF";
+  ReachService service(Chain(8));
+  service.Start();
+  service.Flush();
+  const auto sampled = [] {
+    const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+    const auto it = snap.histograms.find("serve.query_ns");
+    return it == snap.histograms.end() ? uint64_t{0} : it->second.count;
+  };
+  const uint64_t before = sampled();
+  for (VertexId i = 0; i < 640; ++i) service.Query(i % 8, (i * 3) % 8);
+  EXPECT_EQ(sampled() - before, 10u);
+  service.Stop();
+}
+
+// The admission scan under contention, no failpoint: eight readers
+// against a gate of four. Whatever tier a query lands on, its answer
+// stays sound against the chain oracle (reachable iff s <= t).
+TEST(ServeAdmissionTest, EightReadersAgainstAGateOfFourStaySound) {
+  constexpr VertexId kN = 64;
+  constexpr size_t kReaders = 8;
+  constexpr size_t kQueriesPerReader = 2000;
+  ServiceOptions opts;
+  opts.max_inflight_queries = 4;
+  opts.slots = kReaders;
+  ReachService service(Chain(kN), opts);
+  service.Start();
+  service.Flush();
+
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Xoshiro256ss rng(0xAD00 + r);
+      for (size_t q = 0; q < kQueriesPerReader; ++q) {
+        const auto s = static_cast<VertexId>(rng.NextBounded(kN));
+        const auto t = static_cast<VertexId>(rng.NextBounded(kN));
+        const ServeAnswer ans = service.Query(s, t);
+        if (ans.source == AnswerSource::kShedded) {
+          if (ans.exact || ans.reachable) ++wrong;
+          continue;
+        }
+        if (ans.reachable && s > t) ++wrong;
+        if (!ans.reachable && ans.exact && s <= t) ++wrong;
+      }
+    });
+  }
+  for (auto& th : readers) th.join();
+
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(service.InflightQueries(), 0u);
+  const ServeStats& st = service.stats();
+  EXPECT_EQ(st.queries.load(), kReaders * kQueriesPerReader);
+  EXPECT_EQ(st.index_answers.load() + st.delta_answers.load() +
+                st.fallback_answers.load() + st.negcache_hits.load() +
+                st.shed.load(),
+            st.queries.load());
+  service.Stop();
 }
 
 // ---------------------------------------------------------------------
