@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/bit_pack.h"
-#include "core/label_kernels.h"
 #include "graph/types.h"
 
 namespace reach {
@@ -177,30 +176,206 @@ class FlatLabelPool {
   std::unique_ptr<Entry[], AlignedDelete> owned_entries_;
 };
 
-/// Block-compressed sibling of `FlatLabelPool<uint32_t>` for the plain
-/// 2-hop rank lists: each vertex's strictly increasing rank list is split
-/// into blocks of ~`block_entries` values, stored frame-of-reference
-/// delta/bit-packed, behind an *uncompressed skip table* of per-block
-/// {first, last, data offset}. The hot-path prefilter and block skipping
-/// run on skip entries alone; only blocks whose rank ranges can intersect
-/// are decoded (into small stack buffers — decompression stays off the
-/// common path, CSIndex DataComp-style).
+/// Block codecs of `CompressedPool<Entry>`: each encodes one block of a
+/// rank-sorted list and decodes it back. The pool owns everything else
+/// (block ranges, skip table, storage), so a codec only sees one block's
+/// bytes. A block's first rank lives in its skip entry, not in the block.
 ///
-/// Block payload layout in `data_` (little-endian, byte-aligned per
-/// block): u8 delta bit-width, u16 entry count, then `count - 1` packed
-/// deltas (`v[i] - v[i-1] - 1`; the first value lives in the skip entry).
-/// A trailing sentinel skip entry carries `data_offset == data size`, so
-/// block `b` always spans `[skip[b].data_offset, skip[b+1].data_offset)`.
-class CompressedRankPool {
+/// The primary template is the LCR codec for `{rank, mask}` entries, whose
+/// equal ranks form *rank groups* (one minimal label set each). Block
+/// layout: u8 rank bit-width, u8 mask bit-width, u16 count, then
+/// `count - 1` packed rank deltas (`r[i] - r[i-1]`, zero inside a group)
+/// followed by `count` packed masks.
+template <typename Entry>
+struct BlockCodec {
+  static constexpr size_t kMaxBlockEntries = 2048;
+  static constexpr size_t kHeaderBytes = 4;
+  static constexpr size_t kCountOffset = 2;  // of the u16 entry count
+  static constexpr bool kDistinctRanks = false;
+
+  static uint32_t Rank(const Entry& e) { return e.rank; }
+
+  static void Encode(const Entry* entries, size_t count,
+                     std::vector<uint8_t>* out) {
+    uint32_t max_delta = 0, max_mask = 0;
+    for (size_t i = 0; i < count; ++i) {
+      if (i > 0) {
+        max_delta =
+            std::max(max_delta, entries[i].rank - entries[i - 1].rank);
+      }
+      max_mask = std::max(max_mask, static_cast<uint32_t>(entries[i].mask));
+    }
+    const int rank_width = PackedBitWidth(max_delta);
+    const int mask_width = PackedBitWidth(max_mask);
+    out->push_back(static_cast<uint8_t>(rank_width));
+    out->push_back(static_cast<uint8_t>(mask_width));
+    out->push_back(static_cast<uint8_t>(count));
+    out->push_back(static_cast<uint8_t>(count >> 8));
+    BitWriter writer(out);
+    for (size_t i = 1; i < count; ++i) {
+      writer.Put(entries[i].rank - entries[i - 1].rank, rank_width);
+    }
+    for (size_t i = 0; i < count; ++i) {
+      writer.Put(static_cast<uint32_t>(entries[i].mask), mask_width);
+    }
+    writer.Flush();
+  }
+
+  /// Whether `block`'s widths are legal and its `count` entries fit in
+  /// `block_bytes` (header included).
+  static bool HeaderValid(const uint8_t* block, size_t count,
+                          size_t block_bytes) {
+    const size_t rank_width = block[0], mask_width = block[1];
+    if (rank_width > 32 || mask_width > 32) return false;
+    const size_t bits = (count - 1) * rank_width + count * mask_width;
+    return (bits + 7) / 8 <= block_bytes - kHeaderBytes;
+  }
+
+  /// Decodes the block's entries of rank <= `stop` into `out`: the rank
+  /// deltas up to the first rank past `stop`, then the masks of that
+  /// prefix, which start right after the last rank delta.
+  static size_t Decode(const uint8_t* block, const uint8_t* block_end,
+                       const uint8_t* /*data_end*/, uint32_t first,
+                       size_t count, uint32_t stop, Entry* out) {
+    const int rank_width = block[0];
+    const int mask_width = block[1];
+    const uint8_t* payload = block + kHeaderBytes;
+    BitReader ranks(payload, block_end);
+    uint32_t rank = first;
+    size_t prefix = 0;
+    while (prefix < count && rank <= stop) {
+      out[prefix++].rank = rank;
+      if (prefix < count) rank += ranks.Get(rank_width);
+    }
+    const size_t mask_bit = (count - 1) * static_cast<size_t>(rank_width);
+    BitReader masks(payload + mask_bit / 8, block_end);
+    masks.Get(static_cast<int>(mask_bit % 8));  // skip the partial byte
+    for (size_t i = 0; i < prefix; ++i) out[i].mask = masks.Get(mask_width);
+    return prefix;
+  }
+};
+
+/// The plain codec for strictly increasing `uint32` rank lists. Block
+/// layout: u8 delta bit-width, u16 count, then `count - 1` packed deltas
+/// `v[i] - v[i-1] - 1`.
+template <>
+struct BlockCodec<uint32_t> {
+  static constexpr size_t kMaxBlockEntries = 1024;
+  static constexpr size_t kHeaderBytes = 3;
+  static constexpr size_t kCountOffset = 1;
+  static constexpr bool kDistinctRanks = true;
+
+  static uint32_t Rank(uint32_t e) { return e; }
+
+  static void Encode(const uint32_t* values, size_t count,
+                     std::vector<uint8_t>* out) {
+    uint32_t max_delta = 0;
+    for (size_t i = 1; i < count; ++i) {
+      max_delta = std::max(max_delta, values[i] - values[i - 1] - 1);
+    }
+    const int width = PackedBitWidth(max_delta);
+    out->push_back(static_cast<uint8_t>(width));
+    out->push_back(static_cast<uint8_t>(count));
+    out->push_back(static_cast<uint8_t>(count >> 8));
+    BitWriter writer(out);
+    for (size_t i = 1; i < count; ++i) {
+      writer.Put(values[i] - values[i - 1] - 1, width);
+    }
+    writer.Flush();
+  }
+
+  static bool HeaderValid(const uint8_t* block, size_t count,
+                          size_t block_bytes) {
+    const size_t width = block[0];
+    if (width > 32) return false;
+    return ((count - 1) * width + 7) / 8 <= block_bytes - kHeaderBytes;
+  }
+
+  /// Decodes the block's values <= `stop` into `out`, stopping at the
+  /// first value `>= stop` (the membership test's early exit). Deltas are
+  /// fixed-width, so entry i's bits start at i * width: the hot loop
+  /// decodes by independent unaligned 64-bit loads (no serial accumulator
+  /// chain, the prefix sum is the only dependency), and only the last few
+  /// entries of the *data array* — where an 8-byte load would run past
+  /// `data_end` — fall back to the byte-safe BitReader.
+  static size_t Decode(const uint8_t* block, const uint8_t* block_end,
+                       const uint8_t* data_end, uint32_t first, size_t count,
+                       uint32_t stop, uint32_t* out) {
+    // A full decode (the intersections) keeps the stop test off its loop.
+    return stop == UINT32_MAX
+               ? DecodeUpTo<false>(block, block_end, data_end, first, count,
+                                   stop, out)
+               : DecodeUpTo<true>(block, block_end, data_end, first, count,
+                                  stop, out);
+  }
+
+ private:
+  template <bool kStop>
+  static size_t DecodeUpTo(const uint8_t* block, const uint8_t* block_end,
+                           const uint8_t* data_end, uint32_t first,
+                           size_t count, uint32_t stop, uint32_t* out) {
+    const uint8_t* base = block + kHeaderBytes;
+    const int width = block[0];
+    out[0] = first;
+    if (kStop && first >= stop) return first == stop ? 1 : 0;
+    const uint64_t mask = BitWriter::MaskOf(width);
+    const int64_t max_start = (data_end - base) * 8 - 64 + 7;
+    uint64_t bit = 0;
+    size_t i = 1;
+    for (; i < count && static_cast<int64_t>(bit) <= max_start; ++i) {
+      uint64_t chunk;
+      std::memcpy(&chunk, base + (bit >> 3), sizeof(chunk));
+      out[i] = out[i - 1] + 1 +
+               static_cast<uint32_t>((chunk >> (bit & 7)) & mask);
+      if (kStop && out[i] >= stop) return out[i] == stop ? i + 1 : i;
+      bit += width;
+    }
+    if (i < count) {
+      BitReader reader(base + (bit >> 3), block_end);
+      reader.Get(static_cast<int>(bit & 7));  // skip the partial byte
+      for (; i < count; ++i) {
+        out[i] = out[i - 1] + 1 + reader.Get(width);
+        if (kStop && out[i] >= stop) return out[i] == stop ? i + 1 : i;
+      }
+    }
+    return count;
+  }
+};
+
+/// Block-compressed sibling of `FlatLabelPool<Entry>`: each vertex's
+/// rank-sorted list is split into blocks of ~`block_entries` entries,
+/// encoded by `BlockCodec<Entry>` behind an *uncompressed skip table* of
+/// per-block {first rank, last rank, data offset}. The query kernels
+/// (`TwoHopCore`) prefilter and skip blocks on skip entries alone and
+/// decode only blocks that can hold an answer, into stack buffers —
+/// decompression stays off the common path, CSIndex DataComp-style.
+///
+/// A block never splits a rank group, so a group is always decoded whole
+/// and the equal-last advance of the block merge stays sound. Plain rank
+/// lists have one-entry groups, so their blocks hold exactly
+/// `block_entries` entries (the last one of a list fewer). A trailing
+/// sentinel skip entry carries `data_offset == data size`, so block `b`
+/// always spans `[skip[b].data_offset, skip[b+1].data_offset)`.
+///
+/// `Seal` *refuses* (returns false) when a single rank group exceeds the
+/// block cap — the caller keeps flat pools instead of failing
+/// (FERRARI-style degradation). Like the flat pool, a compressed pool can
+/// be sealed as a view over a snapshot mapping (`SealFromView`).
+template <typename Entry>
+class CompressedPool {
+  static_assert(std::is_trivially_copyable_v<Entry>);
+  using Codec = BlockCodec<Entry>;
+
  public:
   static constexpr size_t kMinBlockEntries = 8;
-  static constexpr size_t kMaxBlockEntries = 1024;
+  static constexpr size_t kMaxBlockEntries = Codec::kMaxBlockEntries;
   static constexpr size_t kDefaultBlockEntries = 64;
-  static constexpr size_t kBlockHeaderBytes = 3;  // u8 width + u16 count
+  /// Whether a list's ranks are strictly increasing (one-entry groups).
+  static constexpr bool kDistinctRanks = Codec::kDistinctRanks;
 
   struct SkipEntry {
-    uint32_t first;
-    uint32_t last;
+    uint32_t first;  // first rank in the block
+    uint32_t last;   // last rank in the block
     uint32_t data_offset;
   };
   static_assert(std::is_trivially_copyable_v<SkipEntry>);
@@ -209,14 +384,10 @@ class CompressedRankPool {
     return std::clamp(block_entries, kMinBlockEntries, kMaxBlockEntries);
   }
 
-  CompressedRankPool() = default;
-
-  /// Seals a compressed copy of `per_vertex` (each list strictly
-  /// increasing). Takes a const ref — the caller keeps the build-side
-  /// vectors, so a size-budget policy can retry with coarser blocks.
-  /// Always succeeds (ranks are distinct, so no group can overflow a
-  /// block); returns true like `CompressedEntryPool::Seal`.
-  bool Seal(const std::vector<std::vector<uint32_t>>& per_vertex,
+  /// Seals a compressed copy of `per_vertex` (each list rank-sorted).
+  /// Takes a const ref — the caller keeps the build-side vectors, so a
+  /// size-budget policy can retry with coarser blocks.
+  bool Seal(const std::vector<std::vector<Entry>>& per_vertex,
             size_t block_entries) {
     Clear();
     block_entries_ = ClampBlockEntries(block_entries);
@@ -224,10 +395,28 @@ class CompressedRankPool {
     owned_vertex_blocks_.reserve(n + 1);
     owned_vertex_blocks_.push_back(0);
     for (size_t v = 0; v < n; ++v) {
-      const std::vector<uint32_t>& list = per_vertex[v];
-      for (size_t pos = 0; pos < list.size(); pos += block_entries_) {
-        const size_t count = std::min(block_entries_, list.size() - pos);
-        EncodeBlock(list.data() + pos, count);
+      const std::vector<Entry>& list = per_vertex[v];
+      // Greedily pack whole rank groups: close the open block when the
+      // next group would push it past the target size.
+      size_t block_begin = 0, pos = 0;
+      while (pos < list.size()) {
+        size_t group_end = pos + 1;
+        while (group_end < list.size() &&
+               Codec::Rank(list[group_end]) == Codec::Rank(list[pos])) {
+          ++group_end;
+        }
+        if (group_end - pos > kMaxBlockEntries) {
+          Clear();
+          return false;  // one group overflows any block: stay flat
+        }
+        if (pos > block_begin && group_end - block_begin > block_entries_) {
+          EncodeBlock(list.data() + block_begin, pos - block_begin);
+          block_begin = pos;
+        }
+        pos = group_end;
+      }
+      if (pos > block_begin) {
+        EncodeBlock(list.data() + block_begin, pos - block_begin);
       }
       num_entries_ += list.size();
       owned_vertex_blocks_.push_back(
@@ -245,7 +434,7 @@ class CompressedRankPool {
   /// Seals the pool as a view over externally owned arrays (mmap
   /// snapshots). Validates every structural invariant the decoders rely
   /// on — monotonic block ranges and data offsets, per-block counts
-  /// within the stack-buffer cap, widths <= 32, entry total matching —
+  /// within the stack-buffer cap, codec widths, entry total matching —
   /// before any payload byte is trusted. Returns false on malformed
   /// input with the pool left unsealed.
   bool SealFromView(std::span<const uint32_t> vertex_blocks,
@@ -271,17 +460,12 @@ class CompressedRankPool {
       if (skip[b].data_offset > skip[b + 1].data_offset) return false;
       const size_t block_bytes =
           skip[b + 1].data_offset - skip[b].data_offset;
-      if (block_bytes < kBlockHeaderBytes) return false;
-      const uint8_t* p = data.data() + skip[b].data_offset;
-      const uint8_t width = p[0];
+      if (block_bytes < Codec::kHeaderBytes) return false;
+      const uint8_t* block = data.data() + skip[b].data_offset;
       uint16_t count;
-      std::memcpy(&count, p + 1, sizeof(count));
-      if (width > 32 || count == 0 || count > kMaxBlockEntries) {
-        return false;
-      }
-      // The packed deltas must fit in the block's byte range.
-      const size_t packed_bits = static_cast<size_t>(count - 1) * width;
-      if ((packed_bits + 7) / 8 > block_bytes - kBlockHeaderBytes) {
+      std::memcpy(&count, block + Codec::kCountOffset, sizeof(count));
+      if (count == 0 || count > kMaxBlockEntries ||
+          !Codec::HeaderValid(block, count, block_bytes)) {
         return false;
       }
       total += count;
@@ -326,176 +510,10 @@ class CompressedRankPool {
            skip_.size() * sizeof(SkipEntry) + data_.size();
   }
 
-  bool Empty(VertexId v) const {
-    return vertex_blocks_[v] == vertex_blocks_[v + 1];
-  }
-
-  /// Entry count of one list — walks the block headers (cold paths:
-  /// probes, Save, stats).
-  size_t ListEntries(VertexId v) const {
-    size_t total = 0;
-    for (size_t b = vertex_blocks_[v]; b < vertex_blocks_[v + 1]; ++b) {
-      total += BlockCount(b);
-    }
-    return total;
-  }
-
-  /// Membership test: one skip-table binary search, then a partial
-  /// decode of at most one block — the prefix-sum walk stops at the
-  /// first value >= rank.
-  bool Contains(VertexId v, uint32_t rank) const {
-    const size_t begin = vertex_blocks_[v], end = vertex_blocks_[v + 1];
-    const size_t b = LowerBoundBlock(begin, end, rank);
-    if (b == end || skip_[b].first > rank) return false;
-    if (skip_[b].first == rank || skip_[b].last == rank) return true;
-    const uint8_t* base =
-        data_.data() + skip_[b].data_offset + kBlockHeaderBytes;
-    const int width = base[-kBlockHeaderBytes];
-    const size_t count = std::min<size_t>(BlockCount(b), kMaxBlockEntries);
-    const uint64_t mask = BitWriter::MaskOf(width);
-    const int64_t max_start =
-        (data_.data() + data_.size() - base) * 8 - 64 + 7;
-    uint32_t value = skip_[b].first;
-    uint64_t bit = 0;
-    size_t i = 1;
-    for (; i < count && static_cast<int64_t>(bit) <= max_start; ++i) {
-      uint64_t chunk;
-      std::memcpy(&chunk, base + (bit >> 3), sizeof(chunk));
-      value += 1 + static_cast<uint32_t>((chunk >> (bit & 7)) & mask);
-      if (value >= rank) return value == rank;
-      bit += width;
-    }
-    if (i < count) {
-      const uint8_t* block_end = data_.data() + skip_[b + 1].data_offset;
-      BitReader reader(base + (bit >> 3), block_end);
-      reader.Get(static_cast<int>(bit & 7));
-      for (; i < count; ++i) {
-        value += 1 + reader.Get(width);
-        if (value >= rank) return value == rank;
-      }
-    }
-    return false;
-  }
-
-  /// Decompresses one full list (Save / label introspection).
-  void Decode(VertexId v, std::vector<uint32_t>* out) const {
-    out->clear();
-    uint32_t buf[kMaxBlockEntries];
-    for (size_t b = vertex_blocks_[v]; b < vertex_blocks_[v + 1]; ++b) {
-      const size_t count = DecodeBlock(b, buf);
-      out->insert(out->end(), buf, buf + count);
-    }
-  }
-
-  /// Exact intersection test of two compressed lists: block-merge over
-  /// the skip tables (binary-search jumps across non-overlapping runs),
-  /// decoding only block pairs whose rank ranges overlap.
-  static bool Intersect(const CompressedRankPool& pa, VertexId va,
-                        const CompressedRankPool& pb, VertexId vb) {
-    size_t i = pa.vertex_blocks_[va];
-    const size_t ia_end = pa.vertex_blocks_[va + 1];
-    size_t j = pb.vertex_blocks_[vb];
-    const size_t jb_end = pb.vertex_blocks_[vb + 1];
-    if (i == ia_end || j == jb_end) return false;
-    // First/last-rank prefilter on whole lists, from skip entries alone.
-    if (pa.skip_[ia_end - 1].last < pb.skip_[j].first ||
-        pb.skip_[jb_end - 1].last < pa.skip_[i].first) {
-      return false;
-    }
-    uint32_t buf_a[kMaxBlockEntries], buf_b[kMaxBlockEntries];
-    size_t na = 0, nb = 0;
-    size_t decoded_a = SIZE_MAX, decoded_b = SIZE_MAX;
-    while (i < ia_end && j < jb_end) {
-      const SkipEntry& sa = pa.skip_[i];
-      const SkipEntry& sb = pb.skip_[j];
-      if (sa.last < sb.first) {
-        i = pa.LowerBoundBlock(i + 1, ia_end, sb.first);
-        continue;
-      }
-      if (sb.last < sa.first) {
-        j = pb.LowerBoundBlock(j + 1, jb_end, sa.first);
-        continue;
-      }
-      if (decoded_a != i) { na = pa.DecodeBlock(i, buf_a); decoded_a = i; }
-      if (decoded_b != j) { nb = pb.DecodeBlock(j, buf_b); decoded_b = j; }
-      if (IntersectSorted(buf_a, na, buf_b, nb)) return true;
-      // Lists are strictly increasing, so equal lasts would have matched
-      // above; advancing both on a tie is safe.
-      if (sa.last <= sb.last) ++i;
-      if (sb.last <= sa.last) ++j;
-    }
-    return false;
-  }
-
-  /// Intersection of a compressed list with a raw sorted array (the
-  /// post-seal delta overlay).
-  bool IntersectWithSorted(VertexId v, const uint32_t* other,
-                           size_t n) const {
-    if (n == 0) return false;
-    const size_t end = vertex_blocks_[v + 1];
-    uint32_t buf[kMaxBlockEntries];
-    for (size_t b = LowerBoundBlock(vertex_blocks_[v], end, other[0]);
-         b < end && skip_[b].first <= other[n - 1]; ++b) {
-      const size_t count = DecodeBlock(b, buf);
-      if (IntersectSorted(buf, count, other, n)) return true;
-    }
-    return false;
-  }
-
-  /// Raw sealed arrays, for the snapshot writer. Valid only when sealed.
-  std::span<const uint32_t> VertexBlocksRaw() const {
-    return vertex_blocks_;
-  }
-  std::span<const SkipEntry> SkipRaw() const { return skip_; }
-  std::span<const uint8_t> DataRaw() const { return data_; }
-
- private:
-  uint16_t BlockCount(size_t b) const {
-    uint16_t count;
-    std::memcpy(&count, data_.data() + skip_[b].data_offset + 1,
-                sizeof(count));
-    return count;
-  }
-
-  /// Decodes block `b` into `out` (capacity >= kMaxBlockEntries).
-  /// Returns the entry count. Bounds-safe for any sealed pool: the
-  /// count and width were validated at seal time and the readers
-  /// cannot run past the data byte range.
-  ///
-  /// Deltas are fixed-width, so entry i's bits start at i * width: the
-  /// hot loop decodes by independent unaligned 64-bit loads (no serial
-  /// accumulator chain, the prefix sum is the only dependency), and only
-  /// the last few entries of the *data array* — where an 8-byte load
-  /// would run past the buffer — fall back to the byte-safe BitReader.
-  size_t DecodeBlock(size_t b, uint32_t* out) const {
-    const uint8_t* base =
-        data_.data() + skip_[b].data_offset + kBlockHeaderBytes;
-    const int width = base[-kBlockHeaderBytes];
-    const size_t count =
-        std::min<size_t>(BlockCount(b), kMaxBlockEntries);
-    out[0] = skip_[b].first;
-    const uint64_t mask = BitWriter::MaskOf(width);
-    const int64_t safe_bytes = data_.data() + data_.size() - base;
-    const int64_t max_start = safe_bytes * 8 - 64 + 7;
-    uint64_t bit = 0;
-    size_t i = 1;
-    for (; i < count && static_cast<int64_t>(bit) <= max_start; ++i) {
-      uint64_t chunk;
-      std::memcpy(&chunk, base + (bit >> 3), sizeof(chunk));
-      out[i] = out[i - 1] + 1 +
-               static_cast<uint32_t>((chunk >> (bit & 7)) & mask);
-      bit += width;
-    }
-    if (i < count) {
-      const uint8_t* block_end = data_.data() + skip_[b + 1].data_offset;
-      BitReader reader(base + (bit >> 3), block_end);
-      reader.Get(static_cast<int>(bit & 7));  // skip the partial byte
-      for (; i < count; ++i) {
-        out[i] = out[i - 1] + 1 + reader.Get(width);
-      }
-    }
-    return count;
-  }
+  /// Block-index range [begin, end) of vertex `v`.
+  size_t BlockBegin(VertexId v) const { return vertex_blocks_[v]; }
+  size_t BlockEnd(VertexId v) const { return vertex_blocks_[v + 1]; }
+  const SkipEntry& Skip(size_t b) const { return skip_[b]; }
 
   /// First block index in [lo, hi) with `last >= rank` (hi when none).
   size_t LowerBoundBlock(size_t lo, size_t hi, uint32_t rank) const {
@@ -508,23 +526,80 @@ class CompressedRankPool {
         base);
   }
 
-  void EncodeBlock(const uint32_t* values, size_t count) {
-    uint32_t max_delta = 0;
-    for (size_t i = 1; i < count; ++i) {
-      max_delta = std::max(max_delta, values[i] - values[i - 1] - 1);
+  /// Entry count of one list — walks the block headers (cold paths:
+  /// probes, stats).
+  size_t ListEntries(VertexId v) const {
+    size_t total = 0;
+    for (size_t b = BlockBegin(v); b < BlockEnd(v); ++b) {
+      total += BlockCount(b);
     }
-    const int width = PackedBitWidth(max_delta);
-    owned_skip_.push_back({values[0], values[count - 1],
+    return total;
+  }
+
+  /// Decodes the entries of block `b` with rank <= `stop` (all of them by
+  /// default) into `out` (capacity >= kMaxBlockEntries) and returns their
+  /// count; a `stop` rank lets the codec end the decode early.
+  /// Bounds-safe for any sealed pool: the count and widths were validated
+  /// at seal time and the readers cannot run past the data byte range.
+  size_t DecodeBlock(size_t b, Entry* out,
+                     uint32_t stop = UINT32_MAX) const {
+    const uint8_t* data = data_.data();
+    return Codec::Decode(data + skip_[b].data_offset,
+                         data + skip_[b + 1].data_offset,
+                         data + data_.size(), skip_[b].first,
+                         std::min<size_t>(BlockCount(b), kMaxBlockEntries),
+                         stop, out);
+  }
+
+  /// The entries of `rank` in block `b` — its rank group, empty when the
+  /// block has none — decoded into `out` (capacity >= kMaxBlockEntries).
+  /// The decode stops at the group; a one-entry group that is the block's
+  /// first or last rank needs none.
+  std::span<const Entry> DecodeGroup(size_t b, uint32_t rank,
+                                     Entry* out) const {
+    if constexpr (kDistinctRanks) {
+      if (skip_[b].first == rank || skip_[b].last == rank) {
+        out[0] = rank;
+        return {out, 1};
+      }
+    }
+    const size_t end = DecodeBlock(b, out, rank);
+    size_t begin = end;
+    while (begin > 0 && Codec::Rank(out[begin - 1]) == rank) --begin;
+    return {out + begin, end - begin};
+  }
+
+  /// Decompresses one full list (Save / label introspection).
+  void Decode(VertexId v, std::vector<Entry>* out) const {
+    out->clear();
+    Entry buf[kMaxBlockEntries];
+    for (size_t b = BlockBegin(v); b < BlockEnd(v); ++b) {
+      const size_t count = DecodeBlock(b, buf);
+      out->insert(out->end(), buf, buf + count);
+    }
+  }
+
+  /// Raw sealed arrays, for the snapshot writer. Valid only when sealed.
+  std::span<const uint32_t> VertexBlocksRaw() const {
+    return vertex_blocks_;
+  }
+  std::span<const SkipEntry> SkipRaw() const { return skip_; }
+  std::span<const uint8_t> DataRaw() const { return data_; }
+
+ private:
+  uint16_t BlockCount(size_t b) const {
+    uint16_t count;
+    std::memcpy(&count,
+                data_.data() + skip_[b].data_offset + Codec::kCountOffset,
+                sizeof(count));
+    return count;
+  }
+
+  void EncodeBlock(const Entry* entries, size_t count) {
+    owned_skip_.push_back({Codec::Rank(entries[0]),
+                           Codec::Rank(entries[count - 1]),
                            static_cast<uint32_t>(owned_data_.size())});
-    owned_data_.push_back(static_cast<uint8_t>(width));
-    const uint16_t count16 = static_cast<uint16_t>(count);
-    owned_data_.push_back(static_cast<uint8_t>(count16));
-    owned_data_.push_back(static_cast<uint8_t>(count16 >> 8));
-    BitWriter writer(&owned_data_);
-    for (size_t i = 1; i < count; ++i) {
-      writer.Put(values[i] - values[i - 1] - 1, width);
-    }
-    writer.Flush();
+    Codec::Encode(entries, count, &owned_data_);
   }
 
   std::span<const uint32_t> vertex_blocks_;  // n + 1 block-range bounds
@@ -539,205 +614,6 @@ class CompressedRankPool {
   std::vector<uint8_t> owned_data_;
 };
 
-/// Block-compressed pool for the LCR 2-hop entries ({rank, label mask}
-/// pairs sorted by rank, duplicate ranks forming *rank groups* with
-/// distinct masks). Same skip-table design as `CompressedRankPool`, with
-/// two structural differences: rank deltas may be zero (groups), and a
-/// block never splits a rank group — the group sweeps of the labeled
-/// intersection see every mask of a rank inside one decoded block, and
-/// the equal-last block-merge advance stays sound.
-///
-/// Block payload: u8 rank bit-width, u8 mask bit-width, u16 count, then
-/// `count - 1` packed rank deltas followed by `count` packed masks.
-///
-/// `Seal` can *refuse* (returns false) when a single rank group exceeds
-/// the block cap — the caller keeps flat pools instead of failing
-/// (FERRARI-style degradation).
-template <typename Entry>
-class CompressedEntryPool {
-  static_assert(std::is_trivially_copyable_v<Entry>);
-
- public:
-  static constexpr size_t kMinBlockEntries = 8;
-  static constexpr size_t kMaxBlockEntries = 2048;
-  static constexpr size_t kBlockHeaderBytes = 4;
-
-  struct SkipEntry {
-    uint32_t first;  // first rank in the block
-    uint32_t last;   // last rank in the block
-    uint32_t data_offset;
-  };
-
-  bool Seal(const std::vector<std::vector<Entry>>& per_vertex,
-            size_t block_entries) {
-    Clear();
-    block_entries_ = std::clamp(block_entries, kMinBlockEntries,
-                                kMaxBlockEntries);
-    const size_t n = per_vertex.size();
-    owned_vertex_blocks_.reserve(n + 1);
-    owned_vertex_blocks_.push_back(0);
-    for (size_t v = 0; v < n; ++v) {
-      const std::vector<Entry>& list = per_vertex[v];
-      // Greedily pack whole rank groups: close the open block when the
-      // next group would push it past the target size.
-      size_t block_begin = 0, pos = 0;
-      while (pos < list.size()) {
-        size_t group_end = pos + 1;
-        while (group_end < list.size() &&
-               list[group_end].rank == list[pos].rank) {
-          ++group_end;
-        }
-        if (group_end - pos > kMaxBlockEntries) {
-          Clear();
-          return false;  // one group overflows any block: stay flat
-        }
-        if (pos > block_begin && group_end - block_begin > block_entries_) {
-          EncodeBlock(list.data() + block_begin, pos - block_begin);
-          block_begin = pos;
-        }
-        pos = group_end;
-      }
-      if (pos > block_begin) {
-        EncodeBlock(list.data() + block_begin, pos - block_begin);
-      }
-      num_entries_ += list.size();
-      owned_vertex_blocks_.push_back(
-          static_cast<uint32_t>(owned_skip_.size()));
-    }
-    owned_skip_.push_back(
-        {0, 0, static_cast<uint32_t>(owned_data_.size())});  // sentinel
-    sealed_ = true;
-    return true;
-  }
-
-  bool Sealed() const { return sealed_; }
-  size_t NumVertices() const {
-    return owned_vertex_blocks_.empty() ? 0
-                                        : owned_vertex_blocks_.size() - 1;
-  }
-  size_t NumEntries() const { return static_cast<size_t>(num_entries_); }
-  size_t BlockEntries() const { return block_entries_; }
-
-  void Clear() {
-    owned_vertex_blocks_.clear();
-    owned_vertex_blocks_.shrink_to_fit();
-    owned_skip_.clear();
-    owned_skip_.shrink_to_fit();
-    owned_data_.clear();
-    owned_data_.shrink_to_fit();
-    num_entries_ = 0;
-    block_entries_ = kMinBlockEntries;
-    sealed_ = false;
-  }
-
-  size_t MemoryBytes() const {
-    return owned_vertex_blocks_.size() * sizeof(uint32_t) +
-           owned_skip_.size() * sizeof(SkipEntry) + owned_data_.size();
-  }
-
-  bool Empty(VertexId v) const {
-    return owned_vertex_blocks_[v] == owned_vertex_blocks_[v + 1];
-  }
-
-  /// Block-index range [begin, end) of vertex `v`.
-  size_t BlockBegin(VertexId v) const { return owned_vertex_blocks_[v]; }
-  size_t BlockEnd(VertexId v) const { return owned_vertex_blocks_[v + 1]; }
-  const SkipEntry& Skip(size_t b) const { return owned_skip_[b]; }
-
-  /// First block index in [lo, hi) with `last >= rank` (hi when none).
-  size_t LowerBoundBlock(size_t lo, size_t hi, uint32_t rank) const {
-    const SkipEntry* base = owned_skip_.data();
-    return static_cast<size_t>(
-        std::lower_bound(base + lo, base + hi, rank,
-                         [](const SkipEntry& e, uint32_t r) {
-                           return e.last < r;
-                         }) -
-        base);
-  }
-
-  size_t ListEntries(VertexId v) const {
-    size_t total = 0;
-    for (size_t b = BlockBegin(v); b < BlockEnd(v); ++b) {
-      total += BlockCountOf(b);
-    }
-    return total;
-  }
-
-  /// Decodes block `b` into `out` (capacity >= kMaxBlockEntries).
-  size_t DecodeBlock(size_t b, Entry* out) const {
-    const uint8_t* p = owned_data_.data() + owned_skip_[b].data_offset;
-    const uint8_t* block_end =
-        owned_data_.data() + owned_skip_[b + 1].data_offset;
-    const int rank_width = p[0];
-    const int mask_width = p[1];
-    const size_t count =
-        std::min<size_t>(BlockCountOf(b), kMaxBlockEntries);
-    BitReader reader(p + kBlockHeaderBytes, block_end);
-    uint32_t rank = owned_skip_[b].first;
-    out[0].rank = rank;
-    for (size_t i = 1; i < count; ++i) {
-      rank += reader.Get(rank_width);
-      out[i].rank = rank;
-    }
-    for (size_t i = 0; i < count; ++i) {
-      out[i].mask = reader.Get(mask_width);
-    }
-    return count;
-  }
-
-  void Decode(VertexId v, std::vector<Entry>* out) const {
-    out->clear();
-    Entry buf[kMaxBlockEntries];
-    for (size_t b = BlockBegin(v); b < BlockEnd(v); ++b) {
-      const size_t count = DecodeBlock(b, buf);
-      out->insert(out->end(), buf, buf + count);
-    }
-  }
-
- private:
-  uint16_t BlockCountOf(size_t b) const {
-    uint16_t count;
-    std::memcpy(&count,
-                owned_data_.data() + owned_skip_[b].data_offset + 2,
-                sizeof(count));
-    return count;
-  }
-
-  void EncodeBlock(const Entry* entries, size_t count) {
-    uint32_t max_delta = 0, max_mask = 0;
-    for (size_t i = 0; i < count; ++i) {
-      if (i > 0) {
-        max_delta =
-            std::max(max_delta, entries[i].rank - entries[i - 1].rank);
-      }
-      max_mask = std::max(max_mask, static_cast<uint32_t>(entries[i].mask));
-    }
-    const int rank_width = PackedBitWidth(max_delta);
-    const int mask_width = PackedBitWidth(max_mask);
-    owned_skip_.push_back({entries[0].rank, entries[count - 1].rank,
-                           static_cast<uint32_t>(owned_data_.size())});
-    owned_data_.push_back(static_cast<uint8_t>(rank_width));
-    owned_data_.push_back(static_cast<uint8_t>(mask_width));
-    const uint16_t count16 = static_cast<uint16_t>(count);
-    owned_data_.push_back(static_cast<uint8_t>(count16));
-    owned_data_.push_back(static_cast<uint8_t>(count16 >> 8));
-    BitWriter writer(&owned_data_);
-    for (size_t i = 1; i < count; ++i) {
-      writer.Put(entries[i].rank - entries[i - 1].rank, rank_width);
-    }
-    for (size_t i = 0; i < count; ++i) {
-      writer.Put(static_cast<uint32_t>(entries[i].mask), mask_width);
-    }
-    writer.Flush();
-  }
-
-  std::vector<uint32_t> owned_vertex_blocks_;
-  std::vector<SkipEntry> owned_skip_;
-  std::vector<uint8_t> owned_data_;
-  uint64_t num_entries_ = 0;
-  size_t block_entries_ = kMinBlockEntries;
-  bool sealed_ = false;
-};
 
 }  // namespace reach
 

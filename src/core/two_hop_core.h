@@ -5,9 +5,15 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <istream>
 #include <memory>
 #include <numeric>
+#include <ostream>
 #include <span>
+#include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -16,6 +22,7 @@
 #include "core/label_pool.h"
 #include "core/mapped_file.h"
 #include "core/search_workspace.h"
+#include "core/serialize.h"
 #include "core/workspace_pool.h"
 #include "graph/types.h"
 #include "obs/build_phase_timer.h"
@@ -38,6 +45,44 @@ std::vector<VertexId> DegreeOrder(const Graph& graph) {
   return by_rank;
 }
 
+/// RCHX v2 snapshot layout of a 2-hop labeling (docs/SNAPSHOTS.md): the
+/// section kinds, the same for every `TwoHopCore` format (the sections of
+/// one side of one storage mode are consecutive kinds), and the
+/// fixed-layout meta section.
+namespace two_hop_snapshot {
+
+enum SnapshotSection : uint32_t {
+  kMeta = 1,
+  kRank = 2,
+  kByRank = 3,
+  // Flat storage: per side, u64 offsets then raw entries.
+  kLinOffsets = 4,
+  kLinEntries = 5,
+  kLoutOffsets = 6,
+  kLoutEntries = 7,
+  // Compressed storage: per side, u32 vertex->block bounds, skip table,
+  // then block data.
+  kLinVertexBlocks = 8,
+  kLinSkip = 9,
+  kLinData = 10,
+  kLoutVertexBlocks = 11,
+  kLoutSkip = 12,
+  kLoutData = 13,
+};
+
+struct Meta {
+  uint64_t payload_magic;  // Traits::kPayloadMagic
+  uint64_t num_vertices;
+  uint64_t lin_entries;
+  uint64_t lout_entries;
+  uint32_t storage;  // 0 = flat pools, 1 = block-compressed pools
+  uint32_t block_entries;
+};
+static_assert(sizeof(Meta) == 40);
+static_assert(std::is_trivially_copyable_v<Meta>);
+
+}  // namespace two_hop_snapshot
+
 /// The pruned 2-hop engine (TOL, paper §3.2) shared by plain reachability
 /// (`PrunedTwoHop`) and label-constrained reachability
 /// (`PrunedLabeledTwoHop`). Plain reachability is LCR with a single label,
@@ -48,13 +93,16 @@ std::vector<VertexId> DegreeOrder(const Graph& graph) {
 ///  * the rank-batched speculate/commit/redo build loop
 ///    (docs/PARALLELISM.md), which with one thread is the serial sweep;
 ///  * sealing into flat or block-compressed pools under the size budget,
-///    and the post-seal `delta_lin_` insert overlay;
+///    the compressed-pool query kernels, and the post-seal `delta_lin_`
+///    insert overlay;
 ///  * the live and superset adjacency (base graph + inserted extras,
 ///    minus sorted tombstones for the live view) and the decremental
 ///    bookkeeping around it: damage marks, resurrection, re-closing damage
 ///    on insert, `ApplyUpdate` and the live-graph rebuild;
 ///  * query answering: the three-case superset test and, under damage,
-///    the witness-trust protocol with its label-pruned live verification.
+///    the witness-trust protocol with its label-pruned live verification;
+///  * persistence: the v1 stream and the RCHX v2 snapshot file, and the
+///    validation every load runs (docs/SNAPSHOTS.md).
 ///
 /// `Traits` supplies the entry/arc vocabulary and the pieces that really
 /// differ between the two indexes:
@@ -63,9 +111,11 @@ std::vector<VertexId> DegreeOrder(const Graph& graph) {
 ///                             as graph adjacency is sorted), graph type
 ///                             and its edge type
 ///   Constraint                a query's path constraint
-///   CompressedPool            block-compressed pool of `Entry`
-///   Index                     the adapter (a friend, for its payload and
-///                             snapshot I/O)
+///   kFormatName, kPayloadMagic
+///                             the envelope's format name and the payload
+///                             magic of both persistence formats
+///   kListCapPerVertex         a loaded list holds at most n times this
+///                             many entries
 ///   Sweeper                   per-worker scratch running one pruned
 ///                             sweep (see `BuildLabels`)
 ///   Rank(entry)
@@ -77,10 +127,14 @@ std::vector<VertexId> DegreeOrder(const Graph& graph) {
 ///   DetourConstraint(cut)     the constraint under which a surviving
 ///                             detour around the deleted arc `cut` makes
 ///                             the delete answer-preserving
-///   Intersect, CoveredInPool, IntersectPools, IntersectPoolWithSpan
-///                             the rest of the superset query kernels
+///   Intersect(out, in, q)     whether rank-sorted `out` and `in` share a
+///                             hop usable under `q` on both sides
 ///   PropagateInsert(core, s, arc)
 ///                             adds the delta entries a new arc needs
+///
+/// The compressed tier is `CompressedPool<Entry>` (core/label_pool.h),
+/// whose codec `Entry` selects; the core's pool kernels run `Covered` and
+/// `Intersect` on decoded blocks.
 template <typename Traits>
 class TwoHopCore {
  public:
@@ -88,7 +142,9 @@ class TwoHopCore {
   using Arc = typename Traits::Arc;
   using Graph = typename Traits::Graph;
   using Constraint = typename Traits::Constraint;
-  using CompressedPool = typename Traits::CompressedPool;
+  using Pool = CompressedPool<Entry>;
+  static_assert(std::has_unique_object_representations_v<Entry>,
+                "entries are persisted as raw bytes");
 
   // Visit cap for the per-delete local searches (redundancy check and
   // damage marking); overrun degrades to all-ranks-damaged, never to a
@@ -125,21 +181,6 @@ class TwoHopCore {
     }
     stats->size_bytes = IndexSizeBytes();
     stats->num_entries = TotalEntries();
-  }
-
-  /// Installs a loaded labeling (range-checked by the caller) and seals
-  /// it. Without a live graph the core answers queries but rejects
-  /// updates until the next `Build`.
-  void Restore(std::vector<uint32_t> rank, std::vector<VertexId> by_rank,
-               std::vector<std::vector<Entry>> lin,
-               std::vector<std::vector<Entry>> lout) {
-    graph_ = nullptr;
-    ResetDynamicState();
-    rank_ = std::move(rank);
-    by_rank_ = std::move(by_rank);
-    lin_ = std::move(lin);
-    lout_ = std::move(lout);
-    SealLabels();
   }
 
   /// Qr(s, t) under constraint `q` — the single query path every entry
@@ -314,9 +355,9 @@ class TwoHopCore {
   /// True iff Lin(x) — sealed slice or delta — holds a `rank` entry
   /// covered under `q`.
   bool InCovered(VertexId x, uint32_t rank, Constraint q) const {
-    const bool sealed =
-        compressed_ ? Traits::CoveredInPool(lin_cpool_, x, rank, q)
-                    : Traits::Covered(lin_pool_.Slice(x), rank, q);
+    const bool sealed = compressed_
+                            ? PoolCovered(lin_cpool_, x, rank, q)
+                            : Traits::Covered(lin_pool_.Slice(x), rank, q);
     return sealed || (has_delta_ && Traits::Covered(delta_lin_[x], rank, q));
   }
 
@@ -330,8 +371,349 @@ class TwoHopCore {
                 e);
   }
 
+  // --- Compressed-pool kernels of the superset test: the skip tables
+  // prefilter and skip blocks, and `Traits::Covered` / `Traits::Intersect`
+  // run on the blocks that are decoded. Public for the pool tests. ---
+
+  /// Whether list `v` of `pool` holds a `rank` entry usable under `q`: one
+  /// skip-table binary search, then `Covered` on the rank group decoded
+  /// from one block (a rank group never straddles blocks).
+  static bool PoolCovered(const Pool& pool, VertexId v, uint32_t rank,
+                          Constraint q) {
+    const size_t end = pool.BlockEnd(v);
+    const size_t b = pool.LowerBoundBlock(pool.BlockBegin(v), end, rank);
+    if (b == end || pool.Skip(b).first > rank) return false;
+    Entry buf[Pool::kMaxBlockEntries];
+    return Traits::Covered(pool.DecodeGroup(b, rank, buf), rank, q);
+  }
+
+  /// Whether Lout(s) of `out_pool` and Lin(t) of `in_pool` share a hop
+  /// usable under `q`: a block merge over the two skip tables that jumps
+  /// non-overlapping runs by binary search and decodes only block pairs
+  /// whose rank ranges overlap.
+  static bool PoolsIntersect(const Pool& out_pool, VertexId s,
+                             const Pool& in_pool, VertexId t, Constraint q) {
+    size_t i = out_pool.BlockBegin(s), j = in_pool.BlockBegin(t);
+    const size_t i_end = out_pool.BlockEnd(s), j_end = in_pool.BlockEnd(t);
+    if (i == i_end || j == j_end) return false;
+    // Whole-list prefilter straight off the skip entries.
+    if (out_pool.Skip(i_end - 1).last < in_pool.Skip(j).first ||
+        in_pool.Skip(j_end - 1).last < out_pool.Skip(i).first) {
+      return false;
+    }
+    Entry buf_out[Pool::kMaxBlockEntries], buf_in[Pool::kMaxBlockEntries];
+    size_t decoded_out = SIZE_MAX, decoded_in = SIZE_MAX;
+    size_t count_out = 0, count_in = 0;
+    while (i != i_end && j != j_end) {
+      const auto& so = out_pool.Skip(i);
+      const auto& si = in_pool.Skip(j);
+      if (so.last < si.first) {
+        i = out_pool.LowerBoundBlock(i + 1, i_end, si.first);
+        continue;
+      }
+      if (si.last < so.first) {
+        j = in_pool.LowerBoundBlock(j + 1, j_end, so.first);
+        continue;
+      }
+      if (decoded_out != i) {
+        count_out = out_pool.DecodeBlock(i, buf_out);
+        decoded_out = i;
+      }
+      if (decoded_in != j) {
+        count_in = in_pool.DecodeBlock(j, buf_in);
+        decoded_in = j;
+      }
+      if (Traits::Intersect({buf_out, count_out}, {buf_in, count_in}, q)) {
+        return true;
+      }
+      // Equal-last advance-both is sound: blocks end at whole rank groups,
+      // so the shared last group was fully checked by this pair.
+      const bool advance_out = so.last <= si.last;
+      const bool advance_in = si.last <= so.last;
+      if (advance_out) ++i;
+      if (advance_in) ++j;
+    }
+    return false;
+  }
+
+  /// Whether list `v` of `pool` and the rank-sorted `other` (a delta
+  /// overlay list) share a hop usable under `q`.
+  static bool PoolIntersectsSpan(const Pool& pool, VertexId v,
+                                 std::span<const Entry> other, Constraint q) {
+    if (other.empty()) return false;
+    const size_t end = pool.BlockEnd(v);
+    Entry buf[Pool::kMaxBlockEntries];
+    for (size_t b = pool.LowerBoundBlock(pool.BlockBegin(v), end,
+                                         Traits::Rank(other.front()));
+         b != end && pool.Skip(b).first <= Traits::Rank(other.back()); ++b) {
+      const size_t count = pool.DecodeBlock(b, buf);
+      if (Traits::Intersect({buf, count}, other, q)) return true;
+    }
+    return false;
+  }
+
+  // --- Persistence (docs/SNAPSHOTS.md). Both writers refuse while
+  // damaged: a damaged labeling is only exact together with the live
+  // tombstone and graph state, which neither format carries. Both loaders
+  // leave the core without a live graph (queries only, until the next
+  // `Build`) and run `ValidateLabeling` before the labeling goes live. ---
+
+  /// The v1 stream: envelope `Traits::kFormatName`, u64 payload magic,
+  /// u64 n, the rank and by-rank tables, then every Lin and every Lout
+  /// list (delta overlay merged in), each as a u64 count plus raw entries.
+  bool Save(std::ostream& out) const {
+    using serialize_detail::WritePod;
+    if (damage_ > 0 || !WriteEnvelope(out, Traits::kFormatName)) {
+      return false;
+    }
+    const size_t n = rank_.size();
+    WritePod(out, Traits::kPayloadMagic);
+    WritePod(out, static_cast<uint64_t>(n));
+    serialize_detail::WriteU32Vec(out, rank_);
+    serialize_detail::WriteU32Vec(out, by_rank_);
+    const auto write_list = [&out](const std::vector<Entry>& list) {
+      WritePod(out, static_cast<uint64_t>(list.size()));
+      serialize_detail::WriteBytes(out, list.data(),
+                                   list.size() * sizeof(Entry));
+    };
+    for (VertexId v = 0; v < n; ++v) write_list(InEntries(v));
+    for (VertexId v = 0; v < n; ++v) write_list(OutEntries(v));
+    return static_cast<bool>(out);
+  }
+
+  /// Restores a labeling written by `Save` and seals it under this core's
+  /// storage options. Corrupt payloads name the failing section and, for
+  /// parse failures, its starting byte offset.
+  LoadResult Load(std::istream& in) {
+    using serialize_detail::ReadPod;
+    LoadResult envelope = ReadEnvelope(in, Traits::kFormatName);
+    if (!envelope) return envelope;
+    const auto offset = [&in]() -> uint64_t {
+      const std::streampos pos = in.tellg();
+      return pos < 0 ? 0 : static_cast<uint64_t>(pos);
+    };
+    uint64_t at = offset();
+    uint64_t magic = 0, n = 0;
+    if (!ReadPod(in, &magic) || magic != Traits::kPayloadMagic) {
+      return CorruptAt("payload magic", at);
+    }
+    at = offset();
+    if (!ReadPod(in, &n)) return CorruptAt("vertex count", at);
+    at = offset();
+    std::vector<uint32_t> rank, by_rank;
+    if (!serialize_detail::ReadU32Vec(in, &rank, n) || rank.size() != n) {
+      return CorruptAt("rank table", at);
+    }
+    at = offset();
+    if (!serialize_detail::ReadU32Vec(in, &by_rank, n) ||
+        by_rank.size() != n) {
+      return CorruptAt("by-rank table", at);
+    }
+    const uint64_t cap = n * Traits::kListCapPerVertex;
+    const auto read_lists = [&](const char* side, EntryLists* lists) {
+      lists->resize(n);
+      for (size_t v = 0; v < n; ++v) {
+        at = offset();
+        std::vector<Entry>& list = (*lists)[v];
+        uint64_t count = 0;
+        bool ok = ReadPod(in, &count) && count <= cap;
+        if (ok) {
+          list.resize(count);
+          ok = serialize_detail::ReadBytes(in, list.data(),
+                                           count * sizeof(Entry));
+        }
+        if (!ok) return CorruptAt(ListName(side, v), at);
+      }
+      return LoadResult{};
+    };
+    EntryLists lin, lout;
+    if (LoadResult r = read_lists("Lin", &lin); !r) return r;
+    if (LoadResult r = read_lists("Lout", &lout); !r) return r;
+    graph_ = nullptr;
+    ResetDynamicState();
+    rank_ = std::move(rank);
+    by_rank_ = std::move(by_rank);
+    lin_ = std::move(lin);
+    lout_ = std::move(lout);
+    SealLabels();
+    return ValidateLabeling();
+  }
+
+  /// Writes an RCHX v2 snapshot file: meta, rank and by-rank sections,
+  /// then the sealed pool arrays of whichever representation is live, each
+  /// page-aligned (the `SnapshotSection` kinds). A delta overlay is folded
+  /// into temporary pools first, so the file holds one delta-free
+  /// labeling.
+  bool SaveSnapshot(std::ostream& out) const {
+    namespace snap = two_hop_snapshot;
+    if (damage_ > 0) return false;
+    const size_t n = rank_.size();
+    // The temporaries must outlive WriteTo (sections point into them).
+    FlatLabelPool<Entry> merged_flat;
+    Pool merged_packed;
+    const FlatLabelPool<Entry>* lin_flat = &lin_pool_;
+    const Pool* lin_packed = &lin_cpool_;
+    if (has_delta_) {
+      EntryLists merged(n);
+      for (VertexId v = 0; v < n; ++v) merged[v] = InEntries(v);
+      if (compressed_) {
+        if (!merged_packed.Seal(merged, lin_cpool_.BlockEntries())) {
+          return false;
+        }
+        lin_packed = &merged_packed;
+      } else {
+        merged_flat.Seal(std::move(merged));
+        lin_flat = &merged_flat;
+      }
+    }
+
+    SnapshotWriter writer{std::string(Traits::kFormatName)};
+    snap::Meta meta{};
+    meta.payload_magic = Traits::kPayloadMagic;
+    meta.num_vertices = n;
+    meta.storage = compressed_ ? 1 : 0;
+    if (compressed_) {
+      meta.lin_entries = lin_packed->NumEntries();
+      meta.lout_entries = lout_cpool_.NumEntries();
+      meta.block_entries = static_cast<uint32_t>(lin_packed->BlockEntries());
+    } else {
+      meta.lin_entries = lin_flat->NumEntries();
+      meta.lout_entries = lout_pool_.NumEntries();
+    }
+    const auto add = [&writer](uint32_t kind, auto span) {
+      writer.AddSection(kind, span.data(), span.size_bytes());
+    };
+    add(snap::kMeta, std::span<const snap::Meta>(&meta, 1));
+    add(snap::kRank, std::span<const uint32_t>(rank_));
+    add(snap::kByRank, std::span<const VertexId>(by_rank_));
+    if (compressed_) {
+      for (const auto& [kind, pool] :
+           {std::pair{snap::kLinVertexBlocks, lin_packed},
+            std::pair{snap::kLoutVertexBlocks, &lout_cpool_}}) {
+        add(kind, pool->VertexBlocksRaw());
+        add(kind + 1, pool->SkipRaw());
+        add(kind + 2, pool->DataRaw());
+      }
+    } else {
+      for (const auto& [kind, pool] :
+           {std::pair{snap::kLinOffsets, lin_flat},
+            std::pair{snap::kLoutOffsets, &lout_pool_}}) {
+        add(kind, pool->OffsetsRaw());
+        add(kind + 1, pool->EntriesRaw());
+      }
+    }
+    return writer.WriteTo(out);
+  }
+
+  /// Crash-safe snapshot write to a file (`WriteFileAtomic`).
+  bool SaveSnapshot(const std::string& path, std::string* error) const {
+    return WriteFileAtomic(
+        path, [this](std::ostream& out) { return SaveSnapshot(out); },
+        error);
+  }
+
+  LoadResult LoadSnapshot(const std::string& path) {
+    std::string error;
+    std::shared_ptr<MappedFile> file = MappedFile::Open(path, &error);
+    if (file == nullptr) return {LoadStatus::kCorrupt, error};
+    return LoadSnapshot(std::move(file));
+  }
+
+  /// Zero-copy restore: validates the section table and meta, points the
+  /// pools at the mapping (`SealFromView` checks their structure), holds
+  /// the mapping, and validates the labeling.
+  LoadResult LoadSnapshot(std::shared_ptr<MappedFile> file) {
+    namespace snap = two_hop_snapshot;
+    SnapshotView view;
+    LoadResult parsed =
+        view.Parse(file->data(), file->size(), Traits::kFormatName);
+    if (!parsed) return parsed;
+    const std::span<const uint8_t> meta_bytes = view.Section(snap::kMeta);
+    if (meta_bytes.size() != sizeof(snap::Meta)) {
+      return {LoadStatus::kCorrupt, "meta section: wrong size"};
+    }
+    snap::Meta meta;
+    std::memcpy(&meta, meta_bytes.data(), sizeof(meta));
+    if (meta.payload_magic != Traits::kPayloadMagic) {
+      return {LoadStatus::kCorrupt, "meta section: bad payload magic"};
+    }
+    if (meta.storage > 1) {
+      return {LoadStatus::kCorrupt, "meta section: unknown storage mode"};
+    }
+    const uint64_t n = meta.num_vertices;
+    if (n > UINT32_MAX) {
+      return {LoadStatus::kCorrupt, "meta section: vertex count overflow"};
+    }
+    const std::span<const uint32_t> rank =
+        view.TypedSection<uint32_t>(snap::kRank);
+    const std::span<const VertexId> by_rank =
+        view.TypedSection<VertexId>(snap::kByRank);
+    if (rank.size() != n) {
+      return {LoadStatus::kCorrupt, "rank section: size mismatch"};
+    }
+    if (by_rank.size() != n) {
+      return {LoadStatus::kCorrupt, "by-rank section: size mismatch"};
+    }
+
+    // Header-level checks passed: reset storage, then point the pools at
+    // the mapping.
+    graph_ = nullptr;
+    ResetDynamicState();
+    ClearPools();
+    compressed_ = meta.storage == 1;
+    const auto seal_view = [&](const char* side, uint32_t kind,
+                               uint64_t entries, FlatLabelPool<Entry>* flat,
+                               Pool* packed) -> LoadResult {
+      if (compressed_) {
+        if (!packed->SealFromView(
+                view.TypedSection<uint32_t>(kind),
+                view.TypedSection<typename Pool::SkipEntry>(kind + 1),
+                view.Section(kind + 2), entries, meta.block_entries) ||
+            packed->NumVertices() != n) {
+          return {LoadStatus::kCorrupt,
+                  std::string(side) + " block sections: malformed"};
+        }
+        return {};
+      }
+      const std::span<const Entry> list = view.TypedSection<Entry>(kind + 1);
+      if (list.size() != entries) {
+        return {LoadStatus::kCorrupt,
+                std::string(side) + " entry section: size mismatch"};
+      }
+      if (!flat->SealFromView(view.TypedSection<uint64_t>(kind), list) ||
+          flat->NumVertices() != n) {
+        return {LoadStatus::kCorrupt,
+                std::string(side) + " offsets: malformed CSR"};
+      }
+      return {};
+    };
+    if (LoadResult r = seal_view("Lin",
+                                 compressed_ ? snap::kLinVertexBlocks
+                                             : snap::kLinOffsets,
+                                 meta.lin_entries, &lin_pool_, &lin_cpool_);
+        !r) {
+      return r;
+    }
+    if (LoadResult r = seal_view("Lout",
+                                 compressed_ ? snap::kLoutVertexBlocks
+                                             : snap::kLoutOffsets,
+                                 meta.lout_entries, &lout_pool_, &lout_cpool_);
+        !r) {
+      return r;
+    }
+    rank_.assign(rank.begin(), rank.end());
+    by_rank_.assign(by_rank.begin(), by_rank.end());
+    mapping_ = std::move(file);  // pool views point into this mapping
+    LoadResult valid = ValidateLabeling();
+    if (valid) {
+      PublishStorageGauges(2 * (n + 1) * sizeof(uint64_t) +
+                           (meta.lin_entries + meta.lout_entries) *
+                               sizeof(Entry));
+    }
+    return valid;
+  }
+
  private:
-  friend typename Traits::Index;
   using Sweeper = typename Traits::Sweeper;
   using EntryLists = std::vector<std::vector<Entry>>;
   using ArcLists = std::vector<std::vector<Arc>>;
@@ -482,8 +864,7 @@ class TwoHopCore {
     const size_t budget = storage_.budget_mb * (size_t{1} << 20);
     if (storage_.compress || (budget != 0 && flat_bytes > budget)) {
       size_t block =
-          std::clamp(storage_.block_entries, CompressedPool::kMinBlockEntries,
-                     CompressedPool::kMaxBlockEntries);
+          Pool::ClampBlockEntries(storage_.block_entries);
       for (;;) {
         if (!lin_cpool_.Seal(lin_, block) || !lout_cpool_.Seal(lout_, block)) {
           lin_cpool_.Clear();
@@ -493,7 +874,7 @@ class TwoHopCore {
         const size_t bytes =
             lin_cpool_.MemoryBytes() + lout_cpool_.MemoryBytes();
         if (budget != 0 && bytes > budget &&
-            block < CompressedPool::kMaxBlockEntries) {
+            block < Pool::kMaxBlockEntries) {
           block *= 2;
           continue;
         }
@@ -562,15 +943,13 @@ class TwoHopCore {
     if (compressed_) {
       // Same test on the skip tables: membership decodes at most one
       // block, the intersection only blocks that can overlap.
-      if (Traits::CoveredInPool(lin_cpool_, t, rank_[s], q)) return true;
-      if (Traits::CoveredInPool(lout_cpool_, s, rank_[t], q)) return true;
-      if (Traits::IntersectPools(lout_cpool_, s, lin_cpool_, t, q)) {
-        return true;
-      }
+      if (PoolCovered(lin_cpool_, t, rank_[s], q)) return true;
+      if (PoolCovered(lout_cpool_, s, rank_[t], q)) return true;
+      if (PoolsIntersect(lout_cpool_, s, lin_cpool_, t, q)) return true;
       if (!has_delta_) return false;
       const std::span<const Entry> delta = delta_lin_[t];
       if (Traits::Covered(delta, rank_[s], q)) return true;
-      return Traits::IntersectPoolWithSpan(lout_cpool_, s, delta, q);
+      return PoolIntersectsSpan(lout_cpool_, s, delta, q);
     }
     const std::span<const Entry> out = lout_pool_.Slice(s);
     const std::span<const Entry> in = lin_pool_.Slice(t);
@@ -873,8 +1252,73 @@ class TwoHopCore {
     bwd_all_damaged_ = false;
   }
 
+  static std::string ListName(const char* side, size_t v) {
+    return std::string(side) + "[" + std::to_string(v) + "]";
+  }
+
+  // What the query kernels and a later insert assume of a loaded
+  // labeling, checked once per load over every entry: `rank_` and
+  // `by_rank_` are inverse permutations of [0, n), and every sealed list
+  // is rank-sorted over ranks < n — strictly when rank groups are single
+  // entries — with compressed blocks agreeing with their skip entries and
+  // ordered within the list. On failure the labeling is dropped.
+  LoadResult ValidateLabeling() {
+    const size_t n = rank_.size();
+    std::string defect;
+    if (by_rank_.size() != n) {
+      defect = "by-rank table: size mismatch";
+    }
+    for (VertexId v = 0; defect.empty() && v < n; ++v) {
+      if (rank_[v] >= n) {
+        defect = "rank table: rank out of range";
+      } else if (by_rank_[rank_[v]] != v) {
+        defect = "rank table: not the inverse of the by-rank table";
+      }
+    }
+    for (VertexId v = 0; defect.empty() && v < n; ++v) {
+      if (!SealedListValid(lin_pool_, lin_cpool_, v)) {
+        defect = ListName("Lin", v) + ": entries unsorted or out of range";
+      } else if (!SealedListValid(lout_pool_, lout_cpool_, v)) {
+        defect = ListName("Lout", v) + ": entries unsorted or out of range";
+      }
+    }
+    if (defect.empty()) return {};
+    ClearPools();
+    rank_.clear();
+    by_rank_.clear();
+    return {LoadStatus::kCorrupt, std::move(defect)};
+  }
+
+  bool SealedListValid(const FlatLabelPool<Entry>& flat, const Pool& packed,
+                       VertexId v) const {
+    const int64_t n = static_cast<int64_t>(rank_.size());
+    int64_t prev = -1;  // rank of the previous entry of the list
+    const auto in_order = [&](std::span<const Entry> entries) {
+      for (const Entry& e : entries) {
+        const int64_t r = Traits::Rank(e);
+        if (r >= n || r < prev + (Pool::kDistinctRanks ? 1 : 0)) {
+          return false;
+        }
+        prev = r;
+      }
+      return true;
+    };
+    if (!compressed_) return in_order(flat.Slice(v));
+    Entry buf[Pool::kMaxBlockEntries];
+    for (size_t b = packed.BlockBegin(v); b < packed.BlockEnd(v); ++b) {
+      // Blocks hold whole rank groups, so even grouped ranks increase
+      // strictly from one block to the next.
+      if (static_cast<int64_t>(packed.Skip(b).first) <= prev) return false;
+      const size_t count = packed.DecodeBlock(b, buf);
+      if (!in_order({buf, count}) || prev != packed.Skip(b).last) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   std::vector<Entry> SealedEntries(const FlatLabelPool<Entry>& flat,
-                                   const CompressedPool& packed,
+                                   const Pool& packed,
                                    VertexId v) const {
     std::vector<Entry> entries;
     if (compressed_) {
@@ -900,8 +1344,8 @@ class TwoHopCore {
   // flat or block-compressed representations is live (`compressed_`).
   FlatLabelPool<Entry> lin_pool_;
   FlatLabelPool<Entry> lout_pool_;
-  CompressedPool lin_cpool_;
-  CompressedPool lout_cpool_;
+  Pool lin_cpool_;
+  Pool lout_cpool_;
   bool compressed_ = false;
   bool budget_exceeded_ = false;
   // Keeps a zero-copy snapshot mapping alive while pool views point into

@@ -1,13 +1,9 @@
 #include "lcr/pruned_labeled_two_hop.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
-#include <string_view>
 #include <utility>
 
 #include "core/label_kernels.h"
-#include "core/serialize.h"
 #include "par/thread_pool.h"
 
 namespace reach {
@@ -229,83 +225,6 @@ bool LabeledTwoHopTraits::Intersect(std::span<const Entry> out,
   return false;
 }
 
-bool LabeledTwoHopTraits::CoveredInPool(const CompressedPool& pool,
-                                        VertexId v, uint32_t rank,
-                                        LabelSet allowed) {
-  const size_t end = pool.BlockEnd(v);
-  const size_t b = pool.LowerBoundBlock(pool.BlockBegin(v), end, rank);
-  if (b == end || pool.Skip(b).first > rank) return false;
-  // Rank groups are never split across blocks, so the whole group of
-  // `rank` — if present — lives in this one block.
-  Entry buf[CompressedPool::kMaxBlockEntries];
-  const size_t count = pool.DecodeBlock(b, buf);
-  return Covered({buf, count}, rank, allowed);
-}
-
-bool LabeledTwoHopTraits::IntersectPools(const CompressedPool& out_pool,
-                                         VertexId s,
-                                         const CompressedPool& in_pool,
-                                         VertexId t, LabelSet allowed) {
-  size_t i = out_pool.BlockBegin(s), j = in_pool.BlockBegin(t);
-  const size_t i_end = out_pool.BlockEnd(s), j_end = in_pool.BlockEnd(t);
-  if (i == i_end || j == j_end) return false;
-  // Whole-list prefilter straight off the skip entries.
-  if (out_pool.Skip(i_end - 1).last < in_pool.Skip(j).first ||
-      in_pool.Skip(j_end - 1).last < out_pool.Skip(i).first) {
-    return false;
-  }
-  constexpr size_t kCap = CompressedPool::kMaxBlockEntries;
-  Entry buf_out[kCap], buf_in[kCap];
-  size_t decoded_out = SIZE_MAX, decoded_in = SIZE_MAX;
-  size_t count_out = 0, count_in = 0;
-  while (i != i_end && j != j_end) {
-    const auto& so = out_pool.Skip(i);
-    const auto& si = in_pool.Skip(j);
-    if (so.last < si.first) {
-      i = out_pool.LowerBoundBlock(i + 1, i_end, si.first);
-      continue;
-    }
-    if (si.last < so.first) {
-      j = in_pool.LowerBoundBlock(j + 1, j_end, so.first);
-      continue;
-    }
-    if (decoded_out != i) {
-      count_out = out_pool.DecodeBlock(i, buf_out);
-      decoded_out = i;
-    }
-    if (decoded_in != j) {
-      count_in = in_pool.DecodeBlock(j, buf_in);
-      decoded_in = j;
-    }
-    if (Intersect({buf_out, count_out}, {buf_in, count_in}, allowed)) {
-      return true;
-    }
-    // Equal-last advance-both is sound: blocks end at whole rank groups,
-    // so the shared last group was fully checked by this pair.
-    const bool advance_out = so.last <= si.last;
-    const bool advance_in = si.last <= so.last;
-    if (advance_out) ++i;
-    if (advance_in) ++j;
-  }
-  return false;
-}
-
-bool LabeledTwoHopTraits::IntersectPoolWithSpan(const CompressedPool& pool,
-                                                VertexId v,
-                                                std::span<const Entry> other,
-                                                LabelSet allowed) {
-  if (other.empty()) return false;
-  const size_t end = pool.BlockEnd(v);
-  size_t b = pool.LowerBoundBlock(pool.BlockBegin(v), end,
-                                  other.front().rank);
-  Entry buf[CompressedPool::kMaxBlockEntries];
-  for (; b != end && pool.Skip(b).first <= other.back().rank; ++b) {
-    const size_t count = pool.DecodeBlock(b, buf);
-    if (Intersect({buf, count}, other, allowed)) return true;
-  }
-  return false;
-}
-
 void LabeledTwoHopTraits::PropagateInsert(LabeledCore& core, VertexId s,
                                           const Arc& arc) {
   // Every newly answerable pair (x, y, A) decomposes as x -> s (old paths,
@@ -363,94 +282,6 @@ bool PrunedLabeledTwoHop::RebuildFromUpdates() {
   if (live == nullptr) return false;
   Build(*live);
   return true;
-}
-
-namespace {
-
-// Payload magic for the labeled 2-hop stream (distinct from the plain
-// "reach-2h" payload; the envelope already distinguishes formats, this is
-// defense in depth).
-constexpr uint64_t kP2hMagic = 0x7265616368703268ULL;  // "reachp2h"
-
-constexpr std::string_view kP2hFormatName = "p2h";
-
-using serialize_detail::ReadPod;
-using serialize_detail::ReadU32Vec;
-using serialize_detail::WritePod;
-using serialize_detail::WriteU32Vec;
-
-}  // namespace
-
-bool PrunedLabeledTwoHop::Save(std::ostream& out) const {
-  // A damaged labeling is only exact together with the live tombstone
-  // state, which the stream does not carry (header contract).
-  if (core_.Damage() > 0) return false;
-  if (!WriteEnvelope(out, kP2hFormatName)) return false;
-  const size_t n = core_.NumVertices();
-  WritePod(out, kP2hMagic);
-  WritePod(out, static_cast<uint64_t>(n));
-  WriteU32Vec(out, core_.rank_);
-  WriteU32Vec(out, core_.by_rank_);
-  const auto write_entries = [&out](const std::vector<Entry>& entries) {
-    WritePod(out, static_cast<uint64_t>(entries.size()));
-    for (const Entry& e : entries) {
-      WritePod(out, e.rank);
-      WritePod(out, static_cast<uint32_t>(e.mask));
-    }
-  };
-  for (VertexId v = 0; v < n; ++v) write_entries(core_.InEntries(v));
-  for (VertexId v = 0; v < n; ++v) write_entries(core_.OutEntries(v));
-  return static_cast<bool>(out);
-}
-
-LoadResult PrunedLabeledTwoHop::Load(std::istream& in) {
-  LoadResult envelope = ReadEnvelope(in, kP2hFormatName);
-  if (!envelope) return envelope;
-  const LoadResult corrupt{LoadStatus::kCorrupt,
-                           std::string(kP2hFormatName)};
-  uint64_t magic = 0, n = 0;
-  if (!ReadPod(in, &magic) || magic != kP2hMagic) return corrupt;
-  if (!ReadPod(in, &n)) return corrupt;
-  std::vector<uint32_t> rank, by_rank;
-  if (!ReadU32Vec(in, &rank, n)) return corrupt;
-  if (!ReadU32Vec(in, &by_rank, n)) return corrupt;
-  if (rank.size() != n || by_rank.size() != n) return corrupt;
-  for (uint32_t r : rank) {
-    if (r >= n) return corrupt;
-  }
-  for (VertexId v : by_rank) {
-    if (v >= n) return corrupt;
-  }
-  // Entry lists: each must be rank-sorted (the rank-group sweep's
-  // invariant) with in-range hop ranks. Per-vertex count is bounded by
-  // n * 2^|labels| in principle; cap at a generous multiple to reject
-  // nonsense sizes without rejecting legal dense labelings.
-  const uint64_t max_entries = n * 64;
-  const auto read_entries = [&](std::vector<Entry>* entries) {
-    uint64_t count = 0;
-    if (!ReadPod(in, &count) || count > max_entries) return false;
-    entries->clear();
-    entries->reserve(count);
-    uint32_t prev_rank = 0;
-    for (uint64_t i = 0; i < count; ++i) {
-      uint32_t rank = 0, mask = 0;
-      if (!ReadPod(in, &rank) || !ReadPod(in, &mask)) return false;
-      if (rank >= n || (i > 0 && rank < prev_rank)) return false;
-      prev_rank = rank;
-      entries->push_back(Entry{rank, static_cast<LabelSet>(mask)});
-    }
-    return true;
-  };
-  std::vector<std::vector<Entry>> lin(n), lout(n);
-  for (auto& entries : lin) {
-    if (!read_entries(&entries)) return corrupt;
-  }
-  for (auto& entries : lout) {
-    if (!read_entries(&entries)) return corrupt;
-  }
-  core_.Restore(std::move(rank), std::move(by_rank), std::move(lin),
-                std::move(lout));
-  return LoadResult{};
 }
 
 }  // namespace reach

@@ -2,18 +2,19 @@
 #define REACH_LCR_PRUNED_LABELED_TWO_HOP_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "core/label_pool.h"
+#include "core/mapped_file.h"
 #include "core/two_hop_core.h"
 #include "lcr/label_set.h"
 #include "lcr/lcr_index.h"
 
 namespace reach {
-
-class PrunedLabeledTwoHop;
 
 /// `TwoHopCore` vocabulary of label-constrained reachability: an entry is
 /// a (hop rank, SPLS) pair, an arc carries its label, and a query's
@@ -28,8 +29,6 @@ struct LabeledTwoHopTraits {
   using Graph = LabeledDigraph;
   using Edge = LabeledEdge;
   using Constraint = LabelSet;
-  using CompressedPool = CompressedEntryPool<Entry>;
-  using Index = PrunedLabeledTwoHop;
   class Sweeper;  // the label-BFS of one rank (pruned_labeled_two_hop.cc)
 
   static uint32_t Rank(const Entry& e) { return e.rank; }
@@ -67,25 +66,23 @@ struct LabeledTwoHopTraits {
   static LabelSet DetourConstraint(const Arc& cut) {
     return LabelBit(cut.label);
   }
+  /// Format "p2h", payload magic "reachp2h" (distinct from the plain
+  /// "reach-2h"; the envelope already tells formats apart, this is
+  /// defense in depth). A list holds one entry per minimal label set of a
+  /// hop, up to 2^|labels| in principle; the cap of 64 per vertex rejects
+  /// nonsense sizes without rejecting legal dense labelings.
+  static constexpr std::string_view kFormatName = "p2h";
+  static constexpr uint64_t kPayloadMagic = 0x7265616368703268ULL;
+  static constexpr uint64_t kListCapPerVertex = 64;
 
-  // Binary search to the rank group, then a subset test per mask; the
-  // rank-group two-pointer / galloping sweep over two sorted entry ranges
-  // (docs/QUERY_ENGINE.md); and their compressed-pool analogues: a rank
-  // group is never split across blocks, so the covered test decodes
-  // exactly one block and the intersection is a skip-table block-merge
-  // running `Intersect` on decoded block pairs (docs/SNAPSHOTS.md).
+  // Binary search to the rank group, then a subset test per mask; and
+  // the rank-group two-pointer / galloping sweep over two sorted entry
+  // ranges (docs/QUERY_ENGINE.md). The core runs both on decoded blocks
+  // of compressed pools too.
   static bool Covered(std::span<const Entry> entries, uint32_t rank,
                       LabelSet allowed);
   static bool Intersect(std::span<const Entry> out,
                         std::span<const Entry> in, LabelSet allowed);
-  static bool CoveredInPool(const CompressedPool& pool, VertexId v,
-                            uint32_t rank, LabelSet allowed);
-  static bool IntersectPools(const CompressedPool& out_pool, VertexId s,
-                             const CompressedPool& in_pool, VertexId t,
-                             LabelSet allowed);
-  static bool IntersectPoolWithSpan(const CompressedPool& pool, VertexId v,
-                                    std::span<const Entry> other,
-                                    LabelSet allowed);
 
   /// Resumes a label-BFS through the new arc for every hop of
   /// Lin(s) ∪ {s}.
@@ -132,9 +129,9 @@ struct LabeledTwoHopTraits {
 ///    and clears the damage once it crosses the staleness budget.
 ///
 /// Plain reachability is this index with a single label, and both run on
-/// `TwoHopCore` (core/two_hop_core.h); this class supplies the degree
-/// order, the label-BFS sweep, the rank-group kernels and the "p2h"
-/// payload.
+/// `TwoHopCore` (core/two_hop_core.h), persistence included; this class
+/// supplies the degree order, the label-BFS sweep and the rank-group
+/// kernels.
 class PrunedLabeledTwoHop : public LcrIndex {
  public:
   /// Default `staleness_budget` (see constructor).
@@ -173,13 +170,31 @@ class PrunedLabeledTwoHop : public LcrIndex {
   /// the stream does not carry — `RebuildFromUpdates()` first. Envelope
   /// format name: "p2h".
   bool SupportsSerialization() const override { return true; }
-  bool Save(std::ostream& out) const override;
+  bool Save(std::ostream& out) const override { return core_.Save(out); }
 
   /// Restores a labeling saved by `Save`. A loaded index answers queries
   /// without the original graph; call `Build` (or keep the graph around)
   /// before using `ApplyUpdate` again. Returns a typed error on malformed
-  /// input, leaving the index unspecified.
-  LoadResult Load(std::istream& in) override;
+  /// input or an inconsistent labeling, leaving the index unspecified.
+  LoadResult Load(std::istream& in) override { return core_.Load(in); }
+
+  /// RCHX v2 snapshot files in format "p2h", with the same contract as
+  /// `PrunedTwoHop::SaveSnapshot`/`LoadSnapshot` (docs/SNAPSHOTS.md):
+  /// page-aligned sealed pools, flat or compressed, any delta folded in;
+  /// the load maps the file and serves straight off it.
+  bool SaveSnapshot(std::ostream& out) const {
+    return core_.SaveSnapshot(out);
+  }
+  bool SaveSnapshot(const std::string& path,
+                    std::string* error = nullptr) const {
+    return core_.SaveSnapshot(path, error);
+  }
+  LoadResult LoadSnapshot(const std::string& path) {
+    return core_.LoadSnapshot(path);
+  }
+  LoadResult LoadSnapshot(std::shared_ptr<MappedFile> file) {
+    return core_.LoadSnapshot(std::move(file));
+  }
 
   /// Applies a batch of labeled inserts and deletes (class comment).
   /// Validate-first: an endpoint or label out of range rejects the whole

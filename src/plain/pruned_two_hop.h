@@ -7,6 +7,8 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/label_kernels.h"
@@ -33,20 +35,16 @@ enum class VertexOrder {
   kRandom,
 };
 
-class PrunedTwoHop;
-
 /// `TwoHopCore` vocabulary of plain reachability: a label entry is a hop
 /// rank, an arc is the neighbor id, and queries carry no constraint. The
 /// superset query kernels are the sorted-rank intersection engine of
-/// core/label_kernels.h and the compressed pool's skip-table walks.
+/// core/label_kernels.h.
 struct PlainTwoHopTraits {
   using Entry = uint32_t;
   using Arc = VertexId;
   using Graph = Digraph;
   using Edge = ::reach::Edge;
   struct Constraint {};
-  using CompressedPool = CompressedRankPool;
-  using Index = PrunedTwoHop;
   class Sweeper;  // the pruned BFS of one rank (pruned_two_hop.cc)
 
   static uint32_t Rank(Entry e) { return e; }
@@ -68,6 +66,12 @@ struct PlainTwoHopTraits {
   static bool ArcInRange(const Digraph&, Arc) { return true; }
   /// Any live detour u ->* v reroutes every path through a deleted (u, v).
   static Constraint DetourConstraint(Arc) { return {}; }
+  /// One format name for the whole TOL family: the payload stores the
+  /// total order itself, so any `VertexOrder` instance loads any other's
+  /// labeling. The magic spells "reach-2h"; a list holds at most n ranks.
+  static constexpr std::string_view kFormatName = "pll";
+  static constexpr uint64_t kPayloadMagic = 0x72656163682d3268ULL;
+  static constexpr uint64_t kListCapPerVertex = 1;
 
   // The membership test of the query hot path, forced inline and written
   // out (std::lower_bound's loop) so it never becomes a call, however
@@ -92,20 +96,6 @@ struct PlainTwoHopTraits {
   static bool Intersect(std::span<const Entry> a, std::span<const Entry> b,
                         Constraint) {
     return IntersectSorted(a.data(), a.size(), b.data(), b.size());
-  }
-  static bool CoveredInPool(const CompressedRankPool& pool, VertexId v,
-                            uint32_t rank, Constraint) {
-    return pool.Contains(v, rank);
-  }
-  static bool IntersectPools(const CompressedRankPool& out_pool, VertexId s,
-                             const CompressedRankPool& in_pool, VertexId t,
-                             Constraint) {
-    return CompressedRankPool::Intersect(out_pool, s, in_pool, t);
-  }
-  static bool IntersectPoolWithSpan(const CompressedRankPool& pool,
-                                    VertexId v, std::span<const Entry> other,
-                                    Constraint) {
-    return pool.IntersectWithSorted(v, other.data(), other.size());
   }
 
   /// Adds the hops of Lin(s) ∪ {s} to the Lin of everything `t` reaches.
@@ -150,8 +140,8 @@ struct PlainTwoHopTraits {
 ///    caller schedules `RebuildFromUpdates()`.
 ///
 /// The machinery above is `TwoHopCore` (core/two_hop_core.h), shared with
-/// the labeled `PrunedLabeledTwoHop`; this class supplies the total order,
-/// the pruned BFS sweep, and the "pll" payload and snapshot I/O.
+/// the labeled `PrunedLabeledTwoHop`, persistence included; this class
+/// supplies the total order and the pruned BFS sweep.
 class PrunedTwoHop : public DynamicReachabilityIndex {
  public:
   /// `num_threads` parallelizes the build with rank-batched speculative
@@ -214,36 +204,47 @@ class PrunedTwoHop : public DynamicReachabilityIndex {
   /// which the stream does not carry — `RebuildFromUpdates()` first.
   /// Envelope format name: "pll" for the whole TOL family.
   bool SupportsSerialization() const override { return true; }
-  bool Save(std::ostream& out) const override;
+  bool Save(std::ostream& out) const override { return core_.Save(out); }
 
   /// Restores a labeling saved by `Save`. A loaded index answers queries
   /// without the original graph; call `Build` (or keep the graph around)
   /// before using `ApplyUpdate` again. Returns a typed error on malformed
-  /// input, leaving the index unspecified.
-  LoadResult Load(std::istream& in) override;
+  /// input or an inconsistent labeling (docs/SNAPSHOTS.md, "What a load
+  /// validates"), leaving the index unspecified.
+  LoadResult Load(std::istream& in) override { return core_.Load(in); }
 
   /// Writes an RCHX v2 *snapshot file* (docs/SNAPSHOTS.md): the sealed
   /// pool arrays — flat or compressed, any post-build delta folded in —
   /// laid out page-aligned behind a section table, so `LoadSnapshot` can
   /// mmap the file and serve queries straight off the mapping. Unlike
   /// `Save`, the bytes depend on the storage mode.
-  bool SaveSnapshot(std::ostream& out) const;
+  bool SaveSnapshot(std::ostream& out) const {
+    return core_.SaveSnapshot(out);
+  }
 
   /// Crash-safe snapshot write to a file: the stream form above routed
   /// through `WriteFileAtomic` (temp file + fsync + atomic rename), so a
   /// crash or failure mid-write can never tear an existing snapshot at
   /// `path` — it keeps its old bytes until the new ones are durable.
   bool SaveSnapshot(const std::string& path,
-                    std::string* error = nullptr) const;
+                    std::string* error = nullptr) const {
+    return core_.SaveSnapshot(path, error);
+  }
 
   /// Zero-copy restore of a snapshot written by `SaveSnapshot`: the file
   /// is mmap'd, the section table and pool structure are validated, and
   /// the sealed pools are pointed directly at the mapping — no copy, no
-  /// reseal. The mapping is held by the index (and released on the next
-  /// `Build`/`Load`/destruction). On failure the result names the
-  /// failing section and byte offset; the index is left unspecified.
-  LoadResult LoadSnapshot(const std::string& path);
-  LoadResult LoadSnapshot(std::shared_ptr<MappedFile> file);
+  /// reseal — and the labeling is validated like a stream load's. The
+  /// mapping is held by the index (and released on the next
+  /// `Build`/`Load`/destruction). On failure the result names the failing
+  /// section (and byte offset, where there is one); the index is left
+  /// unspecified.
+  LoadResult LoadSnapshot(const std::string& path) {
+    return core_.LoadSnapshot(path);
+  }
+  LoadResult LoadSnapshot(std::shared_ptr<MappedFile> file) {
+    return core_.LoadSnapshot(std::move(file));
+  }
 
   /// Total number of label entries sum |Lin| + |Lout| — the index-size
   /// measure of §3.2.

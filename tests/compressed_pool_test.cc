@@ -4,13 +4,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <random>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/bit_pack.h"
 #include "core/label_pool.h"
+#include "core/two_hop_core.h"
 #include "graph/generators.h"
 #include "lcr/pruned_labeled_two_hop.h"
 #include "plain/pruned_two_hop.h"
@@ -36,6 +40,68 @@ std::vector<std::vector<uint32_t>> RandomRankLists(size_t n, uint32_t universe,
   return lists;
 }
 
+// The two entry kinds the pool's codecs cover, and what the typed tests
+// need of each: an entry per (rank, mask), the largest rank group to
+// generate, a query constraint, and the usable-under-`q` oracle.
+struct PlainKind {
+  using Traits = PlainTwoHopTraits;
+  using Entry = uint32_t;
+  static constexpr size_t kMaxGroup = 1;
+  static Entry Make(uint32_t rank, LabelSet) { return rank; }
+  static Traits::Constraint Query(uint64_t) { return {}; }
+  static Traits::Constraint AllowAll() { return {}; }
+  static bool Usable(Entry, Traits::Constraint) { return true; }
+};
+
+struct LabeledKind {
+  using Traits = LabeledTwoHopTraits;
+  using Entry = Traits::Entry;
+  static constexpr size_t kMaxGroup = 3;
+  static Entry Make(uint32_t rank, LabelSet mask) { return {rank, mask}; }
+  static LabelSet Query(uint64_t bits) { return static_cast<LabelSet>(bits); }
+  static LabelSet AllowAll() { return ~LabelSet{0}; }
+  static bool Usable(const Entry& e, LabelSet q) {
+    return IsSubsetOf(e.mask, q);
+  }
+};
+
+struct KindNames {
+  template <typename Kind>
+  static std::string GetName(int) {
+    return std::is_same_v<Kind, PlainKind> ? "plain" : "labeled";
+  }
+};
+
+// Random rank-sorted lists of `Kind` entries: the ranks of
+// `RandomRankLists`, each a group of up to `kMaxGroup` distinct masks.
+template <typename Kind>
+std::vector<std::vector<typename Kind::Entry>> RandomLists(size_t n,
+                                                           uint32_t universe,
+                                                           uint64_t seed) {
+  std::mt19937_64 rng(seed ^ 0x9e3779b97f4a7c15ULL);
+  std::vector<std::vector<typename Kind::Entry>> lists(n);
+  const auto ranks = RandomRankLists(n, universe, seed);
+  for (size_t v = 0; v < n; ++v) {
+    for (uint32_t rank : ranks[v]) {
+      std::vector<LabelSet> masks;
+      for (size_t i = 1 + rng() % Kind::kMaxGroup; i > 0; --i) {
+        masks.push_back(static_cast<LabelSet>(rng() % 16));
+      }
+      std::sort(masks.begin(), masks.end());
+      masks.erase(std::unique(masks.begin(), masks.end()), masks.end());
+      for (LabelSet mask : masks) lists[v].push_back(Kind::Make(rank, mask));
+    }
+  }
+  return lists;
+}
+
+template <typename Entry>
+bool SameEntries(const std::vector<Entry>& a, const std::vector<Entry>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(Entry)) == 0);
+}
+
 TEST(BitPackTest, RoundTripsEveryWidth) {
   std::vector<uint8_t> bytes;
   BitWriter writer(&bytes);
@@ -58,86 +124,111 @@ TEST(BitPackTest, RoundTripsEveryWidth) {
   EXPECT_EQ(reader.Get(32), 0u);
 }
 
-TEST(CompressedRankPoolTest, DecodeMatchesInput) {
-  const auto lists = RandomRankLists(300, 1 << 20, 11);
+// The pool and the core's pool kernels over both codecs: every case runs
+// once on plain rank lists and once on labeled lists with rank groups.
+template <typename Kind>
+class CompressedPoolTest : public testing::Test {
+ protected:
+  using Entry = typename Kind::Entry;
+  using Pool = CompressedPool<Entry>;
+  using Core = TwoHopCore<typename Kind::Traits>;
+
+  static bool CoveredOracle(const std::vector<Entry>& list, uint32_t rank,
+                            typename Kind::Traits::Constraint q) {
+    return std::any_of(list.begin(), list.end(), [&](const Entry& e) {
+      return Kind::Traits::Rank(e) == rank && Kind::Usable(e, q);
+    });
+  }
+
+  static bool IntersectOracle(const std::vector<Entry>& a,
+                              const std::vector<Entry>& b,
+                              typename Kind::Traits::Constraint q) {
+    return std::any_of(a.begin(), a.end(), [&](const Entry& e) {
+      return Kind::Usable(e, q) &&
+             CoveredOracle(b, Kind::Traits::Rank(e), q);
+    });
+  }
+};
+using Kinds = testing::Types<PlainKind, LabeledKind>;
+TYPED_TEST_SUITE(CompressedPoolTest, Kinds, KindNames);
+
+TYPED_TEST(CompressedPoolTest, DecodeMatchesInput) {
+  const auto lists = RandomLists<TypeParam>(300, 1 << 20, 11);
   for (size_t block : {8u, 64u, 1024u}) {
-    CompressedRankPool pool;
-    pool.Seal(lists, block);
+    typename TestFixture::Pool pool;
+    ASSERT_TRUE(pool.Seal(lists, block));
     ASSERT_TRUE(pool.Sealed());
-    std::vector<uint32_t> decoded;
+    std::vector<typename TypeParam::Entry> decoded;
     for (size_t v = 0; v < lists.size(); ++v) {
       pool.Decode(static_cast<VertexId>(v), &decoded);
-      EXPECT_EQ(decoded, lists[v]) << "vertex " << v << " block " << block;
+      EXPECT_TRUE(SameEntries(decoded, lists[v]))
+          << "vertex " << v << " block " << block;
       EXPECT_EQ(pool.ListEntries(static_cast<VertexId>(v)), lists[v].size());
     }
   }
 }
 
-TEST(CompressedRankPoolTest, ContainsMatchesBinarySearch) {
-  const auto lists = RandomRankLists(120, 5000, 23);
-  CompressedRankPool pool;
-  pool.Seal(lists, 32);
+TYPED_TEST(CompressedPoolTest, ContainsMatchesBinarySearch) {
+  const auto lists = RandomLists<TypeParam>(120, 5000, 23);
+  typename TestFixture::Pool pool;
+  ASSERT_TRUE(pool.Seal(lists, 32));
   std::mt19937_64 rng(29);
   for (size_t v = 0; v < lists.size(); ++v) {
+    const VertexId vertex = static_cast<VertexId>(v);
     for (int probe = 0; probe < 64; ++probe) {
       const uint32_t rank = static_cast<uint32_t>(rng() % 5000);
-      const bool expect =
-          std::binary_search(lists[v].begin(), lists[v].end(), rank);
-      EXPECT_EQ(pool.Contains(static_cast<VertexId>(v), rank), expect);
+      const auto q = TypeParam::Query(rng());
+      EXPECT_EQ(TestFixture::Core::PoolCovered(pool, vertex, rank, q),
+                TestFixture::CoveredOracle(lists[v], rank, q))
+          << "vertex " << v << " rank " << rank;
     }
     if (!lists[v].empty()) {
-      EXPECT_TRUE(pool.Contains(static_cast<VertexId>(v), lists[v].front()));
-      EXPECT_TRUE(pool.Contains(static_cast<VertexId>(v), lists[v].back()));
+      for (const auto& e : {lists[v].front(), lists[v].back()}) {
+        EXPECT_TRUE(TestFixture::Core::PoolCovered(
+            pool, vertex, TypeParam::Traits::Rank(e), TypeParam::AllowAll()));
+      }
     }
   }
 }
 
-TEST(CompressedRankPoolTest, IntersectMatchesSetIntersection) {
-  const auto lists = RandomRankLists(200, 3000, 31);
-  CompressedRankPool pool;
-  pool.Seal(lists, 16);
+TYPED_TEST(CompressedPoolTest, IntersectMatchesSetIntersection) {
+  const auto lists = RandomLists<TypeParam>(200, 3000, 31);
+  typename TestFixture::Pool pool;
+  ASSERT_TRUE(pool.Seal(lists, 16));
   std::mt19937_64 rng(37);
   for (int trial = 0; trial < 2000; ++trial) {
     const VertexId a = static_cast<VertexId>(rng() % lists.size());
     const VertexId b = static_cast<VertexId>(rng() % lists.size());
-    std::vector<uint32_t> meet;
-    std::set_intersection(lists[a].begin(), lists[a].end(), lists[b].begin(),
-                          lists[b].end(), std::back_inserter(meet));
-    EXPECT_EQ(CompressedRankPool::Intersect(pool, a, pool, b), !meet.empty())
+    const auto q = TypeParam::Query(rng());
+    EXPECT_EQ(TestFixture::Core::PoolsIntersect(pool, a, pool, b, q),
+              TestFixture::IntersectOracle(lists[a], lists[b], q))
         << a << " ^ " << b;
   }
 }
 
-TEST(CompressedRankPoolTest, IntersectWithSortedMatchesOracle) {
-  const auto lists = RandomRankLists(80, 1000, 41);
-  CompressedRankPool pool;
-  pool.Seal(lists, 16);
+TYPED_TEST(CompressedPoolTest, IntersectWithSortedMatchesOracle) {
+  const auto lists = RandomLists<TypeParam>(80, 1000, 41);
+  typename TestFixture::Pool pool;
+  ASSERT_TRUE(pool.Seal(lists, 16));
+  const auto others = RandomLists<TypeParam>(500, 1000, 43);
   std::mt19937_64 rng(43);
-  for (int trial = 0; trial < 500; ++trial) {
+  for (const auto& other : others) {
     const VertexId v = static_cast<VertexId>(rng() % lists.size());
-    std::vector<uint32_t> other;
-    for (size_t i = rng() % 20; i > 0; --i) {
-      other.push_back(static_cast<uint32_t>(rng() % 1000));
-    }
-    std::sort(other.begin(), other.end());
-    other.erase(std::unique(other.begin(), other.end()), other.end());
-    std::vector<uint32_t> meet;
-    std::set_intersection(lists[v].begin(), lists[v].end(), other.begin(),
-                          other.end(), std::back_inserter(meet));
-    EXPECT_EQ(pool.IntersectWithSorted(v, other.data(), other.size()),
-              !meet.empty());
+    const auto q = TypeParam::Query(rng());
+    EXPECT_EQ(TestFixture::Core::PoolIntersectsSpan(pool, v, other, q),
+              TestFixture::IntersectOracle(lists[v], other, q));
   }
 }
 
-TEST(CompressedRankPoolTest, SealFromViewRejectsMalformedStructure) {
-  const auto lists = RandomRankLists(20, 500, 47);
-  CompressedRankPool pool;
-  pool.Seal(lists, 16);
+TYPED_TEST(CompressedPoolTest, SealFromViewRejectsMalformedStructure) {
+  const auto lists = RandomLists<TypeParam>(20, 500, 47);
+  typename TestFixture::Pool pool;
+  ASSERT_TRUE(pool.Seal(lists, 16));
   const auto vb = pool.VertexBlocksRaw();
   const auto skip = pool.SkipRaw();
   const auto data = pool.DataRaw();
 
-  CompressedRankPool view;
+  typename TestFixture::Pool view;
   ASSERT_TRUE(view.SealFromView(vb, skip, data, pool.NumEntries(),
                                 pool.BlockEntries()));
   // Wrong entry total must be rejected (count validation sums blocks).
@@ -263,10 +354,10 @@ TEST(CompressedEntryPoolTest, SealRefusesOversizedRankGroup) {
   };
   std::vector<std::vector<E>> lists(1);
   for (uint32_t i = 0;
-       i < CompressedEntryPool<E>::kMaxBlockEntries + 1; ++i) {
+       i < CompressedPool<E>::kMaxBlockEntries + 1; ++i) {
     lists[0].push_back({7, i});  // one rank group larger than any block
   }
-  CompressedEntryPool<E> pool;
+  CompressedPool<E> pool;
   EXPECT_FALSE(pool.Seal(lists, 64));
   EXPECT_FALSE(pool.Sealed());
 }
@@ -312,7 +403,7 @@ TEST(MemoryBytesTest, PoolsAndNegCacheReportBytes) {
   // (n + 1) offsets + 4 entries.
   EXPECT_EQ(flat.MemoryBytes(), 4 * sizeof(uint64_t) + 4 * sizeof(uint32_t));
 
-  CompressedRankPool cpool;
+  CompressedPool<uint32_t> cpool;
   cpool.Seal(RandomRankLists(50, 1000, 53), 32);
   EXPECT_GT(cpool.MemoryBytes(), 0u);
 

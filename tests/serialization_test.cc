@@ -1,5 +1,7 @@
+#include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include "graph/figure1.h"
 #include "graph/generators.h"
 #include "lcr/label_set.h"
+#include "lcr/pruned_labeled_two_hop.h"
 #include "plain/pruned_two_hop.h"
 #include "traversal/transitive_closure.h"
 
@@ -213,6 +216,86 @@ TEST(SerializationEnvelopeTest, BadMagicIsTyped) {
   PrunedTwoHop loaded;
   const LoadResult result = loaded.Load(buffer);
   EXPECT_EQ(result.status, LoadStatus::kBadMagic);
+}
+
+// Byte offsets in a v1 stream (docs/SNAPSHOTS.md): the envelope for a
+// three-letter format name is 15 bytes, then u64 magic, u64 n, and the
+// rank table as u64 count + u32s (its first rank at kStreamRankTable),
+// the by-rank table likewise, then the Lin lists as u64 count + entries.
+constexpr size_t kStreamRankTable = 15 + 8 + 8 + 8;
+size_t StreamLinLists(size_t n) { return kStreamRankTable + 8 + 8 * n; }
+
+template <typename T>
+T ReadAt(const std::string& bytes, size_t pos) {
+  T value;
+  std::memcpy(&value, bytes.data() + pos, sizeof(T));
+  return value;
+}
+
+// Swaps the `size`-byte values at `a` and `b`.
+void SwapBytes(std::string& bytes, size_t a, size_t b, size_t size) {
+  for (size_t i = 0; i < size; ++i) std::swap(bytes[a + i], bytes[b + i]);
+}
+
+// A plain stream whose first Lin list with two entries has them swapped:
+// a labeling whose answers are wrong even though every rank is in range.
+TEST(SerializationTest, RejectsUnsortedLinList) {
+  const Digraph g = RandomDag(300, 900, 7);
+  PrunedTwoHop index;
+  index.Build(g);
+  std::stringstream saved;
+  ASSERT_TRUE(index.Save(saved));
+  std::string bytes = saved.str();
+  const size_t n = g.NumVertices();
+  size_t pos = StreamLinLists(n);
+  for (;;) {
+    ASSERT_LT(pos + 8, bytes.size()) << "no Lin list with two entries";
+    const uint64_t count = ReadAt<uint64_t>(bytes, pos);
+    if (count >= 2) break;
+    pos += 8 + 4 * count;
+  }
+  SwapBytes(bytes, pos + 8, pos + 12, 4);
+  for (const bool compress : {false, true}) {
+    TwoHopStorageOptions storage;
+    storage.compress = compress;
+    PrunedTwoHop loaded(VertexOrder::kDegree, 0, 0, storage);
+    std::istringstream in(bytes);
+    const LoadResult result = loaded.Load(in);
+    EXPECT_EQ(result.status, LoadStatus::kCorrupt) << "compress " << compress;
+    EXPECT_NE(result.detail.find("Lin["), std::string::npos) << result.detail;
+  }
+}
+
+TEST(SerializationTest, RejectsRankTableNotInverseOfByRank) {
+  const Digraph g = RandomDag(300, 900, 7);
+  PrunedTwoHop index;
+  index.Build(g);
+  std::stringstream saved;
+  ASSERT_TRUE(index.Save(saved));
+  std::string bytes = saved.str();
+  SwapBytes(bytes, kStreamRankTable, kStreamRankTable + 4, 4);
+  std::istringstream in(bytes);
+  PrunedTwoHop loaded;
+  const LoadResult result = loaded.Load(in);
+  EXPECT_EQ(result.status, LoadStatus::kCorrupt);
+  EXPECT_NE(result.detail.find("rank table"), std::string::npos)
+      << result.detail;
+}
+
+TEST(SerializationTest, LabeledRejectsRankTableNotInverseOfByRank) {
+  const LabeledDigraph g = RandomLabeledDigraph(60, 240, 3, 7);
+  PrunedLabeledTwoHop index;
+  index.Build(g);
+  std::stringstream saved;
+  ASSERT_TRUE(index.Save(saved));
+  std::string bytes = saved.str();
+  SwapBytes(bytes, kStreamRankTable, kStreamRankTable + 4, 4);
+  std::istringstream in(bytes);
+  PrunedLabeledTwoHop loaded;
+  const LoadResult result = loaded.Load(in);
+  EXPECT_EQ(result.status, LoadStatus::kCorrupt);
+  EXPECT_NE(result.detail.find("rank table"), std::string::npos)
+      << result.detail;
 }
 
 TEST(SerializationTest, EmptyGraphRoundTrip) {

@@ -5,9 +5,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include "core/mapped_file.h"
 #include "core/serialize.h"
 #include "graph/generators.h"
+#include "lcr/pruned_labeled_two_hop.h"
 #include "plain/pruned_two_hop.h"
 #include "serve/reach_service.h"
 
@@ -25,7 +28,8 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
 }
 
-std::string SnapshotBytes(const PrunedTwoHop& index) {
+template <typename Index>
+std::string SnapshotBytes(const Index& index) {
   std::ostringstream out(std::ios::binary);
   EXPECT_TRUE(index.SaveSnapshot(out));
   return out.str();
@@ -265,6 +269,202 @@ TEST(SnapshotTest, SectionsArePageAligned) {
   EXPECT_EQ(typed[4], 8u);
   // Size not a multiple of the element type -> empty typed view.
   EXPECT_TRUE(view.TypedSection<uint64_t>(1).empty());
+}
+
+// Section kinds of a 2-hop snapshot, as docs/SNAPSHOTS.md lists them.
+constexpr uint32_t kMetaSection = 1;
+constexpr uint32_t kRankSection = 2;
+constexpr uint32_t kLinOffsetsSection = 4;
+constexpr uint32_t kLinEntriesSection = 5;
+constexpr uint32_t kLinVertexBlocksSection = 8;
+constexpr uint32_t kLinSkipSection = 9;
+constexpr uint32_t kLinDataSection = 10;
+
+// Byte offset of section `kind` in `bytes`, found through the validated
+// section table.
+size_t SectionOffset(const std::string& bytes, uint32_t kind) {
+  SnapshotView view;
+  const auto* base = reinterpret_cast<const uint8_t*>(bytes.data());
+  EXPECT_TRUE(view.Parse(base, bytes.size(), "pll"));
+  EXPECT_TRUE(view.Has(kind)) << "section " << kind;
+  return static_cast<size_t>(view.Section(kind).data() - base);
+}
+
+template <typename T>
+T ReadAt(const std::string& bytes, size_t pos) {
+  T value;
+  std::memcpy(&value, bytes.data() + pos, sizeof(T));
+  return value;
+}
+
+void SwapBytes(std::string& bytes, size_t a, size_t b, size_t size) {
+  for (size_t i = 0; i < size; ++i) std::swap(bytes[a + i], bytes[b + i]);
+}
+
+LoadResult LoadSnapshotBytes(const std::string& bytes,
+                             const std::string& name) {
+  const std::string path = TempPath(name);
+  WriteFile(path, bytes);
+  PrunedTwoHop loaded;
+  return loaded.LoadSnapshot(path);
+}
+
+TEST(SnapshotTest, FlatRejectsUnsortedLinList) {
+  const Digraph g = RandomDag(300, 900, 7);
+  PrunedTwoHop index;
+  index.Build(g);
+  std::string bytes = SnapshotBytes(index);
+  const size_t offsets = SectionOffset(bytes, kLinOffsetsSection);
+  const size_t entries = SectionOffset(bytes, kLinEntriesSection);
+  size_t v = 0;
+  while (ReadAt<uint64_t>(bytes, offsets + 8 * (v + 1)) -
+             ReadAt<uint64_t>(bytes, offsets + 8 * v) < 2) {
+    ASSERT_LT(++v, g.NumVertices()) << "no Lin list with two entries";
+  }
+  const size_t first = entries + 4 * ReadAt<uint64_t>(bytes, offsets + 8 * v);
+  SwapBytes(bytes, first, first + 4, 4);
+  const LoadResult result = LoadSnapshotBytes(bytes, "snap_unsorted.rchx");
+  EXPECT_EQ(result.status, LoadStatus::kCorrupt);
+  EXPECT_NE(result.detail.find("Lin[" + std::to_string(v) + "]"),
+            std::string::npos)
+      << result.detail;
+}
+
+TEST(SnapshotTest, FlatRejectsRankTableNotInverseOfByRank) {
+  const Digraph g = RandomDag(300, 900, 7);
+  PrunedTwoHop index;
+  index.Build(g);
+  std::string bytes = SnapshotBytes(index);
+  const size_t rank = SectionOffset(bytes, kRankSection);
+  SwapBytes(bytes, rank, rank + 4, 4);
+  const LoadResult result = LoadSnapshotBytes(bytes, "snap_rank_swap.rchx");
+  EXPECT_EQ(result.status, LoadStatus::kCorrupt);
+  EXPECT_NE(result.detail.find("rank table"), std::string::npos)
+      << result.detail;
+}
+
+// Two consecutive blocks of one list trade their skip ranges while their
+// data stays put: every structural check passes, but the list's skip
+// entries are out of order.
+TEST(SnapshotTest, CompressedRejectsSkipEntriesOutOfOrder) {
+  const Digraph g = RandomDag(300, 900, 7);
+  TwoHopStorageOptions storage;
+  storage.compress = true;
+  storage.block_entries = 8;
+  PrunedTwoHop index(VertexOrder::kDegree, 0x70'6c'6cULL, 0, storage);
+  index.Build(g);
+  std::string bytes = SnapshotBytes(index);
+  const size_t blocks = SectionOffset(bytes, kLinVertexBlocksSection);
+  const size_t skip = SectionOffset(bytes, kLinSkipSection);
+  size_t v = 0;
+  while (ReadAt<uint32_t>(bytes, blocks + 4 * (v + 1)) -
+             ReadAt<uint32_t>(bytes, blocks + 4 * v) < 2) {
+    ASSERT_LT(++v, g.NumVertices()) << "no Lin list with two blocks";
+  }
+  const size_t b = skip + 12 * ReadAt<uint32_t>(bytes, blocks + 4 * v);
+  SwapBytes(bytes, b, b + 12, 8);  // {first, last} of blocks b and b + 1
+  const LoadResult result = LoadSnapshotBytes(bytes, "snap_skip_order.rchx");
+  EXPECT_EQ(result.status, LoadStatus::kCorrupt);
+  EXPECT_NE(result.detail.find("Lin[" + std::to_string(v) + "]"),
+            std::string::npos)
+      << result.detail;
+}
+
+// Pins the compressed v2 layout of docs/SNAPSHOTS.md the way
+// `ExpectLegacySaveLayout` pins v1: the Lin sections decoded by the
+// documented layout, with a decoder written from the doc alone, give
+// back `InLabels`.
+TEST(SnapshotTest, CompressedLinSectionsFollowDocumentedLayout) {
+  const Digraph g = ScaleFreeDag(200, 4, 41);
+  TwoHopStorageOptions storage;
+  storage.compress = true;
+  storage.block_entries = 16;
+  PrunedTwoHop index(VertexOrder::kDegree, 0x70'6c'6cULL, 0, storage);
+  index.Build(g);
+  const std::string bytes = SnapshotBytes(index);
+  const size_t n = g.NumVertices();
+
+  // Meta: u64 magic, u64 n, u64 Lin entries, u64 Lout entries,
+  // u32 storage, u32 block entries.
+  const size_t meta = SectionOffset(bytes, kMetaSection);
+  EXPECT_EQ(ReadAt<uint64_t>(bytes, meta), 0x72656163682d3268ULL);
+  EXPECT_EQ(ReadAt<uint64_t>(bytes, meta + 8), n);
+  EXPECT_EQ(ReadAt<uint32_t>(bytes, meta + 32), 1u);
+  EXPECT_EQ(ReadAt<uint32_t>(bytes, meta + 36), 16u);
+
+  // Vertex v owns blocks [blocks[v], blocks[v + 1]); skip entry b is
+  // {u32 first, u32 last, u32 data offset}; block b's bytes are a u8
+  // delta width w, a u16 count, then count - 1 deltas of w bits,
+  // LSB-first, each value being the previous one plus one plus its delta.
+  const size_t blocks = SectionOffset(bytes, kLinVertexBlocksSection);
+  const size_t skip = SectionOffset(bytes, kLinSkipSection);
+  const size_t data = SectionOffset(bytes, kLinDataSection);
+  uint64_t lin_entries = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    std::vector<uint32_t> lin;
+    for (uint32_t b = ReadAt<uint32_t>(bytes, blocks + 4 * v);
+         b < ReadAt<uint32_t>(bytes, blocks + 4 * (v + 1)); ++b) {
+      const uint32_t first = ReadAt<uint32_t>(bytes, skip + 12 * b);
+      const uint32_t last = ReadAt<uint32_t>(bytes, skip + 12 * b + 4);
+      const size_t block = data + ReadAt<uint32_t>(bytes, skip + 12 * b + 8);
+      const int width = static_cast<uint8_t>(bytes[block]);
+      const uint16_t count = ReadAt<uint16_t>(bytes, block + 1);
+      uint32_t value = first;
+      lin.push_back(value);
+      for (size_t i = 1, bit = 0; i < count; ++i) {
+        uint32_t delta = 0;
+        for (int k = 0; k < width; ++k, ++bit) {
+          const auto byte = static_cast<uint8_t>(bytes[block + 3 + bit / 8]);
+          delta |= static_cast<uint32_t>((byte >> (bit % 8)) & 1) << k;
+        }
+        value += 1 + delta;
+        lin.push_back(value);
+      }
+      EXPECT_EQ(value, last) << "Lin(" << v << ") block " << b;
+    }
+    EXPECT_EQ(lin, index.InLabels(v)) << "Lin(" << v << ")";
+    lin_entries += lin.size();
+  }
+  EXPECT_EQ(ReadAt<uint64_t>(bytes, meta + 16), lin_entries);
+}
+
+// The labeled 2-hop ("p2h") snapshot: flat and compressed, with insert
+// deltas folded in, answers every (pair, label set) like the live index.
+TEST(SnapshotTest, LcrRoundTripFoldsInInserts) {
+  const LabeledDigraph g = RandomLabeledDigraph(50, 180, 3, 43);
+  const LabelSet masks[] = {LabelSet{0x1}, LabelSet{0x3}, LabelSet{0x5},
+                            LabelSet{0x7}};
+  for (const bool compress : {false, true}) {
+    TwoHopStorageOptions storage;
+    storage.compress = compress;
+    storage.block_entries = 8;
+    PrunedLabeledTwoHop index(0, storage);
+    index.Build(g);
+    ASSERT_TRUE(index.ApplyUpdate({LabeledEdgeUpdate::Insert(3, 41, 1),
+                                   LabeledEdgeUpdate::Insert(40, 7, 2),
+                                   LabeledEdgeUpdate::Insert(12, 30, 0)})
+                    .ok());
+    const std::string path = TempPath("snap_lcr.rchx");
+    WriteFile(path, SnapshotBytes(index));
+
+    PrunedLabeledTwoHop loaded;
+    const LoadResult result = loaded.LoadSnapshot(path);
+    ASSERT_TRUE(result) << LoadStatusMessage(result);
+    EXPECT_EQ(loaded.CompressedStorage(), compress);
+    EXPECT_EQ(loaded.TotalEntries(), index.TotalEntries());
+    for (VertexId s = 0; s < g.NumVertices(); ++s) {
+      for (VertexId t = 0; t < g.NumVertices(); ++t) {
+        for (const LabelSet mask : masks) {
+          ASSERT_EQ(loaded.Query(s, t, mask), index.Query(s, t, mask))
+              << s << "->" << t << " mask " << mask << " compress "
+              << compress;
+        }
+      }
+    }
+    // The "pll" and "p2h" formats do not cross-load.
+    PrunedTwoHop plain;
+    EXPECT_EQ(plain.LoadSnapshot(path).status, LoadStatus::kWrongIndex);
+  }
 }
 
 TEST(ServeSnapshotTest, StartWithSnapshotServesIndexBackedAnswers) {
