@@ -36,6 +36,10 @@ struct EdgeUpdate {
   }
 };
 
+/// The adjacency arc a plain update names: its target, as
+/// `GraphArcs<Digraph>` has it.
+inline VertexId UpdateArc(const EdgeUpdate& update) { return update.target; }
+
 /// An ordered sequence of updates applied atomically from the caller's
 /// point of view: `ApplyUpdate` either applies the whole batch or rejects
 /// the whole batch without side effects. Order matters — an insert of
@@ -98,6 +102,43 @@ struct UpdateResult {
     r.reason = std::move(why);
     return r;
   }
+};
+
+/// The validate-first batch loop behind every index's `ApplyUpdate`,
+/// for plain and labeled batches alike. The whole batch is rejected, with
+/// no update applied, when there is no live `graph` (nullptr: unbuilt, or
+/// loaded read-only), when an update names an endpoint outside it, or when
+/// `check(update)` returns a reason (a `const char*`; nullptr passes).
+/// Otherwise `apply(update)` runs on each update in order and returns
+/// whether it changed graph state; the result counts applied and ignored
+/// updates and reports `damage`, read after the last update, against
+/// `budget`.
+template <typename Batch, typename Graph, typename Check, typename Apply>
+UpdateResult ApplyUpdateBatch(const Batch& batch, const Graph* graph,
+                              Check&& check, Apply&& apply,
+                              const size_t& damage, size_t budget) {
+  if (graph == nullptr) {
+    return UpdateResult::Rejected("no live graph: Build() first");
+  }
+  const size_t n = graph->NumVertices();
+  for (const auto& update : batch) {
+    if (update.source >= n || update.target >= n) {
+      return UpdateResult::Rejected("endpoint out of range");
+    }
+    if (const char* reason = check(update)) {
+      return UpdateResult::Rejected(reason);
+    }
+  }
+  size_t applied = 0;
+  for (const auto& update : batch) applied += apply(update) ? 1 : 0;
+  return UpdateResult::Applied(applied, batch.size() - applied, damage,
+                               budget);
+}
+
+/// The `check` of an `ApplyUpdateBatch` caller that accepts every update
+/// within range.
+inline constexpr auto kAcceptInRange = [](const auto&) -> const char* {
+  return nullptr;
 };
 
 /// Printable name for logs / CLI output.

@@ -24,6 +24,7 @@
 #include "core/search_workspace.h"
 #include "core/serialize.h"
 #include "core/workspace_pool.h"
+#include "graph/arc_overlay.h"
 #include "graph/types.h"
 #include "obs/build_phase_timer.h"
 #include "obs/metrics_registry.h"
@@ -95,21 +96,19 @@ static_assert(std::is_trivially_copyable_v<Meta>);
 ///  * sealing into flat or block-compressed pools under the size budget,
 ///    the compressed-pool query kernels, and the post-seal `delta_lin_`
 ///    insert overlay;
-///  * the live and superset adjacency (base graph + inserted extras,
-///    minus sorted tombstones for the live view) and the decremental
-///    bookkeeping around it: damage marks, resurrection, re-closing damage
-///    on insert, `ApplyUpdate` and the live-graph rebuild;
+///  * the decremental bookkeeping over the `ArcOverlay` of inserted and
+///    tombstoned arcs (graph/arc_overlay.h): damage marks, re-closing
+///    damage on insert, and the local-redundancy check of a delete;
 ///  * query answering: the three-case superset test and, under damage,
 ///    the witness-trust protocol with its label-pruned live verification;
 ///  * persistence: the v1 stream and the RCHX v2 snapshot file, and the
 ///    validation every load runs (docs/SNAPSHOTS.md).
 ///
-/// `Traits` supplies the entry/arc vocabulary and the pieces that really
-/// differ between the two indexes:
+/// `Traits` supplies the entry vocabulary and the pieces that really
+/// differ between the two indexes; the arc vocabulary is the graph's own
+/// (`GraphArcs<Graph>`, next to each graph type):
 ///
-///   Entry, Arc, Graph, Edge   label entry, adjacency arc (totally ordered,
-///                             as graph adjacency is sorted), graph type
-///                             and its edge type
+///   Entry, Graph              label entry and graph type
 ///   Constraint                a query's path constraint
 ///   kFormatName, kPayloadMagic
 ///                             the envelope's format name and the payload
@@ -121,9 +120,7 @@ static_assert(std::is_trivially_copyable_v<Meta>);
 ///   Rank(entry)
 ///   Covered(entries, rank, q) whether rank-sorted `entries` hold a `rank`
 ///                             entry usable under `q`
-///   Head(arc), Reverse(from, arc), ArcAllowed(arc, q)
-///   OutArcs(graph, v), InArcs(graph, v), MakeEdge(from, arc),
-///   MakeGraph(like, edges), UpdateArc(update), ArcInRange(graph, arc)
+///   ArcAllowed(arc, q)        whether a path may take `arc` under `q`
 ///   DetourConstraint(cut)     the constraint under which a surviving
 ///                             detour around the deleted arc `cut` makes
 ///                             the delete answer-preserving
@@ -139,8 +136,9 @@ template <typename Traits>
 class TwoHopCore {
  public:
   using Entry = typename Traits::Entry;
-  using Arc = typename Traits::Arc;
   using Graph = typename Traits::Graph;
+  using Arcs = GraphArcs<Graph>;
+  using Arc = typename Arcs::Arc;
   using Constraint = typename Traits::Constraint;
   using Pool = CompressedPool<Entry>;
   static_assert(std::has_unique_object_representations_v<Entry>,
@@ -162,8 +160,7 @@ class TwoHopCore {
              OrderFn&& order) {
     BuildStatsScope build(stats);
     probes_.Reset();
-    graph_ = &graph;
-    ResetDynamicState();
+    ResetDynamicState(&graph);
     ClearPools();  // free the old labeling before building the new one
     {
       BuildPhaseTimer timer(&stats->phases, "order");
@@ -222,55 +219,33 @@ class TwoHopCore {
   QueryProbe Probe() const { return probes_.Aggregate(); }
   void ResetProbe() const { probes_.Reset(); }
 
-  /// Validate-first batch application: a rejected batch leaves no partial
-  /// state behind. Inserts apply incrementally; deletes tombstone the arc
-  /// and either prove themselves answer-preserving or mark damage. Never
-  /// rebuilds — crossing the staleness budget only changes the status.
+  /// Validate-first batch application (`ApplyUpdateBatch`; a loaded
+  /// labeling has no live graph and rejects every batch). Inserts apply
+  /// incrementally; deletes tombstone the arc and either prove themselves
+  /// answer-preserving or mark damage. Never rebuilds — crossing the
+  /// staleness budget only changes the status.
   template <typename Batch>
   UpdateResult ApplyUpdate(const Batch& batch) {
-    if (graph_ == nullptr) {
-      return UpdateResult::Rejected(
-          "no live graph: Build() before ApplyUpdate (Load'ed labelings are "
-          "read-only)");
-    }
-    const VertexId n = static_cast<VertexId>(graph_->NumVertices());
-    for (const auto& update : batch) {
-      if (update.source >= n || update.target >= n) {
-        return UpdateResult::Rejected("endpoint out of range");
-      }
-      if (!Traits::ArcInRange(*graph_, Traits::UpdateArc(update))) {
-        return UpdateResult::Rejected("label out of range");
-      }
-    }
-    size_t applied = 0;
-    size_t ignored = 0;
-    for (const auto& update : batch) {
-      const Arc arc = Traits::UpdateArc(update);
-      const bool changed = update.IsInsert() ? ApplyInsert(update.source, arc)
-                                             : ApplyDelete(update.source, arc);
-      if (changed) {
-        ++applied;
-      } else {
-        ++ignored;
-      }
-    }
-    return UpdateResult::Applied(applied, ignored, damage_,
-                                 staleness_budget_);
+    const Graph* graph = overlay_.base();
+    return ApplyUpdateBatch(
+        batch, graph,
+        [graph](const auto& update) -> const char* {
+          return Arcs::InRange(*graph, UpdateArc(update))
+                     ? nullptr
+                     : "label out of range";
+        },
+        [this](const auto& update) {
+          const Arc arc = UpdateArc(update);
+          return update.IsInsert() ? ApplyInsert(update.source, arc)
+                                   : ApplyDelete(update.source, arc);
+        },
+        damage_, staleness_budget_);
   }
 
-  /// The live edge set (base ∪ extras, minus tombstones) as a graph the
-  /// core owns — what `RebuildFromUpdates` builds over. nullptr without a
-  /// live graph (after a load).
+  /// The live graph as a graph the core owns — what `RebuildFromUpdates`
+  /// builds over. nullptr without a live graph (after a load).
   const Graph* MaterializeLiveGraph() {
-    if (graph_ == nullptr) return nullptr;
-    std::vector<typename Traits::Edge> edges;
-    for (VertexId v = 0; v < graph_->NumVertices(); ++v) {
-      ForEachOut(v, [&](const Arc& arc) {
-        edges.push_back(Traits::MakeEdge(v, arc));
-      });
-    }
-    owned_graph_ = Traits::MakeGraph(*graph_, std::move(edges));
-    return &owned_graph_;
+    return overlay_.base() == nullptr ? nullptr : &overlay_.Materialize();
   }
 
   size_t Damage() const { return damage_; }
@@ -326,7 +301,8 @@ class TwoHopCore {
 
   uint32_t Rank(VertexId v) const { return rank_[v]; }
   VertexId ByRank(uint32_t r) const { return by_rank_[r]; }
-  const Graph& graph() const { return *graph_; }
+  const Graph& graph() const { return *overlay_.base(); }
+  const ArcOverlay<Graph>& overlay() const { return overlay_; }
 
   /// Build-time pruning oracle over the unsealed per-vertex vectors.
   bool LabelQuery(VertexId s, VertexId t, Constraint q) const {
@@ -338,15 +314,9 @@ class TwoHopCore {
     return Traits::Intersect(lout_s, lin_t, q);
   }
 
-  /// Superset adjacency G+: base ∪ every arc ever inserted, tombstones
-  /// ignored — the graph the sealed + delta labels are exact for.
-  template <typename Fn>
-  void ForEachOutSuperset(VertexId v, Fn&& fn) const {
-    VisitArcs(Traits::OutArcs(*graph_, v), extra_out_, nullptr, v, fn);
-  }
-
-  /// Every vertex `from` reaches in G+ (itself first), in BFS order. The
-  /// reference is valid until the next write-side traversal.
+  /// Every vertex `from` reaches in the overlay's superset graph G+ (the
+  /// graph the sealed + delta labels are exact for), itself first, in BFS
+  /// order. The reference is valid until the next write-side traversal.
   const std::vector<VertexId>& ReachableInSuperset(VertexId from) {
     SweepSuperset(from, /*backward=*/false, SIZE_MAX);
     return ws_.queue();
@@ -529,8 +499,7 @@ class TwoHopCore {
     EntryLists lin, lout;
     if (LoadResult r = read_lists("Lin", &lin); !r) return r;
     if (LoadResult r = read_lists("Lout", &lout); !r) return r;
-    graph_ = nullptr;
-    ResetDynamicState();
+    ResetDynamicState(nullptr);
     rank_ = std::move(rank);
     by_rank_ = std::move(by_rank);
     lin_ = std::move(lin);
@@ -657,8 +626,7 @@ class TwoHopCore {
 
     // Header-level checks passed: reset storage, then point the pools at
     // the mapping.
-    graph_ = nullptr;
-    ResetDynamicState();
+    ResetDynamicState(nullptr);
     ClearPools();
     compressed_ = meta.storage == 1;
     const auto seal_view = [&](const char* side, uint32_t kind,
@@ -716,7 +684,6 @@ class TwoHopCore {
  private:
   using Sweeper = typename Traits::Sweeper;
   using EntryLists = std::vector<std::vector<Entry>>;
-  using ArcLists = std::vector<std::vector<Arc>>;
 
   // paraPLL-style speculate/validate/redo over rank batches. Phase 1 runs
   // every sweep of the batch in parallel against the *committed* label
@@ -737,7 +704,7 @@ class TwoHopCore {
   // would visit. The flag is a template argument so the serial sweep —
   // the warmup's heavy floods — carries no speculation bookkeeping.
   void BuildLabels(size_t threads) {
-    const size_t n = graph_->NumVertices();
+    const size_t n = overlay_.NumVertices();
     lin_.assign(n, {});
     lout_.assign(n, {});
     if (n == 0) return;
@@ -1024,21 +991,17 @@ class TwoHopCore {
   // near the damaged region.
   bool ConstrainedLiveSearch(VertexId from, VertexId to, Constraint q,
                              size_t budget, SearchWorkspace& ws) const {
-    ws.Prepare(graph_->NumVertices());
+    ws.Prepare(overlay_.NumVertices());
     std::vector<VertexId>& queue = ws.queue();
     queue.push_back(from);
     ws.MarkForward(from);
     for (size_t head = 0; head < queue.size(); ++head) {
-      bool found = false;
-      ForEachOut(queue[head], [&](const Arc& arc) {
-        if (found || !Traits::ArcAllowed(arc, q)) return;
-        const VertexId w = Traits::Head(arc);
-        if (w == to) {
-          found = true;
-          return;
-        }
-        if (!ws.MarkForward(w) || !SupersetAnswer(w, to, q)) return;
-        queue.push_back(w);
+      const bool found = overlay_.LiveOut()(queue[head], [&](const Arc& arc) {
+        if (!Traits::ArcAllowed(arc, q)) return false;
+        const VertexId w = Arcs::Head(arc);
+        if (w == to) return true;
+        if (ws.MarkForward(w) && SupersetAnswer(w, to, q)) queue.push_back(w);
+        return false;
       });
       if (found) return true;
       if (queue.size() > budget) return false;
@@ -1048,23 +1011,19 @@ class TwoHopCore {
 
   // Both return true when graph state changed.
   bool ApplyInsert(VertexId s, const Arc& arc) {
-    const VertexId t = Traits::Head(arc);
+    const VertexId t = Arcs::Head(arc);
     if (s == t) return false;  // reachability is reflexive anyway
-    if (IsTombstoned(s, arc)) {
-      // Resurrecting a deleted arc: the labels already cover it (it is
-      // part of the superset), so dropping the tombstone is the whole
-      // update. Damage marks stay — conservative, cleared at rebuild.
-      SortedErase(tomb_out_[s], arc);
-      SortedErase(tomb_in_[t], Traits::Reverse(s, arc));
-      return true;
+    switch (overlay_.Insert(s, arc)) {
+      case ArcInsert::kNoOp:
+        return false;
+      case ArcInsert::kResurrected:
+        // The labels already cover a resurrected arc (it is part of the
+        // superset), so dropping the tombstone is the whole update.
+        // Damage marks stay — conservative, cleared at rebuild.
+        return true;
+      case ArcInsert::kAdded:
+        break;
     }
-    if (HasArc(s, arc)) return false;
-    if (extra_out_.empty()) {
-      extra_out_.resize(graph_->NumVertices());
-      extra_in_.resize(graph_->NumVertices());
-    }
-    extra_out_[s].push_back(arc);
-    extra_in_[t].push_back(Traits::Reverse(s, arc));
 
     // The damage marks are transitive closures over the superset as of
     // each damaging delete; this insert grows the superset, so re-close
@@ -1096,28 +1055,21 @@ class TwoHopCore {
     // later tombstone resurrection adds no labels, and would otherwise
     // leave pairs routed through the tombstoned arc without a witness —
     // turning "no witness" into a wrong exact negative.
-    if (delta_lin_.empty()) delta_lin_.resize(graph_->NumVertices());
+    if (delta_lin_.empty()) delta_lin_.resize(overlay_.NumVertices());
     has_delta_ = true;
     Traits::PropagateInsert(*this, s, arc);
     return true;
   }
 
   bool ApplyDelete(VertexId s, const Arc& arc) {
-    if (!HasArc(s, arc)) return false;       // never existed: no-op
-    if (IsTombstoned(s, arc)) return false;  // already deleted: no-op
-    if (tomb_out_.empty()) {
-      tomb_out_.resize(graph_->NumVertices());
-      tomb_in_.resize(graph_->NumVertices());
-    }
-    // Tombstone rather than erase, even for extras: the superset
-    // adjacency (and the sealed + delta labels that describe it) must keep
-    // every arc that ever existed for damage marking to stay conservative
-    // — a later delete can break the detour that justified an earlier
-    // "locally redundant" one, and the marking sweep is only conservative
-    // if it still sees the old route.
-    const VertexId t = Traits::Head(arc);
-    SortedInsert(tomb_out_[s], arc);
-    SortedInsert(tomb_in_[t], Traits::Reverse(s, arc));
+    // The overlay tombstones rather than erases, inserted arcs too: the
+    // superset adjacency (and the sealed + delta labels that describe it)
+    // must keep every arc that ever existed for damage marking to stay
+    // conservative — a later delete can break the detour that justified
+    // an earlier "locally redundant" one, and the marking sweep is only
+    // conservative if it still sees the old route.
+    if (!overlay_.Delete(s, arc)) return false;  // absent or already dead
+    const VertexId t = Arcs::Head(arc);
     if (s == t) return true;  // a self-loop never changes reachability
     // A live detour s ->* t under the cut arc's constraint reroutes every
     // old path through the arc: the reachability relation is untouched
@@ -1141,8 +1093,8 @@ class TwoHopCore {
   // arcs are still traced back to their hubs.
   void MarkDamage(VertexId u, VertexId v) {
     if (damaged_fwd_.empty()) {
-      damaged_fwd_.assign(graph_->NumVertices(), 0);
-      damaged_bwd_.assign(graph_->NumVertices(), 0);
+      damaged_fwd_.assign(overlay_.NumVertices(), 0);
+      damaged_bwd_.assign(overlay_.NumVertices(), 0);
     }
     if (!DamageSweep(u, /*backward=*/true)) fwd_all_damaged_ = true;
     if (!DamageSweep(v, /*backward=*/false)) bwd_all_damaged_ = true;
@@ -1160,22 +1112,20 @@ class TwoHopCore {
   // BFS over G+ from `start` into ws_.queue(); false once the queue
   // outgrows `budget`.
   bool SweepSuperset(VertexId start, bool backward, size_t budget) {
-    ws_.Prepare(graph_->NumVertices());
+    ws_.Prepare(overlay_.NumVertices());
     std::vector<VertexId>& queue = ws_.queue();
     queue.push_back(start);
     ws_.MarkForward(start);
     const auto visit = [&](const Arc& arc) {
-      if (ws_.MarkForward(Traits::Head(arc))) {
-        queue.push_back(Traits::Head(arc));
-      }
+      if (ws_.MarkForward(Arcs::Head(arc))) queue.push_back(Arcs::Head(arc));
+      return false;
     };
     for (size_t head = 0; head < queue.size(); ++head) {
       if (queue.size() > budget) return false;
       if (backward) {
-        VisitArcs(Traits::InArcs(*graph_, queue[head]), extra_in_, nullptr,
-                  queue[head], visit);
+        overlay_.SupersetIn()(queue[head], visit);
       } else {
-        ForEachOutSuperset(queue[head], visit);
+        overlay_.SupersetOut()(queue[head], visit);
       }
     }
     return true;
@@ -1188,61 +1138,10 @@ class TwoHopCore {
     return bwd_all_damaged_ || damaged_bwd_[r] != 0;
   }
 
-  // Live adjacency: base ∪ extras, minus tombstoned arcs.
-  template <typename Fn>
-  void ForEachOut(VertexId v, Fn&& fn) const {
-    VisitArcs(Traits::OutArcs(*graph_, v), extra_out_, &tomb_out_, v, fn);
-  }
-
-  // Calls `fn` on the base arcs and then the inserted extras of `v`,
-  // skipping arcs in `tomb` (nullptr = the superset view).
-  template <typename Fn>
-  static void VisitArcs(std::span<const Arc> base, const ArcLists& extra,
-                        const ArcLists* tomb, VertexId v, Fn& fn) {
-    const std::vector<Arc>* dead =
-        tomb == nullptr || tomb->empty() || (*tomb)[v].empty() ? nullptr
-                                                               : &(*tomb)[v];
-    const auto visit = [&](const Arc& arc) {
-      if (dead == nullptr ||
-          !std::binary_search(dead->begin(), dead->end(), arc)) {
-        fn(arc);
-      }
-    };
-    for (const Arc& arc : base) visit(arc);
-    if (!extra.empty()) {
-      for (const Arc& arc : extra[v]) visit(arc);
-    }
-  }
-
-  // True iff arc s -> arc exists in the base graph or the extras,
-  // tombstoned or not.
-  bool HasArc(VertexId s, const Arc& arc) const {
-    const std::span<const Arc> base = Traits::OutArcs(*graph_, s);
-    if (std::binary_search(base.begin(), base.end(), arc)) return true;
-    return !extra_out_.empty() &&
-           std::find(extra_out_[s].begin(), extra_out_[s].end(), arc) !=
-               extra_out_[s].end();
-  }
-
-  bool IsTombstoned(VertexId s, const Arc& arc) const {
-    return !tomb_out_.empty() &&
-           std::binary_search(tomb_out_[s].begin(), tomb_out_[s].end(), arc);
-  }
-
-  static void SortedInsert(std::vector<Arc>& arcs, const Arc& arc) {
-    arcs.insert(std::lower_bound(arcs.begin(), arcs.end(), arc), arc);
-  }
-  static void SortedErase(std::vector<Arc>& arcs, const Arc& arc) {
-    const auto it = std::lower_bound(arcs.begin(), arcs.end(), arc);
-    if (it != arcs.end() && *it == arc) arcs.erase(it);
-  }
-
-  // Clears every post-build overlay: extras, tombstones, delta, damage.
-  void ResetDynamicState() {
-    extra_out_.clear();
-    extra_in_.clear();
-    tomb_out_.clear();
-    tomb_in_.clear();
+  // Rebases the overlay onto `base` (nullptr after a load) and clears the
+  // post-build label state: delta and damage.
+  void ResetDynamicState(const Graph* base) {
+    overlay_.Reset(base);
     delta_lin_.clear();
     has_delta_ = false;
     damage_ = 0;
@@ -1332,8 +1231,9 @@ class TwoHopCore {
 
   TwoHopStorageOptions storage_;
   size_t staleness_budget_;
-  const Graph* graph_ = nullptr;
-  Graph owned_graph_;  // the live graph after MaterializeLiveGraph
+  // The built graph plus inserted and tombstoned arcs; no base after a
+  // load.
+  ArcOverlay<Graph> overlay_;
   std::vector<uint32_t> rank_;     // rank_[v] = order position (0 = first)
   std::vector<VertexId> by_rank_;  // inverse of rank_
   // Build-side label accumulators (rank-sorted); SealLabels() moves them
@@ -1356,15 +1256,6 @@ class TwoHopCore {
   // insert.
   EntryLists delta_lin_;
   bool has_delta_ = false;
-  // Arcs inserted after Build, on top of *graph_. Deleted extras stay
-  // here (tombstoned like base arcs): the superset adjacency keeps every
-  // arc that ever existed.
-  ArcLists extra_out_;
-  ArcLists extra_in_;
-  // Deleted arcs (sorted per vertex), base and extra alike; only the live
-  // iterators skip them. Empty until the first delete.
-  ArcLists tomb_out_;
-  ArcLists tomb_in_;
   // Damaging deletes absorbed since the last (re)build, and the per-rank
   // stale-witness marks they left: damaged_fwd_[r] = hub by_rank_[r]'s
   // forward claims (its Lin entries at other vertices) may be stale;

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/types.h"
@@ -87,6 +88,36 @@ class Digraph {
   std::vector<VertexId> out_targets_;
   std::vector<size_t> in_offsets_ = {0};  // size num_vertices_ + 1
   std::vector<VertexId> in_sources_;
+};
+
+/// The arc vocabulary of a graph type, for code written once over plain
+/// and labeled graphs (`ArcOverlay`, `TwoHopCore`): what an adjacency arc
+/// is, its head, the reverse arc stored at that head, a vertex's out- and
+/// in-arcs (sorted, as the CSR keeps them), whether an arc fits the
+/// graph, and how edges and graphs are built from arcs.
+template <typename Graph>
+struct GraphArcs;
+
+/// A plain arc is its head vertex.
+template <>
+struct GraphArcs<Digraph> {
+  using Arc = VertexId;
+  using Edge = ::reach::Edge;
+
+  static VertexId Head(Arc arc) { return arc; }
+  static Arc Reverse(VertexId from, Arc) { return from; }
+  static std::span<const Arc> Out(const Digraph& g, VertexId v) {
+    return g.OutNeighbors(v);
+  }
+  static std::span<const Arc> In(const Digraph& g, VertexId v) {
+    return g.InNeighbors(v);
+  }
+  static bool InRange(const Digraph&, Arc) { return true; }
+  static Edge MakeEdge(VertexId from, Arc arc) { return {from, arc}; }
+  static Digraph MakeGraph(const Digraph& like, std::vector<Edge> edges) {
+    return Digraph::FromEdges(static_cast<VertexId>(like.NumVertices()),
+                              std::move(edges));
+  }
 };
 
 }  // namespace reach

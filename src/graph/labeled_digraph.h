@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/digraph.h"
@@ -101,6 +102,37 @@ class LabeledDigraph {
   std::vector<size_t> in_offsets_ = {0};
   std::vector<Arc> in_arcs_;
   std::vector<std::string> label_names_;
+};
+
+/// A labeled arc is its (head, label) pair; the reverse arc keeps the
+/// label, and an arc fits the graph when its label is declared.
+template <>
+struct GraphArcs<LabeledDigraph> {
+  using Arc = LabeledDigraph::Arc;
+  using Edge = LabeledEdge;
+
+  static VertexId Head(const Arc& arc) { return arc.vertex; }
+  static Arc Reverse(VertexId from, const Arc& arc) {
+    return {from, arc.label};
+  }
+  static std::span<const Arc> Out(const LabeledDigraph& g, VertexId v) {
+    return g.OutArcs(v);
+  }
+  static std::span<const Arc> In(const LabeledDigraph& g, VertexId v) {
+    return g.InArcs(v);
+  }
+  static bool InRange(const LabeledDigraph& g, const Arc& arc) {
+    return arc.label < g.NumLabels();
+  }
+  static Edge MakeEdge(VertexId from, const Arc& arc) {
+    return {from, arc.vertex, arc.label};
+  }
+  static LabeledDigraph MakeGraph(const LabeledDigraph& like,
+                                  std::vector<Edge> edges) {
+    return LabeledDigraph::FromEdges(
+        static_cast<VertexId>(like.NumVertices()), like.NumLabels(),
+        std::move(edges));
+  }
 };
 
 }  // namespace reach

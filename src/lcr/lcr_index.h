@@ -40,6 +40,11 @@ struct LabeledEdgeUpdate {
                          const LabeledEdgeUpdate&) = default;
 };
 
+/// The labeled adjacency arc an update names.
+inline LabeledDigraph::Arc UpdateArc(const LabeledEdgeUpdate& update) {
+  return {update.target, update.label};
+}
+
 /// An ordered batch of labeled updates, applied atomically per the
 /// `UpdateResult` contract (validate-first; later updates see earlier
 /// ones).

@@ -251,11 +251,12 @@ void LabeledTwoHopTraits::PropagateInsert(LabeledCore& core, VertexId s,
           !core.InCovered(state.vertex, hop_entry.rank, state.mask)) {
         core.AddDeltaIn(state.vertex, {hop_entry.rank, state.mask});
       }
-      core.ForEachOutSuperset(state.vertex, [&](const Arc& a) {
+      core.overlay().SupersetOut()(state.vertex, [&](const Arc& a) {
         const LabelSet next = state.mask | LabelBit(a.label);
-        if (seen.Dominates(a.vertex, next)) return;
+        if (seen.Dominates(a.vertex, next)) return false;
         seen.Add(a.vertex, next);
         queue.Push({next, a.vertex});
+        return false;
       });
     }
   }

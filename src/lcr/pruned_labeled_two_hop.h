@@ -17,53 +17,27 @@
 namespace reach {
 
 /// `TwoHopCore` vocabulary of label-constrained reachability: an entry is
-/// a (hop rank, SPLS) pair, an arc carries its label, and a query's
-/// constraint is the allowed-label mask. Entries of one rank form a *rank
-/// group* (one minimal label set each); the query kernels sweep groups.
+/// a (hop rank, SPLS) pair, and a query's constraint is the allowed-label
+/// mask (the arc, a (head, label) pair, is `GraphArcs<LabeledDigraph>`'s).
+/// Entries of one rank form a *rank group* (one minimal label set each);
+/// the query kernels sweep groups.
 struct LabeledTwoHopTraits {
   struct Entry {
     uint32_t rank;
     LabelSet mask;
   };
-  using Arc = LabeledDigraph::Arc;
   using Graph = LabeledDigraph;
-  using Edge = LabeledEdge;
   using Constraint = LabelSet;
   class Sweeper;  // the label-BFS of one rank (pruned_labeled_two_hop.cc)
 
   static uint32_t Rank(const Entry& e) { return e.rank; }
-  static VertexId Head(const Arc& arc) { return arc.vertex; }
-  static Arc Reverse(VertexId from, const Arc& arc) {
-    return {from, arc.label};
-  }
-  static bool ArcAllowed(const Arc& arc, LabelSet allowed) {
+  static bool ArcAllowed(const LabeledDigraph::Arc& arc, LabelSet allowed) {
     return IsSubsetOf(LabelBit(arc.label), allowed);
-  }
-  static std::span<const Arc> OutArcs(const LabeledDigraph& g, VertexId v) {
-    return g.OutArcs(v);
-  }
-  static std::span<const Arc> InArcs(const LabeledDigraph& g, VertexId v) {
-    return g.InArcs(v);
-  }
-  static Edge MakeEdge(VertexId from, const Arc& arc) {
-    return {from, arc.vertex, arc.label};
-  }
-  static LabeledDigraph MakeGraph(const LabeledDigraph& like,
-                                  std::vector<Edge> edges) {
-    return LabeledDigraph::FromEdges(
-        static_cast<VertexId>(like.NumVertices()), like.NumLabels(),
-        std::move(edges));
-  }
-  static Arc UpdateArc(const LabeledEdgeUpdate& update) {
-    return {update.target, update.label};
-  }
-  static bool ArcInRange(const LabeledDigraph& g, const Arc& arc) {
-    return arc.label < g.NumLabels();
   }
   /// Only an all-`label` detour keeps every answer: any query path through
   /// the deleted arc has its label in the allowed mask, so splicing in
   /// the detour stays within the mask.
-  static LabelSet DetourConstraint(const Arc& cut) {
+  static LabelSet DetourConstraint(const LabeledDigraph::Arc& cut) {
     return LabelBit(cut.label);
   }
   /// Format "p2h", payload magic "reachp2h" (distinct from the plain
@@ -87,7 +61,7 @@ struct LabeledTwoHopTraits {
   /// Resumes a label-BFS through the new arc for every hop of
   /// Lin(s) ∪ {s}.
   static void PropagateInsert(TwoHopCore<LabeledTwoHopTraits>& core,
-                              VertexId s, const Arc& arc);
+                              VertexId s, const LabeledDigraph::Arc& arc);
 };
 
 /// P2H+-style pruned labeled 2-hop index (Peng et al. [33], paper §4.1.3),

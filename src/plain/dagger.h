@@ -8,6 +8,7 @@
 #include "core/reachability_index.h"
 #include "core/search_workspace.h"
 #include "core/workspace_pool.h"
+#include "graph/arc_overlay.h"
 #include "graph/digraph.h"
 
 namespace reach {
@@ -78,16 +79,8 @@ class Dagger : public PooledSearchIndex<Dagger, DynamicReachabilityIndex> {
   bool MaybeReachable(VertexId s, VertexId t) const;
 
  private:
-  // Live out-adjacency (base plus extras minus tombstones) as a
-  // `for_each_out` callable of traversal/guided_search.h.
-  auto LiveOut() const;
-  // Superset in-adjacency: base plus extras, tombstones IGNORED. Bound
-  // maintenance must sweep this, not the live view — see ApplyInsert.
-  template <typename Fn>
-  void ForEachInSuperset(VertexId v, Fn&& fn) const;
   bool ApplyInsert(VertexId s, VertexId t);
   bool ApplyDelete(VertexId s, VertexId t);
-  bool IsTombstoned(VertexId u, VertexId v) const;
   // True iff u still reaches v within the visit budget post-delete.
   bool LocallyRedundant(VertexId u, VertexId v);
 
@@ -96,16 +89,12 @@ class Dagger : public PooledSearchIndex<Dagger, DynamicReachabilityIndex> {
   size_t k_;
   uint64_t seed_;
   size_t staleness_budget_;
-  const Digraph* graph_ = nullptr;
-  Digraph owned_graph_;  // used after RebuildFromUpdates
   // Bounds for traversal i of vertex v at [v * k_ + i].
   std::vector<uint32_t> low_;
   std::vector<uint32_t> high_;
-  std::vector<std::vector<VertexId>> extra_out_, extra_in_;
-  // Deleted edges (sorted per vertex), base and extra alike; the guided
-  // DFS skips them. Deleted extras stay in extra_* so re-insertion is a
-  // cheap tombstone drop (their widened bounds remain valid either way).
-  std::vector<std::vector<VertexId>> tomb_out_, tomb_in_;
+  // The built graph plus inserted arcs minus tombstoned ones. The guided
+  // DFS walks the live arcs; bound widening sweeps the superset in-arcs.
+  ArcOverlay<Digraph> overlay_;
   size_t damage_ = 0;
   // Workspace of the delete classifier: update work, kept out of the query
   // slots and their probes.

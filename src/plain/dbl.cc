@@ -13,35 +13,11 @@ namespace {
 constexpr size_t kNumLandmarks = 64;
 }  // namespace
 
-auto Dbl::LiveOut() const {
-  return [this](VertexId v, auto&& visit) {
-    if (OutArcs(*graph_)(v, visit)) return true;
-    if (extra_out_.empty()) return false;
-    for (VertexId w : extra_out_[v]) {
-      if (visit(w)) return true;
-    }
-    return false;
-  };
-}
-
-auto Dbl::LiveIn() const {
-  return [this](VertexId v, auto&& visit) {
-    if (InArcs(*graph_)(v, visit)) return true;
-    if (extra_in_.empty()) return false;
-    for (VertexId w : extra_in_[v]) {
-      if (visit(w)) return true;
-    }
-    return false;
-  };
-}
-
 void Dbl::Build(const Digraph& graph) {
   BuildStatsScope build(&build_stats_);
   BuildPhaseTimer timer(&build_stats_.phases, "label_fixpoint");
   ResetProbe();
-  graph_ = &graph;
-  extra_out_.clear();
-  extra_in_.clear();
+  overlay_.Reset(&graph);
   const size_t n = graph.NumVertices();
 
   // Landmarks: the 64 highest-degree vertices. seed_[d] = vertex.
@@ -119,53 +95,30 @@ int Dbl::FilterVerdict(VertexId s, VertexId t) const {
 bool Dbl::QueryInSlot(VertexId s, VertexId t, size_t slot) const {
   SearchWorkspace& ws = Workspace(slot);
   const auto to_t = [&](VertexId v) { return FilterVerdict(v, t); };
-  return GuidedQuery(s, t, ws, graph_->NumVertices(), to_t, [&] {
-    return GuidedBiBfs(s, t, ws, LiveOut(), LiveIn(), to_t,
+  return GuidedQuery(s, t, ws, overlay_.NumVertices(), to_t, [&] {
+    return GuidedBiBfs(s, t, ws, overlay_.SupersetOut(),
+                       overlay_.SupersetIn(), to_t,
                        [&](VertexId v) { return FilterVerdict(s, v); });
   });
 }
 
 UpdateResult Dbl::ApplyUpdate(const UpdateBatch& batch) {
-  if (graph_ == nullptr) {
-    return UpdateResult::Rejected("no live graph: Build() first");
-  }
-  // Validate-first: DBL is insertion-only (class comment), so a batch
-  // with any delete is rejected whole — no partial application.
-  const VertexId n = static_cast<VertexId>(graph_->NumVertices());
-  for (const EdgeUpdate& update : batch) {
-    if (update.IsDelete()) {
-      return UpdateResult::Rejected("dbl is insertion-only (Table 1)");
-    }
-    if (update.source >= n || update.target >= n) {
-      return UpdateResult::Rejected("endpoint out of range");
-    }
-  }
-  size_t applied = 0;
-  size_t ignored = 0;
-  for (const EdgeUpdate& update : batch) {
-    if (ApplyInsert(update.source, update.target)) {
-      ++applied;
-    } else {
-      ++ignored;
-    }
-  }
-  return UpdateResult::Applied(applied, ignored, /*damage_now=*/0,
-                               /*budget=*/0);
+  // DBL is insertion-only (class comment), so a batch with any delete is
+  // rejected whole.
+  return ApplyUpdateBatch(
+      batch, overlay_.base(),
+      [](const EdgeUpdate& update) {
+        return update.IsDelete() ? "dbl is insertion-only (Table 1)"
+                                 : nullptr;
+      },
+      [this](const EdgeUpdate& update) {
+        return ApplyInsert(update.source, update.target);
+      },
+      /*damage=*/0, /*budget=*/0);
 }
 
 bool Dbl::ApplyInsert(VertexId s, VertexId t) {
-  if (s == t) return false;
-  if (graph_->HasEdge(s, t)) return false;
-  if (extra_out_.empty()) {
-    extra_out_.resize(graph_->NumVertices());
-    extra_in_.resize(graph_->NumVertices());
-  }
-  if (std::find(extra_out_[s].begin(), extra_out_[s].end(), t) !=
-      extra_out_[s].end()) {
-    return false;
-  }
-  extra_out_[s].push_back(t);
-  extra_in_[t].push_back(s);
+  if (s == t || overlay_.Insert(s, t) == ArcInsert::kNoOp) return false;
 
   // Monotone worklist propagation: out-labels of everything reaching s
   // gain t's out-labels; in-labels of everything t reaches gain s's
@@ -181,7 +134,7 @@ bool Dbl::ApplyInsert(VertexId s, VertexId t) {
   }
   for (size_t head = 0; head < queue.size(); ++head) {
     const VertexId v = queue[head];
-    LiveIn()(v, [&](VertexId w) {
+    overlay_.SupersetIn()(v, [&](VertexId w) {
       const uint64_t new_dl = dl_out_[w] | dl_out_[v];
       const uint64_t new_bl = bl_out_[w] | bl_out_[v];
       if (new_dl == dl_out_[w] && new_bl == bl_out_[w]) return false;
@@ -199,7 +152,7 @@ bool Dbl::ApplyInsert(VertexId s, VertexId t) {
   }
   for (size_t head = 0; head < queue.size(); ++head) {
     const VertexId v = queue[head];
-    LiveOut()(v, [&](VertexId w) {
+    overlay_.SupersetOut()(v, [&](VertexId w) {
       const uint64_t new_dl = dl_in_[w] | dl_in_[v];
       const uint64_t new_bl = bl_in_[w] | bl_in_[v];
       if (new_dl == dl_in_[w] && new_bl == bl_in_[w]) return false;

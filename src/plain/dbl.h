@@ -7,6 +7,7 @@
 
 #include "core/reachability_index.h"
 #include "core/workspace_pool.h"
+#include "graph/arc_overlay.h"
 #include "graph/digraph.h"
 
 namespace reach {
@@ -52,17 +53,13 @@ class Dbl : public PooledSearchIndex<Dbl, DynamicReachabilityIndex> {
   // Single-edge insert; returns true when graph state changed.
   bool ApplyInsert(VertexId s, VertexId t);
 
-  // Live adjacency (base plus inserted edges) as the `for_each_out` /
-  // `for_each_in` callables of traversal/guided_search.h.
-  auto LiveOut() const;
-  auto LiveIn() const;
-
   uint64_t seed_;
-  const Digraph* graph_ = nullptr;
+  // The built graph plus inserted arcs. Nothing is ever tombstoned, so
+  // the superset arcs are the live ones.
+  ArcOverlay<Digraph> overlay_;
   std::vector<uint64_t> dl_out_, dl_in_;  // landmark bitmasks
   std::vector<uint64_t> bl_out_, bl_in_;  // bloom bitmasks
   std::vector<uint64_t> hash_bit_;        // each vertex's bloom bit
-  std::vector<std::vector<VertexId>> extra_out_, extra_in_;
 };
 
 }  // namespace reach

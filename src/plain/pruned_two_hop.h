@@ -36,36 +36,19 @@ enum class VertexOrder {
 };
 
 /// `TwoHopCore` vocabulary of plain reachability: a label entry is a hop
-/// rank, an arc is the neighbor id, and queries carry no constraint. The
-/// superset query kernels are the sorted-rank intersection engine of
-/// core/label_kernels.h.
+/// rank, and queries carry no constraint (the arc, a neighbor id, is
+/// `GraphArcs<Digraph>`'s). The superset query kernels are the
+/// sorted-rank intersection engine of core/label_kernels.h.
 struct PlainTwoHopTraits {
   using Entry = uint32_t;
-  using Arc = VertexId;
   using Graph = Digraph;
-  using Edge = ::reach::Edge;
   struct Constraint {};
   class Sweeper;  // the pruned BFS of one rank (pruned_two_hop.cc)
 
   static uint32_t Rank(Entry e) { return e; }
-  static VertexId Head(Arc arc) { return arc; }
-  static Arc Reverse(VertexId from, Arc) { return from; }
-  static bool ArcAllowed(Arc, Constraint) { return true; }
-  static std::span<const Arc> OutArcs(const Digraph& g, VertexId v) {
-    return g.OutNeighbors(v);
-  }
-  static std::span<const Arc> InArcs(const Digraph& g, VertexId v) {
-    return g.InNeighbors(v);
-  }
-  static Edge MakeEdge(VertexId from, Arc arc) { return {from, arc}; }
-  static Digraph MakeGraph(const Digraph& like, std::vector<Edge> edges) {
-    return Digraph::FromEdges(static_cast<VertexId>(like.NumVertices()),
-                              std::move(edges));
-  }
-  static Arc UpdateArc(const EdgeUpdate& update) { return update.target; }
-  static bool ArcInRange(const Digraph&, Arc) { return true; }
+  static bool ArcAllowed(VertexId, Constraint) { return true; }
   /// Any live detour u ->* v reroutes every path through a deleted (u, v).
-  static Constraint DetourConstraint(Arc) { return {}; }
+  static Constraint DetourConstraint(VertexId) { return {}; }
   /// One format name for the whole TOL family: the payload stores the
   /// total order itself, so any `VertexOrder` instance loads any other's
   /// labeling. The magic spells "reach-2h"; a list holds at most n ranks.
@@ -100,7 +83,7 @@ struct PlainTwoHopTraits {
 
   /// Adds the hops of Lin(s) ∪ {s} to the Lin of everything `t` reaches.
   static void PropagateInsert(TwoHopCore<PlainTwoHopTraits>& core,
-                              VertexId s, Arc t);
+                              VertexId s, VertexId t);
 };
 
 /// The 2-hop labeling framework of Cohen et al. [14] computed with pruned

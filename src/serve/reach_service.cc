@@ -11,6 +11,7 @@
 
 #include "core/failpoint.h"
 #include "core/index_factory.h"
+#include "graph/arc_overlay.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "par/thread_pool.h"
@@ -422,8 +423,7 @@ ReachService::ReachService(Digraph base, ServiceOptions options)
                     ? std::make_unique<NegativeResultCache>(
                           options_.negcache_shards, options_.negcache_capacity)
                     : nullptr),
-      readers_(std::make_shared<ReaderRecords>()),
-      base_edges_(base.Edges()) {
+      readers_(std::make_shared<ReaderRecords>()) {
   auto snap = std::make_shared<ServeSnapshot>();
   snap->version = 0;
   snap->graph = std::move(base);
@@ -710,21 +710,15 @@ void ReachService::RebuildLoop() {
       {
         REACH_TRACE_SPAN("serve.rebuild.graph");
         // Materialize the drained updates from their effective state
-        // (last op per edge, folded when the view was published): drop
-        // every touched pair from the base set, then re-add the effective
-        // inserts. The drop-then-add avoids duplicate edges when a pending
-        // insert races an existing base edge.
+        // (last op per edge, folded when the view was published, so no
+        // edge is both added and deleted) over the drained snapshot's
+        // graph.
         const PendingGate& eff = drained->gate;
-        std::vector<Edge> edges = base_edges_;
-        if (eff.has_deletes) {
-          std::erase_if(edges, [&](const Edge& e) {
-            return std::binary_search(eff.adds.begin(), eff.adds.end(), e) ||
-                   std::binary_search(eff.dels.begin(), eff.dels.end(), e);
-          });
-        }
-        edges.insert(edges.end(), eff.adds.begin(), eff.adds.end());
-        snap->graph = Digraph::FromEdges(
-            static_cast<VertexId>(num_vertices_), std::move(edges));
+        ArcOverlay<Digraph> live;
+        live.Reset(&drained->snapshot->graph);
+        for (const Edge& e : eff.dels) live.Delete(e.source, e.target);
+        for (const Edge& e : eff.adds) live.Insert(e.source, e.target);
+        snap->graph = live.LiveGraph();
       }
       // Cooperative watchdog checkpoint, placed where abandoning still
       // saves real work (the index build dominates): an attempt already
@@ -816,7 +810,6 @@ void ReachService::RebuildLoop() {
         ResolveThreads(options_.slots));
     snap->slots.Reset(granted);
     snap->version = next_version_++;
-    base_edges_ = snap->graph.Edges();
     const uint64_t published_version = snap->version;
 
     // The still-pending suffix and its gate against the new snapshot,
@@ -998,10 +991,10 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
     if (tier == AdmissionTier::kBfsOnly) {
       // Heavy load: skip slot acquisition and the gate closure entirely;
       // one bounded traversal with a tighter budget bounds the cost.
-      ans = DegradedAnswer(view, s, t, options_.degraded_visit_budget, recp);
+      ans = DegradedAnswer(view, s, t, kDegradedVisitBudget, recp);
     } else if (snap.index == nullptr) {
       // Startup: the first index build is still in flight.
-      ans = DegradedAnswer(view, s, t, options_.fallback_visit_budget, recp);
+      ans = DegradedAnswer(view, s, t, kFallbackVisitBudget, recp);
     } else {
       const Clock::time_point deadline =
           options_.deadline.count() > 0 ? start + options_.deadline
@@ -1172,7 +1165,7 @@ ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
     // Budget blown mid-closure: degrade to the bounded traversal.
     stats_.deadline_degraded.fetch_add(1, std::memory_order_relaxed);
     if (rec != nullptr) rec->deadline_degraded = true;
-    return DegradedAnswer(view, s, t, options_.fallback_visit_budget, rec);
+    return DegradedAnswer(view, s, t, kFallbackVisitBudget, rec);
   }
   if (!superset_reachable || !gate.has_deletes) {
     // Exact either way: a closure-exhausted negative, or a witness
@@ -1187,7 +1180,7 @@ ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
   // decides. It returns an exact answer unless the visit budget runs out
   // (then an inexact negative, flagged as such).
   stats_.delete_verifies.fetch_add(1, std::memory_order_relaxed);
-  return DegradedAnswer(view, s, t, options_.fallback_visit_budget, rec);
+  return DegradedAnswer(view, s, t, kFallbackVisitBudget, rec);
 }
 
 ServeAnswer ReachService::DegradedAnswer(const ServeView& view, VertexId s,
@@ -1283,8 +1276,15 @@ ServiceHealth ReachService::Health() const {
 BoundedBfsOutcome BoundedUnionBfs(const Digraph& graph,
                                   const PendingUpdates& updates, VertexId s,
                                   VertexId t, size_t max_visits) {
+  // Out-of-range input is held to the service's rules: an endpoint
+  // outside the graph reaches nothing (as in `Query`), and an update that
+  // names one is never pending (`ApplyUpdate` rejects it).
+  const size_t n = graph.NumVertices();
+  if (s >= n || t >= n) return {};
   PendingGate effective;
-  for (const EdgeUpdate& u : updates) FoldUpdate(u, &effective);
+  for (const EdgeUpdate& u : updates) {
+    if (u.source < n && u.target < n) FoldUpdate(u, &effective);
+  }
   return UnionBfs(graph, effective, s, t, max_visits);
 }
 

@@ -43,6 +43,15 @@ enum class BackpressurePolicy : uint8_t {
 /// Stable policy name ("block", "reject", "force_rebuild").
 const char* BackpressurePolicyName(BackpressurePolicy policy);
 
+/// Vertex-visit cap of the bounded union BFS that answers while no index
+/// is built, once a query's deadline expires, and when a pending delete
+/// forces live verification. Exhausting it yields an inexact negative
+/// answer (`ServeAnswer::exact == false`).
+inline constexpr size_t kFallbackVisitBudget = 1 << 16;
+/// Vertex-visit cap of the tier-2 (bfs-only) degraded answer path under
+/// admission control — deliberately far below `kFallbackVisitBudget`.
+inline constexpr size_t kDegradedVisitBudget = 2048;
+
 /// Configuration of a `ReachService`.
 struct ServiceOptions {
   /// `MakeIndex` spec of the plain index each snapshot is built with.
@@ -58,9 +67,6 @@ struct ServiceOptions {
   /// (delta closure, unindexed fallback) degrade to the bounded BFS.
   /// 0 = no deadline.
   std::chrono::nanoseconds deadline{0};
-  /// Vertex-visit cap of the degraded bounded BFS. Exhausting it yields
-  /// an inexact negative answer (`ServeAnswer::exact == false`).
-  size_t fallback_visit_budget = 1 << 16;
   /// End-to-end latency above which a query's stage breakdown is retained
   /// in the slow-query log. 0 = no latency criterion (deadline-degraded
   /// queries are still captured — they are slow by definition).
@@ -93,9 +99,6 @@ struct ServiceOptions {
   /// ≤100% a small bounded BFS, and above the cap the query is shed
   /// (`AnswerSource::kShedded`, `exact == false`, O(1)). 0 = no gate.
   size_t max_inflight_queries = 0;
-  /// Vertex-visit cap of the tier-2 (bfs-only) degraded answer path —
-  /// deliberately far below `fallback_visit_budget`.
-  size_t degraded_visit_budget = 2048;
 
   /// Write backpressure: cap on the pending-update buffer; `backpressure`
   /// picks what `ApplyUpdate` does at the cap. 0 = unbounded (no gate).
@@ -501,10 +504,6 @@ class ReachService {
   // Wakes kBlock writers when a drain trims the pending buffer (and on
   // Stop). Guarded by write_mu_.
   std::condition_variable backpressure_cv_;
-  // Every edge currently in the published snapshot's graph (deletes
-  // drained by a rebuild are already materialized out of it). Touched
-  // only by the (single) in-flight rebuild task and Start().
-  std::vector<Edge> base_edges_;
   uint64_t next_version_ = 1;
 
   // Rebuild handshake: at most one drain task in flight.
@@ -555,7 +554,9 @@ struct BoundedBfsOutcome {
 /// (last operation per edge wins: effective inserts are added, effective
 /// deletes mask base-graph arcs), giving up after `max_visits` vertex
 /// expansions — the degraded/verification answer path of `ReachService`,
-/// exposed for tests and the differential harness.
+/// exposed for tests and the differential harness. As in the service, an
+/// endpoint outside `graph` reaches nothing (a complete negative), and
+/// updates naming one are skipped.
 BoundedBfsOutcome BoundedUnionBfs(const Digraph& graph,
                                   const PendingUpdates& updates, VertexId s,
                                   VertexId t, size_t max_visits);

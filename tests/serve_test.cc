@@ -847,6 +847,24 @@ TEST(BoundedUnionBfsTest, TraversesExtraEdgesAndHandlesTrivialPairs) {
   const BoundedBfsOutcome self = BoundedUnionBfs(g, {}, 1, 1, 100);
   EXPECT_TRUE(self.reachable);
   EXPECT_TRUE(self.complete);
+  // Out-of-range input follows the service: an endpoint outside the graph
+  // reaches nothing, even itself (as `Query` answers), and an update that
+  // names one is skipped (as `ApplyUpdate` never lets it pend).
+  for (const auto& [from, to] :
+       std::vector<std::pair<VertexId, VertexId>>{{9, 9}, {0, 9}, {9, 0}}) {
+    const BoundedBfsOutcome outside = BoundedUnionBfs(g, {}, from, to, 100);
+    EXPECT_FALSE(outside.reachable) << from << " -> " << to;
+    EXPECT_TRUE(outside.complete) << from << " -> " << to;
+  }
+  EXPECT_FALSE(
+      BoundedUnionBfs(g, {EdgeUpdate::Insert(0, 7)}, 0, 2, 100).reachable);
+  const PendingUpdates via_outside = {EdgeUpdate::Insert(0, 7),
+                                      EdgeUpdate::Insert(7, 2)};
+  EXPECT_FALSE(BoundedUnionBfs(g, via_outside, 0, 2, 100).reachable);
+  PendingUpdates mixed = via_outside;
+  mixed.push_back(EdgeUpdate::Insert(0, 1));
+  mixed.push_back(EdgeUpdate::Insert(1, 2));
+  EXPECT_TRUE(BoundedUnionBfs(g, mixed, 0, 2, 100).reachable);
 }
 
 TEST(BoundedUnionBfsTest, MasksDeletedBaseArcsWithLastOpWins) {
