@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -164,6 +165,16 @@ class DynamicReachabilityIndex : public ReachabilityIndex {
   /// decides when to pay for this. Returns false when the index has
   /// nothing to fold or does not support it.
   virtual bool RebuildFromUpdates() { return false; }
+
+  /// A copy that answers every query as this index does and then takes
+  /// `ApplyUpdate` batches of its own, while this index keeps serving
+  /// queries unchanged — how the serve drain updates the published index
+  /// without a full build (docs/API.md). Null when the index has no cheap
+  /// copy, the default; the caller then builds afresh. A copy may point
+  /// into the graph this index was built over, which must outlive it.
+  virtual std::unique_ptr<DynamicReachabilityIndex> Clone() const {
+    return nullptr;
+  }
 };
 
 }  // namespace reach

@@ -1,6 +1,7 @@
 #ifndef REACH_CORE_SEARCH_WORKSPACE_H_
 #define REACH_CORE_SEARCH_WORKSPACE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -23,21 +24,12 @@ class SearchWorkspace {
 
   /// Ensures capacity for graphs with `num_vertices` vertices and resets
   /// both mark sets.
-  void Prepare(size_t num_vertices) {
-    if (forward_marks_.size() < num_vertices) {
-      forward_marks_.assign(num_vertices, 0);
-      backward_marks_.assign(num_vertices, 0);
-      epoch_ = 0;
-    }
-    ++epoch_;
-    if (epoch_ == 0) {  // wrapped: do the O(V) clear once per 2^32 queries
-      forward_marks_.assign(forward_marks_.size(), 0);
-      backward_marks_.assign(backward_marks_.size(), 0);
-      epoch_ = 1;
-    }
-    queue_.clear();
-    backward_queue_.clear();
-  }
+  void Prepare(size_t num_vertices) { Reset(num_vertices, num_vertices); }
+
+  /// `Prepare` for a search that marks only forward: the backward set is
+  /// not grown, so a workspace kept for such searches holds 4 bytes per
+  /// vertex. `MarkBackward` is out of bounds until the next `Prepare`.
+  void PrepareForward(size_t num_vertices) { Reset(num_vertices, 0); }
 
   /// Marks `v` in the forward set; returns false if already marked.
   bool MarkForward(VertexId v) {
@@ -76,6 +68,25 @@ class SearchWorkspace {
   const QueryProbe& probe() const { return probe_; }
 
  private:
+  // Grows the mark sets to at least `forward` and `backward` entries and
+  // starts a new epoch. Growing either restamps both, so no stale stamp
+  // can equal a later epoch.
+  void Reset(size_t forward, size_t backward) {
+    if (forward_marks_.size() < forward || backward_marks_.size() < backward) {
+      forward_marks_.assign(std::max(forward, forward_marks_.size()), 0);
+      backward_marks_.assign(std::max(backward, backward_marks_.size()), 0);
+      epoch_ = 0;
+    }
+    ++epoch_;
+    if (epoch_ == 0) {  // wrapped: do the O(V) clear once per 2^32 queries
+      forward_marks_.assign(forward_marks_.size(), 0);
+      backward_marks_.assign(backward_marks_.size(), 0);
+      epoch_ = 1;
+    }
+    queue_.clear();
+    backward_queue_.clear();
+  }
+
   std::vector<uint32_t> forward_marks_;
   std::vector<uint32_t> backward_marks_;
   uint32_t epoch_ = 0;

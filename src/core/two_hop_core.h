@@ -90,7 +90,7 @@ static_assert(std::is_trivially_copyable_v<Meta>);
 /// so the two differ only in what a label entry and an adjacency arc are;
 /// everything else lives here once:
 ///
-///  * the total order (`rank_` / `by_rank_`);
+///  * the total order (the rank and by-rank tables);
 ///  * the rank-batched speculate/commit/redo build loop
 ///    (docs/PARALLELISM.md), which with one thread is the serial sweep;
 ///  * sealing into flat or block-compressed pools under the size budget,
@@ -152,6 +152,16 @@ class TwoHopCore {
   TwoHopCore(TwoHopStorageOptions storage, size_t staleness_budget)
       : storage_(storage), staleness_budget_(staleness_budget) {}
 
+  /// A copy that answers every query as this core does and then takes
+  /// updates of its own, leaving this core untouched. The sealed labeling
+  /// is immutable, so the copy shares it; the post-build state (the arc
+  /// overlay, the delta overlay and the damage marks) is copied, and the
+  /// write and per-slot scratch start fresh (`FreshOnCopy`). The copy's
+  /// overlay points into the same base graph, which must outlive both.
+  /// Safe while this core serves queries: queries write only the scratch.
+  TwoHopCore(const TwoHopCore&) = default;
+  TwoHopCore& operator=(const TwoHopCore&) = delete;
+
   /// Builds over `graph` (which must outlive the labeling's live use),
   /// timing the "order", "label" and "seal" phases into `stats`.
   /// `order(graph)` returns the vertices in rank order.
@@ -161,12 +171,17 @@ class TwoHopCore {
     BuildStatsScope build(stats);
     probes_.Reset();
     ResetDynamicState(&graph);
-    ClearPools();  // free the old labeling before building the new one
+    // Drops the old labeling (freed unless a copy shares it) before the
+    // new one is built.
+    const std::shared_ptr<Sealed> sealed = std::make_shared<Sealed>();
+    sealed_ = sealed;
     {
       BuildPhaseTimer timer(&stats->phases, "order");
-      by_rank_ = order(graph);
-      rank_.resize(by_rank_.size());
-      for (uint32_t r = 0; r < by_rank_.size(); ++r) rank_[by_rank_[r]] = r;
+      sealed->by_rank = order(graph);
+      sealed->rank.resize(sealed->by_rank.size());
+      for (uint32_t r = 0; r < sealed->by_rank.size(); ++r) {
+        sealed->rank[sealed->by_rank[r]] = r;
+      }
     }
     {
       BuildPhaseTimer timer(&stats->phases, "label");
@@ -174,7 +189,7 @@ class TwoHopCore {
     }
     {
       BuildPhaseTimer timer(&stats->phases, "seal");
-      SealLabels();
+      SealLabels(*sealed);
     }
     stats->size_bytes = IndexSizeBytes();
     stats->num_entries = TotalEntries();
@@ -189,10 +204,11 @@ class TwoHopCore {
     // scans both lists end to end. (The build-time oracle is left
     // unprobed — the pruning tests would otherwise swamp the counts.)
     REACH_PROBE_ADD(probe, labels_scanned,
-                    (compressed_ ? lout_cpool_.ListEntries(s) +
-                                       lin_cpool_.ListEntries(t)
-                                 : lout_pool_.Slice(s).size() +
-                                       lin_pool_.Slice(t).size()) +
+                    (sealed_->compressed
+                         ? sealed_->lout_cpool.ListEntries(s) +
+                               sealed_->lin_cpool.ListEntries(t)
+                         : sealed_->lout_pool.Slice(s).size() +
+                               sealed_->lin_pool.Slice(t).size()) +
                         (has_delta_ ? delta_lin_[t].size() : 0));
     // Zero damage is the common case and pays nothing for decremental
     // support: the superset test is exact (every delete so far was
@@ -250,38 +266,40 @@ class TwoHopCore {
 
   size_t Damage() const { return damage_; }
   size_t StalenessBudget() const { return staleness_budget_; }
-  bool Compressed() const { return compressed_; }
-  bool BudgetExceeded() const { return budget_exceeded_; }
+  bool Compressed() const { return sealed_->compressed; }
+  bool BudgetExceeded() const { return sealed_->budget_exceeded; }
   const TwoHopStorageOptions& Storage() const { return storage_; }
-  size_t NumVertices() const { return rank_.size(); }
+  size_t NumVertices() const { return sealed_->rank.size(); }
 
   /// Total label entries, sum |Lin| + |Lout| including the delta overlay.
   size_t TotalEntries() const {
-    size_t entries =
-        compressed_ ? lin_cpool_.NumEntries() + lout_cpool_.NumEntries()
-                    : lin_pool_.NumEntries() + lout_pool_.NumEntries();
-    for (const auto& d : delta_lin_) entries += d.size();
-    return entries;
+    const Sealed& sealed = *sealed_;
+    size_t entries = sealed.compressed ? sealed.lin_cpool.NumEntries() +
+                                             sealed.lout_cpool.NumEntries()
+                                       : sealed.lin_pool.NumEntries() +
+                                             sealed.lout_pool.NumEntries();
+    return entries + delta_entries_;
   }
 
   /// Sealed pools (or the mapping they view), the rank translation
-  /// tables, and any delta overlay.
+  /// tables, and the update state: any delta overlay and the arcs
+  /// inserted and tombstoned since the build. O(1), so a caller may ask
+  /// after every update.
   size_t IndexSizeBytes() const {
-    size_t delta_bytes = 0;
-    if (has_delta_) {
-      delta_bytes = delta_lin_.size() * sizeof(std::vector<Entry>);
-      for (const auto& d : delta_lin_) {
-        delta_bytes += d.capacity() * sizeof(Entry);
-      }
-    }
-    return PoolBytes() +
-           (rank_.size() + by_rank_.size()) * sizeof(uint32_t) + delta_bytes;
+    const size_t delta_bytes =
+        has_delta_ ? delta_lin_.size() * sizeof(std::vector<Entry>) +
+                         delta_entries_ * sizeof(Entry)
+                   : 0;
+    return sealed_->PoolBytes() +
+           (sealed_->rank.size() + sealed_->by_rank.size()) *
+               sizeof(uint32_t) +
+           delta_bytes + overlay_.ArcBytes();
   }
 
   /// Lin(v) as one rank-sorted vector: the sealed slice merged with the
   /// delta overlay. Lout has no overlay.
   std::vector<Entry> InEntries(VertexId v) const {
-    std::vector<Entry> merged = SealedEntries(lin_pool_, lin_cpool_, v);
+    std::vector<Entry> merged = sealed_->Entries(/*in=*/true, v);
     if (has_delta_ && !delta_lin_[v].empty()) {
       const std::vector<Entry>& delta = delta_lin_[v];
       std::vector<Entry> out(merged.size() + delta.size());
@@ -294,13 +312,13 @@ class TwoHopCore {
     return merged;
   }
   std::vector<Entry> OutEntries(VertexId v) const {
-    return SealedEntries(lout_pool_, lout_cpool_, v);
+    return sealed_->Entries(/*in=*/false, v);
   }
 
   // --- Read and written by the adapters' sweep and insert bodies. ---
 
-  uint32_t Rank(VertexId v) const { return rank_[v]; }
-  VertexId ByRank(uint32_t r) const { return by_rank_[r]; }
+  uint32_t Rank(VertexId v) const { return sealed_->rank[v]; }
+  VertexId ByRank(uint32_t r) const { return sealed_->by_rank[r]; }
   const Graph& graph() const { return *overlay_.base(); }
   const ArcOverlay<Graph>& overlay() const { return overlay_; }
 
@@ -309,8 +327,9 @@ class TwoHopCore {
     if (s == t) return true;
     const std::vector<Entry>& lin_t = lin_[t];
     const std::vector<Entry>& lout_s = lout_[s];
-    if (Traits::Covered(lin_t, rank_[s], q)) return true;
-    if (Traits::Covered(lout_s, rank_[t], q)) return true;
+    const std::vector<uint32_t>& rank = sealed_->rank;
+    if (Traits::Covered(lin_t, rank[s], q)) return true;
+    if (Traits::Covered(lout_s, rank[t], q)) return true;
     return Traits::Intersect(lout_s, lin_t, q);
   }
 
@@ -325,9 +344,10 @@ class TwoHopCore {
   /// True iff Lin(x) — sealed slice or delta — holds a `rank` entry
   /// covered under `q`.
   bool InCovered(VertexId x, uint32_t rank, Constraint q) const {
-    const bool sealed = compressed_
-                            ? PoolCovered(lin_cpool_, x, rank, q)
-                            : Traits::Covered(lin_pool_.Slice(x), rank, q);
+    const bool sealed =
+        sealed_->compressed
+            ? PoolCovered(sealed_->lin_cpool, x, rank, q)
+            : Traits::Covered(sealed_->lin_pool.Slice(x), rank, q);
     return sealed || (has_delta_ && Traits::Covered(delta_lin_[x], rank, q));
   }
 
@@ -339,6 +359,7 @@ class TwoHopCore {
                                    return r < Traits::Rank(d);
                                  }),
                 e);
+    ++delta_entries_;
   }
 
   // --- Compressed-pool kernels of the superset test: the skip tables
@@ -436,11 +457,11 @@ class TwoHopCore {
     if (damage_ > 0 || !WriteEnvelope(out, Traits::kFormatName)) {
       return false;
     }
-    const size_t n = rank_.size();
+    const size_t n = sealed_->rank.size();
     WritePod(out, Traits::kPayloadMagic);
     WritePod(out, static_cast<uint64_t>(n));
-    serialize_detail::WriteU32Vec(out, rank_);
-    serialize_detail::WriteU32Vec(out, by_rank_);
+    serialize_detail::WriteU32Vec(out, sealed_->rank);
+    serialize_detail::WriteU32Vec(out, sealed_->by_rank);
     const auto write_list = [&out](const std::vector<Entry>& list) {
       WritePod(out, static_cast<uint64_t>(list.size()));
       serialize_detail::WriteBytes(out, list.data(),
@@ -500,11 +521,13 @@ class TwoHopCore {
     if (LoadResult r = read_lists("Lin", &lin); !r) return r;
     if (LoadResult r = read_lists("Lout", &lout); !r) return r;
     ResetDynamicState(nullptr);
-    rank_ = std::move(rank);
-    by_rank_ = std::move(by_rank);
+    const std::shared_ptr<Sealed> sealed = std::make_shared<Sealed>();
+    sealed_ = sealed;
+    sealed->rank = std::move(rank);
+    sealed->by_rank = std::move(by_rank);
     lin_ = std::move(lin);
     lout_ = std::move(lout);
-    SealLabels();
+    SealLabels(*sealed);
     return ValidateLabeling();
   }
 
@@ -516,17 +539,18 @@ class TwoHopCore {
   bool SaveSnapshot(std::ostream& out) const {
     namespace snap = two_hop_snapshot;
     if (damage_ > 0) return false;
-    const size_t n = rank_.size();
+    const Sealed& sealed = *sealed_;
+    const size_t n = sealed.rank.size();
     // The temporaries must outlive WriteTo (sections point into them).
     FlatLabelPool<Entry> merged_flat;
     Pool merged_packed;
-    const FlatLabelPool<Entry>* lin_flat = &lin_pool_;
-    const Pool* lin_packed = &lin_cpool_;
+    const FlatLabelPool<Entry>* lin_flat = &sealed.lin_pool;
+    const Pool* lin_packed = &sealed.lin_cpool;
     if (has_delta_) {
       EntryLists merged(n);
       for (VertexId v = 0; v < n; ++v) merged[v] = InEntries(v);
-      if (compressed_) {
-        if (!merged_packed.Seal(merged, lin_cpool_.BlockEntries())) {
+      if (sealed.compressed) {
+        if (!merged_packed.Seal(merged, sealed.lin_cpool.BlockEntries())) {
           return false;
         }
         lin_packed = &merged_packed;
@@ -540,25 +564,25 @@ class TwoHopCore {
     snap::Meta meta{};
     meta.payload_magic = Traits::kPayloadMagic;
     meta.num_vertices = n;
-    meta.storage = compressed_ ? 1 : 0;
-    if (compressed_) {
+    meta.storage = sealed.compressed ? 1 : 0;
+    if (sealed.compressed) {
       meta.lin_entries = lin_packed->NumEntries();
-      meta.lout_entries = lout_cpool_.NumEntries();
+      meta.lout_entries = sealed.lout_cpool.NumEntries();
       meta.block_entries = static_cast<uint32_t>(lin_packed->BlockEntries());
     } else {
       meta.lin_entries = lin_flat->NumEntries();
-      meta.lout_entries = lout_pool_.NumEntries();
+      meta.lout_entries = sealed.lout_pool.NumEntries();
     }
     const auto add = [&writer](uint32_t kind, auto span) {
       writer.AddSection(kind, span.data(), span.size_bytes());
     };
     add(snap::kMeta, std::span<const snap::Meta>(&meta, 1));
-    add(snap::kRank, std::span<const uint32_t>(rank_));
-    add(snap::kByRank, std::span<const VertexId>(by_rank_));
-    if (compressed_) {
+    add(snap::kRank, std::span<const uint32_t>(sealed.rank));
+    add(snap::kByRank, std::span<const VertexId>(sealed.by_rank));
+    if (sealed.compressed) {
       for (const auto& [kind, pool] :
            {std::pair{snap::kLinVertexBlocks, lin_packed},
-            std::pair{snap::kLoutVertexBlocks, &lout_cpool_}}) {
+            std::pair{snap::kLoutVertexBlocks, &sealed.lout_cpool}}) {
         add(kind, pool->VertexBlocksRaw());
         add(kind + 1, pool->SkipRaw());
         add(kind + 2, pool->DataRaw());
@@ -566,7 +590,7 @@ class TwoHopCore {
     } else {
       for (const auto& [kind, pool] :
            {std::pair{snap::kLinOffsets, lin_flat},
-            std::pair{snap::kLoutOffsets, &lout_pool_}}) {
+            std::pair{snap::kLoutOffsets, &sealed.lout_pool}}) {
         add(kind, pool->OffsetsRaw());
         add(kind + 1, pool->EntriesRaw());
       }
@@ -627,12 +651,13 @@ class TwoHopCore {
     // Header-level checks passed: reset storage, then point the pools at
     // the mapping.
     ResetDynamicState(nullptr);
-    ClearPools();
-    compressed_ = meta.storage == 1;
+    const std::shared_ptr<Sealed> sealed = std::make_shared<Sealed>();
+    sealed_ = sealed;
+    sealed->compressed = meta.storage == 1;
     const auto seal_view = [&](const char* side, uint32_t kind,
                                uint64_t entries, FlatLabelPool<Entry>* flat,
                                Pool* packed) -> LoadResult {
-      if (compressed_) {
+      if (sealed->compressed) {
         if (!packed->SealFromView(
                 view.TypedSection<uint32_t>(kind),
                 view.TypedSection<typename Pool::SkipEntry>(kind + 1),
@@ -656,22 +681,25 @@ class TwoHopCore {
       return {};
     };
     if (LoadResult r = seal_view("Lin",
-                                 compressed_ ? snap::kLinVertexBlocks
-                                             : snap::kLinOffsets,
-                                 meta.lin_entries, &lin_pool_, &lin_cpool_);
+                                 sealed->compressed ? snap::kLinVertexBlocks
+                                                    : snap::kLinOffsets,
+                                 meta.lin_entries, &sealed->lin_pool,
+                                 &sealed->lin_cpool);
         !r) {
       return r;
     }
     if (LoadResult r = seal_view("Lout",
-                                 compressed_ ? snap::kLoutVertexBlocks
-                                             : snap::kLoutOffsets,
-                                 meta.lout_entries, &lout_pool_, &lout_cpool_);
+                                 sealed->compressed ? snap::kLoutVertexBlocks
+                                                    : snap::kLoutOffsets,
+                                 meta.lout_entries, &sealed->lout_pool,
+                                 &sealed->lout_cpool);
         !r) {
       return r;
     }
-    rank_.assign(rank.begin(), rank.end());
-    by_rank_.assign(by_rank.begin(), by_rank.end());
-    mapping_ = std::move(file);  // pool views point into this mapping
+    sealed->rank.assign(rank.begin(), rank.end());
+    sealed->by_rank.assign(by_rank.begin(), by_rank.end());
+    // Pool views point into this mapping.
+    sealed->mapping = std::move(file);
     LoadResult valid = ValidateLabeling();
     if (valid) {
       PublishStorageGauges(2 * (n + 1) * sizeof(uint64_t) +
@@ -684,6 +712,7 @@ class TwoHopCore {
  private:
   using Sweeper = typename Traits::Sweeper;
   using EntryLists = std::vector<std::vector<Entry>>;
+  struct Sealed;
 
   // paraPLL-style speculate/validate/redo over rank batches. Phase 1 runs
   // every sweep of the batch in parallel against the *committed* label
@@ -746,7 +775,7 @@ class TwoHopCore {
       std::vector<uint32_t>& stamp = forward ? lin_stamp : lout_stamp;
       bool conflict =
           sweep.redo ||
-          (forward ? lout_stamp : lin_stamp)[by_rank_[r]] == batch_epoch;
+          (forward ? lout_stamp : lin_stamp)[ByRank(r)] == batch_epoch;
       for (size_t i = 0; !conflict && i < sweep.touched.size(); ++i) {
         conflict = stamp[sweep.touched[i]] == batch_epoch;
       }
@@ -813,13 +842,13 @@ class TwoHopCore {
     }
   }
 
-  // Moves the build-side vectors into the sealed pools: flat, or — when
-  // `storage_` asks for compression or the flat layout exceeds the byte
-  // budget — block-compressed, doubling the block size FERRARI-style
-  // until the budget fits or the coarsest tier is reached. A pool that
-  // refuses compression (an oversized rank group) keeps flat storage.
-  void SealLabels() {
-    ClearPools();
+  // Moves the build-side vectors into the pools of `sealed`, a fresh
+  // labeling: flat, or — when `storage_` asks for compression or the flat
+  // layout exceeds the byte budget — block-compressed, doubling the block
+  // size FERRARI-style until the budget fits or the coarsest tier is
+  // reached. A pool that refuses compression (an oversized rank group)
+  // keeps flat storage.
+  void SealLabels(Sealed& sealed) {
     const size_t n = lin_.size();
     size_t entries = 0;
     for (const auto& l : lin_) entries += l.size();
@@ -833,70 +862,54 @@ class TwoHopCore {
       size_t block =
           Pool::ClampBlockEntries(storage_.block_entries);
       for (;;) {
-        if (!lin_cpool_.Seal(lin_, block) || !lout_cpool_.Seal(lout_, block)) {
-          lin_cpool_.Clear();
-          lout_cpool_.Clear();
+        if (!sealed.lin_cpool.Seal(lin_, block) ||
+            !sealed.lout_cpool.Seal(lout_, block)) {
+          sealed.lin_cpool.Clear();
+          sealed.lout_cpool.Clear();
           break;
         }
         const size_t bytes =
-            lin_cpool_.MemoryBytes() + lout_cpool_.MemoryBytes();
+            sealed.lin_cpool.MemoryBytes() + sealed.lout_cpool.MemoryBytes();
         if (budget != 0 && bytes > budget &&
             block < Pool::kMaxBlockEntries) {
           block *= 2;
           continue;
         }
-        compressed_ = true;
-        budget_exceeded_ = budget != 0 && bytes > budget;
+        sealed.compressed = true;
+        sealed.budget_exceeded = budget != 0 && bytes > budget;
         break;
       }
     }
-    if (compressed_) {
+    if (sealed.compressed) {
       EntryLists().swap(lin_);
       EntryLists().swap(lout_);
     } else {
-      budget_exceeded_ = budget != 0 && flat_bytes > budget;
-      lin_pool_.Seal(std::move(lin_));
-      lout_pool_.Seal(std::move(lout_));
+      sealed.budget_exceeded = budget != 0 && flat_bytes > budget;
+      sealed.lin_pool.Seal(std::move(lin_));
+      sealed.lout_pool.Seal(std::move(lout_));
     }
     PublishStorageGauges(flat_bytes);
-  }
-
-  // Empties both storage representations, the delta overlay, and any
-  // snapshot mapping the pools viewed.
-  void ClearPools() {
-    lin_pool_.Clear();
-    lout_pool_.Clear();
-    lin_cpool_.Clear();
-    lout_cpool_.Clear();
-    compressed_ = false;
-    budget_exceeded_ = false;
-    mapping_.reset();
-    delta_lin_.clear();
-    has_delta_ = false;
-  }
-
-  size_t PoolBytes() const {
-    return compressed_ ? lin_cpool_.MemoryBytes() + lout_cpool_.MemoryBytes()
-                       : lin_pool_.MemoryBytes() + lout_pool_.MemoryBytes();
   }
 
   // Publishes the index.bytes / compression gauges after a (re)seal.
   void PublishStorageGauges(size_t flat_equivalent_bytes) const {
     MetricsRegistry& reg = MetricsRegistry::Global();
-    const size_t n = rank_.size();
-    const size_t bytes = PoolBytes();
+    const Sealed& sealed = *sealed_;
+    const size_t n = sealed.rank.size();
+    const size_t bytes = sealed.PoolBytes();
     reg.GetGauge("index.bytes").Set(static_cast<double>(bytes));
     reg.GetGauge("index.bytes_per_vertex")
         .Set(n == 0 ? 0.0
                     : static_cast<double>(bytes) / static_cast<double>(n));
-    if (compressed_) {
+    if (sealed.compressed) {
       reg.GetGauge("index.compression_ratio")
           .Set(bytes == 0 ? 1.0
                           : static_cast<double>(flat_equivalent_bytes) /
                                 static_cast<double>(bytes));
     }
     if (storage_.budget_mb != 0) {
-      reg.GetGauge("index.budget_exceeded").Set(budget_exceeded_ ? 1 : 0);
+      reg.GetGauge("index.budget_exceeded")
+          .Set(sealed.budget_exceeded ? 1 : 0);
     }
   }
 
@@ -907,25 +920,29 @@ class TwoHopCore {
   // hop is checked separately.
   bool SupersetAnswer(VertexId s, VertexId t, Constraint q) const {
     if (s == t) return true;
-    if (compressed_) {
+    const Sealed& sealed = *sealed_;
+    const uint32_t rank_s = sealed.rank[s];
+    if (sealed.compressed) {
       // Same test on the skip tables: membership decodes at most one
       // block, the intersection only blocks that can overlap.
-      if (PoolCovered(lin_cpool_, t, rank_[s], q)) return true;
-      if (PoolCovered(lout_cpool_, s, rank_[t], q)) return true;
-      if (PoolsIntersect(lout_cpool_, s, lin_cpool_, t, q)) return true;
+      if (PoolCovered(sealed.lin_cpool, t, rank_s, q)) return true;
+      if (PoolCovered(sealed.lout_cpool, s, sealed.rank[t], q)) return true;
+      if (PoolsIntersect(sealed.lout_cpool, s, sealed.lin_cpool, t, q)) {
+        return true;
+      }
       if (!has_delta_) return false;
       const std::span<const Entry> delta = delta_lin_[t];
-      if (Traits::Covered(delta, rank_[s], q)) return true;
-      return PoolIntersectsSpan(lout_cpool_, s, delta, q);
+      if (Traits::Covered(delta, rank_s, q)) return true;
+      return PoolIntersectsSpan(sealed.lout_cpool, s, delta, q);
     }
-    const std::span<const Entry> out = lout_pool_.Slice(s);
-    const std::span<const Entry> in = lin_pool_.Slice(t);
-    if (Traits::Covered(in, rank_[s], q)) return true;
-    if (Traits::Covered(out, rank_[t], q)) return true;
+    const std::span<const Entry> out = sealed.lout_pool.Slice(s);
+    const std::span<const Entry> in = sealed.lin_pool.Slice(t);
+    if (Traits::Covered(in, rank_s, q)) return true;
+    if (Traits::Covered(out, sealed.rank[t], q)) return true;
     if (Traits::Intersect(out, in, q)) return true;
     if (!has_delta_) return false;
     const std::span<const Entry> delta = delta_lin_[t];
-    if (Traits::Covered(delta, rank_[s], q)) return true;
+    if (Traits::Covered(delta, rank_s, q)) return true;
     return Traits::Intersect(out, delta, q);
   }
 
@@ -933,24 +950,27 @@ class TwoHopCore {
   // the live graph, so "no covered witness" is an exact negative; a
   // covered witness whose hub ranks are unmarked is an exact positive
   // (its claims provably survived every damaging delete); only damaged
-  // witnesses need live verification. Materializing the merged lists
-  // allocates, but damage mode is the explicitly slow lane between budget
-  // overrun and rebuild — kept out of line so the zero-damage path of
-  // `Answer` stays small.
+  // witnesses need live verification. The allocation-free superset test
+  // decides every negative first, at the cost of a clean query; only a
+  // superset positive materializes the merged lists to find its witness
+  // hubs. Kept out of line so the zero-damage path of `Answer` stays
+  // small.
   [[gnu::noinline]] bool DamagedAnswer(VertexId s, VertexId t, Constraint q,
                                        size_t slot) const {
+    if (!SupersetAnswer(s, t, q)) return false;  // exact: no path in G+
     const std::vector<Entry> out = OutEntries(s);
     const std::vector<Entry> in = InEntries(t);
+    const std::vector<uint32_t>& rank_of = sealed_->rank;
     bool damaged_witness = false;
     // Case 1 — hub s claims s -> t through its Lin(t) entry (a forward
     // claim, stale only if s is a superset ancestor of a cut source).
-    if (Traits::Covered(in, rank_[s], q)) {
-      if (!RankDamagedFwd(rank_[s])) return true;
+    if (Traits::Covered(in, rank_of[s], q)) {
+      if (!RankDamagedFwd(rank_of[s])) return true;
       damaged_witness = true;
     }
     // Case 2 — hub t claims s -> t through its Lout(s) entry (backward).
-    if (Traits::Covered(out, rank_[t], q)) {
-      if (!RankDamagedBwd(rank_[t])) return true;
+    if (Traits::Covered(out, rank_of[t], q)) {
+      if (!RankDamagedBwd(rank_of[t])) return true;
       damaged_witness = true;
     }
     // Case 3 — a real hub h covered on both sides claims s -> h (stale if
@@ -1035,12 +1055,12 @@ class TwoHopCore {
     // routed through the dead arc, and the witness-trust protocol returns
     // a stale positive.
     if (!damaged_fwd_.empty()) {
-      if (!fwd_all_damaged_ && damaged_fwd_[rank_[t]] != 0 &&
-          damaged_fwd_[rank_[s]] == 0) {
+      if (!fwd_all_damaged_ && damaged_fwd_[Rank(t)] != 0 &&
+          damaged_fwd_[Rank(s)] == 0) {
         if (!DamageSweep(s, /*backward=*/true)) fwd_all_damaged_ = true;
       }
-      if (!bwd_all_damaged_ && damaged_bwd_[rank_[s]] != 0 &&
-          damaged_bwd_[rank_[t]] == 0) {
+      if (!bwd_all_damaged_ && damaged_bwd_[Rank(s)] != 0 &&
+          damaged_bwd_[Rank(t)] == 0) {
         if (!DamageSweep(t, /*backward=*/false)) bwd_all_damaged_ = true;
       }
     }
@@ -1105,7 +1125,7 @@ class TwoHopCore {
   bool DamageSweep(VertexId start, bool backward) {
     if (!SweepSuperset(start, backward, kLocalSearchBudget)) return false;
     std::vector<uint8_t>& marks = backward ? damaged_fwd_ : damaged_bwd_;
-    for (VertexId x : ws_.queue()) marks[rank_[x]] = 1;
+    for (VertexId x : ws_.queue()) marks[Rank(x)] = 1;
     return true;
   }
 
@@ -1143,6 +1163,7 @@ class TwoHopCore {
   void ResetDynamicState(const Graph* base) {
     overlay_.Reset(base);
     delta_lin_.clear();
+    delta_entries_ = 0;
     has_delta_ = false;
     damage_ = 0;
     damaged_fwd_.clear();
@@ -1156,108 +1177,122 @@ class TwoHopCore {
   }
 
   // What the query kernels and a later insert assume of a loaded
-  // labeling, checked once per load over every entry: `rank_` and
-  // `by_rank_` are inverse permutations of [0, n), and every sealed list
-  // is rank-sorted over ranks < n — strictly when rank groups are single
-  // entries — with compressed blocks agreeing with their skip entries and
-  // ordered within the list. On failure the labeling is dropped.
+  // labeling, checked once per load over every entry: the rank and
+  // by-rank tables are inverse permutations of [0, n), and every sealed
+  // list is rank-sorted over ranks < n — strictly when rank groups are
+  // single entries — with compressed blocks agreeing with their skip
+  // entries and ordered within the list. On failure the labeling is
+  // dropped.
   LoadResult ValidateLabeling() {
-    const size_t n = rank_.size();
+    const Sealed& sealed = *sealed_;
+    const size_t n = sealed.rank.size();
     std::string defect;
-    if (by_rank_.size() != n) {
+    if (sealed.by_rank.size() != n) {
       defect = "by-rank table: size mismatch";
     }
     for (VertexId v = 0; defect.empty() && v < n; ++v) {
-      if (rank_[v] >= n) {
+      if (sealed.rank[v] >= n) {
         defect = "rank table: rank out of range";
-      } else if (by_rank_[rank_[v]] != v) {
+      } else if (sealed.by_rank[sealed.rank[v]] != v) {
         defect = "rank table: not the inverse of the by-rank table";
       }
     }
     for (VertexId v = 0; defect.empty() && v < n; ++v) {
-      if (!SealedListValid(lin_pool_, lin_cpool_, v)) {
+      if (!sealed.ListValid(/*in=*/true, v)) {
         defect = ListName("Lin", v) + ": entries unsorted or out of range";
-      } else if (!SealedListValid(lout_pool_, lout_cpool_, v)) {
+      } else if (!sealed.ListValid(/*in=*/false, v)) {
         defect = ListName("Lout", v) + ": entries unsorted or out of range";
       }
     }
     if (defect.empty()) return {};
-    ClearPools();
-    rank_.clear();
-    by_rank_.clear();
+    sealed_ = std::make_shared<const Sealed>();
     return {LoadStatus::kCorrupt, std::move(defect)};
   }
 
-  bool SealedListValid(const FlatLabelPool<Entry>& flat, const Pool& packed,
-                       VertexId v) const {
-    const int64_t n = static_cast<int64_t>(rank_.size());
-    int64_t prev = -1;  // rank of the previous entry of the list
-    const auto in_order = [&](std::span<const Entry> entries) {
-      for (const Entry& e : entries) {
-        const int64_t r = Traits::Rank(e);
-        if (r >= n || r < prev + (Pool::kDistinctRanks ? 1 : 0)) {
+  // The sealed labeling: the total order, the pools (exactly one of the
+  // flat or block-compressed representations is live, `compressed`;
+  // docs/QUERY_ENGINE.md) and the snapshot mapping they may view
+  // (docs/SNAPSHOTS.md lifetime rules). Immutable once sealed, so copies
+  // of the core share it; `Build` and the loads seal a fresh one.
+  struct Sealed {
+    std::vector<uint32_t> rank;     // rank[v] = order position (0 = first)
+    std::vector<VertexId> by_rank;  // inverse of rank
+    FlatLabelPool<Entry> lin_pool;
+    FlatLabelPool<Entry> lout_pool;
+    Pool lin_cpool;
+    Pool lout_cpool;
+    bool compressed = false;
+    bool budget_exceeded = false;
+    std::shared_ptr<MappedFile> mapping;
+
+    size_t PoolBytes() const {
+      return compressed ? lin_cpool.MemoryBytes() + lout_cpool.MemoryBytes()
+                        : lin_pool.MemoryBytes() + lout_pool.MemoryBytes();
+    }
+
+    // Lin(v) (`in`) or Lout(v) as a vector, decoded when compressed.
+    std::vector<Entry> Entries(bool in, VertexId v) const {
+      std::vector<Entry> entries;
+      if (compressed) {
+        (in ? lin_cpool : lout_cpool).Decode(v, &entries);
+      } else {
+        const std::span<const Entry> slice =
+            (in ? lin_pool : lout_pool).Slice(v);
+        entries.assign(slice.begin(), slice.end());
+      }
+      return entries;
+    }
+
+    // Whether Lin(v) (`in`) or Lout(v) is rank-sorted over ranks < n, as
+    // `ValidateLabeling` requires.
+    bool ListValid(bool in, VertexId v) const {
+      const int64_t n = static_cast<int64_t>(rank.size());
+      int64_t prev = -1;  // rank of the previous entry of the list
+      const auto in_order = [&](std::span<const Entry> entries) {
+        for (const Entry& e : entries) {
+          const int64_t r = Traits::Rank(e);
+          if (r >= n || r < prev + (Pool::kDistinctRanks ? 1 : 0)) {
+            return false;
+          }
+          prev = r;
+        }
+        return true;
+      };
+      if (!compressed) return in_order((in ? lin_pool : lout_pool).Slice(v));
+      const Pool& packed = in ? lin_cpool : lout_cpool;
+      Entry buf[Pool::kMaxBlockEntries];
+      for (size_t b = packed.BlockBegin(v); b < packed.BlockEnd(v); ++b) {
+        // Blocks hold whole rank groups, so even grouped ranks increase
+        // strictly from one block to the next.
+        if (static_cast<int64_t>(packed.Skip(b).first) <= prev) return false;
+        const size_t count = packed.DecodeBlock(b, buf);
+        if (!in_order({buf, count}) || prev != packed.Skip(b).last) {
           return false;
         }
-        prev = r;
       }
       return true;
-    };
-    if (!compressed_) return in_order(flat.Slice(v));
-    Entry buf[Pool::kMaxBlockEntries];
-    for (size_t b = packed.BlockBegin(v); b < packed.BlockEnd(v); ++b) {
-      // Blocks hold whole rank groups, so even grouped ranks increase
-      // strictly from one block to the next.
-      if (static_cast<int64_t>(packed.Skip(b).first) <= prev) return false;
-      const size_t count = packed.DecodeBlock(b, buf);
-      if (!in_order({buf, count}) || prev != packed.Skip(b).last) {
-        return false;
-      }
     }
-    return true;
-  }
-
-  std::vector<Entry> SealedEntries(const FlatLabelPool<Entry>& flat,
-                                   const Pool& packed,
-                                   VertexId v) const {
-    std::vector<Entry> entries;
-    if (compressed_) {
-      packed.Decode(v, &entries);
-    } else {
-      const std::span<const Entry> slice = flat.Slice(v);
-      entries.assign(slice.begin(), slice.end());
-    }
-    return entries;
-  }
+  };
 
   TwoHopStorageOptions storage_;
   size_t staleness_budget_;
   // The built graph plus inserted and tombstoned arcs; no base after a
   // load.
   ArcOverlay<Graph> overlay_;
-  std::vector<uint32_t> rank_;     // rank_[v] = order position (0 = first)
-  std::vector<VertexId> by_rank_;  // inverse of rank_
   // Build-side label accumulators (rank-sorted); SealLabels() moves them
   // into the pools and leaves them empty.
   EntryLists lin_;
   EntryLists lout_;
-  // Sealed query-path layout (docs/QUERY_ENGINE.md): exactly one of the
-  // flat or block-compressed representations is live (`compressed_`).
-  FlatLabelPool<Entry> lin_pool_;
-  FlatLabelPool<Entry> lout_pool_;
-  Pool lin_cpool_;
-  Pool lout_cpool_;
-  bool compressed_ = false;
-  bool budget_exceeded_ = false;
-  // Keeps a zero-copy snapshot mapping alive while pool views point into
-  // it (docs/SNAPSHOTS.md lifetime rules).
-  std::shared_ptr<MappedFile> mapping_;
+  // Never null; shared with copies of this core.
+  std::shared_ptr<const Sealed> sealed_ = std::make_shared<const Sealed>();
   // Unsealed delta overlay: Lin entries added by inserts after sealing
   // (rank-sorted, disjoint from the pool slice). Empty until the first
   // insert.
   EntryLists delta_lin_;
+  size_t delta_entries_ = 0;  // sum of the delta lists' sizes
   bool has_delta_ = false;
   // Damaging deletes absorbed since the last (re)build, and the per-rank
-  // stale-witness marks they left: damaged_fwd_[r] = hub by_rank_[r]'s
+  // stale-witness marks they left: damaged_fwd_[r] = hub ByRank(r)'s
   // forward claims (its Lin entries at other vertices) may be stale;
   // damaged_bwd_[r] dually for its Lout entries. The all_damaged flags
   // are the budget-overrun fallbacks of the bounded marking sweep.
@@ -1268,11 +1303,11 @@ class TwoHopCore {
   bool bwd_all_damaged_ = false;
   // Write-side traversal scratch (redundancy checks, damage sweeps,
   // insert propagation).
-  mutable SearchWorkspace ws_;
+  mutable FreshOnCopy<SearchWorkspace> ws_;
   // Per-slot scratch for damaged-witness verification and probes
   // (slot-parallel queries must not share them).
-  mutable WorkspacePool verify_ws_;
-  mutable ProbePool probes_;
+  mutable FreshOnCopy<WorkspacePool> verify_ws_;
+  mutable FreshOnCopy<ProbePool> probes_;
 };
 
 }  // namespace reach

@@ -107,6 +107,18 @@ class ProbePool {
   mutable std::deque<QueryProbe> slots_;
 };
 
+/// Scratch state of an object whose copies must not share or copy it: a
+/// copy of a `FreshOnCopy<T>` is a default-constructed `T`, and assigning
+/// one leaves the target as it was. So the owner can keep a defaulted
+/// copy constructor — every other member is copied — and a copy taken
+/// while other threads write the source's scratch reads none of it.
+template <typename T>
+struct FreshOnCopy : T {
+  FreshOnCopy() = default;
+  FreshOnCopy(const FreshOnCopy&) : T() {}
+  FreshOnCopy& operator=(const FreshOnCopy&) { return *this; }
+};
+
 }  // namespace reach
 
 #endif  // REACH_CORE_WORKSPACE_POOL_H_

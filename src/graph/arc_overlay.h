@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -52,6 +53,7 @@ class ArcOverlay {
     extra_out_.clear();
     extra_in_.clear();
     tomb_out_.clear();
+    num_arcs_ = 0;
   }
 
   const Graph* base() const { return base_; }
@@ -63,6 +65,7 @@ class ArcOverlay {
     if (IsTombstoned(s, arc)) {
       tomb_out_[s].erase(
           std::lower_bound(tomb_out_[s].begin(), tomb_out_[s].end(), arc));
+      --num_arcs_;
       return ArcInsert::kResurrected;
     }
     if (Contains(s, arc)) return ArcInsert::kNoOp;
@@ -72,6 +75,7 @@ class ArcOverlay {
     }
     extra_out_[s].push_back(arc);
     extra_in_[Arcs::Head(arc)].push_back(Arcs::Reverse(s, arc));
+    num_arcs_ += 2;
     return ArcInsert::kAdded;
   }
 
@@ -81,6 +85,7 @@ class ArcOverlay {
     if (tomb_out_.empty()) tomb_out_.resize(NumVertices());
     tomb_out_[s].insert(
         std::lower_bound(tomb_out_[s].begin(), tomb_out_[s].end(), arc), arc);
+    ++num_arcs_;
     return true;
   }
 
@@ -126,13 +131,20 @@ class ArcOverlay {
     return Arcs::MakeGraph(*base_, std::move(edges));
   }
 
+  /// Bytes of the inserted arcs (each kept both ways) and tombstones
+  /// themselves, in O(1): not the base graph, and not the per-vertex list
+  /// headers, a fixed cost once the first update sized them.
+  size_t ArcBytes() const { return num_arcs_ * sizeof(Arc); }
+
   /// Folds the updates into the base: the live graph becomes a graph the
   /// overlay owns, and the overlay is rebased onto it, empty. What
-  /// `RebuildFromUpdates` builds over.
+  /// `RebuildFromUpdates` builds over. A copy of the overlay shares the
+  /// owned graph, so its base outlives this overlay's next `Materialize`.
   const Graph& Materialize() {
-    owned_graph_ = LiveGraph();
-    Reset(&owned_graph_);
-    return owned_graph_;
+    auto owned = std::make_shared<const Graph>(LiveGraph());
+    Reset(owned.get());
+    owned_graph_ = std::move(owned);
+    return *owned_graph_;
   }
 
  private:
@@ -167,9 +179,10 @@ class ArcOverlay {
   }
 
   const Graph* base_ = nullptr;
-  Graph owned_graph_;
+  std::shared_ptr<const Graph> owned_graph_;
   std::vector<std::vector<Arc>> extra_out_, extra_in_;
   std::vector<std::vector<Arc>> tomb_out_;
+  size_t num_arcs_ = 0;  // entries of the three lists above
 };
 
 }  // namespace reach

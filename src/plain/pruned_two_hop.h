@@ -174,6 +174,15 @@ class PrunedTwoHop : public DynamicReachabilityIndex {
   /// edge set, resetting damage to zero.
   bool RebuildFromUpdates() override;
 
+  /// Shares the sealed labeling and copies only the update state — the
+  /// arc overlay, delta entries and damage marks (`TwoHopCore`'s copy) —
+  /// so the cost is O(n) plus what the updates since the last build
+  /// added, never per sealed label entry. The copy's overlay points into
+  /// the graph of the last `Build`.
+  std::unique_ptr<DynamicReachabilityIndex> Clone() const override {
+    return std::make_unique<PrunedTwoHop>(*this);
+  }
+
   /// Deletions currently answered through the repair machinery (0 =
   /// label-exact) and the configured budget, for tests and policy code.
   size_t Damage() const { return core_.Damage(); }

@@ -147,9 +147,11 @@ size_t AddGate(const Edge& e, const Digraph& graph,
 }
 
 /// `BoundedUnionBfs` over the effective updates already folded into
-/// `gate` (its `adds` and `dels`; the gate graph itself is not read).
+/// `gate` (its `adds` and `dels`; the gate graph itself is not read), with
+/// its visited marks and queue in `ws`.
 BoundedBfsOutcome UnionBfs(const Digraph& graph, const PendingGate& gate,
-                           VertexId s, VertexId t, size_t max_visits) {
+                           VertexId s, VertexId t, size_t max_visits,
+                           SearchWorkspace& ws) {
   BoundedBfsOutcome out;
   if (s == t) {
     out.reachable = true;
@@ -160,10 +162,10 @@ BoundedBfsOutcome UnionBfs(const Digraph& graph, const PendingGate& gate,
   // decides reachability against deletions exactly.
   const std::vector<Edge>& by_source = gate.adds;  // sorted by source
   const std::vector<Edge>& dels = gate.dels;       // sorted
-  std::vector<uint8_t> visited(graph.NumVertices(), 0);
-  std::vector<VertexId> queue;
+  ws.PrepareForward(graph.NumVertices());
+  std::vector<VertexId>& queue = ws.queue();
   queue.push_back(s);
-  visited[s] = 1;
+  ws.MarkForward(s);
   for (size_t head = 0; head < queue.size(); ++head) {
     if (out.visits >= max_visits) {
       out.complete = false;
@@ -172,10 +174,7 @@ BoundedBfsOutcome UnionBfs(const Digraph& graph, const PendingGate& gate,
     ++out.visits;
     const VertexId v = queue[head];
     const auto enqueue = [&](VertexId n) {
-      if (visited[n] == 0) {
-        visited[n] = 1;
-        queue.push_back(n);
-      }
+      if (ws.MarkForward(n)) queue.push_back(n);
       return n == t;
     };
     for (const VertexId n : graph.OutNeighbors(v)) {
@@ -426,7 +425,7 @@ ReachService::ReachService(Digraph base, ServiceOptions options)
       readers_(std::make_shared<ReaderRecords>()) {
   auto snap = std::make_shared<ServeSnapshot>();
   snap->version = 0;
-  snap->graph = std::move(base);
+  snap->graph = std::make_shared<const Digraph>(std::move(base));
   auto view = std::make_shared<ServeView>();
   view->snapshot = std::move(snap);
   view_.Store(std::move(view));
@@ -493,7 +492,10 @@ LoadResult ReachService::StartWithSnapshot(const std::string& path) {
   }
   auto snap = std::make_shared<ServeSnapshot>();
   snap->graph = view_.Load()->snapshot->graph;  // the base graph from the ctor
+  // The loaded index has no live graph (`index_graph` stays null), so the
+  // first drain runs a full build.
   snap->index = std::move(index);
+  snap->built_index_bytes = snap->index->IndexSizeBytes();
   const size_t granted = snap->index->PrepareConcurrentQueries(
       ResolveThreads(options_.slots));
   snap->slots.Reset(granted);
@@ -643,7 +645,7 @@ void ReachService::ExtendGate(const ServeSnapshot& snap,
   uint64_t visits = 0;
   for (const EdgeUpdate& u : updates) {
     if (u.IsInsert()) {
-      visits += AddGate(Edge{u.source, u.target}, snap.graph, &queue, gate);
+      visits += AddGate(Edge{u.source, u.target}, *snap.graph, &queue, gate);
     }
   }
   stats_.gate_sweep_visits.fetch_add(visits, std::memory_order_relaxed);
@@ -677,6 +679,41 @@ void ReachService::ScheduleLocked() {
   ThreadPool::Global().Submit([this] { RebuildLoop(); });
 }
 
+bool ReachService::UpdateIndexCopy(const ServeView& drained,
+                                   ServeSnapshot* snap) const {
+  const ServeSnapshot& from = *drained.snapshot;
+  const auto* index =
+      dynamic_cast<const DynamicReachabilityIndex*>(from.index.get());
+  if (index == nullptr) return false;  // no index yet, or a static one
+  REACH_TRACE_SPAN("serve.rebuild.apply");
+  std::unique_ptr<DynamicReachabilityIndex> copy = index->Clone();
+  if (copy == nullptr) return false;
+  // One update at a time, so the arm gives up as soon as the copy asks
+  // for a build: it rejects the update (a loaded index has no live
+  // graph), crosses its staleness budget (`kDeferredRebuild`) or grows
+  // past `kIndexGrowthLimit` times the last build. The rest of the batch
+  // would be wasted work.
+  const size_t limit = kIndexGrowthLimit * from.built_index_bytes;
+  const auto apply = [&](const EdgeUpdate& update) {
+    return copy->ApplyUpdate({update}).status == UpdateStatus::kApplied &&
+           copy->IndexSizeBytes() <= limit;
+  };
+  // Inserts first: each is a detour a later delete may prove itself
+  // redundant with, so fewer deletes damage the labels. The two sets are
+  // disjoint, so the order does not change the live graph.
+  const PendingGate& eff = drained.gate;
+  for (const Edge& e : eff.adds) {
+    if (!apply(EdgeUpdate::Insert(e.source, e.target))) return false;
+  }
+  for (const Edge& e : eff.dels) {
+    if (!apply(EdgeUpdate::Delete(e.source, e.target))) return false;
+  }
+  snap->index = std::move(copy);
+  snap->index_graph = from.index_graph;
+  snap->built_index_bytes = from.built_index_bytes;
+  return true;
+}
+
 void ReachService::RebuildLoop() {
   size_t consecutive_failures = 0;
   for (;;) {
@@ -698,6 +735,7 @@ void ReachService::RebuildLoop() {
     auto snap = std::make_shared<ServeSnapshot>();
     bool failed = false;
     bool stalled = false;
+    bool full_build = false;
     std::string error;
     try {
       // Chaos site: `error` simulates an organic build failure (OOM, bad
@@ -715,25 +753,28 @@ void ReachService::RebuildLoop() {
         // graph.
         const PendingGate& eff = drained->gate;
         ArcOverlay<Digraph> live;
-        live.Reset(&drained->snapshot->graph);
+        live.Reset(drained->snapshot->graph.get());
         for (const Edge& e : eff.dels) live.Delete(e.source, e.target);
         for (const Edge& e : eff.adds) live.Insert(e.source, e.target);
-        snap->graph = live.LiveGraph();
+        snap->graph = std::make_shared<const Digraph>(live.LiveGraph());
       }
       // Cooperative watchdog checkpoint, placed where abandoning still
-      // saves real work (the index build dominates): an attempt already
-      // past its deadline is re-queued instead of building on. Once the
-      // index build starts it runs to completion — a finished index is
+      // saves real work (the index update or build dominates): an attempt
+      // already past its deadline is re-queued instead of going on. Once
+      // the index work starts it runs to completion — a finished index is
       // published even if late, since discarding it helps nobody.
       if (watchdog_on &&
           Clock::now() - attempt_start > options_.rebuild_watchdog) {
         stalled = true;
-      } else {
+      } else if (!UpdateIndexCopy(*drained, snap.get())) {
         // The index must be built against the graph at its final address
         // — partial indexes keep a pointer into it for guided traversal.
         REACH_TRACE_SPAN("serve.rebuild.index");
         snap->index = MakeIndex(options_.spec).plain;
-        snap->index->Build(snap->graph);
+        snap->index->Build(*snap->graph);
+        snap->index_graph = snap->graph;
+        snap->built_index_bytes = snap->index->IndexSizeBytes();
+        full_build = true;
       }
     } catch (const std::exception& e) {
       failed = true;
@@ -858,6 +899,7 @@ void ReachService::RebuildLoop() {
     pending_gauge_->Set(static_cast<double>(left));
     health_ready_gauge_->Set(1.0);
     stats_.rebuilds.fetch_add(1, std::memory_order_relaxed);
+    if (full_build) stats_.full_builds.fetch_add(1, std::memory_order_relaxed);
 
     {
       // Exit handshake, same shape as the retries-exhausted one above: a
@@ -991,10 +1033,12 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
     if (tier == AdmissionTier::kBfsOnly) {
       // Heavy load: skip slot acquisition and the gate closure entirely;
       // one bounded traversal with a tighter budget bounds the cost.
-      ans = DegradedAnswer(view, s, t, kDegradedVisitBudget, recp);
+      ans = DegradedAnswer(view, s, t, kDegradedVisitBudget, recp,
+                           reader.bfs);
     } else if (snap.index == nullptr) {
       // Startup: the first index build is still in flight.
-      ans = DegradedAnswer(view, s, t, kFallbackVisitBudget, recp);
+      ans = DegradedAnswer(view, s, t, kFallbackVisitBudget, recp,
+                           reader.bfs);
     } else {
       const Clock::time_point deadline =
           options_.deadline.count() > 0 ? start + options_.deadline
@@ -1002,7 +1046,7 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
       bool waited = false;
       ans = AnswerWithIndex(view, s, t, deadline,
                             /*allow_delta=*/tier == AdmissionTier::kFull,
-                            &waited, recp);
+                            &waited, recp, reader.bfs);
       if (waited) {
         stats_.slot_waits.fetch_add(1, std::memory_order_relaxed);
       }
@@ -1079,7 +1123,8 @@ ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
                                           VertexId t,
                                           Clock::time_point deadline,
                                           bool allow_delta, bool* waited,
-                                          SlowQueryRecord* rec) const {
+                                          SlowQueryRecord* rec,
+                                          SearchWorkspace& bfs) const {
   ServeAnswer ans;
   const ServeSnapshot& snap = *view.snapshot;
 
@@ -1165,7 +1210,7 @@ ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
     // Budget blown mid-closure: degrade to the bounded traversal.
     stats_.deadline_degraded.fetch_add(1, std::memory_order_relaxed);
     if (rec != nullptr) rec->deadline_degraded = true;
-    return DegradedAnswer(view, s, t, kFallbackVisitBudget, rec);
+    return DegradedAnswer(view, s, t, kFallbackVisitBudget, rec, bfs);
   }
   if (!superset_reachable || !gate.has_deletes) {
     // Exact either way: a closure-exhausted negative, or a witness
@@ -1180,18 +1225,19 @@ ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
   // decides. It returns an exact answer unless the visit budget runs out
   // (then an inexact negative, flagged as such).
   stats_.delete_verifies.fetch_add(1, std::memory_order_relaxed);
-  return DegradedAnswer(view, s, t, kFallbackVisitBudget, rec);
+  return DegradedAnswer(view, s, t, kFallbackVisitBudget, rec, bfs);
 }
 
 ServeAnswer ReachService::DegradedAnswer(const ServeView& view, VertexId s,
                                          VertexId t, size_t visit_budget,
-                                         SlowQueryRecord* rec) const {
+                                         SlowQueryRecord* rec,
+                                         SearchWorkspace& bfs) const {
   ServeAnswer ans;
   ans.source = AnswerSource::kFallbackBfs;
   BoundedBfsOutcome out;
   {
     StageScope stage(rec, ServeStage::kFallbackBfs);
-    out = UnionBfs(view.snapshot->graph, view.gate, s, t, visit_budget);
+    out = UnionBfs(*view.snapshot->graph, view.gate, s, t, visit_budget, bfs);
   }
   if (rec != nullptr) rec->bfs_visits = out.visits;
   ans.reachable = out.reachable;
@@ -1234,6 +1280,8 @@ ServiceHealth ReachService::Health() const {
   health.ready = view->snapshot->index != nullptr;
   health.accepting_writes = !stopped_.load(std::memory_order_relaxed);
   health.snapshot_version = view->snapshot->version;
+  health.index_bytes = health.ready ? view->snapshot->index->IndexSizeBytes()
+                                    : 0;
   health.pending_edges = view->pending.size();
   health.max_pending_edges = options_.max_pending_edges;
   health.pending_fill =
@@ -1285,7 +1333,8 @@ BoundedBfsOutcome BoundedUnionBfs(const Digraph& graph,
   for (const EdgeUpdate& u : updates) {
     if (u.source < n && u.target < n) FoldUpdate(u, &effective);
   }
-  return UnionBfs(graph, effective, s, t, max_visits);
+  SearchWorkspace ws;
+  return UnionBfs(graph, effective, s, t, max_visits, ws);
 }
 
 }  // namespace reach

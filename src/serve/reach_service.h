@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/edge_update.h"
+#include "core/search_workspace.h"
 #include "core/serialize.h"
 #include "graph/digraph.h"
 #include "graph/rng.h"
@@ -51,6 +52,12 @@ inline constexpr size_t kFallbackVisitBudget = 1 << 16;
 /// Vertex-visit cap of the tier-2 (bfs-only) degraded answer path under
 /// admission control — deliberately far below `kFallbackVisitBudget`.
 inline constexpr size_t kDegradedVisitBudget = 2048;
+/// How far a drain lets an index copy grow before it runs a full build
+/// instead: a copy whose `IndexSizeBytes` passes this many times the size
+/// of the last full build is dropped. Inserts widen 2-hop labels without
+/// bound, so this keeps the index, the per-drain copy and the label
+/// lists a query scans within a constant factor of a fresh build.
+inline constexpr size_t kIndexGrowthLimit = 2;
 
 /// Configuration of a `ReachService`.
 struct ServiceOptions {
@@ -60,8 +67,11 @@ struct ServiceOptions {
   /// Concurrent-query slots requested per snapshot; the index may grant
   /// fewer (see `PrepareConcurrentQueries`). 0 = `DefaultThreads()`.
   size_t slots = 0;
-  /// Pending-update count that triggers a background snapshot rebuild.
-  /// Deletes count like inserts: both are absorbed by the same drain.
+  /// Pending-update count that triggers a background drain into a new
+  /// snapshot. Deletes count like inserts: both are absorbed by the same
+  /// drain. A drain applies the updates to a copy of the published index
+  /// when it can and runs a full build only when it must (see
+  /// `ReachService`), so a small threshold is cheap for `pll`.
   size_t drain_threshold = 64;
   /// Per-query time budget; once exceeded, the expensive answer paths
   /// (delta closure, unindexed fallback) degrade to the bounded BFS.
@@ -117,10 +127,11 @@ struct ServiceOptions {
       std::chrono::milliseconds(10)};
   std::chrono::nanoseconds rebuild_backoff_max{std::chrono::seconds(2)};
   /// Cooperative watchdog deadline per drain attempt, checked at phase
-  /// boundaries (after the graph merge, before the index build): an
-  /// attempt already past the deadline is abandoned — not published —
-  /// counted in `watchdog_fired`, and re-queued with backoff, picking up
-  /// any edges that accumulated meanwhile. 0 = no deadline.
+  /// boundaries (after the graph merge, before the index phase — the
+  /// update of an index copy or a full build): an attempt already past
+  /// the deadline is abandoned — not published — counted in
+  /// `watchdog_fired`, and re-queued with backoff, picking up any edges
+  /// that accumulated meanwhile. 0 = no deadline.
   std::chrono::nanoseconds rebuild_watchdog{0};
 };
 
@@ -212,7 +223,10 @@ struct ServeStats {
   /// Positive superset answers that had to be re-verified by traversal
   /// because deletes were pending.
   std::atomic<uint64_t> delete_verifies{0};
+  /// Published drains, and those of them that ran a full index build
+  /// (the rest updated a copy of the previous index).
   std::atomic<uint64_t> rebuilds{0};
+  std::atomic<uint64_t> full_builds{0};
   /// Negative-result cache outcomes (misses count every cache-enabled
   /// query that had to fall through to the index pipeline).
   std::atomic<uint64_t> negcache_hits{0};
@@ -258,6 +272,7 @@ struct ServeStats {
     fn("serve.update.rejected", update_rejected);
     fn("serve.update.delete_verifies", delete_verifies);
     fn("serve.rebuilds", rebuilds);
+    fn("serve.rebuild.full_builds", full_builds);
     fn("serve.negcache.hit", negcache_hits);
     fn("serve.negcache.miss", negcache_misses);
     fn("serve.negcache.evict", negcache_evictions);
@@ -298,6 +313,8 @@ struct ServiceHealth {
   /// False once `Stop()` ran: queries still work, writes are rejected.
   bool accepting_writes = false;
   uint64_t snapshot_version = 0;
+  /// `IndexSizeBytes` of the published index (0 before the first build).
+  size_t index_bytes = 0;
   /// Pending updates (inserts + deletes) not yet absorbed.
   size_t pending_edges = 0;
   size_t max_pending_edges = 0;  // 0 = unbounded
@@ -337,27 +354,33 @@ struct ServiceHealth {
 ///    reach sets the gate keeps (no slot, no index probe), plus O(k²/64)
 ///    word operations on the closure, k = gates so far. A background task
 ///    on the shared thread pool (src/par/) drains the pending list into a
-///    freshly built snapshot and publishes it with the trimmed list and
-///    that list's gate rebuilt against it, in one store. At most one
-///    rebuild is in flight; generations are strictly ordered. No write —
-///    insert or delete — ever rebuilds inline.
+///    new snapshot and publishes it with the trimmed list and that list's
+///    gate rebuilt against it, in one store. The drain applies the
+///    drained effective updates to a copy of the published index
+///    (`DynamicReachabilityIndex::Clone`, then `ApplyUpdate`); it runs a
+///    full build over the live graph when there is no index yet, the
+///    index has no copy, the copy rejects the batch, its damage crosses
+///    the staleness budget, or it grew past `kIndexGrowthLimit` times the
+///    size of the last full build. At most one drain is in flight;
+///    generations are strictly ordered. No write — insert or delete —
+///    ever rebuilds inline.
 ///  * Queries stay exact across the swap. A query first decides the
 ///    *superset* graph, snapshot ∪ every pending insert (deletes
 ///    ignored): one index probe s → t, then on a miss k bit tests — s in
 ///    each gate's source ancestors, OR-ing the closure rows of the hits,
 ///    then t in the target descendants of the gates that leaves usable.
-///    The reach sets are exact over the graph the index was built on, so
-///    each bit test equals the probe it replaces. The live graph is a
-///    subgraph of the superset, so a superset negative is exact. With
-///    only inserts pending the two graphs coincide, so a superset
-///    positive is exact too. With deletes pending, a superset positive is
-///    re-verified by a bounded traversal of the live union graph
-///    (snapshot minus effective deletes plus effective inserts): pending
-///    deletes act as tombstones consulted across snapshot swaps until a
-///    drain materializes them. When there is no index yet — service just
-///    started — or the per-query deadline expires mid-closure, the answer
-///    degrades to the same bounded union BFS, and `ServeAnswer::exact`
-///    says whether the budget sufficed.
+///    The reach sets are exact over the snapshot's graph, which the index
+///    answers for, so each bit test equals the probe it replaces. The
+///    live graph is a subgraph of the superset, so a superset negative is
+///    exact. With only inserts pending the two graphs coincide, so a
+///    superset positive is exact too. With deletes pending, a superset
+///    positive is re-verified by a bounded traversal of the live union
+///    graph (snapshot minus effective deletes plus effective inserts):
+///    pending deletes act as tombstones consulted across snapshot swaps
+///    until a drain absorbs them. When there is no index yet — service
+///    just started — or the per-query deadline expires mid-closure, the
+///    answer degrades to the same bounded union BFS, and
+///    `ServeAnswer::exact` says whether the budget sufficed.
 ///
 /// Thread-safety: `Query` may be called from any number of threads
 /// concurrently with `ApplyUpdate`, `Flush`, and the background rebuild.
@@ -463,6 +486,13 @@ class ReachService {
 
   void ScheduleLocked();
   void RebuildLoop();
+  /// The incremental arm of a drain: a copy of the drained snapshot's
+  /// index takes the drained effective updates through `ApplyUpdate` and
+  /// goes into `snap`. False, with `snap` untouched, when the drain needs
+  /// a full build: there is no index yet, it has no copy, or the copy
+  /// rejects an update, recommends a rebuild or outgrows
+  /// `kIndexGrowthLimit`.
+  bool UpdateIndexCopy(const ServeView& drained, ServeSnapshot* snap) const;
   AdmissionTier AdmitTier(size_t inflight_now) const;
   void SetRebuildState(RebuildState state);
   void NoteRebuildFailure(const std::string& error, size_t consecutive);
@@ -472,13 +502,16 @@ class ReachService {
   void ExtendGate(const ServeSnapshot& snap,
                   std::span<const EdgeUpdate> updates,
                   PendingGate* gate) const;
+  /// `bfs` is the calling thread's union-BFS scratch (its reader
+  /// record's), for the verification and fallback searches.
   ServeAnswer AnswerWithIndex(const ServeView& view, VertexId s, VertexId t,
                               std::chrono::steady_clock::time_point deadline,
                               bool allow_delta, bool* waited,
-                              SlowQueryRecord* rec) const;
+                              SlowQueryRecord* rec,
+                              SearchWorkspace& bfs) const;
   ServeAnswer DegradedAnswer(const ServeView& view, VertexId s, VertexId t,
-                             size_t visit_budget,
-                             SlowQueryRecord* rec) const;
+                             size_t visit_budget, SlowQueryRecord* rec,
+                             SearchWorkspace& bfs) const;
   void CaptureSlowQuery(SlowQueryRecord rec) const;
 
   const ServiceOptions options_;

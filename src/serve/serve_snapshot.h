@@ -12,6 +12,7 @@
 
 #include "core/edge_update.h"
 #include "core/reachability_index.h"
+#include "core/search_workspace.h"
 #include "graph/digraph.h"
 
 namespace reach {
@@ -69,8 +70,8 @@ class SlotPool {
   std::atomic<uint64_t> free_{1};
 };
 
-/// One immutable generation of the serving state: the base graph, the
-/// index built over it, and the slot pool sized to what the index
+/// One immutable generation of the serving state: the live graph, the
+/// index answering for it, and the slot pool sized to what the index
 /// actually granted. Published inside a `ServeView` behind an atomic
 /// `shared_ptr` swap (`AtomicSharedPtr`); readers pin a generation for the
 /// duration of one request (a reader record keeps it cached until its
@@ -79,13 +80,25 @@ class SlotPool {
 struct ServeSnapshot {
   /// Monotonic generation number (0 = the unindexed startup snapshot).
   uint64_t version = 0;
-  /// The base graph this generation serves. The index may retain a
-  /// pointer into it (partial indexes do), so it lives in the snapshot.
-  Digraph graph;
-  /// Index over `graph`; null only in the startup snapshot, while the
-  /// first background build is still in flight — queries then degrade to
-  /// the bounded online BFS.
+  /// The live graph this generation serves, which `index` answers for:
+  /// what the gate sweeps and the union BFS walk.
+  std::shared_ptr<const Digraph> graph;
+  /// The graph `index` was built over, which the index may keep a pointer
+  /// into (partial indexes guide searches over it; a 2-hop index keeps
+  /// its update overlay on it). `graph` itself after a full build; the
+  /// last full build's graph after an incremental drain, which updated a
+  /// copy of the previous generation's index. Null while no index was
+  /// built (startup, or one loaded from a snapshot file).
+  std::shared_ptr<const Digraph> index_graph;
+  /// Index answering for `graph`; null only in the startup snapshot,
+  /// while the first background build is still in flight — queries then
+  /// degrade to the bounded online BFS.
   std::unique_ptr<ReachabilityIndex> index;
+  /// `IndexSizeBytes()` of the index the last full build (or snapshot
+  /// load) behind this generation made: a drain whose index copy outgrows
+  /// `kIndexGrowthLimit` times this runs a full build instead. 0 while
+  /// there is no index.
+  size_t built_index_bytes = 0;
   /// Leases for the slots `index->PrepareConcurrentQueries` granted.
   mutable SlotPool slots;
 };
@@ -226,6 +239,10 @@ struct alignas(64) ReaderRecord {
   std::shared_ptr<const ServeView> view;
   /// Owner-only: queries this record has served (latency sampling).
   uint64_t queries = 0;
+  /// Owner-only: epoch-stamped forward marks (4 bytes per vertex) and
+  /// queue of the union BFS, reused by every fallback search the thread
+  /// runs.
+  SearchWorkspace bfs;
   /// Immutable once the record is published in its list.
   ReaderRecord* next = nullptr;
   /// Whether a live thread owns the record. Guarded by the list's mutex.

@@ -200,5 +200,23 @@ TEST(GuidedSearchTest, ExhaustedVisitBudgetReportsIncomplete) {
   EXPECT_EQ(GuidedDfs(50, 50, ws, OutArcs(g), maybe, /*max_visits=*/0), 1);
 }
 
+// A forward-only prepare keeps the backward set as it is; a later full
+// prepare grows both and starts clean, whichever came first.
+TEST(SearchWorkspaceTest, ForwardOnlyAndFullPreparesShareOneEpoch) {
+  SearchWorkspace ws;
+  ws.PrepareForward(8);
+  EXPECT_TRUE(ws.MarkForward(7));
+  EXPECT_FALSE(ws.MarkForward(7));
+  ws.Prepare(16);
+  EXPECT_FALSE(ws.IsForwardMarked(7));
+  EXPECT_FALSE(ws.IsBackwardMarked(15));
+  EXPECT_TRUE(ws.MarkBackward(15));
+  EXPECT_TRUE(ws.MarkForward(15));
+  ws.PrepareForward(16);
+  EXPECT_FALSE(ws.IsBackwardMarked(15));
+  EXPECT_FALSE(ws.IsForwardMarked(15));
+  EXPECT_TRUE(ws.MarkForward(15));
+}
+
 }  // namespace
 }  // namespace reach

@@ -1,5 +1,11 @@
 #include "plain/pruned_two_hop.h"
 
+#include <memory>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
@@ -255,6 +261,96 @@ TEST(PrunedTwoHopTest, StalenessBudgetRecommendsRebuild) {
   // Answers stay exact even past the budget: the rebuild is advisory.
   EXPECT_FALSE(index.Query(0, 7));
   EXPECT_TRUE(index.Query(2, 5));
+}
+
+// Every pair's answer of `index`, row-major.
+std::vector<uint8_t> AllAnswers(const ReachabilityIndex& index, size_t n) {
+  std::vector<uint8_t> answers;
+  answers.reserve(n * n);
+  for (VertexId s = 0; s < n; ++s) {
+    for (VertexId t = 0; t < n; ++t) answers.push_back(index.Query(s, t));
+  }
+  return answers;
+}
+
+std::string SaveBytes(const PrunedTwoHop& index) {
+  std::ostringstream out;
+  EXPECT_TRUE(index.Save(out));
+  return out.str();
+}
+
+// `Clone` shares the sealed labeling and copies the update state: the
+// copy answers like its source, updates on its own, and leaves the
+// source's answers and Save bytes alone, whether the copy applies a batch
+// or rebuilds. Both storage modes, and a damaged source too.
+TEST(PrunedTwoHopCloneTest, CopyAnswersLikeItsSourceAndUpdatesAlone) {
+  constexpr VertexId kN = 48;
+  for (const bool compress : {false, true}) {
+    SCOPED_TRACE(compress ? "compressed" : "flat");
+    const Digraph g = RandomDigraph(kN, 110, 0xC10E);
+    TwoHopStorageOptions storage;
+    storage.compress = compress;
+    PrunedTwoHop source(VertexOrder::kDegree, 7, 1, storage);
+    source.Build(g);
+    // Inserts leave a delta overlay for the copy to carry.
+    const std::vector<Edge> base_edges = g.Edges();
+    std::set<Edge> live(base_edges.begin(), base_edges.end());
+    Xoshiro256ss rng(0xC0DE);
+    UpdateBatch inserts;
+    for (int i = 0; i < 6; ++i) {
+      const Edge e{static_cast<VertexId>(rng.NextBounded(kN)),
+                   static_cast<VertexId>(rng.NextBounded(kN))};
+      inserts.push_back(EdgeUpdate::Insert(e.source, e.target));
+      live.insert(e);
+    }
+    ASSERT_EQ(source.ApplyUpdate(inserts).status, UpdateStatus::kApplied);
+    ASSERT_EQ(source.Damage(), 0u);
+    const std::vector<uint8_t> source_answers = AllAnswers(source, kN);
+    const std::string source_bytes = SaveBytes(source);
+
+    std::unique_ptr<DynamicReachabilityIndex> copy = source.Clone();
+    ASSERT_NE(copy, nullptr);
+    EXPECT_EQ(AllAnswers(*copy, kN), source_answers);
+
+    // Deletes (damage included) and more inserts, on the copy only.
+    const std::vector<Edge> edges(live.begin(), live.end());
+    UpdateBatch mixed;
+    for (int i = 0; i < 8; ++i) {
+      const Edge e = edges[rng.NextBounded(edges.size())];
+      if (live.erase(e) != 0) {
+        mixed.push_back(EdgeUpdate::Delete(e.source, e.target));
+      }
+    }
+    for (int i = 0; i < 4; ++i) {
+      const Edge e{static_cast<VertexId>(rng.NextBounded(kN)),
+                   static_cast<VertexId>(rng.NextBounded(kN))};
+      mixed.push_back(EdgeUpdate::Insert(e.source, e.target));
+      live.insert(e);
+    }
+    ASSERT_TRUE(copy->ApplyUpdate(mixed).ok());
+    TransitiveClosure oracle;
+    oracle.Build(
+        Digraph::FromEdges(kN, std::vector<Edge>(live.begin(), live.end())));
+    for (VertexId s = 0; s < kN; ++s) {
+      for (VertexId t = 0; t < kN; ++t) {
+        ASSERT_EQ(copy->Query(s, t), oracle.Query(s, t)) << s << "->" << t;
+      }
+    }
+    EXPECT_EQ(AllAnswers(source, kN), source_answers);
+    EXPECT_EQ(SaveBytes(source), source_bytes);
+
+    // A copy of the damaged copy answers like it, and its rebuild seals a
+    // labeling of its own.
+    const auto* damaged = dynamic_cast<const PrunedTwoHop*>(copy.get());
+    ASSERT_NE(damaged, nullptr);
+    EXPECT_GT(damaged->Damage(), 0u);
+    std::unique_ptr<DynamicReachabilityIndex> second = copy->Clone();
+    EXPECT_EQ(AllAnswers(*second, kN), AllAnswers(*copy, kN));
+    ASSERT_TRUE(second->RebuildFromUpdates());
+    EXPECT_EQ(AllAnswers(*second, kN), AllAnswers(*copy, kN));
+    EXPECT_EQ(AllAnswers(source, kN), source_answers);
+    EXPECT_EQ(SaveBytes(source), source_bytes);
+  }
 }
 
 TEST(PrunedTwoHopTest, NamesReflectOrders) {

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/failpoint.h"
 #include "graph/figure1.h"
 #include "graph/generators.h"
 #include "graph/rng.h"
@@ -30,6 +31,7 @@
 #include "obs/metrics_exporter.h"
 #include "obs/metrics_registry.h"
 #include "obs/query_probe.h"
+#include "plain/pruned_two_hop.h"
 
 namespace reach {
 namespace {
@@ -201,7 +203,7 @@ TEST(ServeDifferentialTest, ConcurrentReadersAndWriterAcrossSwaps) {
   st.ForEachCounter([&](const char* name, const std::atomic<uint64_t>& c) {
     fields.emplace_back(name, c.load());
   });
-  EXPECT_EQ(fields.size(), 29u);
+  EXPECT_EQ(fields.size(), 30u);
   const auto expect_parity = [&](const char* when) {
     const MetricsSnapshot now = MetricsRegistry::Global().Snapshot();
     for (const auto& [name, value] : fields) {
@@ -326,6 +328,345 @@ TEST(ServeDifferentialTest, ConcurrentMixedUpdatesAcrossSwaps) {
     }
   }
   service.Stop();
+}
+
+// ---------------------------------------------------------------------
+// Incremental drains. A drain updates a copy of the published index when
+// it can, and runs a full build when the index asks for one (damage past
+// its staleness budget), rejects the batch (no live graph), has no copy,
+// or the copy outgrew kIndexGrowthLimit times its last build. These tests
+// drive one writer through seeded rounds of updates and check every pair
+// against a BFS over the live edge set, both while the round is pending
+// and after the Flush that drains it; the `full_builds` counter says
+// which arm each drain took. Where a test counts on incremental drains,
+// the size bound must stay out of the way, so its base has one large
+// strongly connected component, where most random inserts join pairs
+// already connected and add no labels, or it only deletes. (On a sparse
+// 64-vertex DAG a handful of inserts doubles the index.)
+
+// A seeded update stream over `base` with its log, which `LiveAdjacency`
+// replays: random inserts, deletes of live edges, and resurrections of
+// edges deleted earlier.
+class UpdateLog {
+ public:
+  UpdateLog(const Digraph& base, uint64_t seed)
+      : base_(base), rng_(seed), live_(base.Edges()) {}
+
+  UpdateBatch Next(size_t inserts, size_t deletes, size_t resurrections) {
+    UpdateBatch batch;
+    const auto n = static_cast<VertexId>(base_.NumVertices());
+    for (size_t i = 0; i < resurrections && !dead_.empty(); ++i) {
+      const Edge e = dead_[rng_.NextBounded(dead_.size())];
+      batch.push_back(EdgeUpdate::Insert(e.source, e.target));
+      Record(batch.back());
+    }
+    for (size_t i = 0; i < deletes && !live_.empty(); ++i) {
+      const Edge e = live_[rng_.NextBounded(live_.size())];
+      batch.push_back(EdgeUpdate::Delete(e.source, e.target));
+      Record(batch.back());
+    }
+    for (size_t i = 0; i < inserts; ++i) {
+      batch.push_back(
+          EdgeUpdate::Insert(static_cast<VertexId>(rng_.NextBounded(n)),
+                             static_cast<VertexId>(rng_.NextBounded(n))));
+      Record(batch.back());
+    }
+    return batch;
+  }
+
+  /// Logs a batch the test wrote itself.
+  const UpdateBatch& Record(const UpdateBatch& batch) {
+    for (const EdgeUpdate& u : batch) Record(u);
+    return batch;
+  }
+
+  const Digraph& base() const { return base_; }
+  const std::vector<EdgeUpdate>& log() const { return log_; }
+
+ private:
+  void Record(const EdgeUpdate& u) {
+    const Edge e{u.source, u.target};
+    std::erase(live_, e);
+    std::erase(dead_, e);
+    (u.IsInsert() ? live_ : dead_).push_back(e);
+    log_.push_back(u);
+  }
+
+  const Digraph& base_;
+  Xoshiro256ss rng_;
+  std::vector<Edge> live_;
+  std::vector<Edge> dead_;
+  std::vector<EdgeUpdate> log_;
+};
+
+// Every pair's answer is exact and equals a BFS over the live edge set.
+void ExpectAnswersMatchLive(const ReachService& service, const UpdateLog& log,
+                            const std::string& when) {
+  const std::vector<std::vector<VertexId>> adj =
+      LiveAdjacency(log.base(), log.log(), log.log().size());
+  for (VertexId s = 0; s < adj.size(); ++s) {
+    const std::vector<uint8_t> oracle = ReachableFrom(adj, s);
+    for (VertexId t = 0; t < adj.size(); ++t) {
+      const ServeAnswer ans = service.Query(s, t);
+      ASSERT_TRUE(ans.exact) << when << ": " << s << "->" << t;
+      ASSERT_EQ(ans.reachable, oracle[t] != 0)
+          << when << ": " << s << "->" << t;
+    }
+  }
+}
+
+// Applies `batch` (already in `log`), checks every pair while it is
+// pending, drains it with Flush, and checks every pair again.
+void DrainAndCheck(ReachService& service, const UpdateLog& log,
+                   const UpdateBatch& batch, const std::string& when) {
+  ASSERT_TRUE(service.ApplyUpdate(batch).ok()) << when;
+  ExpectAnswersMatchLive(service, log, when + " (pending)");
+  service.Flush();
+  EXPECT_EQ(service.PendingEdgeCount(), 0u) << when;
+  ExpectAnswersMatchLive(service, log, when + " (drained)");
+}
+
+// A started service on `base` whose drains run only at Flush, with its
+// first build done. A failed drain retries after about `backoff`. (When
+// the first build ends before `Flush` runs, that Flush drains once more,
+// with nothing pending, so tests count drains from here on.)
+std::unique_ptr<ReachService> StartManualDrains(
+    const Digraph& base, const std::string& spec,
+    std::chrono::milliseconds backoff = std::chrono::milliseconds(1)) {
+  ServiceOptions opts;
+  opts.spec = spec;
+  opts.drain_threshold = size_t{1} << 20;
+  opts.rebuild_backoff_initial = backoff;
+  opts.rebuild_backoff_max = backoff;
+  auto service = std::make_unique<ReachService>(base, opts);
+  EXPECT_TRUE(service->Start());
+  service->Flush();
+  return service;
+}
+
+// Six rounds of at most four deletes stay within pll's staleness budget
+// of 32 damaging deletes, so after the first build every drain updates a
+// copy of the published index.
+TEST(ServeIncrementalDrainTest, DrainsUnderTheBudgetRunNoFullBuild) {
+  const Digraph base = RandomDigraph(64, 256, 0x1D2A);
+  UpdateLog log(base, 0x1D2B);
+  const auto service = StartManualDrains(base, "pll");
+  const uint64_t drains = service->stats().rebuilds.load();
+  for (int round = 0; round < 6; ++round) {
+    DrainAndCheck(*service, log, log.Next(5, 4, 2),
+                  "round " + std::to_string(round));
+  }
+  EXPECT_EQ(service->stats().rebuilds.load(), drains + 6);
+  EXPECT_EQ(service->stats().full_builds.load(), 1u);
+  service->Stop();
+}
+
+// Chain edges have no detour, so every deleted one damages the labels: the
+// third crosses a staleness budget of 2, and that drain alone runs a full
+// build, which clears the damage for the drains after it.
+TEST(ServeIncrementalDrainTest, ADrainThatCrossesTheBudgetRunsAFullBuild) {
+  const Digraph base = Chain(40);
+  UpdateLog log(base, 0xC4A1);
+  const auto service = StartManualDrains(base, "pll:staleness=2");
+  const ServeStats& st = service->stats();
+  const uint64_t drains = st.rebuilds.load();
+  DrainAndCheck(*service, log,
+                log.Record({EdgeUpdate::Delete(5, 6),
+                            EdgeUpdate::Delete(20, 21)}),
+                "two deletes");
+  EXPECT_EQ(st.full_builds.load(), 1u);
+  DrainAndCheck(*service, log,
+                log.Record({EdgeUpdate::Delete(30, 31),
+                            EdgeUpdate::Insert(5, 6)}),
+                "a third delete and a resurrection");
+  EXPECT_EQ(st.full_builds.load(), 2u);
+  DrainAndCheck(*service, log,
+                log.Record({EdgeUpdate::Delete(10, 11),
+                            EdgeUpdate::Delete(12, 13)}),
+                "two deletes after the build");
+  EXPECT_EQ(st.full_builds.load(), 2u);
+  EXPECT_EQ(st.rebuilds.load(), drains + 3);
+  service->Stop();
+}
+
+// Resurrections: an edge deleted in one drain comes back in a later one
+// (a tombstone drop in the index copy); an edge inserted after the build
+// is deleted and inserted again, within one batch and across drains. No
+// staleness budget, so every drain is incremental whatever the damage.
+TEST(ServeIncrementalDrainTest, ResurrectionsAcrossDrainsStayExact) {
+  const Digraph base = RandomDigraph(48, 192, 0x2E5);
+  UpdateLog log(base, 0x2E6);
+  const auto service = StartManualDrains(base, "pll:staleness=0");
+  const Edge old_edge = base.Edges()[7];
+  DrainAndCheck(*service, log,
+                log.Record({EdgeUpdate::Delete(old_edge.source,
+                                               old_edge.target),
+                            EdgeUpdate::Insert(3, 40)}),
+                "delete a base edge, insert a new one");
+  DrainAndCheck(*service, log,
+                log.Record({EdgeUpdate::Insert(old_edge.source,
+                                               old_edge.target),
+                            EdgeUpdate::Delete(3, 40)}),
+                "resurrect the base edge, delete the new one");
+  DrainAndCheck(*service, log,
+                log.Record({EdgeUpdate::Insert(3, 40),
+                            EdgeUpdate::Delete(3, 40),
+                            EdgeUpdate::Insert(3, 40)}),
+                "the new edge back, through a delete in the same batch");
+  for (int round = 0; round < 5; ++round) {
+    DrainAndCheck(*service, log, log.Next(2, 3, 3),
+                  "round " + std::to_string(round));
+  }
+  EXPECT_EQ(service->stats().full_builds.load(), 1u);
+  service->Stop();
+}
+
+// A snapshot-loaded index has no live graph, so it rejects the batch and
+// the first drain runs a full build; the drains after it are incremental.
+// They only delete: on 56 vertices the first insert that adds labels
+// sizes the per-vertex delta lists, which alone about doubles the index
+// and so meets the size bound.
+TEST(ServeIncrementalDrainTest, SnapshotStartFallsBackToAFullBuildOnce) {
+  const Digraph base = RandomDigraph(56, 224, 0x5A7);
+  PrunedTwoHop built;
+  built.Build(base);
+  const std::string path = testing::TempDir() + "/incremental_drain.rchx";
+  std::string error;
+  ASSERT_TRUE(built.SaveSnapshot(path, &error)) << error;
+  UpdateLog log(base, 0x5A8);
+  ServiceOptions opts;
+  opts.drain_threshold = size_t{1} << 20;
+  ReachService service(base, opts);
+  ASSERT_TRUE(service.StartWithSnapshot(path));
+  ExpectAnswersMatchLive(service, log, "loaded");
+  const ServeStats& st = service.stats();
+  DrainAndCheck(service, log, log.Next(4, 3, 0), "first drain");
+  EXPECT_EQ(st.full_builds.load(), 1u);
+  for (int round = 0; round < 3; ++round) {
+    DrainAndCheck(service, log, log.Next(0, 3, 0),
+                  "round " + std::to_string(round));
+  }
+  EXPECT_EQ(st.rebuilds.load(), 4u);
+  EXPECT_EQ(st.full_builds.load(), 1u);
+  service.Stop();
+}
+
+// An index without a copy (GRAIL is static) takes the full-build arm on
+// every drain.
+TEST(ServeIncrementalDrainTest, AnIndexWithoutACopyBuildsOnEveryDrain) {
+  const Digraph base = RandomDag(56, 130, 0x6A1);
+  UpdateLog log(base, 0x6A2);
+  const auto service = StartManualDrains(base, "grail");
+  const ServeStats& st = service->stats();
+  const uint64_t drains = st.rebuilds.load();
+  for (int round = 0; round < 3; ++round) {
+    DrainAndCheck(*service, log, log.Next(4, 3, 1),
+                  "round " + std::to_string(round));
+  }
+  EXPECT_EQ(st.rebuilds.load(), drains + 3);
+  EXPECT_EQ(st.full_builds.load(), st.rebuilds.load());
+  service->Stop();
+}
+
+// The serve.rebuild failpoint fails the next drain before it picks an
+// arm. While the drain backs off, the last good snapshot keeps serving
+// every pair exactly with the updates still pending; the retry then lands
+// an incremental drain.
+TEST(ServeIncrementalDrainTest, FailedIncrementalDrainRetriesAndLands) {
+  if (!kFailpointsCompiled) GTEST_SKIP() << "REACH_FAILPOINTS is OFF";
+  const Digraph base = RandomDigraph(56, 224, 0x7F1);
+  UpdateLog log(base, 0x7F2);
+  const auto service =
+      StartManualDrains(base, "pll", std::chrono::milliseconds(400));
+  DrainAndCheck(*service, log, log.Next(0, 2, 0), "before the fault");
+  const uint64_t good_version = service->SnapshotVersion();
+  std::string error;
+  ASSERT_TRUE(FailpointRegistry::Global().Arm("serve.rebuild",
+                                              "error(times=1)", &error))
+      << error;
+  ASSERT_TRUE(service->ApplyUpdate(log.Next(0, 2, 1)).ok());
+  std::thread flusher([&] { service->Flush(); });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (service->Health().rebuild != RebuildState::kBackoff &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(service->Health().rebuild, RebuildState::kBackoff);
+  EXPECT_EQ(service->SnapshotVersion(), good_version);
+  ExpectAnswersMatchLive(*service, log, "while the drain backs off");
+  flusher.join();  // Flush returns once the retry has published
+  FailpointRegistry::Global().DisarmAll();
+  ExpectAnswersMatchLive(*service, log, "after the retry");
+  const ServeStats& st = service->stats();
+  EXPECT_EQ(st.rebuild_failures.load(), 1u);
+  EXPECT_EQ(st.rebuild_retries.load(), 1u);
+  EXPECT_GT(service->SnapshotVersion(), good_version);
+  EXPECT_EQ(st.full_builds.load(), 1u);
+  service->Stop();
+}
+
+// Inserts widen 2-hop labels, and an insert-only stream never crosses
+// pll's staleness budget (it counts damaging deletes; `staleness=0` turns
+// it off). The size bound rebuilds it: a drain whose copy passes
+// kIndexGrowthLimit times the size of the last full build runs a full
+// build instead, so no published index exceeds that.
+TEST(ServeIncrementalDrainTest, InsertOnlyStreamsRebuildAtTheSizeBound) {
+  for (const char* spec : {"pll", "pll:staleness=0"}) {
+    SCOPED_TRACE(spec);
+    const Digraph base = RandomDag(64, 64, 0x1A5E);
+    UpdateLog log(base, 0x1A5F);
+    const auto service = StartManualDrains(base, spec);
+    const ServeStats& st = service->stats();
+    const uint64_t drains_before = st.rebuilds.load();
+    const uint64_t builds_before = st.full_builds.load();
+    size_t built = service->Health().index_bytes;
+    ASSERT_GT(built, 0u);
+    uint64_t builds = builds_before;
+    for (int round = 0; round < 16; ++round) {
+      const std::string when = "round " + std::to_string(round);
+      DrainAndCheck(*service, log, log.Next(3, 0, 0), when);
+      const size_t bytes = service->Health().index_bytes;
+      if (st.full_builds.load() > builds) {
+        builds = st.full_builds.load();
+        built = bytes;
+      } else {
+        EXPECT_LE(bytes, kIndexGrowthLimit * built) << when;
+      }
+    }
+    const uint64_t drains = st.rebuilds.load() - drains_before;
+    EXPECT_EQ(drains, 16u);
+    EXPECT_GT(builds, builds_before);  // the bound fired
+    EXPECT_LT(builds - builds_before, drains);  // and not on every drain
+    service->Stop();
+  }
+}
+
+// A pair connected only through an arc an earlier drain deleted, asked
+// while another delete is pending, from a source that reaches more than
+// kFallbackVisitBudget vertices. The damaged copy verifies its own
+// witness, so the negative is exact without the bounded union BFS, which
+// could not finish here.
+TEST(ServeIncrementalDrainTest, DamagedCopyNegativesStayExactPastTheBfsBudget) {
+  constexpr VertexId kLeaves = kFallbackVisitBudget + 1024;
+  // 0 -> 2 -> 1, and 0 -> each leaf 3 .. kLeaves + 2.
+  std::vector<Edge> edges = {{0, 2}, {2, 1}};
+  for (VertexId v = 3; v < kLeaves + 3; ++v) edges.push_back({0, v});
+  const Digraph base = Digraph::FromEdges(kLeaves + 3, std::move(edges));
+  const auto service = StartManualDrains(base, "pll");
+  ASSERT_TRUE(service->ApplyUpdate({EdgeUpdate::Delete(2, 1)}).ok());
+  service->Flush();
+  EXPECT_EQ(service->stats().full_builds.load(), 1u);  // an updated copy
+  ASSERT_TRUE(service->ApplyUpdate({EdgeUpdate::Delete(0, 3)}).ok());
+  const std::tuple<VertexId, VertexId, bool> pairs[] = {
+      {0, 1, false}, {2, 1, false}, {0, 2, true}, {0, 4, true},
+      {0, kLeaves + 2, true}};
+  for (const auto& [s, t, reachable] : pairs) {
+    const ServeAnswer ans = service->Query(s, t);
+    EXPECT_TRUE(ans.exact) << s << "->" << t;
+    EXPECT_EQ(ans.reachable, reachable) << s << "->" << t;
+  }
+  service->Stop();
 }
 
 // The gate closure over more than 64 pending inserts (rows span two
