@@ -51,9 +51,10 @@ std::vector<QueryPair> MixedPairs(const Digraph& g, int64_t mix,
 }
 
 // One reader measuring per-query latency while `writers` background
-// threads stream inserts. The drain threshold keeps several snapshot
-// rebuilds in flight over the run, so the measured distribution includes
-// queries served mid-swap (delta closure and fallback paths). Args:
+// threads stream inserts. Each insert publishes an updated copy of the
+// index, and full builds run in the background when a copy outgrows its
+// last build, so the measured distribution includes queries served
+// mid-swap. Args:
 // {writers, mix (0 uniform / 1 neg90 / 2 pos90), fastpath on/off}.
 void BM_ServeQueryLatencyUnderWrites(benchmark::State& state) {
   const auto writers = static_cast<size_t>(state.range(0));
@@ -65,9 +66,7 @@ void BM_ServeQueryLatencyUnderWrites(benchmark::State& state) {
   ServiceOptions options;
   options.spec = fastpath ? "pll:fastpath=1" : "pll";
   options.drain_threshold = 128;
-  // A deadline plus a latency threshold exercises both slow-query capture
-  // paths; the 500µs threshold only trips on genuine tail queries.
-  options.deadline = std::chrono::milliseconds(2);
+  // The 500µs slow-query threshold only trips on genuine tail queries.
   options.slow_query_threshold = std::chrono::microseconds(500);
   ReachService service(graph, options);
   service.Start();
@@ -119,10 +118,8 @@ void BM_ServeQueryLatencyUnderWrites(benchmark::State& state) {
   const ServeStats& stats = service.stats();
   const double queries =
       std::max<double>(1.0, static_cast<double>(stats.queries.load()));
-  // Fast-path hit rate is hits / total verdicts from the registry deltas
-  // (the denominator includes internal probes the service makes during
-  // delta closure, not just top-level queries). Negcache hits come from
-  // the service stats, per top-level query.
+  // Fast-path hit rate is hits / total verdicts from the registry deltas.
+  // Negcache hits come from the service stats, per top-level query.
   const double fp_hits = static_cast<double>(
       (registry.GetCounter("fastpath.hit.pos").Value() - fp_pos0) +
       (registry.GetCounter("fastpath.hit.neg").Value() - fp_neg0));
@@ -149,11 +146,8 @@ void BM_ServeQueryLatencyUnderWrites(benchmark::State& state) {
       static_cast<double>(stats.delta_answers.load());
   state.counters["fallback_answers"] =
       static_cast<double>(stats.fallback_answers.load());
-  // The serve tail, printed alongside p50/p99: queries that blew their
-  // deadline (degraded to the bounded BFS), answers the service could not
-  // verify, and slow-query-log activity ("serve.slow.*" in metrics).
-  state.counters["deadline_degraded"] =
-      static_cast<double>(stats.deadline_degraded.load());
+  // The serve tail, printed alongside p50/p99: answers the service could
+  // not verify, and slow-query-log activity ("serve.slow.*" in metrics).
   state.counters["inexact_answers"] =
       static_cast<double>(stats.inexact_answers.load());
   state.counters["slow_captured"] =
@@ -187,9 +181,9 @@ BENCHMARK(BM_ServeQueryLatencyUnderWrites)
 // latency while `writers` background threads stream mixed insert/delete
 // batches through `ApplyUpdate`. Args: {writers, delete_pct} — 30 is the
 // steady churn mix, 70 the delete-heavy one. The acceptance counters:
-// p99 stays bounded while deletes flow, and `rebuilds` tracks the drain
-// threshold, never the per-delete count (no whole-index rebuild per
-// delete anywhere on the serve path). Headlines land in the
+// p99 stays bounded while deletes flow, and full builds track the
+// staleness budget, never the per-delete count (no whole-index rebuild
+// per delete anywhere on the serve path). Headlines land in the
 // bench.serve.churn.* gauges.
 void BM_ServeChurnMix(benchmark::State& state) {
   const auto writers = static_cast<size_t>(state.range(0));
@@ -200,12 +194,9 @@ void BM_ServeChurnMix(benchmark::State& state) {
   ServiceOptions options;
   options.spec = "pll";
   options.drain_threshold = 128;
-  options.deadline = std::chrono::milliseconds(2);
-  // Rebuilds at this scale are slower than the writers, so bound the
-  // pending buffer (default kBlock backpressure parks the writers until
-  // a drain catches up) — otherwise the delta closure every query scans
-  // grows without limit and read latency measures queue depth, not the
-  // serve path.
+  // Full builds at this scale are slower than the writers, so bound the
+  // batches waiting for a build's replay (default kBlock backpressure
+  // parks the writers until the build catches up).
   options.max_pending_edges = 1024;
   ReachService service(graph, options);
   service.Start();
@@ -270,13 +261,13 @@ void BM_ServeChurnMix(benchmark::State& state) {
   const ServeStats& stats = service.stats();
   const double deletes =
       std::max<double>(1.0, static_cast<double>(stats.deletes.load()));
-  const double rebuilds = static_cast<double>(stats.rebuilds.load());
+  const double rebuilds = static_cast<double>(stats.full_builds.load());
   state.counters["p50_ns"] = p50;
   state.counters["p99_ns"] = p99;
   state.counters["deletes"] = static_cast<double>(stats.deletes.load());
   state.counters["delete_verifies"] =
       static_cast<double>(stats.delete_verifies.load());
-  state.counters["snapshots"] = rebuilds;
+  state.counters["snapshots"] = static_cast<double>(stats.rebuilds.load());
   state.counters["rebuilds_per_delete"] = rebuilds / deletes;
 
   MetricsRegistry& registry = MetricsRegistry::Global();

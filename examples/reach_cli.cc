@@ -24,10 +24,10 @@
 //
 // --serve runs the snapshot-serving engine (src/serve/) instead of a
 // one-shot index: queries are answered from an immutable snapshot while
-// `+ <s> <t>` inserts and `del <s> <t>` deletes stream into a write
-// buffer that background rebuilds absorb. Each answer reports how it was
-// produced (index, delta closure, or bounded BFS) and by which snapshot
-// generation.
+// `+ <s> <t>` inserts and `del <s> <t>` deletes go into copies of the
+// index (or, for an index without a copy, a buffer that background
+// rebuilds absorb). Each answer reports how it was produced (index, an
+// updated copy, or bounded BFS) and by which snapshot generation.
 //
 // --churn=N (--serve only) drives N random mixed insert/delete updates
 // through ApplyUpdate in small batches before the REPL starts, with a
@@ -380,12 +380,11 @@ void DumpSlowQueries(const reach::ReachService& service) {
       stages += buf;
     }
     std::fprintf(stderr,
-                 "  %u -> %u: %.3fms %s%s v%llu%s%s probes=%llu "
+                 "  %u -> %u: %.3fms %s%s v%llu%s probes=%llu "
                  "pending=%llu bfs_visits=%llu |%s\n",
                  rec.s, rec.t, rec.total_ns / 1e6,
                  rec.reachable ? "true" : "false", rec.exact ? "" : "?",
                  static_cast<unsigned long long>(rec.snapshot_version),
-                 rec.deadline_degraded ? " deadline_degraded" : "",
                  rec.slot_waited ? " slot_waited" : "",
                  static_cast<unsigned long long>(rec.index_probes),
                  static_cast<unsigned long long>(rec.pending_edges),
@@ -559,7 +558,7 @@ int RunServe(const reach::Digraph& graph, const std::string& spec,
       "served %llu queries (%llu index, %llu delta, %llu bfs, "
       "%llu negcache), %llu inserts, %llu deletes (%llu verified reads), "
       "%llu snapshots\n"
-      "  %llu deadline_degraded, %llu slow captured (%llu evicted), "
+      "  %llu slow captured (%llu evicted), "
       "negcache %llu miss / %llu evict / %llu invalidate\n",
       static_cast<unsigned long long>(stats.queries.load()),
       static_cast<unsigned long long>(stats.index_answers.load()),
@@ -570,7 +569,6 @@ int RunServe(const reach::Digraph& graph, const std::string& spec,
       static_cast<unsigned long long>(stats.deletes.load()),
       static_cast<unsigned long long>(stats.delete_verifies.load()),
       static_cast<unsigned long long>(stats.rebuilds.load()),
-      static_cast<unsigned long long>(stats.deadline_degraded.load()),
       static_cast<unsigned long long>(stats.slow_captured.load()),
       static_cast<unsigned long long>(stats.slow_dropped.load()),
       static_cast<unsigned long long>(stats.negcache_misses.load()),

@@ -20,7 +20,8 @@ void Bump(std::atomic<uint64_t>& count) {
 template <typename Base>
 BasicFastPathIndex<Base>::BasicFastPathIndex(
     std::unique_ptr<ReachabilityIndex> inner, ObservationStack::Options options)
-    : inner_(std::move(inner)), stack_(options) {
+    : inner_(std::move(inner)),
+      stack_(std::make_shared<ObservationStack>(options)) {
   assert(inner_ != nullptr);
   inner_dynamic_ = dynamic_cast<DynamicReachabilityIndex*>(inner_.get());
   if constexpr (std::is_same_v<Base, DynamicReachabilityIndex>) {
@@ -60,7 +61,9 @@ void BasicFastPathIndex<Base>::Build(const Digraph& graph) {
   BuildStatsScope build(&this->build_stats_);
   {
     BuildPhaseTimer timer(&this->build_stats_.phases, "observations");
-    stack_.Build(graph);
+    auto stack = std::make_shared<ObservationStack>(stack_->options());
+    stack->Build(graph);
+    stack_ = std::move(stack);
   }
   inner_->Build(graph);
   // Absorb the wrapped build's breakdown so `Stats()` shows the whole
@@ -92,7 +95,7 @@ bool BasicFastPathIndex<Base>::QueryInSlot(VertexId s, VertexId t,
   [[maybe_unused]] QueryProbe& probe = cell.probe;
   REACH_PROBE_INC(probe, queries);
   REACH_PROBE_ADD(probe, labels_scanned, 1);  // the observation lookup
-  int verdict = stack_.Verdict(s, t);
+  int verdict = stack_->Verdict(s, t);
   // After an insert the precomputed orders may order the new edge
   // backwards, so negative verdicts are unsound; positives only ever
   // become "more true" (reachability is monotone under insertion).
@@ -120,7 +123,7 @@ bool BasicFastPathIndex<Base>::QueryInSlot(VertexId s, VertexId t,
 
 template <typename Base>
 size_t BasicFastPathIndex<Base>::IndexSizeBytes() const {
-  return stack_.SizeBytes() + inner_->IndexSizeBytes();
+  return stack_->SizeBytes() + inner_->IndexSizeBytes();
 }
 
 template <typename Base>
@@ -172,6 +175,29 @@ template <typename Base>
 bool BasicFastPathIndex<Base>::RebuildFromUpdates() {
   if (inner_dynamic_ == nullptr) return false;
   return inner_dynamic_->RebuildFromUpdates();
+}
+
+template <typename Base>
+std::unique_ptr<DynamicReachabilityIndex> BasicFastPathIndex<Base>::Clone()
+    const {
+  if constexpr (std::is_same_v<Base, DynamicReachabilityIndex>) {
+    std::unique_ptr<DynamicReachabilityIndex> inner = inner_dynamic_->Clone();
+    if (inner == nullptr) return nullptr;
+    auto copy = std::make_unique<BasicFastPathIndex>(std::move(inner),
+                                                     stack_->options());
+    copy->stack_ = stack_;
+    copy->inserted_ = inserted_;
+    copy->deleted_ = deleted_;
+    copy->build_stats_ = this->build_stats_;
+    return copy;
+  } else {
+    return nullptr;
+  }
+}
+
+template <typename Base>
+std::unique_ptr<Digraph> BasicFastPathIndex<Base>::LiveGraph() const {
+  return inner_dynamic_ == nullptr ? nullptr : inner_dynamic_->LiveGraph();
 }
 
 template <typename Base>

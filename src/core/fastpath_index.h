@@ -94,12 +94,21 @@ class BasicFastPathIndex : public Base {
   /// until the next `Build` even after the inner index re-minimizes.
   bool RebuildFromUpdates();
 
+  /// A copy over a copy of the wrapped index that shares the immutable
+  /// observation stack and carries the verdict suppression; its verdict
+  /// counts start at zero. Null when the wrapped index has no copy
+  /// (overrides `DynamicReachabilityIndex::Clone` in the dynamic
+  /// instantiation).
+  std::unique_ptr<DynamicReachabilityIndex> Clone() const;
+  /// Forwards to the wrapped index (dynamic instantiation only).
+  std::unique_ptr<Digraph> LiveGraph() const;
+
   /// Verdict counts accumulated since `Build` / `ResetProbe`, summed
   /// across slots. Exact in every build mode, including REACH_METRICS=0.
   FastPathVerdictStats VerdictStats() const;
 
   /// The precomputed observation stack (e.g. to size or probe it).
-  const ObservationStack& observations() const { return stack_; }
+  const ObservationStack& observations() const { return *stack_; }
 
   /// The wrapped index.
   const ReachabilityIndex& inner() const { return *inner_; }
@@ -137,7 +146,8 @@ class BasicFastPathIndex : public Base {
 
   std::unique_ptr<ReachabilityIndex> inner_;
   DynamicReachabilityIndex* inner_dynamic_ = nullptr;  // null if static
-  ObservationStack stack_;
+  // Immutable once built; shared with copies.
+  std::shared_ptr<const ObservationStack> stack_;
   // Set by ApplyUpdate, cleared by Build (the re-arm point). Plain
   // bools: like every dynamic index in the library, writes are not
   // thread-safe with queries.

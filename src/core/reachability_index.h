@@ -168,13 +168,21 @@ class DynamicReachabilityIndex : public ReachabilityIndex {
 
   /// A copy that answers every query as this index does and then takes
   /// `ApplyUpdate` batches of its own, while this index keeps serving
-  /// queries unchanged — how the serve drain updates the published index
+  /// queries unchanged — how the serve writer updates the published index
   /// without a full build (docs/API.md). Null when the index has no cheap
   /// copy, the default; the caller then builds afresh. A copy may point
-  /// into the graph this index was built over, which must outlive it.
+  /// into the graph this index was built over, which must outlive it, and
+  /// may share scratch with this index: write the two from one thread at
+  /// a time.
   virtual std::unique_ptr<DynamicReachabilityIndex> Clone() const {
     return nullptr;
   }
+
+  /// The graph this index answers for — the graph of the last `Build`
+  /// with every update since applied — as a new graph: what a caller
+  /// builds a fresh index over. Null when the index keeps no live graph
+  /// (one loaded from a file) or does not expose it, the default.
+  virtual std::unique_ptr<Digraph> LiveGraph() const { return nullptr; }
 };
 
 }  // namespace reach

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "core/reachability_index.h"
@@ -37,10 +38,13 @@ class BasicReorderingIndex : public Base {
     BuildStatsScope build(&this->build_stats_);
     {
       BuildPhaseTimer timer(&this->build_stats_.phases, "reorder");
-      perm_ = ComputeReordering(graph, strategy_);
-      relabeled_ = RelabelDigraph(graph, perm_);
+      auto perm = std::make_shared<const VertexPermutation>(
+          ComputeReordering(graph, strategy_));
+      relabeled_ =
+          std::make_shared<const Digraph>(RelabelDigraph(graph, *perm));
+      perm_ = std::move(perm);
     }
-    inner_->Build(relabeled_);
+    inner_->Build(*relabeled_);
     // Absorb the wrapped build's breakdown so `Stats()` shows the whole
     // pipeline (reorder -> inner phases).
     const IndexStats& inner_stats = inner_->Stats();
@@ -61,15 +65,15 @@ class BasicReorderingIndex : public Base {
     }
     // Out-of-range endpoints are rejected here (validate-first) because
     // ToNew cannot translate them.
-    const VertexId n = static_cast<VertexId>(perm_.old_to_new.size());
+    const VertexId n = static_cast<VertexId>(perm_->old_to_new.size());
     UpdateBatch renamed;
     renamed.reserve(batch.size());
     for (const EdgeUpdate& update : batch) {
       if (update.source >= n || update.target >= n) {
         return UpdateResult::Rejected("endpoint out of range");
       }
-      renamed.push_back(EdgeUpdate{update.kind, perm_.ToNew(update.source),
-                                   perm_.ToNew(update.target)});
+      renamed.push_back(EdgeUpdate{update.kind, perm_->ToNew(update.source),
+                                   perm_->ToNew(update.target)});
     }
     return inner_dynamic_->ApplyUpdate(renamed);
   }
@@ -83,8 +87,37 @@ class BasicReorderingIndex : public Base {
     return inner_dynamic_ != nullptr && inner_dynamic_->RebuildFromUpdates();
   }
 
+  /// A copy over a copy of the wrapped index that shares the permutation
+  /// and the relabeled graph (the wrapped copy points into it). Null when
+  /// the wrapped index has no copy. Overrides
+  /// `DynamicReachabilityIndex::Clone` in the dynamic instantiation.
+  std::unique_ptr<DynamicReachabilityIndex> Clone() const {
+    if constexpr (std::is_same_v<Base, DynamicReachabilityIndex>) {
+      std::unique_ptr<DynamicReachabilityIndex> inner = inner_dynamic_->Clone();
+      if (inner == nullptr) return nullptr;
+      auto copy = std::make_unique<BasicReorderingIndex>(std::move(inner),
+                                                         strategy_);
+      copy->perm_ = perm_;
+      copy->relabeled_ = relabeled_;
+      copy->build_stats_ = this->build_stats_;
+      return copy;
+    } else {
+      return nullptr;
+    }
+  }
+
+  /// The wrapped index's live graph in the original numbering (dynamic
+  /// instantiation only).
+  std::unique_ptr<Digraph> LiveGraph() const {
+    std::unique_ptr<Digraph> live =
+        inner_dynamic_ == nullptr ? nullptr : inner_dynamic_->LiveGraph();
+    if (live == nullptr) return nullptr;
+    const VertexPermutation back{perm_->new_to_old, perm_->old_to_new};
+    return std::make_unique<Digraph>(RelabelDigraph(*live, back));
+  }
+
   bool Query(VertexId s, VertexId t) const override {
-    return inner_->Query(perm_.ToNew(s), perm_.ToNew(t));
+    return inner_->Query(perm_->ToNew(s), perm_->ToNew(t));
   }
 
   size_t PrepareConcurrentQueries(size_t slots) const override {
@@ -92,7 +125,7 @@ class BasicReorderingIndex : public Base {
   }
 
   bool QueryInSlot(VertexId s, VertexId t, size_t slot) const override {
-    return inner_->QueryInSlot(perm_.ToNew(s), perm_.ToNew(t), slot);
+    return inner_->QueryInSlot(perm_->ToNew(s), perm_->ToNew(t), slot);
   }
 
   /// Inner index plus the two permutation arrays; the relabeled graph copy
@@ -100,7 +133,7 @@ class BasicReorderingIndex : public Base {
   /// indexes never count their input graph).
   size_t IndexSizeBytes() const override {
     return inner_->IndexSizeBytes() +
-           (perm_.old_to_new.size() + perm_.new_to_old.size()) *
+           (perm_->old_to_new.size() + perm_->new_to_old.size()) *
                sizeof(VertexId);
   }
 
@@ -118,14 +151,16 @@ class BasicReorderingIndex : public Base {
   const ReachabilityIndex& inner() const { return *inner_; }
 
   /// The permutation computed by the last `Build()`.
-  const VertexPermutation& permutation() const { return perm_; }
+  const VertexPermutation& permutation() const { return *perm_; }
 
  private:
   std::unique_ptr<ReachabilityIndex> inner_;
   DynamicReachabilityIndex* inner_dynamic_ = nullptr;  // null if static
   ReorderStrategy strategy_;
-  VertexPermutation perm_;
-  Digraph relabeled_;
+  // Immutable once built; shared with copies.
+  std::shared_ptr<const VertexPermutation> perm_ =
+      std::make_shared<const VertexPermutation>();
+  std::shared_ptr<const Digraph> relabeled_;
 };
 
 using ReorderingIndex = BasicReorderingIndex<ReachabilityIndex>;

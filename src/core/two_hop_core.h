@@ -154,11 +154,17 @@ class TwoHopCore {
 
   /// A copy that answers every query as this core does and then takes
   /// updates of its own, leaving this core untouched. The sealed labeling
-  /// is immutable, so the copy shares it; the post-build state (the arc
-  /// overlay, the delta overlay and the damage marks) is copied, and the
-  /// write and per-slot scratch start fresh (`FreshOnCopy`). The copy's
-  /// overlay points into the same base graph, which must outlive both.
-  /// Safe while this core serves queries: queries write only the scratch.
+  /// is immutable, so the copy shares it. The arc and delta overlays are
+  /// `CowLists`, so the copy shares their chunks until its own updates
+  /// touch them; only the damage marks (one byte per rank and side) are
+  /// copied whole. The copy's overlay points into the same base graph,
+  /// which must outlive both. The write scratch and the per-slot
+  /// verification scratch are shared too, for the copy's whole life, so
+  /// its first update and first damaged query allocate nothing: write a
+  /// copy and its source from one thread at a time, and never query one
+  /// slot of both at once (the serve layer leases slots from one pool per
+  /// build). Probes start fresh (`FreshOnCopy`). Safe while this core
+  /// serves queries.
   TwoHopCore(const TwoHopCore&) = default;
   TwoHopCore& operator=(const TwoHopCore&) = delete;
 
@@ -209,7 +215,7 @@ class TwoHopCore {
                                sealed_->lin_cpool.ListEntries(t)
                          : sealed_->lout_pool.Slice(s).size() +
                                sealed_->lin_pool.Slice(t).size()) +
-                        (has_delta_ ? delta_lin_[t].size() : 0));
+                        (delta_lin_.empty() ? 0 : delta_lin_[t].size()));
     // Zero damage is the common case and pays nothing for decremental
     // support: the superset test is exact (every delete so far was
     // locally redundant, or there were none).
@@ -229,7 +235,7 @@ class TwoHopCore {
   size_t PrepareSlots(size_t slots) const {
     if (slots == 0) slots = 1;
     probes_.EnsureSlots(slots);
-    verify_ws_.EnsureSlots(slots);
+    verify_ws_->EnsureSlots(slots);
     return slots;
   }
   QueryProbe Probe() const { return probes_.Aggregate(); }
@@ -278,7 +284,7 @@ class TwoHopCore {
                                              sealed.lout_cpool.NumEntries()
                                        : sealed.lin_pool.NumEntries() +
                                              sealed.lout_pool.NumEntries();
-    return entries + delta_entries_;
+    return entries + delta_lin_.NumItems();
   }
 
   /// Sealed pools (or the mapping they view), the rank translation
@@ -286,22 +292,17 @@ class TwoHopCore {
   /// inserted and tombstoned since the build. O(1), so a caller may ask
   /// after every update.
   size_t IndexSizeBytes() const {
-    const size_t delta_bytes =
-        has_delta_ ? delta_lin_.size() * sizeof(std::vector<Entry>) +
-                         delta_entries_ * sizeof(Entry)
-                   : 0;
     return sealed_->PoolBytes() +
            (sealed_->rank.size() + sealed_->by_rank.size()) *
                sizeof(uint32_t) +
-           delta_bytes + overlay_.ArcBytes();
+           delta_lin_.Bytes() + overlay_.ArcBytes();
   }
 
   /// Lin(v) as one rank-sorted vector: the sealed slice merged with the
   /// delta overlay. Lout has no overlay.
   std::vector<Entry> InEntries(VertexId v) const {
     std::vector<Entry> merged = sealed_->Entries(/*in=*/true, v);
-    if (has_delta_ && !delta_lin_[v].empty()) {
-      const std::vector<Entry>& delta = delta_lin_[v];
+    if (const std::span<const Entry> delta = delta_lin_[v]; !delta.empty()) {
       std::vector<Entry> out(merged.size() + delta.size());
       std::merge(merged.begin(), merged.end(), delta.begin(), delta.end(),
                  out.begin(), [](const Entry& a, const Entry& b) {
@@ -338,7 +339,7 @@ class TwoHopCore {
   /// order. The reference is valid until the next write-side traversal.
   const std::vector<VertexId>& ReachableInSuperset(VertexId from) {
     SweepSuperset(from, /*backward=*/false, SIZE_MAX);
-    return ws_.queue();
+    return ws_->queue();
   }
 
   /// True iff Lin(x) — sealed slice or delta — holds a `rank` entry
@@ -348,18 +349,20 @@ class TwoHopCore {
         sealed_->compressed
             ? PoolCovered(sealed_->lin_cpool, x, rank, q)
             : Traits::Covered(sealed_->lin_pool.Slice(x), rank, q);
-    return sealed || (has_delta_ && Traits::Covered(delta_lin_[x], rank, q));
+    return sealed || Traits::Covered(delta_lin_[x], rank, q);
   }
 
   /// Adds `e` to the delta overlay of Lin(x), keeping it rank-sorted.
   void AddDeltaIn(VertexId x, const Entry& e) {
-    std::vector<Entry>& list = delta_lin_[x];
-    list.insert(std::upper_bound(list.begin(), list.end(), Traits::Rank(e),
-                                 [](uint32_t r, const Entry& d) {
-                                   return r < Traits::Rank(d);
-                                 }),
-                e);
-    ++delta_entries_;
+    const std::span<const Entry> list = delta_lin_[x];
+    delta_lin_.Insert(
+        x,
+        std::upper_bound(list.begin(), list.end(), Traits::Rank(e),
+                         [](uint32_t r, const Entry& d) {
+                           return r < Traits::Rank(d);
+                         }) -
+            list.begin(),
+        e);
   }
 
   // --- Compressed-pool kernels of the superset test: the skip tables
@@ -546,7 +549,7 @@ class TwoHopCore {
     Pool merged_packed;
     const FlatLabelPool<Entry>* lin_flat = &sealed.lin_pool;
     const Pool* lin_packed = &sealed.lin_cpool;
-    if (has_delta_) {
+    if (!delta_lin_.empty()) {
       EntryLists merged(n);
       for (VertexId v = 0; v < n; ++v) merged[v] = InEntries(v);
       if (sealed.compressed) {
@@ -930,7 +933,7 @@ class TwoHopCore {
       if (PoolsIntersect(sealed.lout_cpool, s, sealed.lin_cpool, t, q)) {
         return true;
       }
-      if (!has_delta_) return false;
+      if (delta_lin_.empty()) return false;
       const std::span<const Entry> delta = delta_lin_[t];
       if (Traits::Covered(delta, rank_s, q)) return true;
       return PoolIntersectsSpan(sealed.lout_cpool, s, delta, q);
@@ -940,7 +943,7 @@ class TwoHopCore {
     if (Traits::Covered(in, rank_s, q)) return true;
     if (Traits::Covered(out, sealed.rank[t], q)) return true;
     if (Traits::Intersect(out, in, q)) return true;
-    if (!has_delta_) return false;
+    if (delta_lin_.empty()) return false;
     const std::span<const Entry> delta = delta_lin_[t];
     if (Traits::Covered(delta, rank_s, q)) return true;
     return Traits::Intersect(out, delta, q);
@@ -1000,7 +1003,7 @@ class TwoHopCore {
     }
     if (!damaged_witness) return false;  // exact: superset has no path
     REACH_PROBE_INC(probes_.Slot(slot), fallbacks);
-    return ConstrainedLiveSearch(s, t, q, SIZE_MAX, verify_ws_.Slot(slot));
+    return ConstrainedLiveSearch(s, t, q, SIZE_MAX, verify_ws_->Slot(slot));
   }
 
   // BFS over live arcs allowed under `q`, pruned at vertices the superset
@@ -1075,8 +1078,6 @@ class TwoHopCore {
     // later tombstone resurrection adds no labels, and would otherwise
     // leave pairs routed through the tombstoned arc without a witness —
     // turning "no witness" into a wrong exact negative.
-    if (delta_lin_.empty()) delta_lin_.resize(overlay_.NumVertices());
-    has_delta_ = true;
     Traits::PropagateInsert(*this, s, arc);
     return true;
   }
@@ -1096,7 +1097,7 @@ class TwoHopCore {
     // and the labels stay exact — zero damage, zero query-time cost.
     // Budget overrun counts as "not redundant" (conservative).
     if (ConstrainedLiveSearch(s, t, Traits::DetourConstraint(arc),
-                              kLocalSearchBudget, ws_)) {
+                              kLocalSearchBudget, *ws_)) {
       return true;
     }
     MarkDamage(s, t);
@@ -1125,19 +1126,20 @@ class TwoHopCore {
   bool DamageSweep(VertexId start, bool backward) {
     if (!SweepSuperset(start, backward, kLocalSearchBudget)) return false;
     std::vector<uint8_t>& marks = backward ? damaged_fwd_ : damaged_bwd_;
-    for (VertexId x : ws_.queue()) marks[Rank(x)] = 1;
+    for (VertexId x : ws_->queue()) marks[Rank(x)] = 1;
     return true;
   }
 
-  // BFS over G+ from `start` into ws_.queue(); false once the queue
+  // BFS over G+ from `start` into ws_->queue(); false once the queue
   // outgrows `budget`.
   bool SweepSuperset(VertexId start, bool backward, size_t budget) {
-    ws_.Prepare(overlay_.NumVertices());
-    std::vector<VertexId>& queue = ws_.queue();
+    SearchWorkspace& ws = *ws_;
+    ws.Prepare(overlay_.NumVertices());
+    std::vector<VertexId>& queue = ws.queue();
     queue.push_back(start);
-    ws_.MarkForward(start);
+    ws.MarkForward(start);
     const auto visit = [&](const Arc& arc) {
-      if (ws_.MarkForward(Arcs::Head(arc))) queue.push_back(Arcs::Head(arc));
+      if (ws.MarkForward(Arcs::Head(arc))) queue.push_back(Arcs::Head(arc));
       return false;
     };
     for (size_t head = 0; head < queue.size(); ++head) {
@@ -1162,9 +1164,7 @@ class TwoHopCore {
   // post-build label state: delta and damage.
   void ResetDynamicState(const Graph* base) {
     overlay_.Reset(base);
-    delta_lin_.clear();
-    delta_entries_ = 0;
-    has_delta_ = false;
+    delta_lin_.Clear();
     damage_ = 0;
     damaged_fwd_.clear();
     damaged_bwd_.clear();
@@ -1288,9 +1288,7 @@ class TwoHopCore {
   // Unsealed delta overlay: Lin entries added by inserts after sealing
   // (rank-sorted, disjoint from the pool slice). Empty until the first
   // insert.
-  EntryLists delta_lin_;
-  size_t delta_entries_ = 0;  // sum of the delta lists' sizes
-  bool has_delta_ = false;
+  CowLists<Entry> delta_lin_;
   // Damaging deletes absorbed since the last (re)build, and the per-rank
   // stale-witness marks they left: damaged_fwd_[r] = hub ByRank(r)'s
   // forward claims (its Lin entries at other vertices) may be stale;
@@ -1302,11 +1300,13 @@ class TwoHopCore {
   bool fwd_all_damaged_ = false;
   bool bwd_all_damaged_ = false;
   // Write-side traversal scratch (redundancy checks, damage sweeps,
-  // insert propagation).
-  mutable FreshOnCopy<SearchWorkspace> ws_;
-  // Per-slot scratch for damaged-witness verification and probes
-  // (slot-parallel queries must not share them).
-  mutable FreshOnCopy<WorkspacePool> verify_ws_;
+  // insert propagation), shared with copies (see the copy constructor).
+  std::shared_ptr<SearchWorkspace> ws_ = std::make_shared<SearchWorkspace>();
+  // Per-slot scratch for damaged-witness verification, shared with copies,
+  // and per-slot probes, fresh in each copy (slot-parallel queries must
+  // not share a slot).
+  std::shared_ptr<WorkspacePool> verify_ws_ =
+      std::make_shared<WorkspacePool>();
   mutable FreshOnCopy<ProbePool> probes_;
 };
 

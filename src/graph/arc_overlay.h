@@ -2,6 +2,8 @@
 #define REACH_GRAPH_ARC_OVERLAY_H_
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -21,6 +23,100 @@ enum class ArcInsert : uint8_t {
   kAdded,        // a new arc joined the overlay
 };
 
+/// Per-vertex lists whose copies share storage. The vertices are split
+/// into chunks of `kChunk`, each one contiguous array behind a
+/// `shared_ptr`, so a copy costs one pointer per chunk, not one list per
+/// vertex. A chunk is written in place only by the lists that made it;
+/// copying retags both sides, so the first write of either to a chunk
+/// they share clones that chunk alone. A copy may be taken while other
+/// threads read the source (reads touch no tag), but not while it is
+/// written. Chunks are allocated on first write.
+template <typename T>
+class CowLists {
+ public:
+  CowLists() = default;
+  CowLists(const CowLists& other)
+      : chunks_(other.chunks_),
+        num_chunks_(other.num_chunks_),
+        num_items_(other.num_items_) {
+    other.tag_ = NewTag();
+  }
+  CowLists& operator=(const CowLists&) = delete;
+
+  std::span<const T> operator[](VertexId v) const {
+    const size_t k = v / kChunk;
+    if (k >= chunks_.size() || chunks_[k] == nullptr) return {};
+    const Chunk& c = *chunks_[k];
+    const size_t i = v % kChunk;
+    return {c.items.data() + c.begin[i], c.begin[i + 1] - c.begin[i]};
+  }
+
+  /// Inserts `value` at position `at` of list `v`.
+  void Insert(VertexId v, size_t at, const T& value) {
+    Chunk& c = Own(v / kChunk);
+    const size_t i = v % kChunk;
+    c.items.insert(c.items.begin() + c.begin[i] + at, value);
+    for (size_t j = i + 1; j <= kChunk; ++j) ++c.begin[j];
+    ++num_items_;
+  }
+  void PushBack(VertexId v, const T& value) {
+    Insert(v, (*this)[v].size(), value);
+  }
+  /// Erases position `at` of list `v`.
+  void Erase(VertexId v, size_t at) {
+    Chunk& c = Own(v / kChunk);
+    const size_t i = v % kChunk;
+    c.items.erase(c.items.begin() + c.begin[i] + at);
+    for (size_t j = i + 1; j <= kChunk; ++j) --c.begin[j];
+    --num_items_;
+  }
+
+  void Clear() {
+    chunks_.clear();
+    num_chunks_ = 0;
+    num_items_ = 0;
+  }
+  bool empty() const { return num_items_ == 0; }
+  size_t NumItems() const { return num_items_; }
+  /// The chunk table, the chunk headers and the items, in O(1).
+  size_t Bytes() const {
+    return chunks_.size() * sizeof(chunks_[0]) + num_chunks_ * sizeof(Chunk) +
+           num_items_ * sizeof(T);
+  }
+
+ private:
+  static constexpr size_t kChunk = 64;
+  struct Chunk {
+    uint64_t tag = 0;  // of the lists that may write it in place
+    // List i of the chunk is items[begin[i], begin[i + 1]).
+    std::array<uint32_t, kChunk + 1> begin{};
+    std::vector<T> items;
+  };
+
+  static uint64_t NewTag() {
+    static std::atomic<uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  Chunk& Own(size_t k) {
+    if (k >= chunks_.size()) chunks_.resize(k + 1);
+    std::shared_ptr<Chunk>& c = chunks_[k];
+    if (c == nullptr) {
+      c = std::make_shared<Chunk>();
+      ++num_chunks_;
+    } else if (c->tag != tag_) {
+      c = std::make_shared<Chunk>(*c);
+    }
+    c->tag = tag_;
+    return *c;
+  }
+
+  std::vector<std::shared_ptr<Chunk>> chunks_;
+  size_t num_chunks_ = 0;  // non-null entries of chunks_
+  size_t num_items_ = 0;
+  mutable uint64_t tag_ = NewTag();
+};
+
 /// The one edge-update overlay of the dynamic indexes (TOL, DAGGER, DBL,
 /// DLCR) and the serve drain: an immutable base graph, plus the arcs
 /// inserted since it was built, minus the arcs deleted since. `Graph` is
@@ -35,8 +131,10 @@ enum class ArcInsert : uint8_t {
 /// no label work.
 ///
 /// Inserted arcs are kept per vertex in insertion order, both ways;
-/// tombstones per source vertex, sorted. All three are sized on first
-/// use, so an overlay that never sees an update costs nothing per vertex.
+/// tombstones per source vertex, sorted. All three are `CowLists`, so an
+/// overlay that never sees an update costs nothing per vertex, and a copy
+/// costs one pointer per 64 vertices plus, later, the chunks its own
+/// updates touch.
 /// The views are `for_each(v, visit)` callables in the early-exit form of
 /// traversal/guided_search.h: `visit(arc)` returns true to stop, and the
 /// callable returns whether it stopped.
@@ -50,9 +148,9 @@ class ArcOverlay {
   /// inserted arc and tombstone.
   void Reset(const Graph* base) {
     base_ = base;
-    extra_out_.clear();
-    extra_in_.clear();
-    tomb_out_.clear();
+    extra_out_.Clear();
+    extra_in_.Clear();
+    tomb_out_.Clear();
     num_arcs_ = 0;
   }
 
@@ -63,18 +161,13 @@ class ArcOverlay {
   /// the base nor an earlier insert has it.
   ArcInsert Insert(VertexId s, const Arc& arc) {
     if (IsTombstoned(s, arc)) {
-      tomb_out_[s].erase(
-          std::lower_bound(tomb_out_[s].begin(), tomb_out_[s].end(), arc));
+      tomb_out_.Erase(s, TombstoneAt(s, arc));
       --num_arcs_;
       return ArcInsert::kResurrected;
     }
     if (Contains(s, arc)) return ArcInsert::kNoOp;
-    if (extra_out_.empty()) {
-      extra_out_.resize(NumVertices());
-      extra_in_.resize(NumVertices());
-    }
-    extra_out_[s].push_back(arc);
-    extra_in_[Arcs::Head(arc)].push_back(Arcs::Reverse(s, arc));
+    extra_out_.PushBack(s, arc);
+    extra_in_.PushBack(Arcs::Head(arc), Arcs::Reverse(s, arc));
     num_arcs_ += 2;
     return ArcInsert::kAdded;
   }
@@ -82,9 +175,7 @@ class ArcOverlay {
   /// Tombstones `s -> arc`; false when it is absent or already deleted.
   bool Delete(VertexId s, const Arc& arc) {
     if (!Contains(s, arc) || IsTombstoned(s, arc)) return false;
-    if (tomb_out_.empty()) tomb_out_.resize(NumVertices());
-    tomb_out_[s].insert(
-        std::lower_bound(tomb_out_[s].begin(), tomb_out_[s].end(), arc), arc);
+    tomb_out_.Insert(s, TombstoneAt(s, arc), arc);
     ++num_arcs_;
     return true;
   }
@@ -92,11 +183,10 @@ class ArcOverlay {
   /// Live out-arcs: base and inserted, tombstones skipped.
   auto LiveOut() const {
     return [this](VertexId v, auto&& visit) {
-      const std::vector<Arc>* dead =
-          tomb_out_.empty() || tomb_out_[v].empty() ? nullptr : &tomb_out_[v];
+      const std::span<const Arc> dead = tomb_out_[v];
       const auto visit_live = [&](const Arc& arc) {
-        return (dead == nullptr ||
-                !std::binary_search(dead->begin(), dead->end(), arc)) &&
+        return (dead.empty() ||
+                !std::binary_search(dead.begin(), dead.end(), arc)) &&
                visit(arc);
       };
       return VisitArcs(Arcs::Out(*base_, v), extra_out_, v, visit_live);
@@ -132,8 +222,7 @@ class ArcOverlay {
   }
 
   /// Bytes of the inserted arcs (each kept both ways) and tombstones
-  /// themselves, in O(1): not the base graph, and not the per-vertex list
-  /// headers, a fixed cost once the first update sized them.
+  /// themselves, in O(1): not the base graph, and not the chunk headers.
   size_t ArcBytes() const { return num_arcs_ * sizeof(Arc); }
 
   /// Folds the updates into the base: the live graph becomes a graph the
@@ -152,26 +241,29 @@ class ArcOverlay {
   bool Contains(VertexId s, const Arc& arc) const {
     const std::span<const Arc> base = Arcs::Out(*base_, s);
     if (std::binary_search(base.begin(), base.end(), arc)) return true;
-    return !extra_out_.empty() &&
-           std::find(extra_out_[s].begin(), extra_out_[s].end(), arc) !=
-               extra_out_[s].end();
+    const std::span<const Arc> extra = extra_out_[s];
+    return std::find(extra.begin(), extra.end(), arc) != extra.end();
   }
 
   bool IsTombstoned(VertexId s, const Arc& arc) const {
-    return !tomb_out_.empty() &&
-           std::binary_search(tomb_out_[s].begin(), tomb_out_[s].end(), arc);
+    const std::span<const Arc> dead = tomb_out_[s];
+    return std::binary_search(dead.begin(), dead.end(), arc);
+  }
+
+  // Where `arc` is, or would go, in the sorted tombstones of `s`.
+  size_t TombstoneAt(VertexId s, const Arc& arc) const {
+    const std::span<const Arc> dead = tomb_out_[s];
+    return std::lower_bound(dead.begin(), dead.end(), arc) - dead.begin();
   }
 
   // Visits the base arcs, then the inserted arcs of `v`, until `visit`
   // returns true.
   template <typename Fn>
-  static bool VisitArcs(std::span<const Arc> base,
-                        const std::vector<std::vector<Arc>>& extra,
+  static bool VisitArcs(std::span<const Arc> base, const CowLists<Arc>& extra,
                         VertexId v, Fn& visit) {
     for (const Arc& arc : base) {
       if (visit(arc)) return true;
     }
-    if (extra.empty()) return false;
     for (const Arc& arc : extra[v]) {
       if (visit(arc)) return true;
     }
@@ -180,8 +272,8 @@ class ArcOverlay {
 
   const Graph* base_ = nullptr;
   std::shared_ptr<const Graph> owned_graph_;
-  std::vector<std::vector<Arc>> extra_out_, extra_in_;
-  std::vector<std::vector<Arc>> tomb_out_;
+  CowLists<Arc> extra_out_, extra_in_;
+  CowLists<Arc> tomb_out_;
   size_t num_arcs_ = 0;  // entries of the three lists above
 };
 

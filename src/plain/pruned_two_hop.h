@@ -174,13 +174,17 @@ class PrunedTwoHop : public DynamicReachabilityIndex {
   /// edge set, resetting damage to zero.
   bool RebuildFromUpdates() override;
 
-  /// Shares the sealed labeling and copies only the update state — the
-  /// arc overlay, delta entries and damage marks (`TwoHopCore`'s copy) —
-  /// so the cost is O(n) plus what the updates since the last build
-  /// added, never per sealed label entry. The copy's overlay points into
-  /// the graph of the last `Build`.
+  /// Shares the sealed labeling and the chunks of the update state — the
+  /// arc overlay and delta entries — and copies the damage marks
+  /// (`TwoHopCore`'s copy): one pointer per 64 vertices plus 2 bytes per
+  /// vertex, never per sealed label entry or per update. The copy's
+  /// overlay points into the graph of the last `Build`.
   std::unique_ptr<DynamicReachabilityIndex> Clone() const override {
     return std::make_unique<PrunedTwoHop>(*this);
+  }
+  std::unique_ptr<Digraph> LiveGraph() const override {
+    if (core_.overlay().base() == nullptr) return nullptr;
+    return std::make_unique<Digraph>(core_.overlay().LiveGraph());
   }
 
   /// Deletions currently answered through the repair machinery (0 =

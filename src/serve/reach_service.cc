@@ -1,12 +1,10 @@
 #include "serve/reach_service.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <exception>
-#include <iterator>
 #include <optional>
-#include <span>
+#include <stdexcept>
 #include <utility>
 
 #include "core/failpoint.h"
@@ -35,121 +33,23 @@ LoadResult MakePlain(const std::string& spec,
   return {};
 }
 
-/// Folds one update into `gate`'s effective state: the last operation on
+/// Folds one update into `view`'s effective state: the last operation on
 /// each (source, target) pair wins, so the edge leaves whichever of
 /// `adds`/`dels` holds it and joins the one its kind names. Both stay
 /// sorted; a list bounded by the drain threshold keeps the memmoves tiny.
-void FoldUpdate(const EdgeUpdate& u, PendingGate* gate) {
+void FoldUpdate(const EdgeUpdate& u, ServeView* view) {
   const Edge e{u.source, u.target};
-  std::vector<Edge>& into = u.IsInsert() ? gate->adds : gate->dels;
-  std::vector<Edge>& from = u.IsInsert() ? gate->dels : gate->adds;
+  std::vector<Edge>& into = u.IsInsert() ? view->adds : view->dels;
+  std::vector<Edge>& from = u.IsInsert() ? view->dels : view->adds;
   auto it = std::lower_bound(from.begin(), from.end(), e);
   if (it != from.end() && *it == e) from.erase(it);
   it = std::lower_bound(into.begin(), into.end(), e);
   if (it == into.end() || *it != e) into.insert(it, e);
-  gate->has_deletes = gate->has_deletes || u.IsDelete();
 }
 
-bool TestBit(const uint64_t* row, size_t i) {
-  return (row[i / 64] >> (i % 64) & 1) != 0;
-}
-
-void SetBit(uint64_t* row, size_t i) {
-  row[i / 64] |= uint64_t{1} << (i % 64);
-}
-
-bool Intersects(const uint64_t* a, const uint64_t* b, size_t words) {
-  for (size_t w = 0; w < words; ++w) {
-    if ((a[w] & b[w]) != 0) return true;
-  }
-  return false;
-}
-
-void OrInto(uint64_t* into, const uint64_t* row, size_t words) {
-  for (size_t w = 0; w < words; ++w) into[w] |= row[w];
-}
-
-/// Marks in `bits` (n zeroed bits) every vertex `from` reaches over
-/// `graph`, `from` included: along out-arcs, or along in-arcs when
-/// `backward`. `queue` is scratch. Returns the vertices visited.
-size_t Sweep(const Digraph& graph, VertexId from, bool backward,
-             uint64_t* bits, std::vector<VertexId>* queue) {
-  queue->assign(1, from);
-  SetBit(bits, from);
-  for (size_t head = 0; head < queue->size(); ++head) {
-    const VertexId v = (*queue)[head];
-    for (const VertexId n :
-         backward ? graph.InNeighbors(v) : graph.OutNeighbors(v)) {
-      if (TestBit(bits, n)) continue;
-      SetBit(bits, n);
-      queue->push_back(n);
-    }
-  }
-  return queue->size();
-}
-
-/// Appends insert `e` to the gate graph as gate n (unless it already is a
-/// gate): sweeps its reach sets over `graph`, then keeps `closure`
-/// transitively closed with bit tests alone — old gate i hops straight
-/// into n iff n's source is in desc(i), and n into gate j iff j's source
-/// is in desc(n). Returns the vertices the two sweeps visited.
-size_t AddGate(const Edge& e, const Digraph& graph,
-               std::vector<VertexId>* queue, PendingGate* gate) {
-  std::vector<Edge>& gates = gate->gates;
-  if (std::find(gates.begin(), gates.end(), e) != gates.end()) return 0;
-  const size_t vertex_words = (graph.NumVertices() + 63) / 64;
-  auto sets = std::make_shared<uint64_t[]>(2 * vertex_words);
-  const size_t visits =
-      Sweep(graph, e.source, /*backward=*/true, sets.get(), queue) +
-      Sweep(graph, e.target, /*backward=*/false, sets.get() + vertex_words,
-            queue);
-  const size_t n = gates.size();
-  const size_t words = n / 64 + 1;
-  if (words != gate->words) {  // re-stride the rows one word wider
-    std::vector<uint64_t> wider(words * (n + 1), 0);
-    for (size_t i = 0; i < n; ++i) {
-      std::copy_n(gate->Row(i), gate->words, wider.begin() + i * words);
-    }
-    gate->closure = std::move(wider);
-    gate->words = words;
-  }
-  gate->closure.resize(words * (n + 1), 0);
-  gates.push_back(e);
-  gate->reach.push_back(std::move(sets));
-  gate->vertex_words = vertex_words;
-  uint64_t* const rows = gate->closure.data();
-  uint64_t* const row_n = rows + n * words;
-
-  std::vector<uint64_t> into_n(words, 0);  // old gates hopping straight in
-  for (size_t i = 0; i < n; ++i) {
-    if (TestBit(gate->Desc(i), e.source)) SetBit(into_n.data(), i);
-  }
-  // Row n from the old rows, which do not route through n yet...
-  for (size_t j = 0; j <= n; ++j) {
-    if (!TestBit(gate->Desc(n), gates[j].source)) continue;
-    SetBit(row_n, j);
-    if (j < n) OrInto(row_n, rows + j * words, words);
-  }
-  // ...plus n itself when it reaches a gate that hops back into it (a
-  // direct self-hop already set bit n above).
-  if (Intersects(row_n, into_n.data(), words)) SetBit(row_n, n);
-  // An old gate that reaches n now reaches everything n reaches.
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t* const row_i = rows + i * words;
-    if (!TestBit(into_n.data(), i) &&
-        !Intersects(row_i, into_n.data(), words)) {
-      continue;
-    }
-    OrInto(row_i, row_n, words);
-    SetBit(row_i, n);
-  }
-  return visits;
-}
-
-/// `BoundedUnionBfs` over the effective updates already folded into
-/// `gate` (its `adds` and `dels`; the gate graph itself is not read), with
-/// its visited marks and queue in `ws`.
-BoundedBfsOutcome UnionBfs(const Digraph& graph, const PendingGate& gate,
+/// `BoundedUnionBfs` over the effective updates folded into `view` (its
+/// `adds` and `dels`), with its visited marks and queue in `ws`.
+BoundedBfsOutcome UnionBfs(const Digraph& graph, const ServeView& view,
                            VertexId s, VertexId t, size_t max_visits,
                            SearchWorkspace& ws) {
   BoundedBfsOutcome out;
@@ -158,10 +58,9 @@ BoundedBfsOutcome UnionBfs(const Digraph& graph, const PendingGate& gate,
     return out;
   }
   // Live union graph: base arcs not masked by an effective delete, plus
-  // the effective inserts. This is the one place on the serve path that
-  // decides reachability against deletions exactly.
-  const std::vector<Edge>& by_source = gate.adds;  // sorted by source
-  const std::vector<Edge>& dels = gate.dels;       // sorted
+  // the effective inserts.
+  const std::vector<Edge>& by_source = view.adds;  // sorted by source
+  const std::vector<Edge>& dels = view.dels;       // sorted
   ws.PrepareForward(graph.NumVertices());
   std::vector<VertexId>& queue = ws.queue();
   queue.push_back(s);
@@ -198,6 +97,15 @@ BoundedBfsOutcome UnionBfs(const Digraph& graph, const PendingGate& gate,
     }
   }
   return out;
+}
+
+/// Whether a copy's `ApplyUpdate` outcome asks for a full build: past the
+/// staleness budget, or grown past `kIndexGrowthLimit` times the last
+/// build.
+bool WantsBuild(const UpdateResult& result, const ReachabilityIndex& index,
+                size_t built_bytes) {
+  return result.status == UpdateStatus::kDeferredRebuild ||
+         index.IndexSizeBytes() > kIndexGrowthLimit * built_bytes;
 }
 
 // One query in this many, per reader thread, records its end-to-end
@@ -403,15 +311,15 @@ void ReaderRecords::Release(ReaderRecord& record) {
 class ReachService::SlotLease {
  public:
   SlotLease(const ServeSnapshot& snap, bool* waited)
-      : snap_(snap), slot_(snap.slots.Acquire(waited)) {}
-  ~SlotLease() { snap_.slots.Release(slot_); }
+      : pool_(*snap.slots), slot_(pool_.Acquire(waited)) {}
+  ~SlotLease() { pool_.Release(slot_); }
   SlotLease(const SlotLease&) = delete;
   SlotLease& operator=(const SlotLease&) = delete;
 
   size_t slot() const { return slot_; }
 
  private:
-  const ServeSnapshot& snap_;
+  SlotPool& pool_;
   const size_t slot_;
 };
 
@@ -490,26 +398,23 @@ LoadResult ReachService::StartWithSnapshot(const std::string& path) {
                 std::to_string(two_hop->NumIndexedVertices()) +
                 " vertices, service has " + std::to_string(num_vertices_)};
   }
+  const auto cur = view_.Load();
   auto snap = std::make_shared<ServeSnapshot>();
-  snap->graph = view_.Load()->snapshot->graph;  // the base graph from the ctor
-  // The loaded index has no live graph (`index_graph` stays null), so the
-  // first drain runs a full build.
+  snap->graph = cur->snapshot->graph;  // the base graph from the ctor
+  // The loaded index has no live graph to update, so it takes the rebuild
+  // path (`copyable` stays null) until the first drain builds afresh.
   snap->index = std::move(index);
   snap->built_index_bytes = snap->index->IndexSizeBytes();
-  const size_t granted = snap->index->PrepareConcurrentQueries(
-      ResolveThreads(options_.slots));
-  snap->slots.Reset(granted);
+  snap->slots->Reset(snap->index->PrepareConcurrentQueries(
+      ResolveThreads(options_.slots)));
   snap->version = next_version_++;
   const uint64_t published_version = snap->version;
-  // Updates accepted before the start stay pending over the loaded
-  // snapshot, with their gate built against its index.
-  auto next = std::make_shared<ServeView>();
-  next->pending = view_.Load()->pending;
-  ExtendGate(*snap, next->pending, &next->gate);
+  // Updates accepted before the start stay pending over the loaded index.
+  auto next = std::make_shared<ServeView>(*cur);
   next->snapshot = std::move(snap);
   view_.Store(std::move(next));
   version_gauge_->Set(static_cast<double>(published_version));
-  started_ = true;  // rebuilds are insert-driven from here on
+  started_ = true;  // rebuilds are update-driven from here on
   return LoadResult{};
 }
 
@@ -535,7 +440,7 @@ bool ReachService::DeleteEdge(VertexId s, VertexId t) {
 }
 
 UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
-  // Validate-first: a rejected batch must leave no trace in the buffer.
+  // Validate-first: a rejected batch must leave no trace.
   size_t num_inserts = 0;
   size_t num_deletes = 0;
   for (const EdgeUpdate& update : batch) {
@@ -551,7 +456,8 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
   }
   if (batch.empty()) return UpdateResult::Applied(0, 0, 0, 0);
   size_t pending_count = 0;
-  bool force_schedule = false;
+  bool schedule = false;
+  bool copied = false;
   std::shared_ptr<const ServeView> freed;  // released after the unlock
   {
     std::unique_lock<std::mutex> lock(write_mu_);
@@ -569,7 +475,7 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
         case BackpressurePolicy::kForceRebuild:
           // Accept past the cap; the forced drain pulls it back under.
           stats_.backpressure_forced.fetch_add(1, std::memory_order_relaxed);
-          force_schedule = true;
+          schedule = true;
           break;
         case BackpressurePolicy::kBlock: {
           stats_.backpressure_blocked.fetch_add(1,
@@ -596,78 +502,107 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
     }
     const auto cur = view_.Load();
     auto next = std::make_shared<ServeView>();
-    next->snapshot = cur->snapshot;
-    next->pending.reserve(cur->pending.size() + batch.size());
-    next->pending = cur->pending;
-    next->pending.insert(next->pending.end(), batch.begin(), batch.end());
-    next->gate = cur->gate;
-    ExtendGate(*next->snapshot, batch, &next->gate);
+    copied = cur->snapshot->copyable != nullptr;
+    if (copied) {
+      // The copy path: a copy of the published index takes the batch and
+      // is published in its place.
+      REACH_TRACE_SPAN("serve.update.apply");
+      const ServeSnapshot& from = *cur->snapshot;
+      std::unique_ptr<DynamicReachabilityIndex> copy = from.copyable->Clone();
+      const UpdateResult applied = copy->ApplyUpdate(batch);
+      if (!applied.ok()) {
+        stats_.update_rejected.fetch_add(1, std::memory_order_relaxed);
+        return applied;
+      }
+      if (WantsBuild(applied, *copy, from.built_index_bytes)) {
+        build_wanted_ = true;
+        schedule = true;
+      }
+      auto snap = std::make_shared<ServeSnapshot>();
+      snap->graph = from.graph;
+      snap->copyable = copy.get();
+      snap->carries_updates = true;
+      snap->built_index_bytes = from.built_index_bytes;
+      // The copy shares its source's per-slot scratch, so it shares the
+      // source's leases too; this sizes its own per-slot probes.
+      copy->PrepareConcurrentQueries(from.slots->size());
+      snap->slots = from.slots;
+      snap->index = std::move(copy);
+      snap->version = next_version_++;
+      next->snapshot = std::move(snap);
+    } else {
+      next->snapshot = cur->snapshot;
+      next->adds = cur->adds;
+      next->dels = cur->dels;
+      for (const EdgeUpdate& u : batch) FoldUpdate(u, next.get());
+    }
+    // The copy path logs a batch only while a drain will replay it.
+    if (!copied || log_for_drain_) {
+      next->pending.reserve(cur->pending.size() + batch.size());
+      next->pending = cur->pending;
+      next->pending.insert(next->pending.end(), batch.begin(), batch.end());
+    }
     pending_count = next->pending.size();
+    schedule =
+        schedule || (!copied && pending_count >= options_.drain_threshold);
     view_.Store(std::move(next));
     // Readers that cached `cur` drop it when they reload; holding it
-    // until the next publish makes this writer, not one of them, free
-    // it. It shares the new view's snapshot, so no index stays alive.
+    // until the next publish makes this writer, not one of them, free it
+    // (and with it, on the copy path, the index copy it replaced).
     freed = std::exchange(superseded_, cur);
   }
   stats_.inserts.fetch_add(num_inserts, std::memory_order_relaxed);
   stats_.deletes.fetch_add(num_deletes, std::memory_order_relaxed);
   stats_.update_batches.fetch_add(1, std::memory_order_relaxed);
+  if (copied) stats_.rebuilds.fetch_add(1, std::memory_order_relaxed);
   pending_gauge_->Set(static_cast<double>(pending_count));
   if (negcache_ != nullptr && num_inserts > 0) {
     // After the view publish: a query sampling the new epoch is
-    // guaranteed to pin a pending list containing this batch, so every
-    // negative it verifies (and caches) accounts for it. Delete-only
-    // batches skip the bump — deletions only shrink reachability, so a
-    // cached verified negative can never turn stale positive.
+    // guaranteed to pin a view containing this batch, so every negative
+    // it verifies (and caches) accounts for it. Delete-only batches skip
+    // the bump — deletions only shrink reachability, so a cached verified
+    // negative can never turn stale positive.
     negcache_->Invalidate();
     stats_.negcache_invalidations.fetch_add(1, std::memory_order_relaxed);
   }
-  if (force_schedule || pending_count >= options_.drain_threshold) {
+  if (schedule) {
     std::lock_guard<std::mutex> lock(rebuild_mu_);
     ScheduleLocked();
   }
-  // Every accepted update is answered exactly from the moment it lands
-  // (gate closure / live-union verification), so the batch counts as
-  // incrementally applied with zero damage: the serve path never owes a
-  // caller-visible rebuild.
+  // Every accepted update is answered exactly from the moment it lands,
+  // so the batch counts as applied with zero damage: the serve path never
+  // owes a caller-visible rebuild.
   return UpdateResult::Applied(batch.size(), 0, 0, 0);
-}
-
-void ReachService::ExtendGate(const ServeSnapshot& snap,
-                              std::span<const EdgeUpdate> updates,
-                              PendingGate* gate) const {
-  REACH_TRACE_SPAN("serve.gate_extend");
-  for (const EdgeUpdate& u : updates) FoldUpdate(u, gate);
-  // Gates are only read next to an index; an unindexed startup snapshot
-  // leaves them to the drain that publishes the first index.
-  if (snap.index == nullptr) return;
-  std::vector<VertexId> queue;
-  uint64_t visits = 0;
-  for (const EdgeUpdate& u : updates) {
-    if (u.IsInsert()) {
-      visits += AddGate(Edge{u.source, u.target}, *snap.graph, &queue, gate);
-    }
-  }
-  stats_.gate_sweep_visits.fetch_add(visits, std::memory_order_relaxed);
 }
 
 void ReachService::Flush() {
   std::unique_lock<std::mutex> lock(rebuild_mu_);
   // Unstarted, no drain will ever run to absorb what is pending.
   if (stopped_.load(std::memory_order_relaxed) || !started_) return;
-  flush_requested_ = true;
-  ScheduleLocked();
   rebuild_cv_.wait(lock, [&] {
     if (stopped_.load(std::memory_order_relaxed)) return true;
-    if (!rebuild_inflight_ && view_.Load()->pending.empty()) return true;
-    // A drain finished but inserts raced past it: keep draining until
-    // everything accepted before this Flush is absorbed.
-    if (!rebuild_inflight_) {
-      flush_requested_ = true;
-      ScheduleLocked();
+    if (rebuild_inflight_) return false;
+    // A drain is owed while updates wait outside the index or there is
+    // no index yet. On the copy path the pending list empties when its
+    // drain ends, so only the rebuild path ever schedules here.
+    const auto view = view_.Load();
+    if (view->snapshot->index != nullptr && view->pending.empty()) {
+      return true;
     }
+    flush_requested_ = true;
+    ScheduleLocked();
     return false;
   });
+  lock.unlock();
+  // The writes so far have settled: mark the copy that carries them (see
+  // the negative-result cache in Query).
+  std::lock_guard<std::mutex> wl(write_mu_);
+  const auto cur = view_.Load();
+  if (cur->snapshot->carries_updates && !cur->settled) {
+    auto next = std::make_shared<ServeView>(*cur);
+    next->settled = true;
+    view_.Store(std::move(next));
+  }
 }
 
 void ReachService::ScheduleLocked() {
@@ -679,39 +614,16 @@ void ReachService::ScheduleLocked() {
   ThreadPool::Global().Submit([this] { RebuildLoop(); });
 }
 
-bool ReachService::UpdateIndexCopy(const ServeView& drained,
-                                   ServeSnapshot* snap) const {
-  const ServeSnapshot& from = *drained.snapshot;
-  const auto* index =
-      dynamic_cast<const DynamicReachabilityIndex*>(from.index.get());
-  if (index == nullptr) return false;  // no index yet, or a static one
-  REACH_TRACE_SPAN("serve.rebuild.apply");
-  std::unique_ptr<DynamicReachabilityIndex> copy = index->Clone();
-  if (copy == nullptr) return false;
-  // One update at a time, so the arm gives up as soon as the copy asks
-  // for a build: it rejects the update (a loaded index has no live
-  // graph), crosses its staleness budget (`kDeferredRebuild`) or grows
-  // past `kIndexGrowthLimit` times the last build. The rest of the batch
-  // would be wasted work.
-  const size_t limit = kIndexGrowthLimit * from.built_index_bytes;
-  const auto apply = [&](const EdgeUpdate& update) {
-    return copy->ApplyUpdate({update}).status == UpdateStatus::kApplied &&
-           copy->IndexSizeBytes() <= limit;
-  };
-  // Inserts first: each is a detour a later delete may prove itself
-  // redundant with, so fewer deletes damage the labels. The two sets are
-  // disjoint, so the order does not change the live graph.
-  const PendingGate& eff = drained.gate;
-  for (const Edge& e : eff.adds) {
-    if (!apply(EdgeUpdate::Insert(e.source, e.target))) return false;
-  }
-  for (const Edge& e : eff.dels) {
-    if (!apply(EdgeUpdate::Delete(e.source, e.target))) return false;
-  }
-  snap->index = std::move(copy);
-  snap->index_graph = from.index_graph;
-  snap->built_index_bytes = from.built_index_bytes;
-  return true;
+void ReachService::EndDrainLocked() {
+  log_for_drain_ = false;
+  const auto cur = view_.Load();
+  if (cur->snapshot->copyable == nullptr || cur->pending.empty()) return;
+  // Batches logged for a replay that no drain will run: the index
+  // already carries them.
+  auto next = std::make_shared<ServeView>();
+  next->snapshot = cur->snapshot;
+  view_.Store(std::move(next));
+  pending_gauge_->Set(0.0);
 }
 
 void ReachService::RebuildLoop() {
@@ -719,12 +631,17 @@ void ReachService::RebuildLoop() {
   for (;;) {
     REACH_TRACE_SPAN("serve.rebuild");
     SetRebuildState(RebuildState::kRunning);
-    // Everything pending *now* goes into this generation; updates racing
-    // past this load stay pending (between drains the list only grows by
-    // append, so the drained list is a prefix of every later list). A
-    // retry re-loads here, so a re-queued drain picks up newly arrived
-    // edges.
-    const auto drained = view_.Load();
+    // The build covers everything accepted *now*; updates racing past
+    // this load stay pending on the rebuild path, or are logged for the
+    // replay on the copy path. Between drains the list only grows by
+    // append, so the drained list is a prefix of every later one. A retry
+    // re-loads here, so a re-queued drain picks up newly arrived edges.
+    std::shared_ptr<const ServeView> drained;
+    {
+      std::lock_guard<std::mutex> wl(write_mu_);
+      log_for_drain_ = true;
+      drained = view_.Load();
+    }
     {
       std::lock_guard<std::mutex> lock(rebuild_mu_);
       flush_requested_ = false;
@@ -735,7 +652,6 @@ void ReachService::RebuildLoop() {
     auto snap = std::make_shared<ServeSnapshot>();
     bool failed = false;
     bool stalled = false;
-    bool full_build = false;
     std::string error;
     try {
       // Chaos site: `error` simulates an organic build failure (OOM, bad
@@ -747,34 +663,47 @@ void ReachService::RebuildLoop() {
       }
       {
         REACH_TRACE_SPAN("serve.rebuild.graph");
-        // Materialize the drained updates from their effective state
-        // (last op per edge, folded when the view was published, so no
-        // edge is both added and deleted) over the drained snapshot's
-        // graph.
-        const PendingGate& eff = drained->gate;
-        ArcOverlay<Digraph> live;
-        live.Reset(drained->snapshot->graph.get());
-        for (const Edge& e : eff.dels) live.Delete(e.source, e.target);
-        for (const Edge& e : eff.adds) live.Insert(e.source, e.target);
-        snap->graph = std::make_shared<const Digraph>(live.LiveGraph());
+        // The live graph: the copy's own on the copy path; otherwise the
+        // drained pending updates, in their effective state, over the
+        // snapshot graph.
+        const ServeSnapshot& from = *drained->snapshot;
+        if (from.copyable != nullptr) {
+          snap->graph = from.copyable->LiveGraph();
+          if (snap->graph == nullptr) {
+            throw std::logic_error("an index with copies has no live graph");
+          }
+        } else {
+          ArcOverlay<Digraph> overlay;
+          overlay.Reset(from.graph.get());
+          for (const Edge& e : drained->dels) {
+            overlay.Delete(e.source, e.target);
+          }
+          for (const Edge& e : drained->adds) {
+            overlay.Insert(e.source, e.target);
+          }
+          snap->graph = std::make_shared<const Digraph>(overlay.LiveGraph());
+        }
       }
       // Cooperative watchdog checkpoint, placed where abandoning still
-      // saves real work (the index update or build dominates): an attempt
-      // already past its deadline is re-queued instead of going on. Once
-      // the index work starts it runs to completion — a finished index is
-      // published even if late, since discarding it helps nobody.
+      // saves real work (the build dominates): an attempt already past
+      // its deadline is re-queued instead of going on. Once the build
+      // starts it runs to completion — a finished index is published even
+      // if late, since discarding it helps nobody.
       if (watchdog_on &&
           Clock::now() - attempt_start > options_.rebuild_watchdog) {
         stalled = true;
-      } else if (!UpdateIndexCopy(*drained, snap.get())) {
+      } else {
         // The index must be built against the graph at its final address
         // — partial indexes keep a pointer into it for guided traversal.
         REACH_TRACE_SPAN("serve.rebuild.index");
         snap->index = MakeIndex(options_.spec).plain;
         snap->index->Build(*snap->graph);
-        snap->index_graph = snap->graph;
         snap->built_index_bytes = snap->index->IndexSizeBytes();
-        full_build = true;
+        auto* dynamic =
+            dynamic_cast<DynamicReachabilityIndex*>(snap->index.get());
+        if (dynamic != nullptr && dynamic->Clone() != nullptr) {
+          snap->copyable = dynamic;
+        }
       }
     } catch (const std::exception& e) {
       failed = true;
@@ -793,10 +722,9 @@ void ReachService::RebuildLoop() {
       ++consecutive_failures;
       NoteRebuildFailure(error, consecutive_failures);
       if (consecutive_failures > options_.rebuild_max_retries) {
-        // Retries exhausted: abandon the drain. Pending updates stay put
-        // — queries still answer them exactly via the gate closure and
-        // live-union verification — and the next ApplyUpdate/Flush
-        // schedules a fresh loop.
+        // Retries exhausted: abandon the drain. Rebuild-path updates stay
+        // pending — queries still answer them exactly via the union BFS —
+        // and the next ApplyUpdate/Flush schedules a fresh loop.
         SetRebuildState(RebuildState::kFailed);
         // Exit handshake. A writer parked on kBlock backpressure may
         // have no-op'd its ScheduleLocked against this (then in-flight)
@@ -809,6 +737,7 @@ void ReachService::RebuildLoop() {
         // final unlock.
         std::unique_lock<std::mutex> wl(write_mu_);
         std::unique_lock<std::mutex> rl(rebuild_mu_);
+        EndDrainLocked();
         backpressure_cv_.notify_all();
         wl.unlock();
         rebuild_inflight_ = false;
@@ -847,38 +776,51 @@ void ReachService::RebuildLoop() {
     }
     consecutive_failures = 0;
     rebuild_consecutive_failures_.store(0, std::memory_order_relaxed);
-    const size_t granted = snap->index->PrepareConcurrentQueries(
-        ResolveThreads(options_.slots));
-    snap->slots.Reset(granted);
-    snap->version = next_version_++;
-    const uint64_t published_version = snap->version;
+    snap->slots->Reset(snap->index->PrepareConcurrentQueries(
+        ResolveThreads(options_.slots)));
 
-    // The still-pending suffix and its gate against the new snapshot,
-    // built outside write_mu_ so writers keep landing meanwhile; whatever
-    // they append is folded in under the lock, just before the one store
-    // that publishes snapshot, trimmed list and gate together.
-    const auto seen = view_.Load();
-    auto next = std::make_shared<ServeView>();
-    next->pending.assign(
-        seen->pending.begin() +
-            static_cast<ptrdiff_t>(drained->pending.size()),
-        seen->pending.end());
-    ExtendGate(*snap, next->pending, &next->gate);
+    // What arrived after the drained view: replayed into a copyable
+    // index, mostly outside write_mu_ so writers keep landing meanwhile,
+    // and the rest under it, just before the publish; otherwise kept
+    // pending over the new snapshot.
+    size_t replayed = drained->pending.size();
+    bool wants_build = false;
+    const auto replay = [&](const PendingUpdates& pending) {
+      if (pending.size() == replayed) return;
+      const UpdateBatch batch(
+          pending.begin() + static_cast<ptrdiff_t>(replayed), pending.end());
+      replayed = pending.size();
+      snap->carries_updates = true;
+      wants_build = WantsBuild(snap->copyable->ApplyUpdate(batch),
+                               *snap->index, snap->built_index_bytes);
+    };
+    if (snap->copyable != nullptr) {
+      for (auto seen = view_.Load(); seen->pending.size() > replayed;
+           seen = view_.Load()) {
+        replay(seen->pending);
+      }
+    }
     size_t left = 0;
+    uint64_t published_version = 0;
     std::shared_ptr<const ServeView> freed;  // released after the unlock
     {
       std::lock_guard<std::mutex> lock(write_mu_);
       // A view of the old snapshot: not kept past the swap.
       freed = std::move(superseded_);
       const auto cur = view_.Load();
-      if (cur->pending.size() > seen->pending.size()) {
-        const std::span<const EdgeUpdate> arrived =
-            std::span<const EdgeUpdate>(cur->pending)
-                .subspan(seen->pending.size());
-        next->pending.insert(next->pending.end(), arrived.begin(),
-                             arrived.end());
-        ExtendGate(*snap, arrived, &next->gate);
+      auto next = std::make_shared<ServeView>();
+      if (snap->copyable != nullptr) {
+        replay(cur->pending);
+        build_wanted_ = wants_build;
+      } else {
+        next->pending.assign(
+            cur->pending.begin() +
+                static_cast<ptrdiff_t>(drained->pending.size()),
+            cur->pending.end());
+        for (const EdgeUpdate& u : next->pending) FoldUpdate(u, next.get());
       }
+      snap->version = next_version_++;
+      published_version = snap->version;
       next->snapshot = std::move(snap);
       left = next->pending.size();
       view_.Store(std::move(next));
@@ -888,18 +830,16 @@ void ReachService::RebuildLoop() {
     REACH_TRACE_INSTANT("serve.snapshot_swap");
     version_gauge_->Set(static_cast<double>(published_version));
     if (negcache_ != nullptr) {
-      // The swap adds no reachability (it only absorbs pending updates,
-      // and drained deletes can only shrink it), so this bump is defense
-      // in depth: entries verified against the previous snapshot+pending
-      // union stay unreachable, but tying cache lifetime to the
-      // generation keeps the invariant local.
+      // The swap adds no reachability (the new index answers for the
+      // same live graph), so this bump is defense in depth: tying cache
+      // lifetime to the generation keeps the invariant local.
       negcache_->Invalidate();
       stats_.negcache_invalidations.fetch_add(1, std::memory_order_relaxed);
     }
     pending_gauge_->Set(static_cast<double>(left));
     health_ready_gauge_->Set(1.0);
     stats_.rebuilds.fetch_add(1, std::memory_order_relaxed);
-    if (full_build) stats_.full_builds.fetch_add(1, std::memory_order_relaxed);
+    stats_.full_builds.fetch_add(1, std::memory_order_relaxed);
 
     {
       // Exit handshake, same shape as the retries-exhausted one above: a
@@ -911,10 +851,14 @@ void ReachService::RebuildLoop() {
       // Stop()/join()er that observes it may destroy the service.
       std::unique_lock<std::mutex> wl(write_mu_);
       std::unique_lock<std::mutex> rl(rebuild_mu_);
-      const bool more = !stopped_.load(std::memory_order_relaxed) &&
-                        (left >= options_.drain_threshold ||
-                         (flush_requested_ && left > 0));
+      const bool copy_path = view_.Load()->snapshot->copyable != nullptr;
+      const bool more =
+          !stopped_.load(std::memory_order_relaxed) &&
+          (copy_path ? build_wanted_
+                     : left >= options_.drain_threshold ||
+                           (flush_requested_ && left > 0));
       if (more) continue;
+      EndDrainLocked();
       SetRebuildState(RebuildState::kIdle);
       backpressure_cv_.notify_all();
       wl.unlock();
@@ -950,21 +894,16 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
   REACH_TRACE_SPAN("serve.query");
   ReaderRecord& reader = readers_->Local();
   // Keep a stage-by-stage record only when it could end up in the
-  // slow-query log — otherwise the extra clock reads never happen. A
-  // query can qualify by latency (threshold set) or by degrading on its
-  // deadline; with neither configured, capture is impossible.
+  // slow-query log — otherwise the extra clock reads never happen.
   SlowQueryRecord rec;
-  SlowQueryRecord* recp =
-      options_.slow_log_capacity > 0 &&
-              (options_.slow_query_threshold.count() > 0 ||
-               options_.deadline.count() > 0)
-          ? &rec
-          : nullptr;
-  // The clock is read only for a sampled query, a deadline or the slow
-  // log: two reads cost more than an idle query's answer path.
+  SlowQueryRecord* recp = options_.slow_log_capacity > 0 &&
+                                  options_.slow_query_threshold.count() > 0
+                              ? &rec
+                              : nullptr;
+  // The clock is read only for a sampled query or the slow log: two reads
+  // cost more than an idle query's answer path.
   const bool sampled = reader.queries++ % kQueryNsSamplePeriod == 0;
-  const bool timed =
-      sampled || recp != nullptr || options_.deadline.count() > 0;
+  const bool timed = sampled || recp != nullptr;
   const Clock::time_point start = timed ? Clock::now() : Clock::time_point{};
   stats_.queries.fetch_add(1, std::memory_order_relaxed);
 
@@ -1030,9 +969,10 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
   ServeAnswer ans;
   ans.snapshot_version = snap.version;
   if (s < num_vertices_ && t < num_vertices_) {
-    if (tier == AdmissionTier::kBfsOnly) {
-      // Heavy load: skip slot acquisition and the gate closure entirely;
-      // one bounded traversal with a tighter budget bounds the cost.
+    if (tier == AdmissionTier::kBfsOnly && snap.copyable == nullptr) {
+      // Heavy load: skip slot acquisition and the pending updates
+      // entirely; one bounded traversal with a tighter budget bounds the
+      // cost.
       ans = DegradedAnswer(view, s, t, kDegradedVisitBudget, recp,
                            reader.bfs);
     } else if (snap.index == nullptr) {
@@ -1040,12 +980,9 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
       ans = DegradedAnswer(view, s, t, kFallbackVisitBudget, recp,
                            reader.bfs);
     } else {
-      const Clock::time_point deadline =
-          options_.deadline.count() > 0 ? start + options_.deadline
-                                        : Clock::time_point::max();
       bool waited = false;
-      ans = AnswerWithIndex(view, s, t, deadline,
-                            /*allow_delta=*/tier == AdmissionTier::kFull,
+      ans = AnswerWithIndex(view, s, t,
+                            /*allow_pending=*/tier == AdmissionTier::kFull,
                             &waited, recp, reader.bfs);
       if (waited) {
         stats_.slot_waits.fetch_add(1, std::memory_order_relaxed);
@@ -1059,11 +996,13 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
   }
   if (cacheable) {
     stats_.negcache_misses.fetch_add(1, std::memory_order_relaxed);
-    // Verified unreachable against the pinned view's union graph, which
-    // covers everything counted in the sampled epoch. Not while inserts
-    // are pending: the next insert or swap would invalidate the entry,
-    // and writing it clears a whole stripe once per epoch.
-    if (!ans.reachable && ans.exact && view.gate.adds.empty()) {
+    // Verified unreachable against the pinned view, which covers
+    // everything counted in the sampled epoch. Not while inserts are
+    // pending, nor on a copy carrying updates no Flush has settled: the
+    // writes are still coming, the next insert or swap would invalidate
+    // the entry, and writing it clears a whole stripe once per epoch.
+    if (!ans.reachable && ans.exact && view.adds.empty() &&
+        (!snap.carries_updates || view.settled)) {
       StageScope stage(recp, ServeStage::kNegCacheProbe);
       const auto outcome = negcache_->Insert(s, t, negcache_epoch);
       if (outcome == NegativeResultCache::InsertOutcome::kEvicted) {
@@ -1082,7 +1021,7 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
         options_.slow_query_threshold.count() > 0 &&
         total_ns >=
             static_cast<uint64_t>(options_.slow_query_threshold.count());
-    if (rec.deadline_degraded || over_threshold) {
+    if (over_threshold) {
       rec.s = s;
       rec.t = t;
       rec.reachable = ans.reachable;
@@ -1090,7 +1029,7 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
       rec.source = ans.source;
       rec.snapshot_version = ans.snapshot_version;
       rec.total_ns = total_ns;
-      rec.pending_edges = view.pending.size();
+      rec.pending_edges = snap.copyable != nullptr ? 0 : view.pending.size();
       CaptureSlowQuery(rec);
     }
   }
@@ -1120,22 +1059,11 @@ void ReachService::CaptureSlowQuery(SlowQueryRecord rec) const {
 }
 
 ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
-                                          VertexId t,
-                                          Clock::time_point deadline,
-                                          bool allow_delta, bool* waited,
-                                          SlowQueryRecord* rec,
+                                          VertexId t, bool allow_pending,
+                                          bool* waited, SlowQueryRecord* rec,
                                           SearchWorkspace& bfs) const {
   ServeAnswer ans;
   const ServeSnapshot& snap = *view.snapshot;
-
-  // The decision runs over the SUPERSET graph first: snapshot ∪ every
-  // pending insert, deletes ignored. The live graph is a subgraph of it,
-  // so a superset negative is an exact negative. A superset positive is
-  // final only while no deletes are pending (insert-only monotonicity);
-  // with deletes pending it is a candidate that must be re-verified
-  // against the live union graph by a bounded traversal.
-  const PendingGate& gate = view.gate;
-  bool superset_reachable = false;
   {
     // The one index probe of the query; the slot is held for it alone.
     std::optional<SlotLease> lease;
@@ -1146,85 +1074,38 @@ ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
     if (rec != nullptr) rec->slot_waited = *waited;
     StageScope stage(rec, ServeStage::kIndexProbe);
     if (rec != nullptr) ++rec->index_probes;
-    superset_reachable = snap.index->QueryInSlot(s, t, lease->slot());
+    ans.reachable = snap.index->QueryInSlot(s, t, lease->slot());
   }
-  if (superset_reachable && !gate.has_deletes) {
-    // Reachability is monotone under insertion: an index hit on this
-    // snapshot stays true no matter how many inserts are pending.
-    ans.reachable = true;
-    stats_.index_answers.fetch_add(1, std::memory_order_relaxed);
-    return ans;
-  }
-  if (!superset_reachable && gate.adds.empty()) {
-    // The live graph is the snapshot minus pending deletes: a snapshot
-    // negative is exact.
-    stats_.index_answers.fetch_add(1, std::memory_order_relaxed);
-    return ans;
-  }
-  if (!allow_delta) {
-    // Admission gate disallowed the gate closure and the verification
-    // traversal: the pending updates are unaccounted for, so this
-    // negative is only approximate.
-    ans.exact = false;
-    stats_.index_answers.fetch_add(1, std::memory_order_relaxed);
-    return ans;
-  }
-
-  // Superset index miss with pending inserts: any s-t path in the
-  // superset graph enters the gates at some gate j (s reaches its source
-  // through the snapshot) and leaves at a gate in {j} ∪ row j of the
-  // closure (whose target reaches t through the snapshot). The gates'
-  // reach sets decide both ends: k bit tests s ∈ anc(j) collect the
-  // usable gates, and one bit test t ∈ desc(i) per usable gate decides.
-  bool expired = false;
-  if (!superset_reachable) {
-    ans.source = AnswerSource::kDelta;
-    StageScope stage(rec, ServeStage::kDeltaClosure);
-    const size_t words = gate.words;
-    uint64_t inline_words[4] = {};
-    std::vector<uint64_t> heap_words;
-    uint64_t* usable = inline_words;
-    if (words > std::size(inline_words)) {
-      heap_words.assign(words, 0);
-      usable = heap_words.data();
-    }
-    for (size_t j = 0; j < gate.gates.size(); ++j) {
-      // A gate already usable adds nothing: its row is inside the row of
-      // the gate that made it usable.
-      if (TestBit(usable, j) || !TestBit(gate.Anc(j), s)) continue;
-      SetBit(usable, j);
-      OrInto(usable, gate.Row(j), words);
-    }
-    expired = deadline != Clock::time_point::max() && Clock::now() > deadline;
-    for (size_t w = 0; w < words && !expired && !superset_reachable; ++w) {
-      for (uint64_t bits = usable[w]; bits != 0; bits &= bits - 1) {
-        const size_t j = w * 64 + static_cast<size_t>(std::countr_zero(bits));
-        if (TestBit(gate.Desc(j), t)) {
-          superset_reachable = true;
-          break;
-        }
-      }
-    }
-  }
-  if (expired && !superset_reachable) {
-    // Budget blown mid-closure: degrade to the bounded traversal.
-    stats_.deadline_degraded.fetch_add(1, std::memory_order_relaxed);
-    if (rec != nullptr) rec->deadline_degraded = true;
-    return DegradedAnswer(view, s, t, kFallbackVisitBudget, rec, bfs);
-  }
-  if (!superset_reachable || !gate.has_deletes) {
-    // Exact either way: a closure-exhausted negative, or a witness
-    // segment chain with no deletes pending to invalidate it.
-    ans.reachable = superset_reachable;
+  if (snap.copyable != nullptr && snap.carries_updates) {
+    // The copy carries every accepted update: exact.
     ans.source = AnswerSource::kDelta;
     stats_.delta_answers.fetch_add(1, std::memory_order_relaxed);
     return ans;
   }
-  // Superset positive with deletes pending: the witness may route through
-  // a tombstoned edge, so only a traversal of the live union graph
-  // decides. It returns an exact answer unless the visit budget runs out
-  // (then an inexact negative, flagged as such).
-  stats_.delete_verifies.fetch_add(1, std::memory_order_relaxed);
+  // Exact when nothing is pending (the copy path always), and on the
+  // rebuild path for a negative while no insert is pending (the live
+  // graph is the snapshot's minus pending deletes) and for a positive
+  // while no delete is pending (reachability is monotone under insertion).
+  if (ans.reachable ? view.dels.empty() : view.adds.empty()) {
+    stats_.index_answers.fetch_add(1, std::memory_order_relaxed);
+    return ans;
+  }
+  if (!allow_pending) {
+    // Admission skipped the pending updates: this negative is only
+    // approximate.
+    ans.reachable = false;
+    ans.exact = false;
+    stats_.index_answers.fetch_add(1, std::memory_order_relaxed);
+    return ans;
+  }
+  // A positive with deletes pending may route through a tombstoned edge,
+  // and a negative with inserts pending may miss a new one: only a
+  // traversal of the live union graph decides. It returns an exact answer
+  // unless the visit budget runs out (then an inexact negative, flagged
+  // as such).
+  if (ans.reachable) {
+    stats_.delete_verifies.fetch_add(1, std::memory_order_relaxed);
+  }
   return DegradedAnswer(view, s, t, kFallbackVisitBudget, rec, bfs);
 }
 
@@ -1237,7 +1118,7 @@ ServeAnswer ReachService::DegradedAnswer(const ServeView& view, VertexId s,
   BoundedBfsOutcome out;
   {
     StageScope stage(rec, ServeStage::kFallbackBfs);
-    out = UnionBfs(*view.snapshot->graph, view.gate, s, t, visit_budget, bfs);
+    out = UnionBfs(*view.snapshot->graph, view, s, t, visit_budget, bfs);
   }
   if (rec != nullptr) rec->bfs_visits = out.visits;
   ans.reachable = out.reachable;
@@ -1329,7 +1210,7 @@ BoundedBfsOutcome BoundedUnionBfs(const Digraph& graph,
   // names one is never pending (`ApplyUpdate` rejects it).
   const size_t n = graph.NumVertices();
   if (s >= n || t >= n) return {};
-  PendingGate effective;
+  ServeView effective;
   for (const EdgeUpdate& u : updates) {
     if (u.source < n && u.target < n) FoldUpdate(u, &effective);
   }

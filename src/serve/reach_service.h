@@ -8,7 +8,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -45,18 +44,19 @@ enum class BackpressurePolicy : uint8_t {
 const char* BackpressurePolicyName(BackpressurePolicy policy);
 
 /// Vertex-visit cap of the bounded union BFS that answers while no index
-/// is built, once a query's deadline expires, and when a pending delete
-/// forces live verification. Exhausting it yields an inexact negative
-/// answer (`ServeAnswer::exact == false`).
+/// is built, and on the rebuild path whenever pending updates keep the
+/// index's answer from being exact. Exhausting it yields an inexact
+/// negative answer (`ServeAnswer::exact == false`).
 inline constexpr size_t kFallbackVisitBudget = 1 << 16;
 /// Vertex-visit cap of the tier-2 (bfs-only) degraded answer path under
 /// admission control — deliberately far below `kFallbackVisitBudget`.
 inline constexpr size_t kDegradedVisitBudget = 2048;
-/// How far a drain lets an index copy grow before it runs a full build
-/// instead: a copy whose `IndexSizeBytes` passes this many times the size
-/// of the last full build is dropped. Inserts widen 2-hop labels without
-/// bound, so this keeps the index, the per-drain copy and the label
-/// lists a query scans within a constant factor of a fresh build.
+/// How far the writer lets an index copy grow before it asks for a full
+/// build: a copy whose `IndexSizeBytes` passes this many times the size
+/// of the last full build is still published, and a full build over its
+/// live graph starts in the background. Inserts widen 2-hop labels
+/// without bound, so this keeps the index and the label lists a query
+/// scans within a constant factor of a fresh build.
 inline constexpr size_t kIndexGrowthLimit = 2;
 
 /// Configuration of a `ReachService`.
@@ -67,19 +67,15 @@ struct ServiceOptions {
   /// Concurrent-query slots requested per snapshot; the index may grant
   /// fewer (see `PrepareConcurrentQueries`). 0 = `DefaultThreads()`.
   size_t slots = 0;
-  /// Pending-update count that triggers a background drain into a new
-  /// snapshot. Deletes count like inserts: both are absorbed by the same
-  /// drain. A drain applies the updates to a copy of the published index
-  /// when it can and runs a full build only when it must (see
-  /// `ReachService`), so a small threshold is cheap for `pll`.
+  /// Rebuild path only (specs whose index has no copy, and a snapshot-
+  /// loaded index until its first build): the pending-update count that
+  /// triggers a background drain, a full build over the live graph.
+  /// Deletes count like inserts. On the copy path every batch goes
+  /// straight into a copy of the index, and nothing waits to be drained
+  /// (see `ReachService`).
   size_t drain_threshold = 64;
-  /// Per-query time budget; once exceeded, the expensive answer paths
-  /// (delta closure, unindexed fallback) degrade to the bounded BFS.
-  /// 0 = no deadline.
-  std::chrono::nanoseconds deadline{0};
   /// End-to-end latency above which a query's stage breakdown is retained
-  /// in the slow-query log. 0 = no latency criterion (deadline-degraded
-  /// queries are still captured — they are slow by definition).
+  /// in the slow-query log. 0 = no capture.
   std::chrono::nanoseconds slow_query_threshold{0};
   /// Bound of the slow-query log; once full, the oldest record is evicted
   /// (and counted in `ServeStats::slow_dropped`). 0 disables capture and
@@ -91,10 +87,10 @@ struct ServiceOptions {
   /// insert-carrying `ApplyUpdate` and on every snapshot swap, so a
   /// stale negative is never served; delete-only batches keep the cache
   /// warm (deletions only shrink reachability, so a verified negative
-  /// stays negative). A negative verified while inserts are pending is
-  /// not cached: the next insert or swap would invalidate it, and each
-  /// write after an invalidation clears a whole stripe. 0 disables the
-  /// cache.
+  /// stays negative). A negative verified while inserts are pending, or
+  /// on a copy carrying updates that no `Flush` has settled since, is not
+  /// cached: the next insert or swap would invalidate it, and each write
+  /// after an invalidation clears a whole stripe. 0 disables the cache.
   size_t negcache_capacity = 1 << 14;
   /// Lock stripes of the negative-result cache (rounded to a power of
   /// two). More stripes = less writer contention.
@@ -110,8 +106,10 @@ struct ServiceOptions {
   /// (`AnswerSource::kShedded`, `exact == false`, O(1)). 0 = no gate.
   size_t max_inflight_queries = 0;
 
-  /// Write backpressure: cap on the pending-update buffer; `backpressure`
-  /// picks what `ApplyUpdate` does at the cap. 0 = unbounded (no gate).
+  /// Write backpressure: cap on the pending-update buffer (the rebuild
+  /// path's pending list, or the copy path's batches waiting for the
+  /// replay of a running full build); `backpressure` picks what
+  /// `ApplyUpdate` does at the cap. 0 = unbounded (no gate).
   size_t max_pending_edges = 0;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
 
@@ -126,21 +124,20 @@ struct ServiceOptions {
   std::chrono::nanoseconds rebuild_backoff_initial{
       std::chrono::milliseconds(10)};
   std::chrono::nanoseconds rebuild_backoff_max{std::chrono::seconds(2)};
-  /// Cooperative watchdog deadline per drain attempt, checked at phase
-  /// boundaries (after the graph merge, before the index phase — the
-  /// update of an index copy or a full build): an attempt already past
-  /// the deadline is abandoned — not published — counted in
-  /// `watchdog_fired`, and re-queued with backoff, picking up any edges
-  /// that accumulated meanwhile. 0 = no deadline.
+  /// Cooperative watchdog deadline per drain attempt, checked at the phase
+  /// boundary after the live graph is materialized and before the full
+  /// build: an attempt already past the deadline is abandoned — not
+  /// published — counted in `watchdog_fired`, and re-queued with backoff,
+  /// picking up any edges that accumulated meanwhile. 0 = no deadline.
   std::chrono::nanoseconds rebuild_watchdog{0};
 };
 
 /// How a query was answered.
 enum class AnswerSource : uint8_t {
-  kIndex,        // snapshot index alone
-  kDelta,        // index plus the pending-update closure
-  kFallbackBfs,  // bounded union BFS (no index yet, budget exceeded, or
-                 // verifying a positive against pending deletes)
+  kIndex,        // an index as its last full build left it
+  kDelta,        // a copy carrying updates since its last full build
+  kFallbackBfs,  // bounded union BFS (no index yet, or pending updates
+                 // the index's answer cannot account for)
   kNegCache,     // negative-result cache hit (verified this epoch)
   kShedded,      // admission gate full: not answered (always inexact)
 };
@@ -158,14 +155,15 @@ struct ServeAnswer {
 };
 
 /// The stages of one served query, in pipeline order; indexes into
-/// `SlowQueryRecord::stage_ns`. A query touches a prefix of these (an
-/// index hit never runs the closure; the fallback only runs after a
-/// missing index or a blown deadline).
+/// `SlowQueryRecord::stage_ns`. The fallback BFS runs only without an
+/// index, or on the rebuild path when pending updates leave the index's
+/// answer open.
 enum class ServeStage : uint8_t {
   kNegCacheProbe = 0,  // negative-result cache lookup
   kSlotAcquire = 1,    // admission: leasing a concurrent-query slot
-  kIndexProbe = 2,     // the pinned snapshot's index lookup(s)
-  kDeltaClosure = 3,   // gate closure: bit tests on the gates' reach sets
+  kIndexProbe = 2,     // the pinned snapshot's index lookup
+  kDeltaClosure = 3,   // unused; kept until the stage list is derived
+                       // (ROADMAP item 5)
   kFallbackBfs = 4,    // degraded bounded union BFS
 };
 inline constexpr size_t kNumServeStages = 5;
@@ -181,7 +179,6 @@ struct SlowQueryRecord {
   VertexId t = 0;
   bool reachable = false;
   bool exact = true;
-  bool deadline_degraded = false;
   bool slot_waited = false;
   AnswerSource source = AnswerSource::kIndex;
   uint64_t snapshot_version = 0;
@@ -189,10 +186,11 @@ struct SlowQueryRecord {
   /// Nanoseconds spent per `ServeStage` (0 = stage not reached).
   uint64_t stage_ns[kNumServeStages] = {};
   /// `QueryInSlot` calls issued: 1 for every query that reached the
-  /// index. The gate closure decides pending inserts with bit tests on
-  /// the gates' reach sets and issues none.
+  /// index.
   uint64_t index_probes = 0;
-  /// Pending-update buffer size observed by the query.
+  /// Pending updates the query had to answer around the index: the
+  /// rebuild path's pending list; 0 on the copy path, whose index carries
+  /// every update.
   uint64_t pending_edges = 0;
   /// Vertices expanded by the bounded BFS (0 when it did not run).
   uint64_t bfs_visits = 0;
@@ -210,21 +208,20 @@ struct ServeStats {
   std::atomic<uint64_t> index_answers{0};
   std::atomic<uint64_t> delta_answers{0};
   std::atomic<uint64_t> fallback_answers{0};
-  std::atomic<uint64_t> deadline_degraded{0};
   std::atomic<uint64_t> slot_waits{0};
   std::atomic<uint64_t> inexact_answers{0};
   std::atomic<uint64_t> inserts{0};
-  /// Deletes accepted into the pending buffer.
+  /// Deletes accepted.
   std::atomic<uint64_t> deletes{0};
   /// `ApplyUpdate` batches accepted / rejected (validation or
   /// backpressure-reject).
   std::atomic<uint64_t> update_batches{0};
   std::atomic<uint64_t> update_rejected{0};
-  /// Positive superset answers that had to be re-verified by traversal
-  /// because deletes were pending.
+  /// Rebuild path: index positives that had to be re-verified by the
+  /// union BFS because deletes were pending.
   std::atomic<uint64_t> delete_verifies{0};
-  /// Published drains, and those of them that ran a full index build
-  /// (the rest updated a copy of the previous index).
+  /// Generations published after the startup one, and those of them a
+  /// full build made (the rest are copies the writer updated).
   std::atomic<uint64_t> rebuilds{0};
   std::atomic<uint64_t> full_builds{0};
   /// Negative-result cache outcomes (misses count every cache-enabled
@@ -251,9 +248,6 @@ struct ServeStats {
   std::atomic<uint64_t> rebuild_failures{0};
   std::atomic<uint64_t> rebuild_retries{0};
   std::atomic<uint64_t> watchdog_fired{0};
-  /// Vertices visited by the gate sweeps (two per new pending insert,
-  /// over the snapshot graph), by writers and drains.
-  std::atomic<uint64_t> gate_sweep_visits{0};
 
   /// Calls `fn(registry_name, field)` for every field, in declaration
   /// order — the single map from fields to their "serve.*" registry keys.
@@ -263,7 +257,6 @@ struct ServeStats {
     fn("serve.index_answers", index_answers);
     fn("serve.delta_answers", delta_answers);
     fn("serve.fallback_bfs", fallback_answers);
-    fn("serve.deadline_degraded", deadline_degraded);
     fn("serve.slot_waits", slot_waits);
     fn("serve.inexact_answers", inexact_answers);
     fn("serve.inserts", inserts);
@@ -288,7 +281,6 @@ struct ServeStats {
     fn("serve.rebuild.failures", rebuild_failures);
     fn("serve.rebuild.retries", rebuild_retries);
     fn("serve.rebuild.watchdog_fired", watchdog_fired);
-    fn("serve.gate.sweep_visits", gate_sweep_visits);
   }
 };
 
@@ -315,7 +307,7 @@ struct ServiceHealth {
   uint64_t snapshot_version = 0;
   /// `IndexSizeBytes` of the published index (0 before the first build).
   size_t index_bytes = 0;
-  /// Pending updates (inserts + deletes) not yet absorbed.
+  /// Pending updates (`ReachService::PendingEdgeCount`).
   size_t pending_edges = 0;
   size_t max_pending_edges = 0;  // 0 = unbounded
   /// Buffer occupancy in [0,1]; 0 when unbounded.
@@ -340,47 +332,39 @@ struct ServiceHealth {
 /// evolving edge set and serves exact point queries while absorbing a
 /// batched `ApplyUpdate` stream of edge inserts AND deletes:
 ///
-///  * Reads pin one immutable `ServeView` — the snapshot (graph + index +
-///    query slots), the updates pending on top of it, and their gate
-///    graph — behind an atomic `shared_ptr`, lease a slot, and answer via
-///    `QueryInSlot`: many readers in parallel, zero locks on the hot path.
-///    Each querying thread has a reader record (`ReaderRecords`) that
-///    caches the view it last pinned and holds its in-flight flag, so an
-///    idle query re-pins only after a publish and makes no shared
+///  * Reads pin one immutable `ServeView` — a snapshot (index + the graph
+///    of its last full build + query slots) and the updates accepted on
+///    top of it — behind an atomic `shared_ptr`, lease a slot, and answer
+///    via `QueryInSlot`: many readers in parallel, zero locks on the hot
+///    path. Each querying thread has a reader record (`ReaderRecords`)
+///    that caches the view it last pinned and holds its in-flight flag,
+///    so an idle query re-pins only after a publish and makes no shared
 ///    read-modify-write to pin or to be counted.
-///  * Writes publish a new view with the batch appended and the gate
-///    extended. Each new pending insert a → b costs the writer two sweeps
-///    of the snapshot graph, backward from a and forward from b, whose
-///    reach sets the gate keeps (no slot, no index probe), plus O(k²/64)
-///    word operations on the closure, k = gates so far. A background task
-///    on the shared thread pool (src/par/) drains the pending list into a
-///    new snapshot and publishes it with the trimmed list and that list's
-///    gate rebuilt against it, in one store. The drain applies the
-///    drained effective updates to a copy of the published index
-///    (`DynamicReachabilityIndex::Clone`, then `ApplyUpdate`); it runs a
-///    full build over the live graph when there is no index yet, the
-///    index has no copy, the copy rejects the batch, its damage crosses
-///    the staleness budget, or it grew past `kIndexGrowthLimit` times the
-///    size of the last full build. At most one drain is in flight;
-///    generations are strictly ordered. No write — insert or delete —
-///    ever rebuilds inline.
-///  * Queries stay exact across the swap. A query first decides the
-///    *superset* graph, snapshot ∪ every pending insert (deletes
-///    ignored): one index probe s → t, then on a miss k bit tests — s in
-///    each gate's source ancestors, OR-ing the closure rows of the hits,
-///    then t in the target descendants of the gates that leaves usable.
-///    The reach sets are exact over the snapshot's graph, which the index
-///    answers for, so each bit test equals the probe it replaces. The
-///    live graph is a subgraph of the superset, so a superset negative is
-///    exact. With only inserts pending the two graphs coincide, so a
-///    superset positive is exact too. With deletes pending, a superset
-///    positive is re-verified by a bounded traversal of the live union
-///    graph (snapshot minus effective deletes plus effective inserts):
-///    pending deletes act as tombstones consulted across snapshot swaps
-///    until a drain absorbs them. When there is no index yet — service
-///    just started — or the per-query deadline expires mid-closure, the
-///    answer degrades to the same bounded union BFS, and
-///    `ServeAnswer::exact` says whether the budget sufficed.
+///  * Copy path — specs whose index has a copy
+///    (`DynamicReachabilityIndex::Clone`, e.g. `pll`, `pll:fastpath=1`):
+///    the writer applies the batch to a copy of the published index and
+///    publishes the copy, so a query is one `QueryInSlot` on the pinned
+///    index, always exact. When the copy asks for a full build —
+///    `kDeferredRebuild`, or growth past `kIndexGrowthLimit` times the
+///    last build — it is still published, and a background task on the
+///    shared thread pool (src/par/) builds a fresh index over the copy's
+///    live graph, replays the batches accepted meanwhile, and publishes
+///    it.
+///  * Rebuild path — specs without a copy (`grail` and the other partial
+///    indexes), and a `StartWithSnapshot` index until its first full
+///    build: a batch joins the view's pending list, and once
+///    `drain_threshold` updates wait, a background drain builds a fresh
+///    index over the live graph and publishes it with the updates that
+///    arrived meanwhile still pending. A query probes the index; a
+///    negative is exact while no insert is pending, a positive while no
+///    delete is pending, and anything else is decided by a bounded BFS
+///    over the live union graph (snapshot graph minus effective deletes
+///    plus effective inserts), with `ServeAnswer::exact` saying whether
+///    the budget sufficed. Before the first build, every query takes that
+///    BFS.
+///
+/// At most one background build is in flight; generations are strictly
+/// ordered. No write ever builds inline.
 ///
 /// Thread-safety: `Query` may be called from any number of threads
 /// concurrently with `ApplyUpdate`, `Flush`, and the background rebuild.
@@ -423,16 +407,14 @@ class ReachService {
   /// exactness).
   ServeAnswer Query(VertexId s, VertexId t) const;
 
-  /// Accepts a batch of edge writes into the pending buffer; a rebuild
-  /// is scheduled once `drain_threshold` updates accumulate. Validate-
-  /// first: a batch with an out-of-range endpoint (or arriving after
-  /// `Stop()`, or bounced by `kReject` backpressure) is rejected whole
-  /// with no state change. An accepted batch is visible to every
-  /// subsequent query atomically — readers pin whole views, so they see
-  /// all of it or none of it. Each new pending insert costs the writer
-  /// two O(n + m) sweeps of the snapshot graph and O(k²/64) closure work
-  /// (k = distinct pending inserts so far); publishing copies one
-  /// pointer per gate, no per-vertex data.
+  /// Accepts a batch of edge writes (see the class comment for the two
+  /// paths). Validate-first: a batch with an out-of-range endpoint (or
+  /// arriving after `Stop()`, or bounced by `kReject` backpressure) is
+  /// rejected whole with no state change. An accepted batch is visible to
+  /// every subsequent query atomically — readers pin whole views, so they
+  /// see all of it or none of it. On the copy path the writer pays one
+  /// index copy (one pointer per 64 vertices plus the damage marks) and
+  /// the index's own `ApplyUpdate`; on the rebuild path, an append.
   UpdateResult ApplyUpdate(const UpdateBatch& batch);
 
   /// Single-edge convenience wrappers over `ApplyUpdate`. Return false
@@ -440,10 +422,12 @@ class ReachService {
   bool InsertEdge(VertexId s, VertexId t);
   bool DeleteEdge(VertexId s, VertexId t);
 
-  /// Blocks until every previously accepted update is absorbed into a
-  /// published snapshot (forcing a rebuild if needed). Returns at once
-  /// when stopped, or when never started (no `Start()` call, or one that
-  /// failed): no drain runs then, so updates stay pending.
+  /// Blocks until every previously accepted update is in a published
+  /// index and no background build is in flight: on the rebuild path it
+  /// schedules a drain when updates are pending or no index exists yet;
+  /// on the copy path it only waits for a running full build. Returns at
+  /// once when stopped, or when never started (no `Start()` call, or one
+  /// that failed): no drain runs then, so updates stay pending.
   void Flush();
 
   size_t NumVertices() const { return num_vertices_; }
@@ -451,7 +435,9 @@ class ReachService {
   uint64_t SnapshotVersion() const {
     return view_.Load()->snapshot->version;
   }
-  /// Updates (inserts + deletes) not yet absorbed into a snapshot.
+  /// Updates (inserts + deletes) waiting: on the rebuild path, those the
+  /// index does not have yet; on the copy path, those accepted while a
+  /// full build runs, which its replay will apply.
   size_t PendingEdgeCount() const { return view_.Load()->pending.size(); }
   /// Queries currently inside `Query` (admitted or about to be triaged):
   /// the in-flight flags of the reader records, one per querying thread.
@@ -466,8 +452,8 @@ class ReachService {
   ServiceHealth Health() const;
 
   /// The slow-query log, oldest first: every query that exceeded
-  /// `slow_query_threshold` or degraded on its deadline, up to
-  /// `slow_log_capacity` retained records. Thread-safe.
+  /// `slow_query_threshold`, up to `slow_log_capacity` retained records.
+  /// Thread-safe.
   std::vector<SlowQueryRecord> SlowQueries() const;
   /// Empties the slow-query log (captured/dropped totals are kept).
   void ClearSlowQueries();
@@ -477,36 +463,28 @@ class ReachService {
   class InflightGuard;
 
   /// Load tier assigned to a query at admission (docs/ROBUSTNESS.md).
+  /// Load tier assigned to a query at admission (docs/ROBUSTNESS.md). On
+  /// the copy path there is nothing to skip: the middle tiers answer from
+  /// the index like kFull.
   enum class AdmissionTier : uint8_t {
     kFull,       // whole pipeline
-    kCacheOnly,  // negcache + index probe; delta closure skipped
+    kCacheOnly,  // negcache + index probe; pending updates unaccounted
     kBfsOnly,    // small bounded BFS, no slot/index
     kShed,       // not answered
   };
 
   void ScheduleLocked();
   void RebuildLoop();
-  /// The incremental arm of a drain: a copy of the drained snapshot's
-  /// index takes the drained effective updates through `ApplyUpdate` and
-  /// goes into `snap`. False, with `snap` untouched, when the drain needs
-  /// a full build: there is no index yet, it has no copy, or the copy
-  /// rejects an update, recommends a rebuild or outgrows
-  /// `kIndexGrowthLimit`.
-  bool UpdateIndexCopy(const ServeView& drained, ServeSnapshot* snap) const;
+  /// The view that drops the copy path's replay log once no drain is left
+  /// to replay it (write_mu_ and rebuild_mu_ held).
+  void EndDrainLocked();
   AdmissionTier AdmitTier(size_t inflight_now) const;
   void SetRebuildState(RebuildState state);
   void NoteRebuildFailure(const std::string& error, size_t consecutive);
-  /// Folds `updates` into `gate`'s effective state and, when `snap` has
-  /// an index, appends their new inserts as gates and closes over them
-  /// (two sweeps of `snap.graph` per new gate; no slot, no probe).
-  void ExtendGate(const ServeSnapshot& snap,
-                  std::span<const EdgeUpdate> updates,
-                  PendingGate* gate) const;
   /// `bfs` is the calling thread's union-BFS scratch (its reader
-  /// record's), for the verification and fallback searches.
+  /// record's), for the rebuild path's verification searches.
   ServeAnswer AnswerWithIndex(const ServeView& view, VertexId s, VertexId t,
-                              std::chrono::steady_clock::time_point deadline,
-                              bool allow_delta, bool* waited,
+                              bool allow_pending, bool* waited,
                               SlowQueryRecord* rec,
                               SearchWorkspace& bfs) const;
   ServeAnswer DegradedAnswer(const ServeView& view, VertexId s, VertexId t,
@@ -517,7 +495,7 @@ class ReachService {
   const ServiceOptions options_;
   const size_t num_vertices_;
 
-  // The published snapshot + pending list + gate; one load per query.
+  // The published snapshot + pending list; one load per query.
   AtomicSharedPtr<const ServeView> view_;
   // Verified-unreachable pairs, consulted before the index probe; null
   // when `negcache_capacity == 0`. Epoch-bumped after every
@@ -538,6 +516,11 @@ class ReachService {
   // Stop). Guarded by write_mu_.
   std::condition_variable backpressure_cv_;
   uint64_t next_version_ = 1;
+  // Guarded by write_mu_: whether a drain attempt has loaded the view it
+  // builds from, so that copy-path batches are logged for its replay; and
+  // whether a copy asked for a full build since the last one published.
+  bool log_for_drain_ = false;
+  bool build_wanted_ = false;
 
   // Rebuild handshake: at most one drain task in flight.
   mutable std::mutex rebuild_mu_;
@@ -586,8 +569,8 @@ struct BoundedBfsOutcome {
 /// Breadth-first search over `graph` with `updates` replayed onto it
 /// (last operation per edge wins: effective inserts are added, effective
 /// deletes mask base-graph arcs), giving up after `max_visits` vertex
-/// expansions — the degraded/verification answer path of `ReachService`,
-/// exposed for tests and the differential harness. As in the service, an
+/// expansions — the rebuild path's fallback of `ReachService`, exposed
+/// for tests and the differential harness. As in the service, an
 /// endpoint outside `graph` reaches nothing (a complete negative), and
 /// updates naming one are skipped.
 BoundedBfsOutcome BoundedUnionBfs(const Digraph& graph,

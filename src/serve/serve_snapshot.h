@@ -70,101 +70,56 @@ class SlotPool {
   std::atomic<uint64_t> free_{1};
 };
 
-/// One immutable generation of the serving state: the live graph, the
-/// index answering for it, and the slot pool sized to what the index
-/// actually granted. Published inside a `ServeView` behind an atomic
-/// `shared_ptr` swap (`AtomicSharedPtr`); readers pin a generation for the
-/// duration of one request (a reader record keeps it cached until its
-/// thread's next query) and never observe a half-rebuilt index. All
-/// fields except the slot leases are frozen before publication.
+/// One immutable generation of the serving state: an index, the graph of
+/// the full build behind it, and the slot pool its queries lease from.
+/// Published inside a `ServeView` (`AtomicSharedPtr`); all fields except
+/// the slot leases are frozen before publication.
 struct ServeSnapshot {
   /// Monotonic generation number (0 = the unindexed startup snapshot).
   uint64_t version = 0;
-  /// The live graph this generation serves, which `index` answers for:
-  /// what the gate sweeps and the union BFS walk.
+  /// The graph the last full build behind `index` ran over (the base graph
+  /// before the first build), which the index may point into, and which
+  /// the union BFS replays the rebuild path's pending list onto.
   std::shared_ptr<const Digraph> graph;
-  /// The graph `index` was built over, which the index may keep a pointer
-  /// into (partial indexes guide searches over it; a 2-hop index keeps
-  /// its update overlay on it). `graph` itself after a full build; the
-  /// last full build's graph after an incremental drain, which updated a
-  /// copy of the previous generation's index. Null while no index was
-  /// built (startup, or one loaded from a snapshot file).
-  std::shared_ptr<const Digraph> index_graph;
-  /// Index answering for `graph`; null only in the startup snapshot,
-  /// while the first background build is still in flight — queries then
+  /// Null only before the first build (or snapshot load) — queries then
   /// degrade to the bounded online BFS.
   std::unique_ptr<ReachabilityIndex> index;
-  /// `IndexSizeBytes()` of the index the last full build (or snapshot
-  /// load) behind this generation made: a drain whose index copy outgrows
-  /// `kIndexGrowthLimit` times this runs a full build instead. 0 while
-  /// there is no index.
+  /// `index` when it takes the copy path: built by the service, with
+  /// copies (`DynamicReachabilityIndex::Clone`). Null on the rebuild path.
+  DynamicReachabilityIndex* copyable = nullptr;
+  /// Whether `index` carries updates since its last full build; its
+  /// answers then count as `AnswerSource::kDelta`.
+  bool carries_updates = false;
+  /// `IndexSizeBytes()` of the last full build (or snapshot load) behind
+  /// this generation, for `kIndexGrowthLimit`. 0 while there is no index.
   size_t built_index_bytes = 0;
-  /// Leases for the slots `index->PrepareConcurrentQueries` granted.
-  mutable SlotPool slots;
+  /// Leases for the slots `index->PrepareConcurrentQueries` granted, shared
+  /// by every copy of one full build, as their per-slot scratch is.
+  std::shared_ptr<SlotPool> slots = std::make_shared<SlotPool>();
 };
 
 /// Updates accepted by `ApplyUpdate` (inserts and deletes, in arrival
-/// order) but not yet absorbed into a snapshot. Order matters — the live
-/// edge set is the snapshot graph with these updates replayed in
-/// sequence, so the last operation on an edge wins.
+/// order). Order matters — the live edge set is the snapshot graph with
+/// these updates replayed in sequence, so the last operation on an edge
+/// wins.
 using PendingUpdates = std::vector<EdgeUpdate>;
 
-/// A pending-update list prepared once, when its view is published, so
-/// that no query re-derives it:
-///  * the effective updates (last operation per edge wins): `adds`, the
-///    edges the live graph gains, sorted (so by source, as the union BFS
-///    walks them); `dels`, the snapshot arcs it must mask, sorted;
-///  * the **gate graph** over the pending inserts (the gate vertices of
-///    CSIndex): `gates` holds every distinct insert the list carries, in
-///    arrival order; `reach` the two reach sets of each gate j = (a → b)
-///    over the snapshot graph, from one backward sweep from a and one
-///    forward sweep from b; and `closure` one bitset row per gate — bit j
-///    of row i is set iff gate j's source is reachable from gate i's
-///    target through snapshot paths and other gates.
-/// Gates are append-only over raw inserts: an insert that a later delete
-/// cancels stays a gate, which only widens the superset graph
-/// (snapshot ∪ gates) that queries decide first. The gate graph is built
-/// against one snapshot's graph and left empty when it has no index.
-struct PendingGate {
-  /// Gate j's reach sets, n bits each (n = snapshot vertices), in one
-  /// block of `2 * vertex_words` words: [0, w) is anc(j), the vertices
-  /// that reach gate j's source; [w, 2w) is desc(j), the vertices gate
-  /// j's target reaches. Both are reflexive. Immutable once swept and
-  /// shared by every view that carries the gate, so publishing a view
-  /// copies one pointer per gate, never per-vertex data.
-  using ReachSets = std::shared_ptr<const uint64_t[]>;
-
-  std::vector<Edge> adds;
-  std::vector<Edge> dels;
-  /// Whether any delete op is in the list (the insert-only monotonicity
-  /// shortcut is off while one is).
-  bool has_deletes = false;
-  std::vector<Edge> gates;
-  /// One entry per gate, parallel to `gates`.
-  std::vector<ReachSets> reach;
-  /// Words of one reach set.
-  size_t vertex_words = 0;
-  /// Row stride of `closure`, in 64-bit words.
-  size_t words = 0;
-  std::vector<uint64_t> closure;
-
-  const uint64_t* Row(size_t i) const { return closure.data() + i * words; }
-  /// Gate j's two reach sets (see `ReachSets`).
-  const uint64_t* Anc(size_t j) const { return reach[j].get(); }
-  const uint64_t* Desc(size_t j) const {
-    return reach[j].get() + vertex_words;
-  }
-};
-
-/// Everything one query pins, in one load: a snapshot, the updates
-/// pending on top of it, and their gate built against that snapshot's
-/// graph. Immutable once published; writers and the drain replace the
-/// whole view with one store, so a reader never pairs a snapshot with a
-/// pending list it was not built for.
+/// Everything one query pins, in one load: a snapshot and the updates
+/// accepted on top of it, replaced whole by every publish. On the rebuild
+/// path (`snapshot->copyable` null) `pending` holds the updates the index
+/// does not have, and `adds`/`dels` their effective state (last operation
+/// per edge wins), folded once at publish and sorted, as the union BFS
+/// walks them. On the copy path the index carries every update,
+/// `adds`/`dels` stay empty, and `pending` logs the batches accepted while
+/// a full build runs, for its replay.
 struct ServeView {
   std::shared_ptr<const ServeSnapshot> snapshot;
   PendingUpdates pending;
-  PendingGate gate;
+  std::vector<Edge> adds;
+  std::vector<Edge> dels;
+  /// Copy path: whether a `Flush` returned since the index took its last
+  /// batch.
+  bool settled = false;
 };
 
 // TSan cannot see through libstdc++'s _Sp_atomic lock-bit protocol (the

@@ -136,11 +136,15 @@ TEST_F(ChaosTest, OverloadShedsInsteadOfQueueingAndNeverLies) {
 }
 
 // ---------------------------------------------------------------------
-// Write backpressure.
+// Write backpressure. These tests and the rebuild-resilience ones below
+// serve `grail`, which has no index copy, so updates stay pending until a
+// drain absorbs them (on the copy path a batch pends only while a full
+// build runs).
 
 TEST_F(ChaosTest, RejectPolicyBouncesWritesAtTheCap) {
   const Digraph base = Chain(16);
   ServiceOptions opts;
+  opts.spec = "grail";
   opts.max_pending_edges = 4;
   opts.backpressure = BackpressurePolicy::kReject;
   opts.drain_threshold = 1000;  // no automatic drain: the cap must act
@@ -164,6 +168,7 @@ TEST_F(ChaosTest, RejectPolicyBouncesWritesAtTheCap) {
 TEST_F(ChaosTest, BlockPolicyStallsWritersUntilADrainMakesRoom) {
   const Digraph base = Chain(16);
   ServiceOptions opts;
+  opts.spec = "grail";
   opts.max_pending_edges = 3;
   opts.backpressure = BackpressurePolicy::kBlock;
   opts.drain_threshold = 1000;  // only backpressure ever schedules drains
@@ -191,6 +196,7 @@ TEST_F(ChaosTest, BlockPolicyStallsWritersUntilADrainMakesRoom) {
 TEST_F(ChaosTest, ForceRebuildPolicyAcceptsPastCapAndConverges) {
   const Digraph base = Chain(16);
   ServiceOptions opts;
+  opts.spec = "grail";
   opts.max_pending_edges = 3;
   opts.backpressure = BackpressurePolicy::kForceRebuild;
   opts.drain_threshold = 1000;
@@ -212,6 +218,7 @@ TEST_F(ChaosTest, ForceRebuildPolicyAcceptsPastCapAndConverges) {
 TEST_F(ChaosTest, StopUnblocksAParkedWriter) {
   const Digraph base = Chain(8);
   ServiceOptions opts;
+  opts.spec = "grail";
   opts.max_pending_edges = 1;
   opts.backpressure = BackpressurePolicy::kBlock;
   opts.drain_threshold = 1000;
@@ -235,6 +242,7 @@ TEST_F(ChaosTest, RebuildFailuresRetryWithBackoffAndLastGoodKeepsServing) {
   if (!kFailpointsCompiled) GTEST_SKIP() << "REACH_FAILPOINTS is OFF";
   const Digraph base = Chain(10);
   ServiceOptions opts;
+  opts.spec = "grail";
   opts.drain_threshold = 1000;
   opts.rebuild_backoff_initial = std::chrono::milliseconds(1);
   opts.rebuild_backoff_max = std::chrono::milliseconds(8);
@@ -250,7 +258,7 @@ TEST_F(ChaosTest, RebuildFailuresRetryWithBackoffAndLastGoodKeepsServing) {
       << error;
   ASSERT_TRUE(service.InsertEdge(9, 0));
   // Mid-retry, the last good snapshot serves and the pending edge is
-  // still answered exactly through the delta closure.
+  // still answered exactly through the union BFS.
   const ServeAnswer during = service.Query(5, 2);
   EXPECT_TRUE(during.reachable);
   EXPECT_TRUE(during.exact);
@@ -276,6 +284,7 @@ TEST_F(ChaosTest, RetriesExhaustedReportsFailedThenRecoversOnDisarm) {
   if (!kFailpointsCompiled) GTEST_SKIP() << "REACH_FAILPOINTS is OFF";
   const Digraph base = Chain(10);
   ServiceOptions opts;
+  opts.spec = "grail";
   opts.drain_threshold = 1;  // every insert schedules a drain
   opts.rebuild_max_retries = 1;
   opts.rebuild_backoff_initial = std::chrono::milliseconds(1);
@@ -294,7 +303,7 @@ TEST_F(ChaosTest, RetriesExhaustedReportsFailedThenRecoversOnDisarm) {
       [&] { return service.Health().rebuild == RebuildState::kFailed; }));
   EXPECT_GE(service.stats().rebuild_failures.load(), 2u);
   EXPECT_EQ(service.PendingEdgeCount(), 1u);  // edge kept, not lost
-  // Degraded but correct: the pending edge still answers via the delta.
+  // Degraded but correct: the pending edge still answers via the BFS.
   const ServeAnswer during = service.Query(5, 2);
   EXPECT_TRUE(during.reachable);
   EXPECT_TRUE(during.exact);
@@ -313,6 +322,7 @@ TEST_F(ChaosTest, WatchdogAbandonsAStalledDrainAndTheRetryLands) {
   if (!kFailpointsCompiled) GTEST_SKIP() << "REACH_FAILPOINTS is OFF";
   const Digraph base = Chain(10);
   ServiceOptions opts;
+  opts.spec = "grail";
   opts.drain_threshold = 1000;
   opts.rebuild_watchdog = std::chrono::milliseconds(10);
   opts.rebuild_backoff_initial = std::chrono::milliseconds(1);
@@ -340,6 +350,7 @@ TEST_F(ChaosTest, TombstoneHoldsWhileRebuildsFailAndMaterializesAfter) {
   if (!kFailpointsCompiled) GTEST_SKIP() << "REACH_FAILPOINTS is OFF";
   const Digraph base = Chain(10);
   ServiceOptions opts;
+  opts.spec = "grail";
   opts.drain_threshold = 1000;
   opts.rebuild_backoff_initial = std::chrono::milliseconds(1);
   opts.rebuild_backoff_max = std::chrono::milliseconds(8);
@@ -381,6 +392,7 @@ TEST_F(ChaosTest, ChurnUnderRebuildFaultsStaysExact) {
   constexpr VertexId kN = 24;
   const Digraph base = RandomDigraph(kN, 50, 0xD1CE);
   ServiceOptions opts;
+  opts.spec = "grail";
   opts.drain_threshold = 6;
   opts.rebuild_backoff_initial = std::chrono::milliseconds(1);
   opts.rebuild_backoff_max = std::chrono::milliseconds(4);
@@ -513,6 +525,7 @@ TEST_F(ChaosTest, AtomicSaveLeavesNoTempFileDebrisOnFailure) {
 TEST_F(ChaosTest, HealthTracksLifecycle) {
   const Digraph base = Chain(8);
   ServiceOptions opts;
+  opts.spec = "grail";
   opts.max_inflight_queries = 4;
   opts.max_pending_edges = 10;
   opts.drain_threshold = 1000;
@@ -556,6 +569,7 @@ TEST_F(ChaosTest, ChaosMixDifferentialZeroWrongAnswers) {
   const Digraph base = RandomDigraph(kN, 100, 0xC0DE);
 
   ServiceOptions opts;
+  opts.spec = "grail";
   opts.slots = kReaders;
   opts.drain_threshold = 8;
   opts.max_inflight_queries = 16;

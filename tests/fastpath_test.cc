@@ -18,9 +18,11 @@
 #include "core/fastpath_index.h"
 #include "core/index_factory.h"
 #include "core/observation_stack.h"
+#include "core/reordering_index.h"
 #include "graph/generators.h"
 #include "graph/rng.h"
 #include "obs/metrics_registry.h"
+#include "plain/pruned_two_hop.h"
 #include "traversal/transitive_closure.h"
 
 namespace reach {
@@ -358,6 +360,51 @@ TEST(FastPathIndexTest, DynamicWrapperStaysConformantUnderInserts) {
 
 // ---------------------------------------------------------------------
 // Factory wiring: capability propagation and the spec params.
+
+// The wrappers forward `Clone` (sharing their immutable tables), so a
+// wrapped pll serves on the copy path: the copy answers like its source,
+// updates alone, and reports the live graph in the caller's numbering.
+TEST(FastPathIndexTest, WrappersForwardCopiesThatUpdateAlone) {
+  constexpr VertexId kN = 40;
+  const Digraph g = RandomDigraph(kN, 90, 0xC1);
+  MadeIndex made = MakeIndex("pll:fastpath=1");
+  std::vector<std::unique_ptr<DynamicReachabilityIndex>> sources;
+  sources.emplace_back(
+      dynamic_cast<DynamicReachabilityIndex*>(made.plain.release()));
+  sources.push_back(std::make_unique<DynamicReorderingIndex>(
+      std::make_unique<PrunedTwoHop>(), ReorderStrategy::kDegree));
+  for (const auto& source : sources) {
+    SCOPED_TRACE(source->Name());
+    source->Build(g);
+    const auto answers = [&](const ReachabilityIndex& index) {
+      std::vector<bool> out;
+      for (VertexId s = 0; s < kN; ++s) {
+        for (VertexId t = 0; t < kN; ++t) out.push_back(index.Query(s, t));
+      }
+      return out;
+    };
+    const std::vector<bool> before = answers(*source);
+    std::unique_ptr<DynamicReachabilityIndex> copy = source->Clone();
+    ASSERT_NE(copy, nullptr);
+    EXPECT_EQ(answers(*copy), before);
+
+    const Edge cut = g.Edges().front();
+    ASSERT_TRUE(copy->ApplyUpdate({EdgeUpdate::Delete(cut.source, cut.target),
+                                   EdgeUpdate::Insert(kN - 1, 0)})
+                    .ok());
+    std::vector<Edge> live = g.Edges();
+    live.erase(live.begin());
+    live.push_back({kN - 1, 0});
+    const Digraph live_graph = Digraph::FromEdges(kN, live);
+    TransitiveClosure oracle;
+    oracle.Build(live_graph);
+    EXPECT_EQ(answers(*copy), answers(oracle));
+    EXPECT_EQ(answers(*source), before);
+    const std::unique_ptr<Digraph> reported = copy->LiveGraph();
+    ASSERT_NE(reported, nullptr);
+    EXPECT_EQ(reported->Edges(), live_graph.Edges());
+  }
+}
 
 TEST(FastPathFactoryTest, CapabilityPropagation) {
   const auto static_made = MakeIndex("grail:fastpath=1");

@@ -203,7 +203,7 @@ TEST(ServeDifferentialTest, ConcurrentReadersAndWriterAcrossSwaps) {
   st.ForEachCounter([&](const char* name, const std::atomic<uint64_t>& c) {
     fields.emplace_back(name, c.load());
   });
-  EXPECT_EQ(fields.size(), 30u);
+  EXPECT_EQ(fields.size(), 28u);
   const auto expect_parity = [&](const char* when) {
     const MetricsSnapshot now = MetricsRegistry::Global().Snapshot();
     for (const auto& [name, value] : fields) {
@@ -331,18 +331,18 @@ TEST(ServeDifferentialTest, ConcurrentMixedUpdatesAcrossSwaps) {
 }
 
 // ---------------------------------------------------------------------
-// Incremental drains. A drain updates a copy of the published index when
-// it can, and runs a full build when the index asks for one (damage past
-// its staleness budget), rejects the batch (no live graph), has no copy,
-// or the copy outgrew kIndexGrowthLimit times its last build. These tests
-// drive one writer through seeded rounds of updates and check every pair
-// against a BFS over the live edge set, both while the round is pending
-// and after the Flush that drains it; the `full_builds` counter says
-// which arm each drain took. Where a test counts on incremental drains,
-// the size bound must stay out of the way, so its base has one large
-// strongly connected component, where most random inserts join pairs
-// already connected and add no labels, or it only deletes. (On a sparse
-// 64-vertex DAG a handful of inserts doubles the index.)
+// The copy path. The writer applies each batch to a copy of the published
+// index, and a full build runs in the background only when the copy asks
+// for one (damage past its staleness budget, or growth past
+// kIndexGrowthLimit times its last build); a spec without a copy, or a
+// snapshot-loaded index until its first build, drains on the rebuild
+// path. These tests drive one writer through seeded rounds of updates and
+// check every pair against a BFS over the live edge set, both right after
+// the round is applied and after the Flush that follows; the
+// `full_builds` counter says when a build ran. Where a test counts on
+// copies alone, the size bound must stay out of the way, so its base has
+// one large strongly connected component, where most random inserts join
+// pairs already connected and add no labels, or it only deletes.
 
 // A seeded update stream over `base` with its log, which `LiveAdjacency`
 // replays: random inserts, deletes of live edges, and resurrections of
@@ -415,21 +415,20 @@ void ExpectAnswersMatchLive(const ReachService& service, const UpdateLog& log,
   }
 }
 
-// Applies `batch` (already in `log`), checks every pair while it is
-// pending, drains it with Flush, and checks every pair again.
+// Applies `batch` (already in `log`), checks every pair, flushes, and
+// checks every pair again.
 void DrainAndCheck(ReachService& service, const UpdateLog& log,
                    const UpdateBatch& batch, const std::string& when) {
   ASSERT_TRUE(service.ApplyUpdate(batch).ok()) << when;
-  ExpectAnswersMatchLive(service, log, when + " (pending)");
+  ExpectAnswersMatchLive(service, log, when + " (applied)");
   service.Flush();
   EXPECT_EQ(service.PendingEdgeCount(), 0u) << when;
   ExpectAnswersMatchLive(service, log, when + " (drained)");
 }
 
-// A started service on `base` whose drains run only at Flush, with its
-// first build done. A failed drain retries after about `backoff`. (When
-// the first build ends before `Flush` runs, that Flush drains once more,
-// with nothing pending, so tests count drains from here on.)
+// A started service on `base` whose rebuild-path drains run only at
+// Flush, with its first build done. A failed build retries after about
+// `backoff`.
 std::unique_ptr<ReachService> StartManualDrains(
     const Digraph& base, const std::string& spec,
     std::chrono::milliseconds backoff = std::chrono::milliseconds(1)) {
@@ -445,8 +444,8 @@ std::unique_ptr<ReachService> StartManualDrains(
 }
 
 // Six rounds of at most four deletes stay within pll's staleness budget
-// of 32 damaging deletes, so after the first build every drain updates a
-// copy of the published index.
+// of 32 damaging deletes, so after the first build every batch publishes
+// an updated copy of the index, and no Flush builds.
 TEST(ServeIncrementalDrainTest, DrainsUnderTheBudgetRunNoFullBuild) {
   const Digraph base = RandomDigraph(64, 256, 0x1D2A);
   UpdateLog log(base, 0x1D2B);
@@ -458,12 +457,14 @@ TEST(ServeIncrementalDrainTest, DrainsUnderTheBudgetRunNoFullBuild) {
   }
   EXPECT_EQ(service->stats().rebuilds.load(), drains + 6);
   EXPECT_EQ(service->stats().full_builds.load(), 1u);
+  EXPECT_EQ(service->stats().delete_verifies.load(), 0u);
   service->Stop();
 }
 
 // Chain edges have no detour, so every deleted one damages the labels: the
-// third crosses a staleness budget of 2, and that drain alone runs a full
-// build, which clears the damage for the drains after it.
+// third crosses a staleness budget of 2, so that copy is published and a
+// full build runs behind it, which clears the damage for the batches
+// after it.
 TEST(ServeIncrementalDrainTest, ADrainThatCrossesTheBudgetRunsAFullBuild) {
   const Digraph base = Chain(40);
   UpdateLog log(base, 0xC4A1);
@@ -485,14 +486,14 @@ TEST(ServeIncrementalDrainTest, ADrainThatCrossesTheBudgetRunsAFullBuild) {
                             EdgeUpdate::Delete(12, 13)}),
                 "two deletes after the build");
   EXPECT_EQ(st.full_builds.load(), 2u);
-  EXPECT_EQ(st.rebuilds.load(), drains + 3);
+  EXPECT_EQ(st.rebuilds.load(), drains + 4);  // three copies and a build
   service->Stop();
 }
 
-// Resurrections: an edge deleted in one drain comes back in a later one
+// Resurrections: an edge deleted in one batch comes back in a later one
 // (a tombstone drop in the index copy); an edge inserted after the build
-// is deleted and inserted again, within one batch and across drains. No
-// staleness budget, so every drain is incremental whatever the damage.
+// is deleted and inserted again, within one batch and across batches. No
+// staleness budget, so no build runs whatever the damage.
 TEST(ServeIncrementalDrainTest, ResurrectionsAcrossDrainsStayExact) {
   const Digraph base = RandomDigraph(48, 192, 0x2E5);
   UpdateLog log(base, 0x2E6);
@@ -521,11 +522,10 @@ TEST(ServeIncrementalDrainTest, ResurrectionsAcrossDrainsStayExact) {
   service->Stop();
 }
 
-// A snapshot-loaded index has no live graph, so it rejects the batch and
-// the first drain runs a full build; the drains after it are incremental.
-// They only delete: on 56 vertices the first insert that adds labels
-// sizes the per-vertex delta lists, which alone about doubles the index
-// and so meets the size bound.
+// A snapshot-loaded index has no live graph, so it takes the rebuild
+// path: the first batch stays pending until its drain runs a full build.
+// The batches after it go to copies of that build. They only delete, so
+// the size bound stays out of the way.
 TEST(ServeIncrementalDrainTest, SnapshotStartFallsBackToAFullBuildOnce) {
   const Digraph base = RandomDigraph(56, 224, 0x5A7);
   PrunedTwoHop built;
@@ -540,7 +540,12 @@ TEST(ServeIncrementalDrainTest, SnapshotStartFallsBackToAFullBuildOnce) {
   ASSERT_TRUE(service.StartWithSnapshot(path));
   ExpectAnswersMatchLive(service, log, "loaded");
   const ServeStats& st = service.stats();
-  DrainAndCheck(service, log, log.Next(4, 3, 0), "first drain");
+  ASSERT_TRUE(service.ApplyUpdate(log.Next(4, 3, 0)).ok());
+  EXPECT_EQ(service.PendingEdgeCount(), 7u);
+  ExpectAnswersMatchLive(service, log, "first batch (pending)");
+  service.Flush();
+  EXPECT_EQ(service.PendingEdgeCount(), 0u);
+  ExpectAnswersMatchLive(service, log, "first batch (drained)");
   EXPECT_EQ(st.full_builds.load(), 1u);
   for (int round = 0; round < 3; ++round) {
     DrainAndCheck(service, log, log.Next(0, 3, 0),
@@ -551,8 +556,8 @@ TEST(ServeIncrementalDrainTest, SnapshotStartFallsBackToAFullBuildOnce) {
   service.Stop();
 }
 
-// An index without a copy (GRAIL is static) takes the full-build arm on
-// every drain.
+// An index without a copy (GRAIL is static) takes the rebuild path: a
+// batch stays pending until Flush drains it with a full build.
 TEST(ServeIncrementalDrainTest, AnIndexWithoutACopyBuildsOnEveryDrain) {
   const Digraph base = RandomDag(56, 130, 0x6A1);
   UpdateLog log(base, 0x6A2);
@@ -560,31 +565,36 @@ TEST(ServeIncrementalDrainTest, AnIndexWithoutACopyBuildsOnEveryDrain) {
   const ServeStats& st = service->stats();
   const uint64_t drains = st.rebuilds.load();
   for (int round = 0; round < 3; ++round) {
-    DrainAndCheck(*service, log, log.Next(4, 3, 1),
-                  "round " + std::to_string(round));
+    const UpdateBatch batch = log.Next(4, 3, 1);
+    DrainAndCheck(*service, log, batch, "round " + std::to_string(round));
   }
   EXPECT_EQ(st.rebuilds.load(), drains + 3);
   EXPECT_EQ(st.full_builds.load(), st.rebuilds.load());
   service->Stop();
 }
 
-// The serve.rebuild failpoint fails the next drain before it picks an
-// arm. While the drain backs off, the last good snapshot keeps serving
-// every pair exactly with the updates still pending; the retry then lands
-// an incremental drain.
+// The serve.rebuild failpoint fails the full build a copy asked for.
+// While the build backs off, the copy that asked keeps serving every pair
+// exactly; the retry then lands. Chain edges have no detour, so the
+// second delete crosses a staleness budget of 1.
 TEST(ServeIncrementalDrainTest, FailedIncrementalDrainRetriesAndLands) {
   if (!kFailpointsCompiled) GTEST_SKIP() << "REACH_FAILPOINTS is OFF";
-  const Digraph base = RandomDigraph(56, 224, 0x7F1);
+  const Digraph base = Chain(40);
   UpdateLog log(base, 0x7F2);
-  const auto service =
-      StartManualDrains(base, "pll", std::chrono::milliseconds(400));
-  DrainAndCheck(*service, log, log.Next(0, 2, 0), "before the fault");
-  const uint64_t good_version = service->SnapshotVersion();
+  const auto service = StartManualDrains(base, "pll:staleness=1",
+                                         std::chrono::milliseconds(400));
+  DrainAndCheck(*service, log,
+                log.Record(UpdateBatch{EdgeUpdate::Delete(5, 6)}),
+                "before the fault");
   std::string error;
   ASSERT_TRUE(FailpointRegistry::Global().Arm("serve.rebuild",
                                               "error(times=1)", &error))
       << error;
-  ASSERT_TRUE(service->ApplyUpdate(log.Next(0, 2, 1)).ok());
+  ASSERT_TRUE(service
+                  ->ApplyUpdate(
+                      log.Record(UpdateBatch{EdgeUpdate::Delete(20, 21)}))
+                  .ok());
+  const uint64_t copy_version = service->SnapshotVersion();
   std::thread flusher([&] { service->Flush(); });
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -593,24 +603,25 @@ TEST(ServeIncrementalDrainTest, FailedIncrementalDrainRetriesAndLands) {
     std::this_thread::yield();
   }
   EXPECT_EQ(service->Health().rebuild, RebuildState::kBackoff);
-  EXPECT_EQ(service->SnapshotVersion(), good_version);
-  ExpectAnswersMatchLive(*service, log, "while the drain backs off");
+  EXPECT_EQ(service->SnapshotVersion(), copy_version);
+  ExpectAnswersMatchLive(*service, log, "while the build backs off");
   flusher.join();  // Flush returns once the retry has published
   FailpointRegistry::Global().DisarmAll();
   ExpectAnswersMatchLive(*service, log, "after the retry");
   const ServeStats& st = service->stats();
   EXPECT_EQ(st.rebuild_failures.load(), 1u);
   EXPECT_EQ(st.rebuild_retries.load(), 1u);
-  EXPECT_GT(service->SnapshotVersion(), good_version);
-  EXPECT_EQ(st.full_builds.load(), 1u);
+  EXPECT_GT(service->SnapshotVersion(), copy_version);
+  EXPECT_EQ(st.full_builds.load(), 2u);
   service->Stop();
 }
 
 // Inserts widen 2-hop labels, and an insert-only stream never crosses
 // pll's staleness budget (it counts damaging deletes; `staleness=0` turns
-// it off). The size bound rebuilds it: a drain whose copy passes
-// kIndexGrowthLimit times the size of the last full build runs a full
-// build instead, so no published index exceeds that.
+// it off). The size bound rebuilds it: a copy that passes
+// kIndexGrowthLimit times the size of the last full build asks for a
+// full build, which Flush waits for, so no index a Flush leaves behind
+// exceeds that.
 TEST(ServeIncrementalDrainTest, InsertOnlyStreamsRebuildAtTheSizeBound) {
   for (const char* spec : {"pll", "pll:staleness=0"}) {
     SCOPED_TRACE(spec);
@@ -634,16 +645,17 @@ TEST(ServeIncrementalDrainTest, InsertOnlyStreamsRebuildAtTheSizeBound) {
         EXPECT_LE(bytes, kIndexGrowthLimit * built) << when;
       }
     }
-    const uint64_t drains = st.rebuilds.load() - drains_before;
-    EXPECT_EQ(drains, 16u);
+    // One copy per round, and one generation per build.
+    EXPECT_EQ(st.rebuilds.load() - drains_before,
+              16u + (builds - builds_before));
     EXPECT_GT(builds, builds_before);  // the bound fired
-    EXPECT_LT(builds - builds_before, drains);  // and not on every drain
+    EXPECT_LT(builds - builds_before, 16u);  // and not on every batch
     service->Stop();
   }
 }
 
-// A pair connected only through an arc an earlier drain deleted, asked
-// while another delete is pending, from a source that reaches more than
+// A pair connected only through an arc an earlier batch deleted, asked
+// after another delete, from a source that reaches more than
 // kFallbackVisitBudget vertices. The damaged copy verifies its own
 // witness, so the negative is exact without the bounded union BFS, which
 // could not finish here.
@@ -657,6 +669,7 @@ TEST(ServeIncrementalDrainTest, DamagedCopyNegativesStayExactPastTheBfsBudget) {
   ASSERT_TRUE(service->ApplyUpdate({EdgeUpdate::Delete(2, 1)}).ok());
   service->Flush();
   EXPECT_EQ(service->stats().full_builds.load(), 1u);  // an updated copy
+  EXPECT_EQ(service->PendingEdgeCount(), 0u);
   ASSERT_TRUE(service->ApplyUpdate({EdgeUpdate::Delete(0, 3)}).ok());
   const std::tuple<VertexId, VertexId, bool> pairs[] = {
       {0, 1, false}, {2, 1, false}, {0, 2, true}, {0, 4, true},
@@ -669,186 +682,128 @@ TEST(ServeIncrementalDrainTest, DamagedCopyNegativesStayExactPastTheBfsBudget) {
   service->Stop();
 }
 
-// The gate closure over more than 64 pending inserts (rows span two
-// words), with gates on a cycle, a duplicate insert, an insert that a
-// delete cancels and a later insert revives, and a deleted base edge:
-// all-pairs answers must match the live oracle, and every query makes
-// exactly one index probe (the closure decides on the gates' reach sets).
-// Two base graphs: a DAG, and a cyclic digraph with gates both inside its
-// largest SCC and across SCCs.
-TEST(ServeGateTest, ClosureOverTwoWordRowsMatchesOracleWithLinearProbes) {
-  constexpr VertexId kN = 120;
-  const Digraph dag = RandomDag(kN, 100, 0x6A7E);
-  const Digraph cyclic = RandomDigraph(kN, 150, 0x6A7E);
-
-  // Gates inside the cyclic graph's largest SCC and across SCCs.
-  const SccDecomposition scc = ComputeScc(cyclic);
-  std::vector<VertexId> size_of(scc.num_components, 0);
-  for (const VertexId c : scc.component_of) ++size_of[c];
-  const VertexId big = static_cast<VertexId>(
-      std::max_element(size_of.begin(), size_of.end()) - size_of.begin());
-  std::vector<VertexId> inside;
-  std::vector<VertexId> outside;
-  for (VertexId v = 0; v < kN; ++v) {
-    (scc.component_of[v] == big ? inside : outside).push_back(v);
-  }
-  ASSERT_GE(inside.size(), 3u);
-  ASSERT_GE(outside.size(), 2u);
-  const std::vector<EdgeUpdate> scc_gates = {
-      EdgeUpdate::Insert(inside[0], inside[2]),
-      EdgeUpdate::Insert(inside[2], inside[1]),
-      EdgeUpdate::Insert(inside[1], outside[0]),
-      EdgeUpdate::Insert(outside[1], inside[0]),
-      EdgeUpdate::Insert(outside[0], outside[1])};
-
-  for (const auto& [name, base, extra] :
-       {std::tuple{"dag", &dag, std::vector<EdgeUpdate>{}},
-        std::tuple{"cyclic", &cyclic, scc_gates}}) {
-    SCOPED_TRACE(name);
-    ASSERT_GT(base->NumEdges(), 0u);
+// The seeded differential of both update paths across full builds. A
+// writer applies batches of 1-8 updates mixing inserts, deletes and
+// resurrections on a scale-free DAG, where most deletes damage the
+// labels, so `pll:staleness=2` asks for a full build every few batches
+// and the writer's next batches land while it runs (and are replayed
+// into it). After each batch, and after each Flush, sampled pairs are
+// checked against a BFS over the live edge set; concurrent readers check
+// every exact answer against the live edge set at some batch boundary of
+// their query's window. `grail` has no copy and drains every 8 updates.
+TEST(ServeDifferentialTest, BatchesAcrossFullBuildsMatchLiveBfs) {
+  constexpr VertexId kN = 1500;
+  constexpr size_t kBatches = 60;
+  constexpr size_t kReaders = 2;
+  using Adjacency = std::vector<std::vector<VertexId>>;
+  const auto reaches = [](const Adjacency& adj, VertexId s, VertexId t) {
+    return ReachableFrom(adj, s)[t] != 0;
+  };
+  for (const char* spec : {"pll", "pll:staleness=2", "pll:fastpath=1",
+                           "grail"}) {
+    SCOPED_TRACE(spec);
+    const bool copies = std::string(spec) != "grail";
+    const Digraph base = ScaleFreeDag(kN, 3, 0xD1FF);
+    UpdateLog log(base, 0xD200);
     ServiceOptions opts;
-    opts.drain_threshold = 1000;  // everything below stays pending
-    opts.negcache_capacity = 0;   // every query reaches the index
-    opts.slow_query_threshold = std::chrono::nanoseconds(1);
-    opts.slow_log_capacity = size_t{kN} * kN;
-    ReachService service(*base, opts);
+    opts.spec = spec;
+    opts.slots = kReaders + 1;
+    opts.drain_threshold = 8;
+    ReachService service(base, opts);
     service.Start();
     service.Flush();
-    ASSERT_GE(service.SnapshotVersion(), 1u);
 
-    const Edge base_edge = base->Edges().front();
-    std::vector<EdgeUpdate> log = {
-        // Gates on a cycle, then a duplicate of one of them.
-        EdgeUpdate::Insert(10, 20), EdgeUpdate::Insert(20, 30),
-        EdgeUpdate::Insert(30, 10), EdgeUpdate::Insert(10, 20),
-        // Insert, cancel, revive.
-        EdgeUpdate::Insert(40, 41), EdgeUpdate::Delete(40, 41),
-        EdgeUpdate::Insert(40, 41),
-        // A tombstoned base edge.
-        EdgeUpdate::Delete(base_edge.source, base_edge.target)};
-    std::set<Edge> distinct = {{10, 20}, {20, 30}, {30, 10}, {40, 41}};
-    for (const EdgeUpdate& u : extra) {
-      log.push_back(u);
-      distinct.insert(Edge{u.source, u.target});
+    // states[w]: the live edge set after w batches, published before
+    // batch w is applied.
+    std::vector<std::shared_ptr<const Adjacency>> states(kBatches + 1);
+    states[0] = std::make_shared<const Adjacency>(
+        LiveAdjacency(base, log.log(), 0));
+    std::atomic<size_t> logged{0};
+    std::atomic<size_t> applied{0};
+    std::atomic<bool> done{false};
+    std::atomic<uint64_t> wrong{0};
+    std::atomic<uint64_t> inexact{0};
+    std::vector<std::thread> readers;
+    for (size_t r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        Xoshiro256ss rng(0xD300 + r);
+        while (!done.load(std::memory_order_acquire)) {
+          const auto s = static_cast<VertexId>(rng.NextBounded(kN));
+          const auto t = static_cast<VertexId>(rng.NextBounded(kN));
+          const size_t w_before = applied.load(std::memory_order_acquire);
+          const ServeAnswer ans = service.Query(s, t);
+          const size_t w_after = logged.load(std::memory_order_acquire);
+          if (!ans.exact) {
+            ++inexact;
+            continue;
+          }
+          bool justified = false;
+          for (size_t w = w_before; w <= w_after && !justified; ++w) {
+            justified = reaches(*states[w], s, t) == ans.reachable;
+          }
+          if (!justified) ++wrong;
+        }
+      });
     }
-    Xoshiro256ss rng(0x6A7E);
-    while (distinct.size() < 70) {
-      const Edge e{static_cast<VertexId>(rng.NextBounded(kN)),
-                   static_cast<VertexId>(rng.NextBounded(kN))};
-      if (distinct.insert(e).second) {
-        log.push_back(EdgeUpdate::Insert(e.source, e.target));
-      }
-    }
-    for (const EdgeUpdate& u : log) {
-      ASSERT_TRUE(service.ApplyUpdate({u}).ok());
-    }
-    ASSERT_EQ(service.PendingEdgeCount(), log.size());
 
-    const std::vector<std::vector<VertexId>> live =
-        LiveAdjacency(*base, log, log.size());
-    size_t positives = 0;
-    for (VertexId s = 0; s < kN; ++s) {
-      const std::vector<uint8_t> oracle = ReachableFrom(live, s);
-      for (VertexId t = 0; t < kN; ++t) {
+    Xoshiro256ss rng(0xD400);
+    size_t most_pending = 0;
+    const auto check = [&](const Adjacency& live, size_t pairs,
+                           const std::string& when) {
+      for (size_t i = 0; i < pairs; ++i) {
+        const auto s = static_cast<VertexId>(rng.NextBounded(kN));
+        const auto t = static_cast<VertexId>(rng.NextBounded(kN));
         const ServeAnswer ans = service.Query(s, t);
-        EXPECT_EQ(ans.reachable, oracle[t] != 0) << s << "->" << t;
-        EXPECT_TRUE(ans.exact) << s << "->" << t;
-        positives += oracle[t];
+        ASSERT_TRUE(ans.exact) << when << ": " << s << "->" << t;
+        ASSERT_EQ(ans.reachable, reaches(live, s, t))
+            << when << ": " << s << "->" << t;
+      }
+    };
+    for (size_t i = 0; i < kBatches; ++i) {
+      const size_t size = 1 + rng.NextBounded(8);
+      const size_t deletes = rng.NextBounded(size + 1);
+      const size_t resurrections = rng.NextBounded(size - deletes + 1);
+      const UpdateBatch batch =
+          log.Next(size - deletes - resurrections, deletes, resurrections);
+      states[i + 1] = std::make_shared<const Adjacency>(
+          LiveAdjacency(base, log.log(), log.log().size()));
+      logged.store(i + 1, std::memory_order_release);
+      ASSERT_TRUE(service.ApplyUpdate(batch).ok());
+      applied.store(i + 1, std::memory_order_release);
+      most_pending = std::max(most_pending, service.PendingEdgeCount());
+      const std::string when = "batch " + std::to_string(i);
+      check(*states[i + 1], 16, when);
+      if (i % 10 == 9) {
+        service.Flush();
+        EXPECT_EQ(service.PendingEdgeCount(), 0u) << when;
+        check(*states[i + 1], 64, when + " (flushed)");
       }
     }
-    // Both answers occur, and the closure decided some of them.
-    EXPECT_GT(positives, size_t{kN});
-    EXPECT_LT(positives, size_t{kN} * kN);
-    EXPECT_GT(service.stats().delta_answers.load(), 0u);
+    done.store(true, std::memory_order_release);
+    for (auto& th : readers) th.join();
 
-    const std::vector<SlowQueryRecord> records = service.SlowQueries();
-    EXPECT_EQ(records.size(), size_t{kN} * kN);
-    for (const SlowQueryRecord& rec : records) {
-      EXPECT_EQ(rec.index_probes, 1u) << rec.s << "->" << rec.t;
-      EXPECT_EQ(rec.pending_edges, log.size());
+    EXPECT_EQ(wrong.load(), 0u);
+    EXPECT_EQ(inexact.load(), 0u);  // the visit budget covers kN vertices
+    const ServeStats& st = service.stats();
+    if (copies) {
+      // Every batch went to a copy: nothing was ever verified around it.
+      EXPECT_GT(st.delta_answers.load(), 0u);
+      EXPECT_EQ(st.fallback_answers.load(), 0u);
+      EXPECT_EQ(st.delete_verifies.load(), 0u);
+    } else {
+      EXPECT_GT(st.fallback_answers.load(), 0u);
+    }
+    if (std::string(spec) == "pll:staleness=2") {
+      EXPECT_GT(st.full_builds.load(), 3u);
+      // Batches landed while a full build ran, and were replayed into it.
+      EXPECT_GT(most_pending, 0u);
     }
     service.Stop();
   }
 }
 
-// Inserts that land while a drain publishes are folded in under the
-// write lock and must be swept over the graph of the snapshot that drain
-// publishes. The drain here absorbs an arc h → x from a hub h into the
-// center x of a large star. Each gate a → b has b → h as its only base
-// arc, so a gate swept over the old graph would miss the whole star. The
-// writer paces its inserts, keeps going until the swap lands, and every
-// gate inserted around the swap must then answer exactly. Sweeping the
-// star takes the drain far longer than one paced insert, so inserts land
-// between the drain's suffix sweeps and its publish.
-TEST(ServeGateTest, InsertsRacingADrainSweepItsNewGraph) {
-  constexpr VertexId kLeaves = 1 << 16;
-  constexpr VertexId kCenter = 0;           // leaves are 1 .. kLeaves
-  constexpr VertexId kHub = kLeaves + 1;
-  constexpr VertexId kTargets = 16;         // gate targets, each -> hub
-  constexpr VertexId kSources = 1024;       // gate sources, isolated
-  constexpr VertexId kFirstTarget = kHub + 1;
-  constexpr VertexId kFirstSource = kFirstTarget + kTargets;
-  constexpr VertexId kN = kFirstSource + kSources;
-  constexpr size_t kDrainAt = 2048;
-  std::vector<Edge> edges;
-  for (VertexId v = 1; v <= kLeaves; ++v) edges.push_back({kCenter, v});
-  for (VertexId b = kFirstTarget; b < kFirstSource; ++b) {
-    edges.push_back({b, kHub});
-  }
-  const Digraph base = Digraph::FromEdges(kN, edges);
-
-  ServiceOptions opts;
-  opts.drain_threshold = kDrainAt;
-  opts.negcache_capacity = 0;
-  ReachService service(base, opts);
-  service.Start();
-  service.Flush();
-  ASSERT_EQ(service.SnapshotVersion(), 1u);
-
-  // The hub arc plus deletes of absent arcs fill the drain threshold, so
-  // this batch schedules the one drain of the test.
-  UpdateBatch join = {EdgeUpdate::Insert(kHub, kCenter)};
-  for (VertexId v = 1; join.size() < kDrainAt; ++v) {
-    join.push_back(EdgeUpdate::Delete(kHub, v));
-  }
-  ASSERT_TRUE(service.ApplyUpdate(join).ok());
-  std::vector<Edge> gates;
-  for (VertexId a = kFirstSource;
-       a < kN && service.SnapshotVersion() == 1; ++a) {
-    gates.push_back({a, kFirstTarget + a % kTargets});
-    ASSERT_TRUE(service.InsertEdge(a, gates.back().target));
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  for (int i = 0; i < 2000 && service.SnapshotVersion() == 1; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_EQ(service.SnapshotVersion(), 2u);
-  // Below the threshold, no second drain absorbs the gates under test.
-  ASSERT_LT(service.PendingEdgeCount(), kDrainAt);
-
-  // A gate's source has no other arc, so it reaches itself and what the
-  // gate's target reaches in the live graph.
-  std::vector<EdgeUpdate> log = join;
-  for (const Edge& e : gates) {
-    log.push_back(EdgeUpdate::Insert(e.source, e.target));
-  }
-  const std::vector<std::vector<VertexId>> live =
-      LiveAdjacency(base, log, log.size());
-  std::vector<std::vector<uint8_t>> from_target;
-  for (VertexId b = kFirstTarget; b < kFirstSource; ++b) {
-    from_target.push_back(ReachableFrom(live, b));
-  }
-  for (const Edge& e : gates) {
-    const std::vector<uint8_t>& oracle = from_target[e.target - kFirstTarget];
-    for (VertexId t = 0; t < kN; t += 257) {
-      const ServeAnswer ans = service.Query(e.source, t);
-      ASSERT_EQ(ans.reachable, t == e.source || oracle[t] != 0)
-          << e.source << "->" << t;
-      ASSERT_TRUE(ans.exact);
-    }
-  }
-  service.Stop();
-}
+// ---------------------------------------------------------------------
+// The rebuild path's bounded BFS, the reader records and admission.
 
 TEST(ServeFallbackTest, AnswersExactlyBeforeStartViaBoundedBfs) {
   const Digraph g = figure1::PlainGraph();
@@ -867,140 +822,184 @@ TEST(ServeFallbackTest, AnswersExactlyBeforeStartViaBoundedBfs) {
             service.stats().queries.load());
 }
 
+// What answered a query on the copy path (`copies`): kDelta, or kIndex
+// once a full build the copy asked for has landed. On the rebuild path:
+// `rebuild_path`.
+void ExpectSource(const ServeAnswer& ans, bool copies,
+                  AnswerSource rebuild_path) {
+  if (copies) {
+    EXPECT_TRUE(ans.source == AnswerSource::kDelta ||
+                ans.source == AnswerSource::kIndex);
+  } else {
+    EXPECT_EQ(ans.source, rebuild_path);
+  }
+}
+
+// The two update paths on the same chain. On the copy path (pll) every
+// update is in the published copy at once: nothing pends, and the copy's
+// answers count as kDelta until a full build replaces it (on a 10-vertex
+// chain the first label-adding insert passes the size bound, so Flush
+// waits for one). On the rebuild path (grail) the update pends: an index
+// answer the pending updates cannot change stays kIndex, the rest go to
+// the union BFS, and Flush drains them into a fresh build that answers
+// alone.
 TEST(ServeDeltaTest, PendingEdgesAnsweredExactlyBeforeDrain) {
-  const Digraph g = Chain(10);  // 0 -> 1 -> ... -> 9
-  ServiceOptions opts;
-  opts.drain_threshold = 1000;  // no automatic drain
-  ReachService service(g, opts);
-  service.Start();
-  service.Flush();  // wait for the index over the base chain
-  ASSERT_GE(service.SnapshotVersion(), 1u);
+  for (const char* spec : {"pll", "grail"}) {
+    SCOPED_TRACE(spec);
+    const bool copies = std::string(spec) == "pll";
+    const Digraph g = Chain(10);  // 0 -> 1 -> ... -> 9
+    ServiceOptions opts;
+    opts.spec = spec;
+    opts.drain_threshold = 1000;  // no automatic drain
+    ReachService service(g, opts);
+    service.Start();
+    service.Flush();  // wait for the index over the base chain
+    ASSERT_GE(service.SnapshotVersion(), 1u);
 
-  // A pure index hit is untouched by pending edges.
-  ServeAnswer hit = service.Query(0, 9);
-  EXPECT_TRUE(hit.reachable);
-  EXPECT_EQ(hit.source, AnswerSource::kIndex);
+    ServeAnswer hit = service.Query(0, 9);
+    EXPECT_TRUE(hit.reachable);
+    EXPECT_EQ(hit.source, AnswerSource::kIndex);
 
-  // 9 -> 0 closes the cycle: 5 now reaches 2 through one pending edge.
-  ASSERT_TRUE(service.InsertEdge(9, 0));
-  EXPECT_EQ(service.PendingEdgeCount(), 1u);
-  ServeAnswer via_delta = service.Query(5, 2);
-  EXPECT_TRUE(via_delta.reachable);
-  EXPECT_TRUE(via_delta.exact);
-  EXPECT_EQ(via_delta.source, AnswerSource::kDelta);
+    // 9 -> 0 closes the cycle: 5 now reaches 2 through the new edge.
+    const uint64_t version = service.SnapshotVersion();
+    ASSERT_TRUE(service.InsertEdge(9, 0));
+    EXPECT_EQ(service.PendingEdgeCount(), copies ? 0u : 1u);
+    const ServeAnswer via_update = service.Query(5, 2);
+    EXPECT_TRUE(via_update.reachable);
+    EXPECT_TRUE(via_update.exact);
+    ExpectSource(via_update, copies, AnswerSource::kFallbackBfs);
+    // An index positive stays exact with only inserts pending.
+    ExpectSource(service.Query(0, 9), copies, AnswerSource::kIndex);
 
-  // After the drain the same answer comes straight from the new index.
-  service.Flush();
-  EXPECT_EQ(service.PendingEdgeCount(), 0u);
-  ServeAnswer via_index = service.Query(5, 2);
-  EXPECT_TRUE(via_index.reachable);
-  EXPECT_EQ(via_index.source, AnswerSource::kIndex);
-  EXPECT_GT(via_index.snapshot_version, via_delta.snapshot_version);
-  service.Stop();
+    service.Flush();
+    EXPECT_EQ(service.PendingEdgeCount(), 0u);
+    EXPECT_EQ(service.stats().full_builds.load(), 2u);
+    const ServeAnswer after = service.Query(5, 2);
+    EXPECT_TRUE(after.reachable);
+    EXPECT_EQ(after.source, AnswerSource::kIndex);
+    // The copy, then the build.
+    EXPECT_EQ(after.snapshot_version, version + (copies ? 2 : 1));
+    service.Stop();
+  }
 }
 
 TEST(ServeDeltaTest, ChainedPendingEdgesAndExactNegatives) {
-  const Digraph g = Chain(10);
-  ServiceOptions opts;
-  opts.drain_threshold = 1000;
-  ReachService service(g, opts);
-  service.Start();
-  service.Flush();
+  for (const char* spec : {"pll", "grail"}) {
+    SCOPED_TRACE(spec);
+    const bool copies = std::string(spec) == "pll";
+    const Digraph g = Chain(10);
+    ServiceOptions opts;
+    opts.spec = spec;
+    opts.drain_threshold = 1000;
+    ReachService service(g, opts);
+    service.Start();
+    service.Flush();
 
-  // 8 reaches 1 only through the *two* pending edges 9->4 then 4->1.
-  ASSERT_TRUE(service.InsertEdge(9, 4));
-  ASSERT_TRUE(service.InsertEdge(4, 1));
-  ServeAnswer two_hop = service.Query(8, 1);
-  EXPECT_TRUE(two_hop.reachable);
-  EXPECT_TRUE(two_hop.exact);
-  EXPECT_EQ(two_hop.source, AnswerSource::kDelta);
+    // 8 reaches 1 only through *two* new edges, 9->4 then 4->1.
+    ASSERT_TRUE(service.InsertEdge(9, 4));
+    ASSERT_TRUE(service.InsertEdge(4, 1));
+    const ServeAnswer two_hop = service.Query(8, 1);
+    EXPECT_TRUE(two_hop.reachable);
+    EXPECT_TRUE(two_hop.exact);
+    ExpectSource(two_hop, copies, AnswerSource::kFallbackBfs);
 
-  // 7 -> 0 stays unreachable even with both pending edges (nothing ever
-  // enters 0); the closure walks both and proves the exact negative.
-  ServeAnswer negative = service.Query(7, 0);
-  EXPECT_FALSE(negative.reachable);
-  EXPECT_TRUE(negative.exact);
-  EXPECT_EQ(negative.source, AnswerSource::kDelta);
-  service.Stop();
+    // 7 -> 0 stays unreachable even with both new edges (nothing ever
+    // enters 0): an exact negative.
+    const ServeAnswer negative = service.Query(7, 0);
+    EXPECT_FALSE(negative.reachable);
+    EXPECT_TRUE(negative.exact);
+    ExpectSource(negative, copies, AnswerSource::kFallbackBfs);
+    service.Stop();
+  }
 }
 
 TEST(ServeDeltaTest, PendingDeleteAnsweredExactlyAndSurvivesSwap) {
-  const Digraph g = Chain(10);
-  ServiceOptions opts;
-  opts.drain_threshold = 1000;  // no automatic drain
-  ReachService service(g, opts);
-  service.Start();
-  service.Flush();
-  ASSERT_TRUE(service.Query(0, 9).reachable);
+  for (const char* spec : {"pll", "grail"}) {
+    SCOPED_TRACE(spec);
+    const bool copies = std::string(spec) == "pll";
+    const Digraph g = Chain(10);
+    ServiceOptions opts;
+    opts.spec = spec;
+    opts.drain_threshold = 1000;  // no automatic drain
+    opts.negcache_capacity = 0;   // every query reaches the index
+    ReachService service(g, opts);
+    service.Start();
+    service.Flush();
+    ASSERT_TRUE(service.Query(0, 9).reachable);
 
-  // Cut the chain in the middle. The snapshot index still says "yes" for
-  // 0->9, so the service must re-verify against the live union graph and
-  // return the exact negative.
-  ASSERT_TRUE(service.DeleteEdge(4, 5));
-  EXPECT_EQ(service.PendingEdgeCount(), 1u);
-  const ServeAnswer cut = service.Query(0, 9);
-  EXPECT_FALSE(cut.reachable);
-  EXPECT_TRUE(cut.exact);
-  EXPECT_GE(service.stats().deletes.load(), 1u);
-  EXPECT_GE(service.stats().delete_verifies.load(), 1u);
-  // Pairs on either side of the cut are unaffected.
-  EXPECT_TRUE(service.Query(0, 4).reachable);
-  EXPECT_TRUE(service.Query(5, 9).reachable);
+    // Cut the chain in the middle. The copy knows the arc is gone; the
+    // rebuild path's index still says "yes" for 0->9, so the service
+    // re-verifies against the live union graph.
+    ASSERT_TRUE(service.DeleteEdge(4, 5));
+    EXPECT_EQ(service.PendingEdgeCount(), copies ? 0u : 1u);
+    const ServeAnswer cut = service.Query(0, 9);
+    EXPECT_FALSE(cut.reachable);
+    EXPECT_TRUE(cut.exact);
+    EXPECT_GE(service.stats().deletes.load(), 1u);
+    EXPECT_EQ(service.stats().delete_verifies.load(), copies ? 0u : 1u);
+    // Pairs on either side of the cut are unaffected.
+    EXPECT_TRUE(service.Query(0, 4).reachable);
+    EXPECT_TRUE(service.Query(5, 9).reachable);
 
-  // The tombstone must be materialized by the snapshot swap: after the
-  // drain the new index itself knows the arc is gone.
-  service.Flush();
-  EXPECT_EQ(service.PendingEdgeCount(), 0u);
-  const ServeAnswer after = service.Query(0, 9);
-  EXPECT_FALSE(after.reachable);
-  EXPECT_TRUE(after.exact);
-  EXPECT_EQ(after.source, AnswerSource::kIndex);
+    // After Flush the index itself knows the arc is gone.
+    service.Flush();
+    EXPECT_EQ(service.PendingEdgeCount(), 0u);
+    const ServeAnswer after = service.Query(0, 9);
+    EXPECT_FALSE(after.reachable);
+    EXPECT_TRUE(after.exact);
+    ExpectSource(after, copies, AnswerSource::kIndex);
 
-  // Re-inserting resurrects the path end-to-end.
-  ASSERT_TRUE(service.InsertEdge(4, 5));
-  EXPECT_TRUE(service.Query(0, 9).reachable);
-  service.Flush();
-  EXPECT_TRUE(service.Query(0, 9).reachable);
-  service.Stop();
+    // Re-inserting resurrects the path end-to-end.
+    ASSERT_TRUE(service.InsertEdge(4, 5));
+    EXPECT_TRUE(service.Query(0, 9).reachable);
+    service.Flush();
+    EXPECT_TRUE(service.Query(0, 9).reachable);
+    service.Stop();
+  }
 }
 
 TEST(ServeUpdateTest, MixedBatchIsAtomicAndValidateFirst) {
-  const Digraph g = Chain(6);
-  ServiceOptions opts;
-  opts.drain_threshold = 1000;
-  ReachService service(g, opts);
-  service.Start();
-  service.Flush();
+  for (const char* spec : {"pll", "grail"}) {
+    SCOPED_TRACE(spec);
+    const size_t pending = std::string(spec) == "pll" ? 0 : 2;
+    const Digraph g = Chain(6);
+    ServiceOptions opts;
+    opts.spec = spec;
+    opts.drain_threshold = 1000;
+    ReachService service(g, opts);
+    service.Start();
+    service.Flush();
 
-  // One batch: cut 2->3 but bridge around it with 1->4.
-  const UpdateResult result = service.ApplyUpdate(
-      {EdgeUpdate::Delete(2, 3), EdgeUpdate::Insert(1, 4)});
-  EXPECT_EQ(result.status, UpdateStatus::kApplied);
-  EXPECT_EQ(result.applied, 2u);
-  EXPECT_EQ(service.PendingEdgeCount(), 2u);
-  const ServeAnswer detour = service.Query(0, 5);
-  EXPECT_TRUE(detour.reachable);
-  EXPECT_TRUE(detour.exact);
-  const ServeAnswer severed = service.Query(2, 3);
-  EXPECT_FALSE(severed.reachable);
-  EXPECT_TRUE(severed.exact);
+    // One batch: cut 2->3 but bridge around it with 1->4.
+    const UpdateResult result = service.ApplyUpdate(
+        {EdgeUpdate::Delete(2, 3), EdgeUpdate::Insert(1, 4)});
+    EXPECT_EQ(result.status, UpdateStatus::kApplied);
+    EXPECT_EQ(result.applied, 2u);
+    EXPECT_EQ(service.PendingEdgeCount(), pending);
+    const ServeAnswer detour = service.Query(0, 5);
+    EXPECT_TRUE(detour.reachable);
+    EXPECT_TRUE(detour.exact);
+    const ServeAnswer severed = service.Query(2, 3);
+    EXPECT_FALSE(severed.reachable);
+    EXPECT_TRUE(severed.exact);
 
-  // An out-of-range element rejects the whole batch before any of it is
-  // buffered: the in-range delete ahead of it leaves no trace.
-  const UpdateResult bad = service.ApplyUpdate(
-      {EdgeUpdate::Delete(0, 1), EdgeUpdate::Insert(0, 99)});
-  EXPECT_EQ(bad.status, UpdateStatus::kRejected);
-  EXPECT_FALSE(bad.ok());
-  EXPECT_FALSE(bad.reason.empty());
-  EXPECT_EQ(service.PendingEdgeCount(), 2u);
-  EXPECT_GE(service.stats().update_rejected.load(), 1u);
-  EXPECT_TRUE(service.Query(0, 1).reachable);
+    // An out-of-range element rejects the whole batch before any of it
+    // takes effect: the in-range delete ahead of it leaves no trace.
+    const UpdateResult bad = service.ApplyUpdate(
+        {EdgeUpdate::Delete(0, 1), EdgeUpdate::Insert(0, 99)});
+    EXPECT_EQ(bad.status, UpdateStatus::kRejected);
+    EXPECT_FALSE(bad.ok());
+    EXPECT_FALSE(bad.reason.empty());
+    EXPECT_EQ(service.PendingEdgeCount(), pending);
+    EXPECT_GE(service.stats().update_rejected.load(), 1u);
+    EXPECT_TRUE(service.Query(0, 1).reachable);
 
-  // Both effects of the good batch survive materialization.
-  service.Flush();
-  EXPECT_TRUE(service.Query(0, 5).reachable);
-  EXPECT_FALSE(service.Query(2, 3).reachable);
-  service.Stop();
+    // Both effects of the good batch survive the Flush.
+    service.Flush();
+    EXPECT_TRUE(service.Query(0, 5).reachable);
+    EXPECT_FALSE(service.Query(2, 3).reachable);
+    service.Stop();
+  }
 }
 
 TEST(ServeUpdateTest, DeleteOnlyBatchKeepsNegativeCacheWarm) {
@@ -1035,9 +1034,11 @@ TEST(ServeUpdateTest, DeleteOnlyBatchKeepsNegativeCacheWarm) {
   service.Stop();
 }
 
+// On the rebuild path (grail; on the copy path nothing is pending).
 TEST(ServeUpdateTest, NegativeVerifiedWithAnInsertPendingIsNotCached) {
   const Digraph g = Chain(10);
   ServiceOptions opts;
+  opts.spec = "grail";
   opts.drain_threshold = 1000;
   opts.negcache_capacity = 256;
   ReachService service(g, opts);
@@ -1053,33 +1054,13 @@ TEST(ServeUpdateTest, NegativeVerifiedWithAnInsertPendingIsNotCached) {
   const ServeAnswer repeat = service.Query(3, 0);
   EXPECT_FALSE(repeat.reachable);
   EXPECT_TRUE(repeat.exact);
-  EXPECT_EQ(repeat.source, AnswerSource::kDelta);
+  EXPECT_EQ(repeat.source, AnswerSource::kFallbackBfs);
   EXPECT_EQ(service.stats().negcache_hits.load(), 0u);
 
   // With nothing pending the same negative is cached again.
   service.Flush();
   ASSERT_FALSE(service.Query(3, 0).reachable);
   EXPECT_EQ(service.Query(3, 0).source, AnswerSource::kNegCache);
-  service.Stop();
-}
-
-TEST(ServeDeadlineTest, ExpiredDeadlineDegradesToBoundedBfs) {
-  const Digraph g = Chain(64);
-  ServiceOptions opts;
-  opts.drain_threshold = 1000;
-  opts.deadline = std::chrono::nanoseconds(1);  // expires instantly
-  ReachService service(g, opts);
-  service.Start();
-  service.Flush();
-
-  // Redundant forward edges whose tails 32 reaches, so the delta closure
-  // has real work queued when the (already expired) deadline is checked.
-  for (VertexId v = 40; v < 48; ++v) ASSERT_TRUE(service.InsertEdge(v, v + 1));
-  const ServeAnswer ans = service.Query(32, 0);  // backward: unreachable
-  EXPECT_FALSE(ans.reachable);
-  EXPECT_TRUE(ans.exact);  // budget covers 64 vertices
-  EXPECT_EQ(ans.source, AnswerSource::kFallbackBfs);
-  EXPECT_GE(service.stats().deadline_degraded.load(), 1u);
   service.Stop();
 }
 
@@ -1167,6 +1148,25 @@ TEST(ServeLifecycleTest, FlushOnUnstartedServiceReturns) {
   }
 }
 
+// Flush schedules a drain only when one is owed: with the first build
+// published and nothing pending, it returns without publishing another
+// generation (for grail, another full build).
+TEST(ServeLifecycleTest, FlushWithNothingPendingPublishesNothing) {
+  ServiceOptions opts;
+  opts.spec = "grail";
+  ReachService service(Chain(40), opts);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(service.Start());
+    service.Flush();
+    EXPECT_EQ(service.stats().rebuilds.load(), 1u) << i;
+    const uint64_t version = service.SnapshotVersion();
+    service.Flush();
+    EXPECT_EQ(service.SnapshotVersion(), version) << i;
+  }
+  EXPECT_EQ(service.stats().full_builds.load(), 1u);
+  service.Stop();
+}
+
 TEST(BoundedUnionBfsTest, RespectsVisitBudget) {
   const Digraph g = Chain(100);
   const BoundedBfsOutcome starved = BoundedUnionBfs(g, {}, 0, 99, 10);
@@ -1235,43 +1235,56 @@ TEST(BoundedUnionBfsTest, MasksDeletedBaseArcsWithLastOpWins) {
 
 // A reader that keeps its cached view between queries still sees a
 // write another thread made, as soon as that ApplyUpdate returned, and
-// the drained snapshot once Flush returned.
+// the drained snapshot once Flush returned. The copy path publishes a
+// new generation per batch; the rebuild path keeps the snapshot and
+// answers the pending insert by the union BFS until Flush drains it.
 TEST(ServeReaderTest, CachedViewSeesInsertOnceApplyReturnsAndSwapAfterFlush) {
-  const Digraph g = Chain(10);
-  ServiceOptions opts;
-  opts.drain_threshold = 1000;  // no automatic drain
-  ReachService service(g, opts);
-  service.Start();
-  service.Flush();
+  for (const char* spec : {"pll", "grail"}) {
+    SCOPED_TRACE(spec);
+    const bool copies = std::string(spec) == "pll";
+    const Digraph g = Chain(10);
+    ServiceOptions opts;
+    opts.spec = spec;
+    opts.drain_threshold = 1000;  // no automatic drain
+    ReachService service(g, opts);
+    service.Start();
+    service.Flush();
 
-  std::promise<void> inserted;
-  std::promise<void> flushed;
-  std::promise<ServeAnswer> before;
-  std::promise<ServeAnswer> after_insert;
-  std::promise<ServeAnswer> after_flush;
-  std::thread reader([&] {
-    before.set_value(service.Query(9, 0));
-    inserted.get_future().wait();
-    after_insert.set_value(service.Query(9, 0));
-    flushed.get_future().wait();
-    after_flush.set_value(service.Query(9, 0));
-  });
-  const ServeAnswer a = before.get_future().get();
-  EXPECT_FALSE(a.reachable);
-  ASSERT_TRUE(service.InsertEdge(9, 0));
-  inserted.set_value();
-  const ServeAnswer b = after_insert.get_future().get();
-  EXPECT_TRUE(b.reachable);
-  EXPECT_EQ(b.source, AnswerSource::kDelta);
-  EXPECT_EQ(b.snapshot_version, a.snapshot_version);
-  service.Flush();
-  flushed.set_value();
-  const ServeAnswer c = after_flush.get_future().get();
-  EXPECT_TRUE(c.reachable);
-  EXPECT_EQ(c.source, AnswerSource::kIndex);
-  EXPECT_GT(c.snapshot_version, a.snapshot_version);
-  reader.join();
-  service.Stop();
+    std::promise<void> inserted;
+    std::promise<void> flushed;
+    std::promise<ServeAnswer> before;
+    std::promise<ServeAnswer> after_insert;
+    std::promise<ServeAnswer> after_flush;
+    std::thread reader([&] {
+      before.set_value(service.Query(9, 0));
+      inserted.get_future().wait();
+      after_insert.set_value(service.Query(9, 0));
+      flushed.get_future().wait();
+      after_flush.set_value(service.Query(9, 0));
+    });
+    const ServeAnswer a = before.get_future().get();
+    EXPECT_FALSE(a.reachable);
+    ASSERT_TRUE(service.InsertEdge(9, 0));
+    inserted.set_value();
+    const ServeAnswer b = after_insert.get_future().get();
+    EXPECT_TRUE(b.reachable);
+    EXPECT_TRUE(b.exact);
+    EXPECT_EQ(b.snapshot_version > a.snapshot_version, copies);
+    // On the 10-vertex chain the insert passes the copy's size bound, so
+    // both paths end in a full build that Flush waits for (on the copy
+    // path it may have landed before `b`).
+    if (!copies) {
+      EXPECT_EQ(b.source, AnswerSource::kFallbackBfs);
+    }
+    service.Flush();
+    flushed.set_value();
+    const ServeAnswer c = after_flush.get_future().get();
+    EXPECT_TRUE(c.reachable);
+    EXPECT_EQ(c.source, AnswerSource::kIndex);
+    EXPECT_GT(c.snapshot_version, a.snapshot_version + (copies ? 1 : 0));
+    reader.join();
+    service.Stop();
+  }
 }
 
 // A thread finds its record by the service's id, not its address: a new

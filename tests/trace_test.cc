@@ -221,55 +221,70 @@ TEST(TraceExporterTest, ReportsDroppedEvents) {
 // Slow-query log (ReachService).
 
 Digraph ChainWithTail() {
-  // 0 -> 1, 2 and 3 isolated: pending edge 1 -> 2 makes (0, 3) a closure
-  // query that can never answer true.
+  // 0 -> 1, 2 and 3 isolated: edge 1 -> 2 makes (0, 3) a query that
+  // updates reach without ever making it true.
   return Digraph::FromEdges(4, {{0, 1}});
 }
 
-TEST(SlowQueryLogTest, DeadlineDegradedQueriesAreAlwaysCaptured) {
-  ServiceOptions options;
-  options.deadline = std::chrono::nanoseconds(1);
-  options.drain_threshold = 100;  // keep the inserted edge pending
-  // The test repeats one identical negative query; the negative-result
-  // cache would answer repeats in O(1) and skip the degradation under
-  // test, so it is disabled here.
-  options.negcache_capacity = 0;
-  ReachService service(ChainWithTail(), options);
-  service.Start();
-  service.Flush();  // first indexed snapshot
-  ASSERT_TRUE(service.InsertEdge(1, 2));
+// Every slow record says which path answered and what it cost. On the
+// rebuild path (grail), a negative with an insert pending is decided by
+// the union BFS around the one index probe; on the copy path (pll), the
+// updated copy answers alone, with nothing pending around it (or the full
+// build it asked for: on four vertices the insert passes the size bound).
+TEST(SlowQueryLogTest, RecordsNameTheAnswerPathAndWhatWasPending) {
+  for (const char* spec : {"grail", "pll"}) {
+    SCOPED_TRACE(spec);
+    const bool copies = std::string(spec) == "pll";
+    ServiceOptions options;
+    options.spec = spec;
+    options.slow_query_threshold = std::chrono::nanoseconds(1);
+    options.drain_threshold = 100;  // keep the inserted edge pending
+    // One identical negative query repeats; the negative-result cache
+    // would answer the repeats before the path under test.
+    options.negcache_capacity = 0;
+    ReachService service(ChainWithTail(), options);
+    service.Start();
+    service.Flush();  // first indexed snapshot
+    ASSERT_TRUE(service.InsertEdge(1, 2));
+    EXPECT_EQ(service.PendingEdgeCount(), copies ? 0u : 1u);
 
-  // probe(0, 3) misses and pending is non-empty, so the closure runs and
-  // the 1ns deadline, checked between its phases, has expired: the query
-  // degrades. Every such query must be captured.
-  constexpr uint64_t kQueries = 3;
-  for (uint64_t i = 0; i < kQueries; ++i) {
-    const ServeAnswer answer = service.Query(0, 3);
-    EXPECT_FALSE(answer.reachable);
-    EXPECT_EQ(answer.source, AnswerSource::kFallbackBfs);
-    EXPECT_TRUE(answer.exact);  // tiny graph: the BFS always completes
-  }
-  EXPECT_EQ(service.stats().deadline_degraded.load(), kQueries);
-  EXPECT_EQ(service.stats().slow_captured.load(), kQueries);
+    constexpr uint64_t kQueries = 3;
+    const auto expect_source = [&](AnswerSource source) {
+      if (copies) {
+        EXPECT_TRUE(source == AnswerSource::kDelta ||
+                    source == AnswerSource::kIndex);
+      } else {
+        EXPECT_EQ(source, AnswerSource::kFallbackBfs);
+      }
+    };
+    for (uint64_t i = 0; i < kQueries; ++i) {
+      const ServeAnswer answer = service.Query(0, 3);
+      EXPECT_FALSE(answer.reachable);
+      expect_source(answer.source);
+      EXPECT_TRUE(answer.exact);  // tiny graph: the BFS always completes
+    }
+    EXPECT_EQ(service.stats().slow_captured.load(), kQueries);
 
-  const std::vector<SlowQueryRecord> slow = service.SlowQueries();
-  ASSERT_EQ(slow.size(), static_cast<size_t>(kQueries));
-  for (const SlowQueryRecord& rec : slow) {
-    EXPECT_EQ(rec.s, 0u);
-    EXPECT_EQ(rec.t, 3u);
-    EXPECT_TRUE(rec.deadline_degraded);
-    EXPECT_EQ(rec.source, AnswerSource::kFallbackBfs);
-    EXPECT_GT(rec.total_ns, 0u);
-    EXPECT_GT(rec.stage_ns[static_cast<size_t>(ServeStage::kDeltaClosure)],
-              0u);
-    EXPECT_GT(rec.stage_ns[static_cast<size_t>(ServeStage::kFallbackBfs)],
-              0u);
-    // probe(0, 3) alone: the closure tests reach-set bits, no index.
-    EXPECT_EQ(rec.index_probes, 1u);
-    EXPECT_EQ(rec.pending_edges, 1u);
-    EXPECT_GT(rec.bfs_visits, 0u);
+    const std::vector<SlowQueryRecord> slow = service.SlowQueries();
+    ASSERT_EQ(slow.size(), static_cast<size_t>(kQueries));
+    for (const SlowQueryRecord& rec : slow) {
+      EXPECT_EQ(rec.s, 0u);
+      EXPECT_EQ(rec.t, 3u);
+      expect_source(rec.source);
+      EXPECT_GT(rec.total_ns, 0u);
+      EXPECT_GT(rec.stage_ns[static_cast<size_t>(ServeStage::kIndexProbe)],
+                0u);
+      EXPECT_EQ(rec.stage_ns[static_cast<size_t>(ServeStage::kDeltaClosure)],
+                0u);
+      EXPECT_EQ(
+          rec.stage_ns[static_cast<size_t>(ServeStage::kFallbackBfs)] > 0,
+          !copies);
+      EXPECT_EQ(rec.index_probes, 1u);
+      EXPECT_EQ(rec.pending_edges, copies ? 0u : 1u);
+      EXPECT_EQ(rec.bfs_visits > 0, !copies);
+    }
+    service.Stop();
   }
-  service.Stop();
 }
 
 TEST(SlowQueryLogTest, ThresholdCaptureIsBoundedAndEvictsOldest) {
@@ -303,8 +318,8 @@ TEST(SlowQueryLogTest, ThresholdCaptureIsBoundedAndEvictsOldest) {
 TEST(SlowQueryLogTest, NoCaptureWithoutThresholdOrDeadline) {
   ReachService service(ChainWithTail(), ServiceOptions{});
   service.Start();
-  // Pre-index query: degrades to the BFS, but with no deadline and no
-  // threshold nothing qualifies for the log.
+  // Pre-index query: degrades to the BFS, but with no threshold nothing
+  // qualifies for the log.
   service.Query(0, 1);
   service.Flush();
   service.Query(0, 1);
@@ -324,7 +339,6 @@ TEST(TraceConcurrencyTest, TracedServeAcrossSnapshotSwaps) {
   constexpr VertexId kN = 256;
   ServiceOptions options;
   options.drain_threshold = 16;
-  options.deadline = std::chrono::milliseconds(5);
   options.slow_query_threshold = std::chrono::microseconds(1);
   options.slow_log_capacity = 32;
   ReachService service(ScaleFreeDag(kN, 2, 11), options);
@@ -355,8 +369,8 @@ TEST(TraceConcurrencyTest, TracedServeAcrossSnapshotSwaps) {
     service.InsertEdge(static_cast<VertexId>(rng.NextBounded(kN)),
                        static_cast<VertexId>(rng.NextBounded(kN)));
   }
-  service.Flush();  // at least one swap while readers and scraper run
-  EXPECT_GE(service.stats().rebuilds.load(), 1u);
+  service.Flush();  // 64 swaps while readers and scraper run
+  EXPECT_GE(service.stats().rebuilds.load(), 64u);
   // The readers may not have been scheduled yet on a loaded single-core
   // machine — issue one query directly so the serve spans are certainly
   // on the timeline before the checks below.
@@ -379,6 +393,7 @@ TEST(TraceConcurrencyTest, TracedServeAcrossSnapshotSwaps) {
     };
     EXPECT_TRUE(has("serve.query"));
     EXPECT_TRUE(has("serve.rebuild"));
+    EXPECT_TRUE(has("serve.update.apply"));
     EXPECT_TRUE(has("serve.snapshot_swap"));
   }
 }
