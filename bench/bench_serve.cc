@@ -182,7 +182,7 @@ BENCHMARK(BM_ServeQueryLatencyUnderWrites)
 // batches through `ApplyUpdate`. Args: {writers, delete_pct} — 30 is the
 // steady churn mix, 70 the delete-heavy one. The acceptance counters:
 // p99 stays bounded while deletes flow, and full builds track the
-// staleness budget, never the per-delete count (no whole-index rebuild
+// index's rebuild policy, never the per-delete count (no whole-index rebuild
 // per delete anywhere on the serve path). Headlines land in the
 // bench.serve.churn.* gauges.
 void BM_ServeChurnMix(benchmark::State& state) {

@@ -118,8 +118,7 @@ void RegisterAll() {
 
   // Mixed insert/delete churn through the batched write API on the
   // deletion-capable indexes (the tentpole decremental path): 70/30
-  // insert/delete mix, rebuilding only when the staleness budget
-  // recommends it.
+  // insert/delete mix, rebuilding only when the index recommends it.
   auto* churn = new std::vector<EdgeUpdate>([&] {
     Xoshiro256ss rng(kSeed + 43);
     std::vector<Edge> live = base->Edges();

@@ -78,7 +78,7 @@ void RegisterAll() {
       ->Unit(::benchmark::kMillisecond);
 
   // Mixed labeled churn (70/30 insert/delete) through the batched API,
-  // rebuilding only on the staleness budget's recommendation.
+  // rebuilding only on the index's recommendation.
   ::benchmark::RegisterBenchmark(
       "table2dyn/er-L4/dlcr-churn/apply_stream",
       [=](::benchmark::State& state) {

@@ -132,7 +132,7 @@ Metrics Measure(VertexId n, int repeat) {
     // A fixed mixed write stream (70/30 insert/delete over the case
     // graph) for the deletion-capable specs; identical every run. Applied
     // single-update like the serve drain loop applies its smallest
-    // batches, rebuilding only when the staleness budget recommends it.
+    // batches, rebuilding only when the index recommends it.
     // 64 updates keeps the whole gate in seconds — deletes dominate the
     // cost (each damage sweep walks a transitive closure).
     std::vector<reach::EdgeUpdate> churn;

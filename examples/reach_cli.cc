@@ -349,7 +349,8 @@ void PrintHealth(const reach::ReachService& service) {
       "ready=%s accepting_writes=%s snapshot=v%llu\n"
       "pending=%zu/%zu (%.0f%%) inflight=%zu/%zu (%.0f%%)\n"
       "rebuild=%s consecutive_failures=%llu retries=%llu failures=%llu "
-      "watchdog=%llu shed=%llu\n",
+      "watchdog=%llu shed=%llu\n"
+      "rebuild_rent=%llu/%llu\n",
       h.ready ? "true" : "false", h.accepting_writes ? "true" : "false",
       static_cast<unsigned long long>(h.snapshot_version), h.pending_edges,
       h.max_pending_edges, h.pending_fill * 100.0, h.inflight_queries,
@@ -359,7 +360,9 @@ void PrintHealth(const reach::ReachService& service) {
       static_cast<unsigned long long>(h.rebuild_retries),
       static_cast<unsigned long long>(h.rebuild_failures),
       static_cast<unsigned long long>(h.watchdog_fired),
-      static_cast<unsigned long long>(h.shed));
+      static_cast<unsigned long long>(h.shed),
+      static_cast<unsigned long long>(h.rebuild_rent_paid),
+      static_cast<unsigned long long>(h.rebuild_price));
   if (!h.last_rebuild_error.empty()) {
     std::printf("last_rebuild_error=%s\n", h.last_rebuild_error.c_str());
   }

@@ -2,6 +2,7 @@
 #define REACH_CORE_EDGE_UPDATE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -49,13 +50,14 @@ using UpdateBatch = std::vector<EdgeUpdate>;
 /// How `ApplyUpdate` disposed of a batch.
 enum class UpdateStatus : uint8_t {
   /// Every update was absorbed incrementally; answers are exact and the
-  /// index is within its staleness budget.
+  /// index's rebuild policy does not ask for a full build.
   kApplied,
-  /// The batch WAS applied and answers remain exact, but accumulated
-  /// damage crossed the index's rebuild threshold (the `ReachGraph`-style
-  /// REBUILD_THRESHOLD policy): the caller should schedule
-  /// `RebuildFromUpdates()` — the index never blocks a write on a full
-  /// rebuild by itself.
+  /// The batch WAS applied and answers remain exact, but the index's
+  /// rebuild policy now asks for a full build — accumulated damage past a
+  /// count threshold (the `ReachGraph`-style REBUILD_THRESHOLD policy), or
+  /// for the 2-hop indexes also damaged queries that have cost as much as
+  /// a build: the caller should schedule `RebuildFromUpdates()` — the
+  /// index never blocks a write on a full rebuild by itself.
   kDeferredRebuild,
   /// Validation failed (out-of-range endpoint, deletes on an insert-only
   /// index, ...). No state changed; `reason` says why.
@@ -89,11 +91,14 @@ struct UpdateResult {
     r.applied = applied_count;
     r.ignored = ignored_count;
     r.damage = damage_now;
-    if (budget != 0 && damage_now > budget) {
-      r.status = UpdateStatus::kDeferredRebuild;
-      r.rebuild_recommended = true;
-    }
+    if (budget != 0 && damage_now > budget) r.RecommendRebuild();
     return r;
+  }
+
+  /// Turns an applied result into `kDeferredRebuild`.
+  void RecommendRebuild() {
+    status = UpdateStatus::kDeferredRebuild;
+    rebuild_recommended = true;
   }
 
   static UpdateResult Rejected(std::string why) {
@@ -102,6 +107,15 @@ struct UpdateResult {
     r.reason = std::move(why);
     return r;
   }
+};
+
+/// The ledger behind a cost-based rebuild recommendation: the rent
+/// damaged queries paid since the last full build, and that build's
+/// price, in one work unit (one label test). Zero for an index that keeps
+/// none.
+struct RebuildRent {
+  uint64_t paid = 0;
+  uint64_t price = 0;
 };
 
 /// The validate-first batch loop behind every index's `ApplyUpdate`,

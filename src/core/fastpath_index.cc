@@ -201,6 +201,11 @@ std::unique_ptr<Digraph> BasicFastPathIndex<Base>::LiveGraph() const {
 }
 
 template <typename Base>
+RebuildRent BasicFastPathIndex<Base>::Rent() const {
+  return inner_dynamic_ == nullptr ? RebuildRent{} : inner_dynamic_->Rent();
+}
+
+template <typename Base>
 FastPathVerdictStats BasicFastPathIndex<Base>::VerdictStats() const {
   FastPathVerdictStats total;
   for (const Cell& cell : cells_) {

@@ -102,6 +102,8 @@ class BasicFastPathIndex : public Base {
   std::unique_ptr<DynamicReachabilityIndex> Clone() const;
   /// Forwards to the wrapped index (dynamic instantiation only).
   std::unique_ptr<Digraph> LiveGraph() const;
+  /// Forwards to the wrapped index (dynamic instantiation only).
+  RebuildRent Rent() const;
 
   /// Verdict counts accumulated since `Build` / `ResetProbe`, summed
   /// across slots. Exact in every build mode, including REACH_METRICS=0.

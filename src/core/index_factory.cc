@@ -58,10 +58,6 @@ struct Row {
 constexpr bool kRoster = true;
 constexpr bool kExtra = false;
 
-Key Staleness(size_t fallback) {
-  return {"staleness", fallback, "damaging deletes before a rebuild"};
-}
-
 // Sealed-label storage keys shared by the 2-hop families
 // (docs/SNAPSHOTS.md), always a row's first four keys.
 std::vector<Key> StorageKeys(size_t staleness) {
@@ -69,7 +65,8 @@ std::vector<Key> StorageKeys(size_t staleness) {
           {"block", TwoHopStorageOptions{}.block_entries,
            "entries per compressed block"},
           {"budget_mb", 0, "label budget in MiB or 0 for none"},
-          Staleness(staleness)};
+          {"staleness", staleness,
+           "damaging deletes that force a rebuild or 0 for no cap"}};
 }
 
 TwoHopStorageOptions Storage(Args a) {
@@ -150,7 +147,8 @@ const std::vector<Row>& Table() {
        [](Args) { return New<Dbl>(); }},
       {{"dagger"}, kRoster, "dynamic DAGGER intervals",
        {{"k", 3, "interval labelings"},
-        Staleness(Dagger::kDefaultStalenessBudget)},
+        {"staleness", Dagger::kDefaultStalenessBudget,
+         "damaging deletes before a rebuild"}},
        [](Args a) { return New<Dagger>(a[0], 0x64'61'67ULL, a[1]); }},
       {{"oreach"}, kRoster,
        "O'Reach observation stack + guided bidirectional BFS",

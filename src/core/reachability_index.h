@@ -160,11 +160,16 @@ class DynamicReachabilityIndex : public ReachabilityIndex {
 
   /// Folds every update applied since the last `Build()` into a fresh
   /// build (resetting staleness/damage to zero). This is the second half
-  /// of the rebuild-threshold policy: `ApplyUpdate` returns
-  /// `kDeferredRebuild` when the budget is crossed, and the *caller*
-  /// decides when to pay for this. Returns false when the index has
-  /// nothing to fold or does not support it.
+  /// of the rebuild policy: `ApplyUpdate` returns `kDeferredRebuild` when
+  /// the index asks for a build, and the *caller* decides when to pay for
+  /// this. Returns false when the index has nothing to fold or does not
+  /// support it.
   virtual bool RebuildFromUpdates() { return false; }
+
+  /// The rent damaged queries paid since the last build against that
+  /// build's price, for an index whose recommendation weighs them (the
+  /// 2-hop family); zero otherwise, the default.
+  virtual RebuildRent Rent() const { return {}; }
 
   /// A copy that answers every query as this index does and then takes
   /// `ApplyUpdate` batches of its own, while this index keeps serving

@@ -86,6 +86,9 @@ class BasicReorderingIndex : public Base {
   bool RebuildFromUpdates() {
     return inner_dynamic_ != nullptr && inner_dynamic_->RebuildFromUpdates();
   }
+  RebuildRent Rent() const {
+    return inner_dynamic_ == nullptr ? RebuildRent{} : inner_dynamic_->Rent();
+  }
 
   /// A copy over a copy of the wrapped index that shares the permutation
   /// and the relabeled graph (the wrapped copy points into it). Null when

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <istream>
 #include <memory>
 #include <numeric>
@@ -99,6 +100,10 @@ static_assert(std::is_trivially_copyable_v<Meta>);
 ///  * the decremental bookkeeping over the `ArcOverlay` of inserted and
 ///    tombstoned arcs (graph/arc_overlay.h): damage marks, re-closing
 ///    damage on insert, and the local-redundancy check of a delete;
+///  * the rebuild decision (ski rental, `ApplyUpdate`): a build's price is
+///    the pruning-oracle evaluations its sweeps made, damaged queries pay
+///    rent in the same units, and a full build is recommended once the
+///    rent paid since the last build reaches that price;
 ///  * query answering: the three-case superset test and, under damage,
 ///    the witness-trust protocol with its label-pruned live verification;
 ///  * persistence: the v1 stream and the RCHX v2 snapshot file, and the
@@ -116,7 +121,8 @@ static_assert(std::is_trivially_copyable_v<Meta>);
 ///   kListCapPerVertex         a loaded list holds at most n times this
 ///                             many entries
 ///   Sweeper                   per-worker scratch running one pruned
-///                             sweep (see `BuildLabels`)
+///                             sweep and counting its oracle evaluations
+///                             (see `BuildLabels`)
 ///   Rank(entry)
 ///   Covered(entries, rank, q) whether rank-sorted `entries` hold a `rank`
 ///                             entry usable under `q`
@@ -163,8 +169,10 @@ class TwoHopCore {
   /// its first update and first damaged query allocate nothing: write a
   /// copy and its source from one thread at a time, and never query one
   /// slot of both at once (the serve layer leases slots from one pool per
-  /// build). Probes start fresh (`FreshOnCopy`). Safe while this core
-  /// serves queries.
+  /// build). The rent meter is shared until either side builds or loads,
+  /// so damaged queries on any copy pay toward the one build price.
+  /// Probes start fresh (`FreshOnCopy`). Safe while this core serves
+  /// queries.
   TwoHopCore(const TwoHopCore&) = default;
   TwoHopCore& operator=(const TwoHopCore&) = delete;
 
@@ -191,7 +199,7 @@ class TwoHopCore {
     }
     {
       BuildPhaseTimer timer(&stats->phases, "label");
-      BuildLabels(threads);
+      build_price_ = BuildLabels(threads);
     }
     {
       BuildPhaseTimer timer(&stats->phases, "seal");
@@ -236,6 +244,7 @@ class TwoHopCore {
     if (slots == 0) slots = 1;
     probes_.EnsureSlots(slots);
     verify_ws_->EnsureSlots(slots);
+    rent_->EnsureSlots(slots);
     return slots;
   }
   QueryProbe Probe() const { return probes_.Aggregate(); }
@@ -244,12 +253,19 @@ class TwoHopCore {
   /// Validate-first batch application (`ApplyUpdateBatch`; a loaded
   /// labeling has no live graph and rejects every batch). Inserts apply
   /// incrementally; deletes tombstone the arc and either prove themselves
-  /// answer-preserving or mark damage. Never rebuilds — crossing the
-  /// staleness budget only changes the status.
+  /// answer-preserving or mark damage. Never rebuilds; the status is
+  /// `kDeferredRebuild` once the labels are damaged and either the damage
+  /// passes a nonzero staleness budget (a hard cap) or the rent damaged
+  /// queries paid since the last build reaches that build's price. That
+  /// is the ski-rental rule: renting (answering through live searches)
+  /// until the rent equals the price of buying (a build) costs at most
+  /// twice what the best choice made knowing the future would. Only
+  /// queries pay rent, so a service that stops writing keeps a damaged
+  /// copy until its next write asks.
   template <typename Batch>
   UpdateResult ApplyUpdate(const Batch& batch) {
     const Graph* graph = overlay_.base();
-    return ApplyUpdateBatch(
+    UpdateResult result = ApplyUpdateBatch(
         batch, graph,
         [graph](const auto& update) -> const char* {
           return Arcs::InRange(*graph, UpdateArc(update))
@@ -262,6 +278,11 @@ class TwoHopCore {
                                    : ApplyDelete(update.source, arc);
         },
         damage_, staleness_budget_);
+    if (result.status == UpdateStatus::kApplied && damage_ > 0 &&
+        RentPaid() >= build_price_) {
+      result.RecommendRebuild();
+    }
+    return result;
   }
 
   /// The live graph as a graph the core owns — what `RebuildFromUpdates`
@@ -272,6 +293,14 @@ class TwoHopCore {
 
   size_t Damage() const { return damage_; }
   size_t StalenessBudget() const { return staleness_budget_; }
+  /// Pruning-oracle evaluations the last `Build` made (0 after a load):
+  /// the price of a full build in the units damaged queries pay rent in.
+  uint64_t BuildPrice() const { return build_price_; }
+  /// Rent damaged queries paid since the last build or load, on this core
+  /// and on every copy sharing its meter: 1 per damaged superset-positive,
+  /// plus 1 per vertex its live verification evaluated. Safe while
+  /// queries run.
+  uint64_t RentPaid() const { return rent_->Paid(); }
   bool Compressed() const { return sealed_->compressed; }
   bool BudgetExceeded() const { return sealed_->budget_exceeded; }
   const TwoHopStorageOptions& Storage() const { return storage_; }
@@ -288,14 +317,15 @@ class TwoHopCore {
   }
 
   /// Sealed pools (or the mapping they view), the rank translation
-  /// tables, and the update state: any delta overlay and the arcs
-  /// inserted and tombstoned since the build. O(1), so a caller may ask
-  /// after every update.
+  /// tables, and the update state: the delta entries and the arcs
+  /// inserted and tombstoned since the build, not the chunk headers that
+  /// hold them (a size bound over those would trip on a small graph's
+  /// first insert). O(1), so a caller may ask after every update.
   size_t IndexSizeBytes() const {
     return sealed_->PoolBytes() +
            (sealed_->rank.size() + sealed_->by_rank.size()) *
                sizeof(uint32_t) +
-           delta_lin_.Bytes() + overlay_.ArcBytes();
+           delta_lin_.NumItems() * sizeof(Entry) + overlay_.ArcBytes();
   }
 
   /// Lin(v) as one rank-sorted vector: the sealed slice merged with the
@@ -326,12 +356,15 @@ class TwoHopCore {
   /// Build-time pruning oracle over the unsealed per-vertex vectors.
   bool LabelQuery(VertexId s, VertexId t, Constraint q) const {
     if (s == t) return true;
-    const std::vector<Entry>& lin_t = lin_[t];
-    const std::vector<Entry>& lout_s = lout_[s];
     const std::vector<uint32_t>& rank = sealed_->rank;
-    if (Traits::Covered(lin_t, rank[s], q)) return true;
-    if (Traits::Covered(lout_s, rank[t], q)) return true;
-    return Traits::Intersect(lout_s, lin_t, q);
+    if (Traits::Covered(lin_[t], rank[s], q)) return true;
+    if (Traits::Covered(lout_[s], rank[t], q)) return true;
+    return LabelIntersect(s, t, q);
+  }
+  /// The common-hop case of `LabelQuery` alone, for a sweeper that can
+  /// show both covered cases false.
+  bool LabelIntersect(VertexId s, VertexId t, Constraint q) const {
+    return Traits::Intersect(lout_[s], lin_[t], q);
   }
 
   /// Every vertex `from` reaches in the overlay's superset graph G+ (the
@@ -717,6 +750,35 @@ class TwoHopCore {
   using EntryLists = std::vector<std::vector<Entry>>;
   struct Sealed;
 
+  // The rent damaged queries paid since a build: one counter per query
+  // slot, each on its own cache line, so concurrent readers charge
+  // without sharing a line while the writer sums them. Relaxed atomics:
+  // the sum only steers when a build is recommended. Slots grow with
+  // `PrepareSlots`, never during queries.
+  class RentMeter {
+   public:
+    explicit RentMeter(size_t slots = 1) { EnsureSlots(slots); }
+    void EnsureSlots(size_t n) {
+      while (cells_.size() < n) cells_.emplace_back();
+    }
+    void Charge(size_t slot, uint64_t units) {
+      cells_[slot].paid.fetch_add(units, std::memory_order_relaxed);
+    }
+    uint64_t Paid() const {
+      uint64_t paid = 0;
+      for (const Cell& cell : cells_) {
+        paid += cell.paid.load(std::memory_order_relaxed);
+      }
+      return paid;
+    }
+
+   private:
+    struct alignas(64) Cell {
+      std::atomic<uint64_t> paid{0};
+    };
+    std::deque<Cell> cells_;
+  };
+
   // paraPLL-style speculate/validate/redo over rank batches. Phase 1 runs
   // every sweep of the batch in parallel against the *committed* label
   // prefix only. Phase 2 commits in rank order: a sweep whose pruning
@@ -735,11 +797,14 @@ class TwoHopCore {
   // discarded, redo serially) once it floods far past what a serial sweep
   // would visit. The flag is a template argument so the serial sweep —
   // the warmup's heavy floods — carries no speculation bookkeeping.
-  void BuildLabels(size_t threads) {
+  //
+  // Returns the build's price: the oracle evaluations every sweep made
+  // (`Sweeper::Evaluations`), speculative sweeps and their redos included.
+  uint64_t BuildLabels(size_t threads) {
     const size_t n = overlay_.NumVertices();
     lin_.assign(n, {});
     lout_.assign(n, {});
-    if (n == 0) return;
+    if (n == 0) return 0;
     threads = std::max<size_t>(threads, 1);
 
     std::vector<Sweeper> sweepers;
@@ -843,6 +908,11 @@ class TwoHopCore {
       r = batch_end;
       batch_size = std::min(batch_size * 2, max_batch);
     }
+    uint64_t evaluations = 0;
+    for (const Sweeper& sweeper : sweepers) {
+      evaluations += sweeper.Evaluations();
+    }
+    return evaluations;
   }
 
   // Moves the build-side vectors into the pools of `sealed`, a fresh
@@ -957,10 +1027,12 @@ class TwoHopCore {
   // decides every negative first, at the cost of a clean query; only a
   // superset positive materializes the merged lists to find its witness
   // hubs. Kept out of line so the zero-damage path of `Answer` stays
-  // small.
+  // small. A superset positive pays the rent meter 1, plus 1 per vertex
+  // its live verification evaluates.
   [[gnu::noinline]] bool DamagedAnswer(VertexId s, VertexId t, Constraint q,
                                        size_t slot) const {
     if (!SupersetAnswer(s, t, q)) return false;  // exact: no path in G+
+    rent_->Charge(slot, 1);
     const std::vector<Entry> out = OutEntries(s);
     const std::vector<Entry> in = InEntries(t);
     const std::vector<uint32_t>& rank_of = sealed_->rank;
@@ -1003,7 +1075,11 @@ class TwoHopCore {
     }
     if (!damaged_witness) return false;  // exact: superset has no path
     REACH_PROBE_INC(probes_.Slot(slot), fallbacks);
-    return ConstrainedLiveSearch(s, t, q, SIZE_MAX, verify_ws_->Slot(slot));
+    size_t evaluated = 0;
+    const bool reachable = ConstrainedLiveSearch(
+        s, t, q, SIZE_MAX, verify_ws_->Slot(slot), &evaluated);
+    rent_->Charge(slot, evaluated);
+    return reachable;
   }
 
   // BFS over live arcs allowed under `q`, pruned at vertices the superset
@@ -1011,9 +1087,11 @@ class TwoHopCore {
   // graph either). True iff `to` is found; false when it is unreachable or
   // the queue outgrows `budget`. Unbounded, this is the exactness
   // backstop of damaged answers, and the label pruning keeps its frontier
-  // near the damaged region.
+  // near the damaged region. Adds the vertices whose superset test it
+  // ran to `*evaluated`, when given.
   bool ConstrainedLiveSearch(VertexId from, VertexId to, Constraint q,
-                             size_t budget, SearchWorkspace& ws) const {
+                             size_t budget, SearchWorkspace& ws,
+                             size_t* evaluated = nullptr) const {
     ws.Prepare(overlay_.NumVertices());
     std::vector<VertexId>& queue = ws.queue();
     queue.push_back(from);
@@ -1023,7 +1101,9 @@ class TwoHopCore {
         if (!Traits::ArcAllowed(arc, q)) return false;
         const VertexId w = Arcs::Head(arc);
         if (w == to) return true;
-        if (ws.MarkForward(w) && SupersetAnswer(w, to, q)) queue.push_back(w);
+        if (!ws.MarkForward(w)) return false;
+        if (evaluated != nullptr) ++*evaluated;
+        if (SupersetAnswer(w, to, q)) queue.push_back(w);
         return false;
       });
       if (found) return true;
@@ -1161,10 +1241,13 @@ class TwoHopCore {
   }
 
   // Rebases the overlay onto `base` (nullptr after a load) and clears the
-  // post-build label state: delta and damage.
+  // post-build label state: delta, damage, the build price (`Build` sets
+  // it again) and the rent, in a meter of this core's own.
   void ResetDynamicState(const Graph* base) {
     overlay_.Reset(base);
     delta_lin_.Clear();
+    build_price_ = 0;
+    rent_ = std::make_shared<RentMeter>(verify_ws_->NumSlots());
     damage_ = 0;
     damaged_fwd_.clear();
     damaged_bwd_.clear();
@@ -1308,6 +1391,10 @@ class TwoHopCore {
   std::shared_ptr<WorkspacePool> verify_ws_ =
       std::make_shared<WorkspacePool>();
   mutable FreshOnCopy<ProbePool> probes_;
+  // The last build's price and the rent paid against it (`ApplyUpdate`).
+  // The meter is shared with copies and replaced by each build or load.
+  uint64_t build_price_ = 0;
+  std::shared_ptr<RentMeter> rent_ = std::make_shared<RentMeter>();
 };
 
 }  // namespace reach

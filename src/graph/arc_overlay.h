@@ -36,9 +36,7 @@ class CowLists {
  public:
   CowLists() = default;
   CowLists(const CowLists& other)
-      : chunks_(other.chunks_),
-        num_chunks_(other.num_chunks_),
-        num_items_(other.num_items_) {
+      : chunks_(other.chunks_), num_items_(other.num_items_) {
     other.tag_ = NewTag();
   }
   CowLists& operator=(const CowLists&) = delete;
@@ -73,16 +71,10 @@ class CowLists {
 
   void Clear() {
     chunks_.clear();
-    num_chunks_ = 0;
     num_items_ = 0;
   }
   bool empty() const { return num_items_ == 0; }
   size_t NumItems() const { return num_items_; }
-  /// The chunk table, the chunk headers and the items, in O(1).
-  size_t Bytes() const {
-    return chunks_.size() * sizeof(chunks_[0]) + num_chunks_ * sizeof(Chunk) +
-           num_items_ * sizeof(T);
-  }
 
  private:
   static constexpr size_t kChunk = 64;
@@ -103,7 +95,6 @@ class CowLists {
     std::shared_ptr<Chunk>& c = chunks_[k];
     if (c == nullptr) {
       c = std::make_shared<Chunk>();
-      ++num_chunks_;
     } else if (c->tag != tag_) {
       c = std::make_shared<Chunk>(*c);
     }
@@ -112,7 +103,6 @@ class CowLists {
   }
 
   std::vector<std::shared_ptr<Chunk>> chunks_;
-  size_t num_chunks_ = 0;  // non-null entries of chunks_
   size_t num_items_ = 0;
   mutable uint64_t tag_ = NewTag();
 };

@@ -123,8 +123,9 @@ class LabeledTwoHopTraits::Sweeper {
     local_touched_.clear();
     seen_.Add(hop, 0);
     queue_.Push({0, hop});
-    // Label-BFS state counts can exceed n (one state per (vertex, mask)).
-    size_t evaluated = 0;
+    // Label-BFS state counts can exceed n (one state per (vertex, mask)),
+    // so the speculation cap counts this run's evaluations.
+    const uint64_t first = evaluations_;
     State state;
     while (queue_.Pop(&state)) {
       const auto visit = [&](const Arc& arc) {
@@ -132,7 +133,7 @@ class LabeledTwoHopTraits::Sweeper {
         if (x == hop || core.Rank(x) < r) return;
         const LabelSet next = state.mask | LabelBit(arc.label);
         if (seen_.Dominates(x, next)) return;
-        ++evaluated;
+        ++evaluations_;
         bool covered = kSpeculative && ShadowCovers(x, next);
         if (!covered) {
           covered = forward ? core.LabelQuery(hop, x, next)
@@ -152,11 +153,17 @@ class LabeledTwoHopTraits::Sweeper {
       } else {
         for (const Arc& arc : core.graph().InArcs(state.vertex)) visit(arc);
       }
-      if (kSpeculative && evaluated > speculation_cap_) return false;
+      if (kSpeculative && evaluations_ - first > speculation_cap_) {
+        return false;
+      }
     }
     if constexpr (kSpeculative) *touched = seen_.Touched();
     return true;
   }
+
+  /// States the pruning test ran on over every `Run` so far (a shadow
+  /// hit counts too): the build price.
+  uint64_t Evaluations() const { return evaluations_; }
 
  private:
   bool ShadowCovers(VertexId x, LabelSet mask) const {
@@ -174,6 +181,7 @@ class LabeledTwoHopTraits::Sweeper {
   std::vector<std::vector<LabelSet>> local_;
   std::vector<VertexId> local_touched_;
   size_t speculation_cap_;
+  uint64_t evaluations_ = 0;
 };
 
 bool LabeledTwoHopTraits::Covered(std::span<const Entry> entries,

@@ -99,8 +99,9 @@ struct LabeledTwoHopTraits {
 ///    backward-damaged (a sound over-approximation of the constrained
 ///    ancestor/descendant sets); damaged witnesses are re-checked by a
 ///    constrained traversal pruned with superset label tests, so answers
-///    stay exact at any damage level. `RebuildFromUpdates` re-minimizes
-///    and clears the damage once it crosses the staleness budget.
+///    stay exact at any damage level. `ApplyUpdate` recommends
+///    `RebuildFromUpdates`, which re-minimizes and clears the damage, by
+///    the same ski-rental rule as the plain index (`TwoHopCore`).
 ///
 /// Plain reachability is this index with a single label, and both run on
 /// `TwoHopCore` (core/two_hop_core.h), persistence included; this class
@@ -108,8 +109,8 @@ struct LabeledTwoHopTraits {
 /// kernels.
 class PrunedLabeledTwoHop : public LcrIndex {
  public:
-  /// Default `staleness_budget` (see constructor).
-  static constexpr size_t kDefaultStalenessBudget = 32;
+  /// Default `staleness_budget` (see constructor): no cap.
+  static constexpr size_t kDefaultStalenessBudget = 0;
 
   /// `num_threads` parallelizes the build with the same rank-batched
   /// speculate/commit/redo scheme as `PrunedTwoHop` (speculative sweeps
@@ -118,9 +119,10 @@ class PrunedLabeledTwoHop : public LcrIndex {
   /// bit-identical to a serial build for any thread count
   /// (docs/PARALLELISM.md). 0 = `DefaultThreads()`, 1 = serial.
   ///
-  /// `staleness_budget` is the damage level past which `ApplyUpdate`
-  /// reports `kDeferredRebuild` (answers stay exact; the caller decides
-  /// when to pay for `RebuildFromUpdates`). 0 = never recommend.
+  /// `ApplyUpdate` reports `kDeferredRebuild` (answers stay exact; the
+  /// caller decides when to pay for `RebuildFromUpdates`) once damaged
+  /// queries have paid the last build's price in rent, or once damage
+  /// passes `staleness_budget`, a hard cap. 0 = no cap.
   explicit PrunedLabeledTwoHop(size_t num_threads = 0,
                                TwoHopStorageOptions storage = {},
                                size_t staleness_budget =
@@ -172,8 +174,8 @@ class PrunedLabeledTwoHop : public LcrIndex {
 
   /// Applies a batch of labeled inserts and deletes (class comment).
   /// Validate-first: an endpoint or label out of range rejects the whole
-  /// batch with no state change. Returns `kDeferredRebuild` once damage
-  /// exceeds the staleness budget.
+  /// batch with no state change. Returns `kDeferredRebuild` by the
+  /// rebuild rule of the constructor comment.
   UpdateResult ApplyUpdate(const LabeledUpdateBatch& batch);
 
   /// Deletions are absorbed incrementally (class comment).
@@ -187,8 +189,11 @@ class PrunedLabeledTwoHop : public LcrIndex {
   /// Number of damaging deletes absorbed since the last (re)build.
   size_t Damage() const { return core_.Damage(); }
 
-  /// The rebuild-recommendation threshold (0 = never recommend).
+  /// The damage cap on rebuild recommendations (0 = no cap).
   size_t StalenessBudget() const { return core_.StalenessBudget(); }
+
+  /// Rent damaged queries paid since the last build, and its price.
+  RebuildRent Rent() const { return {core_.RentPaid(), core_.BuildPrice()}; }
 
   /// Total number of (hop, SPLS) entries across all vertices.
   size_t TotalEntries() const { return core_.TotalEntries(); }

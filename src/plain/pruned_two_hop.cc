@@ -14,6 +14,17 @@ namespace reach {
 // pruned where the labels built so far already answer Qr(hop, w) (resp.
 // Qr(w, hop)) and at higher-ranked vertices. A vertex is evaluated once
 // per sweep, so the plain oracle never sees the sweep's own entries.
+//
+// The oracle is the common-hop case of `LabelQuery` alone: at every
+// evaluation both of its covered cases are false. Take the forward sweep
+// of rank r and an evaluated w, so rank(w) > r (lower ranks are skipped).
+//  * Covered(Lin(w), r): a rank-r entry enters Lin(w) only through this
+//    sweep's emit(w, r), which follows w's one evaluation.
+//  * Covered(Lout(hop), rank(w)): a backward sweep of rank r' labels only
+//    vertices of rank > r', so Lout(hop) holds ranks < r; and rank(w) > r.
+// The backward sweep is the mirror image: Lin(hop) holds ranks < r, and
+// r enters Lout(w) only after w is evaluated. A speculative sweep reads a
+// committed prefix of those same lists, so the argument covers it too.
 class PlainTwoHopTraits::Sweeper {
  public:
   explicit Sweeper(size_t n)
@@ -32,8 +43,9 @@ class PlainTwoHopTraits::Sweeper {
         if (mark_[w] == epoch_ || core.Rank(w) <= r) return;
         mark_[w] = epoch_;
         if constexpr (kSpeculative) touched->push_back(w);
-        if (forward ? core.LabelQuery(hop, w, {})
-                    : core.LabelQuery(w, hop, {})) {
+        ++evaluations_;
+        if (forward ? core.LabelIntersect(hop, w, {})
+                    : core.LabelIntersect(w, hop, {})) {
           return;  // prune: already covered
         }
         emit(w, r);  // ranks arrive ascending: lists stay sorted
@@ -55,11 +67,15 @@ class PlainTwoHopTraits::Sweeper {
     return true;
   }
 
+  /// Oracle evaluations over every `Run` so far: the build price.
+  uint64_t Evaluations() const { return evaluations_; }
+
  private:
   std::vector<uint32_t> mark_;  // epoch-stamped visited marks
   uint32_t epoch_ = 0;
   std::vector<VertexId> queue_;
   size_t speculation_cap_;
+  uint64_t evaluations_ = 0;
 };
 
 void PlainTwoHopTraits::PropagateInsert(TwoHopCore<PlainTwoHopTraits>& core,

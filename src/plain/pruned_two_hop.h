@@ -117,10 +117,11 @@ struct PlainTwoHopTraits {
 ///    stale (bounded BFS over the superset adjacency); queries then trust
 ///    only undamaged witnesses, and verify damaged-witness
 ///    positives by a label-pruned BFS over the live adjacency — answers
-///    stay exact at every damage level. Accumulated damage is the
-///    staleness budget of the rebuild-threshold policy: once it crosses
-///    `staleness_budget` the batch returns `kDeferredRebuild` and the
-///    caller schedules `RebuildFromUpdates()`.
+///    stay exact at every damage level. The batch returns
+///    `kDeferredRebuild`, and the caller schedules `RebuildFromUpdates()`,
+///    once the damaged queries since the last build have cost as much as
+///    that build did (the ski-rental rule of `TwoHopCore::ApplyUpdate`),
+///    or once damage crosses a nonzero `staleness_budget`.
 ///
 /// The machinery above is `TwoHopCore` (core/two_hop_core.h), shared with
 /// the labeled `PrunedLabeledTwoHop`, persistence included; this class
@@ -144,9 +145,10 @@ class PrunedTwoHop : public DynamicReachabilityIndex {
         num_threads_(num_threads),
         core_(storage, staleness_budget) {}
 
-  /// Default `staleness_budget`: damaging deletes tolerated before
-  /// `ApplyUpdate` starts returning `kDeferredRebuild`. 0 = unbounded.
-  static constexpr size_t kDefaultStalenessBudget = 32;
+  /// Default `staleness_budget`: a hard cap on the damaging deletes
+  /// tolerated before `ApplyUpdate` returns `kDeferredRebuild` whatever
+  /// the rent. 0 = no cap: the rent alone decides.
+  static constexpr size_t kDefaultStalenessBudget = 0;
 
   void Build(const Digraph& graph) override;
   bool Query(VertexId s, VertexId t) const override;
@@ -165,8 +167,8 @@ class PrunedTwoHop : public DynamicReachabilityIndex {
 
   /// The unified write surface (see class comment). Inserts always apply
   /// incrementally; deletes apply incrementally with bounded local
-  /// repair. Never rebuilds internally — crossing the staleness budget
-  /// only changes the returned status to `kDeferredRebuild`.
+  /// repair. Never rebuilds internally — the rebuild policy only changes
+  /// the returned status to `kDeferredRebuild`.
   UpdateResult ApplyUpdate(const UpdateBatch& batch) override;
   bool SupportsDeletions() const override { return true; }
 
@@ -188,9 +190,13 @@ class PrunedTwoHop : public DynamicReachabilityIndex {
   }
 
   /// Deletions currently answered through the repair machinery (0 =
-  /// label-exact) and the configured budget, for tests and policy code.
+  /// label-exact), the configured budget, and the rent damaged queries
+  /// paid against the last build's price, for tests and policy code.
   size_t Damage() const { return core_.Damage(); }
   size_t StalenessBudget() const { return core_.StalenessBudget(); }
+  RebuildRent Rent() const override {
+    return {core_.RentPaid(), core_.BuildPrice()};
+  }
 
   /// Serializes the labeling (envelope + ranks + Lin/Lout) to a binary
   /// stream — the persistence piece of the §5 "integration into GDBMSs"

@@ -99,9 +99,10 @@ BoundedBfsOutcome UnionBfs(const Digraph& graph, const ServeView& view,
   return out;
 }
 
-/// Whether a copy's `ApplyUpdate` outcome asks for a full build: past the
-/// staleness budget, or grown past `kIndexGrowthLimit` times the last
-/// build.
+/// Whether a copy's `ApplyUpdate` outcome asks for a full build: its
+/// rebuild policy recommends one (for the 2-hop copies, damaged queries
+/// have paid the last build's price), or it grew past `kIndexGrowthLimit`
+/// times the last build.
 bool WantsBuild(const UpdateResult& result, const ReachabilityIndex& index,
                 size_t built_bytes) {
   return result.status == UpdateStatus::kDeferredRebuild ||
@@ -1163,6 +1164,11 @@ ServiceHealth ReachService::Health() const {
   health.snapshot_version = view->snapshot->version;
   health.index_bytes = health.ready ? view->snapshot->index->IndexSizeBytes()
                                     : 0;
+  if (view->snapshot->copyable != nullptr) {
+    const RebuildRent rent = view->snapshot->copyable->Rent();
+    health.rebuild_rent_paid = rent.paid;
+    health.rebuild_price = rent.price;
+  }
   health.pending_edges = view->pending.size();
   health.max_pending_edges = options_.max_pending_edges;
   health.pending_fill =

@@ -307,6 +307,13 @@ struct ServiceHealth {
   uint64_t snapshot_version = 0;
   /// `IndexSizeBytes` of the published index (0 before the first build).
   size_t index_bytes = 0;
+  /// The published index's rebuild ledger (`DynamicReachabilityIndex::
+  /// Rent`): the rent its damaged queries paid since its last full build,
+  /// and that build's price. A write asks for a full build once the rent
+  /// reaches the price, so these say why one ran or did not. Both 0 for
+  /// an index that keeps no ledger.
+  uint64_t rebuild_rent_paid = 0;
+  uint64_t rebuild_price = 0;
   /// Pending updates (`ReachService::PendingEdgeCount`).
   size_t pending_edges = 0;
   size_t max_pending_edges = 0;  // 0 = unbounded

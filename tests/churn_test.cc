@@ -2,7 +2,7 @@
 // acceptance): random insert/delete mixes through `ApplyUpdate` on every
 // deletion-capable index on the roster — pll, dagger, the fastpath
 // wrapper, and the labeled 2-hop — cross-checked against a BFS oracle,
-// with zero full rebuilds until the staleness budget recommends one and
+// with zero full rebuilds until the index recommends one and
 // SCC split/merge transitions handled in place.
 
 #include <algorithm>
@@ -102,8 +102,8 @@ TEST_P(PlainChurnTest, MixedBatchesMatchOracleWithoutEagerRebuilds) {
       }
     }
   }
-  // The acceptance bar: every rebuild was threshold-driven — none
-  // happened before the budget recommended it.
+  // The acceptance bar: every rebuild was policy-driven — none happened
+  // before the index recommended it.
   EXPECT_EQ(rebuilds, recommendations) << spec;
 }
 

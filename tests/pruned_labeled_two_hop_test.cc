@@ -1,7 +1,10 @@
 #include "lcr/pruned_labeled_two_hop.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "core/index_factory.h"
 #include "graph/figure1.h"
 #include "graph/generators.h"
 #include "graph/rng.h"
@@ -195,6 +198,48 @@ TEST(PrunedLabeledTwoHopTest, MixedBatchAndRebuildFromUpdates) {
   EXPECT_TRUE(index.Query(0, 3, 0b11));
   EXPECT_FALSE(index.Query(1, 3, 0b11));
   EXPECT_TRUE(index.Query(0, 2, 0b01));
+}
+
+// `lcr:pll` rebuilds by the plain index's ski-rental rule: damaging
+// deletes alone never ask for a build, and damaged queries ask once their
+// rent reaches the price of the last build, which a rebuild resets.
+TEST(PrunedLabeledTwoHopTest, RebuildsOnceDamagedQueriesPayForOne) {
+  constexpr VertexId kN = 200;
+  constexpr Label kLabels = 2;
+  const LabeledDigraph g = RandomLabeledDigraph(kN, 5 * kN, kLabels, 0x1C2);
+  MadeIndex made = MakeIndex("lcr:pll");
+  auto* index = dynamic_cast<PrunedLabeledTwoHop*>(made.lcr.get());
+  ASSERT_NE(index, nullptr);
+  index->Build(g);
+  const uint64_t price = index->Rent().price;
+  ASSERT_GT(price, 0u);
+  std::vector<LabeledEdge> live = g.Edges();
+  for (const LabeledEdge& e : g.Edges()) {
+    if (index->Damage() > 0) break;
+    const UpdateResult result = index->ApplyUpdate(
+        {LabeledEdgeUpdate::Delete(e.source, e.target, e.label)});
+    ASSERT_EQ(result.status, UpdateStatus::kApplied);
+    std::erase(live, e);
+  }
+  ASSERT_EQ(index->Damage(), 1u);
+  EXPECT_EQ(index->Rent().paid, 0u);
+
+  const LabeledDigraph truth = LabeledDigraph::FromEdges(kN, kLabels, live);
+  SearchWorkspace ws;
+  const LabelSet all = (1u << kLabels) - 1;
+  for (VertexId s = 0; s < kN && index->Rent().paid < price; ++s) {
+    for (VertexId t = 0; t < kN && index->Rent().paid < price; ++t) {
+      ASSERT_EQ(index->ApplyUpdate({}).status, UpdateStatus::kApplied);
+      ASSERT_EQ(index->Query(s, t, all),
+                LcrBfsReachability(truth, s, t, all, ws))
+          << s << "->" << t;
+    }
+  }
+  ASSERT_GE(index->Rent().paid, price);
+  EXPECT_EQ(index->ApplyUpdate({}).status, UpdateStatus::kDeferredRebuild);
+  ASSERT_TRUE(index->RebuildFromUpdates());
+  EXPECT_EQ(index->Rent().paid, 0u);
+  EXPECT_EQ(index->ApplyUpdate({}).status, UpdateStatus::kApplied);
 }
 
 TEST(PrunedLabeledTwoHopTest, AgreesWithGtcOnSplsCoverage) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/index_factory.h"
 #include "graph/generators.h"
 #include "graph/rng.h"
 #include "traversal/transitive_closure.h"
@@ -351,6 +352,142 @@ TEST(PrunedTwoHopCloneTest, CopyAnswersLikeItsSourceAndUpdatesAlone) {
     EXPECT_EQ(AllAnswers(source, kN), source_answers);
     EXPECT_EQ(SaveBytes(source), source_bytes);
   }
+}
+
+// The ski-rental rebuild rule (`TwoHopCore::ApplyUpdate`): a damaged
+// index asks for a full build once the rent its damaged queries paid
+// reaches the price of its last build. An empty batch asks without
+// changing anything.
+
+// Deletes `graph`'s edges from `index` in order until one damages the
+// labels; none of them may ask for a build (no query has paid rent).
+void ApplyFirstDamagingDelete(DynamicReachabilityIndex& index,
+                              const Digraph& graph) {
+  for (const Edge& e : graph.Edges()) {
+    const UpdateResult result =
+        index.ApplyUpdate({EdgeUpdate::Delete(e.source, e.target)});
+    ASSERT_EQ(result.status, UpdateStatus::kApplied);
+    if (result.damage > 0) return;
+  }
+  FAIL() << "no damaging delete";
+}
+
+// Asks every pair, checked against `oracle`, until the rent reaches the
+// build price; every ask before that must leave the index applied.
+void PayRentUntilDue(DynamicReachabilityIndex& index,
+                     const TransitiveClosure& oracle, size_t n) {
+  const uint64_t price = index.Rent().price;
+  for (VertexId s = 0; s < n; ++s) {
+    for (VertexId t = 0; t < n; ++t) {
+      if (index.Rent().paid >= price) return;
+      ASSERT_EQ(index.ApplyUpdate({}).status, UpdateStatus::kApplied);
+      ASSERT_EQ(index.Query(s, t), oracle.Query(s, t)) << s << "->" << t;
+    }
+  }
+  FAIL() << "every pair asked, rent " << index.Rent().paid << " of "
+         << price;
+}
+
+// On a DAG most deletes damage the labels, and without queries no rent
+// is paid: however many damaging deletes arrive, none asks for a build.
+TEST(PrunedTwoHopRentTest, DamagingDeletesWithoutQueriesAreNeverRecommended) {
+  const Digraph g = ScaleFreeDag(2048, 3, 0xDA6);
+  PrunedTwoHop index;
+  index.Build(g);
+  ASSERT_GT(index.Rent().price, 0u);
+  std::vector<Edge> edges = g.Edges();
+  Xoshiro256ss rng(0xDA7);
+  for (size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[rng.NextBounded(i)]);
+  }
+  for (const Edge& e : edges) {
+    if (index.Damage() >= 120) break;
+    const UpdateResult result =
+        index.ApplyUpdate({EdgeUpdate::Delete(e.source, e.target)});
+    ASSERT_EQ(result.status, UpdateStatus::kApplied) << result.damage;
+  }
+  ASSERT_GE(index.Damage(), 100u);
+  EXPECT_EQ(index.Rent().paid, 0u);
+  TransitiveClosure oracle;
+  oracle.Build(*index.LiveGraph());
+  for (VertexId s = 0; s < g.NumVertices(); s += 97) {
+    for (VertexId t = 0; t < g.NumVertices(); t += 13) {
+      ASSERT_EQ(index.Query(s, t), oracle.Query(s, t)) << s << "->" << t;
+    }
+  }
+}
+
+// On a cyclic graph one damaging delete marks most hubs, so damaged
+// positives run live searches and soon pay for a build: the first ask
+// after the rent reaches the price is recommended, and the build starts
+// a fresh meter.
+TEST(PrunedTwoHopRentTest, DamagedQueriesRecommendOnceTheRentReachesThePrice) {
+  constexpr VertexId kN = 400;
+  const Digraph g = RandomDigraph(kN, 4 * kN, 0x5C1);
+  PrunedTwoHop index;
+  index.Build(g);
+  const RebuildRent built = index.Rent();
+  EXPECT_EQ(built.paid, 0u);
+  ASSERT_GT(built.price, 0u);
+  ApplyFirstDamagingDelete(index, g);
+  ASSERT_EQ(index.Damage(), 1u);
+  TransitiveClosure oracle;
+  oracle.Build(*index.LiveGraph());
+  PayRentUntilDue(index, oracle, kN);
+  ASSERT_GE(index.Rent().paid, built.price);
+  const UpdateResult due = index.ApplyUpdate({});
+  EXPECT_EQ(due.status, UpdateStatus::kDeferredRebuild);
+  EXPECT_TRUE(due.rebuild_recommended);
+
+  ASSERT_TRUE(index.RebuildFromUpdates());
+  EXPECT_EQ(index.Damage(), 0u);
+  EXPECT_EQ(index.Rent().paid, 0u);
+  EXPECT_GT(index.Rent().price, 0u);
+  EXPECT_EQ(index.ApplyUpdate({}).status, UpdateStatus::kApplied);
+  ExpectMatchesOracle(index, oracle, kN, "rebuilt");
+}
+
+// A copy shares its source's meter: rent paid on either counts for both,
+// until the copy's own build gives it a fresh meter.
+TEST(PrunedTwoHopRentTest, ACopyPaysIntoItsSourcesRent) {
+  constexpr VertexId kN = 300;
+  const Digraph g = RandomDigraph(kN, 4 * kN, 0xC0B1);
+  PrunedTwoHop source;
+  source.Build(g);
+  ApplyFirstDamagingDelete(source, g);
+  std::unique_ptr<DynamicReachabilityIndex> copy = source.Clone();
+  ASSERT_NE(copy, nullptr);
+  EXPECT_EQ(copy->Rent().price, source.Rent().price);
+  TransitiveClosure oracle;
+  oracle.Build(*source.LiveGraph());
+  PayRentUntilDue(*copy, oracle, kN);
+  EXPECT_EQ(source.Rent().paid, copy->Rent().paid);
+  EXPECT_EQ(source.ApplyUpdate({}).status, UpdateStatus::kDeferredRebuild);
+
+  const uint64_t paid = source.Rent().paid;
+  ASSERT_TRUE(copy->RebuildFromUpdates());
+  EXPECT_EQ(copy->Rent().paid, 0u);
+  EXPECT_EQ(source.Rent().paid, paid);
+  EXPECT_EQ(copy->ApplyUpdate({}).status, UpdateStatus::kApplied);
+}
+
+// An explicit `staleness=N` is a hard cap: the damaging delete past it
+// asks for a build with no rent paid at all.
+TEST(PrunedTwoHopRentTest, StalenessCapRecommendsWithoutRent) {
+  MadeIndex made = MakeIndex("pll:staleness=3");
+  ASSERT_TRUE(made);
+  auto* index = dynamic_cast<DynamicReachabilityIndex*>(made.plain.get());
+  ASSERT_NE(index, nullptr);
+  const Digraph g = Chain(12);
+  index->Build(g);
+  for (const VertexId u : {1, 3, 5}) {
+    EXPECT_EQ(index->ApplyUpdate({EdgeUpdate::Delete(u, u + 1)}).status,
+              UpdateStatus::kApplied);
+  }
+  const UpdateResult over = index->ApplyUpdate({EdgeUpdate::Delete(7, 8)});
+  EXPECT_EQ(over.status, UpdateStatus::kDeferredRebuild);
+  EXPECT_EQ(over.damage, 4u);
+  EXPECT_EQ(index->Rent().paid, 0u);
 }
 
 TEST(PrunedTwoHopTest, NamesReflectOrders) {

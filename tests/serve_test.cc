@@ -333,8 +333,9 @@ TEST(ServeDifferentialTest, ConcurrentMixedUpdatesAcrossSwaps) {
 // ---------------------------------------------------------------------
 // The copy path. The writer applies each batch to a copy of the published
 // index, and a full build runs in the background only when the copy asks
-// for one (damage past its staleness budget, or growth past
-// kIndexGrowthLimit times its last build); a spec without a copy, or a
+// for one (its damaged queries paid the last build's price, its damage
+// passed a `staleness` cap, or it grew past kIndexGrowthLimit times its
+// last build); a spec without a copy, or a
 // snapshot-loaded index until its first build, drains on the rebuild
 // path. These tests drive one writer through seeded rounds of updates and
 // check every pair against a BFS over the live edge set, both right after
@@ -443,9 +444,12 @@ std::unique_ptr<ReachService> StartManualDrains(
   return service;
 }
 
-// Six rounds of at most four deletes stay within pll's staleness budget
-// of 32 damaging deletes, so after the first build every batch publishes
-// an updated copy of the index, and no Flush builds.
+// Six rounds of at most four deletes on a graph dense with detours. The
+// first five rounds' deletes all keep a detour, so the labels stay exact
+// and no query pays rent; the last round's damage is paid for by the
+// checks after it, but only a write asks for a build. So after the first
+// build every batch publishes an updated copy of the index, and no Flush
+// builds.
 TEST(ServeIncrementalDrainTest, DrainsUnderTheBudgetRunNoFullBuild) {
   const Digraph base = RandomDigraph(64, 256, 0x1D2A);
   UpdateLog log(base, 0x1D2B);
@@ -493,7 +497,8 @@ TEST(ServeIncrementalDrainTest, ADrainThatCrossesTheBudgetRunsAFullBuild) {
 // Resurrections: an edge deleted in one batch comes back in a later one
 // (a tombstone drop in the index copy); an edge inserted after the build
 // is deleted and inserted again, within one batch and across batches. No
-// staleness budget, so no build runs whatever the damage.
+// staleness cap, and every delete here keeps a detour, so no damaged
+// query pays rent and no build runs.
 TEST(ServeIncrementalDrainTest, ResurrectionsAcrossDrainsStayExact) {
   const Digraph base = RandomDigraph(48, 192, 0x2E5);
   UpdateLog log(base, 0x2E6);
@@ -520,6 +525,57 @@ TEST(ServeIncrementalDrainTest, ResurrectionsAcrossDrainsStayExact) {
   }
   EXPECT_EQ(service->stats().full_builds.load(), 1u);
   service->Stop();
+}
+
+// The size bound counts label entries and arcs, not the chunks that hold
+// them: one insert on a 10-vertex chain adds a few entries and publishes
+// a copy, and the Flush after it runs no full build.
+TEST(ServeIncrementalDrainTest, OneInsertOnASmallGraphBuildsNothing) {
+  const Digraph base = Chain(10);
+  UpdateLog log(base, 0xC10);
+  const auto service = StartManualDrains(base, "pll");
+  const uint64_t builds = service->stats().full_builds.load();
+  DrainAndCheck(*service, log, log.Record(UpdateBatch{EdgeUpdate::Insert(9, 0)}),
+                "9 -> 0 closes the chain");
+  EXPECT_EQ(service->stats().full_builds.load(), builds);
+  service->Stop();
+}
+
+// Health reports the published index's rebuild ledger: the price of its
+// last full build, and the rent damaged queries paid since. A ring edge
+// has no detour, so deleting it damages the labels, and every positive
+// after it runs a live search. The queries pay the price, but only the
+// next write asks for the build, which starts a new ledger. `grail` keeps
+// none.
+TEST(ServeIncrementalDrainTest, HealthReportsTheRentPaidAgainstTheBuildPrice) {
+  constexpr VertexId kN = 64;
+  std::vector<Edge> ring;
+  for (VertexId v = 0; v < kN; ++v) ring.push_back({v, (v + 1) % kN});
+  const Digraph base = Digraph::FromEdges(kN, ring);
+  UpdateLog log(base, 0x4E17);
+  const auto service = StartManualDrains(base, "pll");
+  const ServeStats& st = service->stats();
+  const ServiceHealth built = service->Health();
+  EXPECT_EQ(built.rebuild_rent_paid, 0u);
+  ASSERT_GT(built.rebuild_price, 0u);
+  DrainAndCheck(*service, log, log.Record(UpdateBatch{EdgeUpdate::Delete(10, 11)}),
+                "a ring edge deleted");
+  const ServiceHealth paid = service->Health();
+  EXPECT_EQ(paid.rebuild_price, built.rebuild_price);
+  EXPECT_GE(paid.rebuild_rent_paid, paid.rebuild_price);
+  EXPECT_EQ(st.full_builds.load(), 1u);
+  DrainAndCheck(*service, log, log.Record(UpdateBatch{EdgeUpdate::Insert(10, 11)}),
+                "the ring edge back");
+  EXPECT_EQ(st.full_builds.load(), 2u);
+  const ServiceHealth rebuilt = service->Health();
+  EXPECT_EQ(rebuilt.rebuild_rent_paid, 0u);
+  EXPECT_GT(rebuilt.rebuild_price, 0u);
+  service->Stop();
+
+  const auto grail = StartManualDrains(base, "grail");
+  EXPECT_EQ(grail->Health().rebuild_rent_paid, 0u);
+  EXPECT_EQ(grail->Health().rebuild_price, 0u);
+  grail->Stop();
 }
 
 // A snapshot-loaded index has no live graph, so it takes the rebuild
@@ -616,9 +672,9 @@ TEST(ServeIncrementalDrainTest, FailedIncrementalDrainRetriesAndLands) {
   service->Stop();
 }
 
-// Inserts widen 2-hop labels, and an insert-only stream never crosses
-// pll's staleness budget (it counts damaging deletes; `staleness=0` turns
-// it off). The size bound rebuilds it: a copy that passes
+// Inserts widen 2-hop labels, and an insert-only stream damages nothing,
+// so it pays no rent and passes no `staleness` cap (0, the default, is
+// also spelled out). The size bound rebuilds it: a copy that passes
 // kIndexGrowthLimit times the size of the last full build asks for a
 // full build, which Flush waits for, so no index a Flush leaves behind
 // exceeds that.
@@ -873,12 +929,15 @@ TEST(ServeDeltaTest, PendingEdgesAnsweredExactlyBeforeDrain) {
 
     service.Flush();
     EXPECT_EQ(service.PendingEdgeCount(), 0u);
-    EXPECT_EQ(service.stats().full_builds.load(), 2u);
+    // The rebuild path drains with a full build. The copy's few new
+    // label entries stay within kIndexGrowthLimit of its build, so the
+    // copy path builds nothing: the copy stays published.
+    EXPECT_EQ(service.stats().full_builds.load(), copies ? 1u : 2u);
     const ServeAnswer after = service.Query(5, 2);
     EXPECT_TRUE(after.reachable);
-    EXPECT_EQ(after.source, AnswerSource::kIndex);
-    // The copy, then the build.
-    EXPECT_EQ(after.snapshot_version, version + (copies ? 2 : 1));
+    EXPECT_EQ(after.source,
+              copies ? AnswerSource::kDelta : AnswerSource::kIndex);
+    EXPECT_EQ(after.snapshot_version, version + 1);
     service.Stop();
   }
 }
@@ -1270,18 +1329,18 @@ TEST(ServeReaderTest, CachedViewSeesInsertOnceApplyReturnsAndSwapAfterFlush) {
     EXPECT_TRUE(b.reachable);
     EXPECT_TRUE(b.exact);
     EXPECT_EQ(b.snapshot_version > a.snapshot_version, copies);
-    // On the 10-vertex chain the insert passes the copy's size bound, so
-    // both paths end in a full build that Flush waits for (on the copy
-    // path it may have landed before `b`).
-    if (!copies) {
-      EXPECT_EQ(b.source, AnswerSource::kFallbackBfs);
-    }
+    // The copy path answers from the copy the insert published, which
+    // asks for no build; the rebuild path answers by BFS until Flush
+    // drains the insert with a full build.
+    EXPECT_EQ(b.source,
+              copies ? AnswerSource::kDelta : AnswerSource::kFallbackBfs);
     service.Flush();
     flushed.set_value();
     const ServeAnswer c = after_flush.get_future().get();
     EXPECT_TRUE(c.reachable);
-    EXPECT_EQ(c.source, AnswerSource::kIndex);
-    EXPECT_GT(c.snapshot_version, a.snapshot_version + (copies ? 1 : 0));
+    EXPECT_EQ(c.source,
+              copies ? AnswerSource::kDelta : AnswerSource::kIndex);
+    EXPECT_EQ(c.snapshot_version, a.snapshot_version + 1);
     reader.join();
     service.Stop();
   }
