@@ -65,7 +65,6 @@ void BM_ServeQueryLatencyUnderWrites(benchmark::State& state) {
 
   ServiceOptions options;
   options.spec = fastpath ? "pll:fastpath=1" : "pll";
-  options.drain_threshold = 128;
   // The 500µs slow-query threshold only trips on genuine tail queries.
   options.slow_query_threshold = std::chrono::microseconds(500);
   ReachService service(graph, options);
@@ -193,7 +192,6 @@ void BM_ServeChurnMix(benchmark::State& state) {
 
   ServiceOptions options;
   options.spec = "pll";
-  options.drain_threshold = 128;
   // Full builds at this scale are slower than the writers, so bound the
   // batches waiting for a build's replay (default kBlock backpressure
   // parks the writers until the build catches up).
@@ -265,8 +263,6 @@ void BM_ServeChurnMix(benchmark::State& state) {
   state.counters["p50_ns"] = p50;
   state.counters["p99_ns"] = p99;
   state.counters["deletes"] = static_cast<double>(stats.deletes.load());
-  state.counters["delete_verifies"] =
-      static_cast<double>(stats.delete_verifies.load());
   state.counters["snapshots"] = static_cast<double>(stats.rebuilds.load());
   state.counters["rebuilds_per_delete"] = rebuilds / deletes;
 
@@ -277,8 +273,6 @@ void BM_ServeChurnMix(benchmark::State& state) {
   registry.GetGauge(prefix + ".p99_ns").Set(p99);
   registry.GetGauge(prefix + ".deletes")
       .Set(static_cast<double>(stats.deletes.load()));
-  registry.GetGauge(prefix + ".delete_verifies")
-      .Set(static_cast<double>(stats.delete_verifies.load()));
   registry.GetGauge(prefix + ".rebuilds_per_delete").Set(rebuilds / deletes);
   state.SetItemsProcessed(state.iterations());
 }
@@ -387,7 +381,6 @@ void BM_ServeReadThroughput(benchmark::State& state) {
     ServiceOptions options;
     options.spec = "pll";
     options.slots = static_cast<size_t>(state.threads());
-    options.drain_threshold = 128;
     g_service = new ReachService(ScaleFreeDag(kN, 3, kSeed), options);
     g_service->Start();
     g_service->Flush();
@@ -431,8 +424,8 @@ BENCHMARK(BM_ServeReadThroughput)
     ->Unit(benchmark::kMicrosecond);
 
 // Overload mix (docs/ROBUSTNESS.md): reader threads hammer a service
-// whose write stream keeps a fat pending buffer (so admitted full-tier
-// queries pay real delta-closure work), with the admission gate off
+// whose write stream keeps publishing index copies, with the admission
+// gate off
 // (Arg 0) vs on (Arg N = max_inflight). The headline counters are the
 // latency percentiles *of admitted queries only*: with the gate on,
 // overload shows up as shed/degraded answers instead of a collapsing
@@ -455,7 +448,6 @@ void BM_ServeOverloadMix(benchmark::State& state) {
     ServiceOptions options;
     options.spec = "pll";
     options.slots = static_cast<size_t>(state.threads());
-    options.drain_threshold = 64;  // fat enough deltas to cost real work
     options.max_inflight_queries = max_inflight;
     g_ov_service = new ReachService(ScaleFreeDag(kN, 3, kSeed), options);
     g_ov_service->Start();

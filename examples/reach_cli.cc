@@ -25,19 +25,22 @@
 // --serve runs the snapshot-serving engine (src/serve/) instead of a
 // one-shot index: queries are answered from an immutable snapshot while
 // `+ <s> <t>` inserts and `del <s> <t>` deletes go into copies of the
-// index (or, for an index without a copy, a buffer that background
-// rebuilds absorb). Each answer reports how it was produced (index, an
-// updated copy, or bounded BFS) and by which snapshot generation.
+// index. A spec whose index has no copy (a static one) is served
+// read-only: every write is rejected. Each answer reports how it was
+// produced (index, an updated copy, or the bounded search before the
+// first index) and by which snapshot generation.
 //
 // --churn=N (--serve only) drives N random mixed insert/delete updates
 // through ApplyUpdate in small batches before the REPL starts, with a
 // query between batches — a smoke load for the decremental serve path;
 // the serve.update.* counters are summarized to stderr when it finishes.
+// A read-only spec fails with an error that names it.
 //
 // --load=FILE (--serve only) skips the startup build: the RCHX v2
 // snapshot file (written by `snapsave`, docs/SNAPSHOTS.md) is mmap'd and
 // published as the first indexed snapshot — near-instant failover, with
-// queries index-backed from the first line of input.
+// queries index-backed and writes accepted from the first line of input.
+// The snapshot must have been written for the served graph.
 //
 // --trace=FILE enables the span recorder (src/obs/trace.h) for the whole
 // run and writes a Chrome-trace/Perfetto-compatible JSON timeline to FILE
@@ -51,8 +54,8 @@
 //
 // --max-inflight=N / --max-pending=N (--serve only) arm the overload
 // gates (docs/ROBUSTNESS.md): queries degrade tier by tier and shed once
-// N are in flight; inserts block at N pending edges until a drain makes
-// room. The `health` REPL command prints the readiness snapshot. Under
+// N are in flight; writes block at N updates logged for the replay of a
+// running full build, until it ends. The `health` REPL command prints the readiness snapshot. Under
 // --serve, SIGINT/SIGTERM shut down gracefully: in-flight queries drain
 // and the usual shutdown reports (metrics, trace, slow log) are emitted.
 //
@@ -71,8 +74,8 @@
 //   save <file> / load <file>   persist / restore (pll indexes only)
 //   snapsave <file> / snapload <file>   RCHX v2 snapshot write / zero-copy
 //                        mmap restore (pll indexes only, docs/SNAPSHOTS.md)
-//   + <s> <t> / del <s> <t> / flush   insert / delete an edge, force a
-//                        snapshot (--serve only)
+//   + <s> <t> / del <s> <t> / flush   insert / delete an edge, wait for
+//                        the running build (--serve only)
 //
 // With --metrics, a JSON metrics report (schema "reach.metrics.v1") is
 // printed to stdout after stdin is exhausted: per-phase build timings,
@@ -131,8 +134,8 @@ void PrintUsage(FILE* out, bool roster) {
       "       reach_cli --help\n");
   if (!roster) return;
   // One roster line per spec, with its write capability ("static",
-  // "dynamic (insert-only)", "dynamic (insert+delete)") — the flag that
-  // decides whether `+`/`del` are absorbed incrementally under --serve.
+  // "dynamic (insert-only)", "dynamic (insert+delete)"). Under --serve a
+  // spec takes `+`/`del` only if its index has a copy.
   const auto print_family = [out](reach::IndexFamily family) {
     for (const reach::SpecDoc& doc : reach::DescribeIndexSpecs(family)) {
       std::fprintf(out, "  %-18s %s [%s]\n", doc.spec.c_str(),
@@ -384,13 +387,12 @@ void DumpSlowQueries(const reach::ReachService& service) {
     }
     std::fprintf(stderr,
                  "  %u -> %u: %.3fms %s%s v%llu%s probes=%llu "
-                 "pending=%llu bfs_visits=%llu |%s\n",
+                 "bfs_visits=%llu |%s\n",
                  rec.s, rec.t, rec.total_ns / 1e6,
                  rec.reachable ? "true" : "false", rec.exact ? "" : "?",
                  static_cast<unsigned long long>(rec.snapshot_version),
                  rec.slot_waited ? " slot_waited" : "",
                  static_cast<unsigned long long>(rec.index_probes),
-                 static_cast<unsigned long long>(rec.pending_edges),
                  static_cast<unsigned long long>(rec.bfs_visits),
                  stages.c_str());
   }
@@ -434,7 +436,7 @@ void DriveChurn(reach::ReachService& service, const reach::Digraph& graph,
       continue;
     }
     // A read between every write batch keeps the serve path honest while
-    // tombstones and pending inserts churn underneath it.
+    // tombstones and inserts churn underneath it.
     service.Query(static_cast<VertexId>(rng.NextBounded(n)),
                   static_cast<VertexId>(rng.NextBounded(n)));
   }
@@ -442,12 +444,11 @@ void DriveChurn(reach::ReachService& service, const reach::Digraph& graph,
   std::fprintf(
       stderr,
       "churn: %zu updates applied (%llu inserts, %llu deletes, %llu "
-      "batches, %llu rejected, %llu delete-verified reads), %zu pending\n",
+      "batches, %llu rejected), %zu pending\n",
       sent, static_cast<unsigned long long>(stats.inserts.load()),
       static_cast<unsigned long long>(stats.deletes.load()),
       static_cast<unsigned long long>(stats.update_batches.load()),
       static_cast<unsigned long long>(stats.update_rejected.load()),
-      static_cast<unsigned long long>(stats.delete_verifies.load()),
       service.PendingEdgeCount());
 }
 
@@ -486,10 +487,20 @@ int RunServe(const reach::Digraph& graph, const std::string& spec,
                "  <s> <t>      query  (prints: <answer> <source> v<snapshot>)\n"
                "  + <s> <t>    insert edge\n"
                "  del <s> <t>  delete edge\n"
-               "  flush        absorb pending updates into a new snapshot\n"
+               "  flush        wait for the first index or a running build\n"
                "  health       print the readiness/health snapshot\n",
                graph.NumVertices(), graph.NumEdges(), spec.c_str());
-  if (churn > 0) DriveChurn(service, graph, churn);
+  if (churn > 0) {
+    if (!service.Health().accepting_writes) {
+      std::fprintf(stderr,
+                   "error: --churn needs a writable spec; '%s' is read-only "
+                   "when served (its index has no copy)\n",
+                   spec.c_str());
+      service.Stop();
+      return 1;
+    }
+    DriveChurn(service, graph, churn);
+  }
 
   // Graceful SIGINT/SIGTERM: the handler interrupts the blocked getline,
   // the loop exits, and the normal shutdown path below still runs —
@@ -559,8 +570,7 @@ int RunServe(const reach::Digraph& graph, const std::string& spec,
   std::fprintf(
       stderr,
       "served %llu queries (%llu index, %llu delta, %llu bfs, "
-      "%llu negcache), %llu inserts, %llu deletes (%llu verified reads), "
-      "%llu snapshots\n"
+      "%llu negcache), %llu inserts, %llu deletes, %llu snapshots\n"
       "  %llu slow captured (%llu evicted), "
       "negcache %llu miss / %llu evict / %llu invalidate\n",
       static_cast<unsigned long long>(stats.queries.load()),
@@ -570,7 +580,6 @@ int RunServe(const reach::Digraph& graph, const std::string& spec,
       static_cast<unsigned long long>(stats.negcache_hits.load()),
       static_cast<unsigned long long>(stats.inserts.load()),
       static_cast<unsigned long long>(stats.deletes.load()),
-      static_cast<unsigned long long>(stats.delete_verifies.load()),
       static_cast<unsigned long long>(stats.rebuilds.load()),
       static_cast<unsigned long long>(stats.slow_captured.load()),
       static_cast<unsigned long long>(stats.slow_dropped.load()),

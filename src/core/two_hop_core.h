@@ -10,6 +10,7 @@
 #include <istream>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <ostream>
 #include <span>
 #include <string>
@@ -70,6 +71,9 @@ enum SnapshotSection : uint32_t {
   kLoutVertexBlocks = 11,
   kLoutSkip = 12,
   kLoutData = 13,
+  // Optional: u64 digest of the graph the labels describe
+  // (`TwoHopCore::GraphDigest`), which `Rebase` checks.
+  kGraphDigest = 14,
 };
 
 struct Meta {
@@ -291,6 +295,59 @@ class TwoHopCore {
     return overlay_.base() == nullptr ? nullptr : &overlay_.Materialize();
   }
 
+  /// Gives a loaded labeling its live graph back: `graph` must be the
+  /// graph the labels describe, as the snapshot's graph digest records.
+  /// The core then takes updates and copies like a built one, with build
+  /// price 0, so its first damaging delete asks for a full build.
+  /// `kWrongIndex`, leaving the core as loaded, when the labeling carries
+  /// no digest or `graph` does not match it.
+  LoadResult Rebase(const Graph& graph) {
+    const std::optional<uint64_t> digest = sealed_->graph_digest;
+    if (!digest) {
+      return {LoadStatus::kWrongIndex, "snapshot has no graph digest"};
+    }
+    if (graph.NumVertices() != NumVertices()) {
+      return {LoadStatus::kWrongIndex, "graph has a different vertex count"};
+    }
+    ResetDynamicState(&graph);
+    if (GraphDigest() != *digest) {
+      ResetDynamicState(nullptr);
+      return {LoadStatus::kWrongIndex,
+              "snapshot was built over a different graph"};
+    }
+    return {};
+  }
+
+  /// FNV-1a (64-bit) of the vertex count and the arc set the labels
+  /// describe: the built graph plus inserted arcs, tombstoned ones
+  /// included, each vertex's arcs sorted. Requires a live graph.
+  uint64_t GraphDigest() const {
+    static_assert(std::has_unique_object_representations_v<Arc>);
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    const auto mix = [&hash](const void* data, size_t bytes) {
+      for (size_t i = 0; i < bytes; ++i) {
+        hash = (hash ^ static_cast<const uint8_t*>(data)[i]) *
+               0x100000001b3ULL;
+      }
+    };
+    const uint64_t n = overlay_.NumVertices();
+    mix(&n, sizeof(n));
+    std::vector<Arc> arcs;
+    for (VertexId v = 0; v < n; ++v) {
+      arcs.clear();
+      overlay_.SupersetOut()(v, [&arcs](const Arc& arc) {
+        arcs.push_back(arc);
+        return false;
+      });
+      std::sort(arcs.begin(), arcs.end());
+      for (const Arc& arc : arcs) {
+        mix(&v, sizeof(v));
+        mix(&arc, sizeof(arc));
+      }
+    }
+    return hash;
+  }
+
   size_t Damage() const { return damage_; }
   size_t StalenessBudget() const { return staleness_budget_; }
   /// Pruning-oracle evaluations the last `Build` made (0 after a load):
@@ -483,7 +540,8 @@ class TwoHopCore {
   // damaged: a damaged labeling is only exact together with the live
   // tombstone and graph state, which neither format carries. Both loaders
   // leave the core without a live graph (queries only, until the next
-  // `Build`) and run `ValidateLabeling` before the labeling goes live. ---
+  // `Build`, or `Rebase` after a snapshot load) and run `ValidateLabeling`
+  // before the labeling goes live. ---
 
   /// The v1 stream: envelope `Traits::kFormatName`, u64 payload magic,
   /// u64 n, the rank and by-rank tables, then every Lin and every Lout
@@ -569,9 +627,9 @@ class TwoHopCore {
 
   /// Writes an RCHX v2 snapshot file: meta, rank and by-rank sections,
   /// then the sealed pool arrays of whichever representation is live, each
-  /// page-aligned (the `SnapshotSection` kinds). A delta overlay is folded
-  /// into temporary pools first, so the file holds one delta-free
-  /// labeling.
+  /// page-aligned (the `SnapshotSection` kinds), and the graph digest when
+  /// the core knows its graph. A delta overlay is folded into temporary
+  /// pools first, so the file holds one delta-free labeling.
   bool SaveSnapshot(std::ostream& out) const {
     namespace snap = two_hop_snapshot;
     if (damage_ > 0) return false;
@@ -631,6 +689,14 @@ class TwoHopCore {
         add(kind + 1, pool->EntriesRaw());
       }
     }
+    // A loaded core without a live graph has taken no update since, so
+    // the digest it loaded still holds.
+    const std::optional<uint64_t> digest =
+        overlay_.base() != nullptr ? std::optional(GraphDigest())
+                                   : sealed.graph_digest;
+    if (digest) {
+      add(snap::kGraphDigest, std::span<const uint64_t>(&*digest, 1));
+    }
     return writer.WriteTo(out);
   }
 
@@ -650,7 +716,8 @@ class TwoHopCore {
 
   /// Zero-copy restore: validates the section table and meta, points the
   /// pools at the mapping (`SealFromView` checks their structure), holds
-  /// the mapping, and validates the labeling.
+  /// the mapping, keeps the graph digest when the file has one, and
+  /// validates the labeling.
   LoadResult LoadSnapshot(std::shared_ptr<MappedFile> file) {
     namespace snap = two_hop_snapshot;
     SnapshotView view;
@@ -731,6 +798,14 @@ class TwoHopCore {
                                  &sealed->lout_cpool);
         !r) {
       return r;
+    }
+    if (view.Has(snap::kGraphDigest)) {
+      const std::span<const uint8_t> digest = view.Section(snap::kGraphDigest);
+      if (digest.size() != sizeof(uint64_t)) {
+        return {LoadStatus::kCorrupt, "graph digest section: wrong size"};
+      }
+      sealed->graph_digest.emplace();
+      std::memcpy(&*sealed->graph_digest, digest.data(), sizeof(uint64_t));
     }
     sealed->rank.assign(rank.begin(), rank.end());
     sealed->by_rank.assign(by_rank.begin(), by_rank.end());
@@ -1172,6 +1247,17 @@ class TwoHopCore {
     if (!overlay_.Delete(s, arc)) return false;  // absent or already dead
     const VertexId t = Arcs::Head(arc);
     if (s == t) return true;  // a self-loop never changes reachability
+    // Marks that already cover the cut: the sweeps `MarkDamage` would run
+    // mark nothing new. Each marked set is closed under superset
+    // ancestors (forward) or descendants (backward): a sweep marks a whole
+    // closure, `ApplyInsert` re-closes the sets when the superset grows,
+    // and an overrun sets the all-damaged flag. So the marks and the rent
+    // stay as they are, no answer changes, and `damage_` keeps counting
+    // distinct damage, as when a resurrected arc is deleted again.
+    if (!damaged_fwd_.empty() && RankDamagedFwd(Rank(s)) &&
+        RankDamagedBwd(Rank(t))) {
+      return true;
+    }
     // A live detour s ->* t under the cut arc's constraint reroutes every
     // old path through the arc: the reachability relation is untouched
     // and the labels stay exact — zero damage, zero query-time cost.
@@ -1307,6 +1393,9 @@ class TwoHopCore {
     bool compressed = false;
     bool budget_exceeded = false;
     std::shared_ptr<MappedFile> mapping;
+    // The snapshot's graph digest, when it was loaded from one that has
+    // it (`Rebase`).
+    std::optional<uint64_t> graph_digest;
 
     size_t PoolBytes() const {
       return compressed ? lin_cpool.MemoryBytes() + lout_cpool.MemoryBytes()

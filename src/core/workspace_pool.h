@@ -51,9 +51,22 @@ class WorkspacePool {
   mutable std::deque<SearchWorkspace> slots_;
 };
 
+/// Scratch state of an object whose copies must not share or copy it: a
+/// copy of a `FreshOnCopy<T>` is a default-constructed `T`, and assigning
+/// one leaves the target as it was. So the owner can keep a defaulted
+/// copy constructor — every other member is copied — and a copy taken
+/// while other threads write the source's scratch reads none of it.
+template <typename T>
+struct FreshOnCopy : T {
+  FreshOnCopy() = default;
+  FreshOnCopy(const FreshOnCopy&) : T() {}
+  FreshOnCopy& operator=(const FreshOnCopy&) { return *this; }
+};
+
 /// The slot plumbing of every plain index whose queries traverse: one
-/// `WorkspacePool`, `Query` is `QueryInSlot(s, t, 0)`, every slot asked
-/// for is granted, and `Probe()` sums the slots. `Derived` is the index
+/// `WorkspacePool`, fresh in a copy of the index (`FreshOnCopy`), `Query`
+/// is `QueryInSlot(s, t, 0)`, every slot asked for is granted, and
+/// `Probe()` sums the slots. `Derived` is the index
 /// (its `QueryInSlot` over `Workspace(slot)` is called without a second
 /// virtual dispatch); `Base` is `ReachabilityIndex` or
 /// `DynamicReachabilityIndex`.
@@ -75,7 +88,7 @@ class PooledSearchIndex : public Base {
   SearchWorkspace& Workspace(size_t slot) const { return pool_.Slot(slot); }
 
  private:
-  WorkspacePool pool_;
+  FreshOnCopy<WorkspacePool> pool_;
 };
 
 /// The no-traversal sibling: a bank of plain `QueryProbe`s for complete
@@ -105,18 +118,6 @@ class ProbePool {
 
  private:
   mutable std::deque<QueryProbe> slots_;
-};
-
-/// Scratch state of an object whose copies must not share or copy it: a
-/// copy of a `FreshOnCopy<T>` is a default-constructed `T`, and assigning
-/// one leaves the target as it was. So the owner can keep a defaulted
-/// copy constructor — every other member is copied — and a copy taken
-/// while other threads write the source's scratch reads none of it.
-template <typename T>
-struct FreshOnCopy : T {
-  FreshOnCopy() = default;
-  FreshOnCopy(const FreshOnCopy&) : T() {}
-  FreshOnCopy& operator=(const FreshOnCopy&) { return *this; }
 };
 
 }  // namespace reach

@@ -2,6 +2,7 @@
 #define REACH_PLAIN_DAGGER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,18 @@ class Dagger : public PooledSearchIndex<Dagger, DynamicReachabilityIndex> {
   bool SupportsDeletions() const override { return true; }
   bool RebuildFromUpdates() override;
 
+  /// Copies the bounds and the damage count, and shares the overlay's
+  /// chunks until the copy's own updates touch them; the query and
+  /// delete-classifier scratch are fresh in the copy. The copy's overlay
+  /// points into the graph of the last `Build`.
+  std::unique_ptr<DynamicReachabilityIndex> Clone() const override {
+    return std::make_unique<Dagger>(*this);
+  }
+  std::unique_ptr<Digraph> LiveGraph() const override {
+    if (overlay_.base() == nullptr) return nullptr;
+    return std::make_unique<Digraph>(overlay_.LiveGraph());
+  }
+
   /// Non-redundant deletes since the last (re)build — the filter's
   /// precision decay, not a correctness measure.
   size_t Damage() const { return damage_; }
@@ -98,7 +111,7 @@ class Dagger : public PooledSearchIndex<Dagger, DynamicReachabilityIndex> {
   size_t damage_ = 0;
   // Workspace of the delete classifier: update work, kept out of the query
   // slots and their probes.
-  SearchWorkspace delete_ws_;
+  FreshOnCopy<SearchWorkspace> delete_ws_;
 };
 
 }  // namespace reach

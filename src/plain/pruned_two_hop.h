@@ -218,8 +218,10 @@ class PrunedTwoHop : public DynamicReachabilityIndex {
   /// Writes an RCHX v2 *snapshot file* (docs/SNAPSHOTS.md): the sealed
   /// pool arrays — flat or compressed, any post-build delta folded in —
   /// laid out page-aligned behind a section table, so `LoadSnapshot` can
-  /// mmap the file and serve queries straight off the mapping. Unlike
-  /// `Save`, the bytes depend on the storage mode.
+  /// mmap the file and serve queries straight off the mapping, and a
+  /// digest of the graph the labels describe, which `Rebase` checks (read
+  /// from the graph of the last `Build`, which must still be alive).
+  /// Unlike `Save`, the bytes depend on the storage mode.
   bool SaveSnapshot(std::ostream& out) const {
     return core_.SaveSnapshot(out);
   }
@@ -247,6 +249,13 @@ class PrunedTwoHop : public DynamicReachabilityIndex {
   LoadResult LoadSnapshot(std::shared_ptr<MappedFile> file) {
     return core_.LoadSnapshot(std::move(file));
   }
+
+  /// Gives a snapshot-loaded labeling its live graph back, so it takes
+  /// `ApplyUpdate` and `Clone` like a built one (`TwoHopCore::Rebase`):
+  /// `graph`, which must outlive the index, must match the graph digest
+  /// the snapshot recorded. `kWrongIndex` when it does not, or when the
+  /// snapshot has no digest.
+  LoadResult Rebase(const Digraph& graph) { return core_.Rebase(graph); }
 
   /// Total number of label entries sum |Lin| + |Lout| — the index-size
   /// measure of §3.2.

@@ -9,11 +9,11 @@
 
 #include "core/failpoint.h"
 #include "core/index_factory.h"
-#include "graph/arc_overlay.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "par/thread_pool.h"
 #include "plain/pruned_two_hop.h"
+#include "traversal/guided_search.h"
 
 namespace reach {
 
@@ -31,72 +31,6 @@ LoadResult MakePlain(const std::string& spec,
   }
   *index = std::move(made.plain);
   return {};
-}
-
-/// Folds one update into `view`'s effective state: the last operation on
-/// each (source, target) pair wins, so the edge leaves whichever of
-/// `adds`/`dels` holds it and joins the one its kind names. Both stay
-/// sorted; a list bounded by the drain threshold keeps the memmoves tiny.
-void FoldUpdate(const EdgeUpdate& u, ServeView* view) {
-  const Edge e{u.source, u.target};
-  std::vector<Edge>& into = u.IsInsert() ? view->adds : view->dels;
-  std::vector<Edge>& from = u.IsInsert() ? view->dels : view->adds;
-  auto it = std::lower_bound(from.begin(), from.end(), e);
-  if (it != from.end() && *it == e) from.erase(it);
-  it = std::lower_bound(into.begin(), into.end(), e);
-  if (it == into.end() || *it != e) into.insert(it, e);
-}
-
-/// `BoundedUnionBfs` over the effective updates folded into `view` (its
-/// `adds` and `dels`), with its visited marks and queue in `ws`.
-BoundedBfsOutcome UnionBfs(const Digraph& graph, const ServeView& view,
-                           VertexId s, VertexId t, size_t max_visits,
-                           SearchWorkspace& ws) {
-  BoundedBfsOutcome out;
-  if (s == t) {
-    out.reachable = true;
-    return out;
-  }
-  // Live union graph: base arcs not masked by an effective delete, plus
-  // the effective inserts.
-  const std::vector<Edge>& by_source = view.adds;  // sorted by source
-  const std::vector<Edge>& dels = view.dels;       // sorted
-  ws.PrepareForward(graph.NumVertices());
-  std::vector<VertexId>& queue = ws.queue();
-  queue.push_back(s);
-  ws.MarkForward(s);
-  for (size_t head = 0; head < queue.size(); ++head) {
-    if (out.visits >= max_visits) {
-      out.complete = false;
-      return out;
-    }
-    ++out.visits;
-    const VertexId v = queue[head];
-    const auto enqueue = [&](VertexId n) {
-      if (ws.MarkForward(n)) queue.push_back(n);
-      return n == t;
-    };
-    for (const VertexId n : graph.OutNeighbors(v)) {
-      if (!dels.empty() &&
-          std::binary_search(dels.begin(), dels.end(), Edge{v, n})) {
-        continue;  // tombstoned base arc
-      }
-      if (enqueue(n)) {
-        out.reachable = true;
-        return out;
-      }
-    }
-    const auto range = std::equal_range(
-        by_source.begin(), by_source.end(), Edge{v, 0},
-        [](const Edge& a, const Edge& b) { return a.source < b.source; });
-    for (auto it = range.first; it != range.second; ++it) {
-      if (enqueue(it->target)) {
-        out.reachable = true;
-        return out;
-      }
-    }
-  }
-  return out;
 }
 
 /// Whether a copy's `ApplyUpdate` outcome asks for a full build: its
@@ -369,8 +303,13 @@ LoadResult ReachService::Start() {
   std::unique_ptr<ReachabilityIndex> index;
   LoadResult result = MakePlain(options_.spec, &index);
   std::lock_guard<std::mutex> lock(rebuild_mu_);
-  if (result && !started_) {
-    started_ = true;
+  if (result && !started_.load(std::memory_order_relaxed)) {
+    // Writes go into copies of the published index, so an index without
+    // one serves read-only.
+    const auto* dynamic =
+        dynamic_cast<const DynamicReachabilityIndex*>(index.get());
+    read_only_ = dynamic == nullptr || dynamic->Clone() == nullptr;
+    started_.store(true, std::memory_order_release);
     ScheduleLocked();
   }
   return result;
@@ -378,10 +317,10 @@ LoadResult ReachService::Start() {
 
 LoadResult ReachService::StartWithSnapshot(const std::string& path) {
   // write_mu_ before rebuild_mu_, the established order: the view is
-  // replaced below, and updates accepted before the start must stay in it.
+  // replaced below.
   std::lock_guard<std::mutex> wl(write_mu_);
   std::lock_guard<std::mutex> lock(rebuild_mu_);
-  if (started_) {
+  if (started_.load(std::memory_order_relaxed)) {
     return {LoadStatus::kUnsupported, "service already started"};
   }
   std::unique_ptr<ReachabilityIndex> index;
@@ -399,23 +338,27 @@ LoadResult ReachService::StartWithSnapshot(const std::string& path) {
                 std::to_string(two_hop->NumIndexedVertices()) +
                 " vertices, service has " + std::to_string(num_vertices_)};
   }
-  const auto cur = view_.Load();
   auto snap = std::make_shared<ServeSnapshot>();
-  snap->graph = cur->snapshot->graph;  // the base graph from the ctor
-  // The loaded index has no live graph to update, so it takes the rebuild
-  // path (`copyable` stays null) until the first drain builds afresh.
+  snap->graph = view_.Load()->snapshot->graph;  // the base graph
+  // The labels must describe the base graph: then the index takes writes
+  // into copies of it like a built one.
+  if (LoadResult rebased = two_hop->Rebase(*snap->graph); !rebased) {
+    return rebased;
+  }
+  snap->copyable = two_hop;
   snap->index = std::move(index);
   snap->built_index_bytes = snap->index->IndexSizeBytes();
   snap->slots->Reset(snap->index->PrepareConcurrentQueries(
       ResolveThreads(options_.slots)));
   snap->version = next_version_++;
   const uint64_t published_version = snap->version;
-  // Updates accepted before the start stay pending over the loaded index.
-  auto next = std::make_shared<ServeView>(*cur);
+  // No write is accepted before the start, so nothing is pending.
+  auto next = std::make_shared<ServeView>();
   next->snapshot = std::move(snap);
   view_.Store(std::move(next));
   version_gauge_->Set(static_cast<double>(published_version));
-  started_ = true;  // rebuilds are update-driven from here on
+  // Full builds are write-driven from here on.
+  started_.store(true, std::memory_order_release);
   return LoadResult{};
 }
 
@@ -440,75 +383,86 @@ bool ReachService::DeleteEdge(VertexId s, VertexId t) {
   return ApplyUpdate({EdgeUpdate::Delete(s, t)}).ok();
 }
 
+UpdateResult ReachService::Reject(const std::string& reason) const {
+  stats_.update_rejected.fetch_add(1, std::memory_order_relaxed);
+  return UpdateResult::Rejected(reason);
+}
+
 UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
   // Validate-first: a rejected batch must leave no trace.
   size_t num_inserts = 0;
   size_t num_deletes = 0;
   for (const EdgeUpdate& update : batch) {
     if (update.source >= num_vertices_ || update.target >= num_vertices_) {
-      stats_.update_rejected.fetch_add(1, std::memory_order_relaxed);
-      return UpdateResult::Rejected("endpoint out of range");
+      return Reject("endpoint out of range");
     }
     update.IsInsert() ? ++num_inserts : ++num_deletes;
   }
   if (stopped_.load(std::memory_order_relaxed)) {
-    stats_.update_rejected.fetch_add(1, std::memory_order_relaxed);
-    return UpdateResult::Rejected("service stopped");
+    return Reject("service stopped");
+  }
+  if (!started_.load(std::memory_order_acquire)) {
+    return Reject("service not started");
+  }
+  if (read_only_) {
+    return Reject("spec '" + options_.spec +
+                  "' is read-only when served: its index has no copy");
   }
   if (batch.empty()) return UpdateResult::Applied(0, 0, 0, 0);
   size_t pending_count = 0;
   bool schedule = false;
-  bool copied = false;
   std::shared_ptr<const ServeView> freed;  // released after the unlock
   {
     std::unique_lock<std::mutex> lock(write_mu_);
+    // Waits until `ready()`, re-scheduling a build on every wakeup that
+    // still finds it false: the build that woke the writer may have ended
+    // before racing writers refilled the log. False once stopped.
+    // (write_mu_ -> rebuild_mu_ is the established lock order; the
+    // reverse never happens.)
+    const auto wait_until = [&](auto ready) {
+      while (!stopped_.load(std::memory_order_relaxed) && !ready()) {
+        {
+          std::lock_guard<std::mutex> rl(rebuild_mu_);
+          ScheduleLocked();
+        }
+        backpressure_cv_.wait(lock);
+      }
+      return !stopped_.load(std::memory_order_relaxed);
+    };
+    // Before the first index is published there is no copy to write into.
+    if (!wait_until(
+            [&] { return view_.Load()->snapshot->copyable != nullptr; })) {
+      return Reject("service stopped");
+    }
     const size_t cap = options_.max_pending_edges;
+    const auto below_cap = [&] { return view_.Load()->pending.size() < cap; };
     // The batch is one admission unit: it lands whole or not at all
-    // (kForceRebuild may overshoot the cap by a whole batch, same
-    // transient-overshoot contract as before).
-    if (cap > 0 && view_.Load()->pending.size() >= cap) {
+    // (kForceRebuild may overshoot the cap by a whole batch).
+    if (cap > 0 && !below_cap()) {
       switch (options_.backpressure) {
         case BackpressurePolicy::kReject:
           stats_.backpressure_rejected.fetch_add(1,
                                                  std::memory_order_relaxed);
-          stats_.update_rejected.fetch_add(1, std::memory_order_relaxed);
-          return UpdateResult::Rejected("backpressure: pending buffer full");
+          return Reject("backpressure: replay log full");
         case BackpressurePolicy::kForceRebuild:
-          // Accept past the cap; the forced drain pulls it back under.
+          // Accept past the cap; the running build's end empties the log.
           stats_.backpressure_forced.fetch_add(1, std::memory_order_relaxed);
           schedule = true;
           break;
-        case BackpressurePolicy::kBlock: {
+        case BackpressurePolicy::kBlock:
           stats_.backpressure_blocked.fetch_add(1,
                                                 std::memory_order_relaxed);
-          // Re-schedule on every wakeup that still finds the buffer full:
-          // the drain that made room may have stopped before racing
-          // writers refilled it. (write_mu_ -> rebuild_mu_ is the
-          // established lock order; the reverse never happens.)
-          while (!stopped_.load(std::memory_order_relaxed) &&
-                 view_.Load()->pending.size() >= cap) {
-            {
-              std::lock_guard<std::mutex> rl(rebuild_mu_);
-              ScheduleLocked();
-            }
-            backpressure_cv_.wait(lock);
-          }
-          if (stopped_.load(std::memory_order_relaxed)) {
-            stats_.update_rejected.fetch_add(1, std::memory_order_relaxed);
-            return UpdateResult::Rejected("service stopped");
-          }
+          if (!wait_until(below_cap)) return Reject("service stopped");
           break;
-        }
       }
     }
     const auto cur = view_.Load();
+    const ServeSnapshot& from = *cur->snapshot;
     auto next = std::make_shared<ServeView>();
-    copied = cur->snapshot->copyable != nullptr;
-    if (copied) {
-      // The copy path: a copy of the published index takes the batch and
-      // is published in its place.
+    {
+      // A copy of the published index takes the batch and is published in
+      // its place.
       REACH_TRACE_SPAN("serve.update.apply");
-      const ServeSnapshot& from = *cur->snapshot;
       std::unique_ptr<DynamicReachabilityIndex> copy = from.copyable->Clone();
       const UpdateResult applied = copy->ApplyUpdate(batch);
       if (!applied.ok()) {
@@ -524,38 +478,31 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
       snap->copyable = copy.get();
       snap->carries_updates = true;
       snap->built_index_bytes = from.built_index_bytes;
-      // The copy shares its source's per-slot scratch, so it shares the
-      // source's leases too; this sizes its own per-slot probes.
+      // The copy may share its source's per-slot scratch, so it shares the
+      // source's leases too; this sizes its own per-slot state.
       copy->PrepareConcurrentQueries(from.slots->size());
       snap->slots = from.slots;
       snap->index = std::move(copy);
       snap->version = next_version_++;
       next->snapshot = std::move(snap);
-    } else {
-      next->snapshot = cur->snapshot;
-      next->adds = cur->adds;
-      next->dels = cur->dels;
-      for (const EdgeUpdate& u : batch) FoldUpdate(u, next.get());
     }
-    // The copy path logs a batch only while a drain will replay it.
-    if (!copied || log_for_drain_) {
+    // A batch is logged only while a build will replay it.
+    if (log_for_drain_) {
       next->pending.reserve(cur->pending.size() + batch.size());
       next->pending = cur->pending;
       next->pending.insert(next->pending.end(), batch.begin(), batch.end());
     }
     pending_count = next->pending.size();
-    schedule =
-        schedule || (!copied && pending_count >= options_.drain_threshold);
     view_.Store(std::move(next));
     // Readers that cached `cur` drop it when they reload; holding it
     // until the next publish makes this writer, not one of them, free it
-    // (and with it, on the copy path, the index copy it replaced).
+    // (and with it the index copy it replaced).
     freed = std::exchange(superseded_, cur);
   }
   stats_.inserts.fetch_add(num_inserts, std::memory_order_relaxed);
   stats_.deletes.fetch_add(num_deletes, std::memory_order_relaxed);
   stats_.update_batches.fetch_add(1, std::memory_order_relaxed);
-  if (copied) stats_.rebuilds.fetch_add(1, std::memory_order_relaxed);
+  stats_.rebuilds.fetch_add(1, std::memory_order_relaxed);
   pending_gauge_->Set(static_cast<double>(pending_count));
   if (negcache_ != nullptr && num_inserts > 0) {
     // After the view publish: a query sampling the new epoch is
@@ -578,19 +525,17 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
 
 void ReachService::Flush() {
   std::unique_lock<std::mutex> lock(rebuild_mu_);
-  // Unstarted, no drain will ever run to absorb what is pending.
-  if (stopped_.load(std::memory_order_relaxed) || !started_) return;
+  // Unstarted, no build will ever run.
+  if (stopped_.load(std::memory_order_relaxed) ||
+      !started_.load(std::memory_order_relaxed)) {
+    return;
+  }
   rebuild_cv_.wait(lock, [&] {
     if (stopped_.load(std::memory_order_relaxed)) return true;
     if (rebuild_inflight_) return false;
-    // A drain is owed while updates wait outside the index or there is
-    // no index yet. On the copy path the pending list empties when its
-    // drain ends, so only the rebuild path ever schedules here.
-    const auto view = view_.Load();
-    if (view->snapshot->index != nullptr && view->pending.empty()) {
-      return true;
-    }
-    flush_requested_ = true;
+    // A build is owed only while no index is published: the replay log
+    // empties when its build ends.
+    if (view_.Load()->snapshot->index != nullptr) return true;
     ScheduleLocked();
     return false;
   });
@@ -607,8 +552,8 @@ void ReachService::Flush() {
 }
 
 void ReachService::ScheduleLocked() {
-  if (stopped_.load(std::memory_order_relaxed) || !started_ ||
-      rebuild_inflight_) {
+  if (stopped_.load(std::memory_order_relaxed) ||
+      !started_.load(std::memory_order_relaxed) || rebuild_inflight_) {
     return;
   }
   rebuild_inflight_ = true;
@@ -618,8 +563,8 @@ void ReachService::ScheduleLocked() {
 void ReachService::EndDrainLocked() {
   log_for_drain_ = false;
   const auto cur = view_.Load();
-  if (cur->snapshot->copyable == nullptr || cur->pending.empty()) return;
-  // Batches logged for a replay that no drain will run: the index
+  if (cur->pending.empty()) return;
+  // Batches logged for a replay that no build will run: the index
   // already carries them.
   auto next = std::make_shared<ServeView>();
   next->snapshot = cur->snapshot;
@@ -632,20 +577,16 @@ void ReachService::RebuildLoop() {
   for (;;) {
     REACH_TRACE_SPAN("serve.rebuild");
     SetRebuildState(RebuildState::kRunning);
-    // The build covers everything accepted *now*; updates racing past
-    // this load stay pending on the rebuild path, or are logged for the
-    // replay on the copy path. Between drains the list only grows by
-    // append, so the drained list is a prefix of every later one. A retry
-    // re-loads here, so a re-queued drain picks up newly arrived edges.
+    // The build covers everything accepted *now*; batches racing past
+    // this load are logged for the replay. Between builds the log only
+    // grows by append, so the drained log is a prefix of every later one.
+    // A retry re-loads here, so a re-queued build picks up newly arrived
+    // updates.
     std::shared_ptr<const ServeView> drained;
     {
       std::lock_guard<std::mutex> wl(write_mu_);
       log_for_drain_ = true;
       drained = view_.Load();
-    }
-    {
-      std::lock_guard<std::mutex> lock(rebuild_mu_);
-      flush_requested_ = false;
     }
 
     const Clock::time_point attempt_start = Clock::now();
@@ -664,25 +605,16 @@ void ReachService::RebuildLoop() {
       }
       {
         REACH_TRACE_SPAN("serve.rebuild.graph");
-        // The live graph: the copy's own on the copy path; otherwise the
-        // drained pending updates, in their effective state, over the
-        // snapshot graph.
+        // The live graph: the published copy's own, or the snapshot graph
+        // while no index takes writes (no write lands before the first).
         const ServeSnapshot& from = *drained->snapshot;
-        if (from.copyable != nullptr) {
+        if (from.copyable == nullptr) {
+          snap->graph = from.graph;
+        } else {
           snap->graph = from.copyable->LiveGraph();
           if (snap->graph == nullptr) {
             throw std::logic_error("an index with copies has no live graph");
           }
-        } else {
-          ArcOverlay<Digraph> overlay;
-          overlay.Reset(from.graph.get());
-          for (const Edge& e : drained->dels) {
-            overlay.Delete(e.source, e.target);
-          }
-          for (const Edge& e : drained->adds) {
-            overlay.Insert(e.source, e.target);
-          }
-          snap->graph = std::make_shared<const Digraph>(overlay.LiveGraph());
         }
       }
       // Cooperative watchdog checkpoint, placed where abandoning still
@@ -700,10 +632,9 @@ void ReachService::RebuildLoop() {
         snap->index = MakeIndex(options_.spec).plain;
         snap->index->Build(*snap->graph);
         snap->built_index_bytes = snap->index->IndexSizeBytes();
-        auto* dynamic =
-            dynamic_cast<DynamicReachabilityIndex*>(snap->index.get());
-        if (dynamic != nullptr && dynamic->Clone() != nullptr) {
-          snap->copyable = dynamic;
+        if (!read_only_) {
+          snap->copyable =
+              dynamic_cast<DynamicReachabilityIndex*>(snap->index.get());
         }
       }
     } catch (const std::exception& e) {
@@ -715,7 +646,7 @@ void ReachService::RebuildLoop() {
     }
     if (stalled) {
       failed = true;
-      error = "watchdog: drain attempt exceeded deadline, re-queued";
+      error = "watchdog: build attempt exceeded deadline, re-queued";
       stats_.watchdog_fired.fetch_add(1, std::memory_order_relaxed);
     }
     if (failed) {
@@ -723,9 +654,10 @@ void ReachService::RebuildLoop() {
       ++consecutive_failures;
       NoteRebuildFailure(error, consecutive_failures);
       if (consecutive_failures > options_.rebuild_max_retries) {
-        // Retries exhausted: abandon the drain. Rebuild-path updates stay
-        // pending — queries still answer them exactly via the union BFS —
-        // and the next ApplyUpdate/Flush schedules a fresh loop.
+        // Retries exhausted: abandon the build. The published index
+        // carries every accepted update and keeps answering exactly; the
+        // next write that asks for a build (or waits for the first)
+        // schedules a fresh loop.
         SetRebuildState(RebuildState::kFailed);
         // Exit handshake. A writer parked on kBlock backpressure may
         // have no-op'd its ScheduleLocked against this (then in-flight)
@@ -780,10 +712,10 @@ void ReachService::RebuildLoop() {
     snap->slots->Reset(snap->index->PrepareConcurrentQueries(
         ResolveThreads(options_.slots)));
 
-    // What arrived after the drained view: replayed into a copyable
-    // index, mostly outside write_mu_ so writers keep landing meanwhile,
-    // and the rest under it, just before the publish; otherwise kept
-    // pending over the new snapshot.
+    // What arrived after the drained view: replayed into the new index,
+    // mostly outside write_mu_ so writers keep landing meanwhile, and the
+    // rest under it, just before the publish. Only an index that takes
+    // writes has any.
     size_t replayed = drained->pending.size();
     bool wants_build = false;
     const auto replay = [&](const PendingUpdates& pending) {
@@ -801,31 +733,22 @@ void ReachService::RebuildLoop() {
         replay(seen->pending);
       }
     }
-    size_t left = 0;
     uint64_t published_version = 0;
     std::shared_ptr<const ServeView> freed;  // released after the unlock
     {
       std::lock_guard<std::mutex> lock(write_mu_);
       // A view of the old snapshot: not kept past the swap.
       freed = std::move(superseded_);
-      const auto cur = view_.Load();
-      auto next = std::make_shared<ServeView>();
       if (snap->copyable != nullptr) {
-        replay(cur->pending);
+        replay(view_.Load()->pending);
         build_wanted_ = wants_build;
-      } else {
-        next->pending.assign(
-            cur->pending.begin() +
-                static_cast<ptrdiff_t>(drained->pending.size()),
-            cur->pending.end());
-        for (const EdgeUpdate& u : next->pending) FoldUpdate(u, next.get());
       }
       snap->version = next_version_++;
       published_version = snap->version;
+      auto next = std::make_shared<ServeView>();
       next->snapshot = std::move(snap);
-      left = next->pending.size();
       view_.Store(std::move(next));
-      // Room just opened: release writers parked on kBlock backpressure.
+      // Room just opened, or the first index: release waiting writers.
       backpressure_cv_.notify_all();
     }
     REACH_TRACE_INSTANT("serve.snapshot_swap");
@@ -837,28 +760,24 @@ void ReachService::RebuildLoop() {
       negcache_->Invalidate();
       stats_.negcache_invalidations.fetch_add(1, std::memory_order_relaxed);
     }
-    pending_gauge_->Set(static_cast<double>(left));
+    pending_gauge_->Set(0.0);
     health_ready_gauge_->Set(1.0);
     stats_.rebuilds.fetch_add(1, std::memory_order_relaxed);
     stats_.full_builds.fetch_add(1, std::memory_order_relaxed);
 
     {
       // Exit handshake, same shape as the retries-exhausted one above: a
-      // writer that refilled the buffer right after the trim saw this
-      // drain still in flight, skipped scheduling, and parked — wake it
+      // writer that refilled the log right after the publish saw this
+      // build still in flight, skipped scheduling, and parked — wake it
       // under write_mu_ (before rebuild_mu_, the established order) so
       // its re-run ScheduleLocked finds the in-flight flag already down.
       // Clearing the flag must be the LAST touch of `this`: a
       // Stop()/join()er that observes it may destroy the service.
       std::unique_lock<std::mutex> wl(write_mu_);
       std::unique_lock<std::mutex> rl(rebuild_mu_);
-      const bool copy_path = view_.Load()->snapshot->copyable != nullptr;
-      const bool more =
-          !stopped_.load(std::memory_order_relaxed) &&
-          (copy_path ? build_wanted_
-                     : left >= options_.drain_threshold ||
-                           (flush_requested_ && left > 0));
-      if (more) continue;
+      if (!stopped_.load(std::memory_order_relaxed) && build_wanted_) {
+        continue;
+      }
       EndDrainLocked();
       SetRebuildState(RebuildState::kIdle);
       backpressure_cv_.notify_all();
@@ -917,8 +836,8 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
   const AdmissionTier tier =
       gated ? AdmitTier(readers_->InFlight()) : AdmissionTier::kFull;
 
-  // Sample the negcache epoch BEFORE pinning: the pinned view's list
-  // then contains every edge counted in the sampled epoch, so a negative
+  // Sample the negcache epoch BEFORE pinning: the pinned view's index
+  // then carries every edge counted in the sampled epoch, so a negative
   // verified against it may be cached at that epoch. (An insert racing
   // between the sample and the pin only makes the verified edge set
   // larger — a negative on a superset is valid for the subset.) A
@@ -970,21 +889,17 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
   ServeAnswer ans;
   ans.snapshot_version = snap.version;
   if (s < num_vertices_ && t < num_vertices_) {
-    if (tier == AdmissionTier::kBfsOnly && snap.copyable == nullptr) {
-      // Heavy load: skip slot acquisition and the pending updates
-      // entirely; one bounded traversal with a tighter budget bounds the
-      // cost.
-      ans = DegradedAnswer(view, s, t, kDegradedVisitBudget, recp,
-                           reader.bfs);
-    } else if (snap.index == nullptr) {
-      // Startup: the first index build is still in flight.
-      ans = DegradedAnswer(view, s, t, kFallbackVisitBudget, recp,
-                           reader.bfs);
+    if (snap.index == nullptr) {
+      // Startup: the first index build is still in flight. Under heavy
+      // load a tighter budget bounds the cost.
+      ans = AnswerBeforeIndex(snap, s, t,
+                              tier == AdmissionTier::kBfsOnly
+                                  ? kDegradedVisitBudget
+                                  : kFallbackVisitBudget,
+                              recp, reader.bfs);
     } else {
       bool waited = false;
-      ans = AnswerWithIndex(view, s, t,
-                            /*allow_pending=*/tier == AdmissionTier::kFull,
-                            &waited, recp, reader.bfs);
+      ans = AnswerWithIndex(snap, s, t, &waited, recp);
       if (waited) {
         stats_.slot_waits.fetch_add(1, std::memory_order_relaxed);
       }
@@ -998,11 +913,11 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
   if (cacheable) {
     stats_.negcache_misses.fetch_add(1, std::memory_order_relaxed);
     // Verified unreachable against the pinned view, which covers
-    // everything counted in the sampled epoch. Not while inserts are
-    // pending, nor on a copy carrying updates no Flush has settled: the
-    // writes are still coming, the next insert or swap would invalidate
-    // the entry, and writing it clears a whole stripe once per epoch.
-    if (!ans.reachable && ans.exact && view.adds.empty() &&
+    // everything counted in the sampled epoch. Not on a copy carrying
+    // updates no Flush has settled: the writes are still coming, the next
+    // insert or swap would invalidate the entry, and writing it clears a
+    // whole stripe once per epoch.
+    if (!ans.reachable && ans.exact &&
         (!snap.carries_updates || view.settled)) {
       StageScope stage(recp, ServeStage::kNegCacheProbe);
       const auto outcome = negcache_->Insert(s, t, negcache_epoch);
@@ -1030,7 +945,6 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
       rec.source = ans.source;
       rec.snapshot_version = ans.snapshot_version;
       rec.total_ns = total_ns;
-      rec.pending_edges = snap.copyable != nullptr ? 0 : view.pending.size();
       CaptureSlowQuery(rec);
     }
   }
@@ -1059,12 +973,11 @@ void ReachService::CaptureSlowQuery(SlowQueryRecord rec) const {
   stats_.slow_captured.fetch_add(1, std::memory_order_relaxed);
 }
 
-ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
-                                          VertexId t, bool allow_pending,
-                                          bool* waited, SlowQueryRecord* rec,
-                                          SearchWorkspace& bfs) const {
+ServeAnswer ReachService::AnswerWithIndex(const ServeSnapshot& snap,
+                                          VertexId s, VertexId t,
+                                          bool* waited,
+                                          SlowQueryRecord* rec) const {
   ServeAnswer ans;
-  const ServeSnapshot& snap = *view.snapshot;
   {
     // The one index probe of the query; the slot is held for it alone.
     std::optional<SlotLease> lease;
@@ -1077,54 +990,41 @@ ServeAnswer ReachService::AnswerWithIndex(const ServeView& view, VertexId s,
     if (rec != nullptr) ++rec->index_probes;
     ans.reachable = snap.index->QueryInSlot(s, t, lease->slot());
   }
-  if (snap.copyable != nullptr && snap.carries_updates) {
-    // The copy carries every accepted update: exact.
+  // The index carries every accepted update: exact.
+  if (snap.carries_updates) {
     ans.source = AnswerSource::kDelta;
     stats_.delta_answers.fetch_add(1, std::memory_order_relaxed);
-    return ans;
-  }
-  // Exact when nothing is pending (the copy path always), and on the
-  // rebuild path for a negative while no insert is pending (the live
-  // graph is the snapshot's minus pending deletes) and for a positive
-  // while no delete is pending (reachability is monotone under insertion).
-  if (ans.reachable ? view.dels.empty() : view.adds.empty()) {
+  } else {
     stats_.index_answers.fetch_add(1, std::memory_order_relaxed);
-    return ans;
   }
-  if (!allow_pending) {
-    // Admission skipped the pending updates: this negative is only
-    // approximate.
-    ans.reachable = false;
-    ans.exact = false;
-    stats_.index_answers.fetch_add(1, std::memory_order_relaxed);
-    return ans;
-  }
-  // A positive with deletes pending may route through a tombstoned edge,
-  // and a negative with inserts pending may miss a new one: only a
-  // traversal of the live union graph decides. It returns an exact answer
-  // unless the visit budget runs out (then an inexact negative, flagged
-  // as such).
-  if (ans.reachable) {
-    stats_.delete_verifies.fetch_add(1, std::memory_order_relaxed);
-  }
-  return DegradedAnswer(view, s, t, kFallbackVisitBudget, rec, bfs);
+  return ans;
 }
 
-ServeAnswer ReachService::DegradedAnswer(const ServeView& view, VertexId s,
-                                         VertexId t, size_t visit_budget,
-                                         SlowQueryRecord* rec,
-                                         SearchWorkspace& bfs) const {
+ServeAnswer ReachService::AnswerBeforeIndex(const ServeSnapshot& snap,
+                                            VertexId s, VertexId t,
+                                            size_t visit_budget,
+                                            SlowQueryRecord* rec,
+                                            SearchWorkspace& ws) const {
   ServeAnswer ans;
   ans.source = AnswerSource::kFallbackBfs;
-  BoundedBfsOutcome out;
+  int verdict = 0;
+  size_t expanded = 0;
   {
     StageScope stage(rec, ServeStage::kFallbackBfs);
-    out = UnionBfs(*view.snapshot->graph, view, s, t, visit_budget, bfs);
+    ws.Prepare(num_vertices_);
+    const auto out = OutArcs(*snap.graph);
+    verdict = GuidedDfs(
+        s, t, ws,
+        [&](VertexId v, auto&& visit) {
+          ++expanded;
+          return out(v, visit);
+        },
+        [](VertexId) { return 0; }, visit_budget);
   }
-  if (rec != nullptr) rec->bfs_visits = out.visits;
-  ans.reachable = out.reachable;
-  // A found path is a witness; only unverified negatives are inexact.
-  ans.exact = out.reachable || out.complete;
+  if (rec != nullptr) rec->bfs_visits = expanded;
+  ans.reachable = verdict > 0;
+  // A found path is a witness; only a search cut by its budget is inexact.
+  ans.exact = verdict != 0;
   stats_.fallback_answers.fetch_add(1, std::memory_order_relaxed);
   return ans;
 }
@@ -1160,7 +1060,9 @@ ServiceHealth ReachService::Health() const {
   ServiceHealth health;
   const auto view = view_.Load();
   health.ready = view->snapshot->index != nullptr;
-  health.accepting_writes = !stopped_.load(std::memory_order_relaxed);
+  health.accepting_writes = started_.load(std::memory_order_acquire) &&
+                            !read_only_ &&
+                            !stopped_.load(std::memory_order_relaxed);
   health.snapshot_version = view->snapshot->version;
   health.index_bytes = health.ready ? view->snapshot->index->IndexSizeBytes()
                                     : 0;
@@ -1206,22 +1108,6 @@ ServiceHealth ReachService::Health() const {
   health_pending_fill_gauge_->Set(health.pending_fill);
   health_inflight_fill_gauge_->Set(health.inflight_fill);
   return health;
-}
-
-BoundedBfsOutcome BoundedUnionBfs(const Digraph& graph,
-                                  const PendingUpdates& updates, VertexId s,
-                                  VertexId t, size_t max_visits) {
-  // Out-of-range input is held to the service's rules: an endpoint
-  // outside the graph reaches nothing (as in `Query`), and an update that
-  // names one is never pending (`ApplyUpdate` rejects it).
-  const size_t n = graph.NumVertices();
-  if (s >= n || t >= n) return {};
-  ServeView effective;
-  for (const EdgeUpdate& u : updates) {
-    if (u.source < n && u.target < n) FoldUpdate(u, &effective);
-  }
-  SearchWorkspace ws;
-  return UnionBfs(graph, effective, s, t, max_visits, ws);
 }
 
 }  // namespace reach

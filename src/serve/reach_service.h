@@ -25,31 +25,30 @@ namespace reach {
 class Gauge;
 class Histogram;
 
-/// What `ApplyUpdate` does when the pending-update buffer is at
-/// `ServiceOptions::max_pending_edges` (docs/ROBUSTNESS.md).
+/// What `ApplyUpdate` does when the replay log (the batches accepted
+/// while a full build runs) is at `ServiceOptions::max_pending_edges`
+/// (docs/ROBUSTNESS.md).
 enum class BackpressurePolicy : uint8_t {
-  /// Block the writer until a background drain makes room (a rebuild is
-  /// force-scheduled so the wait always terminates; `Stop` unblocks with
-  /// a rejected batch).
+  /// Block the writer until the build ends and its replay empties the log
+  /// (`Stop` unblocks with a rejected batch).
   kBlock,
   /// Reject the batch immediately (`ApplyUpdate` returns `kRejected`);
   /// the caller owns retry policy.
   kReject,
-  /// Accept the batch past the cap and force an immediate drain — the
-  /// buffer transiently exceeds the cap but converges back under it.
+  /// Accept the batch past the cap — the log transiently exceeds the cap
+  /// and empties when the running build ends.
   kForceRebuild,
 };
 
 /// Stable policy name ("block", "reject", "force_rebuild").
 const char* BackpressurePolicyName(BackpressurePolicy policy);
 
-/// Vertex-visit cap of the bounded union BFS that answers while no index
-/// is built, and on the rebuild path whenever pending updates keep the
-/// index's answer from being exact. Exhausting it yields an inexact
-/// negative answer (`ServeAnswer::exact == false`).
+/// Vertex-visit cap of the search of the base graph that answers while no
+/// index is published. Exhausting it yields an inexact negative answer
+/// (`ServeAnswer::exact == false`).
 inline constexpr size_t kFallbackVisitBudget = 1 << 16;
-/// Vertex-visit cap of the tier-2 (bfs-only) degraded answer path under
-/// admission control — deliberately far below `kFallbackVisitBudget`.
+/// The same cap on the tier-2 (bfs-only) admission tier — deliberately far
+/// below `kFallbackVisitBudget`.
 inline constexpr size_t kDegradedVisitBudget = 2048;
 /// How far the writer lets an index copy grow before it asks for a full
 /// build: a copy whose `IndexSizeBytes` passes this many times the size
@@ -62,17 +61,14 @@ inline constexpr size_t kIndexGrowthLimit = 2;
 /// Configuration of a `ReachService`.
 struct ServiceOptions {
   /// `MakeIndex` spec of the plain index each snapshot is built with.
-  /// `Start()` rejects a spec `MakeIndex` rejects, and an "lcr:" spec.
+  /// `Start()` rejects a spec `MakeIndex` rejects, and an "lcr:" spec. A
+  /// spec whose index has no copy (`DynamicReachabilityIndex::Clone`) is
+  /// served read-only.
   std::string spec = "pll";
   /// Concurrent-query slots requested per snapshot; the index may grant
   /// fewer (see `PrepareConcurrentQueries`). 0 = `DefaultThreads()`.
   size_t slots = 0;
-  /// Rebuild path only (specs whose index has no copy, and a snapshot-
-  /// loaded index until its first build): the pending-update count that
-  /// triggers a background drain, a full build over the live graph.
-  /// Deletes count like inserts. On the copy path every batch goes
-  /// straight into a copy of the index, and nothing waits to be drained
-  /// (see `ReachService`).
+  /// Unused; kept until ROADMAP item 5.
   size_t drain_threshold = 64;
   /// End-to-end latency above which a query's stage breakdown is retained
   /// in the slow-query log. 0 = no capture.
@@ -87,10 +83,10 @@ struct ServiceOptions {
   /// insert-carrying `ApplyUpdate` and on every snapshot swap, so a
   /// stale negative is never served; delete-only batches keep the cache
   /// warm (deletions only shrink reachability, so a verified negative
-  /// stays negative). A negative verified while inserts are pending, or
-  /// on a copy carrying updates that no `Flush` has settled since, is not
-  /// cached: the next insert or swap would invalidate it, and each write
-  /// after an invalidation clears a whole stripe. 0 disables the cache.
+  /// stays negative). A negative verified on a copy carrying updates that
+  /// no `Flush` has settled since is not cached: the next insert or swap
+  /// would invalidate it, and each write after an invalidation clears a
+  /// whole stripe. 0 disables the cache.
   size_t negcache_capacity = 1 << 14;
   /// Lock stripes of the negative-result cache (rounded to a power of
   /// two). More stripes = less writer contention.
@@ -99,36 +95,37 @@ struct ServiceOptions {
   /// --- Overload / fault hardening (docs/ROBUSTNESS.md) ---------------
 
   /// Admission control: maximum concurrently admitted queries. As the
-  /// in-flight count approaches the cap the pipeline degrades tier by
-  /// tier — ≤50% full pipeline, ≤75% cache+index probe only (the delta
-  /// closure is skipped, so a negative with pending edges is inexact),
-  /// ≤100% a small bounded BFS, and above the cap the query is shed
-  /// (`AnswerSource::kShedded`, `exact == false`, O(1)). 0 = no gate.
+  /// in-flight count approaches the cap, queries land on tiers — ≤50%
+  /// full, ≤75% cache-only, ≤100% bfs-only — which differ only before the
+  /// first index is published, when a bfs-only query searches the base
+  /// graph under the smaller `kDegradedVisitBudget`. Above the cap the
+  /// query is shed (`AnswerSource::kShedded`, `exact == false`, O(1)).
+  /// 0 = no gate.
   size_t max_inflight_queries = 0;
 
-  /// Write backpressure: cap on the pending-update buffer (the rebuild
-  /// path's pending list, or the copy path's batches waiting for the
-  /// replay of a running full build); `backpressure` picks what
-  /// `ApplyUpdate` does at the cap. 0 = unbounded (no gate).
+  /// Write backpressure: cap on the replay log, the updates accepted
+  /// while a full build runs, which its replay applies; `backpressure`
+  /// picks what `ApplyUpdate` does at the cap. 0 = unbounded (no gate).
   size_t max_pending_edges = 0;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
 
-  /// Rebuild resilience: a failed or watchdog-abandoned drain retries
-  /// with exponential backoff (initial doubled per consecutive failure,
-  /// capped at max, ±50% deterministic jitter) up to `rebuild_max_retries`
-  /// re-attempts; after that the drain is abandoned (health reports
-  /// kFailed) until the next insert/Flush schedules a fresh one. The
-  /// last good snapshot keeps serving throughout — failures never
-  /// unpublish anything.
+  /// Rebuild resilience: a failed or watchdog-abandoned full build
+  /// retries with exponential backoff (initial doubled per consecutive
+  /// failure, capped at max, ±50% deterministic jitter) up to
+  /// `rebuild_max_retries` re-attempts; after that the build is abandoned
+  /// (health reports kFailed) until a write asks for one again (or, before
+  /// the first index, a write or `Flush` waits for one). The last good
+  /// snapshot keeps serving throughout — failures never unpublish
+  /// anything.
   size_t rebuild_max_retries = 5;
   std::chrono::nanoseconds rebuild_backoff_initial{
       std::chrono::milliseconds(10)};
   std::chrono::nanoseconds rebuild_backoff_max{std::chrono::seconds(2)};
-  /// Cooperative watchdog deadline per drain attempt, checked at the phase
+  /// Cooperative watchdog deadline per build attempt, checked at the phase
   /// boundary after the live graph is materialized and before the full
   /// build: an attempt already past the deadline is abandoned — not
   /// published — counted in `watchdog_fired`, and re-queued with backoff,
-  /// picking up any edges that accumulated meanwhile. 0 = no deadline.
+  /// picking up any updates that arrived meanwhile. 0 = no deadline.
   std::chrono::nanoseconds rebuild_watchdog{0};
 };
 
@@ -136,8 +133,7 @@ struct ServiceOptions {
 enum class AnswerSource : uint8_t {
   kIndex,        // an index as its last full build left it
   kDelta,        // a copy carrying updates since its last full build
-  kFallbackBfs,  // bounded union BFS (no index yet, or pending updates
-                 // the index's answer cannot account for)
+  kFallbackBfs,  // bounded search of the base graph: no index yet
   kNegCache,     // negative-result cache hit (verified this epoch)
   kShedded,      // admission gate full: not answered (always inexact)
 };
@@ -146,8 +142,8 @@ enum class AnswerSource : uint8_t {
 struct ServeAnswer {
   bool reachable = false;
   /// False only for a negative answer the service could not verify within
-  /// its budgets (bounded BFS hit the visit cap). Positive answers are
-  /// always exact — a witness path was found.
+  /// its budgets (the search before the first index hit its visit cap),
+  /// and for a shed query. Positive answers are always exact.
   bool exact = true;
   AnswerSource source = AnswerSource::kIndex;
   /// Generation of the snapshot that served the query.
@@ -155,16 +151,14 @@ struct ServeAnswer {
 };
 
 /// The stages of one served query, in pipeline order; indexes into
-/// `SlowQueryRecord::stage_ns`. The fallback BFS runs only without an
-/// index, or on the rebuild path when pending updates leave the index's
-/// answer open.
+/// `SlowQueryRecord::stage_ns`. The fallback search runs only while no
+/// index is published.
 enum class ServeStage : uint8_t {
   kNegCacheProbe = 0,  // negative-result cache lookup
   kSlotAcquire = 1,    // admission: leasing a concurrent-query slot
   kIndexProbe = 2,     // the pinned snapshot's index lookup
-  kDeltaClosure = 3,   // unused; kept until the stage list is derived
-                       // (ROADMAP item 5)
-  kFallbackBfs = 4,    // degraded bounded union BFS
+  kDeltaClosure = 3,   // unused; kept until ROADMAP item 5
+  kFallbackBfs = 4,    // bounded search of the base graph
 };
 inline constexpr size_t kNumServeStages = 5;
 
@@ -188,11 +182,10 @@ struct SlowQueryRecord {
   /// `QueryInSlot` calls issued: 1 for every query that reached the
   /// index.
   uint64_t index_probes = 0;
-  /// Pending updates the query had to answer around the index: the
-  /// rebuild path's pending list; 0 on the copy path, whose index carries
-  /// every update.
+  /// Unused; kept until ROADMAP item 5.
   uint64_t pending_edges = 0;
-  /// Vertices expanded by the bounded BFS (0 when it did not run).
+  /// Vertices expanded by the search before the first index (0 when it
+  /// did not run).
   uint64_t bfs_visits = 0;
 };
 
@@ -213,12 +206,11 @@ struct ServeStats {
   std::atomic<uint64_t> inserts{0};
   /// Deletes accepted.
   std::atomic<uint64_t> deletes{0};
-  /// `ApplyUpdate` batches accepted / rejected (validation or
-  /// backpressure-reject).
+  /// `ApplyUpdate` batches accepted / rejected (validation, a read-only
+  /// or stopped service, or backpressure-reject).
   std::atomic<uint64_t> update_batches{0};
   std::atomic<uint64_t> update_rejected{0};
-  /// Rebuild path: index positives that had to be re-verified by the
-  /// union BFS because deletes were pending.
+  /// Unused; kept until ROADMAP item 5.
   std::atomic<uint64_t> delete_verifies{0};
   /// Generations published after the startup one, and those of them a
   /// full build made (the rest are copies the writer updated).
@@ -239,11 +231,11 @@ struct ServeStats {
   std::atomic<uint64_t> shed{0};
   std::atomic<uint64_t> admission_cache_only{0};
   std::atomic<uint64_t> admission_bfs_only{0};
-  /// Backpressure outcomes of `ApplyUpdate` at the pending-buffer cap.
+  /// Backpressure outcomes of `ApplyUpdate` at the replay-log cap.
   std::atomic<uint64_t> backpressure_blocked{0};
   std::atomic<uint64_t> backpressure_rejected{0};
   std::atomic<uint64_t> backpressure_forced{0};
-  /// Rebuild-resilience outcomes: failed drain attempts (exceptions and
+  /// Rebuild-resilience outcomes: failed build attempts (exceptions and
   /// watchdog abandons), scheduled re-attempts, and watchdog fires.
   std::atomic<uint64_t> rebuild_failures{0};
   std::atomic<uint64_t> rebuild_retries{0};
@@ -284,12 +276,12 @@ struct ServeStats {
   }
 };
 
-/// Coarse state of the background drain machinery, for health reporting.
+/// Coarse state of the background full builds, for health reporting.
 enum class RebuildState : uint8_t {
-  kIdle = 0,     // no drain in flight
-  kRunning = 1,  // a drain attempt is building
+  kIdle = 0,     // no build in flight
+  kRunning = 1,  // a build attempt is running
   kBackoff = 2,  // last attempt failed; waiting to retry
-  kFailed = 3,   // retries exhausted; awaiting a new insert/Flush
+  kFailed = 3,   // retries exhausted; awaiting a write that asks again
 };
 
 /// Stable state name ("idle", "running", "backoff", "failed").
@@ -302,7 +294,9 @@ struct ServiceHealth {
   /// An indexed snapshot is published (startup build or snapshot load
   /// done) — the readiness bit a load balancer would gate on.
   bool ready = false;
-  /// False once `Stop()` ran: queries still work, writes are rejected.
+  /// Whether `ApplyUpdate` takes batches: started with a writable spec
+  /// and not stopped. False before `Start`, for a read-only spec, and
+  /// once `Stop()` ran; queries work in every case.
   bool accepting_writes = false;
   uint64_t snapshot_version = 0;
   /// `IndexSizeBytes` of the published index (0 before the first build).
@@ -314,7 +308,7 @@ struct ServiceHealth {
   /// an index that keeps no ledger.
   uint64_t rebuild_rent_paid = 0;
   uint64_t rebuild_price = 0;
-  /// Pending updates (`ReachService::PendingEdgeCount`).
+  /// The replay log's length (`ReachService::PendingEdgeCount`).
   size_t pending_edges = 0;
   size_t max_pending_edges = 0;  // 0 = unbounded
   /// Buffer occupancy in [0,1]; 0 when unbounded.
@@ -324,13 +318,13 @@ struct ServiceHealth {
   /// Admission occupancy in [0,1]; 0 when ungated.
   double inflight_fill = 0.0;
   RebuildState rebuild = RebuildState::kIdle;
-  /// Consecutive failed drain attempts (0 after any success).
+  /// Consecutive failed build attempts (0 after any success).
   uint64_t rebuild_consecutive_failures = 0;
   uint64_t rebuild_retries = 0;
   uint64_t rebuild_failures = 0;
   uint64_t watchdog_fired = 0;
   uint64_t shed = 0;
-  /// What the most recent failed drain attempt reported ("" = none yet).
+  /// What the most recent failed build attempt reported ("" = none yet).
   std::string last_rebuild_error;
 };
 
@@ -339,17 +333,17 @@ struct ServiceHealth {
 /// evolving edge set and serves exact point queries while absorbing a
 /// batched `ApplyUpdate` stream of edge inserts AND deletes:
 ///
-///  * Reads pin one immutable `ServeView` — a snapshot (index + the graph
-///    of its last full build + query slots) and the updates accepted on
-///    top of it — behind an atomic `shared_ptr`, lease a slot, and answer
-///    via `QueryInSlot`: many readers in parallel, zero locks on the hot
-///    path. Each querying thread has a reader record (`ReaderRecords`)
-///    that caches the view it last pinned and holds its in-flight flag,
-///    so an idle query re-pins only after a publish and makes no shared
-///    read-modify-write to pin or to be counted.
-///  * Copy path — specs whose index has a copy
-///    (`DynamicReachabilityIndex::Clone`, e.g. `pll`, `pll:fastpath=1`):
-///    the writer applies the batch to a copy of the published index and
+///  * Reads pin one immutable `ServeView` — a snapshot (an index, the
+///    graph of its last full build, query slots) — behind an atomic
+///    `shared_ptr`, lease a slot, and answer via `QueryInSlot`: many
+///    readers in parallel, zero locks on the hot path. Each querying
+///    thread has a reader record (`ReaderRecords`) that caches the view it
+///    last pinned and holds its in-flight flag, so an idle query re-pins
+///    only after a publish and makes no shared read-modify-write to pin or
+///    to be counted.
+///  * Writes take one path: the writer applies the batch to a copy of the
+///    published index (`DynamicReachabilityIndex::Clone`, e.g. `pll`,
+///    `pll:fastpath=1`, `dagger`, or a `StartWithSnapshot` index) and
 ///    publishes the copy, so a query is one `QueryInSlot` on the pinned
 ///    index, always exact. When the copy asks for a full build —
 ///    `kDeferredRebuild`, or growth past `kIndexGrowthLimit` times the
@@ -357,18 +351,12 @@ struct ServiceHealth {
 ///    shared thread pool (src/par/) builds a fresh index over the copy's
 ///    live graph, replays the batches accepted meanwhile, and publishes
 ///    it.
-///  * Rebuild path — specs without a copy (`grail` and the other partial
-///    indexes), and a `StartWithSnapshot` index until its first full
-///    build: a batch joins the view's pending list, and once
-///    `drain_threshold` updates wait, a background drain builds a fresh
-///    index over the live graph and publishes it with the updates that
-///    arrived meanwhile still pending. A query probes the index; a
-///    negative is exact while no insert is pending, a positive while no
-///    delete is pending, and anything else is decided by a bounded BFS
-///    over the live union graph (snapshot graph minus effective deletes
-///    plus effective inserts), with `ServeAnswer::exact` saying whether
-///    the budget sufficed. Before the first build, every query takes that
-///    BFS.
+///  * A spec whose index has no copy (`grail` and the other partial
+///    indexes, insert-only `dbl`) is read-only when served: `ApplyUpdate`
+///    rejects every batch and names the spec.
+///  * Before the first index is published, a query searches the base
+///    graph within `kFallbackVisitBudget` visits (`ServeAnswer::exact`
+///    says whether it sufficed), and a write waits for that index.
 ///
 /// At most one background build is in flight; generations are strictly
 /// ordered. No write ever builds inline.
@@ -386,22 +374,26 @@ class ReachService {
   ReachService(const ReachService&) = delete;
   ReachService& operator=(const ReachService&) = delete;
 
-  /// Publishes the startup snapshot (graph only — queries degrade to the
-  /// bounded BFS) and schedules the first index build in the background.
-  /// A spec `MakeIndex` rejects, or an "lcr:" one, returns `kUnsupported`
-  /// with the factory's message and leaves the service unstarted. A
-  /// second call is a no-op.
+  /// Schedules the first index build in the background; until it
+  /// publishes, queries search the base graph and writes wait. Records
+  /// whether the spec is read-only (its index has no copy). A spec
+  /// `MakeIndex` rejects, or an "lcr:" one, returns `kUnsupported` with
+  /// the factory's message and leaves the service unstarted. A second
+  /// call is a no-op.
   LoadResult Start();
 
   /// Near-instant startup/failover: mmap-loads an RCHX v2 snapshot file
   /// (docs/SNAPSHOTS.md) written by `PrunedTwoHop::SaveSnapshot` for the
-  /// service's base graph and publishes it as the first indexed snapshot
-  /// — no build, queries are index-backed immediately. The spec must be
-  /// a bare 2-hop spec (`pll`/`tfl`/`tol-*`, no `fastpath` wrapper) and
-  /// the snapshot's vertex count must match the service's; otherwise a
-  /// typed error is returned and the service is left unstarted (a plain
-  /// `Start()` still works). No background rebuild is scheduled until
-  /// inserts accumulate. Not thread-safe with `Start`/`Stop`.
+  /// service's base graph, rebases it onto that graph
+  /// (`PrunedTwoHop::Rebase`), and publishes it as the first indexed
+  /// snapshot — no build: queries are index-backed and writes go into
+  /// copies of it at once. The spec must be a bare 2-hop spec
+  /// (`pll`/`tfl`/`tol-*`, no `fastpath` wrapper), and the snapshot's
+  /// vertex count and graph digest must match the service's graph
+  /// (`kWrongIndex` otherwise, also for a snapshot without a digest); on
+  /// any error the service is left unstarted (a plain `Start()` still
+  /// works). The loaded index has build price 0, so its first damaging
+  /// delete asks for a full build. Not thread-safe with `Start`/`Stop`.
   LoadResult StartWithSnapshot(const std::string& path);
 
   /// Blocks until the in-flight rebuild (if any) finishes and stops
@@ -410,18 +402,21 @@ class ReachService {
   void Stop();
 
   /// Answers Qr(s, t) over the base graph with every update accepted by
-  /// `ApplyUpdate` so far replayed in order (see class comment for
-  /// exactness).
+  /// `ApplyUpdate` so far replayed in order (exact once an index is
+  /// published; see the class comment for the search before that).
   ServeAnswer Query(VertexId s, VertexId t) const;
 
-  /// Accepts a batch of edge writes (see the class comment for the two
-  /// paths). Validate-first: a batch with an out-of-range endpoint (or
-  /// arriving after `Stop()`, or bounced by `kReject` backpressure) is
-  /// rejected whole with no state change. An accepted batch is visible to
-  /// every subsequent query atomically — readers pin whole views, so they
-  /// see all of it or none of it. On the copy path the writer pays one
-  /// index copy (one pointer per 64 vertices plus the damage marks) and
-  /// the index's own `ApplyUpdate`; on the rebuild path, an append.
+  /// Applies a batch of edge writes to a copy of the published index and
+  /// publishes the copy (see the class comment). Validate-first: a batch
+  /// with an out-of-range endpoint, or one arriving before `Start()`,
+  /// after `Stop()`, on a read-only spec, or bounced by `kReject`
+  /// backpressure, is rejected whole with no state change. Before the
+  /// first index is published the call waits for it (`Stop` ends the
+  /// wait with a rejection). An accepted batch is visible to every
+  /// subsequent query atomically — readers pin whole views, so they see
+  /// all of it or none of it. The writer pays one index copy (for a 2-hop
+  /// index, one pointer per 64 vertices plus the damage marks) and the
+  /// index's own `ApplyUpdate`.
   UpdateResult ApplyUpdate(const UpdateBatch& batch);
 
   /// Single-edge convenience wrappers over `ApplyUpdate`. Return false
@@ -429,12 +424,11 @@ class ReachService {
   bool InsertEdge(VertexId s, VertexId t);
   bool DeleteEdge(VertexId s, VertexId t);
 
-  /// Blocks until every previously accepted update is in a published
-  /// index and no background build is in flight: on the rebuild path it
-  /// schedules a drain when updates are pending or no index exists yet;
-  /// on the copy path it only waits for a running full build. Returns at
-  /// once when stopped, or when never started (no `Start()` call, or one
-  /// that failed): no drain runs then, so updates stay pending.
+  /// Blocks until an index is published and no background build is in
+  /// flight (every accepted update is in the published index from the
+  /// moment `ApplyUpdate` returns). Schedules the first build if none is
+  /// running yet. Returns at once when stopped, or when never started (no
+  /// `Start()` call, or one that failed): no build runs then.
   void Flush();
 
   size_t NumVertices() const { return num_vertices_; }
@@ -442,9 +436,9 @@ class ReachService {
   uint64_t SnapshotVersion() const {
     return view_.Load()->snapshot->version;
   }
-  /// Updates (inserts + deletes) waiting: on the rebuild path, those the
-  /// index does not have yet; on the copy path, those accepted while a
-  /// full build runs, which its replay will apply.
+  /// The replay log: updates (inserts + deletes) accepted while a full
+  /// build runs, which its replay will apply; 0 when no build runs. The
+  /// published index carries them already.
   size_t PendingEdgeCount() const { return view_.Load()->pending.size(); }
   /// Queries currently inside `Query` (admitted or about to be triaged):
   /// the in-flight flags of the reader records, one per querying thread.
@@ -470,43 +464,42 @@ class ReachService {
   class InflightGuard;
 
   /// Load tier assigned to a query at admission (docs/ROBUSTNESS.md).
-  /// Load tier assigned to a query at admission (docs/ROBUSTNESS.md). On
-  /// the copy path there is nothing to skip: the middle tiers answer from
-  /// the index like kFull.
+  /// With an index published, every admitted tier answers from it.
   enum class AdmissionTier : uint8_t {
     kFull,       // whole pipeline
-    kCacheOnly,  // negcache + index probe; pending updates unaccounted
-    kBfsOnly,    // small bounded BFS, no slot/index
+    kCacheOnly,  // as kFull
+    kBfsOnly,    // before the first index: the smaller search budget
     kShed,       // not answered
   };
 
   void ScheduleLocked();
   void RebuildLoop();
-  /// The view that drops the copy path's replay log once no drain is left
-  /// to replay it (write_mu_ and rebuild_mu_ held).
+  /// Drops the replay log once no build is left to replay it (write_mu_
+  /// and rebuild_mu_ held).
   void EndDrainLocked();
   AdmissionTier AdmitTier(size_t inflight_now) const;
   void SetRebuildState(RebuildState state);
   void NoteRebuildFailure(const std::string& error, size_t consecutive);
-  /// `bfs` is the calling thread's union-BFS scratch (its reader
-  /// record's), for the rebuild path's verification searches.
-  ServeAnswer AnswerWithIndex(const ServeView& view, VertexId s, VertexId t,
-                              bool allow_pending, bool* waited,
-                              SlowQueryRecord* rec,
-                              SearchWorkspace& bfs) const;
-  ServeAnswer DegradedAnswer(const ServeView& view, VertexId s, VertexId t,
-                             size_t visit_budget, SlowQueryRecord* rec,
-                             SearchWorkspace& bfs) const;
+  ServeAnswer AnswerWithIndex(const ServeSnapshot& snap, VertexId s,
+                              VertexId t, bool* waited,
+                              SlowQueryRecord* rec) const;
+  /// The search of the base graph before the first index; `ws` is the
+  /// calling thread's scratch (its reader record's).
+  ServeAnswer AnswerBeforeIndex(const ServeSnapshot& snap, VertexId s,
+                                VertexId t, size_t visit_budget,
+                                SlowQueryRecord* rec,
+                                SearchWorkspace& ws) const;
+  UpdateResult Reject(const std::string& reason) const;
   void CaptureSlowQuery(SlowQueryRecord rec) const;
 
   const ServiceOptions options_;
   const size_t num_vertices_;
 
-  // The published snapshot + pending list; one load per query.
+  // The published snapshot + replay log; one load per query.
   AtomicSharedPtr<const ServeView> view_;
   // Verified-unreachable pairs, consulted before the index probe; null
   // when `negcache_capacity == 0`. Epoch-bumped after every
-  // insert-carrying pending publish and every snapshot swap — delete-only
+  // insert-carrying publish and every snapshot swap — delete-only
   // batches skip the bump because deletions only shrink reachability
   // (see Query for the sampling order).
   const std::unique_ptr<NegativeResultCache> negcache_;
@@ -519,30 +512,32 @@ class ReachService {
   // The view the last `ApplyUpdate` replaced, kept until the next
   // publish so that the writer frees it. Guarded by write_mu_.
   std::shared_ptr<const ServeView> superseded_;
-  // Wakes kBlock writers when a drain trims the pending buffer (and on
-  // Stop). Guarded by write_mu_.
+  // Wakes writers waiting for the first index, or under kBlock for a
+  // build to end (and on Stop). Guarded by write_mu_.
   std::condition_variable backpressure_cv_;
   uint64_t next_version_ = 1;
-  // Guarded by write_mu_: whether a drain attempt has loaded the view it
-  // builds from, so that copy-path batches are logged for its replay; and
-  // whether a copy asked for a full build since the last one published.
+  // Guarded by write_mu_: whether a build attempt has loaded the view it
+  // builds from, so that batches are logged for its replay; and whether a
+  // copy asked for a full build since the last one published.
   bool log_for_drain_ = false;
   bool build_wanted_ = false;
 
-  // Rebuild handshake: at most one drain task in flight.
+  // Rebuild handshake: at most one build task in flight.
   mutable std::mutex rebuild_mu_;
   mutable std::condition_variable rebuild_cv_;
   bool rebuild_inflight_ = false;
-  bool flush_requested_ = false;
   std::atomic<bool> stopped_{false};
-  bool started_ = false;
+  // Set once by a successful start (release), after `read_only_`: whether
+  // the spec's index has no copy, so the service takes no writes.
+  std::atomic<bool> started_{false};
+  bool read_only_ = false;
 
   mutable ServeStats stats_;
   // Slow-query log: bounded, oldest-evicted (see ServiceOptions).
   mutable std::mutex slow_mu_;
   mutable std::deque<SlowQueryRecord> slow_log_;
 
-  // Health state of the drain machinery (RebuildState values).
+  // Health state of the background builds (RebuildState values).
   std::atomic<uint8_t> rebuild_state_{0};
   std::atomic<uint64_t> rebuild_consecutive_failures_{0};
   mutable std::mutex health_mu_;
@@ -561,28 +556,6 @@ class ReachService {
   // serve.query_ns: one query in 64 per reader thread (see Query).
   Histogram* latency_hist_;
 };
-
-/// Outcome of the budgeted traversal fallback.
-struct BoundedBfsOutcome {
-  bool reachable = false;
-  /// True when the BFS ran to completion (frontier exhausted or target
-  /// found) within the visit budget; a negative answer with
-  /// `complete == false` is unverified.
-  bool complete = true;
-  /// Vertices expanded before the search ended.
-  size_t visits = 0;
-};
-
-/// Breadth-first search over `graph` with `updates` replayed onto it
-/// (last operation per edge wins: effective inserts are added, effective
-/// deletes mask base-graph arcs), giving up after `max_visits` vertex
-/// expansions — the rebuild path's fallback of `ReachService`, exposed
-/// for tests and the differential harness. As in the service, an
-/// endpoint outside `graph` reaches nothing (a complete negative), and
-/// updates naming one are skipped.
-BoundedBfsOutcome BoundedUnionBfs(const Digraph& graph,
-                                  const PendingUpdates& updates, VertexId s,
-                                  VertexId t, size_t max_visits);
 
 }  // namespace reach
 

@@ -78,14 +78,15 @@ struct ServeSnapshot {
   /// Monotonic generation number (0 = the unindexed startup snapshot).
   uint64_t version = 0;
   /// The graph the last full build behind `index` ran over (the base graph
-  /// before the first build), which the index may point into, and which
-  /// the union BFS replays the rebuild path's pending list onto.
+  /// before the first build, and under a snapshot-loaded index), which the
+  /// index may point into, and which queries search before the first
+  /// index.
   std::shared_ptr<const Digraph> graph;
   /// Null only before the first build (or snapshot load) — queries then
-  /// degrade to the bounded online BFS.
+  /// search `graph` within a visit budget.
   std::unique_ptr<ReachabilityIndex> index;
-  /// `index` when it takes the copy path: built by the service, with
-  /// copies (`DynamicReachabilityIndex::Clone`). Null on the rebuild path.
+  /// `index` as the index writes copy (`DynamicReachabilityIndex::Clone`).
+  /// Null before the first index and for a read-only spec.
   DynamicReachabilityIndex* copyable = nullptr;
   /// Whether `index` carries updates since its last full build; its
   /// answers then count as `AnswerSource::kDelta`.
@@ -99,26 +100,18 @@ struct ServeSnapshot {
 };
 
 /// Updates accepted by `ApplyUpdate` (inserts and deletes, in arrival
-/// order). Order matters — the live edge set is the snapshot graph with
-/// these updates replayed in sequence, so the last operation on an edge
-/// wins.
+/// order), for a replay that must apply them in sequence.
 using PendingUpdates = std::vector<EdgeUpdate>;
 
-/// Everything one query pins, in one load: a snapshot and the updates
-/// accepted on top of it, replaced whole by every publish. On the rebuild
-/// path (`snapshot->copyable` null) `pending` holds the updates the index
-/// does not have, and `adds`/`dels` their effective state (last operation
-/// per edge wins), folded once at publish and sorted, as the union BFS
-/// walks them. On the copy path the index carries every update,
-/// `adds`/`dels` stay empty, and `pending` logs the batches accepted while
-/// a full build runs, for its replay.
+/// Everything one query pins, in one load, replaced whole by every
+/// publish: a snapshot, whose index carries every accepted update, and
+/// the replay log of the full build in flight — the batches accepted since
+/// it loaded the view it builds from, which it applies to the fresh index
+/// before publishing it.
 struct ServeView {
   std::shared_ptr<const ServeSnapshot> snapshot;
   PendingUpdates pending;
-  std::vector<Edge> adds;
-  std::vector<Edge> dels;
-  /// Copy path: whether a `Flush` returned since the index took its last
-  /// batch.
+  /// Whether a `Flush` returned since the index took its last batch.
   bool settled = false;
 };
 
@@ -194,9 +187,9 @@ struct alignas(64) ReaderRecord {
   std::shared_ptr<const ServeView> view;
   /// Owner-only: queries this record has served (latency sampling).
   uint64_t queries = 0;
-  /// Owner-only: epoch-stamped forward marks (4 bytes per vertex) and
-  /// queue of the union BFS, reused by every fallback search the thread
-  /// runs.
+  /// Owner-only: epoch-stamped marks (4 bytes per vertex) and stack of
+  /// the search before the first index, reused by every such search the
+  /// thread runs.
   SearchWorkspace bfs;
   /// Immutable once the record is published in its list.
   ReaderRecord* next = nullptr;

@@ -3,7 +3,7 @@
 // snapshot writes, and health reporting — all driven by the failpoint
 // framework (core/failpoint.h) where fault injection is needed. The
 // invariant throughout: faults may cost availability (shed queries,
-// blocked writers, delayed drains) but never correctness — every exact
+// blocked writers, delayed builds) but never correctness — every exact
 // answer is checked against an independent BFS oracle. Tests that need
 // the REACH_FAILPOINT macro sites skip themselves unless the binary was
 // built with -DREACH_FAILPOINTS=ON.
@@ -136,264 +136,306 @@ TEST_F(ChaosTest, OverloadShedsInsteadOfQueueingAndNeverLies) {
 }
 
 // ---------------------------------------------------------------------
-// Write backpressure. These tests and the rebuild-resilience ones below
-// serve `grail`, which has no index copy, so updates stay pending until a
-// drain absorbs them (on the copy path a batch pends only while a full
-// build runs).
+// Write backpressure. The cap bounds the replay log: the batches accepted
+// while a full build runs, which its replay applies. To hold a build open
+// without failpoints, these services start from a snapshot (no build at
+// the start) and carry a 1ns watchdog, which abandons every build attempt
+// at its checkpoint: the first damaging delete asks for a build (a loaded
+// index's build price is 0), and that build's attempt, backoff and retry
+// keep the log open until its retries run out.
+
+// A `pll` service on `base` started from a snapshot, whose full builds
+// never land; each build backs off about `backoff` before its one retry.
+std::unique_ptr<ReachService> StartWithBuildsThatNeverLand(
+    const Digraph& base, ServiceOptions opts,
+    std::chrono::milliseconds backoff) {
+  PrunedTwoHop built;
+  built.Build(base);
+  const std::string path =
+      ::testing::TempDir() + "chaos_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".rchx";
+  std::string error;
+  EXPECT_TRUE(built.SaveSnapshot(path, &error)) << error;
+  opts.spec = "pll";
+  opts.rebuild_watchdog = std::chrono::nanoseconds(1);
+  opts.rebuild_max_retries = 1;
+  opts.rebuild_backoff_initial = backoff;
+  opts.rebuild_backoff_max = backoff;
+  auto service = std::make_unique<ReachService>(base, opts);
+  EXPECT_TRUE(service->StartWithSnapshot(path));
+  return service;
+}
+
+// Deletes the chain arc v -> v + 1 (damaging: a chain has no detour), and
+// waits until the build it asks for has loaded the view it builds from
+// and backs off: every batch after that is logged for its replay.
+void HoldABuildOpen(ReachService& service, VertexId v) {
+  ASSERT_TRUE(service.DeleteEdge(v, v + 1));
+  ASSERT_TRUE(WaitFor(
+      [&] { return service.Health().rebuild == RebuildState::kBackoff; }));
+}
 
 TEST_F(ChaosTest, RejectPolicyBouncesWritesAtTheCap) {
-  const Digraph base = Chain(16);
   ServiceOptions opts;
-  opts.spec = "grail";
   opts.max_pending_edges = 4;
   opts.backpressure = BackpressurePolicy::kReject;
-  opts.drain_threshold = 1000;  // no automatic drain: the cap must act
-  ReachService service(base, opts);
-  service.Start();
-  service.Flush();
+  const auto service = StartWithBuildsThatNeverLand(
+      Chain(16), opts, std::chrono::milliseconds(1000));
+  HoldABuildOpen(*service, 12);
 
   for (VertexId i = 0; i < 4; ++i) {
-    EXPECT_TRUE(service.InsertEdge(i + 1, i));
+    EXPECT_TRUE(service->InsertEdge(i + 1, i));
   }
-  EXPECT_FALSE(service.InsertEdge(9, 3));  // buffer full: bounced
-  EXPECT_FALSE(service.InsertEdge(9, 4));
-  EXPECT_EQ(service.stats().backpressure_rejected.load(), 2u);
-  EXPECT_EQ(service.PendingEdgeCount(), 4u);
+  EXPECT_FALSE(service->InsertEdge(9, 3));  // log full: bounced
+  EXPECT_FALSE(service->InsertEdge(9, 4));
+  EXPECT_EQ(service->stats().backpressure_rejected.load(), 2u);
+  EXPECT_EQ(service->PendingEdgeCount(), 4u);
+  EXPECT_TRUE(service->Query(2, 0).reachable);  // the copies carry them
 
-  service.Flush();  // drain makes room again
-  EXPECT_TRUE(service.InsertEdge(9, 3));
-  service.Stop();
+  service->Flush();  // the abandoned build ends and empties the log
+  EXPECT_EQ(service->PendingEdgeCount(), 0u);
+  EXPECT_TRUE(service->InsertEdge(9, 3));
+  service->Stop();
 }
 
 TEST_F(ChaosTest, BlockPolicyStallsWritersUntilADrainMakesRoom) {
-  const Digraph base = Chain(16);
   ServiceOptions opts;
-  opts.spec = "grail";
   opts.max_pending_edges = 3;
   opts.backpressure = BackpressurePolicy::kBlock;
-  opts.drain_threshold = 1000;  // only backpressure ever schedules drains
-  ReachService service(base, opts);
-  service.Start();
-  service.Flush();
+  const auto service = StartWithBuildsThatNeverLand(
+      Chain(16), opts, std::chrono::milliseconds(50));
+  HoldABuildOpen(*service, 14);
 
-  // 12 inserts through a cap of 3: the writer must block at least once,
-  // each block force-schedules the drain that unblocks it, and every
-  // insert is eventually accepted.
+  // 12 inserts through a cap of 3: the writer blocks at least once, each
+  // block lasts until the build that holds the log ends, and every insert
+  // is eventually accepted.
   std::thread writer([&] {
     for (int i = 0; i < 12; ++i) {
-      ASSERT_TRUE(service.InsertEdge(static_cast<VertexId>(i % 15 + 1),
-                                     static_cast<VertexId>(i % 15)));
+      ASSERT_TRUE(service->InsertEdge(static_cast<VertexId>(i % 13 + 1),
+                                      static_cast<VertexId>(i % 13)));
     }
   });
   writer.join();
-  EXPECT_EQ(service.stats().inserts.load(), 12u);
-  EXPECT_GT(service.stats().backpressure_blocked.load(), 0u);
-  service.Flush();
-  EXPECT_EQ(service.PendingEdgeCount(), 0u);
-  service.Stop();
+  EXPECT_EQ(service->stats().inserts.load(), 12u);
+  EXPECT_GT(service->stats().backpressure_blocked.load(), 0u);
+  service->Flush();
+  EXPECT_EQ(service->PendingEdgeCount(), 0u);
+  service->Stop();
 }
 
 TEST_F(ChaosTest, ForceRebuildPolicyAcceptsPastCapAndConverges) {
-  const Digraph base = Chain(16);
   ServiceOptions opts;
-  opts.spec = "grail";
   opts.max_pending_edges = 3;
   opts.backpressure = BackpressurePolicy::kForceRebuild;
-  opts.drain_threshold = 1000;
-  ReachService service(base, opts);
-  service.Start();
-  service.Flush();
+  const auto service = StartWithBuildsThatNeverLand(
+      Chain(16), opts, std::chrono::milliseconds(1000));
+  HoldABuildOpen(*service, 14);
 
   for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(service.InsertEdge(static_cast<VertexId>(i % 15 + 1),
-                                   static_cast<VertexId>(i % 15)));
+    ASSERT_TRUE(service->InsertEdge(static_cast<VertexId>(i % 13 + 1),
+                                    static_cast<VertexId>(i % 13)));
   }
-  EXPECT_EQ(service.stats().inserts.load(), 12u);  // nothing bounced
-  EXPECT_GT(service.stats().backpressure_forced.load(), 0u);
-  service.Flush();
-  EXPECT_EQ(service.PendingEdgeCount(), 0u);  // forced drains converged
-  service.Stop();
+  EXPECT_EQ(service->stats().inserts.load(), 12u);  // nothing bounced
+  EXPECT_EQ(service->stats().backpressure_forced.load(), 9u);
+  EXPECT_EQ(service->PendingEdgeCount(), 12u);  // past the cap
+  service->Flush();
+  EXPECT_EQ(service->PendingEdgeCount(), 0u);  // the build's end emptied it
+  service->Stop();
 }
 
 TEST_F(ChaosTest, StopUnblocksAParkedWriter) {
-  const Digraph base = Chain(8);
-  ServiceOptions opts;
-  opts.spec = "grail";
-  opts.max_pending_edges = 1;
-  opts.backpressure = BackpressurePolicy::kBlock;
-  opts.drain_threshold = 1000;
-  ReachService service(base, opts);
-  // Never started: no drain will ever make room, so the second insert
-  // parks until Stop() sweeps it out with a rejection.
-  ASSERT_TRUE(service.InsertEdge(1, 0));
-  std::atomic<bool> second_result{true};
-  std::thread writer(
-      [&] { second_result = service.InsertEdge(2, 1); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  service.Stop();
-  writer.join();
-  EXPECT_FALSE(second_result.load());
+  {
+    // The first build never lands, so a write waits for the first index
+    // until Stop() sweeps it out with a rejection.
+    ServiceOptions opts;
+    opts.rebuild_watchdog = std::chrono::nanoseconds(1);
+    opts.rebuild_backoff_initial = std::chrono::milliseconds(5);
+    opts.rebuild_backoff_max = std::chrono::milliseconds(5);
+    ReachService service(Chain(8), opts);
+    ASSERT_TRUE(service.Start());
+    std::atomic<bool> result{true};
+    std::thread writer([&] { result = service.InsertEdge(1, 0); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    service.Stop();
+    writer.join();
+    EXPECT_FALSE(result.load());
+    EXPECT_EQ(service.SnapshotVersion(), 0u);
+  }
+  {
+    // kBlock at a cap of 1: the second write parks until Stop().
+    ServiceOptions opts;
+    opts.max_pending_edges = 1;
+    opts.backpressure = BackpressurePolicy::kBlock;
+    const auto service = StartWithBuildsThatNeverLand(
+        Chain(8), opts, std::chrono::milliseconds(10000));
+    HoldABuildOpen(*service, 5);
+    ASSERT_TRUE(service->InsertEdge(1, 0));
+    std::atomic<bool> second_result{true};
+    std::thread writer([&] { second_result = service->InsertEdge(2, 1); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    service->Stop();
+    writer.join();
+    EXPECT_FALSE(second_result.load());
+    EXPECT_EQ(service->stats().backpressure_blocked.load(), 1u);
+  }
 }
 
 // ---------------------------------------------------------------------
-// Rebuild resilience.
+// Rebuild resilience. `pll:staleness=1` on a chain: every chain arc is
+// damaging, so the second delete asks for a full build.
+
+// A started `pll:staleness=1` service on `base` with its first build
+// done and one damaging delete applied, so the next damaging delete asks
+// for a full build. `opts` sets the resilience knobs.
+std::unique_ptr<ReachService> StartOneDeleteFromABuild(const Digraph& base,
+                                                       ServiceOptions opts) {
+  opts.spec = "pll:staleness=1";
+  auto service = std::make_unique<ReachService>(base, opts);
+  EXPECT_TRUE(service->Start());
+  service->Flush();
+  EXPECT_TRUE(service->DeleteEdge(1, 2));
+  return service;
+}
 
 TEST_F(ChaosTest, RebuildFailuresRetryWithBackoffAndLastGoodKeepsServing) {
   if (!kFailpointsCompiled) GTEST_SKIP() << "REACH_FAILPOINTS is OFF";
-  const Digraph base = Chain(10);
   ServiceOptions opts;
-  opts.spec = "grail";
-  opts.drain_threshold = 1000;
   opts.rebuild_backoff_initial = std::chrono::milliseconds(1);
   opts.rebuild_backoff_max = std::chrono::milliseconds(8);
-  ReachService service(base, opts);
-  service.Start();
-  service.Flush();
-  const uint64_t good_version = service.SnapshotVersion();
+  const auto service = StartOneDeleteFromABuild(Chain(10), opts);
+  const uint64_t good_version = service->SnapshotVersion();
 
-  // The next two drain attempts die; the third succeeds.
+  // The next two build attempts die; the third succeeds.
   std::string error;
   ASSERT_TRUE(FailpointRegistry::Global().Arm("serve.rebuild",
                                               "error(times=2)", &error))
       << error;
-  ASSERT_TRUE(service.InsertEdge(9, 0));
-  // Mid-retry, the last good snapshot serves and the pending edge is
-  // still answered exactly through the union BFS.
-  const ServeAnswer during = service.Query(5, 2);
-  EXPECT_TRUE(during.reachable);
+  ASSERT_TRUE(service->DeleteEdge(6, 7));
+  // Mid-retry, the copy the delete published serves it exactly.
+  const ServeAnswer during = service->Query(2, 7);
+  EXPECT_FALSE(during.reachable);
   EXPECT_TRUE(during.exact);
-  service.Flush();  // returns only once a drain finally lands
+  EXPECT_TRUE(service->Query(2, 6).reachable);
+  service->Flush();  // returns only once a build finally lands
 
-  const ServeStats& st = service.stats();
+  const ServeStats& st = service->stats();
   EXPECT_EQ(st.rebuild_failures.load(), 2u);
   EXPECT_EQ(st.rebuild_retries.load(), 2u);
-  EXPECT_GT(service.SnapshotVersion(), good_version);
-  EXPECT_EQ(service.PendingEdgeCount(), 0u);
-  const ServiceHealth health = service.Health();
+  EXPECT_GT(service->SnapshotVersion(), good_version);
+  EXPECT_EQ(service->PendingEdgeCount(), 0u);
+  const ServiceHealth health = service->Health();
   EXPECT_EQ(health.rebuild, RebuildState::kIdle);
   EXPECT_EQ(health.rebuild_consecutive_failures, 0u);
   EXPECT_NE(health.last_rebuild_error.find("serve.rebuild"),
             std::string::npos);
-  const ServeAnswer after = service.Query(5, 2);
-  EXPECT_TRUE(after.reachable);
+  const ServeAnswer after = service->Query(2, 7);
+  EXPECT_FALSE(after.reachable);
   EXPECT_EQ(after.source, AnswerSource::kIndex);
-  service.Stop();
+  service->Stop();
 }
 
 TEST_F(ChaosTest, RetriesExhaustedReportsFailedThenRecoversOnDisarm) {
   if (!kFailpointsCompiled) GTEST_SKIP() << "REACH_FAILPOINTS is OFF";
-  const Digraph base = Chain(10);
   ServiceOptions opts;
-  opts.spec = "grail";
-  opts.drain_threshold = 1;  // every insert schedules a drain
   opts.rebuild_max_retries = 1;
   opts.rebuild_backoff_initial = std::chrono::milliseconds(1);
   opts.rebuild_backoff_max = std::chrono::milliseconds(4);
-  ReachService service(base, opts);
-  service.Start();
-  ASSERT_TRUE(WaitFor([&] { return service.SnapshotVersion() >= 1; }));
+  const auto service = StartOneDeleteFromABuild(Chain(10), opts);
 
   std::string error;
   ASSERT_TRUE(
       FailpointRegistry::Global().Arm("serve.rebuild", "error", &error))
       << error;
-  ASSERT_TRUE(service.InsertEdge(9, 0));
-  // Initial attempt + one retry both fail: the drain is abandoned.
+  ASSERT_TRUE(service->DeleteEdge(6, 7));
+  // Initial attempt + one retry both fail: the build is abandoned.
   ASSERT_TRUE(WaitFor(
-      [&] { return service.Health().rebuild == RebuildState::kFailed; }));
-  EXPECT_GE(service.stats().rebuild_failures.load(), 2u);
-  EXPECT_EQ(service.PendingEdgeCount(), 1u);  // edge kept, not lost
-  // Degraded but correct: the pending edge still answers via the BFS.
-  const ServeAnswer during = service.Query(5, 2);
-  EXPECT_TRUE(during.reachable);
+      [&] { return service->Health().rebuild == RebuildState::kFailed; }));
+  EXPECT_GE(service->stats().rebuild_failures.load(), 2u);
+  EXPECT_EQ(service->PendingEdgeCount(), 0u);
+  // Degraded but correct: the copy carries the delete.
+  const ServeAnswer during = service->Query(2, 7);
+  EXPECT_FALSE(during.reachable);
   EXPECT_TRUE(during.exact);
 
-  // Fault clears; the next write schedules a fresh drain that succeeds.
+  // Fault clears; the next write asks for a fresh build that succeeds.
   FailpointRegistry::Global().DisarmAll();
-  ASSERT_TRUE(service.InsertEdge(8, 1));
-  service.Flush();
-  EXPECT_EQ(service.PendingEdgeCount(), 0u);
-  EXPECT_EQ(service.Health().rebuild, RebuildState::kIdle);
-  EXPECT_EQ(service.Query(5, 2).source, AnswerSource::kIndex);
-  service.Stop();
+  ASSERT_TRUE(service->InsertEdge(8, 1));
+  service->Flush();
+  EXPECT_EQ(service->PendingEdgeCount(), 0u);
+  EXPECT_EQ(service->Health().rebuild, RebuildState::kIdle);
+  const ServeAnswer after = service->Query(8, 2);
+  EXPECT_FALSE(after.reachable);
+  EXPECT_EQ(after.source, AnswerSource::kIndex);
+  EXPECT_TRUE(service->Query(8, 1).reachable);
+  service->Stop();
 }
 
 TEST_F(ChaosTest, WatchdogAbandonsAStalledDrainAndTheRetryLands) {
   if (!kFailpointsCompiled) GTEST_SKIP() << "REACH_FAILPOINTS is OFF";
-  const Digraph base = Chain(10);
   ServiceOptions opts;
-  opts.spec = "grail";
-  opts.drain_threshold = 1000;
   opts.rebuild_watchdog = std::chrono::milliseconds(10);
   opts.rebuild_backoff_initial = std::chrono::milliseconds(1);
   opts.rebuild_backoff_max = std::chrono::milliseconds(4);
-  ReachService service(base, opts);
-  service.Start();
-  service.Flush();
+  const auto service = StartOneDeleteFromABuild(Chain(10), opts);
 
-  // The first drain attempt stalls 60ms >> the 10ms watchdog deadline;
+  // The first build attempt stalls 60ms >> the 10ms watchdog deadline;
   // the re-queued attempt runs clean (times=1 spends the failpoint).
   std::string error;
   ASSERT_TRUE(FailpointRegistry::Global().Arm(
       "serve.rebuild", "delay(ms=60,times=1)", &error))
       << error;
-  ASSERT_TRUE(service.InsertEdge(9, 0));
-  service.Flush();
-  EXPECT_EQ(service.stats().watchdog_fired.load(), 1u);
-  EXPECT_GE(service.stats().rebuild_retries.load(), 1u);
-  EXPECT_EQ(service.PendingEdgeCount(), 0u);
-  EXPECT_EQ(service.Query(5, 2).source, AnswerSource::kIndex);
-  service.Stop();
+  ASSERT_TRUE(service->DeleteEdge(6, 7));
+  service->Flush();
+  EXPECT_EQ(service->stats().watchdog_fired.load(), 1u);
+  EXPECT_GE(service->stats().rebuild_retries.load(), 1u);
+  EXPECT_EQ(service->PendingEdgeCount(), 0u);
+  EXPECT_EQ(service->Query(2, 7).source, AnswerSource::kIndex);
+  service->Stop();
 }
 
 TEST_F(ChaosTest, TombstoneHoldsWhileRebuildsFailAndMaterializesAfter) {
   if (!kFailpointsCompiled) GTEST_SKIP() << "REACH_FAILPOINTS is OFF";
-  const Digraph base = Chain(10);
   ServiceOptions opts;
-  opts.spec = "grail";
-  opts.drain_threshold = 1000;
   opts.rebuild_backoff_initial = std::chrono::milliseconds(1);
   opts.rebuild_backoff_max = std::chrono::milliseconds(8);
-  ReachService service(base, opts);
-  service.Start();
-  service.Flush();
-  ASSERT_TRUE(service.Query(0, 9).reachable);
+  const auto service = StartOneDeleteFromABuild(Chain(10), opts);
+  ASSERT_TRUE(service->Query(2, 9).reachable);
 
-  // The next two drain attempts die; the delete's tombstone must hold
+  // The next two build attempts die; the delete's tombstone must hold
   // through every retry — a stale positive here would be a lie served
-  // from the old snapshot.
+  // from the copy.
   std::string error;
   ASSERT_TRUE(FailpointRegistry::Global().Arm("serve.rebuild",
                                               "error(times=2)", &error))
       << error;
-  ASSERT_TRUE(service.DeleteEdge(4, 5));
-  const ServeAnswer during = service.Query(0, 9);
+  ASSERT_TRUE(service->DeleteEdge(4, 5));
+  const ServeAnswer during = service->Query(2, 9);
   EXPECT_FALSE(during.reachable);
   EXPECT_TRUE(during.exact);
-  EXPECT_TRUE(service.Query(0, 4).reachable);
-  EXPECT_TRUE(service.Query(5, 9).reachable);
+  EXPECT_TRUE(service->Query(2, 4).reachable);
+  EXPECT_TRUE(service->Query(5, 9).reachable);
 
-  service.Flush();  // returns once a drain finally lands
-  EXPECT_EQ(service.stats().rebuild_failures.load(), 2u);
-  EXPECT_EQ(service.PendingEdgeCount(), 0u);
-  const ServeAnswer after = service.Query(0, 9);
+  service->Flush();  // returns once a build finally lands
+  EXPECT_EQ(service->stats().rebuild_failures.load(), 2u);
+  EXPECT_EQ(service->PendingEdgeCount(), 0u);
+  const ServeAnswer after = service->Query(2, 9);
   EXPECT_FALSE(after.reachable);
   EXPECT_TRUE(after.exact);
   EXPECT_EQ(after.source, AnswerSource::kIndex);
-  service.Stop();
+  service->Stop();
 }
 
 TEST_F(ChaosTest, ChurnUnderRebuildFaultsStaysExact) {
   if (!kFailpointsCompiled) GTEST_SKIP() << "REACH_FAILPOINTS is OFF";
-  // Mixed insert/delete churn while half the drain attempts die. A single
+  // Mixed insert/delete churn while half the build attempts die. A single
   // writer keeps the live edge set deterministic, so every answer can be
-  // checked against a BFS over it regardless of which snapshot/pending
-  // split the service happens to be serving from.
+  // checked against a BFS over it regardless of which copy or build the
+  // service happens to be serving from.
   constexpr VertexId kN = 24;
   const Digraph base = RandomDigraph(kN, 50, 0xD1CE);
   ServiceOptions opts;
-  opts.spec = "grail";
-  opts.drain_threshold = 6;
+  opts.spec = "pll:staleness=1";
   opts.rebuild_backoff_initial = std::chrono::milliseconds(1);
   opts.rebuild_backoff_max = std::chrono::milliseconds(4);
   ReachService service(base, opts);
@@ -525,15 +567,13 @@ TEST_F(ChaosTest, AtomicSaveLeavesNoTempFileDebrisOnFailure) {
 TEST_F(ChaosTest, HealthTracksLifecycle) {
   const Digraph base = Chain(8);
   ServiceOptions opts;
-  opts.spec = "grail";
   opts.max_inflight_queries = 4;
   opts.max_pending_edges = 10;
-  opts.drain_threshold = 1000;
   ReachService service(base, opts);
 
   ServiceHealth h = service.Health();
   EXPECT_FALSE(h.ready);  // no index yet
-  EXPECT_TRUE(h.accepting_writes);
+  EXPECT_FALSE(h.accepting_writes);  // not started
   EXPECT_EQ(h.rebuild, RebuildState::kIdle);
   EXPECT_EQ(h.inflight_queries, 0u);
   EXPECT_EQ(h.max_inflight_queries, 4u);
@@ -543,16 +583,40 @@ TEST_F(ChaosTest, HealthTracksLifecycle) {
   ASSERT_TRUE(service.InsertEdge(7, 0));
   h = service.Health();
   EXPECT_TRUE(h.ready);
-  EXPECT_GE(h.snapshot_version, 1u);
-  EXPECT_EQ(h.pending_edges, 1u);
+  EXPECT_TRUE(h.accepting_writes);
+  EXPECT_GE(h.snapshot_version, 2u);
+  EXPECT_EQ(h.pending_edges, 0u);  // the copy carries the insert
   EXPECT_EQ(h.max_pending_edges, 10u);
-  EXPECT_DOUBLE_EQ(h.pending_fill, 0.1);
+  EXPECT_DOUBLE_EQ(h.pending_fill, 0.0);
   EXPECT_TRUE(h.last_rebuild_error.empty());
 
   service.Stop();
   h = service.Health();
   EXPECT_FALSE(h.accepting_writes);
   EXPECT_TRUE(h.ready);  // still serving the last snapshot
+
+  // While a build runs, the replay log fills: one batch of a cap of 10.
+  const auto held = StartWithBuildsThatNeverLand(
+      base, opts, std::chrono::milliseconds(10000));
+  HoldABuildOpen(*held, 5);
+  ASSERT_TRUE(held->InsertEdge(7, 0));
+  h = held->Health();
+  EXPECT_EQ(h.pending_edges, 1u);
+  EXPECT_DOUBLE_EQ(h.pending_fill, 0.1);
+  EXPECT_EQ(h.rebuild, RebuildState::kBackoff);
+  EXPECT_NE(h.last_rebuild_error.find("watchdog"), std::string::npos);
+  held->Stop();
+
+  // A read-only spec is ready but takes no writes.
+  ServiceOptions grail_opts;
+  grail_opts.spec = "grail";
+  ReachService grail(base, grail_opts);
+  grail.Start();
+  grail.Flush();
+  h = grail.Health();
+  EXPECT_TRUE(h.ready);
+  EXPECT_FALSE(h.accepting_writes);
+  grail.Stop();
 }
 
 // ---------------------------------------------------------------------
@@ -566,12 +630,16 @@ TEST_F(ChaosTest, ChaosMixDifferentialZeroWrongAnswers) {
   constexpr size_t kInserts = 48;
   constexpr size_t kQueriesPerReader = 250;
   constexpr VertexId kN = 48;
-  const Digraph base = RandomDigraph(kN, 100, 0xC0DE);
+  // kN random vertices, then the tail kN -> kN + 1 -> kN + 2, which no
+  // insert among the first kN can reach: deleting its arcs is damaging.
+  std::vector<Edge> edges = RandomDigraph(kN, 100, 0xC0DE).Edges();
+  edges.push_back({kN, kN + 1});
+  edges.push_back({kN + 1, kN + 2});
+  const Digraph base = Digraph::FromEdges(kN + 3, std::move(edges));
 
   ServiceOptions opts;
-  opts.spec = "grail";
+  opts.spec = "pll:staleness=1";
   opts.slots = kReaders;
-  opts.drain_threshold = 8;
   opts.max_inflight_queries = 16;
   opts.rebuild_backoff_initial = std::chrono::milliseconds(1);
   opts.rebuild_backoff_max = std::chrono::milliseconds(8);
@@ -633,18 +701,22 @@ TEST_F(ChaosTest, ChaosMixDifferentialZeroWrongAnswers) {
   EXPECT_EQ(wrong_negative.load(), 0u);
   EXPECT_EQ(service.PendingEdgeCount(), 0u);
   EXPECT_EQ(service.stats().inserts.load(), kInserts);
-  // Deterministic coda (the p=0.4 firing pattern above depends on drain
-  // timing): force exactly one more failure and watch it absorbed.
+  // Deterministic coda (the p=0.4 firing pattern above depends on build
+  // timing): two damaging deletes pass the staleness cap and ask for a
+  // build; force exactly one failure of it and watch it absorbed.
   ASSERT_TRUE(FailpointRegistry::Global().Arm("serve.rebuild",
                                               "error(times=1)", &error))
       << error;
-  ASSERT_TRUE(service.InsertEdge(0, 1));
+  const uint64_t failures = service.stats().rebuild_failures.load();
+  ASSERT_TRUE(service.DeleteEdge(kN, kN + 1));
+  ASSERT_TRUE(service.DeleteEdge(kN + 1, kN + 2));
   service.Flush();
   FailpointRegistry::Global().DisarmAll();
-  log.push_back(Edge{0, 1});
-  EXPECT_GT(service.stats().rebuild_failures.load(), 0u);
+  EXPECT_EQ(service.stats().rebuild_failures.load(), failures + 1);
+  EXPECT_FALSE(service.Query(kN, kN + 2).reachable);
 
-  // Final ground-truth sweep over every pair on the quiesced service.
+  // Final ground-truth sweep over every pair of the first kN vertices on
+  // the quiesced service (the tail never joins them).
   for (VertexId s = 0; s < kN; ++s) {
     for (VertexId t = 0; t < kN; ++t) {
       const ServeAnswer ans = service.Query(s, t);

@@ -1,5 +1,9 @@
 #include "plain/dagger.h"
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
@@ -45,6 +49,48 @@ TEST(DaggerTest, InsertCreatingCycleStaysSound) {
     for (VertexId t = 0; t < 6; ++t) {
       EXPECT_TRUE(index.MaybeReachable(s, t));  // no false negatives
       EXPECT_TRUE(index.Query(s, t));
+    }
+  }
+}
+
+// `Clone` copies the bounds and shares the overlay: the copy answers like
+// its source, takes updates of its own, and leaves the source's answers
+// alone; its live graph is the source's with the copy's updates applied.
+TEST(DaggerTest, CopyAnswersLikeItsSourceAndUpdatesAlone) {
+  const Digraph g = RandomDigraph(40, 90, 11);
+  Dagger source;
+  source.Build(g);
+  ASSERT_TRUE(source.ApplyUpdate({EdgeUpdate::Insert(3, 30)}).ok());
+  const std::unique_ptr<DynamicReachabilityIndex> copy = source.Clone();
+  ASSERT_NE(copy, nullptr);
+  std::vector<uint8_t> before;
+  for (VertexId s = 0; s < 40; ++s) {
+    for (VertexId t = 0; t < 40; ++t) {
+      before.push_back(source.Query(s, t));
+      ASSERT_EQ(copy->Query(s, t), source.Query(s, t)) << s << "->" << t;
+    }
+  }
+  const Edge cut = g.Edges()[5];
+  ASSERT_TRUE(copy->ApplyUpdate({EdgeUpdate::Delete(cut.source, cut.target),
+                                 EdgeUpdate::Insert(30, 0)})
+                  .ok());
+  const std::unique_ptr<Digraph> live = copy->LiveGraph();
+  ASSERT_NE(live, nullptr);
+  std::vector<Edge> edges = g.Edges();
+  std::erase(edges, cut);
+  edges.push_back({3, 30});
+  edges.push_back({30, 0});
+  std::sort(edges.begin(), edges.end());
+  std::vector<Edge> live_edges = live->Edges();
+  std::sort(live_edges.begin(), live_edges.end());
+  EXPECT_EQ(live_edges, edges);
+  TransitiveClosure oracle;
+  oracle.Build(*live);
+  size_t i = 0;
+  for (VertexId s = 0; s < 40; ++s) {
+    for (VertexId t = 0; t < 40; ++t, ++i) {
+      ASSERT_EQ(copy->Query(s, t), oracle.Query(s, t)) << s << "->" << t;
+      ASSERT_EQ(source.Query(s, t), before[i] != 0) << s << "->" << t;
     }
   }
 }

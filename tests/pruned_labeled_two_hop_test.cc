@@ -181,6 +181,49 @@ TEST(PrunedLabeledTwoHopTest, DeleteOnlySeversThatLabel) {
   EXPECT_TRUE(index.Query(0, 1, 0b11));
 }
 
+// The plain re-delete rule under labels: on a two-label ring every arc
+// is damaging, and deleting a resurrected arc again leaves `Damage()` at
+// one, with every answer under every label set matching the live ring.
+TEST(PrunedLabeledTwoHopTest, RedeletingAResurrectedArcAddsNoDamage) {
+  constexpr VertexId kN = 10;
+  constexpr Label kLabels = 2;
+  std::vector<LabeledEdge> ring;
+  for (VertexId v = 0; v < kN; ++v) {
+    ring.push_back({v, (v + 1) % kN, v % kLabels});
+  }
+  MadeIndex made = MakeIndex("lcr:pll");
+  auto* index = dynamic_cast<PrunedLabeledTwoHop*>(made.lcr.get());
+  ASSERT_NE(index, nullptr);
+  const LabeledDigraph g = LabeledDigraph::FromEdges(kN, kLabels, ring);
+  index->Build(g);
+  SearchWorkspace ws;
+  const LabeledEdge cut = ring[3];
+  const auto step = [&](LabeledEdgeUpdate update, bool live,
+                        const std::string& when) {
+    ASSERT_TRUE(index->ApplyUpdate({update}).ok()) << when;
+    EXPECT_EQ(index->Damage(), 1u) << when;
+    std::vector<LabeledEdge> edges = ring;
+    if (!live) std::erase(edges, cut);
+    const LabeledDigraph truth =
+        LabeledDigraph::FromEdges(kN, kLabels, edges);
+    for (VertexId s = 0; s < kN; ++s) {
+      for (VertexId t = 0; t < kN; ++t) {
+        for (LabelSet mask = 1; mask < (1u << kLabels); ++mask) {
+          ASSERT_EQ(index->Query(s, t, mask),
+                    LcrBfsReachability(truth, s, t, mask, ws))
+              << when << ": " << s << "->" << t << " mask " << mask;
+        }
+      }
+    }
+  };
+  step(LabeledEdgeUpdate::Delete(cut.source, cut.target, cut.label), false,
+       "delete");
+  step(LabeledEdgeUpdate::Insert(cut.source, cut.target, cut.label), true,
+       "resurrect");
+  step(LabeledEdgeUpdate::Delete(cut.source, cut.target, cut.label), false,
+       "delete again");
+}
+
 TEST(PrunedLabeledTwoHopTest, MixedBatchAndRebuildFromUpdates) {
   const LabeledDigraph g = LabeledDigraph::FromEdges(
       4, 2, {{0, 1, 0}, {1, 2, 0}, {2, 3, 1}});

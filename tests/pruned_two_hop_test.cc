@@ -232,6 +232,32 @@ TEST(PrunedTwoHopTest, RedundantDeleteCausesNoDamage) {
   EXPECT_TRUE(index.Query(2, 3));
 }
 
+// A delete whose tail and head the damage marks already cover adds no
+// damage. On a ring every arc is damaging; after a delete, its
+// resurrection and the same delete again, `Damage()` still counts one
+// arc, and every answer matches the live ring at each step.
+TEST(PrunedTwoHopTest, RedeletingAResurrectedArcAddsNoDamage) {
+  constexpr VertexId kN = 12;
+  std::vector<Edge> ring;
+  for (VertexId v = 0; v < kN; ++v) ring.push_back({v, (v + 1) % kN});
+  const Digraph g = Digraph::FromEdges(kN, ring);
+  PrunedTwoHop index;
+  index.Build(g);
+  const auto step = [&](EdgeUpdate update, bool live, size_t damage,
+                        const std::string& when) {
+    ASSERT_TRUE(index.ApplyUpdate({update}).ok()) << when;
+    EXPECT_EQ(index.Damage(), damage) << when;
+    std::vector<Edge> edges = ring;
+    if (!live) std::erase(edges, Edge{update.source, update.target});
+    TransitiveClosure oracle;
+    oracle.Build(Digraph::FromEdges(kN, edges));
+    ExpectMatchesOracle(index, oracle, kN, when);
+  };
+  step(EdgeUpdate::Delete(3, 4), false, 1, "delete");
+  step(EdgeUpdate::Insert(3, 4), true, 1, "resurrect");
+  step(EdgeUpdate::Delete(3, 4), false, 1, "delete again");
+}
+
 TEST(PrunedTwoHopTest, RebuildFromUpdatesClearsDamage) {
   const Digraph g = Chain(6);
   PrunedTwoHop index(VertexOrder::kDegree, 7, 0, {},

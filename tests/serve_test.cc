@@ -122,7 +122,6 @@ TEST(ServeDifferentialTest, ConcurrentReadersAndWriterAcrossSwaps) {
 
   ServiceOptions opts;
   opts.slots = kReaders;
-  opts.drain_threshold = 24;  // several background swaps over 120 inserts
   // The "serve.*" registry counters read the service's own ServeStats;
   // each one's delta over the test must equal its field exactly.
   const MetricsSnapshot registry_before = MetricsRegistry::Global().Snapshot();
@@ -232,9 +231,9 @@ TEST(ServeDifferentialTest, ConcurrentReadersAndWriterAcrossSwaps) {
 }
 
 // The differential above with deletes mixed in. The writer logs each
-// update before applying it and bumps `applied` after; a small drain
-// threshold lands snapshot swaps mid-stream, and readers keep querying
-// until the writer is done. Deletes break monotonicity, so the check is
+// update before applying it and bumps `applied` after; every update
+// publishes an index copy mid-stream, and readers keep querying until the
+// writer is done. Deletes break monotonicity, so the check is
 // two-sided: a reader's exact answer must equal the live oracle at some
 // update count in its [applied before, logged after] window.
 TEST(ServeDifferentialTest, ConcurrentMixedUpdatesAcrossSwaps) {
@@ -246,7 +245,6 @@ TEST(ServeDifferentialTest, ConcurrentMixedUpdatesAcrossSwaps) {
 
   ServiceOptions opts;
   opts.slots = kReaders;
-  opts.drain_threshold = 16;
   ReachService service(base, opts);
   service.Start();
   service.Flush();
@@ -331,13 +329,12 @@ TEST(ServeDifferentialTest, ConcurrentMixedUpdatesAcrossSwaps) {
 }
 
 // ---------------------------------------------------------------------
-// The copy path. The writer applies each batch to a copy of the published
-// index, and a full build runs in the background only when the copy asks
-// for one (its damaged queries paid the last build's price, its damage
-// passed a `staleness` cap, or it grew past kIndexGrowthLimit times its
-// last build); a spec without a copy, or a
-// snapshot-loaded index until its first build, drains on the rebuild
-// path. These tests drive one writer through seeded rounds of updates and
+// The write path. The writer applies each batch to a copy of the
+// published index, and a full build runs in the background only when the
+// copy asks for one (its damaged queries paid the last build's price, its
+// damage passed a `staleness` cap, or it grew past kIndexGrowthLimit times
+// its last build); a spec without a copy is read-only when served. These
+// tests drive one writer through seeded rounds of updates and
 // check every pair against a BFS over the live edge set, both right after
 // the round is applied and after the Flush that follows; the
 // `full_builds` counter says when a build ran. Where a test counts on
@@ -427,15 +424,13 @@ void DrainAndCheck(ReachService& service, const UpdateLog& log,
   ExpectAnswersMatchLive(service, log, when + " (drained)");
 }
 
-// A started service on `base` whose rebuild-path drains run only at
-// Flush, with its first build done. A failed build retries after about
-// `backoff`.
-std::unique_ptr<ReachService> StartManualDrains(
+// A started service on `base` with its first build done. A failed build
+// retries after about `backoff`.
+std::unique_ptr<ReachService> StartAndBuild(
     const Digraph& base, const std::string& spec,
     std::chrono::milliseconds backoff = std::chrono::milliseconds(1)) {
   ServiceOptions opts;
   opts.spec = spec;
-  opts.drain_threshold = size_t{1} << 20;
   opts.rebuild_backoff_initial = backoff;
   opts.rebuild_backoff_max = backoff;
   auto service = std::make_unique<ReachService>(base, opts);
@@ -453,7 +448,7 @@ std::unique_ptr<ReachService> StartManualDrains(
 TEST(ServeIncrementalDrainTest, DrainsUnderTheBudgetRunNoFullBuild) {
   const Digraph base = RandomDigraph(64, 256, 0x1D2A);
   UpdateLog log(base, 0x1D2B);
-  const auto service = StartManualDrains(base, "pll");
+  const auto service = StartAndBuild(base, "pll");
   const uint64_t drains = service->stats().rebuilds.load();
   for (int round = 0; round < 6; ++round) {
     DrainAndCheck(*service, log, log.Next(5, 4, 2),
@@ -461,7 +456,6 @@ TEST(ServeIncrementalDrainTest, DrainsUnderTheBudgetRunNoFullBuild) {
   }
   EXPECT_EQ(service->stats().rebuilds.load(), drains + 6);
   EXPECT_EQ(service->stats().full_builds.load(), 1u);
-  EXPECT_EQ(service->stats().delete_verifies.load(), 0u);
   service->Stop();
 }
 
@@ -472,7 +466,7 @@ TEST(ServeIncrementalDrainTest, DrainsUnderTheBudgetRunNoFullBuild) {
 TEST(ServeIncrementalDrainTest, ADrainThatCrossesTheBudgetRunsAFullBuild) {
   const Digraph base = Chain(40);
   UpdateLog log(base, 0xC4A1);
-  const auto service = StartManualDrains(base, "pll:staleness=2");
+  const auto service = StartAndBuild(base, "pll:staleness=2");
   const ServeStats& st = service->stats();
   const uint64_t drains = st.rebuilds.load();
   DrainAndCheck(*service, log,
@@ -502,7 +496,7 @@ TEST(ServeIncrementalDrainTest, ADrainThatCrossesTheBudgetRunsAFullBuild) {
 TEST(ServeIncrementalDrainTest, ResurrectionsAcrossDrainsStayExact) {
   const Digraph base = RandomDigraph(48, 192, 0x2E5);
   UpdateLog log(base, 0x2E6);
-  const auto service = StartManualDrains(base, "pll:staleness=0");
+  const auto service = StartAndBuild(base, "pll:staleness=0");
   const Edge old_edge = base.Edges()[7];
   DrainAndCheck(*service, log,
                 log.Record({EdgeUpdate::Delete(old_edge.source,
@@ -533,7 +527,7 @@ TEST(ServeIncrementalDrainTest, ResurrectionsAcrossDrainsStayExact) {
 TEST(ServeIncrementalDrainTest, OneInsertOnASmallGraphBuildsNothing) {
   const Digraph base = Chain(10);
   UpdateLog log(base, 0xC10);
-  const auto service = StartManualDrains(base, "pll");
+  const auto service = StartAndBuild(base, "pll");
   const uint64_t builds = service->stats().full_builds.load();
   DrainAndCheck(*service, log, log.Record(UpdateBatch{EdgeUpdate::Insert(9, 0)}),
                 "9 -> 0 closes the chain");
@@ -553,7 +547,7 @@ TEST(ServeIncrementalDrainTest, HealthReportsTheRentPaidAgainstTheBuildPrice) {
   for (VertexId v = 0; v < kN; ++v) ring.push_back({v, (v + 1) % kN});
   const Digraph base = Digraph::FromEdges(kN, ring);
   UpdateLog log(base, 0x4E17);
-  const auto service = StartManualDrains(base, "pll");
+  const auto service = StartAndBuild(base, "pll");
   const ServeStats& st = service->stats();
   const ServiceHealth built = service->Health();
   EXPECT_EQ(built.rebuild_rent_paid, 0u);
@@ -572,60 +566,84 @@ TEST(ServeIncrementalDrainTest, HealthReportsTheRentPaidAgainstTheBuildPrice) {
   EXPECT_GT(rebuilt.rebuild_price, 0u);
   service->Stop();
 
-  const auto grail = StartManualDrains(base, "grail");
+  const auto grail = StartAndBuild(base, "grail");
   EXPECT_EQ(grail->Health().rebuild_rent_paid, 0u);
   EXPECT_EQ(grail->Health().rebuild_price, 0u);
   grail->Stop();
 }
 
-// A snapshot-loaded index has no live graph, so it takes the rebuild
-// path: the first batch stays pending until its drain runs a full build.
-// The batches after it go to copies of that build. They only delete, so
-// the size bound stays out of the way.
+// A snapshot-loaded index takes writes into copies from the start, and
+// its build price is 0: the first batch deletes the one arc into vertex
+// 56, which damages the labels, so the copy it publishes at once asks for
+// a full build. The batches after it go to copies of that build (which
+// ask for another only once damaged queries paid its price).
 TEST(ServeIncrementalDrainTest, SnapshotStartFallsBackToAFullBuildOnce) {
-  const Digraph base = RandomDigraph(56, 224, 0x5A7);
+  std::vector<Edge> edges = RandomDigraph(56, 224, 0x5A7).Edges();
+  edges.push_back({55, 56});
+  const Digraph base = Digraph::FromEdges(57, std::move(edges));
   PrunedTwoHop built;
   built.Build(base);
   const std::string path = testing::TempDir() + "/incremental_drain.rchx";
   std::string error;
   ASSERT_TRUE(built.SaveSnapshot(path, &error)) << error;
   UpdateLog log(base, 0x5A8);
-  ServiceOptions opts;
-  opts.drain_threshold = size_t{1} << 20;
-  ReachService service(base, opts);
+  ReachService service(base);
   ASSERT_TRUE(service.StartWithSnapshot(path));
   ExpectAnswersMatchLive(service, log, "loaded");
   const ServeStats& st = service.stats();
-  ASSERT_TRUE(service.ApplyUpdate(log.Next(4, 3, 0)).ok());
-  EXPECT_EQ(service.PendingEdgeCount(), 7u);
-  ExpectAnswersMatchLive(service, log, "first batch (pending)");
-  service.Flush();
+  ASSERT_TRUE(service.ApplyUpdate(log.Record({EdgeUpdate::Delete(55, 56),
+                                              EdgeUpdate::Insert(3, 40)}))
+                  .ok());
   EXPECT_EQ(service.PendingEdgeCount(), 0u);
-  ExpectAnswersMatchLive(service, log, "first batch (drained)");
+  ExpectAnswersMatchLive(service, log, "first batch (in a copy)");
+  service.Flush();
+  ExpectAnswersMatchLive(service, log, "first batch (built)");
   EXPECT_EQ(st.full_builds.load(), 1u);
   for (int round = 0; round < 3; ++round) {
     DrainAndCheck(service, log, log.Next(0, 3, 0),
                   "round " + std::to_string(round));
   }
-  EXPECT_EQ(st.rebuilds.load(), 4u);
-  EXPECT_EQ(st.full_builds.load(), 1u);
+  // One copy per batch; every other generation is a full build.
+  EXPECT_EQ(st.rebuilds.load() - st.full_builds.load(), 4u);
   service.Stop();
 }
 
-// An index without a copy (GRAIL is static) takes the rebuild path: a
-// batch stays pending until Flush drains it with a full build.
-TEST(ServeIncrementalDrainTest, AnIndexWithoutACopyBuildsOnEveryDrain) {
+// `batch` on a read-only service: rejected with the spec's name, and
+// nothing changes — the generation, the replay log, and every pair's
+// answer (`log` holds the updates the service accepted: none).
+void ExpectRejectedAsReadOnly(ReachService& service, const UpdateLog& log,
+                              const UpdateBatch& batch,
+                              const std::string& when) {
+  const uint64_t version = service.SnapshotVersion();
+  const uint64_t rejected = service.stats().update_rejected.load();
+  const UpdateResult result = service.ApplyUpdate(batch);
+  EXPECT_EQ(result.status, UpdateStatus::kRejected) << when;
+  EXPECT_NE(result.reason.find(service.options().spec), std::string::npos)
+      << when << ": " << result.reason;
+  EXPECT_EQ(service.stats().update_rejected.load(), rejected + 1) << when;
+  service.Flush();
+  EXPECT_EQ(service.SnapshotVersion(), version) << when;
+  EXPECT_EQ(service.PendingEdgeCount(), 0u) << when;
+  EXPECT_FALSE(service.Health().accepting_writes) << when;
+  ExpectAnswersMatchLive(service, log, when);
+}
+
+// An index without a copy (GRAIL is static) is read-only when served:
+// every batch is rejected, and the first build's index keeps answering.
+TEST(ServeIncrementalDrainTest, AnIndexWithoutACopyIsReadOnly) {
   const Digraph base = RandomDag(56, 130, 0x6A1);
-  UpdateLog log(base, 0x6A2);
-  const auto service = StartManualDrains(base, "grail");
-  const ServeStats& st = service->stats();
-  const uint64_t drains = st.rebuilds.load();
+  const UpdateLog accepted(base, 0x6A2);
+  UpdateLog proposed(base, 0x6A2);
+  const auto service = StartAndBuild(base, "grail");
   for (int round = 0; round < 3; ++round) {
-    const UpdateBatch batch = log.Next(4, 3, 1);
-    DrainAndCheck(*service, log, batch, "round " + std::to_string(round));
+    ExpectRejectedAsReadOnly(*service, accepted, proposed.Next(4, 3, 1),
+                             "round " + std::to_string(round));
   }
-  EXPECT_EQ(st.rebuilds.load(), drains + 3);
-  EXPECT_EQ(st.full_builds.load(), st.rebuilds.load());
+  const ServeStats& st = service->stats();
+  EXPECT_EQ(st.update_batches.load(), 0u);
+  EXPECT_EQ(st.inserts.load() + st.deletes.load(), 0u);
+  EXPECT_EQ(st.rebuilds.load(), 1u);
+  EXPECT_EQ(st.full_builds.load(), 1u);
   service->Stop();
 }
 
@@ -637,7 +655,7 @@ TEST(ServeIncrementalDrainTest, FailedIncrementalDrainRetriesAndLands) {
   if (!kFailpointsCompiled) GTEST_SKIP() << "REACH_FAILPOINTS is OFF";
   const Digraph base = Chain(40);
   UpdateLog log(base, 0x7F2);
-  const auto service = StartManualDrains(base, "pll:staleness=1",
+  const auto service = StartAndBuild(base, "pll:staleness=1",
                                          std::chrono::milliseconds(400));
   DrainAndCheck(*service, log,
                 log.Record(UpdateBatch{EdgeUpdate::Delete(5, 6)}),
@@ -683,7 +701,7 @@ TEST(ServeIncrementalDrainTest, InsertOnlyStreamsRebuildAtTheSizeBound) {
     SCOPED_TRACE(spec);
     const Digraph base = RandomDag(64, 64, 0x1A5E);
     UpdateLog log(base, 0x1A5F);
-    const auto service = StartManualDrains(base, spec);
+    const auto service = StartAndBuild(base, spec);
     const ServeStats& st = service->stats();
     const uint64_t drains_before = st.rebuilds.load();
     const uint64_t builds_before = st.full_builds.load();
@@ -713,15 +731,15 @@ TEST(ServeIncrementalDrainTest, InsertOnlyStreamsRebuildAtTheSizeBound) {
 // A pair connected only through an arc an earlier batch deleted, asked
 // after another delete, from a source that reaches more than
 // kFallbackVisitBudget vertices. The damaged copy verifies its own
-// witness, so the negative is exact without the bounded union BFS, which
-// could not finish here.
+// witness, so the negative is exact where a search bounded by that budget
+// could not finish.
 TEST(ServeIncrementalDrainTest, DamagedCopyNegativesStayExactPastTheBfsBudget) {
   constexpr VertexId kLeaves = kFallbackVisitBudget + 1024;
   // 0 -> 2 -> 1, and 0 -> each leaf 3 .. kLeaves + 2.
   std::vector<Edge> edges = {{0, 2}, {2, 1}};
   for (VertexId v = 3; v < kLeaves + 3; ++v) edges.push_back({0, v});
   const Digraph base = Digraph::FromEdges(kLeaves + 3, std::move(edges));
-  const auto service = StartManualDrains(base, "pll");
+  const auto service = StartAndBuild(base, "pll");
   ASSERT_TRUE(service->ApplyUpdate({EdgeUpdate::Delete(2, 1)}).ok());
   service->Flush();
   EXPECT_EQ(service->stats().full_builds.load(), 1u);  // an updated copy
@@ -738,15 +756,18 @@ TEST(ServeIncrementalDrainTest, DamagedCopyNegativesStayExactPastTheBfsBudget) {
   service->Stop();
 }
 
-// The seeded differential of both update paths across full builds. A
-// writer applies batches of 1-8 updates mixing inserts, deletes and
+// The seeded differential of the write path across full builds. A writer
+// applies batches of 1-8 updates mixing inserts, deletes and
 // resurrections on a scale-free DAG, where most deletes damage the
-// labels, so `pll:staleness=2` asks for a full build every few batches
+// labels, so a `staleness=2` cap asks for a full build every few batches
 // and the writer's next batches land while it runs (and are replayed
-// into it). After each batch, and after each Flush, sampled pairs are
-// checked against a BFS over the live edge set; concurrent readers check
-// every exact answer against the live edge set at some batch boundary of
-// their query's window. `grail` has no copy and drains every 8 updates.
+// into it); plain `pll` rebuilds by rent alone. After each batch, and
+// after each Flush, sampled pairs are checked against a BFS over the live
+// edge set; concurrent readers check every exact answer against the live
+// edge set at some batch boundary of their query's window. The last
+// `pll` starts from a snapshot file.
+// `grail` has no copy: it rejects every batch and keeps answering for the
+// base graph.
 TEST(ServeDifferentialTest, BatchesAcrossFullBuildsMatchLiveBfs) {
   constexpr VertexId kN = 1500;
   constexpr size_t kBatches = 60;
@@ -755,19 +776,33 @@ TEST(ServeDifferentialTest, BatchesAcrossFullBuildsMatchLiveBfs) {
   const auto reaches = [](const Adjacency& adj, VertexId s, VertexId t) {
     return ReachableFrom(adj, s)[t] != 0;
   };
-  for (const char* spec : {"pll", "pll:staleness=2", "pll:fastpath=1",
-                           "grail"}) {
-    SCOPED_TRACE(spec);
-    const bool copies = std::string(spec) != "grail";
-    const Digraph base = ScaleFreeDag(kN, 3, 0xD1FF);
+  const Digraph base = ScaleFreeDag(kN, 3, 0xD1FF);
+  struct Case {
+    const char* spec;
+    bool snapshot;
+  };
+  for (const auto& [spec, snapshot] :
+       {Case{"pll", false}, Case{"pll:staleness=2", false},
+        Case{"pll:fastpath=1:staleness=2", false},
+        Case{"tfl:staleness=2", false}, Case{"dagger:staleness=2", false},
+        Case{"pll:staleness=2", true}}) {
+    SCOPED_TRACE(std::string(spec) + (snapshot ? " from a snapshot" : ""));
     UpdateLog log(base, 0xD200);
     ServiceOptions opts;
     opts.spec = spec;
     opts.slots = kReaders + 1;
-    opts.drain_threshold = 8;
     ReachService service(base, opts);
-    service.Start();
-    service.Flush();
+    if (snapshot) {
+      PrunedTwoHop built;
+      built.Build(base);
+      const std::string path = testing::TempDir() + "/differential.rchx";
+      std::string error;
+      ASSERT_TRUE(built.SaveSnapshot(path, &error)) << error;
+      ASSERT_TRUE(service.StartWithSnapshot(path));
+    } else {
+      ASSERT_TRUE(service.Start());
+      service.Flush();
+    }
 
     // states[w]: the live edge set after w batches, published before
     // batch w is applied.
@@ -839,27 +874,49 @@ TEST(ServeDifferentialTest, BatchesAcrossFullBuildsMatchLiveBfs) {
     for (auto& th : readers) th.join();
 
     EXPECT_EQ(wrong.load(), 0u);
-    EXPECT_EQ(inexact.load(), 0u);  // the visit budget covers kN vertices
+    EXPECT_EQ(inexact.load(), 0u);
+    // Every batch went to a copy, and no query ran before an index.
     const ServeStats& st = service.stats();
-    if (copies) {
-      // Every batch went to a copy: nothing was ever verified around it.
-      EXPECT_GT(st.delta_answers.load(), 0u);
-      EXPECT_EQ(st.fallback_answers.load(), 0u);
-      EXPECT_EQ(st.delete_verifies.load(), 0u);
-    } else {
-      EXPECT_GT(st.fallback_answers.load(), 0u);
+    EXPECT_GT(st.delta_answers.load(), 0u);
+    EXPECT_EQ(st.fallback_answers.load(), 0u);
+    if (std::string(spec) != "pll") {
+      // The staleness cap asked for full builds along the way.
+      EXPECT_GT(st.full_builds.load(), snapshot ? 1u : 2u);
     }
-    if (std::string(spec) == "pll:staleness=2") {
+    if (std::string(spec) == "pll:staleness=2" && !snapshot) {
       EXPECT_GT(st.full_builds.load(), 3u);
       // Batches landed while a full build ran, and were replayed into it.
       EXPECT_GT(most_pending, 0u);
     }
     service.Stop();
   }
+
+  const auto grail = StartAndBuild(base, "grail");
+  const Adjacency live = LiveAdjacency(base, {}, 0);
+  UpdateLog proposed(base, 0xD200);
+  Xoshiro256ss rng(0xD500);
+  for (size_t i = 0; i < 3; ++i) {
+    const std::string when = "grail batch " + std::to_string(i);
+    const UpdateResult result = grail->ApplyUpdate(proposed.Next(3, 3, 2));
+    EXPECT_EQ(result.status, UpdateStatus::kRejected) << when;
+    EXPECT_NE(result.reason.find("grail"), std::string::npos) << when;
+    EXPECT_EQ(grail->SnapshotVersion(), 1u) << when;
+    for (size_t q = 0; q < 64; ++q) {
+      const auto s = static_cast<VertexId>(rng.NextBounded(kN));
+      const auto t = static_cast<VertexId>(rng.NextBounded(kN));
+      const ServeAnswer ans = grail->Query(s, t);
+      ASSERT_TRUE(ans.exact) << when;
+      ASSERT_EQ(ans.reachable, reaches(live, s, t))
+          << when << ": " << s << "->" << t;
+    }
+  }
+  EXPECT_EQ(grail->stats().update_batches.load(), 0u);
+  grail->Stop();
 }
 
 // ---------------------------------------------------------------------
-// The rebuild path's bounded BFS, the reader records and admission.
+// The search before the first index, read-only specs, the reader records
+// and admission.
 
 TEST(ServeFallbackTest, AnswersExactlyBeforeStartViaBoundedBfs) {
   const Digraph g = figure1::PlainGraph();
@@ -878,187 +935,172 @@ TEST(ServeFallbackTest, AnswersExactlyBeforeStartViaBoundedBfs) {
             service.stats().queries.load());
 }
 
-// What answered a query on the copy path (`copies`): kDelta, or kIndex
-// once a full build the copy asked for has landed. On the rebuild path:
-// `rebuild_path`.
-void ExpectSource(const ServeAnswer& ans, bool copies,
-                  AnswerSource rebuild_path) {
-  if (copies) {
-    EXPECT_TRUE(ans.source == AnswerSource::kDelta ||
-                ans.source == AnswerSource::kIndex);
-  } else {
-    EXPECT_EQ(ans.source, rebuild_path);
-  }
+// Before the first index a query searches the base graph within
+// kFallbackVisitBudget expansions: a negative it could not settle in
+// time is inexact, while a path found in time, or a search that ran out
+// of vertices, is exact.
+TEST(ServeFallbackTest, RespectsTheVisitBudget) {
+  constexpr VertexId kN = kFallbackVisitBudget + 16;
+  ReachService service(Chain(kN));  // never started: no index is ever built
+  const ServeAnswer far = service.Query(0, kN - 1);
+  EXPECT_FALSE(far.reachable);
+  EXPECT_FALSE(far.exact);
+  EXPECT_EQ(far.source, AnswerSource::kFallbackBfs);
+  const ServeAnswer near = service.Query(0, 100);
+  EXPECT_TRUE(near.reachable);
+  EXPECT_TRUE(near.exact);
+  const ServeAnswer backwards = service.Query(kN - 1, 0);
+  EXPECT_FALSE(backwards.reachable);
+  EXPECT_TRUE(backwards.exact);
+  EXPECT_EQ(service.stats().inexact_answers.load(), 1u);
 }
 
-// The two update paths on the same chain. On the copy path (pll) every
-// update is in the published copy at once: nothing pends, and the copy's
-// answers count as kDelta until a full build replaces it (on a 10-vertex
-// chain the first label-adding insert passes the size bound, so Flush
-// waits for one). On the rebuild path (grail) the update pends: an index
-// answer the pending updates cannot change stays kIndex, the rest go to
-// the union BFS, and Flush drains them into a fresh build that answers
-// alone.
+// Every update is in the published copy at once: nothing pends, and the
+// copy's answers count as kDelta. The copy's few new label entries stay
+// within kIndexGrowthLimit of its build, so Flush builds nothing: the copy
+// stays published. `grail` has no copy, so it rejects the insert and
+// keeps answering as before.
 TEST(ServeDeltaTest, PendingEdgesAnsweredExactlyBeforeDrain) {
-  for (const char* spec : {"pll", "grail"}) {
-    SCOPED_TRACE(spec);
-    const bool copies = std::string(spec) == "pll";
-    const Digraph g = Chain(10);  // 0 -> 1 -> ... -> 9
-    ServiceOptions opts;
-    opts.spec = spec;
-    opts.drain_threshold = 1000;  // no automatic drain
-    ReachService service(g, opts);
-    service.Start();
-    service.Flush();  // wait for the index over the base chain
-    ASSERT_GE(service.SnapshotVersion(), 1u);
+  const Digraph g = Chain(10);  // 0 -> 1 -> ... -> 9
+  ReachService service(g);
+  service.Start();
+  service.Flush();  // wait for the index over the base chain
+  ASSERT_GE(service.SnapshotVersion(), 1u);
 
-    ServeAnswer hit = service.Query(0, 9);
-    EXPECT_TRUE(hit.reachable);
-    EXPECT_EQ(hit.source, AnswerSource::kIndex);
+  const ServeAnswer hit = service.Query(0, 9);
+  EXPECT_TRUE(hit.reachable);
+  EXPECT_EQ(hit.source, AnswerSource::kIndex);
 
-    // 9 -> 0 closes the cycle: 5 now reaches 2 through the new edge.
-    const uint64_t version = service.SnapshotVersion();
-    ASSERT_TRUE(service.InsertEdge(9, 0));
-    EXPECT_EQ(service.PendingEdgeCount(), copies ? 0u : 1u);
-    const ServeAnswer via_update = service.Query(5, 2);
-    EXPECT_TRUE(via_update.reachable);
-    EXPECT_TRUE(via_update.exact);
-    ExpectSource(via_update, copies, AnswerSource::kFallbackBfs);
-    // An index positive stays exact with only inserts pending.
-    ExpectSource(service.Query(0, 9), copies, AnswerSource::kIndex);
+  // 9 -> 0 closes the cycle: 5 now reaches 2 through the new edge.
+  const uint64_t version = service.SnapshotVersion();
+  ASSERT_TRUE(service.InsertEdge(9, 0));
+  EXPECT_EQ(service.PendingEdgeCount(), 0u);
+  const ServeAnswer via_update = service.Query(5, 2);
+  EXPECT_TRUE(via_update.reachable);
+  EXPECT_TRUE(via_update.exact);
+  EXPECT_EQ(via_update.source, AnswerSource::kDelta);
+  EXPECT_EQ(service.Query(0, 9).source, AnswerSource::kDelta);
 
-    service.Flush();
-    EXPECT_EQ(service.PendingEdgeCount(), 0u);
-    // The rebuild path drains with a full build. The copy's few new
-    // label entries stay within kIndexGrowthLimit of its build, so the
-    // copy path builds nothing: the copy stays published.
-    EXPECT_EQ(service.stats().full_builds.load(), copies ? 1u : 2u);
-    const ServeAnswer after = service.Query(5, 2);
-    EXPECT_TRUE(after.reachable);
-    EXPECT_EQ(after.source,
-              copies ? AnswerSource::kDelta : AnswerSource::kIndex);
-    EXPECT_EQ(after.snapshot_version, version + 1);
-    service.Stop();
-  }
+  service.Flush();
+  EXPECT_EQ(service.PendingEdgeCount(), 0u);
+  EXPECT_EQ(service.stats().full_builds.load(), 1u);
+  const ServeAnswer after = service.Query(5, 2);
+  EXPECT_TRUE(after.reachable);
+  EXPECT_EQ(after.source, AnswerSource::kDelta);
+  EXPECT_EQ(after.snapshot_version, version + 1);
+  service.Stop();
+
+  ExpectRejectedAsReadOnly(*StartAndBuild(g, "grail"), UpdateLog(g, 0),
+                           {EdgeUpdate::Insert(9, 0)}, "grail");
 }
 
 TEST(ServeDeltaTest, ChainedPendingEdgesAndExactNegatives) {
-  for (const char* spec : {"pll", "grail"}) {
-    SCOPED_TRACE(spec);
-    const bool copies = std::string(spec) == "pll";
-    const Digraph g = Chain(10);
-    ServiceOptions opts;
-    opts.spec = spec;
-    opts.drain_threshold = 1000;
-    ReachService service(g, opts);
-    service.Start();
-    service.Flush();
+  const Digraph g = Chain(10);
+  ReachService service(g);
+  service.Start();
+  service.Flush();
 
-    // 8 reaches 1 only through *two* new edges, 9->4 then 4->1.
-    ASSERT_TRUE(service.InsertEdge(9, 4));
-    ASSERT_TRUE(service.InsertEdge(4, 1));
-    const ServeAnswer two_hop = service.Query(8, 1);
-    EXPECT_TRUE(two_hop.reachable);
-    EXPECT_TRUE(two_hop.exact);
-    ExpectSource(two_hop, copies, AnswerSource::kFallbackBfs);
+  // 8 reaches 1 only through *two* new edges, 9->4 then 4->1.
+  ASSERT_TRUE(service.InsertEdge(9, 4));
+  ASSERT_TRUE(service.InsertEdge(4, 1));
+  const ServeAnswer two_hop = service.Query(8, 1);
+  EXPECT_TRUE(two_hop.reachable);
+  EXPECT_TRUE(two_hop.exact);
+  EXPECT_EQ(two_hop.source, AnswerSource::kDelta);
 
-    // 7 -> 0 stays unreachable even with both new edges (nothing ever
-    // enters 0): an exact negative.
-    const ServeAnswer negative = service.Query(7, 0);
-    EXPECT_FALSE(negative.reachable);
-    EXPECT_TRUE(negative.exact);
-    ExpectSource(negative, copies, AnswerSource::kFallbackBfs);
-    service.Stop();
-  }
+  // 7 -> 0 stays unreachable even with both new edges (nothing ever
+  // enters 0): an exact negative.
+  const ServeAnswer negative = service.Query(7, 0);
+  EXPECT_FALSE(negative.reachable);
+  EXPECT_TRUE(negative.exact);
+  EXPECT_EQ(negative.source, AnswerSource::kDelta);
+  service.Stop();
+
+  ExpectRejectedAsReadOnly(*StartAndBuild(g, "grail"), UpdateLog(g, 0),
+                           {EdgeUpdate::Insert(9, 4), EdgeUpdate::Insert(4, 1)},
+                           "grail");
 }
 
 TEST(ServeDeltaTest, PendingDeleteAnsweredExactlyAndSurvivesSwap) {
-  for (const char* spec : {"pll", "grail"}) {
-    SCOPED_TRACE(spec);
-    const bool copies = std::string(spec) == "pll";
-    const Digraph g = Chain(10);
-    ServiceOptions opts;
-    opts.spec = spec;
-    opts.drain_threshold = 1000;  // no automatic drain
-    opts.negcache_capacity = 0;   // every query reaches the index
-    ReachService service(g, opts);
-    service.Start();
-    service.Flush();
-    ASSERT_TRUE(service.Query(0, 9).reachable);
+  const Digraph g = Chain(10);
+  ServiceOptions opts;
+  opts.negcache_capacity = 0;  // every query reaches the index
+  ReachService service(g, opts);
+  service.Start();
+  service.Flush();
+  ASSERT_TRUE(service.Query(0, 9).reachable);
 
-    // Cut the chain in the middle. The copy knows the arc is gone; the
-    // rebuild path's index still says "yes" for 0->9, so the service
-    // re-verifies against the live union graph.
-    ASSERT_TRUE(service.DeleteEdge(4, 5));
-    EXPECT_EQ(service.PendingEdgeCount(), copies ? 0u : 1u);
-    const ServeAnswer cut = service.Query(0, 9);
-    EXPECT_FALSE(cut.reachable);
-    EXPECT_TRUE(cut.exact);
-    EXPECT_GE(service.stats().deletes.load(), 1u);
-    EXPECT_EQ(service.stats().delete_verifies.load(), copies ? 0u : 1u);
-    // Pairs on either side of the cut are unaffected.
-    EXPECT_TRUE(service.Query(0, 4).reachable);
-    EXPECT_TRUE(service.Query(5, 9).reachable);
+  // Cut the chain in the middle: the copy knows the arc is gone.
+  ASSERT_TRUE(service.DeleteEdge(4, 5));
+  EXPECT_EQ(service.PendingEdgeCount(), 0u);
+  const ServeAnswer cut = service.Query(0, 9);
+  EXPECT_FALSE(cut.reachable);
+  EXPECT_TRUE(cut.exact);
+  EXPECT_GE(service.stats().deletes.load(), 1u);
+  // Pairs on either side of the cut are unaffected.
+  EXPECT_TRUE(service.Query(0, 4).reachable);
+  EXPECT_TRUE(service.Query(5, 9).reachable);
 
-    // After Flush the index itself knows the arc is gone.
-    service.Flush();
-    EXPECT_EQ(service.PendingEdgeCount(), 0u);
-    const ServeAnswer after = service.Query(0, 9);
-    EXPECT_FALSE(after.reachable);
-    EXPECT_TRUE(after.exact);
-    ExpectSource(after, copies, AnswerSource::kIndex);
+  // After Flush, whatever index is published knows the arc is gone.
+  service.Flush();
+  EXPECT_EQ(service.PendingEdgeCount(), 0u);
+  const ServeAnswer after = service.Query(0, 9);
+  EXPECT_FALSE(after.reachable);
+  EXPECT_TRUE(after.exact);
 
-    // Re-inserting resurrects the path end-to-end.
-    ASSERT_TRUE(service.InsertEdge(4, 5));
-    EXPECT_TRUE(service.Query(0, 9).reachable);
-    service.Flush();
-    EXPECT_TRUE(service.Query(0, 9).reachable);
-    service.Stop();
-  }
+  // Re-inserting resurrects the path end-to-end.
+  ASSERT_TRUE(service.InsertEdge(4, 5));
+  EXPECT_TRUE(service.Query(0, 9).reachable);
+  service.Flush();
+  EXPECT_TRUE(service.Query(0, 9).reachable);
+  service.Stop();
+
+  ExpectRejectedAsReadOnly(*StartAndBuild(g, "grail"), UpdateLog(g, 0),
+                           {EdgeUpdate::Delete(4, 5)}, "grail");
 }
 
 TEST(ServeUpdateTest, MixedBatchIsAtomicAndValidateFirst) {
-  for (const char* spec : {"pll", "grail"}) {
-    SCOPED_TRACE(spec);
-    const size_t pending = std::string(spec) == "pll" ? 0 : 2;
-    const Digraph g = Chain(6);
-    ServiceOptions opts;
-    opts.spec = spec;
-    opts.drain_threshold = 1000;
-    ReachService service(g, opts);
-    service.Start();
-    service.Flush();
+  const Digraph g = Chain(6);
+  ReachService service(g);
+  service.Start();
+  service.Flush();
 
-    // One batch: cut 2->3 but bridge around it with 1->4.
-    const UpdateResult result = service.ApplyUpdate(
-        {EdgeUpdate::Delete(2, 3), EdgeUpdate::Insert(1, 4)});
-    EXPECT_EQ(result.status, UpdateStatus::kApplied);
-    EXPECT_EQ(result.applied, 2u);
-    EXPECT_EQ(service.PendingEdgeCount(), pending);
-    const ServeAnswer detour = service.Query(0, 5);
-    EXPECT_TRUE(detour.reachable);
-    EXPECT_TRUE(detour.exact);
-    const ServeAnswer severed = service.Query(2, 3);
-    EXPECT_FALSE(severed.reachable);
-    EXPECT_TRUE(severed.exact);
+  // One batch: cut 2->3 but bridge around it with 1->4.
+  const UpdateBatch good = {EdgeUpdate::Delete(2, 3), EdgeUpdate::Insert(1, 4)};
+  const UpdateResult result = service.ApplyUpdate(good);
+  EXPECT_EQ(result.status, UpdateStatus::kApplied);
+  EXPECT_EQ(result.applied, 2u);
+  EXPECT_EQ(service.PendingEdgeCount(), 0u);
+  const ServeAnswer detour = service.Query(0, 5);
+  EXPECT_TRUE(detour.reachable);
+  EXPECT_TRUE(detour.exact);
+  const ServeAnswer severed = service.Query(2, 3);
+  EXPECT_FALSE(severed.reachable);
+  EXPECT_TRUE(severed.exact);
 
-    // An out-of-range element rejects the whole batch before any of it
-    // takes effect: the in-range delete ahead of it leaves no trace.
-    const UpdateResult bad = service.ApplyUpdate(
-        {EdgeUpdate::Delete(0, 1), EdgeUpdate::Insert(0, 99)});
-    EXPECT_EQ(bad.status, UpdateStatus::kRejected);
-    EXPECT_FALSE(bad.ok());
-    EXPECT_FALSE(bad.reason.empty());
-    EXPECT_EQ(service.PendingEdgeCount(), pending);
-    EXPECT_GE(service.stats().update_rejected.load(), 1u);
-    EXPECT_TRUE(service.Query(0, 1).reachable);
+  // An out-of-range element rejects the whole batch before any of it
+  // takes effect: the in-range delete ahead of it leaves no trace.
+  const UpdateBatch bad = {EdgeUpdate::Delete(0, 1), EdgeUpdate::Insert(0, 99)};
+  const uint64_t version = service.SnapshotVersion();
+  const UpdateResult bounced = service.ApplyUpdate(bad);
+  EXPECT_EQ(bounced.status, UpdateStatus::kRejected);
+  EXPECT_FALSE(bounced.ok());
+  EXPECT_FALSE(bounced.reason.empty());
+  EXPECT_EQ(service.SnapshotVersion(), version);
+  EXPECT_GE(service.stats().update_rejected.load(), 1u);
+  EXPECT_TRUE(service.Query(0, 1).reachable);
 
-    // Both effects of the good batch survive the Flush.
-    service.Flush();
-    EXPECT_TRUE(service.Query(0, 5).reachable);
-    EXPECT_FALSE(service.Query(2, 3).reachable);
-    service.Stop();
-  }
+  // Both effects of the good batch survive the Flush.
+  service.Flush();
+  EXPECT_TRUE(service.Query(0, 5).reachable);
+  EXPECT_FALSE(service.Query(2, 3).reachable);
+  service.Stop();
+
+  // On a read-only spec both batches are rejected whole, the bad one
+  // still by validation.
+  const auto grail = StartAndBuild(g, "grail");
+  ExpectRejectedAsReadOnly(*grail, UpdateLog(g, 0), good, "grail");
+  EXPECT_EQ(grail->ApplyUpdate(bad).reason, bounced.reason);
 }
 
 TEST(ServeUpdateTest, DeleteOnlyBatchKeepsNegativeCacheWarm) {
@@ -1067,7 +1109,6 @@ TEST(ServeUpdateTest, DeleteOnlyBatchKeepsNegativeCacheWarm) {
   // insert-carrying batches must.
   const Digraph g = Chain(6);
   ServiceOptions opts;
-  opts.drain_threshold = 1000;
   opts.negcache_capacity = 256;
   ReachService service(g, opts);
   service.Start();
@@ -1093,19 +1134,19 @@ TEST(ServeUpdateTest, DeleteOnlyBatchKeepsNegativeCacheWarm) {
   service.Stop();
 }
 
-// On the rebuild path (grail; on the copy path nothing is pending).
+// A negative verified on a copy that carries an insert no Flush has
+// settled is not cached: the writes are still coming, and the next insert
+// would invalidate it. Once a Flush returns, the same negative is cached.
 TEST(ServeUpdateTest, NegativeVerifiedWithAnInsertPendingIsNotCached) {
   const Digraph g = Chain(10);
   ServiceOptions opts;
-  opts.spec = "grail";
-  opts.drain_threshold = 1000;
   opts.negcache_capacity = 256;
   ReachService service(g, opts);
   service.Start();
   service.Flush();
 
-  // 9 -> 4 is pending; 3 still cannot reach 0 through it. The exact
-  // negative is not cached, so its repeat is verified again.
+  // 9 -> 4 is unsettled; 3 still cannot reach 0 through it. The exact
+  // negative is not cached, so its repeat asks the copy again.
   ASSERT_TRUE(service.InsertEdge(9, 4));
   const ServeAnswer first = service.Query(3, 0);
   EXPECT_FALSE(first.reachable);
@@ -1113,10 +1154,10 @@ TEST(ServeUpdateTest, NegativeVerifiedWithAnInsertPendingIsNotCached) {
   const ServeAnswer repeat = service.Query(3, 0);
   EXPECT_FALSE(repeat.reachable);
   EXPECT_TRUE(repeat.exact);
-  EXPECT_EQ(repeat.source, AnswerSource::kFallbackBfs);
+  EXPECT_EQ(repeat.source, AnswerSource::kDelta);
   EXPECT_EQ(service.stats().negcache_hits.load(), 0u);
 
-  // With nothing pending the same negative is cached again.
+  // Settled, the same negative is cached again.
   service.Flush();
   ASSERT_FALSE(service.Query(3, 0).reachable);
   EXPECT_EQ(service.Query(3, 0).source, AnswerSource::kNegCache);
@@ -1178,10 +1219,11 @@ TEST(ServeLifecycleTest, RejectedSpecFailsStartAndPublishesNoIndex) {
   }
 }
 
-// A service that never started runs no drain, so Flush must not wait
-// for one: neither without a Start() call nor after a Start() that
-// failed. Flush runs on a thread with a bounded wait, so a regression
-// fails here instead of hanging the suite (Stop() releases a hung Flush).
+// A service that never started runs no build, so Flush must not wait for
+// one, and it takes no write, since no index will ever carry it: neither
+// without a Start() call nor after a Start() that failed. Flush runs on a
+// thread with a bounded wait, so a regression fails here instead of
+// hanging the suite (Stop() releases a hung Flush).
 TEST(ServeLifecycleTest, FlushOnUnstartedServiceReturns) {
   for (const char* spec : {"pll", "lcr:pll"}) {
     SCOPED_TRACE(spec);
@@ -1191,7 +1233,11 @@ TEST(ServeLifecycleTest, FlushOnUnstartedServiceReturns) {
     if (std::string(spec) != "pll") {
       EXPECT_FALSE(service.Start());
     }
-    ASSERT_TRUE(service.InsertEdge(5, 1));
+    const UpdateResult write = service.ApplyUpdate({EdgeUpdate::Insert(5, 1)});
+    EXPECT_EQ(write.status, UpdateStatus::kRejected);
+    EXPECT_NE(write.reason.find("not started"), std::string::npos)
+        << write.reason;
+    EXPECT_FALSE(service.Health().accepting_writes);
     std::promise<void> flushed;
     std::thread flusher([&] {
       service.Flush();
@@ -1201,15 +1247,43 @@ TEST(ServeLifecycleTest, FlushOnUnstartedServiceReturns) {
               std::future_status::ready);
     service.Stop();
     flusher.join();
-    // The update stays pending and answered.
-    EXPECT_EQ(service.PendingEdgeCount(), 1u);
-    EXPECT_TRUE(service.Query(4, 2).reachable);
+    // The base chain still answers, through the search.
+    EXPECT_EQ(service.PendingEdgeCount(), 0u);
+    EXPECT_FALSE(service.Query(4, 2).reachable);
+    EXPECT_TRUE(service.Query(2, 4).reachable);
   }
 }
 
-// Flush schedules a drain only when one is owed: with the first build
-// published and nothing pending, it returns without publishing another
-// generation (for grail, another full build).
+// A write made right after Start waits for the first index, which the
+// serve.rebuild delay holds open: it returns only once that build has
+// published, and its copy answers at once.
+TEST(ServeLifecycleTest, AWriteBeforeTheFirstIndexWaitsForIt) {
+  if (!kFailpointsCompiled) GTEST_SKIP() << "REACH_FAILPOINTS is OFF";
+  std::string error;
+  ASSERT_TRUE(FailpointRegistry::Global().Arm(
+      "serve.rebuild", "delay(ms=100,times=1)", &error))
+      << error;
+  ReachService service(Chain(10));
+  ASSERT_TRUE(service.Start());
+  EXPECT_TRUE(service.Health().accepting_writes);
+  const ServeAnswer before = service.Query(5, 2);
+  EXPECT_FALSE(before.reachable);
+  EXPECT_EQ(before.source, AnswerSource::kFallbackBfs);
+  EXPECT_EQ(before.snapshot_version, 0u);
+  ASSERT_TRUE(service.InsertEdge(9, 0));
+  FailpointRegistry::Global().DisarmAll();
+  EXPECT_EQ(service.stats().full_builds.load(), 1u);
+  EXPECT_EQ(service.SnapshotVersion(), 2u);  // the build, then the copy
+  const ServeAnswer after = service.Query(5, 2);
+  EXPECT_TRUE(after.reachable);
+  EXPECT_TRUE(after.exact);
+  EXPECT_EQ(after.source, AnswerSource::kDelta);
+  service.Stop();
+}
+
+// Flush schedules a build only when one is owed: with the first build
+// published, it returns without publishing another generation (for
+// grail, another full build).
 TEST(ServeLifecycleTest, FlushWithNothingPendingPublishesNothing) {
   ServiceOptions opts;
   opts.spec = "grail";
@@ -1226,77 +1300,15 @@ TEST(ServeLifecycleTest, FlushWithNothingPendingPublishesNothing) {
   service.Stop();
 }
 
-TEST(BoundedUnionBfsTest, RespectsVisitBudget) {
-  const Digraph g = Chain(100);
-  const BoundedBfsOutcome starved = BoundedUnionBfs(g, {}, 0, 99, 10);
-  EXPECT_FALSE(starved.reachable);
-  EXPECT_FALSE(starved.complete);
-  const BoundedBfsOutcome full = BoundedUnionBfs(g, {}, 0, 99, 200);
-  EXPECT_TRUE(full.reachable);
-  EXPECT_TRUE(full.complete);
-}
-
-TEST(BoundedUnionBfsTest, TraversesExtraEdgesAndHandlesTrivialPairs) {
-  const Digraph g = Digraph::FromEdges(3, {});
-  EXPECT_TRUE(
-      BoundedUnionBfs(g, {EdgeUpdate::Insert(0, 1), EdgeUpdate::Insert(1, 2)},
-                      0, 2, 100)
-          .reachable);
-  EXPECT_FALSE(
-      BoundedUnionBfs(g, {EdgeUpdate::Insert(0, 1)}, 0, 2, 100).reachable);
-  const BoundedBfsOutcome self = BoundedUnionBfs(g, {}, 1, 1, 100);
-  EXPECT_TRUE(self.reachable);
-  EXPECT_TRUE(self.complete);
-  // Out-of-range input follows the service: an endpoint outside the graph
-  // reaches nothing, even itself (as `Query` answers), and an update that
-  // names one is skipped (as `ApplyUpdate` never lets it pend).
-  for (const auto& [from, to] :
-       std::vector<std::pair<VertexId, VertexId>>{{9, 9}, {0, 9}, {9, 0}}) {
-    const BoundedBfsOutcome outside = BoundedUnionBfs(g, {}, from, to, 100);
-    EXPECT_FALSE(outside.reachable) << from << " -> " << to;
-    EXPECT_TRUE(outside.complete) << from << " -> " << to;
-  }
-  EXPECT_FALSE(
-      BoundedUnionBfs(g, {EdgeUpdate::Insert(0, 7)}, 0, 2, 100).reachable);
-  const PendingUpdates via_outside = {EdgeUpdate::Insert(0, 7),
-                                      EdgeUpdate::Insert(7, 2)};
-  EXPECT_FALSE(BoundedUnionBfs(g, via_outside, 0, 2, 100).reachable);
-  PendingUpdates mixed = via_outside;
-  mixed.push_back(EdgeUpdate::Insert(0, 1));
-  mixed.push_back(EdgeUpdate::Insert(1, 2));
-  EXPECT_TRUE(BoundedUnionBfs(g, mixed, 0, 2, 100).reachable);
-}
-
-TEST(BoundedUnionBfsTest, MasksDeletedBaseArcsWithLastOpWins) {
-  const Digraph g = Chain(4);  // 0 -> 1 -> 2 -> 3
-  EXPECT_FALSE(
-      BoundedUnionBfs(g, {EdgeUpdate::Delete(1, 2)}, 0, 3, 100).reachable);
-  // A pending insert detours around the cut.
-  EXPECT_TRUE(BoundedUnionBfs(
-                  g, {EdgeUpdate::Delete(1, 2), EdgeUpdate::Insert(0, 2)}, 0,
-                  3, 100)
-                  .reachable);
-  // Last op per edge wins: delete then re-insert restores the arc...
-  EXPECT_TRUE(BoundedUnionBfs(
-                  g, {EdgeUpdate::Delete(1, 2), EdgeUpdate::Insert(1, 2)}, 0,
-                  3, 100)
-                  .reachable);
-  // ...and insert then delete leaves it absent.
-  EXPECT_FALSE(BoundedUnionBfs(
-                   g, {EdgeUpdate::Insert(3, 0), EdgeUpdate::Delete(3, 0)}, 3,
-                   0, 100)
-                   .reachable);
-}
-
 // ---------------------------------------------------------------------
 // Reader records (serve/serve_snapshot.h): the per-thread cached view,
 // in-flight flag and latency sampling.
 
 // A reader that keeps its cached view between queries still sees a
 // write another thread made, as soon as that ApplyUpdate returned, and
-// the drained snapshot once Flush returned. The copy path publishes a
-// new generation per batch; the rebuild path keeps the snapshot and
-// answers the pending insert by the union BFS until Flush drains it.
+// what Flush left once it returned. Each batch publishes a new
+// generation; a read-only spec rejects the write, and the reader keeps
+// its generation and its answer.
 TEST(ServeReaderTest, CachedViewSeesInsertOnceApplyReturnsAndSwapAfterFlush) {
   for (const char* spec : {"pll", "grail"}) {
     SCOPED_TRACE(spec);
@@ -1304,7 +1316,7 @@ TEST(ServeReaderTest, CachedViewSeesInsertOnceApplyReturnsAndSwapAfterFlush) {
     const Digraph g = Chain(10);
     ServiceOptions opts;
     opts.spec = spec;
-    opts.drain_threshold = 1000;  // no automatic drain
+    opts.negcache_capacity = 0;  // the pinned view's index answers
     ReachService service(g, opts);
     service.Start();
     service.Flush();
@@ -1323,24 +1335,20 @@ TEST(ServeReaderTest, CachedViewSeesInsertOnceApplyReturnsAndSwapAfterFlush) {
     });
     const ServeAnswer a = before.get_future().get();
     EXPECT_FALSE(a.reachable);
-    ASSERT_TRUE(service.InsertEdge(9, 0));
+    EXPECT_EQ(service.InsertEdge(9, 0), copies);
     inserted.set_value();
     const ServeAnswer b = after_insert.get_future().get();
-    EXPECT_TRUE(b.reachable);
+    EXPECT_EQ(b.reachable, copies);
     EXPECT_TRUE(b.exact);
     EXPECT_EQ(b.snapshot_version > a.snapshot_version, copies);
-    // The copy path answers from the copy the insert published, which
-    // asks for no build; the rebuild path answers by BFS until Flush
-    // drains the insert with a full build.
-    EXPECT_EQ(b.source,
-              copies ? AnswerSource::kDelta : AnswerSource::kFallbackBfs);
+    // The copy the insert published answers, and asks for no build.
+    EXPECT_EQ(b.source, copies ? AnswerSource::kDelta : AnswerSource::kIndex);
     service.Flush();
     flushed.set_value();
     const ServeAnswer c = after_flush.get_future().get();
-    EXPECT_TRUE(c.reachable);
-    EXPECT_EQ(c.source,
-              copies ? AnswerSource::kDelta : AnswerSource::kIndex);
-    EXPECT_EQ(c.snapshot_version, a.snapshot_version + 1);
+    EXPECT_EQ(c.reachable, copies);
+    EXPECT_EQ(c.source, b.source);
+    EXPECT_EQ(c.snapshot_version, b.snapshot_version);
     reader.join();
     service.Stop();
   }
@@ -1534,7 +1542,6 @@ TEST(NegCacheTest, InvalidationAcrossSwapsNeverServesStaleAnswers) {
 
   ServiceOptions opts;
   opts.slots = kReaders;
-  opts.drain_threshold = 12;  // several swaps over 60 inserts
   ReachService service(base, opts);
   service.Start();
 

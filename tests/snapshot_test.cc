@@ -528,6 +528,78 @@ TEST(ServeSnapshotTest, VertexCountMismatchIsWrongIndex) {
   service.Stop();
 }
 
+// The labels must describe the service's graph: a snapshot of another
+// graph with the same vertex count fails on its graph digest, and so does
+// one that carries no digest (written by an index loaded from a stream,
+// which knows no graph). Either failure leaves the service startable the
+// ordinary way.
+TEST(ServeSnapshotTest, SnapshotOfAnotherGraphIsWrongIndex) {
+  const Digraph g = RandomDigraph(40, 120, 41);
+  const Digraph other_graph = RandomDigraph(40, 120, 43);
+  PrunedTwoHop other;
+  other.Build(other_graph);
+  const std::string path = TempPath("snap_serve_other_graph.rchx");
+  WriteFile(path, SnapshotBytes(other));
+
+  PrunedTwoHop built;
+  built.Build(g);
+  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(built.Save(stream));
+  PrunedTwoHop streamed;
+  ASSERT_TRUE(streamed.Load(stream));
+  const std::string undigested = TempPath("snap_serve_no_digest.rchx");
+  WriteFile(undigested, SnapshotBytes(streamed));
+
+  for (const auto& [file, why] :
+       {std::pair{path, "different graph"},
+        std::pair{undigested, "no graph digest"}}) {
+    ReachService service(g);
+    const LoadResult result = service.StartWithSnapshot(file);
+    ASSERT_FALSE(result) << why;
+    EXPECT_EQ(result.status, LoadStatus::kWrongIndex) << why;
+    EXPECT_NE(result.detail.find(why), std::string::npos) << result.detail;
+    EXPECT_EQ(service.SnapshotVersion(), 0u);
+    ASSERT_TRUE(service.Start());
+    service.Flush();
+    for (VertexId s = 0; s < g.NumVertices(); ++s) {
+      for (VertexId t = 0; t < g.NumVertices(); ++t) {
+        ASSERT_EQ(service.Query(s, t).reachable, built.Query(s, t))
+            << why << ": " << s << "->" << t;
+      }
+    }
+    service.Stop();
+  }
+}
+
+// A snapshot-started index rebased onto its graph writes a snapshot that
+// starts a service again: its digest now covers the inserted arcs too.
+TEST(ServeSnapshotTest, RebasedIndexCarriesTheDigestForward) {
+  const Digraph g = LayeredDag(6, 5, 2, 47);
+  PrunedTwoHop built;
+  built.Build(g);
+  const std::string path = TempPath("snap_serve_rebase.rchx");
+  WriteFile(path, SnapshotBytes(built));
+
+  PrunedTwoHop loaded;
+  ASSERT_TRUE(loaded.LoadSnapshot(path));
+  ASSERT_TRUE(loaded.Rebase(g));
+  ASSERT_FALSE(loaded.Query(29, 0));
+  ASSERT_TRUE(loaded.ApplyUpdate({EdgeUpdate::Insert(29, 0)}).ok());
+  EXPECT_TRUE(loaded.Query(29, 0));
+  const std::string grown = TempPath("snap_serve_rebase_grown.rchx");
+  WriteFile(grown, SnapshotBytes(loaded));
+
+  std::vector<Edge> edges = g.Edges();
+  edges.push_back({29, 0});
+  const Digraph g_grown = Digraph::FromEdges(g.NumVertices(), edges);
+  ReachService service(g_grown);
+  ASSERT_TRUE(service.StartWithSnapshot(grown));
+  EXPECT_TRUE(service.Query(29, 0).reachable);
+  service.Stop();
+  ReachService stale(g);
+  EXPECT_EQ(stale.StartWithSnapshot(grown).status, LoadStatus::kWrongIndex);
+}
+
 TEST(ServeSnapshotTest, MissingFileFailsWithoutStartingService) {
   ReachService service(Chain(10));
   const LoadResult result =

@@ -226,27 +226,30 @@ Digraph ChainWithTail() {
   return Digraph::FromEdges(4, {{0, 1}});
 }
 
-// Every slow record says which path answered and what it cost. On the
-// rebuild path (grail), a negative with an insert pending is decided by
-// the union BFS around the one index probe; on the copy path (pll), the
-// updated copy answers alone, with nothing pending around it (or the full
-// build it asked for: on four vertices the insert passes the size bound).
+// Every slow record says which path answered and what it cost. Before
+// the first index (a service never started), the search of the base
+// graph answers; `grail` is read-only, so its insert is rejected and its
+// index answers alone; on `pll` the updated copy answers alone (or the
+// full build it asked for: on four vertices the insert passes the size
+// bound). Nothing is ever answered around the index.
 TEST(SlowQueryLogTest, RecordsNameTheAnswerPathAndWhatWasPending) {
-  for (const char* spec : {"grail", "pll"}) {
+  for (const char* spec : {"", "grail", "pll"}) {
     SCOPED_TRACE(spec);
+    const bool started = *spec != '\0';
     const bool copies = std::string(spec) == "pll";
     ServiceOptions options;
-    options.spec = spec;
+    if (started) options.spec = spec;
     options.slow_query_threshold = std::chrono::nanoseconds(1);
-    options.drain_threshold = 100;  // keep the inserted edge pending
     // One identical negative query repeats; the negative-result cache
     // would answer the repeats before the path under test.
     options.negcache_capacity = 0;
     ReachService service(ChainWithTail(), options);
-    service.Start();
-    service.Flush();  // first indexed snapshot
-    ASSERT_TRUE(service.InsertEdge(1, 2));
-    EXPECT_EQ(service.PendingEdgeCount(), copies ? 0u : 1u);
+    if (started) {
+      service.Start();
+      service.Flush();  // first indexed snapshot
+    }
+    EXPECT_EQ(service.InsertEdge(1, 2), copies);
+    EXPECT_EQ(service.PendingEdgeCount(), 0u);
 
     constexpr uint64_t kQueries = 3;
     const auto expect_source = [&](AnswerSource source) {
@@ -254,14 +257,15 @@ TEST(SlowQueryLogTest, RecordsNameTheAnswerPathAndWhatWasPending) {
         EXPECT_TRUE(source == AnswerSource::kDelta ||
                     source == AnswerSource::kIndex);
       } else {
-        EXPECT_EQ(source, AnswerSource::kFallbackBfs);
+        EXPECT_EQ(source, started ? AnswerSource::kIndex
+                                  : AnswerSource::kFallbackBfs);
       }
     };
     for (uint64_t i = 0; i < kQueries; ++i) {
       const ServeAnswer answer = service.Query(0, 3);
       EXPECT_FALSE(answer.reachable);
       expect_source(answer.source);
-      EXPECT_TRUE(answer.exact);  // tiny graph: the BFS always completes
+      EXPECT_TRUE(answer.exact);  // tiny graph: the search always completes
     }
     EXPECT_EQ(service.stats().slow_captured.load(), kQueries);
 
@@ -272,16 +276,16 @@ TEST(SlowQueryLogTest, RecordsNameTheAnswerPathAndWhatWasPending) {
       EXPECT_EQ(rec.t, 3u);
       expect_source(rec.source);
       EXPECT_GT(rec.total_ns, 0u);
-      EXPECT_GT(rec.stage_ns[static_cast<size_t>(ServeStage::kIndexProbe)],
-                0u);
+      EXPECT_EQ(rec.stage_ns[static_cast<size_t>(ServeStage::kIndexProbe)] > 0,
+                started);
       EXPECT_EQ(rec.stage_ns[static_cast<size_t>(ServeStage::kDeltaClosure)],
                 0u);
       EXPECT_EQ(
           rec.stage_ns[static_cast<size_t>(ServeStage::kFallbackBfs)] > 0,
-          !copies);
-      EXPECT_EQ(rec.index_probes, 1u);
-      EXPECT_EQ(rec.pending_edges, copies ? 0u : 1u);
-      EXPECT_EQ(rec.bfs_visits > 0, !copies);
+          !started);
+      EXPECT_EQ(rec.index_probes, started ? 1u : 0u);
+      EXPECT_EQ(rec.pending_edges, 0u);
+      EXPECT_EQ(rec.bfs_visits > 0, !started);
     }
     service.Stop();
   }
@@ -318,7 +322,7 @@ TEST(SlowQueryLogTest, ThresholdCaptureIsBoundedAndEvictsOldest) {
 TEST(SlowQueryLogTest, NoCaptureWithoutThresholdOrDeadline) {
   ReachService service(ChainWithTail(), ServiceOptions{});
   service.Start();
-  // Pre-index query: degrades to the BFS, but with no threshold nothing
+  // Pre-index query: searches the base graph, but with no threshold nothing
   // qualifies for the log.
   service.Query(0, 1);
   service.Flush();
@@ -338,7 +342,6 @@ TEST(TraceConcurrencyTest, TracedServeAcrossSnapshotSwaps) {
 
   constexpr VertexId kN = 256;
   ServiceOptions options;
-  options.drain_threshold = 16;
   options.slow_query_threshold = std::chrono::microseconds(1);
   options.slow_log_capacity = 32;
   ReachService service(ScaleFreeDag(kN, 2, 11), options);
