@@ -2,6 +2,7 @@
 #define REACH_CORE_TWO_HOP_CORE_H_
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -74,6 +75,9 @@ enum SnapshotSection : uint32_t {
   // Optional: u64 digest of the graph the labels describe
   // (`TwoHopCore::GraphDigest`), which `Rebase` checks.
   kGraphDigest = 14,
+  // Optional: u64 price of the build that made the labels
+  // (`TwoHopCore::BuildPrice`), which `LoadSnapshot` and `Rebase` keep.
+  kBuildPrice = 15,
 };
 
 struct Meta {
@@ -103,7 +107,8 @@ static_assert(std::is_trivially_copyable_v<Meta>);
 ///    insert overlay;
 ///  * the decremental bookkeeping over the `ArcOverlay` of inserted and
 ///    tombstoned arcs (graph/arc_overlay.h): damage marks, re-closing
-///    damage on insert, and the local-redundancy check of a delete;
+///    damage on insert, the local-redundancy check of a delete, and (plain
+///    core) the per-vertex lost-set masks of the cuts since the build;
 ///  * the rebuild decision (ski rental, `ApplyUpdate`): a build's price is
 ///    the pruning-oracle evaluations its sweeps made, damaged queries pay
 ///    rent in the same units, and a full build is recommended once the
@@ -138,6 +143,9 @@ static_assert(std::is_trivially_copyable_v<Meta>);
 ///                             hop usable under `q` on both sides
 ///   PropagateInsert(core, s, arc)
 ///                             adds the delta entries a new arc needs
+///   kLostSets                 whether damaged queries may trust a pair
+///                             no cut could have lost (the lost-set rule,
+///                             sound for unconstrained queries only)
 ///
 /// The compressed tier is `CompressedPool<Entry>` (core/label_pool.h),
 /// whose codec `Entry` selects; the core's pool kernels run `Covered` and
@@ -166,15 +174,16 @@ class TwoHopCore {
   /// updates of its own, leaving this core untouched. The sealed labeling
   /// is immutable, so the copy shares it. The arc and delta overlays are
   /// `CowLists`, so the copy shares their chunks until its own updates
-  /// touch them; only the damage marks (one byte per rank and side) are
-  /// copied whole. The copy's overlay points into the same base graph,
-  /// which must outlive both. The write scratch and the per-slot
-  /// verification scratch are shared too, for the copy's whole life, so
-  /// its first update and first damaged query allocate nothing: write a
-  /// copy and its source from one thread at a time, and never query one
-  /// slot of both at once (the serve layer leases slots from one pool per
-  /// build). The rent meter is shared until either side builds or loads,
-  /// so damaged queries on any copy pay toward the one build price.
+  /// touch them; the damage marks and the lost sets are `CowBox`es, shared
+  /// until the copy's updates change them. The copy's overlay points into
+  /// the same base graph, which must outlive both. The write scratch and
+  /// the per-slot verification scratch are shared too, for the copy's
+  /// whole life, so its first update and first damaged query allocate
+  /// nothing: write a copy and its source from one thread at a time, and
+  /// never query one slot of both at once (the serve layer leases slots
+  /// from one pool per build). The rent meter is shared until either side
+  /// builds or loads, so damaged queries on any copy pay toward the one
+  /// build price.
   /// Probes start fresh (`FreshOnCopy`). Safe while this core serves
   /// queries.
   TwoHopCore(const TwoHopCore&) = default;
@@ -204,6 +213,7 @@ class TwoHopCore {
     {
       BuildPhaseTimer timer(&stats->phases, "label");
       build_price_ = BuildLabels(threads);
+      sealed->build_price = build_price_;
     }
     {
       BuildPhaseTimer timer(&stats->phases, "seal");
@@ -297,8 +307,9 @@ class TwoHopCore {
 
   /// Gives a loaded labeling its live graph back: `graph` must be the
   /// graph the labels describe, as the snapshot's graph digest records.
-  /// The core then takes updates and copies like a built one, with build
-  /// price 0, so its first damaging delete asks for a full build.
+  /// The core then takes updates and copies like a built one, at the
+  /// build price the snapshot recorded. Without a recorded price the price
+  /// is 0, so its first damaging delete asks for a full build.
   /// `kWrongIndex`, leaving the core as loaded, when the labeling carries
   /// no digest or `graph` does not match it.
   LoadResult Rebase(const Graph& graph) {
@@ -312,9 +323,11 @@ class TwoHopCore {
     ResetDynamicState(&graph);
     if (GraphDigest() != *digest) {
       ResetDynamicState(nullptr);
+      build_price_ = sealed_->build_price;
       return {LoadStatus::kWrongIndex,
               "snapshot was built over a different graph"};
     }
+    build_price_ = sealed_->build_price;
     return {};
   }
 
@@ -350,8 +363,10 @@ class TwoHopCore {
 
   size_t Damage() const { return damage_; }
   size_t StalenessBudget() const { return staleness_budget_; }
-  /// Pruning-oracle evaluations the last `Build` made (0 after a load):
-  /// the price of a full build in the units damaged queries pay rent in.
+  /// Pruning-oracle evaluations the last `Build` made: the price of a full
+  /// build in the units damaged queries pay rent in. A snapshot load keeps
+  /// the price the snapshot recorded; a stream load, or a snapshot without
+  /// a price, has 0.
   uint64_t BuildPrice() const { return build_price_; }
   /// Rent damaged queries paid since the last build or load, on this core
   /// and on every copy sharing its meter: 1 per damaged superset-positive,
@@ -627,9 +642,10 @@ class TwoHopCore {
 
   /// Writes an RCHX v2 snapshot file: meta, rank and by-rank sections,
   /// then the sealed pool arrays of whichever representation is live, each
-  /// page-aligned (the `SnapshotSection` kinds), and the graph digest when
-  /// the core knows its graph. A delta overlay is folded into temporary
-  /// pools first, so the file holds one delta-free labeling.
+  /// page-aligned (the `SnapshotSection` kinds), the graph digest when
+  /// the core knows its graph, and the build price. A delta overlay is
+  /// folded into temporary pools first, so the file holds one delta-free
+  /// labeling.
   bool SaveSnapshot(std::ostream& out) const {
     namespace snap = two_hop_snapshot;
     if (damage_ > 0) return false;
@@ -697,6 +713,7 @@ class TwoHopCore {
     if (digest) {
       add(snap::kGraphDigest, std::span<const uint64_t>(&*digest, 1));
     }
+    add(snap::kBuildPrice, std::span<const uint64_t>(&build_price_, 1));
     return writer.WriteTo(out);
   }
 
@@ -716,8 +733,8 @@ class TwoHopCore {
 
   /// Zero-copy restore: validates the section table and meta, points the
   /// pools at the mapping (`SealFromView` checks their structure), holds
-  /// the mapping, keeps the graph digest when the file has one, and
-  /// validates the labeling.
+  /// the mapping, keeps the graph digest and the build price when the file
+  /// has them, and validates the labeling.
   LoadResult LoadSnapshot(std::shared_ptr<MappedFile> file) {
     namespace snap = two_hop_snapshot;
     SnapshotView view;
@@ -807,12 +824,20 @@ class TwoHopCore {
       sealed->graph_digest.emplace();
       std::memcpy(&*sealed->graph_digest, digest.data(), sizeof(uint64_t));
     }
+    if (view.Has(snap::kBuildPrice)) {
+      const std::span<const uint8_t> price = view.Section(snap::kBuildPrice);
+      if (price.size() != sizeof(uint64_t)) {
+        return {LoadStatus::kCorrupt, "build price section: wrong size"};
+      }
+      std::memcpy(&sealed->build_price, price.data(), sizeof(uint64_t));
+    }
     sealed->rank.assign(rank.begin(), rank.end());
     sealed->by_rank.assign(by_rank.begin(), by_rank.end());
     // Pool views point into this mapping.
     sealed->mapping = std::move(file);
     LoadResult valid = ValidateLabeling();
     if (valid) {
+      build_price_ = sealed->build_price;
       PublishStorageGauges(2 * (n + 1) * sizeof(uint64_t) +
                            (meta.lin_entries + meta.lout_entries) *
                                sizeof(Entry));
@@ -824,6 +849,25 @@ class TwoHopCore {
   using Sweeper = typename Traits::Sweeper;
   using EntryLists = std::vector<std::vector<Entry>>;
   struct Sealed;
+
+  // The lost-set state of the plain core (see `CutLostSets`).
+  static constexpr uint32_t kLostBits = 128;
+  using LostBits = std::array<uint64_t, kLostBits / 64>;
+  struct LostMasks {
+    LostBits src{};
+    LostBits tgt{};
+  };
+  struct LostSets {
+    // The arcs cut since the build, per tail, sorted.
+    CowLists<Arc> cut;
+    // Each vertex's source and target masks; no chunk until a cut loses
+    // a pair.
+    CowArray<LostMasks> masks;
+    // The cuts that lost pairs.
+    uint32_t cuts = 0;
+    // A G+ sweep overran: the damage marks alone decide.
+    bool all = false;
+  };
 
   // The rent damaged queries paid since a build: one counter per query
   // slot, each on its own cache line, so concurrent readers charge
@@ -1095,59 +1139,51 @@ class TwoHopCore {
   }
 
   // Witness-trust protocol while damage_ > 0: the labels over-approximate
-  // the live graph, so "no covered witness" is an exact negative; a
-  // covered witness whose hub ranks are unmarked is an exact positive
-  // (its claims provably survived every damaging delete); only damaged
-  // witnesses need live verification. The allocation-free superset test
-  // decides every negative first, at the cost of a clean query; only a
-  // superset positive materializes the merged lists to find its witness
-  // hubs. Kept out of line so the zero-damage path of `Answer` stays
-  // small. A superset positive pays the rent meter 1, plus 1 per vertex
-  // its live verification evaluates.
+  // the live graph, so "no covered witness" is an exact negative. A
+  // superset positive is an exact positive when no cut since the build can
+  // have lost the pair (the lost-set rule, plain core), or when a covered
+  // witness has unmarked hub ranks (its claims provably survived every
+  // damaging delete); only damaged witnesses need live verification. The
+  // allocation-free superset test decides every negative first, at the
+  // cost of a clean query; the witness search then looks each hub of
+  // Lout(s) up in Lin(t) in place. Kept out of line so the zero-damage path
+  // of `Answer` stays small. A superset positive the lost sets do not
+  // settle pays the rent meter 1, plus 1 per vertex its live verification
+  // evaluates.
   [[gnu::noinline]] bool DamagedAnswer(VertexId s, VertexId t, Constraint q,
                                        size_t slot) const {
     if (!SupersetAnswer(s, t, q)) return false;  // exact: no path in G+
+    if constexpr (Traits::kLostSets) {
+      if (NoCutLost(s, t)) return true;  // exact: G- connects s -> t
+    }
     rent_->Charge(slot, 1);
-    const std::vector<Entry> out = OutEntries(s);
-    const std::vector<Entry> in = InEntries(t);
     const std::vector<uint32_t>& rank_of = sealed_->rank;
     bool damaged_witness = false;
     // Case 1 — hub s claims s -> t through its Lin(t) entry (a forward
     // claim, stale only if s is a superset ancestor of a cut source).
-    if (Traits::Covered(in, rank_of[s], q)) {
+    if (InCovered(t, rank_of[s], q)) {
       if (!RankDamagedFwd(rank_of[s])) return true;
       damaged_witness = true;
     }
     // Case 2 — hub t claims s -> t through its Lout(s) entry (backward).
-    if (Traits::Covered(out, rank_of[t], q)) {
+    if (OutCovered(s, rank_of[t], q)) {
       if (!RankDamagedBwd(rank_of[t])) return true;
       damaged_witness = true;
     }
     // Case 3 — a real hub h covered on both sides claims s -> h (stale if
     // h is backward-damaged) and h -> t (stale if forward-damaged);
-    // trusted iff neither mark is set. Plain rank-group two-pointer.
-    size_t i = 0, j = 0;
-    while (i < out.size() && j < in.size()) {
-      const uint32_t rank = Traits::Rank(out[i]);
-      if (rank < Traits::Rank(in[j])) {
-        ++i;
-        continue;
-      }
-      if (Traits::Rank(in[j]) < rank) {
-        ++j;
-        continue;
-      }
-      size_t i_end = i, j_end = j;
-      while (i_end < out.size() && Traits::Rank(out[i_end]) == rank) ++i_end;
-      while (j_end < in.size() && Traits::Rank(in[j_end]) == rank) ++j_end;
-      if (Traits::Covered({out.data() + i, i_end - i}, rank, q) &&
-          Traits::Covered({in.data() + j, j_end - j}, rank, q)) {
-        if (!RankDamagedBwd(rank) && !RankDamagedFwd(rank)) return true;
-        damaged_witness = true;
-      }
-      i = i_end;
-      j = j_end;
-    }
+    // trusted iff neither mark is set.
+    const bool trusted =
+        ForEachOutGroup(s, [&](std::span<const Entry> group) {
+          const uint32_t rank = Traits::Rank(group.front());
+          if (!Traits::Covered(group, rank, q) || !InCovered(t, rank, q)) {
+            return false;
+          }
+          if (!RankDamagedBwd(rank) && !RankDamagedFwd(rank)) return true;
+          damaged_witness = true;
+          return false;
+        });
+    if (trusted) return true;
     if (!damaged_witness) return false;  // exact: superset has no path
     REACH_PROBE_INC(probes_.Slot(slot), fallbacks);
     size_t evaluated = 0;
@@ -1155,6 +1191,40 @@ class TwoHopCore {
         s, t, q, SIZE_MAX, verify_ws_->Slot(slot), &evaluated);
     rent_->Charge(slot, evaluated);
     return reachable;
+  }
+
+  // True iff sealed Lout(s) holds a `rank` entry covered under `q`.
+  bool OutCovered(VertexId s, uint32_t rank, Constraint q) const {
+    return sealed_->compressed
+               ? PoolCovered(sealed_->lout_cpool, s, rank, q)
+               : Traits::Covered(sealed_->lout_pool.Slice(s), rank, q);
+  }
+
+  // Calls `fn(group)` on each rank group of sealed Lout(s), in rank order,
+  // until it returns true; returns whether it did. A compressed list is
+  // decoded one block at a time (a rank group never straddles blocks).
+  template <typename Fn>
+  bool ForEachOutGroup(VertexId s, Fn&& fn) const {
+    const auto groups = [&fn](std::span<const Entry> list) {
+      for (size_t i = 0; i < list.size();) {
+        size_t end = i + 1;
+        while (end < list.size() &&
+               Traits::Rank(list[end]) == Traits::Rank(list[i])) {
+          ++end;
+        }
+        if (fn(list.subspan(i, end - i))) return true;
+        i = end;
+      }
+      return false;
+    };
+    const Sealed& sealed = *sealed_;
+    if (!sealed.compressed) return groups(sealed.lout_pool.Slice(s));
+    const Pool& pool = sealed.lout_cpool;
+    Entry buf[Pool::kMaxBlockEntries];
+    for (size_t b = pool.BlockBegin(s); b < pool.BlockEnd(s); ++b) {
+      if (groups({buf, pool.DecodeBlock(b, buf)})) return true;
+    }
+    return false;
   }
 
   // BFS over live arcs allowed under `q`, pruned at vertices the superset
@@ -1212,15 +1282,22 @@ class TwoHopCore {
     // into a damaged region *after* the delete keeps unmarked claims
     // routed through the dead arc, and the witness-trust protocol returns
     // a stale positive.
-    if (!damaged_fwd_.empty()) {
-      if (!fwd_all_damaged_ && damaged_fwd_[Rank(t)] != 0 &&
-          damaged_fwd_[Rank(s)] == 0) {
-        if (!DamageSweep(s, /*backward=*/true)) fwd_all_damaged_ = true;
+    if (!marks_->fwd.empty()) {
+      if (!marks_->fwd_all && marks_->fwd[Rank(t)] != 0 &&
+          marks_->fwd[Rank(s)] == 0) {
+        if (!DamageSweep(s, /*backward=*/true)) {
+          marks_.Mutable().fwd_all = true;
+        }
       }
-      if (!bwd_all_damaged_ && damaged_bwd_[Rank(s)] != 0 &&
-          damaged_bwd_[Rank(t)] == 0) {
-        if (!DamageSweep(t, /*backward=*/false)) bwd_all_damaged_ = true;
+      if (!marks_->bwd_all && marks_->bwd[Rank(s)] != 0 &&
+          marks_->bwd[Rank(t)] == 0) {
+        if (!DamageSweep(t, /*backward=*/false)) {
+          marks_.Mutable().bwd_all = true;
+        }
       }
+    }
+    if constexpr (Traits::kLostSets) {
+      if (!lost_->masks.empty() && !lost_->all) CloseLostSets(s, t);
     }
     // The superset already connects s -> t under the arc's own constraint,
     // so no superset closure grows and the labels stay exact: the dual of
@@ -1247,6 +1324,12 @@ class TwoHopCore {
     if (!overlay_.Delete(s, arc)) return false;  // absent or already dead
     const VertexId t = Arcs::Head(arc);
     if (s == t) return true;  // a self-loop never changes reachability
+    // The arc's first delete since the build takes it out of G-; a
+    // re-delete of a resurrected arc finds it out already. Before the
+    // skip below, which may pass over a first delete.
+    if constexpr (Traits::kLostSets) {
+      if (!lost_->all && RecordCut(s, arc)) CutLostSets(s, t);
+    }
     // Marks that already cover the cut: the sweeps `MarkDamage` would run
     // mark nothing new. Each marked set is closed under superset
     // ancestors (forward) or descendants (backward): a sweep marks a whole
@@ -1254,7 +1337,7 @@ class TwoHopCore {
     // and an overrun sets the all-damaged flag. So the marks and the rent
     // stay as they are, no answer changes, and `damage_` keeps counting
     // distinct damage, as when a resurrected arc is deleted again.
-    if (!damaged_fwd_.empty() && RankDamagedFwd(Rank(s)) &&
+    if (!marks_->fwd.empty() && RankDamagedFwd(Rank(s)) &&
         RankDamagedBwd(Rank(t))) {
       return true;
     }
@@ -1279,20 +1362,22 @@ class TwoHopCore {
   // ancestor/descendant set, and claims rerouted through since-deleted
   // arcs are still traced back to their hubs.
   void MarkDamage(VertexId u, VertexId v) {
-    if (damaged_fwd_.empty()) {
-      damaged_fwd_.assign(overlay_.NumVertices(), 0);
-      damaged_bwd_.assign(overlay_.NumVertices(), 0);
+    DamageMarks& marks = marks_.Mutable();
+    if (marks.fwd.empty()) {
+      marks.fwd.assign(overlay_.NumVertices(), 0);
+      marks.bwd.assign(overlay_.NumVertices(), 0);
     }
-    if (!DamageSweep(u, /*backward=*/true)) fwd_all_damaged_ = true;
-    if (!DamageSweep(v, /*backward=*/false)) bwd_all_damaged_ = true;
+    if (!DamageSweep(u, /*backward=*/true)) marks.fwd_all = true;
+    if (!DamageSweep(v, /*backward=*/false)) marks.bwd_all = true;
   }
 
   // Transitive mark sweep over the superset adjacency; false = budget
-  // overrun (the caller escalates to the matching *_all_damaged_ flag).
+  // overrun (the caller escalates to the matching `_all` flag).
   bool DamageSweep(VertexId start, bool backward) {
     if (!SweepSuperset(start, backward, kLocalSearchBudget)) return false;
-    std::vector<uint8_t>& marks = backward ? damaged_fwd_ : damaged_bwd_;
-    for (VertexId x : ws_->queue()) marks[Rank(x)] = 1;
+    DamageMarks& marks = marks_.Mutable();
+    std::vector<uint8_t>& side = backward ? marks.fwd : marks.bwd;
+    for (VertexId x : ws_->queue()) side[Rank(x)] = 1;
     return true;
   }
 
@@ -1319,11 +1404,163 @@ class TwoHopCore {
     return true;
   }
 
+  // --- Lost sets (plain core, `Traits::kLostSets`; docs/ALGORITHMS.md).
+  // G- is the built graph plus the inserted arcs, minus every arc cut
+  // (deleted at least once) since the build, resurrected ones included, so
+  // G- is a subgraph of the live graph. Invariant: every pair G+ connects
+  // and G- does not lies in LS_k x LT_k for some mask bit k, where bit k
+  // of x's source (target) mask says x is in LS_k (LT_k). A superset
+  // positive outside every product is then a G- positive, hence a live
+  // one. The bit of the k-th cut that lost pairs is k mod kLostBits;
+  // folding two cuts into one bit takes their union, still sound. ---
+
+  // A cut arc (u, v) loses s -> t only when every G- path used it: then
+  // s is in LS = Anc+(u) \ Anc-(v) (s -> v -> t would survive otherwise)
+  // and t is in LT = Desc+(v) \ Desc-(u), both taken after the cut.
+  // Nothing is lost when G- keeps a detour u ->* v. The G+ sweeps overrun
+  // into `LostSets::all`; the G- sweeps may stop at the budget, since a
+  // subset of a subtrahend only widens LS and LT.
+  void CutLostSets(VertexId u, VertexId v) {
+    SearchWorkspace& ws = *ws_;
+    const size_t n = overlay_.NumVertices();
+    ws.Prepare(n);
+    if (ReducedSweep(u, v, /*backward=*/false, ws)) return;  // a detour
+    LostSets& lost = lost_.Mutable();
+    const uint32_t k = lost.cuts++ % kLostBits;
+    LostBits bit{};
+    bit[k / 64] = uint64_t{1} << (k % 64);
+    // LT with the backward marks, against Desc-(u) in the forward ones.
+    if (!LostSweep(v, /*backward=*/false, ws, [&](VertexId x) {
+          if (!ws.IsForwardMarked(x)) AddLost(lost, x, /*source=*/false, bit);
+        })) {
+      lost.all = true;
+      return;
+    }
+    ws.Prepare(n);
+    ReducedSweep(v, kInvalidVertex, /*backward=*/true, ws);
+    if (!LostSweep(u, /*backward=*/true, ws, [&](VertexId x) {
+          if (!ws.IsForwardMarked(x)) AddLost(lost, x, /*source=*/true, bit);
+        })) {
+      lost.all = true;
+    }
+  }
+
+  // An insert (a, b) grows G+ and G- alike. A pair it connects in G+ and
+  // not in G- has a path s ->* a -> b ->* t whose first or last leg G-
+  // lacks: then a is in some LT_k with s in LS_k, or b is in some LS_k
+  // with t in LT_k. So b's descendants join a's target bits and a's
+  // ancestors join b's source bits.
+  void CloseLostSets(VertexId a, VertexId b) {
+    const LostMasks from_a = lost_->masks[a];
+    const LostMasks from_b = lost_->masks[b];
+    const auto spread = [this](VertexId start, bool backward,
+                               const LostBits& bits) {
+      if (bits == LostBits{}) return;
+      LostSets& lost = lost_.Mutable();
+      if (!SweepSuperset(start, backward, kLocalSearchBudget)) {
+        lost.all = true;
+        return;
+      }
+      for (VertexId x : ws_->queue()) AddLost(lost, x, backward, bits);
+    };
+    spread(b, /*backward=*/false, from_a.tgt);
+    if (!lost_->all) spread(a, /*backward=*/true, from_b.src);
+  }
+
+  // ORs `bits` into x's source (`source`) or target mask, writing (and so
+  // cloning a shared chunk) only when that adds a bit.
+  static void AddLost(LostSets& lost, VertexId x, bool source,
+                      const LostBits& bits) {
+    const LostMasks& m = lost.masks[x];
+    const LostBits& have = source ? m.src : m.tgt;
+    if ((bits[0] & ~have[0]) == 0 && (bits[1] & ~have[1]) == 0) return;
+    LostMasks& w = lost.masks.Mutable(x);
+    LostBits& words = source ? w.src : w.tgt;
+    words[0] |= bits[0];
+    words[1] |= bits[1];
+  }
+
+  // Records `s -> arc` as cut; false when it already was.
+  bool RecordCut(VertexId s, const Arc& arc) {
+    const std::span<const Arc> cut = lost_->cut[s];
+    const auto at = std::lower_bound(cut.begin(), cut.end(), arc);
+    if (at != cut.end() && *at == arc) return false;
+    const size_t index = at - cut.begin();
+    lost_.Mutable().cut.Insert(s, index, arc);
+    return true;
+  }
+  bool IsCut(VertexId s, const Arc& arc) const {
+    const std::span<const Arc> cut = lost_->cut[s];
+    return !cut.empty() && std::binary_search(cut.begin(), cut.end(), arc);
+  }
+
+  // BFS over G- from `start` (against the arcs when `backward`) into the
+  // forward marks, until it reaches `stop` (then true; `kInvalidVertex`
+  // never stops it) or outgrows the budget.
+  bool ReducedSweep(VertexId start, VertexId stop, bool backward,
+                    SearchWorkspace& ws) const {
+    std::vector<VertexId>& queue = ws.queue();
+    queue.push_back(start);
+    ws.MarkForward(start);
+    for (size_t head = 0; head < queue.size(); ++head) {
+      if (queue.size() > kLocalSearchBudget) return false;
+      const VertexId x = queue[head];
+      const auto visit = [&](VertexId w) {
+        if (w == stop) return true;
+        if (ws.MarkForward(w)) queue.push_back(w);
+        return false;
+      };
+      const bool found =
+          backward ? overlay_.SupersetIn()(x, [&](const Arc& in) {
+            return !IsCut(Arcs::Head(in), x) && visit(Arcs::Head(in));
+          })
+                   : overlay_.SupersetOut()(x, [&](const Arc& out) {
+                       return !IsCut(x, out) && visit(Arcs::Head(out));
+                     });
+      if (found) return true;
+    }
+    return false;
+  }
+
+  // BFS over G+ from `start` with the backward marks, calling `fn(x)` on
+  // each vertex it reaches, itself first; false once it outgrows the
+  // budget.
+  template <typename Fn>
+  bool LostSweep(VertexId start, bool backward, SearchWorkspace& ws,
+                 Fn&& fn) {
+    std::vector<VertexId>& queue = ws.backward_queue();
+    queue.push_back(start);
+    ws.MarkBackward(start);
+    const auto visit = [&](const Arc& arc) {
+      if (ws.MarkBackward(Arcs::Head(arc))) queue.push_back(Arcs::Head(arc));
+      return false;
+    };
+    for (size_t head = 0; head < queue.size(); ++head) {
+      if (queue.size() > kLocalSearchBudget) return false;
+      fn(queue[head]);
+      if (backward) {
+        overlay_.SupersetIn()(queue[head], visit);
+      } else {
+        overlay_.SupersetOut()(queue[head], visit);
+      }
+    }
+    return true;
+  }
+
+  // No cut since the build can have lost s -> t.
+  bool NoCutLost(VertexId s, VertexId t) const {
+    const LostSets& lost = *lost_;
+    if (lost.all) return false;
+    const LostMasks& from = lost.masks[s];
+    const LostMasks& to = lost.masks[t];
+    return ((from.src[0] & to.tgt[0]) | (from.src[1] & to.tgt[1])) == 0;
+  }
+
   bool RankDamagedFwd(uint32_t r) const {
-    return fwd_all_damaged_ || damaged_fwd_[r] != 0;
+    return marks_->fwd_all || marks_->fwd[r] != 0;
   }
   bool RankDamagedBwd(uint32_t r) const {
-    return bwd_all_damaged_ || damaged_bwd_[r] != 0;
+    return marks_->bwd_all || marks_->bwd[r] != 0;
   }
 
   // Rebases the overlay onto `base` (nullptr after a load) and clears the
@@ -1335,10 +1572,8 @@ class TwoHopCore {
     build_price_ = 0;
     rent_ = std::make_shared<RentMeter>(verify_ws_->NumSlots());
     damage_ = 0;
-    damaged_fwd_.clear();
-    damaged_bwd_.clear();
-    fwd_all_damaged_ = false;
-    bwd_all_damaged_ = false;
+    marks_.Reset();
+    lost_.Reset();
   }
 
   static std::string ListName(const char* side, size_t v) {
@@ -1396,6 +1631,9 @@ class TwoHopCore {
     // The snapshot's graph digest, when it was loaded from one that has
     // it (`Rebase`).
     std::optional<uint64_t> graph_digest;
+    // The price of the build that made these labels: `Build`'s, or the
+    // one a snapshot recorded (0 when unknown).
+    uint64_t build_price = 0;
 
     size_t PoolBytes() const {
       return compressed ? lin_cpool.MemoryBytes() + lout_cpool.MemoryBytes()
@@ -1462,15 +1700,22 @@ class TwoHopCore {
   // insert.
   CowLists<Entry> delta_lin_;
   // Damaging deletes absorbed since the last (re)build, and the per-rank
-  // stale-witness marks they left: damaged_fwd_[r] = hub ByRank(r)'s
-  // forward claims (its Lin entries at other vertices) may be stale;
-  // damaged_bwd_[r] dually for its Lout entries. The all_damaged flags
-  // are the budget-overrun fallbacks of the bounded marking sweep.
+  // stale-witness marks they left: fwd[r] = hub ByRank(r)'s forward claims
+  // (its Lin entries at other vertices) may be stale; bwd[r] dually for
+  // its Lout entries. The `_all` flags are the budget-overrun fallbacks of
+  // the bounded marking sweep. The marks are shared with copies until
+  // written, so a copy whose updates mark nothing new copies no mark.
   size_t damage_ = 0;
-  std::vector<uint8_t> damaged_fwd_;
-  std::vector<uint8_t> damaged_bwd_;
-  bool fwd_all_damaged_ = false;
-  bool bwd_all_damaged_ = false;
+  struct DamageMarks {
+    std::vector<uint8_t> fwd;
+    std::vector<uint8_t> bwd;
+    bool fwd_all = false;
+    bool bwd_all = false;
+  };
+  CowBox<DamageMarks> marks_;
+  // Lost sets (see `CutLostSets`), shared with copies until written, so a
+  // copy that never cuts or adds an arc copies one pointer of them.
+  CowBox<LostSets> lost_;
   // Write-side traversal scratch (redundancy checks, damage sweeps,
   // insert propagation), shared with copies (see the copy constructor).
   std::shared_ptr<SearchWorkspace> ws_ = std::make_shared<SearchWorkspace>();

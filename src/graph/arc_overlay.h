@@ -23,6 +23,16 @@ enum class ArcInsert : uint8_t {
   kAdded,        // a new arc joined the overlay
 };
 
+namespace cow_detail {
+
+// A fresh owner tag for chunks shared until written.
+inline uint64_t NewTag() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace cow_detail
+
 /// Per-vertex lists whose copies share storage. The vertices are split
 /// into chunks of `kChunk`, each one contiguous array behind a
 /// `shared_ptr`, so a copy costs one pointer per chunk, not one list per
@@ -37,7 +47,7 @@ class CowLists {
   CowLists() = default;
   CowLists(const CowLists& other)
       : chunks_(other.chunks_), num_items_(other.num_items_) {
-    other.tag_ = NewTag();
+    other.tag_ = cow_detail::NewTag();
   }
   CowLists& operator=(const CowLists&) = delete;
 
@@ -85,11 +95,6 @@ class CowLists {
     std::vector<T> items;
   };
 
-  static uint64_t NewTag() {
-    static std::atomic<uint64_t> next{1};
-    return next.fetch_add(1, std::memory_order_relaxed);
-  }
-
   Chunk& Own(size_t k) {
     if (k >= chunks_.size()) chunks_.resize(k + 1);
     std::shared_ptr<Chunk>& c = chunks_[k];
@@ -104,7 +109,97 @@ class CowLists {
 
   std::vector<std::shared_ptr<Chunk>> chunks_;
   size_t num_items_ = 0;
-  mutable uint64_t tag_ = NewTag();
+  mutable uint64_t tag_ = cow_detail::NewTag();
+};
+
+/// One value per vertex, chunked and shared until written as `CowLists`
+/// are: a copy costs one pointer per chunk, and the first write of either
+/// side to a chunk they share clones that chunk alone. A vertex whose
+/// chunk was never written reads as `T{}`, so an array that is never
+/// written costs nothing per vertex.
+template <typename T>
+class CowArray {
+ public:
+  CowArray() = default;
+  CowArray(const CowArray& other) : chunks_(other.chunks_) {
+    other.tag_ = cow_detail::NewTag();
+  }
+  CowArray& operator=(const CowArray&) = delete;
+
+  const T& operator[](VertexId v) const {
+    static const T kUnwritten{};
+    const size_t k = v / kChunk;
+    if (k >= chunks_.size() || chunks_[k] == nullptr) return kUnwritten;
+    return chunks_[k]->items[v % kChunk];
+  }
+
+  /// The value of `v`, writable: clones its chunk first when a copy
+  /// shares it.
+  T& Mutable(VertexId v) {
+    const size_t k = v / kChunk;
+    if (k >= chunks_.size()) chunks_.resize(k + 1);
+    std::shared_ptr<Chunk>& c = chunks_[k];
+    if (c == nullptr) {
+      c = std::make_shared<Chunk>();
+    } else if (c->tag != tag_) {
+      c = std::make_shared<Chunk>(*c);
+    }
+    c->tag = tag_;
+    return c->items[v % kChunk];
+  }
+
+  bool empty() const { return chunks_.empty(); }
+
+ private:
+  static constexpr size_t kChunk = 64;
+  struct Chunk {
+    uint64_t tag = 0;  // of the array that may write it in place
+    std::array<T, kChunk> items{};
+  };
+
+  std::vector<std::shared_ptr<Chunk>> chunks_;
+  mutable uint64_t tag_ = cow_detail::NewTag();
+};
+
+/// One value whose copies share it until either side writes: a copy costs
+/// one pointer, and the first write of either side after a copy clones the
+/// value (whose members may in turn share their chunks, as `CowLists` and
+/// `CowArray` do). Copies follow the `CowLists` rules.
+template <typename T>
+class CowBox {
+ public:
+  CowBox() { Reset(); }
+  CowBox(const CowBox& other) : held_(other.held_) {
+    other.tag_ = cow_detail::NewTag();
+  }
+  CowBox& operator=(const CowBox&) = delete;
+
+  const T& operator*() const { return held_->value; }
+  const T* operator->() const { return &held_->value; }
+
+  /// The value, writable: cloned first when a copy shares it.
+  T& Mutable() {
+    if (held_->tag != tag_) {
+      held_ = std::make_shared<Held>(*held_);
+      held_->tag = tag_;
+    }
+    return held_->value;
+  }
+
+  /// Replaces the value with `T{}`, leaving any copy's value alone.
+  void Reset() {
+    held_ = std::make_shared<Held>();
+    held_->tag = tag_;
+  }
+
+ private:
+  struct Held {
+    uint64_t tag = 0;  // of the box that may write it in place
+    T value{};
+  };
+
+  std::shared_ptr<Held> held_;
+  mutable uint64_t tag_ = cow_detail::NewTag();
 };
 
 /// The one edge-update overlay of the dynamic indexes (TOL, DAGGER, DBL,

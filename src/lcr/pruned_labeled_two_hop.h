@@ -40,6 +40,10 @@ struct LabeledTwoHopTraits {
   static LabelSet DetourConstraint(const LabeledDigraph::Arc& cut) {
     return LabelBit(cut.label);
   }
+  /// Unlabeled lost sets are unsound under a label constraint: s may still
+  /// reach the cut's head through other labels, so only the damage marks
+  /// decide.
+  static constexpr bool kLostSets = false;
   /// Format "p2h", payload magic "reachp2h" (distinct from the plain
   /// "reach-2h"; the envelope already tells formats apart, this is
   /// defense in depth). A list holds one entry per minimal label set of a

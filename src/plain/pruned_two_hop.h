@@ -49,6 +49,9 @@ struct PlainTwoHopTraits {
   static bool ArcAllowed(VertexId, Constraint) { return true; }
   /// Any live detour u ->* v reroutes every path through a deleted (u, v).
   static Constraint DetourConstraint(VertexId) { return {}; }
+  /// Queries carry no constraint, so a pair no cut could have lost is
+  /// connected in G- (`TwoHopCore::CutLostSets`).
+  static constexpr bool kLostSets = true;
   /// One format name for the whole TOL family: the payload stores the
   /// total order itself, so any `VertexOrder` instance loads any other's
   /// labeling. The magic spells "reach-2h"; a list holds at most n ranks.
@@ -177,10 +180,10 @@ class PrunedTwoHop : public DynamicReachabilityIndex {
   bool RebuildFromUpdates() override;
 
   /// Shares the sealed labeling and the chunks of the update state — the
-  /// arc overlay and delta entries — and copies the damage marks
-  /// (`TwoHopCore`'s copy): one pointer per 64 vertices plus 2 bytes per
-  /// vertex, never per sealed label entry or per update. The copy's
-  /// overlay points into the graph of the last `Build`.
+  /// arc overlay and delta entries — and, until the copy's updates change
+  /// them, the damage marks and the lost sets (`TwoHopCore`'s copy): one
+  /// pointer per 64 vertices, never per sealed label entry or per update.
+  /// The copy's overlay points into the graph of the last `Build`.
   std::unique_ptr<DynamicReachabilityIndex> Clone() const override {
     return std::make_unique<PrunedTwoHop>(*this);
   }

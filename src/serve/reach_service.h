@@ -392,8 +392,10 @@ class ReachService {
   /// vertex count and graph digest must match the service's graph
   /// (`kWrongIndex` otherwise, also for a snapshot without a digest); on
   /// any error the service is left unstarted (a plain `Start()` still
-  /// works). The loaded index has build price 0, so its first damaging
-  /// delete asks for a full build. Not thread-safe with `Start`/`Stop`.
+  /// works). The loaded index keeps the build price the snapshot recorded
+  /// and rents against it like a built one; without a recorded price its
+  /// price is 0, so its first damaging delete asks for a full build. Not
+  /// thread-safe with `Start`/`Stop`.
   LoadResult StartWithSnapshot(const std::string& path);
 
   /// Blocks until the in-flight rebuild (if any) finishes and stops
@@ -415,8 +417,8 @@ class ReachService {
   /// wait with a rejection). An accepted batch is visible to every
   /// subsequent query atomically — readers pin whole views, so they see
   /// all of it or none of it. The writer pays one index copy (for a 2-hop
-  /// index, one pointer per 64 vertices plus the damage marks) and the
-  /// index's own `ApplyUpdate`.
+  /// index, one pointer per 64 vertices) and the index's own
+  /// `ApplyUpdate`.
   UpdateResult ApplyUpdate(const UpdateBatch& batch);
 
   /// Single-edge convenience wrappers over `ApplyUpdate`. Return false

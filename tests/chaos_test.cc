@@ -24,6 +24,7 @@
 #include "graph/rng.h"
 #include "plain/pruned_two_hop.h"
 #include "serve/reach_service.h"
+#include "snapshot_files.h"
 
 namespace reach {
 namespace {
@@ -140,9 +141,10 @@ TEST_F(ChaosTest, OverloadShedsInsteadOfQueueingAndNeverLies) {
 // while a full build runs, which its replay applies. To hold a build open
 // without failpoints, these services start from a snapshot (no build at
 // the start) and carry a 1ns watchdog, which abandons every build attempt
-// at its checkpoint: the first damaging delete asks for a build (a loaded
-// index's build price is 0), and that build's attempt, backoff and retry
-// keep the log open until its retries run out.
+// at its checkpoint: the first damaging delete asks for a build (the
+// snapshot records no build price, so the loaded index's price is 0), and
+// that build's attempt, backoff and retry keep the log open until its
+// retries run out.
 
 // A `pll` service on `base` started from a snapshot, whose full builds
 // never land; each build backs off about `backoff` before its one retry.
@@ -155,8 +157,7 @@ std::unique_ptr<ReachService> StartWithBuildsThatNeverLand(
       ::testing::TempDir() + "chaos_" +
       ::testing::UnitTest::GetInstance()->current_test_info()->name() +
       ".rchx";
-  std::string error;
-  EXPECT_TRUE(built.SaveSnapshot(path, &error)) << error;
+  SaveSnapshotWithoutBuildPrice(built, path);
   opts.spec = "pll";
   opts.rebuild_watchdog = std::chrono::nanoseconds(1);
   opts.rebuild_max_retries = 1;

@@ -398,20 +398,24 @@ void ApplyFirstDamagingDelete(DynamicReachabilityIndex& index,
   FAIL() << "no damaging delete";
 }
 
-// Asks every pair, checked against `oracle`, until the rent reaches the
-// build price; every ask before that must leave the index applied.
+// Asks every pair, checked against `oracle`, pass after pass, until the
+// rent reaches the build price; every ask before that must leave the
+// index applied. Only the positives the lost sets leave in doubt pay, so
+// one pass may pay less than the price.
 void PayRentUntilDue(DynamicReachabilityIndex& index,
                      const TransitiveClosure& oracle, size_t n) {
   const uint64_t price = index.Rent().price;
-  for (VertexId s = 0; s < n; ++s) {
-    for (VertexId t = 0; t < n; ++t) {
-      if (index.Rent().paid >= price) return;
-      ASSERT_EQ(index.ApplyUpdate({}).status, UpdateStatus::kApplied);
-      ASSERT_EQ(index.Query(s, t), oracle.Query(s, t)) << s << "->" << t;
+  for (int pass = 0; pass < 64; ++pass) {
+    for (VertexId s = 0; s < n; ++s) {
+      for (VertexId t = 0; t < n; ++t) {
+        if (index.Rent().paid >= price) return;
+        ASSERT_EQ(index.ApplyUpdate({}).status, UpdateStatus::kApplied);
+        ASSERT_EQ(index.Query(s, t), oracle.Query(s, t)) << s << "->" << t;
+      }
     }
   }
-  FAIL() << "every pair asked, rent " << index.Rent().paid << " of "
-         << price;
+  FAIL() << "64 passes over every pair, rent " << index.Rent().paid
+         << " of " << price;
 }
 
 // On a DAG most deletes damage the labels, and without queries no rent
@@ -443,10 +447,10 @@ TEST(PrunedTwoHopRentTest, DamagingDeletesWithoutQueriesAreNeverRecommended) {
   }
 }
 
-// On a cyclic graph one damaging delete marks most hubs, so damaged
-// positives run live searches and soon pay for a build: the first ask
-// after the rent reaches the price is recommended, and the build starts
-// a fresh meter.
+// On a cyclic graph one damaging delete marks most hubs, so the damaged
+// positives the lost sets leave in doubt run live searches and, pass by
+// pass, pay for a build: the first ask after the rent reaches the price
+// is recommended, and the build starts a fresh meter.
 TEST(PrunedTwoHopRentTest, DamagedQueriesRecommendOnceTheRentReachesThePrice) {
   constexpr VertexId kN = 400;
   const Digraph g = RandomDigraph(kN, 4 * kN, 0x5C1);
@@ -497,6 +501,36 @@ TEST(PrunedTwoHopRentTest, ACopyPaysIntoItsSourcesRent) {
   EXPECT_EQ(copy->ApplyUpdate({}).status, UpdateStatus::kApplied);
 }
 
+// A positive no cut could have lost is trusted without a witness and pays
+// nothing: after one damaging delete on a cyclic graph, where the damage
+// marks cover most hubs, a pass over every pair pays less than one unit
+// per damaged positive, the least it paid when every superset positive
+// paid.
+TEST(PrunedTwoHopRentTest, TrustedPositivesPayNoRent) {
+  constexpr VertexId kN = 400;
+  const Digraph g = RandomDigraph(kN, 4 * kN, 0x5C1);
+  PrunedTwoHop index;
+  index.Build(g);
+  ApplyFirstDamagingDelete(index, g);
+  ASSERT_EQ(index.Damage(), 1u);
+  TransitiveClosure oracle;
+  oracle.Build(*index.LiveGraph());
+  index.ResetProbe();
+  uint64_t positives = 0;
+  for (VertexId s = 0; s < kN; ++s) {
+    for (VertexId t = 0; t < kN; ++t) {
+      const bool reachable = index.Query(s, t);
+      ASSERT_EQ(reachable, oracle.Query(s, t)) << s << "->" << t;
+      if (reachable && s != t) ++positives;
+    }
+  }
+  ASSERT_GT(positives, kN * kN / 2);
+  EXPECT_LT(index.Rent().paid, positives);
+  if (kMetricsCompiled) {
+    EXPECT_LT(index.Probe().fallbacks, positives / 100);
+  }
+}
+
 // An explicit `staleness=N` is a hard cap: the damaging delete past it
 // asks for a build with no rent paid at all.
 TEST(PrunedTwoHopRentTest, StalenessCapRecommendsWithoutRent) {
@@ -514,6 +548,57 @@ TEST(PrunedTwoHopRentTest, StalenessCapRecommendsWithoutRent) {
   EXPECT_EQ(over.status, UpdateStatus::kDeferredRebuild);
   EXPECT_EQ(over.damage, 4u);
   EXPECT_EQ(index->Rent().paid, 0u);
+}
+
+// A hub fanning out to eight two-arc chains, 0 -> i -> i + 8 for i in
+// 1..8. With degree order the hub ranks first and is the witness of every
+// pair it reaches.
+Digraph HubOfChains() {
+  std::vector<Edge> edges;
+  for (VertexId i = 1; i <= 8; ++i) {
+    edges.push_back({0, i});
+    edges.push_back({i, i + 8});
+  }
+  return Digraph::FromEdges(17, edges);
+}
+
+// Cutting 1 -> 9 marks the hub damaged (it reaches the cut's tail), but
+// only 9 lost its ancestors: the pair 0 -> 10, far from the cut, is a
+// positive the lost sets trust, so it runs no live search, while 0 -> 9
+// is verified and found lost.
+TEST(PrunedTwoHopLostSetTest, APairFarFromTheCutRunsNoLiveSearch) {
+  if (!kMetricsCompiled) GTEST_SKIP() << "probes compiled out";
+  const Digraph g = HubOfChains();
+  PrunedTwoHop index;
+  index.Build(g);
+  ASSERT_EQ(index.ApplyUpdate({EdgeUpdate::Delete(1, 9)}).damage, 1u);
+  index.ResetProbe();
+  EXPECT_TRUE(index.Query(0, 10));
+  EXPECT_TRUE(index.Query(0, 16));
+  EXPECT_TRUE(index.Query(2, 10));
+  EXPECT_EQ(index.Probe().fallbacks, 0u);
+  EXPECT_FALSE(index.Query(0, 9));
+  EXPECT_FALSE(index.Query(1, 9));
+  EXPECT_EQ(index.Probe().fallbacks, 2u);
+  EXPECT_GT(index.Rent().paid, 0u);
+}
+
+// A copy's first damaging cut writes its own masks: the chunk it shares
+// with its source is cloned first, so the source keeps trusting 0 -> 10,
+// which the copy's cut of 2 -> 10 lost.
+TEST(PrunedTwoHopLostSetTest, ACopysCutLeavesItsSourcesMasksAlone) {
+  if (!kMetricsCompiled) GTEST_SKIP() << "probes compiled out";
+  const Digraph g = HubOfChains();
+  PrunedTwoHop source;
+  source.Build(g);
+  ASSERT_EQ(source.ApplyUpdate({EdgeUpdate::Delete(1, 9)}).damage, 1u);
+  std::unique_ptr<DynamicReachabilityIndex> copy = source.Clone();
+  ASSERT_EQ(copy->ApplyUpdate({EdgeUpdate::Delete(2, 10)}).damage, 2u);
+  EXPECT_FALSE(copy->Query(0, 10));
+  source.ResetProbe();
+  EXPECT_TRUE(source.Query(0, 10));
+  EXPECT_TRUE(source.Query(0, 11));
+  EXPECT_EQ(source.Probe().fallbacks, 0u);
 }
 
 TEST(PrunedTwoHopTest, NamesReflectOrders) {

@@ -32,6 +32,7 @@
 #include "obs/metrics_registry.h"
 #include "obs/query_probe.h"
 #include "plain/pruned_two_hop.h"
+#include "snapshot_files.h"
 
 namespace reach {
 namespace {
@@ -572,11 +573,12 @@ TEST(ServeIncrementalDrainTest, HealthReportsTheRentPaidAgainstTheBuildPrice) {
   grail->Stop();
 }
 
-// A snapshot-loaded index takes writes into copies from the start, and
-// its build price is 0: the first batch deletes the one arc into vertex
-// 56, which damages the labels, so the copy it publishes at once asks for
-// a full build. The batches after it go to copies of that build (which
-// ask for another only once damaged queries paid its price).
+// A snapshot-loaded index takes writes into copies from the start. This
+// snapshot records no build price, so the loaded index's price is 0: the
+// first batch deletes the one arc into vertex 56, which damages the
+// labels, so the copy it publishes at once asks for a full build. The
+// batches after it go to copies of that build (which ask for another only
+// once damaged queries paid its price).
 TEST(ServeIncrementalDrainTest, SnapshotStartFallsBackToAFullBuildOnce) {
   std::vector<Edge> edges = RandomDigraph(56, 224, 0x5A7).Edges();
   edges.push_back({55, 56});
@@ -584,8 +586,7 @@ TEST(ServeIncrementalDrainTest, SnapshotStartFallsBackToAFullBuildOnce) {
   PrunedTwoHop built;
   built.Build(base);
   const std::string path = testing::TempDir() + "/incremental_drain.rchx";
-  std::string error;
-  ASSERT_TRUE(built.SaveSnapshot(path, &error)) << error;
+  SaveSnapshotWithoutBuildPrice(built, path);
   UpdateLog log(base, 0x5A8);
   ReachService service(base);
   ASSERT_TRUE(service.StartWithSnapshot(path));
@@ -605,6 +606,54 @@ TEST(ServeIncrementalDrainTest, SnapshotStartFallsBackToAFullBuildOnce) {
   }
   // One copy per batch; every other generation is a full build.
   EXPECT_EQ(st.rebuilds.load() - st.full_builds.load(), 4u);
+  service.Stop();
+}
+
+// A snapshot records the price of its build, and a service started from
+// it rents against that price as a built one does. Deleting the one arc
+// into vertex 56 damages the labels but asks for no full build; the
+// queries from 56's old ancestors pay rent through live searches, and
+// once the rent reaches the recorded price the next write asks for the
+// build.
+TEST(ServeIncrementalDrainTest, SnapshotStartRentsUntilTheRecordedPrice) {
+  constexpr VertexId kN = 57;
+  std::vector<Edge> edges = RandomDigraph(kN - 1, 224, 0x5A7).Edges();
+  edges.push_back({kN - 2, kN - 1});
+  const Digraph base = Digraph::FromEdges(kN, std::move(edges));
+  PrunedTwoHop built;
+  built.Build(base);
+  const uint64_t price = built.Rent().price;
+  ASSERT_GT(price, 0u);
+  const std::string path = testing::TempDir() + "/priced_snapshot.rchx";
+  std::string error;
+  ASSERT_TRUE(built.SaveSnapshot(path, &error)) << error;
+  UpdateLog log(base, 0x5A9);
+  ReachService service(base);
+  ASSERT_TRUE(service.StartWithSnapshot(path));
+  EXPECT_EQ(service.Health().rebuild_price, price);
+  const ServeStats& st = service.stats();
+  ASSERT_TRUE(service
+                  .ApplyUpdate(log.Record(
+                      UpdateBatch{EdgeUpdate::Delete(kN - 2, kN - 1)}))
+                  .ok());
+  service.Flush();
+  EXPECT_EQ(st.full_builds.load(), 0u);
+  EXPECT_EQ(service.Health().rebuild_rent_paid, 0u);
+  for (int pass = 0; pass < 100 && service.Health().rebuild_rent_paid < price;
+       ++pass) {
+    for (VertexId s = 0; s + 1 < kN; ++s) {
+      const ServeAnswer ans = service.Query(s, kN - 1);
+      ASSERT_TRUE(ans.exact);
+      ASSERT_FALSE(ans.reachable) << s;
+    }
+  }
+  ASSERT_GE(service.Health().rebuild_rent_paid, price);
+  EXPECT_EQ(st.full_builds.load(), 0u);
+  DrainAndCheck(service, log,
+                log.Record(UpdateBatch{EdgeUpdate::Insert(3, 40)}),
+                "the write after the rent is due");
+  EXPECT_EQ(st.full_builds.load(), 1u);
+  EXPECT_EQ(service.Health().rebuild_rent_paid, 0u);
   service.Stop();
 }
 

@@ -20,6 +20,7 @@
 #include "lcr/pruned_labeled_two_hop.h"
 #include "plain/pruned_two_hop.h"
 #include "serve/reach_service.h"
+#include "snapshot_files.h"
 
 namespace reach {
 namespace {
@@ -598,6 +599,43 @@ TEST(ServeSnapshotTest, RebasedIndexCarriesTheDigestForward) {
   service.Stop();
   ReachService stale(g);
   EXPECT_EQ(stale.StartWithSnapshot(grown).status, LoadStatus::kWrongIndex);
+}
+
+// The build price travels with the labels: a snapshot records it, a load
+// and a rebase keep it, and so does the snapshot of a loaded index. A
+// snapshot written without it loads with price 0.
+TEST(SnapshotTest, BuildPriceSurvivesLoadAndRebase) {
+  const Digraph g = LayeredDag(6, 5, 2, 47);
+  PrunedTwoHop built;
+  built.Build(g);
+  const uint64_t price = built.Rent().price;
+  ASSERT_GT(price, 0u);
+  const std::string path = TempPath("snap_price.rchx");
+  WriteFile(path, SnapshotBytes(built));
+  PrunedTwoHop loaded;
+  ASSERT_TRUE(loaded.LoadSnapshot(path));
+  EXPECT_EQ(loaded.Rent().price, price);
+  ASSERT_TRUE(loaded.Rebase(g));
+  EXPECT_EQ(loaded.Rent().price, price);
+  EXPECT_EQ(loaded.Rent().paid, 0u);
+  const std::string again = TempPath("snap_price_again.rchx");
+  WriteFile(again, SnapshotBytes(loaded));
+  PrunedTwoHop reloaded;
+  ASSERT_TRUE(reloaded.LoadSnapshot(again));
+  EXPECT_EQ(reloaded.Rent().price, price);
+
+  const std::string unpriced = TempPath("snap_unpriced.rchx");
+  SaveSnapshotWithoutBuildPrice(built, unpriced);
+  PrunedTwoHop old;
+  ASSERT_TRUE(old.LoadSnapshot(unpriced));
+  EXPECT_EQ(old.Rent().price, 0u);
+  ASSERT_TRUE(old.Rebase(g));
+  EXPECT_EQ(old.Rent().price, 0u);
+  for (VertexId s = 0; s < g.NumVertices(); ++s) {
+    for (VertexId t = 0; t < g.NumVertices(); ++t) {
+      ASSERT_EQ(old.Query(s, t), built.Query(s, t)) << s << "->" << t;
+    }
+  }
 }
 
 TEST(ServeSnapshotTest, MissingFileFailsWithoutStartingService) {
