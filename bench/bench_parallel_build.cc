@@ -1,11 +1,11 @@
 // Regenerates the §5 "parallel computation of indexes" direction as a
 // speedup series: every parallelized builder (transitive closure's
-// dependency-level bitset sweep, PLL's rank-batched pruned BFS, FERRARI's
-// level-parallel interval merge, BFL's parallel bloom sweeps, GRAIL's k
-// independent traversals) built with 1, 2, 4, and 8 threads on a larger
-// DAG. Rows at threads>1 carry a `speedup_vs_1t` counter against the
-// serial row of the same family (rows run in registration order, so the
-// threads=1 baseline is always measured first).
+// dependency-level bitset sweep, FERRARI's level-parallel interval merge,
+// BFL's parallel bloom sweeps, GRAIL's k independent traversals) built
+// with 1, 2, 4, and 8 threads on a larger DAG. Rows at threads>1 carry a
+// `speedup_vs_1t` counter against the serial row of the same family (rows
+// run in registration order, so the threads=1 baseline is always measured
+// first). PLL's build is serial (docs/PARALLELISM.md) and has no row.
 //
 // A second series drives the same workload through the parallel
 // `BatchQuery` API on the PLL index.
@@ -72,8 +72,8 @@ void RegisterBuildSweep(const Digraph* graph, const std::string& family,
 }
 
 void RegisterBatchQuerySweep(const Digraph* graph) {
-  // One serial-built PLL index shared by all rows; built on first use so
-  // --benchmark_filter runs that skip this series pay nothing.
+  // One PLL index shared by all rows; built on first use so that
+  // --benchmark_filter runs skipping this series pay nothing.
   static std::unique_ptr<PrunedTwoHop> index;
   static std::vector<QueryPair> queries;
   for (const size_t threads : kThreadSweep) {
@@ -82,9 +82,7 @@ void RegisterBatchQuerySweep(const Digraph* graph) {
             .c_str(),
         [graph, threads](::benchmark::State& state) {
           if (index == nullptr) {
-            index = std::make_unique<PrunedTwoHop>(
-                VertexOrder::kDegree, /*seed=*/0x70'6c'6cULL,
-                /*num_threads=*/1);
+            index = std::make_unique<PrunedTwoHop>(VertexOrder::kDegree);
             index->Build(*graph);
             queries = RandomPairs(*graph, 1 << 16, kSeed + 141);
           }
@@ -104,10 +102,6 @@ void RegisterAll() {
 
   RegisterBuildSweep(graph, "tc", [](size_t threads) {
     return std::make_unique<TransitiveClosure>(threads);
-  });
-  RegisterBuildSweep(graph, "pll", [](size_t threads) {
-    return std::make_unique<PrunedTwoHop>(VertexOrder::kDegree,
-                                          /*seed=*/0x70'6c'6cULL, threads);
   });
   RegisterBuildSweep(graph, "ferrari-k4", [](size_t threads) {
     return std::make_unique<Ferrari>(/*k=*/4, threads);

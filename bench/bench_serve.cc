@@ -297,7 +297,7 @@ void BM_SnapshotStartupLoad(benchmark::State& state) {
   const Digraph graph = ScaleFreeDag(n, 3, kSeed);
   TwoHopStorageOptions storage;
   storage.compress = compress;
-  PrunedTwoHop built(VertexOrder::kDegree, 0x70'6c'6cULL, 0, storage);
+  PrunedTwoHop built(VertexOrder::kDegree, 0x70'6c'6cULL, storage);
   built.Build(graph);
 
   const std::string mode = compress ? "compressed" : "flat";

@@ -106,7 +106,7 @@ MadeIndex Condensed(Args a) {
 
 template <VertexOrder kOrder>
 MadeIndex TwoHop(Args a) {
-  return New<PrunedTwoHop>(kOrder, 0x70'6c'6cULL, 0, Storage(a), a[3]);
+  return New<PrunedTwoHop>(kOrder, 0x70'6c'6cULL, Storage(a), a[3]);
 }
 
 const std::vector<Row>& Table() {
@@ -176,7 +176,7 @@ const std::vector<Row>& Table() {
        [](Args a) { return New<LandmarkIndex>(a[0], a[1]); }},
       {{"lcr:pll", "lcr:p2h"}, kRoster, "label-constrained pruned 2-hop (P2H+)",
        StorageKeys(PrunedLabeledTwoHop::kDefaultStalenessBudget),
-       [](Args a) { return New<PrunedLabeledTwoHop>(0, Storage(a), a[3]); }},
+       [](Args a) { return New<PrunedLabeledTwoHop>(Storage(a), a[3]); }},
   };
   return rows;
 }

@@ -22,8 +22,8 @@ namespace reach {
 ///   u8[len]      format name, e.g. "pll" or "p2h"
 ///
 /// The payload bytes that follow are exactly what the unversioned
-/// pre-envelope formats wrote, so golden layouts (and the byte-identity
-/// guarantees of the parallel builders, docs/PARALLELISM.md) still hold.
+/// pre-envelope formats wrote, so golden layouts (and the saved bytes'
+/// independence of the thread count, docs/PARALLELISM.md) still hold.
 /// A mismatched magic, version, or format name is reported as a typed
 /// `LoadStatus` instead of being misread as payload.
 inline constexpr uint32_t kEnvelopeMagic = 0x52434858u;  // "RCHX"

@@ -32,7 +32,6 @@
 #include "obs/build_phase_timer.h"
 #include "obs/metrics_registry.h"
 #include "obs/query_probe.h"
-#include "par/parallel_for.h"
 
 namespace reach {
 
@@ -100,8 +99,9 @@ static_assert(std::is_trivially_copyable_v<Meta>);
 /// everything else lives here once:
 ///
 ///  * the total order (the rank and by-rank tables);
-///  * the rank-batched speculate/commit/redo build loop
-///    (docs/PARALLELISM.md), which with one thread is the serial sweep;
+///  * the build loop: one forward and one backward pruned sweep per
+///    rank, in rank order (serial: each sweep prunes against every
+///    earlier rank's labels, docs/PARALLELISM.md);
 ///  * sealing into flat or block-compressed pools under the size budget,
 ///    the compressed-pool query kernels, and the post-seal `delta_lin_`
 ///    insert overlay;
@@ -129,7 +129,7 @@ static_assert(std::is_trivially_copyable_v<Meta>);
 ///                             magic of both persistence formats
 ///   kListCapPerVertex         a loaded list holds at most n times this
 ///                             many entries
-///   Sweeper                   per-worker scratch running one pruned
+///   Sweeper                   the build's scratch, running one pruned
 ///                             sweep and counting its oracle evaluations
 ///                             (see `BuildLabels`)
 ///   Rank(entry)
@@ -193,8 +193,7 @@ class TwoHopCore {
   /// timing the "order", "label" and "seal" phases into `stats`.
   /// `order(graph)` returns the vertices in rank order.
   template <typename OrderFn>
-  void Build(const Graph& graph, size_t threads, IndexStats* stats,
-             OrderFn&& order) {
+  void Build(const Graph& graph, IndexStats* stats, OrderFn&& order) {
     BuildStatsScope build(stats);
     probes_.Reset();
     ResetDynamicState(&graph);
@@ -212,7 +211,7 @@ class TwoHopCore {
     }
     {
       BuildPhaseTimer timer(&stats->phases, "label");
-      build_price_ = BuildLabels(threads);
+      build_price_ = BuildLabels();
       sealed->build_price = build_price_;
     }
     {
@@ -898,140 +897,26 @@ class TwoHopCore {
     std::deque<Cell> cells_;
   };
 
-  // paraPLL-style speculate/validate/redo over rank batches. Phase 1 runs
-  // every sweep of the batch in parallel against the *committed* label
-  // prefix only. Phase 2 commits in rank order: a sweep whose pruning
-  // oracle never touched a label the batch committed in the meantime is
-  // appended verbatim; otherwise the sweep is redone serially against the
-  // live labeling. Pruning against fewer labels visits a superset of the
-  // serial sweep's vertices, so checking the speculative visited set is a
-  // sound (conservative) staleness test — the committed labeling is
-  // bit-identical to the serial build for any thread count or batching.
+  // The pruned sweeps in rank order: rank r's forward sweep adds its
+  // entries to `lin_`, its backward sweep to `lout_`, each pruned against
+  // the labels of every earlier rank (and, in the labeled core, the
+  // sweep's own entries so far). `Sweeper::Run(core, r, forward, emit)`
+  // runs one sweep and calls `emit(x, entry)` for every label it adds.
   //
-  // `Sweeper::Run<kSpeculative>(core, r, forward, touched, emit)` runs the
-  // pruned sweep of rank `r` and calls `emit(x, entry)` for every label it
-  // adds, in push order. `Run<false>` is the exact serial sweep (`touched`
-  // unused). `Run<true>` is speculative: it appends every vertex its
-  // oracle was evaluated at to `*touched`, and returns false (result
-  // discarded, redo serially) once it floods far past what a serial sweep
-  // would visit. The flag is a template argument so the serial sweep —
-  // the warmup's heavy floods — carries no speculation bookkeeping.
-  //
-  // Returns the build's price: the oracle evaluations every sweep made
-  // (`Sweeper::Evaluations`), speculative sweeps and their redos included.
-  uint64_t BuildLabels(size_t threads) {
+  // Returns the build's price: the oracle evaluations the sweeps made
+  // (`Sweeper::Evaluations`).
+  uint64_t BuildLabels() {
     const size_t n = overlay_.NumVertices();
     lin_.assign(n, {});
     lout_.assign(n, {});
-    if (n == 0) return 0;
-    threads = std::max<size_t>(threads, 1);
-
-    std::vector<Sweeper> sweepers;
-    sweepers.reserve(threads);
-    for (size_t i = 0; i < threads; ++i) sweepers.emplace_back(n);
-
-    // lin_stamp[x] == batch_epoch iff the current batch committed a Lin(x)
-    // entry already (dually lout_stamp) — exactly the reads that can make
-    // a speculative oracle stale. Serial sweeps before the first batch
-    // stamp epoch 0, the stamps' initial value: a no-op.
-    std::vector<uint32_t> lin_stamp(n, 0), lout_stamp(n, 0);
-    uint32_t batch_epoch = 0;
-
-    const auto serial_sweep = [&](uint32_t r, bool forward) {
-      EntryLists& labels = forward ? lin_ : lout_;
-      std::vector<uint32_t>& stamp = forward ? lin_stamp : lout_stamp;
-      sweepers[0].template Run<false>(*this, r, forward, nullptr,
-                                      [&](VertexId x, const Entry& e) {
-                                        labels[x].push_back(e);
-                                        stamp[x] = batch_epoch;
-                                      });
-    };
-
-    // Outcome of one speculative sweep (one rank, one direction).
-    struct Sweep {
-      std::vector<std::pair<VertexId, Entry>> labeled;  // push order
-      std::vector<VertexId> touched;  // vertices the oracle evaluated
-      bool redo = false;              // flooded: rerun serially
-    };
-
-    // A forward oracle call reads Lout(hop) and Lin(x) for evaluated x
-    // (its other reads cannot change during the batch); backward is
-    // symmetric. The sweep is stale iff the batch committed to one of
-    // those label sets after phase 1 snapshotted the labeling.
-    const auto commit_rank = [&](uint32_t r, bool forward, const Sweep& sweep) {
-      std::vector<uint32_t>& stamp = forward ? lin_stamp : lout_stamp;
-      bool conflict =
-          sweep.redo ||
-          (forward ? lout_stamp : lin_stamp)[ByRank(r)] == batch_epoch;
-      for (size_t i = 0; !conflict && i < sweep.touched.size(); ++i) {
-        conflict = stamp[sweep.touched[i]] == batch_epoch;
-      }
-      if (conflict) {
-        serial_sweep(r, forward);
-        return;
-      }
-      EntryLists& labels = forward ? lin_ : lout_;
-      for (const auto& [x, e] : sweep.labeled) {
-        labels[x].push_back(e);
-        stamp[x] = batch_epoch;
-      }
-    };
-
-    // Warmup: early sweeps run against a nearly empty labeling and would
-    // speculatively flood the graph; run them serially. A one-thread
-    // build is all warmup.
-    const uint32_t num_ranks = static_cast<uint32_t>(n);
-    const uint32_t warmup =
-        threads == 1 ? num_ranks
-                     : static_cast<uint32_t>(std::min<size_t>(n, 32));
-    uint32_t r = 0;
-    for (; r < warmup; ++r) {
-      serial_sweep(r, /*forward=*/true);
-      serial_sweep(r, /*forward=*/false);
+    Sweeper sweeper(n);
+    for (uint32_t r = 0; r < n; ++r) {
+      sweeper.Run(*this, r, /*forward=*/true,
+                  [&](VertexId x, const Entry& e) { lin_[x].push_back(e); });
+      sweeper.Run(*this, r, /*forward=*/false,
+                  [&](VertexId x, const Entry& e) { lout_[x].push_back(e); });
     }
-
-    // Batches grow geometrically: small while the prefix is thin (frequent
-    // conflicts), large once pruning has kicked in and sweeps are cheap
-    // and almost always conflict-free.
-    size_t batch_size = 2 * threads;
-    const size_t max_batch = std::max<size_t>(64 * threads, 256);
-    std::vector<Sweep> fwd, bwd;
-    while (r < num_ranks) {
-      const uint32_t batch_end =
-          static_cast<uint32_t>(std::min<size_t>(num_ranks, r + batch_size));
-      const size_t count = batch_end - r;
-      fwd.assign(count, Sweep{});
-      bwd.assign(count, Sweep{});
-      ++batch_epoch;
-
-      std::atomic<size_t> next{0};
-      ParallelForWorkers(threads, [&](size_t worker) {
-        for (;;) {
-          const size_t unit = next.fetch_add(1, std::memory_order_relaxed);
-          if (unit >= 2 * count) return;
-          const uint32_t rank = r + static_cast<uint32_t>(unit / 2);
-          const bool forward = (unit % 2) == 0;
-          Sweep& out = forward ? fwd[unit / 2] : bwd[unit / 2];
-          out.redo = !sweepers[worker].template Run<true>(
-              *this, rank, forward, &out.touched,
-              [&](VertexId x, const Entry& e) {
-                out.labeled.emplace_back(x, e);
-              });
-        }
-      });
-
-      for (uint32_t offset = 0; offset < count; ++offset) {
-        commit_rank(r + offset, /*forward=*/true, fwd[offset]);
-        commit_rank(r + offset, /*forward=*/false, bwd[offset]);
-      }
-      r = batch_end;
-      batch_size = std::min(batch_size * 2, max_batch);
-    }
-    uint64_t evaluations = 0;
-    for (const Sweeper& sweeper : sweepers) {
-      evaluations += sweeper.Evaluations();
-    }
-    return evaluations;
+    return sweeper.Evaluations();
   }
 
   // Moves the build-side vectors into the pools of `sealed`, a fresh

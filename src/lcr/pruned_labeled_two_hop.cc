@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/label_kernels.h"
-#include "par/thread_pool.h"
 
 namespace reach {
 
@@ -87,11 +86,6 @@ class SeenSets {
     return seen_[v].Dominates(mask);
   }
 
-  /// Distinct vertices added since the last `Reset` — exactly the set of
-  /// vertices the sweep's pruning oracle was evaluated at, which is what
-  /// the parallel build's conflict check needs.
-  const std::vector<VertexId>& Touched() const { return touched_; }
-
  private:
   std::vector<MinimalLabelSets> seen_;
   std::vector<VertexId> touched_;
@@ -110,22 +104,15 @@ using LabeledCore = TwoHopCore<LabeledTwoHopTraits>;
 // already answers the corresponding query.
 class LabeledTwoHopTraits::Sweeper {
  public:
-  explicit Sweeper(size_t n)
-      : local_(n), speculation_cap_(std::max<size_t>(1024, 4 * n)) {}
+  explicit Sweeper(size_t n) : n_(n) {}
 
-  template <bool kSpeculative, typename Emit>
-  bool Run(const LabeledCore& core, uint32_t r, bool forward,
-           std::vector<VertexId>* touched, Emit&& emit) {
+  template <typename Emit>
+  void Run(const LabeledCore& core, uint32_t r, bool forward, Emit&& emit) {
     const VertexId hop = core.ByRank(r);
     queue_.Clear();
-    seen_.Reset(local_.size());
-    for (VertexId v : local_touched_) local_[v].clear();
-    local_touched_.clear();
+    seen_.Reset(n_);
     seen_.Add(hop, 0);
     queue_.Push({0, hop});
-    // Label-BFS state counts can exceed n (one state per (vertex, mask)),
-    // so the speculation cap counts this run's evaluations.
-    const uint64_t first = evaluations_;
     State state;
     while (queue_.Pop(&state)) {
       const auto visit = [&](const Arc& arc) {
@@ -134,17 +121,10 @@ class LabeledTwoHopTraits::Sweeper {
         const LabelSet next = state.mask | LabelBit(arc.label);
         if (seen_.Dominates(x, next)) return;
         ++evaluations_;
-        bool covered = kSpeculative && ShadowCovers(x, next);
-        if (!covered) {
-          covered = forward ? core.LabelQuery(hop, x, next)
-                            : core.LabelQuery(x, hop, next);
-        }
+        const bool covered = forward ? core.LabelQuery(hop, x, next)
+                                     : core.LabelQuery(x, hop, next);
         seen_.Add(x, next);  // covered: blocks supersets, already answerable
         if (covered) return;
-        if constexpr (kSpeculative) {
-          if (local_[x].empty()) local_touched_.push_back(x);
-          local_[x].push_back(next);
-        }
         emit(x, Entry{r, next});
         queue_.Push({next, x});
       };
@@ -153,34 +133,17 @@ class LabeledTwoHopTraits::Sweeper {
       } else {
         for (const Arc& arc : core.graph().InArcs(state.vertex)) visit(arc);
       }
-      if (kSpeculative && evaluations_ - first > speculation_cap_) {
-        return false;
-      }
     }
-    if constexpr (kSpeculative) *touched = seen_.Touched();
-    return true;
   }
 
-  /// States the pruning test ran on over every `Run` so far (a shadow
-  /// hit counts too): the build price.
+  /// States the pruning test ran on over every `Run` so far: the build
+  /// price.
   uint64_t Evaluations() const { return evaluations_; }
 
  private:
-  bool ShadowCovers(VertexId x, LabelSet mask) const {
-    return std::any_of(local_[x].begin(), local_[x].end(),
-                       [mask](LabelSet m) { return IsSubsetOf(m, mask); });
-  }
-
+  size_t n_;
   BucketQueue queue_;
   SeenSets seen_;
-  // The serial pruning oracle LabelQuery(hop, x, next) reads the rank-r
-  // entry group of Lin(x) — entries the *current sweep* inserted. A
-  // speculative sweep shadows that group here, so local-covered ||
-  // committed-prefix LabelQuery equals the serial oracle exactly (the
-  // committed prefix has no rank-r groups).
-  std::vector<std::vector<LabelSet>> local_;
-  std::vector<VertexId> local_touched_;
-  size_t speculation_cap_;
   uint64_t evaluations_ = 0;
 };
 
@@ -271,7 +234,7 @@ void LabeledTwoHopTraits::PropagateInsert(LabeledCore& core, VertexId s,
 }
 
 void PrunedLabeledTwoHop::Build(const LabeledDigraph& graph) {
-  core_.Build(graph, ResolveThreads(num_threads_), &build_stats_,
+  core_.Build(graph, &build_stats_,
               [](const LabeledDigraph& g) { return DegreeOrder(g); });
 }
 

@@ -116,22 +116,18 @@ class PrunedLabeledTwoHop : public LcrIndex {
   /// Default `staleness_budget` (see constructor): no cap.
   static constexpr size_t kDefaultStalenessBudget = 0;
 
-  /// `num_threads` parallelizes the build with the same rank-batched
-  /// speculate/commit/redo scheme as `PrunedTwoHop` (speculative sweeps
-  /// consult a worker-local shadow of their own rank's entries, since the
-  /// serial pruning oracle sees in-sweep insertions). The labeling is
-  /// bit-identical to a serial build for any thread count
-  /// (docs/PARALLELISM.md). 0 = `DefaultThreads()`, 1 = serial.
+  /// The build runs on the calling thread, one rank at a time, like
+  /// `PrunedTwoHop`'s: each label-BFS reads the entries of every earlier
+  /// rank and the ones its own sweep added so far.
   ///
   /// `ApplyUpdate` reports `kDeferredRebuild` (answers stay exact; the
   /// caller decides when to pay for `RebuildFromUpdates`) once damaged
   /// queries have paid the last build's price in rent, or once damage
   /// passes `staleness_budget`, a hard cap. 0 = no cap.
-  explicit PrunedLabeledTwoHop(size_t num_threads = 0,
-                               TwoHopStorageOptions storage = {},
+  explicit PrunedLabeledTwoHop(TwoHopStorageOptions storage = {},
                                size_t staleness_budget =
                                    kDefaultStalenessBudget)
-      : num_threads_(num_threads), core_(storage, staleness_budget) {}
+      : core_(storage, staleness_budget) {}
 
   void Build(const LabeledDigraph& graph) override;
   bool Query(VertexId s, VertexId t, LabelSet allowed) const override;
@@ -210,7 +206,6 @@ class PrunedLabeledTwoHop : public LcrIndex {
   const TwoHopStorageOptions& Storage() const { return core_.Storage(); }
 
  private:
-  size_t num_threads_ = 0;
   TwoHopCore<LabeledTwoHopTraits> core_;
 };
 

@@ -5,7 +5,6 @@
 
 #include "graph/condensation.h"
 #include "graph/rng.h"
-#include "par/thread_pool.h"
 
 namespace reach {
 
@@ -23,16 +22,14 @@ namespace reach {
 //  * Covered(Lout(hop), rank(w)): a backward sweep of rank r' labels only
 //    vertices of rank > r', so Lout(hop) holds ranks < r; and rank(w) > r.
 // The backward sweep is the mirror image: Lin(hop) holds ranks < r, and
-// r enters Lout(w) only after w is evaluated. A speculative sweep reads a
-// committed prefix of those same lists, so the argument covers it too.
+// r enters Lout(w) only after w is evaluated.
 class PlainTwoHopTraits::Sweeper {
  public:
-  explicit Sweeper(size_t n)
-      : mark_(n, 0), speculation_cap_(std::max<size_t>(1024, n / 16)) {}
+  explicit Sweeper(size_t n) : mark_(n, 0) {}
 
-  template <bool kSpeculative, typename Emit>
-  bool Run(const TwoHopCore<PlainTwoHopTraits>& core, uint32_t r,
-           bool forward, std::vector<VertexId>* touched, Emit&& emit) {
+  template <typename Emit>
+  void Run(const TwoHopCore<PlainTwoHopTraits>& core, uint32_t r,
+           bool forward, Emit&& emit) {
     const VertexId hop = core.ByRank(r);
     ++epoch_;
     queue_.clear();
@@ -42,7 +39,6 @@ class PlainTwoHopTraits::Sweeper {
       const auto visit = [&](VertexId w) {
         if (mark_[w] == epoch_ || core.Rank(w) <= r) return;
         mark_[w] = epoch_;
-        if constexpr (kSpeculative) touched->push_back(w);
         ++evaluations_;
         if (forward ? core.LabelIntersect(hop, w, {})
                     : core.LabelIntersect(w, hop, {})) {
@@ -57,14 +53,7 @@ class PlainTwoHopTraits::Sweeper {
       } else {
         for (VertexId w : core.graph().InNeighbors(x)) visit(w);
       }
-      // A speculative sweep that floods far past the serial one (because
-      // the prefix is still thin) is cut off and redone serially —
-      // bounding wasted work without affecting the result.
-      if constexpr (kSpeculative) {
-        if (touched->size() > speculation_cap_) return false;
-      }
     }
-    return true;
   }
 
   /// Oracle evaluations over every `Run` so far: the build price.
@@ -74,7 +63,6 @@ class PlainTwoHopTraits::Sweeper {
   std::vector<uint32_t> mark_;  // epoch-stamped visited marks
   uint32_t epoch_ = 0;
   std::vector<VertexId> queue_;
-  size_t speculation_cap_;
   uint64_t evaluations_ = 0;
 };
 
@@ -138,7 +126,7 @@ std::vector<VertexId> PrunedTwoHop::ComputeOrder(const Digraph& graph) const {
 }
 
 void PrunedTwoHop::Build(const Digraph& graph) {
-  core_.Build(graph, ResolveThreads(num_threads_), &build_stats_,
+  core_.Build(graph, &build_stats_,
               [this](const Digraph& g) { return ComputeOrder(g); });
 }
 

@@ -131,22 +131,15 @@ struct PlainTwoHopTraits {
 /// supplies the total order and the pruned BFS sweep.
 class PrunedTwoHop : public DynamicReachabilityIndex {
  public:
-  /// `num_threads` parallelizes the build with rank-batched speculative
-  /// pruned BFSs (paraPLL-style): each batch speculates against the
-  /// committed label prefix in parallel, then commits in rank order,
-  /// redoing exactly the sweeps whose pruning oracle was made stale by an
-  /// earlier rank of the same batch. The committed labeling — including
-  /// `Save` bytes — is bit-identical to a serial build for any thread
-  /// count (docs/PARALLELISM.md has the argument). 0 = `DefaultThreads()`,
-  /// 1 = serial.
+  /// The build runs on the calling thread, one rank at a time: each
+  /// pruned sweep reads the labels of every earlier rank
+  /// (docs/PARALLELISM.md says why it is not parallel). `seed` drives
+  /// `VertexOrder::kRandom`.
   explicit PrunedTwoHop(VertexOrder order = VertexOrder::kDegree,
-                        uint64_t seed = 0x70'6c'6cULL, size_t num_threads = 0,
+                        uint64_t seed = 0x70'6c'6cULL,
                         TwoHopStorageOptions storage = {},
                         size_t staleness_budget = kDefaultStalenessBudget)
-      : order_(order),
-        seed_(seed),
-        num_threads_(num_threads),
-        core_(storage, staleness_budget) {}
+      : order_(order), seed_(seed), core_(storage, staleness_budget) {}
 
   /// Default `staleness_budget`: a hard cap on the damaging deletes
   /// tolerated before `ApplyUpdate` returns `kDeferredRebuild` whatever
@@ -289,7 +282,6 @@ class PrunedTwoHop : public DynamicReachabilityIndex {
 
   VertexOrder order_;
   uint64_t seed_;
-  size_t num_threads_;
   TwoHopCore<PlainTwoHopTraits> core_;
 };
 

@@ -206,7 +206,7 @@ TEST_P(LcrChurnTest, LabeledMixedBatchesMatchOracle) {
   Xoshiro256ss rng(seed);
   std::vector<LabeledEdge> live =
       RandomLabeledDigraph(n, 20, num_labels, seed).Edges();
-  PrunedLabeledTwoHop index(/*num_threads=*/0, storage);
+  PrunedLabeledTwoHop index(storage);
   const LabeledDigraph base =
       LabeledDigraph::FromEdges(n, num_labels, live);
   index.Build(base);
@@ -264,93 +264,88 @@ INSTANTIATE_TEST_SUITE_P(
 // Plain reachability is LCR with a single label: the degree-order TOL
 // index and the labeled 2-hop index, built over the same edges (every
 // LCR arc carrying label 0), must hold the same number of entries, give
-// the same answers for any build thread count, and stay in step —
-// answers and damage alike — under the same insert/delete batches.
+// the same answers, and stay in step — answers and damage alike — under
+// the same insert/delete batches.
 TEST(SingleLabelEquivalenceTest, PlainMatchesOneLabelLcr) {
   const VertexId n = 24;
   const LabelSet only = LabelBit(0);
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
-    std::vector<Edge> edges = RandomDigraph(n, 48, 1301).Edges();
-    const auto labeled_edges = [](const std::vector<Edge>& plain) {
-      std::vector<LabeledEdge> out;
-      for (const Edge& e : plain) out.push_back({e.source, e.target, 0});
-      return out;
-    };
-    const Digraph graph = Digraph::FromEdges(n, edges);
-    const LabeledDigraph labeled =
-        LabeledDigraph::FromEdges(n, 1, labeled_edges(edges));
-    PrunedTwoHop plain(VertexOrder::kDegree, /*seed=*/0, threads);
-    PrunedLabeledTwoHop lcr(threads);
-    plain.Build(graph);
-    lcr.Build(labeled);
-    ASSERT_EQ(plain.TotalLabelEntries(), lcr.TotalEntries())
-        << threads << " threads";
+  std::vector<Edge> edges = RandomDigraph(n, 48, 1301).Edges();
+  const auto labeled_edges = [](const std::vector<Edge>& plain) {
+    std::vector<LabeledEdge> out;
+    for (const Edge& e : plain) out.push_back({e.source, e.target, 0});
+    return out;
+  };
+  const Digraph graph = Digraph::FromEdges(n, edges);
+  const LabeledDigraph labeled =
+      LabeledDigraph::FromEdges(n, 1, labeled_edges(edges));
+  PrunedTwoHop plain(VertexOrder::kDegree, /*seed=*/0);
+  PrunedLabeledTwoHop lcr;
+  plain.Build(graph);
+  lcr.Build(labeled);
+  ASSERT_EQ(plain.TotalLabelEntries(), lcr.TotalEntries());
 
-    const auto expect_same = [&](int step) {
-      for (VertexId s = 0; s < n; ++s) {
-        for (VertexId t = 0; t < n; ++t) {
-          ASSERT_EQ(plain.Query(s, t), lcr.Query(s, t, only))
-              << s << "->" << t << " step " << step << ", " << threads
-              << " threads";
-        }
+  const auto expect_same = [&](int step) {
+    for (VertexId s = 0; s < n; ++s) {
+      for (VertexId t = 0; t < n; ++t) {
+        ASSERT_EQ(plain.Query(s, t), lcr.Query(s, t, only))
+            << s << "->" << t << " step " << step;
       }
-      ASSERT_EQ(plain.Damage(), lcr.Damage())
-          << "step " << step << ", " << threads << " threads";
-      // Snapshots of both, flat storage and the live delta folded in, load
-      // back into indexes that still agree (while damage lets them save).
-      if (plain.Damage() > 0) return;
-      const std::string plain_path =
-          testing::TempDir() + "/single_label_plain.rchx";
-      const std::string lcr_path = testing::TempDir() + "/single_label_lcr.rchx";
-      ASSERT_TRUE(plain.SaveSnapshot(plain_path));
-      ASSERT_TRUE(lcr.SaveSnapshot(lcr_path));
-      PrunedTwoHop plain_loaded;
-      PrunedLabeledTwoHop lcr_loaded;
-      ASSERT_TRUE(plain_loaded.LoadSnapshot(plain_path));
-      ASSERT_TRUE(lcr_loaded.LoadSnapshot(lcr_path));
-      ASSERT_EQ(plain_loaded.TotalLabelEntries(), lcr_loaded.TotalEntries())
-          << "step " << step;
-      for (VertexId s = 0; s < n; ++s) {
-        for (VertexId t = 0; t < n; ++t) {
-          ASSERT_EQ(plain_loaded.Query(s, t), lcr_loaded.Query(s, t, only))
-              << s << "->" << t << " step " << step << " (snapshots)";
-          ASSERT_EQ(plain_loaded.Query(s, t), plain.Query(s, t))
-              << s << "->" << t << " step " << step << " (snapshots)";
-        }
-      }
-    };
-    expect_same(-1);
-
-    Xoshiro256ss rng(1302);
-    for (int step = 0; step < 40; ++step) {
-      UpdateBatch batch;
-      LabeledUpdateBatch labeled_batch;
-      for (size_t i = 0, size = 1 + rng.NextBounded(3); i < size; ++i) {
-        if (!edges.empty() && rng.NextBounded(10) < 4) {
-          const Edge e = edges[rng.NextBounded(edges.size())];
-          batch.push_back(EdgeUpdate::Delete(e.source, e.target));
-          labeled_batch.push_back(
-              LabeledEdgeUpdate::Delete(e.source, e.target, 0));
-          std::erase(edges, e);
-        } else {
-          const auto u = static_cast<VertexId>(rng.NextBounded(n));
-          const auto v = static_cast<VertexId>(rng.NextBounded(n));
-          if (u == v) continue;
-          batch.push_back(EdgeUpdate::Insert(u, v));
-          labeled_batch.push_back(LabeledEdgeUpdate::Insert(u, v, 0));
-          if (std::find(edges.begin(), edges.end(), Edge{u, v}) ==
-              edges.end()) {
-            edges.push_back({u, v});
-          }
-        }
-      }
-      const UpdateResult plain_result = plain.ApplyUpdate(batch);
-      const UpdateResult lcr_result = lcr.ApplyUpdate(labeled_batch);
-      ASSERT_TRUE(plain_result.ok()) << plain_result.reason;
-      ASSERT_TRUE(lcr_result.ok()) << lcr_result.reason;
-      ASSERT_EQ(plain_result.status, lcr_result.status) << "step " << step;
-      expect_same(step);
     }
+    ASSERT_EQ(plain.Damage(), lcr.Damage()) << "step " << step;
+    // Snapshots of both, flat storage and the live delta folded in, load
+    // back into indexes that still agree (while damage lets them save).
+    if (plain.Damage() > 0) return;
+    const std::string plain_path =
+        testing::TempDir() + "/single_label_plain.rchx";
+    const std::string lcr_path = testing::TempDir() + "/single_label_lcr.rchx";
+    ASSERT_TRUE(plain.SaveSnapshot(plain_path));
+    ASSERT_TRUE(lcr.SaveSnapshot(lcr_path));
+    PrunedTwoHop plain_loaded;
+    PrunedLabeledTwoHop lcr_loaded;
+    ASSERT_TRUE(plain_loaded.LoadSnapshot(plain_path));
+    ASSERT_TRUE(lcr_loaded.LoadSnapshot(lcr_path));
+    ASSERT_EQ(plain_loaded.TotalLabelEntries(), lcr_loaded.TotalEntries())
+        << "step " << step;
+    for (VertexId s = 0; s < n; ++s) {
+      for (VertexId t = 0; t < n; ++t) {
+        ASSERT_EQ(plain_loaded.Query(s, t), lcr_loaded.Query(s, t, only))
+            << s << "->" << t << " step " << step << " (snapshots)";
+        ASSERT_EQ(plain_loaded.Query(s, t), plain.Query(s, t))
+            << s << "->" << t << " step " << step << " (snapshots)";
+      }
+    }
+  };
+  expect_same(-1);
+
+  Xoshiro256ss rng(1302);
+  for (int step = 0; step < 40; ++step) {
+    UpdateBatch batch;
+    LabeledUpdateBatch labeled_batch;
+    for (size_t i = 0, size = 1 + rng.NextBounded(3); i < size; ++i) {
+      if (!edges.empty() && rng.NextBounded(10) < 4) {
+        const Edge e = edges[rng.NextBounded(edges.size())];
+        batch.push_back(EdgeUpdate::Delete(e.source, e.target));
+        labeled_batch.push_back(
+            LabeledEdgeUpdate::Delete(e.source, e.target, 0));
+        std::erase(edges, e);
+      } else {
+        const auto u = static_cast<VertexId>(rng.NextBounded(n));
+        const auto v = static_cast<VertexId>(rng.NextBounded(n));
+        if (u == v) continue;
+        batch.push_back(EdgeUpdate::Insert(u, v));
+        labeled_batch.push_back(LabeledEdgeUpdate::Insert(u, v, 0));
+        if (std::find(edges.begin(), edges.end(), Edge{u, v}) ==
+            edges.end()) {
+          edges.push_back({u, v});
+        }
+      }
+    }
+    const UpdateResult plain_result = plain.ApplyUpdate(batch);
+    const UpdateResult lcr_result = lcr.ApplyUpdate(labeled_batch);
+    ASSERT_TRUE(plain_result.ok()) << plain_result.reason;
+    ASSERT_TRUE(lcr_result.ok()) << lcr_result.reason;
+    ASSERT_EQ(plain_result.status, lcr_result.status) << "step " << step;
+    expect_same(step);
   }
 }
 

@@ -262,7 +262,7 @@ TEST(CompressedStorageTest, PlainDifferentialAcrossRoster) {
     TwoHopStorageOptions storage;
     storage.compress = true;
     storage.block_entries = 16;
-    PrunedTwoHop compressed(VertexOrder::kDegree, 0x70'6c'6cULL, 0, storage);
+    PrunedTwoHop compressed(VertexOrder::kDegree, 0x70'6c'6cULL, storage);
     compressed.Build(g);
     ASSERT_TRUE(compressed.CompressedStorage());
     ASSERT_FALSE(flat.CompressedStorage());
@@ -281,7 +281,7 @@ TEST(CompressedStorageTest, PlainDifferentialAfterInsertions) {
   TwoHopStorageOptions storage;
   storage.compress = true;
   PrunedTwoHop flat;
-  PrunedTwoHop compressed(VertexOrder::kDegree, 0x70'6c'6cULL, 0, storage);
+  PrunedTwoHop compressed(VertexOrder::kDegree, 0x70'6c'6cULL, storage);
   flat.Build(g);
   compressed.Build(g);
   std::mt19937_64 rng(17);
@@ -306,7 +306,7 @@ TEST(CompressedStorageTest, LcrDifferential) {
   TwoHopStorageOptions storage;
   storage.compress = true;
   storage.block_entries = 16;
-  PrunedLabeledTwoHop compressed(0, storage);
+  PrunedLabeledTwoHop compressed(storage);
   compressed.Build(g);
   ASSERT_TRUE(compressed.CompressedStorage());
   EXPECT_EQ(compressed.TotalEntries(), flat.TotalEntries());
@@ -326,7 +326,7 @@ TEST(CompressedStorageTest, LcrDifferentialAfterInsertions) {
   flat.Build(g);
   TwoHopStorageOptions storage;
   storage.compress = true;
-  PrunedLabeledTwoHop compressed(0, storage);
+  PrunedLabeledTwoHop compressed(storage);
   compressed.Build(g);
   std::mt19937_64 rng(27);
   for (int i = 0; i < 6; ++i) {
@@ -368,7 +368,7 @@ TEST(CompressedStorageTest, BudgetFallsBackToCompressed) {
   const Digraph g = ScaleFreeDag(60000, 3, 29);
   TwoHopStorageOptions storage;
   storage.budget_mb = 1;  // flat offsets alone exceed 1 MiB at this size
-  PrunedTwoHop index(VertexOrder::kDegree, 0x70'6c'6cULL, 0, storage);
+  PrunedTwoHop index(VertexOrder::kDegree, 0x70'6c'6cULL, storage);
   index.Build(g);
   EXPECT_TRUE(index.CompressedStorage());
   PrunedTwoHop oracle;
@@ -391,7 +391,7 @@ TEST(CompressedStorageTest, CompressionShrinksLabelBytes) {
   flat.Build(g);
   TwoHopStorageOptions storage;
   storage.compress = true;
-  PrunedTwoHop compressed(VertexOrder::kDegree, 0x70'6c'6cULL, 0, storage);
+  PrunedTwoHop compressed(VertexOrder::kDegree, 0x70'6c'6cULL, storage);
   compressed.Build(g);
   EXPECT_LT(compressed.IndexSizeBytes(), flat.IndexSizeBytes());
 }

@@ -11,6 +11,8 @@
 #include "core/index_factory.h"
 #include "graph/generators.h"
 #include "graph/rng.h"
+#include "lcr/pruned_labeled_two_hop.h"
+#include "par/thread_pool.h"
 #include "traversal/transitive_closure.h"
 
 namespace reach {
@@ -260,8 +262,7 @@ TEST(PrunedTwoHopTest, RedeletingAResurrectedArcAddsNoDamage) {
 
 TEST(PrunedTwoHopTest, RebuildFromUpdatesClearsDamage) {
   const Digraph g = Chain(6);
-  PrunedTwoHop index(VertexOrder::kDegree, 7, 0, {},
-                     /*staleness_budget=*/2);
+  PrunedTwoHop index(VertexOrder::kDegree, 7, {}, /*staleness_budget=*/2);
   index.Build(g);
   ASSERT_TRUE(index.ApplyUpdate({EdgeUpdate::Delete(1, 2)}).ok());
   const UpdateResult second =
@@ -278,8 +279,7 @@ TEST(PrunedTwoHopTest, RebuildFromUpdatesClearsDamage) {
 
 TEST(PrunedTwoHopTest, StalenessBudgetRecommendsRebuild) {
   const Digraph g = Chain(8);
-  PrunedTwoHop index(VertexOrder::kDegree, 7, 0, {},
-                     /*staleness_budget=*/1);
+  PrunedTwoHop index(VertexOrder::kDegree, 7, {}, /*staleness_budget=*/1);
   index.Build(g);
   ASSERT_TRUE(index.ApplyUpdate({EdgeUpdate::Delete(1, 2)}).ok());
   const UpdateResult over = index.ApplyUpdate({EdgeUpdate::Delete(5, 6)});
@@ -317,7 +317,7 @@ TEST(PrunedTwoHopCloneTest, CopyAnswersLikeItsSourceAndUpdatesAlone) {
     const Digraph g = RandomDigraph(kN, 110, 0xC10E);
     TwoHopStorageOptions storage;
     storage.compress = compress;
-    PrunedTwoHop source(VertexOrder::kDegree, 7, 1, storage);
+    PrunedTwoHop source(VertexOrder::kDegree, 7, storage);
     source.Build(g);
     // Inserts leave a delta overlay for the copy to carry.
     const std::vector<Edge> base_edges = g.Edges();
@@ -548,6 +548,48 @@ TEST(PrunedTwoHopRentTest, StalenessCapRecommendsWithoutRent) {
   EXPECT_EQ(over.status, UpdateStatus::kDeferredRebuild);
   EXPECT_EQ(over.damage, 4u);
   EXPECT_EQ(index->Rent().paid, 0u);
+}
+
+// A 2-hop build is one rank loop on the calling thread, so the price that
+// damaged queries pay rent against, and the labeling itself, do not
+// depend on the default thread count: `pll` and `lcr:pll` built at one
+// thread and at four report the same price and save the same bytes.
+TEST(PrunedTwoHopRentTest, BuildPriceAndBytesIgnoreTheThreadCount) {
+  struct RestoreDefaultThreads {
+    ~RestoreDefaultThreads() { SetDefaultThreads(0); }
+  } restore;
+  const Digraph g = ScaleFreeDag(4096, 3, 7);
+  const LabeledDigraph lg = RandomLabeledDigraph(512, 2048, 4, 0x1c4);
+  struct Built {
+    uint64_t pll_price = 0, lcr_price = 0;
+    std::string pll_bytes, lcr_bytes;
+  };
+  const auto build = [&](size_t threads) {
+    SetDefaultThreads(threads);
+    Built out;
+    MadeIndex pll = MakeIndex("pll");
+    MadeIndex lcr = MakeIndex("lcr:pll");
+    auto& plain = dynamic_cast<PrunedTwoHop&>(*pll.plain);
+    auto& labeled = dynamic_cast<PrunedLabeledTwoHop&>(*lcr.lcr);
+    plain.Build(g);
+    labeled.Build(lg);
+    out.pll_price = plain.Rent().price;
+    out.lcr_price = labeled.Rent().price;
+    std::ostringstream pll_bytes, lcr_bytes;
+    EXPECT_TRUE(plain.Save(pll_bytes));
+    EXPECT_TRUE(labeled.Save(lcr_bytes));
+    out.pll_bytes = pll_bytes.str();
+    out.lcr_bytes = lcr_bytes.str();
+    return out;
+  };
+  const Built one = build(1);
+  const Built four = build(4);
+  EXPECT_GT(one.pll_price, 0u);
+  EXPECT_GT(one.lcr_price, 0u);
+  EXPECT_EQ(one.pll_price, four.pll_price);
+  EXPECT_EQ(one.lcr_price, four.lcr_price);
+  EXPECT_EQ(one.pll_bytes, four.pll_bytes);
+  EXPECT_EQ(one.lcr_bytes, four.lcr_bytes);
 }
 
 // A hub fanning out to eight two-arc chains, 0 -> i -> i + 8 for i in

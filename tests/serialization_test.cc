@@ -258,7 +258,7 @@ TEST(SerializationTest, RejectsUnsortedLinList) {
   for (const bool compress : {false, true}) {
     TwoHopStorageOptions storage;
     storage.compress = compress;
-    PrunedTwoHop loaded(VertexOrder::kDegree, 0, 0, storage);
+    PrunedTwoHop loaded(VertexOrder::kDegree, 0, storage);
     std::istringstream in(bytes);
     const LoadResult result = loaded.Load(in);
     EXPECT_EQ(result.status, LoadStatus::kCorrupt) << "compress " << compress;

@@ -73,7 +73,7 @@ TEST(SnapshotTest, CompressedRoundTripPreservesAllAnswers) {
   TwoHopStorageOptions storage;
   storage.compress = true;
   storage.block_entries = 16;
-  PrunedTwoHop index(VertexOrder::kDegree, 0x70'6c'6cULL, 0, storage);
+  PrunedTwoHop index(VertexOrder::kDegree, 0x70'6c'6cULL, storage);
   index.Build(g);
   ASSERT_TRUE(index.CompressedStorage());
   const std::string path = TempPath("snap_compressed.rchx");
@@ -352,7 +352,7 @@ TEST(SnapshotTest, CompressedRejectsSkipEntriesOutOfOrder) {
   TwoHopStorageOptions storage;
   storage.compress = true;
   storage.block_entries = 8;
-  PrunedTwoHop index(VertexOrder::kDegree, 0x70'6c'6cULL, 0, storage);
+  PrunedTwoHop index(VertexOrder::kDegree, 0x70'6c'6cULL, storage);
   index.Build(g);
   std::string bytes = SnapshotBytes(index);
   const size_t blocks = SectionOffset(bytes, kLinVertexBlocksSection);
@@ -380,7 +380,7 @@ TEST(SnapshotTest, CompressedLinSectionsFollowDocumentedLayout) {
   TwoHopStorageOptions storage;
   storage.compress = true;
   storage.block_entries = 16;
-  PrunedTwoHop index(VertexOrder::kDegree, 0x70'6c'6cULL, 0, storage);
+  PrunedTwoHop index(VertexOrder::kDegree, 0x70'6c'6cULL, storage);
   index.Build(g);
   const std::string bytes = SnapshotBytes(index);
   const size_t n = g.NumVertices();
@@ -439,7 +439,7 @@ TEST(SnapshotTest, LcrRoundTripFoldsInInserts) {
     TwoHopStorageOptions storage;
     storage.compress = compress;
     storage.block_entries = 8;
-    PrunedLabeledTwoHop index(0, storage);
+    PrunedLabeledTwoHop index(storage);
     index.Build(g);
     ASSERT_TRUE(index.ApplyUpdate({LabeledEdgeUpdate::Insert(3, 41, 1),
                                    LabeledEdgeUpdate::Insert(40, 7, 2),
