@@ -5,7 +5,9 @@
 // with 1, 2, 4, and 8 threads on a larger DAG. Rows at threads>1 carry a
 // `speedup_vs_1t` counter against the serial row of the same family (rows
 // run in registration order, so the threads=1 baseline is always measured
-// first). PLL's build is serial (docs/PARALLELISM.md) and has no row.
+// first). The threads=1 row first runs one untimed build, so the cold heap
+// is not charged to the baseline the speedups divide by. PLL's build is
+// serial (docs/PARALLELISM.md) and has no row.
 //
 // A second series drives the same workload through the parallel
 // `BatchQuery` API on the PLL index.
@@ -46,6 +48,7 @@ void RegisterBuildSweep(const Digraph* graph, const std::string& family,
         ("parallel/" + family + "/threads=" + std::to_string(threads))
             .c_str(),
         [graph, family, make, threads](::benchmark::State& state) {
+          if (threads == 1) make(threads)->Build(*graph);  // warm-up
           IndexStats stats;
           for (auto _ : state) {
             auto index = make(threads);

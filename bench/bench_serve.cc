@@ -85,8 +85,6 @@ void BM_ServeQueryLatencyUnderWrites(benchmark::State& state) {
     });
   }
 
-  // Small enough that the run revisits each pair several times — repeated
-  // queries are what the negative-result cache converts into O(1) hits.
   const std::vector<QueryPair> pool = MixedPairs(graph, mix, 1 << 12);
   MetricsRegistry& registry = MetricsRegistry::Global();
   const uint64_t fp_pos0 = registry.GetCounter("fastpath.hit.pos").Value();
@@ -115,10 +113,7 @@ void BM_ServeQueryLatencyUnderWrites(benchmark::State& state) {
   state.counters["p50_ns"] = p50;
   state.counters["p99_ns"] = p99;
   const ServeStats& stats = service.stats();
-  const double queries =
-      std::max<double>(1.0, static_cast<double>(stats.queries.load()));
   // Fast-path hit rate is hits / total verdicts from the registry deltas.
-  // Negcache hits come from the service stats, per top-level query.
   const double fp_hits = static_cast<double>(
       (registry.GetCounter("fastpath.hit.pos").Value() - fp_pos0) +
       (registry.GetCounter("fastpath.hit.neg").Value() - fp_neg0));
@@ -126,11 +121,8 @@ void BM_ServeQueryLatencyUnderWrites(benchmark::State& state) {
       fp_hits + static_cast<double>(
                     registry.GetCounter("fastpath.undecided").Value() -
                     fp_und0);
-  const double negcache_rate =
-      static_cast<double>(stats.negcache_hits.load()) / queries;
   state.counters["fastpath_hit_rate"] =
       fp_hits / std::max(1.0, fp_total);
-  state.counters["negcache_hit_rate"] = negcache_rate;
   // Mirror the headline numbers into the registry so the run's
   // "reach.metrics.v1" report carries the per-mix comparison.
   const std::string prefix = std::string("bench.serve.") + MixName(mix) +
@@ -139,7 +131,6 @@ void BM_ServeQueryLatencyUnderWrites(benchmark::State& state) {
   registry.GetGauge(prefix + ".p99_ns").Set(p99);
   registry.GetGauge(prefix + ".fastpath_hit_rate")
       .Set(fp_hits / std::max(1.0, fp_total));
-  registry.GetGauge(prefix + ".negcache_hit_rate").Set(negcache_rate);
   state.counters["snapshots"] = static_cast<double>(stats.rebuilds.load());
   state.counters["delta_answers"] =
       static_cast<double>(stats.delta_answers.load());
@@ -170,7 +161,7 @@ BENCHMARK(BM_ServeQueryLatencyUnderWrites)
     ->Args({0, kReachableBiased, 1})
     ->Args({0, kUniform, 1})
     // ...and the unreachable-biased mix under write pressure, where every
-    // insert invalidates the negcache but order filters keep deciding.
+    // insert publishes a new index copy and order filters keep deciding.
     ->Args({1, kUnreachableBiased, 0})
     ->Args({1, kUnreachableBiased, 1})
     ->Iterations(20000)

@@ -297,8 +297,6 @@ const char* SourceName(reach::AnswerSource source) {
       return "delta";
     case reach::AnswerSource::kFallbackBfs:
       return "bfs";
-    case reach::AnswerSource::kNegCache:
-      return "negcache";
     case reach::AnswerSource::kShedded:
       return "shed";
   }
@@ -569,23 +567,18 @@ int RunServe(const reach::Digraph& graph, const std::string& spec,
   const ServeStats& stats = service.stats();
   std::fprintf(
       stderr,
-      "served %llu queries (%llu index, %llu delta, %llu bfs, "
-      "%llu negcache), %llu inserts, %llu deletes, %llu snapshots\n"
-      "  %llu slow captured (%llu evicted), "
-      "negcache %llu miss / %llu evict / %llu invalidate\n",
+      "served %llu queries (%llu index, %llu delta, %llu bfs), "
+      "%llu inserts, %llu deletes, %llu snapshots\n"
+      "  %llu slow captured (%llu evicted)\n",
       static_cast<unsigned long long>(stats.queries.load()),
       static_cast<unsigned long long>(stats.index_answers.load()),
       static_cast<unsigned long long>(stats.delta_answers.load()),
       static_cast<unsigned long long>(stats.fallback_answers.load()),
-      static_cast<unsigned long long>(stats.negcache_hits.load()),
       static_cast<unsigned long long>(stats.inserts.load()),
       static_cast<unsigned long long>(stats.deletes.load()),
       static_cast<unsigned long long>(stats.rebuilds.load()),
       static_cast<unsigned long long>(stats.slow_captured.load()),
-      static_cast<unsigned long long>(stats.slow_dropped.load()),
-      static_cast<unsigned long long>(stats.negcache_misses.load()),
-      static_cast<unsigned long long>(stats.negcache_evictions.load()),
-      static_cast<unsigned long long>(stats.negcache_invalidations.load()));
+      static_cast<unsigned long long>(stats.slow_dropped.load()));
   DumpSlowQueries(service);
   if (metrics) {
     MetricsExporter exporter;

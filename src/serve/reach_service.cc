@@ -65,10 +65,11 @@ uint64_t ElapsedNs(Clock::time_point begin, Clock::time_point end) {
           .count());
 }
 
-// Trace-span name id of each serve stage (interned once per process).
+// Trace-span name id of each serve stage (interned once per process;
+// `kNegCacheProbe` is never recorded).
 uint32_t StageTraceId(ServeStage stage) {
   static const uint32_t ids[kNumServeStages] = {
-      TraceRecorder::Global().Intern("serve.negcache_probe"),
+      0,
       TraceRecorder::Global().Intern("serve.slot_acquire"),
       TraceRecorder::Global().Intern("serve.index_probe"),
       TraceRecorder::Global().Intern("serve.delta_closure"),
@@ -261,10 +262,6 @@ class ReachService::SlotLease {
 ReachService::ReachService(Digraph base, ServiceOptions options)
     : options_(std::move(options)),
       num_vertices_(base.NumVertices()),
-      negcache_(options_.negcache_capacity > 0
-                    ? std::make_unique<NegativeResultCache>(
-                          options_.negcache_shards, options_.negcache_capacity)
-                    : nullptr),
       readers_(std::make_shared<ReaderRecords>()) {
   auto snap = std::make_shared<ServeSnapshot>();
   snap->version = 0;
@@ -281,10 +278,6 @@ ReachService::ReachService(Digraph base, ServiceOptions options)
   health_pending_fill_gauge_ = &reg.GetGauge("serve.health.pending_fill");
   health_inflight_fill_gauge_ = &reg.GetGauge("serve.health.inflight_fill");
   latency_hist_ = &reg.GetHistogram("serve.query_ns");
-  reg.GetGauge("serve.negcache.bytes")
-      .Set(negcache_ != nullptr
-               ? static_cast<double>(negcache_->MemoryBytes())
-               : 0.0);
   // Last, so a throwing constructor leaves no attached cell behind.
   stats_.ForEachCounter([&](const char* name, const std::atomic<uint64_t>& c) {
     reg.GetCounter(name).Attach(&c);
@@ -504,15 +497,6 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
   stats_.update_batches.fetch_add(1, std::memory_order_relaxed);
   stats_.rebuilds.fetch_add(1, std::memory_order_relaxed);
   pending_gauge_->Set(static_cast<double>(pending_count));
-  if (negcache_ != nullptr && num_inserts > 0) {
-    // After the view publish: a query sampling the new epoch is
-    // guaranteed to pin a view containing this batch, so every negative
-    // it verifies (and caches) accounts for it. Delete-only batches skip
-    // the bump — deletions only shrink reachability, so a cached verified
-    // negative can never turn stale positive.
-    negcache_->Invalidate();
-    stats_.negcache_invalidations.fetch_add(1, std::memory_order_relaxed);
-  }
   if (schedule) {
     std::lock_guard<std::mutex> lock(rebuild_mu_);
     ScheduleLocked();
@@ -539,16 +523,6 @@ void ReachService::Flush() {
     ScheduleLocked();
     return false;
   });
-  lock.unlock();
-  // The writes so far have settled: mark the copy that carries them (see
-  // the negative-result cache in Query).
-  std::lock_guard<std::mutex> wl(write_mu_);
-  const auto cur = view_.Load();
-  if (cur->snapshot->carries_updates && !cur->settled) {
-    auto next = std::make_shared<ServeView>(*cur);
-    next->settled = true;
-    view_.Store(std::move(next));
-  }
 }
 
 void ReachService::ScheduleLocked() {
@@ -753,13 +727,6 @@ void ReachService::RebuildLoop() {
     }
     REACH_TRACE_INSTANT("serve.snapshot_swap");
     version_gauge_->Set(static_cast<double>(published_version));
-    if (negcache_ != nullptr) {
-      // The swap adds no reachability (the new index answers for the
-      // same live graph), so this bump is defense in depth: tying cache
-      // lifetime to the generation keeps the invariant local.
-      negcache_->Invalidate();
-      stats_.negcache_invalidations.fetch_add(1, std::memory_order_relaxed);
-    }
     pending_gauge_->Set(0.0);
     health_ready_gauge_->Set(1.0);
     stats_.rebuilds.fetch_add(1, std::memory_order_relaxed);
@@ -836,26 +803,16 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
   const AdmissionTier tier =
       gated ? AdmitTier(readers_->InFlight()) : AdmissionTier::kFull;
 
-  // Sample the negcache epoch BEFORE pinning: the pinned view's index
-  // then carries every edge counted in the sampled epoch, so a negative
-  // verified against it may be cached at that epoch. (An insert racing
-  // between the sample and the pin only makes the verified edge set
-  // larger — a negative on a superset is valid for the subset.) A
-  // publish bumps the view generation before it bumps the epoch, so a
-  // cached view is never older than the sampled epoch.
-  const uint64_t negcache_epoch =
-      negcache_ != nullptr ? negcache_->Epoch() : 0;
   const ServeView* pinned;
   {
     REACH_TRACE_SPAN("serve.snapshot_pin");
     pinned = &CachedView(view_, &reader);
   }
-  const ServeView& view = *pinned;
-  const ServeSnapshot& snap = *view.snapshot;
+  const ServeSnapshot& snap = *pinned->snapshot;
 
   if (tier == AdmissionTier::kShed) {
     // Over capacity: answer nothing rather than queue into collapse. The
-    // shed reply is O(1), explicitly inexact, and never cached.
+    // shed reply is O(1) and explicitly inexact.
     stats_.shed.fetch_add(1, std::memory_order_relaxed);
     ServeAnswer ans;
     ans.reachable = false;
@@ -864,26 +821,10 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
     ans.snapshot_version = snap.version;
     return ans;
   }
-  if (tier == AdmissionTier::kCacheOnly) {
+  if (tier == AdmissionTier::kIndexOnly) {
     stats_.admission_cache_only.fetch_add(1, std::memory_order_relaxed);
   } else if (tier == AdmissionTier::kBfsOnly) {
     stats_.admission_bfs_only.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  const bool cacheable = negcache_ != nullptr && s < num_vertices_ &&
-                         t < num_vertices_ && s != t;
-  if (cacheable) {
-    StageScope stage(recp, ServeStage::kNegCacheProbe);
-    if (negcache_->Lookup(s, t, negcache_epoch)) {
-      stats_.negcache_hits.fetch_add(1, std::memory_order_relaxed);
-      ServeAnswer ans;
-      ans.reachable = false;
-      ans.exact = true;
-      ans.source = AnswerSource::kNegCache;
-      ans.snapshot_version = snap.version;
-      if (sampled) latency_hist_->Record(ElapsedNs(start, Clock::now()));
-      return ans;
-    }
   }
 
   ServeAnswer ans;
@@ -909,22 +850,6 @@ ServeAnswer ReachService::Query(VertexId s, VertexId t) const {
     // An endpoint outside the vertex range reaches nothing; the
     // snapshot's vertex count decides that alone.
     stats_.index_answers.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (cacheable) {
-    stats_.negcache_misses.fetch_add(1, std::memory_order_relaxed);
-    // Verified unreachable against the pinned view, which covers
-    // everything counted in the sampled epoch. Not on a copy carrying
-    // updates no Flush has settled: the writes are still coming, the next
-    // insert or swap would invalidate the entry, and writing it clears a
-    // whole stripe once per epoch.
-    if (!ans.reachable && ans.exact &&
-        (!snap.carries_updates || view.settled)) {
-      StageScope stage(recp, ServeStage::kNegCacheProbe);
-      const auto outcome = negcache_->Insert(s, t, negcache_epoch);
-      if (outcome == NegativeResultCache::InsertOutcome::kEvicted) {
-        stats_.negcache_evictions.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
   }
   if (!ans.exact) {
     stats_.inexact_answers.fetch_add(1, std::memory_order_relaxed);
@@ -1036,7 +961,7 @@ ReachService::AdmissionTier ReachService::AdmitTier(
   const size_t c = inflight_now;
   if (c > m) return AdmissionTier::kShed;
   if (c * 4 > m * 3) return AdmissionTier::kBfsOnly;   // >75% full
-  if (c * 2 > m) return AdmissionTier::kCacheOnly;     // >50% full
+  if (c * 2 > m) return AdmissionTier::kIndexOnly;     // >50% full
   return AdmissionTier::kFull;
 }
 

@@ -17,7 +17,6 @@
 #include "graph/digraph.h"
 #include "graph/rng.h"
 #include "graph/types.h"
-#include "serve/neg_cache.h"
 #include "serve/serve_snapshot.h"
 
 namespace reach {
@@ -77,26 +76,14 @@ struct ServiceOptions {
   /// (and counted in `ServeStats::slow_dropped`). 0 disables capture and
   /// the per-stage stopwatches entirely.
   size_t slow_log_capacity = 64;
-  /// Total entry bound of the negative-result cache (serve/neg_cache.h)
-  /// consulted ahead of the index probe; repeated verified-unreachable
-  /// pairs short-circuit in O(1). Epoch-invalidated on every
-  /// insert-carrying `ApplyUpdate` and on every snapshot swap, so a
-  /// stale negative is never served; delete-only batches keep the cache
-  /// warm (deletions only shrink reachability, so a verified negative
-  /// stays negative). A negative verified on a copy carrying updates that
-  /// no `Flush` has settled since is not cached: the next insert or swap
-  /// would invalidate it, and each write after an invalidation clears a
-  /// whole stripe. 0 disables the cache.
+  /// Unused; kept until ROADMAP item 5.
   size_t negcache_capacity = 1 << 14;
-  /// Lock stripes of the negative-result cache (rounded to a power of
-  /// two). More stripes = less writer contention.
-  size_t negcache_shards = 16;
 
   /// --- Overload / fault hardening (docs/ROBUSTNESS.md) ---------------
 
   /// Admission control: maximum concurrently admitted queries. As the
   /// in-flight count approaches the cap, queries land on tiers — ≤50%
-  /// full, ≤75% cache-only, ≤100% bfs-only — which differ only before the
+  /// full, ≤75% index-only, ≤100% bfs-only — which differ only before the
   /// first index is published, when a bfs-only query searches the base
   /// graph under the smaller `kDegradedVisitBudget`. Above the cap the
   /// query is shed (`AnswerSource::kShedded`, `exact == false`, O(1)).
@@ -134,7 +121,6 @@ enum class AnswerSource : uint8_t {
   kIndex,        // an index as its last full build left it
   kDelta,        // a copy carrying updates since its last full build
   kFallbackBfs,  // bounded search of the base graph: no index yet
-  kNegCache,     // negative-result cache hit (verified this epoch)
   kShedded,      // admission gate full: not answered (always inexact)
 };
 
@@ -154,7 +140,7 @@ struct ServeAnswer {
 /// `SlowQueryRecord::stage_ns`. The fallback search runs only while no
 /// index is published.
 enum class ServeStage : uint8_t {
-  kNegCacheProbe = 0,  // negative-result cache lookup
+  kNegCacheProbe = 0,  // unused; kept until ROADMAP item 5
   kSlotAcquire = 1,    // admission: leasing a concurrent-query slot
   kIndexProbe = 2,     // the pinned snapshot's index lookup
   kDeltaClosure = 3,   // unused; kept until ROADMAP item 5
@@ -191,11 +177,11 @@ struct SlowQueryRecord {
 
 /// Always-on service counters, one relaxed atomic per event (independent
 /// of REACH_METRICS). They are the only store: the service attaches every
-/// field to its `MetricsRegistry::Global()` counter (the name
-/// `ForEachCounter` gives it), so a registry scrape reads these atomics
-/// and a destroyed service's counts stay in the registry's totals.
+/// field but `negcache_hits` to its `MetricsRegistry::Global()` counter
+/// (the name `ForEachCounter` gives it), so a registry scrape reads these
+/// atomics and a destroyed service's counts stay in the registry's totals.
 /// Every query lands in exactly one of `index_answers`, `delta_answers`,
-/// `fallback_answers`, `negcache_hits` and `shed`.
+/// `fallback_answers` and `shed`.
 struct ServeStats {
   std::atomic<uint64_t> queries{0};
   std::atomic<uint64_t> index_answers{0};
@@ -216,18 +202,15 @@ struct ServeStats {
   /// full build made (the rest are copies the writer updated).
   std::atomic<uint64_t> rebuilds{0};
   std::atomic<uint64_t> full_builds{0};
-  /// Negative-result cache outcomes (misses count every cache-enabled
-  /// query that had to fall through to the index pipeline).
+  /// Unused (always 0); kept until ROADMAP item 5.
   std::atomic<uint64_t> negcache_hits{0};
-  std::atomic<uint64_t> negcache_misses{0};
-  std::atomic<uint64_t> negcache_evictions{0};
-  std::atomic<uint64_t> negcache_invalidations{0};
   /// Queries captured into the slow-query log (including records evicted
   /// later) and records evicted because the log was full.
   std::atomic<uint64_t> slow_captured{0};
   std::atomic<uint64_t> slow_dropped{0};
   /// Admission-control outcomes: queries shed outright and queries
-  /// answered on a degraded tier (docs/ROBUSTNESS.md).
+  /// answered on a degraded tier (docs/ROBUSTNESS.md);
+  /// `admission_cache_only` counts the index-only tier.
   std::atomic<uint64_t> shed{0};
   std::atomic<uint64_t> admission_cache_only{0};
   std::atomic<uint64_t> admission_bfs_only{0};
@@ -241,8 +224,9 @@ struct ServeStats {
   std::atomic<uint64_t> rebuild_retries{0};
   std::atomic<uint64_t> watchdog_fired{0};
 
-  /// Calls `fn(registry_name, field)` for every field, in declaration
-  /// order — the single map from fields to their "serve.*" registry keys.
+  /// Calls `fn(registry_name, field)` for every field but `negcache_hits`,
+  /// in declaration order — the single map from fields to their "serve.*"
+  /// registry keys.
   template <typename Fn>
   void ForEachCounter(Fn&& fn) const {
     fn("serve.queries", queries);
@@ -258,10 +242,6 @@ struct ServeStats {
     fn("serve.update.delete_verifies", delete_verifies);
     fn("serve.rebuilds", rebuilds);
     fn("serve.rebuild.full_builds", full_builds);
-    fn("serve.negcache.hit", negcache_hits);
-    fn("serve.negcache.miss", negcache_misses);
-    fn("serve.negcache.evict", negcache_evictions);
-    fn("serve.negcache.invalidate", negcache_invalidations);
     fn("serve.slow.captured", slow_captured);
     fn("serve.slow.dropped", slow_dropped);
     fn("serve.shed", shed);
@@ -469,7 +449,7 @@ class ReachService {
   /// With an index published, every admitted tier answers from it.
   enum class AdmissionTier : uint8_t {
     kFull,       // whole pipeline
-    kCacheOnly,  // as kFull
+    kIndexOnly,  // as kFull
     kBfsOnly,    // before the first index: the smaller search budget
     kShed,       // not answered
   };
@@ -499,12 +479,6 @@ class ReachService {
 
   // The published snapshot + replay log; one load per query.
   AtomicSharedPtr<const ServeView> view_;
-  // Verified-unreachable pairs, consulted before the index probe; null
-  // when `negcache_capacity == 0`. Epoch-bumped after every
-  // insert-carrying publish and every snapshot swap — delete-only
-  // batches skip the bump because deletions only shrink reachability
-  // (see Query for the sampling order).
-  const std::unique_ptr<NegativeResultCache> negcache_;
   // One record per querying thread: its cached view and in-flight flag.
   const std::shared_ptr<ReaderRecords> readers_;
 

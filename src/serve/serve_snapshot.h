@@ -111,8 +111,6 @@ using PendingUpdates = std::vector<EdgeUpdate>;
 struct ServeView {
   std::shared_ptr<const ServeSnapshot> snapshot;
   PendingUpdates pending;
-  /// Whether a `Flush` returned since the index took its last batch.
-  bool settled = false;
 };
 
 // TSan cannot see through libstdc++'s _Sp_atomic lock-bit protocol (the

@@ -28,11 +28,15 @@ void TransitiveClosure::Build(const Digraph& graph) {
 
   const size_t threads = ResolveThreads(num_threads_);
   BuildPhaseTimer timer(&build_stats_.phases, "closure_sweep");
-  rows_.assign(num_components, DynamicBitset(num_components));
+  // Rows start empty: each is allocated and zeroed by the worker that
+  // computes it, so the first touch of the closure's memory is spread over
+  // the sweep's workers.
+  rows_.assign(num_components, DynamicBitset());
   // Tarjan assigns component ids in reverse topological order, so
   // iterating c = 0, 1, ... visits successors before predecessors;
   // each row is its own bit plus the union of its successors' rows.
-  auto compute_row = [this, &cond](VertexId c) {
+  auto compute_row = [this, &cond, num_components](VertexId c) {
+    rows_[c] = DynamicBitset(num_components);
     rows_[c].Set(c);
     for (VertexId succ : cond.dag.OutNeighbors(c)) {
       rows_[c].UnionWith(rows_[succ]);

@@ -18,7 +18,6 @@
 #include "graph/generators.h"
 #include "lcr/pruned_labeled_two_hop.h"
 #include "plain/pruned_two_hop.h"
-#include "serve/neg_cache.h"
 
 namespace reach {
 namespace {
@@ -406,10 +405,6 @@ TEST(MemoryBytesTest, PoolsAndNegCacheReportBytes) {
   CompressedPool<uint32_t> cpool;
   cpool.Seal(RandomRankLists(50, 1000, 53), 32);
   EXPECT_GT(cpool.MemoryBytes(), 0u);
-
-  NegativeResultCache cache(4, 1024);
-  EXPECT_GE(cache.MemoryBytes(),
-            cache.NumShards() * cache.EntriesPerShard() * sizeof(uint64_t));
 }
 
 }  // namespace

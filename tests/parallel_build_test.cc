@@ -134,6 +134,22 @@ TEST(ParallelBuildTest, TransitiveClosureParallelHandlesCycles) {
       /*stride=*/3);
 }
 
+// A rebuild replaces every row: the rows of the first, larger graph
+// leave no trace in the second's closure.
+TEST(ParallelBuildTest, TransitiveClosureRebuildMatchesSerial) {
+  TransitiveClosure parallel(/*num_threads=*/4);
+  parallel.Build(RandomDigraph(400, 1600, 17));
+  const Digraph g = RandomDag(250, 700, 0x7c1);
+  parallel.Build(g);
+  TransitiveClosure serial(/*num_threads=*/1);
+  serial.Build(g);
+  EXPECT_EQ(serial.IndexSizeBytes(), parallel.IndexSizeBytes());
+  EXPECT_EQ(serial.NumReachablePairs(), parallel.NumReachablePairs());
+  ExpectSameAnswers(
+      g, [&](VertexId s, VertexId t) { return serial.Query(s, t); },
+      [&](VertexId s, VertexId t) { return parallel.Query(s, t); });
+}
+
 TEST(ParallelBuildTest, FerrariMatchesSerialOnBigDag) {
   const Digraph& g = BigDag();
   Ferrari serial(/*k=*/4, /*num_threads=*/1);

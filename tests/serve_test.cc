@@ -191,10 +191,8 @@ TEST(ServeDifferentialTest, ConcurrentReadersAndWriterAcrossSwaps) {
   EXPECT_GE(st.rebuilds.load(), 4u);
   EXPECT_EQ(
       st.index_answers.load() + st.delta_answers.load() +
-          st.fallback_answers.load() + st.negcache_hits.load(),
+          st.fallback_answers.load(),
       st.queries.load());
-  // Every insert (and every swap) must have bumped the negcache epoch.
-  EXPECT_GE(st.negcache_invalidations.load(), st.inserts.load());
   service.Stop();
 
   // Registry parity for every counter, while the service is alive and
@@ -203,7 +201,7 @@ TEST(ServeDifferentialTest, ConcurrentReadersAndWriterAcrossSwaps) {
   st.ForEachCounter([&](const char* name, const std::atomic<uint64_t>& c) {
     fields.emplace_back(name, c.load());
   });
-  EXPECT_EQ(fields.size(), 28u);
+  EXPECT_EQ(fields.size(), 24u);
   const auto expect_parity = [&](const char* when) {
     const MetricsSnapshot now = MetricsRegistry::Global().Snapshot();
     for (const auto& [name, value] : fields) {
@@ -1072,9 +1070,7 @@ TEST(ServeDeltaTest, ChainedPendingEdgesAndExactNegatives) {
 
 TEST(ServeDeltaTest, PendingDeleteAnsweredExactlyAndSurvivesSwap) {
   const Digraph g = Chain(10);
-  ServiceOptions opts;
-  opts.negcache_capacity = 0;  // every query reaches the index
-  ReachService service(g, opts);
+  ReachService service(g);
   service.Start();
   service.Flush();
   ASSERT_TRUE(service.Query(0, 9).reachable);
@@ -1152,64 +1148,58 @@ TEST(ServeUpdateTest, MixedBatchIsAtomicAndValidateFirst) {
   EXPECT_EQ(grail->ApplyUpdate(bad).reason, bounced.reason);
 }
 
-TEST(ServeUpdateTest, DeleteOnlyBatchKeepsNegativeCacheWarm) {
-  // Deletions only shrink reachability, so a cached exact negative stays
-  // sound — delete-only batches must not bump the negcache epoch, while
-  // insert-carrying batches must.
-  const Digraph g = Chain(6);
-  ServiceOptions opts;
-  opts.negcache_capacity = 256;
-  ReachService service(g, opts);
+// An insert is in the published index from the moment `ApplyUpdate`
+// returns: a negative the index answered turns positive on the very next
+// query, with no Flush in between.
+TEST(ServeUpdateTest, NegativeTurnsPositiveOnTheQueryAfterAnInsert) {
+  const Digraph g = Chain(10);
+  ReachService service(g);
   service.Start();
   service.Flush();
 
-  ASSERT_FALSE(service.Query(5, 0).reachable);  // miss: now cached
-  const uint64_t invalidations_before =
-      service.stats().negcache_invalidations.load();
-  ASSERT_TRUE(service.DeleteEdge(2, 3));
-  EXPECT_EQ(service.stats().negcache_invalidations.load(),
-            invalidations_before);
-  const ServeAnswer warm = service.Query(5, 0);
-  EXPECT_FALSE(warm.reachable);
-  EXPECT_EQ(warm.source, AnswerSource::kNegCache);
-
-  // An insert-carrying batch invalidates, and the repeat query misses.
-  ASSERT_TRUE(service.InsertEdge(0, 2));
-  EXPECT_GT(service.stats().negcache_invalidations.load(),
-            invalidations_before);
-  const ServeAnswer cold = service.Query(5, 0);
-  EXPECT_FALSE(cold.reachable);
-  EXPECT_NE(cold.source, AnswerSource::kNegCache);
+  for (int i = 0; i < 2; ++i) {
+    const ServeAnswer before = service.Query(3, 0);
+    EXPECT_FALSE(before.reachable);
+    EXPECT_TRUE(before.exact);
+    EXPECT_EQ(before.source, AnswerSource::kIndex);
+  }
+  // 9 -> 4 closes a cycle that 0 is not on: still an exact negative.
+  ASSERT_TRUE(service.InsertEdge(9, 4));
+  const ServeAnswer unchanged = service.Query(3, 0);
+  EXPECT_FALSE(unchanged.reachable);
+  EXPECT_TRUE(unchanged.exact);
+  EXPECT_EQ(unchanged.source, AnswerSource::kDelta);
+  // 9 -> 0 makes 3 -> ... -> 9 -> 0 a path.
+  ASSERT_TRUE(service.InsertEdge(9, 0));
+  const ServeAnswer after = service.Query(3, 0);
+  EXPECT_TRUE(after.reachable);
+  EXPECT_TRUE(after.exact);
+  EXPECT_EQ(after.source, AnswerSource::kDelta);
+  EXPECT_EQ(service.stats().negcache_hits.load(), 0u);
   service.Stop();
 }
 
-// A negative verified on a copy that carries an insert no Flush has
-// settled is not cached: the writes are still coming, and the next insert
-// would invalidate it. Once a Flush returns, the same negative is cached.
-TEST(ServeUpdateTest, NegativeVerifiedWithAnInsertPendingIsNotCached) {
-  const Digraph g = Chain(10);
-  ServiceOptions opts;
-  opts.negcache_capacity = 256;
-  ReachService service(g, opts);
+// `Flush` waits for an owed build and publishes nothing itself: after a
+// write into a copy that asked for no build, it leaves the published
+// generation as it was.
+TEST(ServeLifecycleTest, FlushPublishesNothingWhenNoBuildIsOwed) {
+  const Digraph g = Chain(64);
+  ReachService service(g);
   service.Start();
   service.Flush();
 
-  // 9 -> 4 is unsettled; 3 still cannot reach 0 through it. The exact
-  // negative is not cached, so its repeat asks the copy again.
-  ASSERT_TRUE(service.InsertEdge(9, 4));
-  const ServeAnswer first = service.Query(3, 0);
-  EXPECT_FALSE(first.reachable);
-  EXPECT_TRUE(first.exact);
-  const ServeAnswer repeat = service.Query(3, 0);
-  EXPECT_FALSE(repeat.reachable);
-  EXPECT_TRUE(repeat.exact);
-  EXPECT_EQ(repeat.source, AnswerSource::kDelta);
-  EXPECT_EQ(service.stats().negcache_hits.load(), 0u);
-
-  // Settled, the same negative is cached again.
+  ASSERT_TRUE(service.InsertEdge(2, 40));
+  const uint64_t version = service.SnapshotVersion();
+  const uint64_t rebuilds = service.stats().rebuilds.load();
+  ASSERT_EQ(service.Health().rebuild, RebuildState::kIdle);
   service.Flush();
-  ASSERT_FALSE(service.Query(3, 0).reachable);
-  EXPECT_EQ(service.Query(3, 0).source, AnswerSource::kNegCache);
+  EXPECT_EQ(service.SnapshotVersion(), version);
+  EXPECT_EQ(service.stats().rebuilds.load(), rebuilds);
+  EXPECT_EQ(service.stats().full_builds.load(), 1u);
+  const ServeAnswer ans = service.Query(2, 63);
+  EXPECT_TRUE(ans.reachable);
+  EXPECT_EQ(ans.source, AnswerSource::kDelta);
+  EXPECT_EQ(ans.snapshot_version, version);
   service.Stop();
 }
 
@@ -1242,8 +1232,7 @@ TEST(ServeLifecycleTest, OutOfRangeEndpointsAreRejected) {
   const ServeStats& st = service.stats();
   EXPECT_EQ(st.queries.load(), 2u);
   EXPECT_EQ(st.index_answers.load() + st.delta_answers.load() +
-                st.fallback_answers.load() + st.negcache_hits.load() +
-                st.shed.load(),
+                st.fallback_answers.load() + st.shed.load(),
             st.queries.load());
   service.Stop();
 }
@@ -1365,7 +1354,6 @@ TEST(ServeReaderTest, CachedViewSeesInsertOnceApplyReturnsAndSwapAfterFlush) {
     const Digraph g = Chain(10);
     ServiceOptions opts;
     opts.spec = spec;
-    opts.negcache_capacity = 0;  // the pinned view's index answers
     ReachService service(g, opts);
     service.Start();
     service.Flush();
@@ -1524,69 +1512,23 @@ TEST(ServeAdmissionTest, EightReadersAgainstAGateOfFourStaySound) {
   const ServeStats& st = service.stats();
   EXPECT_EQ(st.queries.load(), kReaders * kQueriesPerReader);
   EXPECT_EQ(st.index_answers.load() + st.delta_answers.load() +
-                st.fallback_answers.load() + st.negcache_hits.load() +
-                st.shed.load(),
+                st.fallback_answers.load() + st.shed.load(),
             st.queries.load());
   service.Stop();
 }
 
-// ---------------------------------------------------------------------
-// Negative-result cache (serve/neg_cache.h).
-
-TEST(NegCacheTest, StoresLooksUpAndInvalidatesByEpoch) {
-  NegativeResultCache cache(4, 256);
-  EXPECT_EQ(cache.Epoch(), 0u);
-  EXPECT_FALSE(cache.Lookup(1, 2, 0));
-  EXPECT_EQ(cache.Insert(1, 2, 0), NegativeResultCache::InsertOutcome::kStored);
-  EXPECT_EQ(cache.Insert(1, 2, 0),
-            NegativeResultCache::InsertOutcome::kPresent);
-  EXPECT_TRUE(cache.Lookup(1, 2, 0));
-  EXPECT_FALSE(cache.Lookup(2, 1, 0));  // direction matters
-
-  cache.Invalidate();
-  EXPECT_EQ(cache.Epoch(), 1u);
-  // The old entry must not satisfy a reader at the new epoch...
-  EXPECT_FALSE(cache.Lookup(1, 2, 1));
-  // ...and a verification from before the invalidation must not land.
-  EXPECT_EQ(cache.Insert(3, 4, 0), NegativeResultCache::InsertOutcome::kStale);
-  EXPECT_FALSE(cache.Lookup(3, 4, 0));
-  EXPECT_FALSE(cache.Lookup(3, 4, 1));
-  // A fresh verification at the new epoch works (and lazily clears).
-  EXPECT_EQ(cache.Insert(1, 2, 1), NegativeResultCache::InsertOutcome::kStored);
-  EXPECT_TRUE(cache.Lookup(1, 2, 1));
-  // An entry verified at a *newer* epoch stays valid for older readers:
-  // the edge set only grows, so unreachable-later implies
-  // unreachable-earlier.
-  EXPECT_TRUE(cache.Lookup(1, 2, 0));
-}
-
-TEST(NegCacheTest, BoundedEvictionInsteadOfGrowth) {
-  NegativeResultCache cache(1, 8);  // one shard, eight slots
-  size_t evictions = 0;
-  for (VertexId t = 0; t < 4096; ++t) {
-    evictions +=
-        cache.Insert(7, t, 0) == NegativeResultCache::InsertOutcome::kEvicted;
-  }
-  EXPECT_GT(evictions, 0u);  // far more pairs than slots: must evict
-  // The cache stayed bounded and the surviving entries remain queryable.
-  size_t survivors = 0;
-  for (VertexId t = 0; t < 4096; ++t) survivors += cache.Lookup(7, t, 0);
-  EXPECT_GT(survivors, 0u);
-  EXPECT_LE(survivors, cache.NumShards() * cache.EntriesPerShard());
-}
-
-// Negative-result-cache differential under concurrency: an
-// unreachable-biased repeated-query mix across live inserts and
-// background snapshot swaps. Every exact negative — cached or not — is
-// checked against the insertion-log watermark oracle, so a stale cached
-// negative surfaces as `wrong_negative`. The binary runs under TSan in
-// CI, which additionally vets the lock-free reader protocol.
-TEST(NegCacheTest, InvalidationAcrossSwapsNeverServesStaleAnswers) {
+// Differential under concurrency: an unreachable-biased repeated-query
+// mix across live inserts and background snapshot swaps. Every exact
+// negative is checked against the insertion-log watermark of the inserts
+// whose `ApplyUpdate` had returned before the query began, so a reader
+// that missed one surfaces as `wrong_negative`. The binary runs under
+// TSan in CI, which additionally vets the lock-free reader protocol.
+TEST(ServeReaderTest, ConcurrentReadersSeeEveryInsertOnceApplyReturns) {
   constexpr size_t kReaders = 4;
   constexpr size_t kInserts = 60;
   constexpr size_t kQueriesPerReader = 800;
   constexpr VertexId kN = 48;
-  // Sparse: most pairs are unreachable, the regime the cache serves.
+  // Sparse: most pairs are unreachable.
   const Digraph base = RandomDigraph(kN, 60, 0xBEEF);
 
   ServiceOptions opts;
@@ -1620,8 +1562,7 @@ TEST(NegCacheTest, InvalidationAcrossSwapsNeverServesStaleAnswers) {
     readers.emplace_back([&, r] {
       Xoshiro256ss rng(0x2000 + r);
       for (size_t q = 0; q < kQueriesPerReader; ++q) {
-        // Small pair space: repeats (and therefore cache hits) are common
-        // within each invalidation epoch.
+        // Small pair space: the same pair is asked again across inserts.
         const auto s = static_cast<VertexId>(rng.NextBounded(kN));
         const auto t = static_cast<VertexId>(rng.NextBounded(kN));
         const size_t w_before = inserted.load(std::memory_order_acquire);
@@ -1641,39 +1582,32 @@ TEST(NegCacheTest, InvalidationAcrossSwapsNeverServesStaleAnswers) {
 
   EXPECT_EQ(wrong_positive.load(), 0u);
   EXPECT_EQ(wrong_negative.load(), 0u);
-  EXPECT_GE(service.stats().negcache_invalidations.load(), kInserts);
+  const ServeStats& st = service.stats();
+  EXPECT_EQ(st.queries.load(), kReaders * kQueriesPerReader);
+  EXPECT_EQ(st.index_answers.load() + st.delta_answers.load() +
+                st.fallback_answers.load() + st.shed.load(),
+            st.queries.load());
 
-  // Deterministic hit check once the edge set is quiescent: a verified
-  // negative must short-circuit its repeat from the cache.
-  std::optional<std::pair<VertexId, VertexId>> unreachable_pair;
-  for (VertexId s = 0; s < kN && !unreachable_pair; ++s) {
-    for (VertexId t = 0; t < kN && !unreachable_pair; ++t) {
-      if (s != t && !OracleReachable(base, log, kInserts, s, t)) {
-        unreachable_pair = {s, t};
+  // Once the edge set is quiescent, every pair answers exactly as the
+  // oracle over the whole log does, asked twice.
+  for (VertexId s = 0; s < kN; ++s) {
+    for (VertexId t = 0; t < kN; ++t) {
+      const bool expected = OracleReachable(base, log, kInserts, s, t);
+      for (int i = 0; i < 2; ++i) {
+        const ServeAnswer ans = service.Query(s, t);
+        ASSERT_EQ(ans.reachable, expected) << s << " -> " << t;
+        ASSERT_TRUE(ans.exact) << s << " -> " << t;
       }
     }
   }
-  ASSERT_TRUE(unreachable_pair.has_value());  // sparse graph: must exist
-  const auto [us, ut] = *unreachable_pair;
-  const ServeAnswer first = service.Query(us, ut);
-  EXPECT_FALSE(first.reachable);
-  EXPECT_TRUE(first.exact);
-  const ServeAnswer repeat = service.Query(us, ut);
-  EXPECT_FALSE(repeat.reachable);
-  EXPECT_TRUE(repeat.exact);
-  EXPECT_EQ(repeat.source, AnswerSource::kNegCache);
-  EXPECT_GT(service.stats().negcache_hits.load(), 0u);
   service.Stop();
 
   if (kMetricsCompiled) {
     MetricsExporter exporter;
     exporter.SetRegistrySnapshot(MetricsRegistry::Global().Snapshot());
     const std::string json = exporter.ToJson();
-    for (const char* key :
-         {"serve.negcache.hit", "serve.negcache.miss", "serve.negcache.evict",
-          "serve.negcache.invalidate"}) {
-      EXPECT_NE(json.find(key), std::string::npos) << key;
-    }
+    EXPECT_NE(json.find("serve.delta_answers"), std::string::npos);
+    EXPECT_EQ(json.find("serve.negcache"), std::string::npos);
   }
 }
 

@@ -240,9 +240,6 @@ TEST(SlowQueryLogTest, RecordsNameTheAnswerPathAndWhatWasPending) {
     ServiceOptions options;
     if (started) options.spec = spec;
     options.slow_query_threshold = std::chrono::nanoseconds(1);
-    // One identical negative query repeats; the negative-result cache
-    // would answer the repeats before the path under test.
-    options.negcache_capacity = 0;
     ReachService service(ChainWithTail(), options);
     if (started) {
       service.Start();
