@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/index_factory.h"
 #include "graph/rng.h"
 #include "obs/metrics_registry.h"
 #include "plain/pruned_two_hop.h"
@@ -529,6 +530,85 @@ void BM_ServeOverloadMix(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+// The writer's side of one served write (a write goes into a copy of the
+// published index, which replaces it): `Clone` of the last copy, one
+// update applied to the new copy, and the copy it replaces destroyed. The
+// built index first takes 256 random inserts and deletes, so every copy
+// carries inserted arcs, tombstones, delta labels and damage across the
+// vertex range; the timed updates then delete and restore 64 base arcs in
+// turn, so what they touch does not grow with n. The counters split the
+// mean of the three phases. Args: {spec (0 pll / 1 dagger), n}.
+void BM_IndexCopyWrite(benchmark::State& state) {
+  const char* spec = state.range(0) == 0 ? "pll" : "dagger";
+  const auto n = static_cast<VertexId>(state.range(1));
+  const Digraph graph = ScaleFreeDag(n, 3, kSeed);
+  MadeIndex made = MakeIndex(spec);
+  auto* built = dynamic_cast<DynamicReachabilityIndex*>(made.plain.get());
+  if (built == nullptr) {
+    state.SkipWithError("spec has no dynamic index");
+    return;
+  }
+  built->Build(graph);
+  const std::vector<Edge> edges = graph.Edges();
+  Xoshiro256ss rng(kSeed + 300);
+  for (int i = 0; i < 256; ++i) {
+    if (rng.NextBounded(2) == 0) {
+      const Edge e = edges[rng.NextBounded(edges.size())];
+      built->ApplyUpdate({EdgeUpdate::Delete(e.source, e.target)});
+    } else {
+      built->ApplyUpdate(
+          {EdgeUpdate::Insert(static_cast<VertexId>(rng.NextBounded(n)),
+                              static_cast<VertexId>(rng.NextBounded(n)))});
+    }
+  }
+  std::vector<Edge> toggled;
+  for (int i = 0; i < 64; ++i) {
+    toggled.push_back(edges[rng.NextBounded(edges.size())]);
+  }
+  // Only copies from here on, as on the serve path once the built index
+  // has been replaced.
+  std::unique_ptr<DynamicReachabilityIndex> last = built->Clone();
+  made.plain.reset();
+
+  using Clock = std::chrono::steady_clock;
+  Clock::duration clone{}, apply{}, free{};
+  size_t step = 0;
+  for (auto _ : state) {
+    const Edge e = toggled[(step / 2) % toggled.size()];
+    const EdgeUpdate update = step % 2 == 0
+                                  ? EdgeUpdate::Delete(e.source, e.target)
+                                  : EdgeUpdate::Insert(e.source, e.target);
+    ++step;
+    const Clock::time_point t0 = Clock::now();
+    std::unique_ptr<DynamicReachabilityIndex> copy = last->Clone();
+    const Clock::time_point t1 = Clock::now();
+    benchmark::DoNotOptimize(copy->ApplyUpdate({update}));
+    const Clock::time_point t2 = Clock::now();
+    last = std::move(copy);
+    const Clock::time_point t3 = Clock::now();
+    clone += t1 - t0;
+    apply += t2 - t1;
+    free += t3 - t2;
+  }
+  const auto mean_ns = [&](Clock::duration d) {
+    return std::chrono::duration<double, std::nano>(d).count() /
+           static_cast<double>(std::max<size_t>(1, step));
+  };
+  state.counters["clone_ns"] = mean_ns(clone);
+  state.counters["apply_ns"] = mean_ns(apply);
+  state.counters["free_ns"] = mean_ns(free);
+  MetricsRegistry::Global()
+      .GetGauge(std::string("bench.serve.copy_write.") + spec + ".n" +
+                std::to_string(n) + ".ns")
+      .Set(mean_ns(clone + apply + free));
+  state.SetItemsProcessed(state.iterations());
+}
+
+BENCHMARK(BM_IndexCopyWrite)
+    ->ArgsProduct({{0, 1}, {4096, 65536, 262144}})
+    ->Iterations(4000)
+    ->Unit(benchmark::kMicrosecond);
 
 // The single-reader unloaded reference first, then the 8-reader overload
 // pair: admission gate off vs capped at 4.

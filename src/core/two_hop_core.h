@@ -173,10 +173,11 @@ class TwoHopCore {
   /// A copy that answers every query as this core does and then takes
   /// updates of its own, leaving this core untouched. The sealed labeling
   /// is immutable, so the copy shares it. The arc and delta overlays are
-  /// `CowLists`, so the copy shares their chunks until its own updates
-  /// touch them; the damage marks and the lost sets are `CowBox`es, shared
-  /// until the copy's updates change them. The copy's overlay points into
-  /// the same base graph, which must outlive both. The write scratch and
+  /// `CowLists`, so the copy shares their chunk tables (one reference
+  /// count each) until its own updates touch them; the damage marks and
+  /// the lost sets are `CowBox`es, shared until the copy's updates change
+  /// them. The copy's overlay points into the same base graph, which must
+  /// outlive both. The write scratch and
   /// the per-slot verification scratch are shared too, for the copy's
   /// whole life, so its first update and first damaged query allocate
   /// nothing: write a copy and its source from one thread at a time, and
@@ -1211,9 +1212,11 @@ class TwoHopCore {
     if (s == t) return true;  // a self-loop never changes reachability
     // The arc's first delete since the build takes it out of G-; a
     // re-delete of a resurrected arc finds it out already. Before the
-    // skip below, which may pass over a first delete.
+    // skip below, which may pass over a first delete. G- is a subgraph of
+    // the live graph, so a G- detour is a live one: the delete is
+    // answer-preserving, as when the live search below finds a detour.
     if constexpr (Traits::kLostSets) {
-      if (!lost_->all && RecordCut(s, arc)) CutLostSets(s, t);
+      if (!lost_->all && RecordCut(s, arc) && CutLostSets(s, t)) return true;
     }
     // Marks that already cover the cut: the sweeps `MarkDamage` would run
     // mark nothing new. Each marked set is closed under superset
@@ -1304,12 +1307,13 @@ class TwoHopCore {
   // and t is in LT = Desc+(v) \ Desc-(u), both taken after the cut.
   // Nothing is lost when G- keeps a detour u ->* v. The G+ sweeps overrun
   // into `LostSets::all`; the G- sweeps may stop at the budget, since a
-  // subset of a subtrahend only widens LS and LT.
-  void CutLostSets(VertexId u, VertexId v) {
+  // subset of a subtrahend only widens LS and LT. True iff G- keeps a
+  // detour u ->* v.
+  bool CutLostSets(VertexId u, VertexId v) {
     SearchWorkspace& ws = *ws_;
     const size_t n = overlay_.NumVertices();
     ws.Prepare(n);
-    if (ReducedSweep(u, v, /*backward=*/false, ws)) return;  // a detour
+    if (ReducedSweep(u, v, /*backward=*/false, ws)) return true;
     LostSets& lost = lost_.Mutable();
     const uint32_t k = lost.cuts++ % kLostBits;
     LostBits bit{};
@@ -1319,7 +1323,7 @@ class TwoHopCore {
           if (!ws.IsForwardMarked(x)) AddLost(lost, x, /*source=*/false, bit);
         })) {
       lost.all = true;
-      return;
+      return false;
     }
     ws.Prepare(n);
     ReducedSweep(v, kInvalidVertex, /*backward=*/true, ws);
@@ -1328,6 +1332,7 @@ class TwoHopCore {
         })) {
       lost.all = true;
     }
+    return false;
   }
 
   // An insert (a, b) grows G+ and G- alike. A pair it connects in G+ and
@@ -1395,13 +1400,19 @@ class TwoHopCore {
         if (ws.MarkForward(w)) queue.push_back(w);
         return false;
       };
-      const bool found =
-          backward ? overlay_.SupersetIn()(x, [&](const Arc& in) {
-            return !IsCut(Arcs::Head(in), x) && visit(Arcs::Head(in));
-          })
-                   : overlay_.SupersetOut()(x, [&](const Arc& out) {
-                       return !IsCut(x, out) && visit(Arcs::Head(out));
-                     });
+      bool found;
+      if (backward) {
+        found = overlay_.SupersetIn()(x, [&](const Arc& in) {
+          return !IsCut(Arcs::Head(in), x) && visit(Arcs::Head(in));
+        });
+      } else {
+        // x's cut arcs, found once for all of its out-arcs.
+        const std::span<const Arc> cut = lost_->cut[x];
+        found = overlay_.SupersetOut()(x, [&](const Arc& out) {
+          return !std::binary_search(cut.begin(), cut.end(), out) &&
+                 visit(Arcs::Head(out));
+        });
+      }
       if (found) return true;
     }
     return false;

@@ -1,5 +1,7 @@
 #include "plain/dagger.h"
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "graph/condensation.h"
@@ -16,41 +18,49 @@ void Dagger::Build(const Digraph& graph) {
   overlay_.Reset(&graph);
   damage_ = 0;
   const size_t n = graph.NumVertices();
-  low_.assign(n * k_, 0);
-  high_.assign(n * k_, 0);
+  bounds_.Clear();
 
   // GRAIL-style labels on the condensation, shared by SCC members. On a
   // DAG, a vertex's own post rank IS the max over its reachable set.
   const Condensation cond = Condense(graph);
+  const size_t components = cond.dag.NumVertices();
+  std::vector<Interval> by_component(components * k_);
   SplitMix64 seeds(seed_);
   for (size_t i = 0; i < k_; ++i) {
     const IntervalForest forest = BuildIntervalForest(cond.dag, seeds.Next());
     const std::vector<uint32_t> low = ComputeReachableLow(cond.dag, forest);
-    for (VertexId v = 0; v < n; ++v) {
-      const VertexId c = cond.DagVertex(v);
-      low_[v * k_ + i] = low[c];
-      high_[v * k_ + i] = forest.post[c];
+    for (VertexId c = 0; c < components; ++c) {
+      by_component[c * k_ + i] = {low[c], forest.post[c]};
     }
+  }
+  for (VertexId v = 0; v < n; ++v) {
+    bounds_.Append(v, std::span(by_component).subspan(
+                          cond.DagVertex(v) * k_, k_));
   }
   build_stats_.size_bytes = IndexSizeBytes();
 }
 
-bool Dagger::MaybeReachable(VertexId s, VertexId t) const {
-  if (s == t) return true;
-  for (size_t i = 0; i < k_; ++i) {
-    if (low_[s * k_ + i] > low_[t * k_ + i] ||
-        high_[t * k_ + i] > high_[s * k_ + i]) {
-      return false;
-    }
+bool Dagger::Contains(std::span<const Interval> from,
+                      std::span<const Interval> to) {
+  for (size_t i = 0; i < from.size(); ++i) {
+    if (from[i].low > to[i].low || to[i].high > from[i].high) return false;
   }
   return true;
 }
 
+bool Dagger::MaybeReachable(VertexId s, VertexId t) const {
+  return s == t || Contains(bounds_[s], bounds_[t]);
+}
+
+auto Dagger::VerdictToward(VertexId t) const {
+  return [this, to = bounds_[t]](VertexId v) {
+    return Contains(bounds_[v], to) ? 0 : -1;
+  };
+}
+
 bool Dagger::QueryInSlot(VertexId s, VertexId t, size_t slot) const {
   SearchWorkspace& ws = Workspace(slot);
-  const auto verdict = [&](VertexId v) {
-    return MaybeReachable(v, t) ? 0 : -1;
-  };
+  const auto verdict = VerdictToward(t);
   return GuidedQuery(s, t, ws, overlay_.NumVertices(), verdict, [&] {
     return GuidedDfs(s, t, ws, overlay_.LiveOut(), verdict);
   });
@@ -81,12 +91,10 @@ bool Dagger::ApplyDelete(VertexId s, VertexId t) {
 }
 
 bool Dagger::LocallyRedundant(VertexId u, VertexId v) {
-  delete_ws_.Prepare(overlay_.NumVertices());
+  delete_ws_->Prepare(overlay_.NumVertices());
   // An overrun (0) counts as damage.
-  return GuidedDfs(
-             u, v, delete_ws_, overlay_.LiveOut(),
-             [&](VertexId w) { return MaybeReachable(w, v) ? 0 : -1; },
-             kLocalSearchBudget) > 0;
+  return GuidedDfs(u, v, *delete_ws_, overlay_.LiveOut(), VerdictToward(v),
+                   kLocalSearchBudget) > 0;
 }
 
 bool Dagger::RebuildFromUpdates() {
@@ -118,26 +126,26 @@ bool Dagger::ApplyInsert(VertexId s, VertexId t) {
   // upstream of the once-dead edge too tight — a filter false negative
   // the guided DFS turns into a wrong exact "no". Widening extra
   // vertices merely loosens the filter, which is always sound.
-  auto widen = [&](VertexId x, VertexId source) {
-    bool changed = false;
+  // A vertex's bounds are written (and their chunk cloned, when a copy
+  // shares it) only when they widen. `wider` is a copy of the bounds that
+  // widen them, which a write may clone away.
+  std::vector<Interval> wider(bounds_[t].begin(), bounds_[t].end());
+  auto widen = [&](VertexId x) {
+    if (Contains(bounds_[x], wider)) return false;
+    const std::span<Interval> to = bounds_.Mutable(x);
     for (size_t i = 0; i < k_; ++i) {
-      if (low_[source * k_ + i] < low_[x * k_ + i]) {
-        low_[x * k_ + i] = low_[source * k_ + i];
-        changed = true;
-      }
-      if (high_[source * k_ + i] > high_[x * k_ + i]) {
-        high_[x * k_ + i] = high_[source * k_ + i];
-        changed = true;
-      }
+      to[i] = {std::min(to[i].low, wider[i].low),
+               std::max(to[i].high, wider[i].high)};
     }
-    return changed;
+    return true;
   };
   std::vector<VertexId> queue;
-  if (widen(s, t)) queue.push_back(s);
+  if (widen(s)) queue.push_back(s);
   for (size_t head = 0; head < queue.size(); ++head) {
     const VertexId v = queue[head];
+    wider.assign(bounds_[v].begin(), bounds_[v].end());
     overlay_.SupersetIn()(v, [&](VertexId w) {
-      if (widen(w, v)) queue.push_back(w);
+      if (widen(w)) queue.push_back(w);
       return false;
     });
   }
@@ -145,7 +153,7 @@ bool Dagger::ApplyInsert(VertexId s, VertexId t) {
 }
 
 size_t Dagger::IndexSizeBytes() const {
-  return (low_.size() + high_.size()) * sizeof(uint32_t);
+  return bounds_.NumItems() * sizeof(Interval);
 }
 
 }  // namespace reach

@@ -3,8 +3,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "core/reachability_index.h"
 #include "core/search_workspace.h"
@@ -71,9 +71,11 @@ class Dagger : public PooledSearchIndex<Dagger, DynamicReachabilityIndex> {
   bool SupportsDeletions() const override { return true; }
   bool RebuildFromUpdates() override;
 
-  /// Copies the bounds and the damage count, and shares the overlay's
-  /// chunks until the copy's own updates touch them; the query and
-  /// delete-classifier scratch are fresh in the copy. The copy's overlay
+  /// Shares the bounds and the overlay's chunks until the copy's own
+  /// updates touch them, so a copy costs a few reference counts. The
+  /// delete-classifier scratch is shared too, so the copy's first delete
+  /// allocates nothing: write a copy and its source from one thread at a
+  /// time. The query scratch is fresh in the copy. The copy's overlay
   /// points into the graph of the last `Build`.
   std::unique_ptr<DynamicReachabilityIndex> Clone() const override {
     return std::make_unique<Dagger>(*this);
@@ -96,22 +98,37 @@ class Dagger : public PooledSearchIndex<Dagger, DynamicReachabilityIndex> {
   bool ApplyDelete(VertexId s, VertexId t);
   // True iff u still reaches v within the visit budget post-delete.
   bool LocallyRedundant(VertexId u, VertexId v);
+  // The filter verdict of a guided search toward `t` (0 maybe, -1 no),
+  // with t's bounds found once.
+  auto VerdictToward(VertexId t) const;
 
   static constexpr size_t kLocalSearchBudget = 4096;
+
+  // The bounds of one traversal over a vertex's reachable set.
+  struct Interval {
+    uint32_t low = 0;
+    uint32_t high = 0;
+  };
+  // Whether `from` contains `to` in every traversal; false proves that
+  // the vertex of `from` does not reach the vertex of `to`.
+  static bool Contains(std::span<const Interval> from,
+                       std::span<const Interval> to);
 
   size_t k_;
   uint64_t seed_;
   size_t staleness_budget_;
-  // Bounds for traversal i of vertex v at [v * k_ + i].
-  std::vector<uint32_t> low_;
-  std::vector<uint32_t> high_;
+  // The k bounds of each vertex, one per traversal, in one list, so a
+  // filter test finds each side's bounds once; shared with copies until
+  // written.
+  CowLists<Interval> bounds_;
   // The built graph plus inserted arcs minus tombstoned ones. The guided
   // DFS walks the live arcs; bound widening sweeps the superset in-arcs.
   ArcOverlay<Digraph> overlay_;
   size_t damage_ = 0;
   // Workspace of the delete classifier: update work, kept out of the query
-  // slots and their probes.
-  FreshOnCopy<SearchWorkspace> delete_ws_;
+  // slots and their probes, and shared with copies (see `Clone`).
+  std::shared_ptr<SearchWorkspace> delete_ws_ =
+      std::make_shared<SearchWorkspace>();
 };
 
 }  // namespace reach

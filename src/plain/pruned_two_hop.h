@@ -172,10 +172,11 @@ class PrunedTwoHop : public DynamicReachabilityIndex {
   /// edge set, resetting damage to zero.
   bool RebuildFromUpdates() override;
 
-  /// Shares the sealed labeling and the chunks of the update state — the
-  /// arc overlay and delta entries — and, until the copy's updates change
-  /// them, the damage marks and the lost sets (`TwoHopCore`'s copy): one
-  /// pointer per 64 vertices, never per sealed label entry or per update.
+  /// Shares the sealed labeling and the chunk tables of the update state
+  /// — the arc overlay and delta entries — and, until the copy's updates
+  /// change them, the damage marks and the lost sets (`TwoHopCore`'s
+  /// copy): a few reference counts, never one per vertex, sealed label
+  /// entry or update.
   /// The copy's overlay points into the graph of the last `Build`.
   std::unique_ptr<DynamicReachabilityIndex> Clone() const override {
     return std::make_unique<PrunedTwoHop>(*this);

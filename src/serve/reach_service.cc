@@ -466,18 +466,20 @@ UpdateResult ReachService::ApplyUpdate(const UpdateBatch& batch) {
         build_wanted_ = true;
         schedule = true;
       }
-      auto snap = std::make_shared<ServeSnapshot>();
-      snap->graph = from.graph;
-      snap->copyable = copy.get();
-      snap->carries_updates = true;
-      snap->built_index_bytes = from.built_index_bytes;
       // The copy may share its source's per-slot scratch, so it shares the
-      // source's leases too; this sizes its own per-slot state.
+      // source's leases too; this sizes its own per-slot state. Every
+      // field is named, so no default `SlotPool` is made and dropped.
       copy->PrepareConcurrentQueries(from.slots->size());
-      snap->slots = from.slots;
-      snap->index = std::move(copy);
-      snap->version = next_version_++;
-      next->snapshot = std::move(snap);
+      DynamicReachabilityIndex* const copyable = copy.get();
+      next->snapshot = std::make_shared<ServeSnapshot>(ServeSnapshot{
+          .version = next_version_++,
+          .graph = from.graph,
+          .index = std::move(copy),
+          .copyable = copyable,
+          .carries_updates = true,
+          .built_index_bytes = from.built_index_bytes,
+          .slots = from.slots,
+      });
     }
     // A batch is logged only while a build will replay it.
     if (log_for_drain_) {

@@ -397,8 +397,9 @@ class ReachService {
   /// wait with a rejection). An accepted batch is visible to every
   /// subsequent query atomically — readers pin whole views, so they see
   /// all of it or none of it. The writer pays one index copy (for a 2-hop
-  /// index, one pointer per 64 vertices) and the index's own
-  /// `ApplyUpdate`.
+  /// or DAGGER index, a few reference counts), the index's own
+  /// `ApplyUpdate`, which clones the table paths it writes, and the free
+  /// of the copy published two writes earlier.
   UpdateResult ApplyUpdate(const UpdateBatch& batch);
 
   /// Single-edge convenience wrappers over `ApplyUpdate`. Return false

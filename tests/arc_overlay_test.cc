@@ -6,16 +6,26 @@
 // base (`Materialize`) now and then. The rebuild the overlay feeds is
 // checked too: after `RebuildFromUpdates`, pll and lcr:pll save the same
 // bytes as a fresh build on the model's live graph.
+//
+// The copy-on-write containers under the overlay (`CowLists`, `CowArray`,
+// `CowBox`) are checked on their own against a std::vector model per
+// copy: seeded trees of copies, each written at random (vertices past the
+// last written chunk included) and destroyed in random order, and a
+// source read by several threads while a writer copies it and writes the
+// copies.
 
 #include "graph/arc_overlay.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <iterator>
 #include <memory>
 #include <set>
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -310,6 +320,190 @@ TYPED_TEST(ArcOverlayTest, RebuildSavesTheBytesOfAFreshBuild) {
       EXPECT_EQ(rebuilt.str(), built.str()) << "round " << round;
     }
   }
+}
+
+// One copy of the three copy-on-write containers, with its own model.
+struct CowCopy {
+  CowLists<uint32_t> lists;
+  CowArray<uint64_t> array;
+  CowBox<std::vector<uint32_t>> box;
+  std::vector<std::vector<uint32_t>> lists_model;
+  std::vector<uint64_t> array_model;
+  std::vector<uint32_t> box_model;
+};
+
+// Checks every vertex below `bound`, and one far past it, against the
+// copy's model.
+void ExpectCowMatchesModel(const CowCopy& copy, VertexId bound) {
+  size_t items = 0;
+  for (VertexId v = 0; v < bound; ++v) {
+    static const std::vector<uint32_t> kNone;
+    const std::vector<uint32_t>& want =
+        v < copy.lists_model.size() ? copy.lists_model[v] : kNone;
+    const std::span<const uint32_t> list = copy.lists[v];
+    ASSERT_TRUE(std::equal(list.begin(), list.end(), want.begin(), want.end()))
+        << "list " << v;
+    items += want.size();
+    const uint64_t value =
+        v < copy.array_model.size() ? copy.array_model[v] : 0;
+    ASSERT_EQ(copy.array[v], value) << "array " << v;
+  }
+  EXPECT_TRUE(copy.lists[1u << 30].empty());
+  EXPECT_EQ(copy.array[1u << 30], 0u);
+  EXPECT_EQ(copy.lists.NumItems(), items);
+  EXPECT_EQ(copy.lists.empty(), items == 0);
+  EXPECT_EQ(*copy.box, copy.box_model);
+}
+
+// One random write to `copy` and its model. Most vertices fall in the
+// first `kNear`; one write in 16 lands up to `kFar`, past the chunks
+// written so far, and grows the table.
+constexpr VertexId kNear = 700;
+constexpr VertexId kFar = 8192;
+
+void RandomCowWrite(Xoshiro256ss& rng, CowCopy& copy, VertexId* bound) {
+  const VertexId v = static_cast<VertexId>(
+      rng.NextBounded(rng.NextBounded(16) == 0 ? kFar : kNear));
+  *bound = std::max(*bound, v + 1);
+  if (copy.lists_model.size() <= v) copy.lists_model.resize(v + 1);
+  if (copy.array_model.size() <= v) copy.array_model.resize(v + 1);
+  std::vector<uint32_t>& list = copy.lists_model[v];
+  const uint32_t value = static_cast<uint32_t>(rng.Next());
+  switch (rng.NextBounded(7)) {
+    case 0:
+    case 1: {
+      const size_t at = rng.NextBounded(list.size() + 1);
+      copy.lists.Insert(v, at, value);
+      list.insert(list.begin() + static_cast<ptrdiff_t>(at), value);
+      break;
+    }
+    case 2:
+      if (!list.empty()) {
+        const size_t at = rng.NextBounded(list.size());
+        copy.lists.Erase(v, at);
+        list.erase(list.begin() + static_cast<ptrdiff_t>(at));
+      }
+      break;
+    case 3:
+      if (!list.empty()) {
+        const size_t at = rng.NextBounded(list.size());
+        copy.lists.Mutable(v)[at] = value;
+        list[at] = value;
+      }
+      break;
+    case 4: {
+      const std::vector<uint32_t> values(1 + rng.NextBounded(3), value);
+      copy.lists.Append(v, values);
+      list.insert(list.end(), values.begin(), values.end());
+      break;
+    }
+    case 5:
+      copy.array.Mutable(v) = value;
+      copy.array_model[v] = value;
+      break;
+    case 6:
+      copy.box.Mutable().push_back(value);
+      copy.box_model.push_back(value);
+      break;
+  }
+}
+
+TEST(CowContainerTest, TreesOfCopiesMatchTheirModels) {
+  for (uint64_t seed : {21, 22, 23, 24}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Xoshiro256ss rng(seed);
+    std::vector<std::unique_ptr<CowCopy>> live;
+    live.push_back(std::make_unique<CowCopy>());
+    VertexId bound = 1;
+    size_t copies = 0;
+    for (int step = 0; step < 300; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const uint64_t roll = rng.NextBounded(100);
+      const size_t pick = rng.NextBounded(live.size());
+      if (roll < 15 && live.size() < 10) {
+        // Any live copy may be copied, so the copies form a tree.
+        live.push_back(std::make_unique<CowCopy>(*live[pick]));
+        ++copies;
+      } else if (roll < 25 && live.size() > 1) {
+        live.erase(live.begin() + static_cast<ptrdiff_t>(pick));
+      } else {
+        RandomCowWrite(rng, *live[pick], &bound);
+      }
+      for (const auto& copy : live) {
+        ExpectCowMatchesModel(*copy, bound);
+        if (HasFatalFailure()) return;
+      }
+    }
+    EXPECT_GE(copies, 30u);
+    EXPECT_GT(bound, 4096u);  // the table grew past 64 chunks
+  }
+}
+
+TEST(CowContainerTest, ClearAndResetLeaveCopiesAlone) {
+  CowCopy source;
+  Xoshiro256ss rng(31);
+  VertexId bound = 1;
+  for (int i = 0; i < 200; ++i) RandomCowWrite(rng, source, &bound);
+  CowCopy copy(source);
+  copy.lists.Clear();
+  copy.box.Reset();
+  EXPECT_TRUE(copy.lists.empty());
+  EXPECT_TRUE(copy.box->empty());
+  ExpectCowMatchesModel(source, bound);
+  // The source writes on, and the cleared copy stays empty.
+  for (int i = 0; i < 200; ++i) RandomCowWrite(rng, source, &bound);
+  ExpectCowMatchesModel(source, bound);
+  EXPECT_TRUE(copy.lists.empty());
+  EXPECT_TRUE(copy.box->empty());
+}
+
+// Readers scan a source while one writer copies it (the source's only
+// change is its tag), writes the copy and copies that copy again, as the
+// serve writer does while readers query the published index.
+TEST(CowContainerTest, ReadersOfASourceRaceAWriterCopyingIt) {
+  auto source = std::make_unique<CowCopy>();
+  Xoshiro256ss rng(41);
+  VertexId bound = 1;
+  for (int i = 0; i < 600; ++i) RandomCowWrite(rng, *source, &bound);
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (VertexId v = 0; v < bound; ++v) {
+          const std::span<const uint32_t> list = source->lists[v];
+          const bool list_ok =
+              v < source->lists_model.size()
+                  ? std::equal(list.begin(), list.end(),
+                               source->lists_model[v].begin(),
+                               source->lists_model[v].end())
+                  : list.empty();
+          const uint64_t value =
+              v < source->array_model.size() ? source->array_model[v] : 0;
+          if (!list_ok || source->array[v] != value) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        if (*source->box != source->box_model) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  VertexId copy_bound = bound;
+  for (int round = 0; round < 200; ++round) {
+    auto copy = std::make_unique<CowCopy>(*source);
+    for (int i = 0; i < 8; ++i) RandomCowWrite(rng, *copy, &copy_bound);
+    auto next = std::make_unique<CowCopy>(*copy);
+    copy.reset();  // the first copy goes before its own copy
+    for (int i = 0; i < 8; ++i) RandomCowWrite(rng, *next, &copy_bound);
+    ExpectCowMatchesModel(*next, copy_bound);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  ExpectCowMatchesModel(*source, bound);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include "plain/dagger.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -53,7 +55,7 @@ TEST(DaggerTest, InsertCreatingCycleStaysSound) {
   }
 }
 
-// `Clone` copies the bounds and shares the overlay: the copy answers like
+// `Clone` shares the bounds and the overlay: the copy answers like
 // its source, takes updates of its own, and leaves the source's answers
 // alone; its live graph is the source's with the copy's updates applied.
 TEST(DaggerTest, CopyAnswersLikeItsSourceAndUpdatesAlone) {
@@ -93,6 +95,89 @@ TEST(DaggerTest, CopyAnswersLikeItsSourceAndUpdatesAlone) {
       ASSERT_EQ(source.Query(s, t), before[i] != 0) << s << "->" << t;
     }
   }
+}
+
+// The filter matrix of `index`: MaybeReachable for every pair.
+std::vector<uint8_t> FilterMatrix(const Dagger& index, VertexId n) {
+  std::vector<uint8_t> matrix;
+  for (VertexId s = 0; s < n; ++s) {
+    for (VertexId t = 0; t < n; ++t) {
+      matrix.push_back(index.MaybeReachable(s, t));
+    }
+  }
+  return matrix;
+}
+
+// Copies share their bounds until an insert widens them: a tree of copies
+// over several bound chunks takes inserts and deletes of its own while a
+// reader scans the source's filter. Each copy's filter stays sound for its
+// own live graph, and no copy's widening reaches the source or a sibling.
+TEST(DaggerTest, CopiesShareBoundsUntilTheyWidenThem) {
+  constexpr VertexId kN = 160;  // 480 bounds: 8 chunks of 64
+  const Digraph g = RandomDag(kN, 240, 17);
+  Dagger source;
+  source.Build(g);
+  const std::vector<uint8_t> source_filter = FilterMatrix(source, kN);
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> changed{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (FilterMatrix(source, kN) != source_filter) {
+        changed.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  Xoshiro256ss rng(23);
+  std::vector<std::unique_ptr<DynamicReachabilityIndex>> copies;
+  std::vector<std::vector<uint8_t>> filters;
+  // The copies, in a lambda so a failed assertion still joins the reader.
+  const auto write_copies = [&] {
+    for (int round = 0; round < 12; ++round) {
+      // A copy of the source or of an earlier copy, so the copies form a
+      // tree.
+      const size_t parent = rng.NextBounded(copies.size() + 1);
+      const Dagger& from = parent == copies.size()
+                               ? source
+                               : static_cast<const Dagger&>(*copies[parent]);
+      std::unique_ptr<DynamicReachabilityIndex> copy = from.Clone();
+      for (int i = 0; i < 6; ++i) {
+        const auto u = static_cast<VertexId>(rng.NextBounded(kN));
+        const auto v = static_cast<VertexId>(rng.NextBounded(kN));
+        const EdgeUpdate update = i % 3 == 2 ? EdgeUpdate::Delete(u, v)
+                                             : EdgeUpdate::Insert(u, v);
+        ASSERT_TRUE(copy->ApplyUpdate({update}).ok());
+      }
+      const std::unique_ptr<Digraph> live = copy->LiveGraph();
+      ASSERT_NE(live, nullptr);
+      TransitiveClosure oracle;
+      oracle.Build(*live);
+      const auto& dagger = static_cast<const Dagger&>(*copy);
+      for (VertexId s = 0; s < kN; ++s) {
+        for (VertexId t = 0; t < kN; ++t) {
+          if (oracle.Query(s, t)) {
+            ASSERT_TRUE(dagger.MaybeReachable(s, t)) << s << "->" << t;
+          }
+          ASSERT_EQ(copy->Query(s, t), oracle.Query(s, t)) << s << "->" << t;
+        }
+      }
+      // The earlier copies' filters are as they left them.
+      for (size_t c = 0; c < copies.size(); ++c) {
+        ASSERT_EQ(FilterMatrix(static_cast<const Dagger&>(*copies[c]), kN),
+                  filters[c])
+            << "copy " << c;
+      }
+      filters.push_back(FilterMatrix(dagger, kN));
+      copies.push_back(std::move(copy));
+    }
+  };
+  write_copies();
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  EXPECT_EQ(changed.load(), 0u);
+  EXPECT_EQ(FilterMatrix(source, kN), source_filter);
+  // Some copy widened a bound, or the check above would be vacuous.
+  EXPECT_TRUE(std::any_of(filters.begin(), filters.end(),
+                          [&](const auto& f) { return f != source_filter; }));
 }
 
 class DaggerStreamTest : public ::testing::TestWithParam<uint64_t> {};
