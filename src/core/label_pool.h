@@ -46,7 +46,7 @@ struct TwoHopStorageOptions {
 ///
 /// A sealed pool is immutable. Post-seal mutation (TOL-style
 /// `ApplyUpdate` — inserts into a delta overlay, deletes as tombstones
-/// plus damage marks) is kept next to the pool by its owner; the pool
+/// plus lost-set masks) is kept next to the pool by its owner; the pool
 /// itself never reallocates, so spans stay valid for the index's
 /// lifetime.
 ///

@@ -106,15 +106,15 @@ static_assert(std::is_trivially_copyable_v<Meta>);
 ///    the compressed-pool query kernels, and the post-seal `delta_lin_`
 ///    insert overlay;
 ///  * the decremental bookkeeping over the `ArcOverlay` of inserted and
-///    tombstoned arcs (graph/arc_overlay.h): damage marks, re-closing
-///    damage on insert, the local-redundancy check of a delete, and (plain
-///    core) the per-vertex lost-set masks of the cuts since the build;
+///    tombstoned arcs (graph/arc_overlay.h): the cuts since the build, the
+///    detour check of a first cut, and the per-vertex lost-set masks of
+///    the cuts that had no detour, re-closed on insert;
 ///  * the rebuild decision (ski rental, `ApplyUpdate`): a build's price is
 ///    the pruning-oracle evaluations its sweeps made, damaged queries pay
 ///    rent in the same units, and a full build is recommended once the
 ///    rent paid since the last build reaches that price;
 ///  * query answering: the three-case superset test and, under damage,
-///    the witness-trust protocol with its label-pruned live verification;
+///    the lost-set test with its label-pruned live verification;
 ///  * persistence: the v1 stream and the RCHX v2 snapshot file, and the
 ///    validation every load runs (docs/SNAPSHOTS.md).
 ///
@@ -136,16 +136,13 @@ static_assert(std::is_trivially_copyable_v<Meta>);
 ///   Covered(entries, rank, q) whether rank-sorted `entries` hold a `rank`
 ///                             entry usable under `q`
 ///   ArcAllowed(arc, q)        whether a path may take `arc` under `q`
-///   DetourConstraint(cut)     the constraint under which a surviving
-///                             detour around the deleted arc `cut` makes
-///                             the delete answer-preserving
+///   DetourConstraint(cut)     the constraint under which a G- detour
+///                             around the deleted arc `cut` makes the cut
+///                             answer-preserving
 ///   Intersect(out, in, q)     whether rank-sorted `out` and `in` share a
 ///                             hop usable under `q` on both sides
 ///   PropagateInsert(core, s, arc)
 ///                             adds the delta entries a new arc needs
-///   kLostSets                 whether damaged queries may trust a pair
-///                             no cut could have lost (the lost-set rule,
-///                             sound for unconstrained queries only)
 ///
 /// The compressed tier is `CompressedPool<Entry>` (core/label_pool.h),
 /// whose codec `Entry` selects; the core's pool kernels run `Covered` and
@@ -162,9 +159,9 @@ class TwoHopCore {
   static_assert(std::has_unique_object_representations_v<Entry>,
                 "entries are persisted as raw bytes");
 
-  // Visit cap for the per-delete local searches (redundancy check and
-  // damage marking); overrun degrades to all-ranks-damaged, never to a
-  // wrong answer.
+  // Visit cap for the per-cut local searches (the detour check and the
+  // lost-set sweeps); an overrun degrades to verifying every damaged
+  // positive live, never to a wrong answer.
   static constexpr size_t kLocalSearchBudget = 4096;
 
   TwoHopCore(TwoHopStorageOptions storage, size_t staleness_budget)
@@ -174,9 +171,9 @@ class TwoHopCore {
   /// updates of its own, leaving this core untouched. The sealed labeling
   /// is immutable, so the copy shares it. The arc and delta overlays are
   /// `CowLists`, so the copy shares their chunk tables (one reference
-  /// count each) until its own updates touch them; the damage marks and
-  /// the lost sets are `CowBox`es, shared until the copy's updates change
-  /// them. The copy's overlay points into the same base graph, which must
+  /// count each) until its own updates touch them; the lost sets are a
+  /// `CowBox`, shared until the copy's updates change them. The copy's
+  /// overlay points into the same base graph, which must
   /// outlive both. The write scratch and
   /// the per-slot verification scratch are shared too, for the copy's
   /// whole life, so its first update and first damaged query allocate
@@ -267,7 +264,8 @@ class TwoHopCore {
   /// Validate-first batch application (`ApplyUpdateBatch`; a loaded
   /// labeling has no live graph and rejects every batch). Inserts apply
   /// incrementally; deletes tombstone the arc and either prove themselves
-  /// answer-preserving or mark damage. Never rebuilds; the status is
+  /// answer-preserving or record the pairs they may have lost. Never
+  /// rebuilds; the status is
   /// `kDeferredRebuild` once the labels are damaged and either the damage
   /// passes a nonzero staleness budget (a hard cap) or the rent damaged
   /// queries paid since the last build reaches that build's price. That
@@ -850,7 +848,7 @@ class TwoHopCore {
   using EntryLists = std::vector<std::vector<Entry>>;
   struct Sealed;
 
-  // The lost-set state of the plain core (see `CutLostSets`).
+  // The lost-set state (see `CutLostSets`).
   static constexpr uint32_t kLostBits = 128;
   using LostBits = std::array<uint64_t, kLostBits / 64>;
   struct LostMasks {
@@ -865,7 +863,7 @@ class TwoHopCore {
     CowArray<LostMasks> masks;
     // The cuts that lost pairs.
     uint32_t cuts = 0;
-    // A G+ sweep overran: the damage marks alone decide.
+    // A G+ sweep overran: every damaged positive is verified live.
     bool all = false;
   };
 
@@ -1024,105 +1022,32 @@ class TwoHopCore {
     return Traits::Intersect(out, delta, q);
   }
 
-  // Witness-trust protocol while damage_ > 0: the labels over-approximate
-  // the live graph, so "no covered witness" is an exact negative. A
-  // superset positive is an exact positive when no cut since the build can
-  // have lost the pair (the lost-set rule, plain core), or when a covered
-  // witness has unmarked hub ranks (its claims provably survived every
-  // damaging delete); only damaged witnesses need live verification. The
-  // allocation-free superset test decides every negative first, at the
-  // cost of a clean query; the witness search then looks each hub of
-  // Lout(s) up in Lin(t) in place. Kept out of line so the zero-damage path
-  // of `Answer` stays small. A superset positive the lost sets do not
-  // settle pays the rent meter 1, plus 1 per vertex its live verification
-  // evaluates.
+  // The lost-set test while damage_ > 0: the labels over-approximate the
+  // live graph, so a superset negative is exact, and a superset positive
+  // that no cut since the build can have lost is exact too (G- connects
+  // the pair). Any other positive is verified live. Kept out of line so
+  // the zero-damage path of `Answer` stays small. A verified positive
+  // pays the rent meter 1, plus 1 per vertex its live search evaluates.
   [[gnu::noinline]] bool DamagedAnswer(VertexId s, VertexId t, Constraint q,
                                        size_t slot) const {
     if (!SupersetAnswer(s, t, q)) return false;  // exact: no path in G+
-    if constexpr (Traits::kLostSets) {
-      if (NoCutLost(s, t)) return true;  // exact: G- connects s -> t
-    }
-    rent_->Charge(slot, 1);
-    const std::vector<uint32_t>& rank_of = sealed_->rank;
-    bool damaged_witness = false;
-    // Case 1 — hub s claims s -> t through its Lin(t) entry (a forward
-    // claim, stale only if s is a superset ancestor of a cut source).
-    if (InCovered(t, rank_of[s], q)) {
-      if (!RankDamagedFwd(rank_of[s])) return true;
-      damaged_witness = true;
-    }
-    // Case 2 — hub t claims s -> t through its Lout(s) entry (backward).
-    if (OutCovered(s, rank_of[t], q)) {
-      if (!RankDamagedBwd(rank_of[t])) return true;
-      damaged_witness = true;
-    }
-    // Case 3 — a real hub h covered on both sides claims s -> h (stale if
-    // h is backward-damaged) and h -> t (stale if forward-damaged);
-    // trusted iff neither mark is set.
-    const bool trusted =
-        ForEachOutGroup(s, [&](std::span<const Entry> group) {
-          const uint32_t rank = Traits::Rank(group.front());
-          if (!Traits::Covered(group, rank, q) || !InCovered(t, rank, q)) {
-            return false;
-          }
-          if (!RankDamagedBwd(rank) && !RankDamagedFwd(rank)) return true;
-          damaged_witness = true;
-          return false;
-        });
-    if (trusted) return true;
-    if (!damaged_witness) return false;  // exact: superset has no path
+    if (NoCutLost(s, t)) return true;  // exact: G- connects s -> t
     REACH_PROBE_INC(probes_.Slot(slot), fallbacks);
     size_t evaluated = 0;
-    const bool reachable = ConstrainedLiveSearch(
-        s, t, q, SIZE_MAX, verify_ws_->Slot(slot), &evaluated);
-    rent_->Charge(slot, evaluated);
+    const bool reachable =
+        ConstrainedLiveSearch(s, t, q, verify_ws_->Slot(slot), &evaluated);
+    rent_->Charge(slot, 1 + evaluated);
     return reachable;
-  }
-
-  // True iff sealed Lout(s) holds a `rank` entry covered under `q`.
-  bool OutCovered(VertexId s, uint32_t rank, Constraint q) const {
-    return sealed_->compressed
-               ? PoolCovered(sealed_->lout_cpool, s, rank, q)
-               : Traits::Covered(sealed_->lout_pool.Slice(s), rank, q);
-  }
-
-  // Calls `fn(group)` on each rank group of sealed Lout(s), in rank order,
-  // until it returns true; returns whether it did. A compressed list is
-  // decoded one block at a time (a rank group never straddles blocks).
-  template <typename Fn>
-  bool ForEachOutGroup(VertexId s, Fn&& fn) const {
-    const auto groups = [&fn](std::span<const Entry> list) {
-      for (size_t i = 0; i < list.size();) {
-        size_t end = i + 1;
-        while (end < list.size() &&
-               Traits::Rank(list[end]) == Traits::Rank(list[i])) {
-          ++end;
-        }
-        if (fn(list.subspan(i, end - i))) return true;
-        i = end;
-      }
-      return false;
-    };
-    const Sealed& sealed = *sealed_;
-    if (!sealed.compressed) return groups(sealed.lout_pool.Slice(s));
-    const Pool& pool = sealed.lout_cpool;
-    Entry buf[Pool::kMaxBlockEntries];
-    for (size_t b = pool.BlockBegin(s); b < pool.BlockEnd(s); ++b) {
-      if (groups({buf, pool.DecodeBlock(b, buf)})) return true;
-    }
-    return false;
   }
 
   // BFS over live arcs allowed under `q`, pruned at vertices the superset
   // labels already rule out (w cannot reach `to` in G+ ⇒ not in the live
-  // graph either). True iff `to` is found; false when it is unreachable or
-  // the queue outgrows `budget`. Unbounded, this is the exactness
-  // backstop of damaged answers, and the label pruning keeps its frontier
-  // near the damaged region. Adds the vertices whose superset test it
-  // ran to `*evaluated`, when given.
+  // graph either). True iff `to` is found. This is the exactness backstop
+  // of damaged answers, and the label pruning keeps its frontier near the
+  // damaged region. Adds the vertices whose superset test it ran to
+  // `*evaluated`.
   bool ConstrainedLiveSearch(VertexId from, VertexId to, Constraint q,
-                             size_t budget, SearchWorkspace& ws,
-                             size_t* evaluated = nullptr) const {
+                             SearchWorkspace& ws, size_t* evaluated) const {
     ws.Prepare(overlay_.NumVertices());
     std::vector<VertexId>& queue = ws.queue();
     queue.push_back(from);
@@ -1133,12 +1058,11 @@ class TwoHopCore {
         const VertexId w = Arcs::Head(arc);
         if (w == to) return true;
         if (!ws.MarkForward(w)) return false;
-        if (evaluated != nullptr) ++*evaluated;
+        ++*evaluated;
         if (SupersetAnswer(w, to, q)) queue.push_back(w);
         return false;
       });
       if (found) return true;
-      if (queue.size() > budget) return false;
     }
     return false;
   }
@@ -1152,39 +1076,14 @@ class TwoHopCore {
         return false;
       case ArcInsert::kResurrected:
         // The labels already cover a resurrected arc (it is part of the
-        // superset), so dropping the tombstone is the whole update.
-        // Damage marks stay — conservative, cleared at rebuild.
+        // superset), and it stays out of G-, so dropping the tombstone is
+        // the whole update.
         return true;
       case ArcInsert::kAdded:
         break;
     }
 
-    // The damage marks are transitive closures over the superset as of
-    // each damaging delete; this insert grows the superset, so re-close
-    // them. If t already reaches a damaged tombstone source, everything
-    // reaching s now does too (a simple path from t to that source cannot
-    // revisit t, so the pre-insert closure decides the check) —
-    // symmetrically for the backward marks. Without this, a vertex wired
-    // into a damaged region *after* the delete keeps unmarked claims
-    // routed through the dead arc, and the witness-trust protocol returns
-    // a stale positive.
-    if (!marks_->fwd.empty()) {
-      if (!marks_->fwd_all && marks_->fwd[Rank(t)] != 0 &&
-          marks_->fwd[Rank(s)] == 0) {
-        if (!DamageSweep(s, /*backward=*/true)) {
-          marks_.Mutable().fwd_all = true;
-        }
-      }
-      if (!marks_->bwd_all && marks_->bwd[Rank(s)] != 0 &&
-          marks_->bwd[Rank(t)] == 0) {
-        if (!DamageSweep(t, /*backward=*/false)) {
-          marks_.Mutable().bwd_all = true;
-        }
-      }
-    }
-    if constexpr (Traits::kLostSets) {
-      if (!lost_->masks.empty() && !lost_->all) CloseLostSets(s, t);
-    }
+    if (!lost_->masks.empty() && !lost_->all) CloseLostSets(s, t);
     // The superset already connects s -> t under the arc's own constraint,
     // so no superset closure grows and the labels stay exact: the dual of
     // the delete's local-redundancy rule.
@@ -1201,71 +1100,20 @@ class TwoHopCore {
   }
 
   bool ApplyDelete(VertexId s, const Arc& arc) {
-    // The overlay tombstones rather than erases, inserted arcs too: the
-    // superset adjacency (and the sealed + delta labels that describe it)
-    // must keep every arc that ever existed for damage marking to stay
-    // conservative — a later delete can break the detour that justified
-    // an earlier "locally redundant" one, and the marking sweep is only
-    // conservative if it still sees the old route.
+    // The overlay tombstones rather than erases, inserted arcs too: G+
+    // (and the sealed + delta labels that describe it) keeps every arc
+    // that ever existed, so the lost-set sweeps still see the routes a
+    // later cut may break.
     if (!overlay_.Delete(s, arc)) return false;  // absent or already dead
-    const VertexId t = Arcs::Head(arc);
-    if (s == t) return true;  // a self-loop never changes reachability
-    // The arc's first delete since the build takes it out of G-; a
-    // re-delete of a resurrected arc finds it out already. Before the
-    // skip below, which may pass over a first delete. G- is a subgraph of
-    // the live graph, so a G- detour is a live one: the delete is
-    // answer-preserving, as when the live search below finds a detour.
-    if constexpr (Traits::kLostSets) {
-      if (!lost_->all && RecordCut(s, arc) && CutLostSets(s, t)) return true;
-    }
-    // Marks that already cover the cut: the sweeps `MarkDamage` would run
-    // mark nothing new. Each marked set is closed under superset
-    // ancestors (forward) or descendants (backward): a sweep marks a whole
-    // closure, `ApplyInsert` re-closes the sets when the superset grows,
-    // and an overrun sets the all-damaged flag. So the marks and the rent
-    // stay as they are, no answer changes, and `damage_` keeps counting
-    // distinct damage, as when a resurrected arc is deleted again.
-    if (!marks_->fwd.empty() && RankDamagedFwd(Rank(s)) &&
-        RankDamagedBwd(Rank(t))) {
-      return true;
-    }
-    // A live detour s ->* t under the cut arc's constraint reroutes every
-    // old path through the arc: the reachability relation is untouched
-    // and the labels stay exact — zero damage, zero query-time cost.
-    // Budget overrun counts as "not redundant" (conservative).
-    if (ConstrainedLiveSearch(s, t, Traits::DetourConstraint(arc),
-                              kLocalSearchBudget, *ws_)) {
-      return true;
-    }
-    MarkDamage(s, t);
+    if (s == Arcs::Head(arc)) return true;  // a self-loop never matters
+    // A re-delete of a resurrected arc finds it out of G- already: G-, the
+    // lost sets and so every answer stay as they are, and `damage_` keeps
+    // counting distinct arcs.
+    if (!RecordCut(s, arc)) return true;
+    // A G- detour reroutes every old path through the arc: zero damage,
+    // zero query-time cost.
+    if (CutLostSets(s, arc)) return true;
     ++damage_;
-    return true;
-  }
-
-  // Marks the hub ranks whose entries the delete (u, v) may have staled.
-  // Every hub that reaches u in the *superset* may have forward claims
-  // routed through (u, v); every hub the superset reaches from v may have
-  // backward claims through it. The sweeps ignore labels and follow the
-  // superset adjacency: a sound over-approximation of every constrained
-  // ancestor/descendant set, and claims rerouted through since-deleted
-  // arcs are still traced back to their hubs.
-  void MarkDamage(VertexId u, VertexId v) {
-    DamageMarks& marks = marks_.Mutable();
-    if (marks.fwd.empty()) {
-      marks.fwd.assign(overlay_.NumVertices(), 0);
-      marks.bwd.assign(overlay_.NumVertices(), 0);
-    }
-    if (!DamageSweep(u, /*backward=*/true)) marks.fwd_all = true;
-    if (!DamageSweep(v, /*backward=*/false)) marks.bwd_all = true;
-  }
-
-  // Transitive mark sweep over the superset adjacency; false = budget
-  // overrun (the caller escalates to the matching `_all` flag).
-  bool DamageSweep(VertexId start, bool backward) {
-    if (!SweepSuperset(start, backward, kLocalSearchBudget)) return false;
-    DamageMarks& marks = marks_.Mutable();
-    std::vector<uint8_t>& side = backward ? marks.fwd : marks.bwd;
-    for (VertexId x : ws_->queue()) side[Rank(x)] = 1;
     return true;
   }
 
@@ -1292,33 +1140,41 @@ class TwoHopCore {
     return true;
   }
 
-  // --- Lost sets (plain core, `Traits::kLostSets`; docs/ALGORITHMS.md).
-  // G- is the built graph plus the inserted arcs, minus every arc cut
-  // (deleted at least once) since the build, resurrected ones included, so
-  // G- is a subgraph of the live graph. Invariant: every pair G+ connects
-  // and G- does not lies in LS_k x LT_k for some mask bit k, where bit k
-  // of x's source (target) mask says x is in LS_k (LT_k). A superset
-  // positive outside every product is then a G- positive, hence a live
-  // one. The bit of the k-th cut that lost pairs is k mod kLostBits;
-  // folding two cuts into one bit takes their union, still sound. ---
+  // --- Lost sets (docs/ALGORITHMS.md). G- is the built graph plus the
+  // inserted arcs, minus every arc cut (deleted at least once) since the
+  // build, resurrected ones included, so G- is a subgraph of the live
+  // graph. Invariant: every pair G+ connects under some constraint and G-
+  // does not connect under it lies in LS_k x LT_k for some mask bit k,
+  // where bit k of x's source (target) mask says x is in LS_k (LT_k). A
+  // superset positive outside every product is then a G- positive, hence
+  // a live one. The bit of the k-th cut that lost pairs is k mod
+  // kLostBits; folding two cuts into one bit takes their union, still
+  // sound. ---
 
-  // A cut arc (u, v) loses s -> t only when every G- path used it: then
-  // s is in LS = Anc+(u) \ Anc-(v) (s -> v -> t would survive otherwise)
-  // and t is in LT = Desc+(v) \ Desc-(u), both taken after the cut.
-  // Nothing is lost when G- keeps a detour u ->* v. The G+ sweeps overrun
-  // into `LostSets::all`; the G- sweeps may stop at the budget, since a
-  // subset of a subtrahend only widens LS and LT. True iff G- keeps a
-  // detour u ->* v.
-  bool CutLostSets(VertexId u, VertexId v) {
+  // A first cut of (u, v) loses nothing when G- keeps a detour u ->* v
+  // under `DetourConstraint(cut)`: it reroutes every G- path through the
+  // arc within the path's own constraint. Otherwise a lost s -> t had
+  // every G- path through the arc, so s is in Anc+(u) and t in Desc+(v).
+  // A query that may take the arc allows every arc `DetourConstraint(cut)`
+  // allows, so s -> t would survive if s reached v, or u reached t, in G-
+  // under that constraint: LS = Anc+(u) \ Anc-(v) and LT = Desc+(v) \
+  // Desc-(u), the G- sets taken after the cut under it. The G+ sweeps
+  // overrun into `LostSets::all`; the G- sweeps may stop at the budget,
+  // since a subset of a subtrahend only widens LS and LT. True iff G-
+  // keeps a detour.
+  bool CutLostSets(VertexId u, const Arc& cut) {
+    const VertexId v = Arcs::Head(cut);
+    const Constraint q = Traits::DetourConstraint(cut);
     SearchWorkspace& ws = *ws_;
     const size_t n = overlay_.NumVertices();
     ws.Prepare(n);
-    if (ReducedSweep(u, v, /*backward=*/false, ws)) return true;
+    if (ReducedSweep(u, v, /*backward=*/false, q, ws)) return true;
+    if (lost_->all) return false;
     LostSets& lost = lost_.Mutable();
     const uint32_t k = lost.cuts++ % kLostBits;
     LostBits bit{};
     bit[k / 64] = uint64_t{1} << (k % 64);
-    // LT with the backward marks, against Desc-(u) in the forward ones.
+    // The subtrahend is in the forward marks; a sweep marks backward.
     if (!LostSweep(v, /*backward=*/false, ws, [&](VertexId x) {
           if (!ws.IsForwardMarked(x)) AddLost(lost, x, /*source=*/false, bit);
         })) {
@@ -1326,7 +1182,7 @@ class TwoHopCore {
       return false;
     }
     ws.Prepare(n);
-    ReducedSweep(v, kInvalidVertex, /*backward=*/true, ws);
+    ReducedSweep(v, kInvalidVertex, /*backward=*/true, q, ws);
     if (!LostSweep(u, /*backward=*/true, ws, [&](VertexId x) {
           if (!ws.IsForwardMarked(x)) AddLost(lost, x, /*source=*/true, bit);
         })) {
@@ -1384,11 +1240,11 @@ class TwoHopCore {
     return !cut.empty() && std::binary_search(cut.begin(), cut.end(), arc);
   }
 
-  // BFS over G- from `start` (against the arcs when `backward`) into the
-  // forward marks, until it reaches `stop` (then true; `kInvalidVertex`
-  // never stops it) or outgrows the budget.
+  // BFS over the G- arcs allowed under `q` from `start` (against the arcs
+  // when `backward`) into the forward marks, until it reaches `stop` (then
+  // true; `kInvalidVertex` never stops it) or outgrows the budget.
   bool ReducedSweep(VertexId start, VertexId stop, bool backward,
-                    SearchWorkspace& ws) const {
+                    Constraint q, SearchWorkspace& ws) const {
     std::vector<VertexId>& queue = ws.queue();
     queue.push_back(start);
     ws.MarkForward(start);
@@ -1403,13 +1259,16 @@ class TwoHopCore {
       bool found;
       if (backward) {
         found = overlay_.SupersetIn()(x, [&](const Arc& in) {
-          return !IsCut(Arcs::Head(in), x) && visit(Arcs::Head(in));
+          return Traits::ArcAllowed(in, q) &&
+                 !IsCut(Arcs::Head(in), Arcs::Reverse(x, in)) &&
+                 visit(Arcs::Head(in));
         });
       } else {
         // x's cut arcs, found once for all of its out-arcs.
         const std::span<const Arc> cut = lost_->cut[x];
         found = overlay_.SupersetOut()(x, [&](const Arc& out) {
-          return !std::binary_search(cut.begin(), cut.end(), out) &&
+          return Traits::ArcAllowed(out, q) &&
+                 !std::binary_search(cut.begin(), cut.end(), out) &&
                  visit(Arcs::Head(out));
         });
       }
@@ -1452,13 +1311,6 @@ class TwoHopCore {
     return ((from.src[0] & to.tgt[0]) | (from.src[1] & to.tgt[1])) == 0;
   }
 
-  bool RankDamagedFwd(uint32_t r) const {
-    return marks_->fwd_all || marks_->fwd[r] != 0;
-  }
-  bool RankDamagedBwd(uint32_t r) const {
-    return marks_->bwd_all || marks_->bwd[r] != 0;
-  }
-
   // Rebases the overlay onto `base` (nullptr after a load) and clears the
   // post-build label state: delta, damage, the build price (`Build` sets
   // it again) and the rent, in a meter of this core's own.
@@ -1468,7 +1320,6 @@ class TwoHopCore {
     build_price_ = 0;
     rent_ = std::make_shared<RentMeter>(verify_ws_->NumSlots());
     damage_ = 0;
-    marks_.Reset();
     lost_.Reset();
   }
 
@@ -1595,27 +1446,15 @@ class TwoHopCore {
   // (rank-sorted, disjoint from the pool slice). Empty until the first
   // insert.
   CowLists<Entry> delta_lin_;
-  // Damaging deletes absorbed since the last (re)build, and the per-rank
-  // stale-witness marks they left: fwd[r] = hub ByRank(r)'s forward claims
-  // (its Lin entries at other vertices) may be stale; bwd[r] dually for
-  // its Lout entries. The `_all` flags are the budget-overrun fallbacks of
-  // the bounded marking sweep. The marks are shared with copies until
-  // written, so a copy whose updates mark nothing new copies no mark.
+  // First cuts since the last (re)build that had no G- detour.
   size_t damage_ = 0;
-  struct DamageMarks {
-    std::vector<uint8_t> fwd;
-    std::vector<uint8_t> bwd;
-    bool fwd_all = false;
-    bool bwd_all = false;
-  };
-  CowBox<DamageMarks> marks_;
   // Lost sets (see `CutLostSets`), shared with copies until written, so a
   // copy that never cuts or adds an arc copies one pointer of them.
   CowBox<LostSets> lost_;
-  // Write-side traversal scratch (redundancy checks, damage sweeps,
-  // insert propagation), shared with copies (see the copy constructor).
+  // Write-side traversal scratch (detour checks, lost-set sweeps, insert
+  // propagation), shared with copies (see the copy constructor).
   std::shared_ptr<SearchWorkspace> ws_ = std::make_shared<SearchWorkspace>();
-  // Per-slot scratch for damaged-witness verification, shared with copies,
+  // Per-slot scratch for damaged-positive verification, shared with copies,
   // and per-slot probes, fresh in each copy (slot-parallel queries must
   // not share a slot).
   std::shared_ptr<WorkspacePool> verify_ws_ =

@@ -34,16 +34,12 @@ struct LabeledTwoHopTraits {
   static bool ArcAllowed(const LabeledDigraph::Arc& arc, LabelSet allowed) {
     return IsSubsetOf(LabelBit(arc.label), allowed);
   }
-  /// Only an all-`label` detour keeps every answer: any query path through
-  /// the deleted arc has its label in the allowed mask, so splicing in
-  /// the detour stays within the mask.
+  /// Only an all-`label` G- detour keeps every answer: any query path
+  /// through the deleted arc has its label in the allowed mask, so
+  /// splicing in the detour stays within the mask.
   static LabelSet DetourConstraint(const LabeledDigraph::Arc& cut) {
     return LabelBit(cut.label);
   }
-  /// Unlabeled lost sets are unsound under a label constraint: s may still
-  /// reach the cut's head through other labels, so only the damage marks
-  /// decide.
-  static constexpr bool kLostSets = false;
   /// Format "p2h", payload magic "reachp2h" (distinct from the plain
   /// "reach-2h"; the envelope already tells formats apart, this is
   /// defense in depth). A list holds one entry per minimal label set of a
@@ -95,17 +91,20 @@ struct LabeledTwoHopTraits {
 ///    graph G+ (base ∪ everything ever inserted, tombstones ignored), so
 ///    "no covered witness" stays an exact negative for the shrunken live
 ///    graph. A deleted arc is tombstoned (live iterators skip it; the
-///    superset iterators keep it). A delete is *locally redundant* — zero
-///    damage — when a live all-`label` detour s ->* t survives within a
-///    bounded search (any query path through the arc reroutes without
-///    growing its mask). Otherwise a label-ignoring sweep over G+ marks
-///    ancestor ranks of s as forward-damaged and descendant ranks of t as
-///    backward-damaged (a sound over-approximation of the constrained
-///    ancestor/descendant sets); damaged witnesses are re-checked by a
-///    constrained traversal pruned with superset label tests, so answers
-///    stay exact at any damage level. `ApplyUpdate` recommends
-///    `RebuildFromUpdates`, which re-minimizes and clears the damage, by
-///    the same ski-rental rule as the plain index (`TwoHopCore`).
+///    superset iterators keep it). An arc's first cut is harmless — zero
+///    damage — when a bounded search finds an all-`label` detour s ->* t
+///    in G- (G+ minus every arc cut since the build), since any query
+///    path through the arc reroutes without growing its mask. Otherwise
+///    the cut records the lost set Anc+(s) x Desc+(t) over G+, less the
+///    sources that still reach t and the targets s still reaches along
+///    all-`label` G- paths: a sound over-approximation of every
+///    constrained pair the cut can have lost. A damaged positive inside a
+///    lost set is
+///    re-checked by a constrained traversal pruned with superset label
+///    tests, so answers stay exact at any damage level. `ApplyUpdate`
+///    recommends `RebuildFromUpdates`, which re-minimizes and clears the
+///    damage, by the same ski-rental rule as the plain index
+///    (`TwoHopCore`).
 ///
 /// Plain reachability is this index with a single label, and both run on
 /// `TwoHopCore` (core/two_hop_core.h), persistence included; this class
@@ -132,8 +131,8 @@ class PrunedLabeledTwoHop : public LcrIndex {
   void Build(const LabeledDigraph& graph) override;
   bool Query(VertexId s, VertexId t, LabelSet allowed) const override;
   size_t IndexSizeBytes() const override { return core_.IndexSizeBytes(); }
-  /// Complete while undamaged; damaged witnesses fall back to constrained
-  /// traversal until `RebuildFromUpdates`.
+  /// Complete while undamaged; damaged positives a cut may have lost fall
+  /// back to constrained traversal until `RebuildFromUpdates`.
   bool IsComplete() const override { return core_.Damage() == 0; }
   std::string Name() const override { return "p2h"; }
   QueryProbe Probe() const override { return core_.Probe(); }

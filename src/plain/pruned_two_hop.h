@@ -47,11 +47,8 @@ struct PlainTwoHopTraits {
 
   static uint32_t Rank(Entry e) { return e; }
   static bool ArcAllowed(VertexId, Constraint) { return true; }
-  /// Any live detour u ->* v reroutes every path through a deleted (u, v).
+  /// Any G- detour u ->* v reroutes every path through a deleted (u, v).
   static Constraint DetourConstraint(VertexId) { return {}; }
-  /// Queries carry no constraint, so a pair no cut could have lost is
-  /// connected in G- (`TwoHopCore::CutLostSets`).
-  static constexpr bool kLostSets = true;
   /// One format name for the whole TOL family: the payload stores the
   /// total order itself, so any `VertexOrder` instance loads any other's
   /// labeling. The magic spells "reach-2h"; a list holds at most n ranks.
@@ -114,17 +111,18 @@ struct PlainTwoHopTraits {
 ///    base ∪ every-edge-ever-inserted, which only over-approximates the
 ///    current graph), the deleted edge goes into a tombstone set consulted
 ///    by the guided traversals, and a bounded local search classifies the
-///    delete. A *locally redundant* delete (u still reaches v another way)
-///    provably changes no answer and costs nothing at query time. A
-///    *damaging* delete marks the hub ranks whose label entries may now be
-///    stale (bounded BFS over the superset adjacency); queries then trust
-///    only undamaged witnesses, and verify damaged-witness
-///    positives by a label-pruned BFS over the live adjacency — answers
-///    stay exact at every damage level. The batch returns
-///    `kDeferredRebuild`, and the caller schedules `RebuildFromUpdates()`,
-///    once the damaged queries since the last build have cost as much as
-///    that build did (the ski-rental rule of `TwoHopCore::ApplyUpdate`),
-///    or once damage crosses a nonzero `staleness_budget`.
+///    edge's first cut. A *harmless* cut (u still reaches v in G-, the
+///    graph less every edge cut since the build) provably changes no
+///    answer and costs nothing at query time. A *damaging* cut records
+///    the pairs it may have lost (bounded sweeps over the superset
+///    adjacency); queries then trust every positive outside those lost
+///    sets, and verify the rest by a label-pruned BFS over the live
+///    adjacency — answers stay exact at every damage level. The batch
+///    returns `kDeferredRebuild`, and the caller schedules
+///    `RebuildFromUpdates()`, once the damaged queries since the last
+///    build have cost as much as that build did (the ski-rental rule of
+///    `TwoHopCore::ApplyUpdate`), or once damage crosses a nonzero
+///    `staleness_budget`.
 ///
 /// The machinery above is `TwoHopCore` (core/two_hop_core.h), shared with
 /// the labeled `PrunedLabeledTwoHop`, persistence included; this class
@@ -174,9 +172,8 @@ class PrunedTwoHop : public DynamicReachabilityIndex {
 
   /// Shares the sealed labeling and the chunk tables of the update state
   /// — the arc overlay and delta entries — and, until the copy's updates
-  /// change them, the damage marks and the lost sets (`TwoHopCore`'s
-  /// copy): a few reference counts, never one per vertex, sealed label
-  /// entry or update.
+  /// change them, the lost sets (`TwoHopCore`'s copy): a few reference
+  /// counts, never one per vertex, sealed label entry or update.
   /// The copy's overlay points into the graph of the last `Build`.
   std::unique_ptr<DynamicReachabilityIndex> Clone() const override {
     return std::make_unique<PrunedTwoHop>(*this);

@@ -1,5 +1,6 @@
 #include "lcr/pruned_labeled_two_hop.h"
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -181,9 +182,10 @@ TEST(PrunedLabeledTwoHopTest, DeleteOnlySeversThatLabel) {
   EXPECT_TRUE(index.Query(0, 1, 0b11));
 }
 
-// The plain re-delete rule under labels: on a two-label ring every arc
-// is damaging, and deleting a resurrected arc again leaves `Damage()` at
-// one, with every answer under every label set matching the live ring.
+// The re-delete rule under labels: on a two-label ring every arc is
+// damaging, and deleting a resurrected arc again, which finds it cut
+// already, leaves `Damage()` at one, with every answer under every label
+// set matching the live ring.
 TEST(PrunedLabeledTwoHopTest, RedeletingAResurrectedArcAddsNoDamage) {
   constexpr VertexId kN = 10;
   constexpr Label kLabels = 2;
@@ -222,6 +224,141 @@ TEST(PrunedLabeledTwoHopTest, RedeletingAResurrectedArcAddsNoDamage) {
        "resurrect");
   step(LabeledEdgeUpdate::Delete(cut.source, cut.target, cut.label), false,
        "delete again");
+}
+
+// Every answer of `index` under every label set matches a BFS of `edges`.
+void ExpectMatchesLive(const PrunedLabeledTwoHop& index, VertexId n,
+                       Label labels, const std::vector<LabeledEdge>& edges,
+                       const std::string& when) {
+  const LabeledDigraph truth = LabeledDigraph::FromEdges(n, labels, edges);
+  SearchWorkspace ws;
+  for (VertexId s = 0; s < n; ++s) {
+    for (VertexId t = 0; t < n; ++t) {
+      for (LabelSet mask = 1; mask < (1u << labels); ++mask) {
+        ASSERT_EQ(index.Query(s, t, mask),
+                  LcrBfsReachability(truth, s, t, mask, ws))
+            << when << ": " << s << "->" << t << " mask " << mask;
+      }
+    }
+  }
+}
+
+// s -b-> u -b-> v -b-> t, and s -a-> v. Cutting (u, v) loses s -> t under
+// {b} but not under {a, b}: s still reaches v, through a. A lost source
+// set that left out the vertices still reaching v in G- along any label,
+// not only the cut's, would trust the stale {b} positive.
+TEST(PrunedLabeledTwoHopTest, ACutLosesAPairOnlyUnderItsOwnLabels) {
+  constexpr VertexId s = 0, u = 1, v = 2, t = 3;
+  constexpr Label a = 0, b = 1;
+  const std::vector<LabeledEdge> edges = {
+      {s, u, b}, {u, v, b}, {v, t, b}, {s, v, a}};
+  const LabeledDigraph g = LabeledDigraph::FromEdges(4, 2, edges);
+  PrunedLabeledTwoHop index;
+  index.Build(g);
+  ASSERT_EQ(index.ApplyUpdate({LabeledEdgeUpdate::Delete(u, v, b)}).damage,
+            1u);
+  EXPECT_FALSE(index.Query(s, t, LabelBit(b)));
+  EXPECT_TRUE(index.Query(s, t, LabelBit(a) | LabelBit(b)));
+  ExpectMatchesLive(index, 4, 2, {{s, u, b}, {v, t, b}, {s, v, a}}, "cut");
+}
+
+// `TwoHopLostSetTest.RedeleteAfterAnotherCutLosesAPair` under labels: s
+// -a-> u -a-> v, s -b-> w -b-> v, v -a-> t. Delete (u, v), re-insert it,
+// delete (w, v), then delete (u, v) again: s no longer reaches t under
+// any label set. The last delete is a re-delete, which changes no damage
+// state; only the lost sets of the earlier cuts make the answer exact.
+TEST(PrunedLabeledTwoHopTest, RedeleteAfterAnotherCutLosesAPair) {
+  constexpr VertexId s = 0, u = 1, v = 2, w = 3, t = 4;
+  constexpr Label a = 0, b = 1;
+  constexpr LabelSet kAll = 0b11;
+  std::vector<LabeledEdge> live = {
+      {s, u, a}, {u, v, a}, {s, w, b}, {w, v, b}, {v, t, a}};
+  const LabeledDigraph g = LabeledDigraph::FromEdges(5, 2, live);
+  PrunedLabeledTwoHop index;
+  index.Build(g);
+  const auto step = [&](LabeledEdgeUpdate update, const std::string& when) {
+    ASSERT_TRUE(index.ApplyUpdate({update}).ok()) << when;
+    const LabeledEdge edge{update.source, update.target, update.label};
+    if (update.IsInsert()) {
+      live.push_back(edge);
+    } else {
+      std::erase(live, edge);
+    }
+    ExpectMatchesLive(index, 5, 2, live, when);
+  };
+  step(LabeledEdgeUpdate::Delete(u, v, a), "delete (u, v)");
+  EXPECT_TRUE(index.Query(s, t, kAll));
+  EXPECT_FALSE(index.Query(s, t, LabelBit(a)));
+  step(LabeledEdgeUpdate::Insert(u, v, a), "resurrect (u, v)");
+  EXPECT_TRUE(index.Query(s, t, LabelBit(a)));
+  step(LabeledEdgeUpdate::Delete(w, v, b), "delete (w, v)");
+  EXPECT_TRUE(index.Query(s, t, kAll));
+  const size_t damage = index.Damage();
+  step(LabeledEdgeUpdate::Delete(u, v, a), "delete (u, v) again");
+  EXPECT_EQ(index.Damage(), damage);
+  EXPECT_FALSE(index.Query(s, t, kAll));
+  EXPECT_FALSE(index.Query(s, v, kAll));
+  EXPECT_TRUE(index.Query(s, w, kAll));
+  EXPECT_TRUE(index.Query(v, t, kAll));
+}
+
+// `PrunedTwoHopLostSetTest.AnOverrunVerifiesEveryDamagedPositive` under
+// labels: a two-label cycle with label-0 chords and a label-1 tail hung
+// off vertex 0. Cutting 0 -> tail overruns the lost source set's sweep
+// once the cycle passes `kLocalSearchBudget` vertices, and from then on
+// every damaged positive pays rent, 1 -> 2 too.
+TEST(PrunedLabeledTwoHopTest, AnOverrunVerifiesEveryDamagedPositive) {
+  constexpr VertexId kBudget =
+      TwoHopCore<LabeledTwoHopTraits>::kLocalSearchBudget;
+  constexpr LabelSet kAll = 0b11;
+  // Builds `index` over `*g` and returns the live graph after the cut.
+  const auto cut_tail = [](PrunedLabeledTwoHop& index, LabeledDigraph* g,
+                           VertexId cycle) {
+    std::vector<LabeledEdge> edges;
+    for (VertexId v = 0; v < cycle; ++v) {
+      edges.push_back({v, (v + 1) % cycle, v % 2});
+      if (v % 5 == 0) edges.push_back({v, (v + 37) % cycle, 0});
+    }
+    for (VertexId v = cycle; v + 1 < cycle + 8; ++v) {
+      edges.push_back({v, v + 1, 1});
+    }
+    edges.push_back({0, cycle, 1});
+    *g = LabeledDigraph::FromEdges(cycle + 8, 2, edges);
+    index.Build(*g);
+    EXPECT_EQ(
+        index.ApplyUpdate({LabeledEdgeUpdate::Delete(0, cycle, 1)}).damage,
+        1u);
+    edges.pop_back();
+    return LabeledDigraph::FromEdges(cycle + 8, 2, edges);
+  };
+  LabeledDigraph small, large;
+  PrunedLabeledTwoHop within;
+  cut_tail(within, &small, kBudget * 3 / 4);
+  EXPECT_TRUE(within.Query(1, 2, kAll));
+  EXPECT_EQ(within.Rent().paid, 0u);
+
+  constexpr VertexId kCycle = kBudget * 3 / 2;
+  PrunedLabeledTwoHop index;
+  const LabeledDigraph live = cut_tail(index, &large, kCycle);
+  SearchWorkspace ws;
+  Xoshiro256ss rng(0x0E8);
+  size_t positives = 0;
+  for (int i = 0; i < 200; ++i) {
+    const auto s = static_cast<VertexId>(rng.NextBounded(kCycle + 8));
+    // Every fourth target is in the tail, which only the tail reaches.
+    const auto t = static_cast<VertexId>(
+        i % 4 == 0 ? kCycle + rng.NextBounded(8) : rng.NextBounded(kCycle));
+    const LabelSet mask = i % 3 == 0 ? LabelSet{0b01} : kAll;
+    const uint64_t paid = index.Rent().paid;
+    const bool reachable = index.Query(s, t, mask);
+    ASSERT_EQ(reachable, LcrBfsReachability(live, s, t, mask, ws))
+        << s << "->" << t << " mask " << mask;
+    if (reachable && s != t) {
+      ++positives;
+      EXPECT_GT(index.Rent().paid, paid) << s << "->" << t;
+    }
+  }
+  EXPECT_GT(positives, 50u);
 }
 
 TEST(PrunedLabeledTwoHopTest, MixedBatchAndRebuildFromUpdates) {

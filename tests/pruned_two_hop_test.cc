@@ -13,6 +13,7 @@
 #include "graph/rng.h"
 #include "lcr/pruned_labeled_two_hop.h"
 #include "par/thread_pool.h"
+#include "traversal/online_search.h"
 #include "traversal/transitive_closure.h"
 
 namespace reach {
@@ -234,7 +235,7 @@ TEST(PrunedTwoHopTest, RedundantDeleteCausesNoDamage) {
   EXPECT_TRUE(index.Query(2, 3));
 }
 
-// A delete whose tail and head the damage marks already cover adds no
+// A re-delete of a resurrected arc finds the arc cut already and adds no
 // damage. On a ring every arc is damaging; after a delete, its
 // resurrection and the same delete again, `Damage()` still counts one
 // arc, and every answer matches the live ring at each step.
@@ -447,9 +448,9 @@ TEST(PrunedTwoHopRentTest, DamagingDeletesWithoutQueriesAreNeverRecommended) {
   }
 }
 
-// On a cyclic graph one damaging delete marks most hubs, so the damaged
-// positives the lost sets leave in doubt run live searches and, pass by
-// pass, pay for a build: the first ask after the rent reaches the price
+// On a cyclic graph the damaged positives the lost sets of one damaging
+// delete leave in doubt run live searches and, pass by pass, pay for a
+// build: the first ask after the rent reaches the price
 // is recommended, and the build starts a fresh meter.
 TEST(PrunedTwoHopRentTest, DamagedQueriesRecommendOnceTheRentReachesThePrice) {
   constexpr VertexId kN = 400;
@@ -501,11 +502,11 @@ TEST(PrunedTwoHopRentTest, ACopyPaysIntoItsSourcesRent) {
   EXPECT_EQ(copy->ApplyUpdate({}).status, UpdateStatus::kApplied);
 }
 
-// A positive no cut could have lost is trusted without a witness and pays
-// nothing: after one damaging delete on a cyclic graph, where the damage
-// marks cover most hubs, a pass over every pair pays less than one unit
-// per damaged positive, the least it paid when every superset positive
-// paid.
+// A positive no cut could have lost is trusted without a live search and
+// pays nothing: after one damaging delete on a cyclic graph, whose
+// ancestors and descendants are most of the graph, a pass over every pair
+// pays less than one unit per damaged positive, the least it paid when
+// every superset positive paid.
 TEST(PrunedTwoHopRentTest, TrustedPositivesPayNoRent) {
   constexpr VertexId kN = 400;
   const Digraph g = RandomDigraph(kN, 4 * kN, 0x5C1);
@@ -604,8 +605,8 @@ Digraph HubOfChains() {
   return Digraph::FromEdges(17, edges);
 }
 
-// Cutting 1 -> 9 marks the hub damaged (it reaches the cut's tail), but
-// only 9 lost its ancestors: the pair 0 -> 10, far from the cut, is a
+// Cutting 1 -> 9 damages the hub's labels (it reaches the cut's tail),
+// but only 9 lost its ancestors: the pair 0 -> 10, far from the cut, is a
 // positive the lost sets trust, so it runs no live search, while 0 -> 9
 // is verified and found lost.
 TEST(PrunedTwoHopLostSetTest, APairFarFromTheCutRunsNoLiveSearch) {
@@ -641,6 +642,63 @@ TEST(PrunedTwoHopLostSetTest, ACopysCutLeavesItsSourcesMasksAlone) {
   EXPECT_TRUE(source.Query(0, 10));
   EXPECT_TRUE(source.Query(0, 11));
   EXPECT_EQ(source.Probe().fallbacks, 0u);
+}
+
+// A cycle of `cycle` vertices with a chord from every fifth vertex, and a
+// tail of eight vertices hung off vertex 0: 0 -> cycle -> ... -> cycle + 7.
+Digraph CycleWithTail(VertexId cycle) {
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v < cycle; ++v) {
+    edges.push_back({v, (v + 1) % cycle});
+    if (v % 5 == 0) edges.push_back({v, (v + 37) % cycle});
+  }
+  edges.push_back({0, cycle});
+  for (VertexId v = cycle; v + 1 < cycle + 8; ++v) edges.push_back({v, v + 1});
+  return Digraph::FromEdges(cycle + 8, edges);
+}
+
+// Cutting 0 -> tail loses every cycle -> tail pair. The cut's lost target
+// set, the tail, is small, but its lost source set is the whole cycle,
+// which past `kLocalSearchBudget` vertices overruns the sweep: from then
+// on every damaged positive is verified live and pays rent, 1 -> 2 too,
+// which no cut lost and which a cycle within the budget trusts for free.
+// Sampled answers match a BFS of the live graph.
+TEST(PrunedTwoHopLostSetTest, AnOverrunVerifiesEveryDamagedPositive) {
+  constexpr VertexId kBudget =
+      TwoHopCore<PlainTwoHopTraits>::kLocalSearchBudget;
+  const auto cut_tail = [](PrunedTwoHop& index, const Digraph& g) {
+    index.Build(g);
+    const auto cycle = static_cast<VertexId>(g.NumVertices() - 8);
+    ASSERT_EQ(index.ApplyUpdate({EdgeUpdate::Delete(0, cycle)}).damage, 1u);
+  };
+  const Digraph small = CycleWithTail(kBudget * 3 / 4);
+  PrunedTwoHop within;
+  cut_tail(within, small);
+  EXPECT_TRUE(within.Query(1, 2));
+  EXPECT_EQ(within.Rent().paid, 0u);
+
+  constexpr VertexId kCycle = kBudget * 3 / 2;
+  const Digraph large = CycleWithTail(kCycle);
+  PrunedTwoHop index;
+  cut_tail(index, large);
+  const std::unique_ptr<Digraph> live = index.LiveGraph();
+  SearchWorkspace ws;
+  Xoshiro256ss rng(0x0E7);
+  size_t positives = 0;
+  for (int i = 0; i < 200; ++i) {
+    const auto s = static_cast<VertexId>(rng.NextBounded(kCycle + 8));
+    // Every fourth target is in the tail, which only the tail reaches.
+    const auto t = static_cast<VertexId>(
+        i % 4 == 0 ? kCycle + rng.NextBounded(8) : rng.NextBounded(kCycle));
+    const uint64_t paid = index.Rent().paid;
+    const bool reachable = index.Query(s, t);
+    ASSERT_EQ(reachable, BfsReachability(*live, s, t, ws)) << s << "->" << t;
+    if (reachable && s != t) {
+      ++positives;
+      EXPECT_GT(index.Rent().paid, paid) << s << "->" << t;
+    }
+  }
+  EXPECT_GT(positives, 100u);
 }
 
 TEST(PrunedTwoHopTest, NamesReflectOrders) {

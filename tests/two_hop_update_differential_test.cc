@@ -335,11 +335,10 @@ INSTANTIATE_TEST_SUITE_P(Specs, TwoHopUpdateDifferentialTest,
 
 // Arcs s->u, u->v, s->w, w->v, v->t. Delete (u, v), re-insert it, delete
 // (w, v), then delete (u, v) again: s no longer reaches t. The last
-// delete is a re-delete whose tail and head the damage marks already
-// cover, so it changes no damage state; only state recorded by the
-// earlier deletes can make the answer exact. Reachability sets taken over
-// the live graph at each delete would miss s: (u, v) was live when
-// (w, v) was cut.
+// delete is a re-delete of an arc cut already, so it changes no damage
+// state; only state recorded by the earlier deletes can make the answer
+// exact. Reachability sets taken over the live graph at each delete would
+// miss s: (u, v) was live when (w, v) was cut.
 TEST(TwoHopLostSetTest, RedeleteAfterAnotherCutLosesAPair) {
   constexpr VertexId s = 0, u = 1, v = 2, w = 3, t = 4;
   const Digraph g =
