@@ -133,8 +133,11 @@ Metrics Measure(VertexId n, int repeat) {
     // graph) for the deletion-capable specs; identical every run. Applied
     // single-update like the serve drain loop applies its smallest
     // batches, rebuilding only when the index recommends it.
-    // 64 updates keeps the whole gate in seconds — deletes dominate the
-    // cost (each damage sweep walks a transitive closure).
+    // 64 updates keeps the whole gate in seconds. On `dag-avg4` the
+    // inserts take most of the churn cost (each resumes a pruned sweep
+    // from the new arc for every hop of its tail's Lin, and random arcs
+    // into a random DAG connect many new pairs); on `er-cyclic-avg4` the
+    // deletes' detour searches do.
     std::vector<reach::EdgeUpdate> churn;
     {
       reach::Xoshiro256ss rng(kSeed + 13);

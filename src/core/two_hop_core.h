@@ -103,8 +103,10 @@ static_assert(std::is_trivially_copyable_v<Meta>);
 ///    rank, in rank order (serial: each sweep prunes against every
 ///    earlier rank's labels, docs/PARALLELISM.md);
 ///  * sealing into flat or block-compressed pools under the size budget,
-///    the compressed-pool query kernels, and the post-seal `delta_lin_`
-///    insert overlay;
+///    and the compressed-pool query kernels;
+///  * the insert rule (TOL, DLCR): the build's sweep resumed from the new
+///    arc for every hop that reaches its tail, pruned by the index, with
+///    the entries it finds going into the post-seal `delta_lin_` overlay;
 ///  * the decremental bookkeeping over the `ArcOverlay` of inserted and
 ///    tombstoned arcs (graph/arc_overlay.h): the cuts since the build, the
 ///    detour check of a first cut, and the per-vertex lost-set masks of
@@ -129,10 +131,18 @@ static_assert(std::is_trivially_copyable_v<Meta>);
 ///                             magic of both persistence formats
 ///   kListCapPerVertex         a loaded list holds at most n times this
 ///                             many entries
-///   Sweeper                   the build's scratch, running one pruned
-///                             sweep and counting its oracle evaluations
-///                             (see `BuildLabels`)
+///   Sweeper                   one pruned sweep's scratch, for the build
+///                             and for inserts: `Run(start, entry,
+///                             adjacency, prune, emit)` walks the
+///                             `adjacency` from `start`, carrying `entry`
+///                             along every arc (`Extend`), and calls
+///                             `emit(x, entry)` for each state it reaches
+///                             that `prune(x, entry)` does not stop
 ///   Rank(entry)
+///   HopEntry(rank)            the entry a hop gives itself (an empty path)
+///   PathSet(entry)            the labels an entry's path uses, as the
+///                             constraint it satisfies
+///   Extend(entry, arc)        `entry` with the arc's label added
 ///   Covered(entries, rank, q) whether rank-sorted `entries` hold a `rank`
 ///                             entry usable under `q`
 ///   ArcAllowed(arc, q)        whether a path may take `arc` under `q`
@@ -141,8 +151,6 @@ static_assert(std::is_trivially_copyable_v<Meta>);
 ///                             answer-preserving
 ///   Intersect(out, in, q)     whether rank-sorted `out` and `in` share a
 ///                             hop usable under `q` on both sides
-///   PropagateInsert(core, s, arc)
-///                             adds the delta entries a new arc needs
 ///
 /// The compressed tier is `CompressedPool<Entry>` (core/label_pool.h),
 /// whose codec `Entry` selects; the core's pool kernels run `Covered` and
@@ -174,14 +182,14 @@ class TwoHopCore {
   /// count each) until its own updates touch them; the lost sets are a
   /// `CowBox`, shared until the copy's updates change them. The copy's
   /// overlay points into the same base graph, which must
-  /// outlive both. The write scratch and
-  /// the per-slot verification scratch are shared too, for the copy's
-  /// whole life, so its first update and first damaged query allocate
-  /// nothing: write a copy and its source from one thread at a time, and
-  /// never query one slot of both at once (the serve layer leases slots
-  /// from one pool per build). The rent meter is shared until either side
-  /// builds or loads, so damaged queries on any copy pay toward the one
-  /// build price.
+  /// outlive both. The write scratch (the search workspace and the
+  /// sweeper) and the per-slot verification scratch are shared too, for
+  /// the copy's whole life, so its first update and first damaged query
+  /// allocate nothing: write a copy and its source from one thread at a
+  /// time, and never query one slot of both at once (the serve layer
+  /// leases slots from one pool per build). The rent meter is shared until
+  /// either side builds or loads, so damaged queries on any copy pay
+  /// toward the one build price.
   /// Probes start fresh (`FreshOnCopy`). Safe while this core serves
   /// queries.
   TwoHopCore(const TwoHopCore&) = default;
@@ -416,57 +424,7 @@ class TwoHopCore {
     return sealed_->Entries(/*in=*/false, v);
   }
 
-  // --- Read and written by the adapters' sweep and insert bodies. ---
-
-  uint32_t Rank(VertexId v) const { return sealed_->rank[v]; }
-  VertexId ByRank(uint32_t r) const { return sealed_->by_rank[r]; }
-  const Graph& graph() const { return *overlay_.base(); }
   const ArcOverlay<Graph>& overlay() const { return overlay_; }
-
-  /// Build-time pruning oracle over the unsealed per-vertex vectors.
-  bool LabelQuery(VertexId s, VertexId t, Constraint q) const {
-    if (s == t) return true;
-    const std::vector<uint32_t>& rank = sealed_->rank;
-    if (Traits::Covered(lin_[t], rank[s], q)) return true;
-    if (Traits::Covered(lout_[s], rank[t], q)) return true;
-    return LabelIntersect(s, t, q);
-  }
-  /// The common-hop case of `LabelQuery` alone, for a sweeper that can
-  /// show both covered cases false.
-  bool LabelIntersect(VertexId s, VertexId t, Constraint q) const {
-    return Traits::Intersect(lout_[s], lin_[t], q);
-  }
-
-  /// Every vertex `from` reaches in the overlay's superset graph G+ (the
-  /// graph the sealed + delta labels are exact for), itself first, in BFS
-  /// order. The reference is valid until the next write-side traversal.
-  const std::vector<VertexId>& ReachableInSuperset(VertexId from) {
-    SweepSuperset(from, /*backward=*/false, SIZE_MAX);
-    return ws_->queue();
-  }
-
-  /// True iff Lin(x) — sealed slice or delta — holds a `rank` entry
-  /// covered under `q`.
-  bool InCovered(VertexId x, uint32_t rank, Constraint q) const {
-    const bool sealed =
-        sealed_->compressed
-            ? PoolCovered(sealed_->lin_cpool, x, rank, q)
-            : Traits::Covered(sealed_->lin_pool.Slice(x), rank, q);
-    return sealed || Traits::Covered(delta_lin_[x], rank, q);
-  }
-
-  /// Adds `e` to the delta overlay of Lin(x), keeping it rank-sorted.
-  void AddDeltaIn(VertexId x, const Entry& e) {
-    const std::span<const Entry> list = delta_lin_[x];
-    delta_lin_.Insert(
-        x,
-        std::upper_bound(list.begin(), list.end(), Traits::Rank(e),
-                         [](uint32_t r, const Entry& d) {
-                           return r < Traits::Rank(d);
-                         }) -
-            list.begin(),
-        e);
-  }
 
   // --- Compressed-pool kernels of the superset test: the skip tables
   // prefilter and skip blocks, and `Traits::Covered` / `Traits::Intersect`
@@ -896,26 +854,68 @@ class TwoHopCore {
     std::deque<Cell> cells_;
   };
 
-  // The pruned sweeps in rank order: rank r's forward sweep adds its
-  // entries to `lin_`, its backward sweep to `lout_`, each pruned against
-  // the labels of every earlier rank (and, in the labeled core, the
-  // sweep's own entries so far). `Sweeper::Run(core, r, forward, emit)`
-  // runs one sweep and calls `emit(x, entry)` for every label it adds.
+  uint32_t Rank(VertexId v) const { return sealed_->rank[v]; }
+  VertexId ByRank(uint32_t r) const { return sealed_->by_rank[r]; }
+
+  // The pruned sweeps in rank order over the built graph: rank r's forward
+  // sweep adds (r, path set) entries to `lin_`, its backward sweep to
+  // `lout_`. A sweep skips vertices of rank <= r and prunes a state the
+  // labels of earlier ranks already answer. The sweeper is kept as the
+  // insert's (`ApplyInsert`).
   //
-  // Returns the build's price: the oracle evaluations the sweeps made
-  // (`Sweeper::Evaluations`).
+  // The oracle is the common-hop case of the three-case test alone: at
+  // every evaluation both covered cases are false. Take the forward sweep
+  // of rank r and an evaluated state (w, A), so rank(w) > r.
+  //  * Covered(Lin(w), r, A): a rank-r entry enters Lin(w) only through
+  //    this sweep's emit of a state (w, A') it evaluated, and the sweeper
+  //    never evaluates a later state of w whose path set contains A' (the
+  //    plain sweeper evaluates w once).
+  //  * Covered(Lout(hop), rank(w), A): a backward sweep of rank r' labels
+  //    only vertices of rank > r', so Lout(hop) holds ranks < r; and
+  //    rank(w) > r.
+  // The backward sweep is the mirror image: Lin(hop) holds ranks < r, and
+  // r enters Lout(w) only through this sweep.
+  //
+  // Returns the build's price: the oracle evaluations the sweeps made.
   uint64_t BuildLabels() {
-    const size_t n = overlay_.NumVertices();
+    const Graph& graph = *overlay_.base();
+    const std::vector<uint32_t>& rank = sealed_->rank;
+    const size_t n = rank.size();
     lin_.assign(n, {});
     lout_.assign(n, {});
-    Sweeper sweeper(n);
+    sweeper_ = std::make_shared<Sweeper>(n);
+    uint64_t evaluations = 0;
+    const auto out = [&graph](VertexId x, auto&& visit) {
+      for (const Arc& arc : Arcs::Out(graph, x)) visit(arc);
+    };
+    const auto in = [&graph](VertexId x, auto&& visit) {
+      for (const Arc& arc : Arcs::In(graph, x)) visit(arc);
+    };
     for (uint32_t r = 0; r < n; ++r) {
-      sweeper.Run(*this, r, /*forward=*/true,
-                  [&](VertexId x, const Entry& e) { lin_[x].push_back(e); });
-      sweeper.Run(*this, r, /*forward=*/false,
-                  [&](VertexId x, const Entry& e) { lout_[x].push_back(e); });
+      const VertexId hop = ByRank(r);
+      sweeper_->Run(
+          hop, Traits::HopEntry(r), out,
+          [&](VertexId w, const Entry& e) {
+            if (rank[w] <= r) return true;
+            ++evaluations;
+            return LabelIntersect(hop, w, Traits::PathSet(e));
+          },
+          [&](VertexId w, const Entry& e) { lin_[w].push_back(e); });
+      sweeper_->Run(
+          hop, Traits::HopEntry(r), in,
+          [&](VertexId w, const Entry& e) {
+            if (rank[w] <= r) return true;
+            ++evaluations;
+            return LabelIntersect(w, hop, Traits::PathSet(e));
+          },
+          [&](VertexId w, const Entry& e) { lout_[w].push_back(e); });
     }
-    return sweeper.Evaluations();
+    return evaluations;
+  }
+
+  // The build's pruning oracle over the unsealed per-vertex vectors.
+  bool LabelIntersect(VertexId s, VertexId t, Constraint q) const {
+    return Traits::Intersect(lout_[s], lin_[t], q);
   }
 
   // Moves the build-side vectors into the pools of `sealed`, a fresh
@@ -1089,14 +1089,58 @@ class TwoHopCore {
     // the delete's local-redundancy rule.
     if (SupersetAnswer(s, t, Traits::DetourConstraint(arc))) return true;
 
-    // The sealed pool is immutable, so the entries the new arc needs go
-    // into the unsealed delta overlay, which the query path consults next
-    // to the pool. They must describe the SUPERSET, not the live graph: a
-    // later tombstone resurrection adds no labels, and would otherwise
-    // leave pairs routed through the tombstoned arc without a witness —
-    // turning "no witness" into a wrong exact negative.
-    Traits::PropagateInsert(*this, s, arc);
+    // TOL / DLCR insertion (docs/ALGORITHMS.md): for each hop entry (h, M)
+    // of Lin(s) ∪ {(s, ∅)}, resume h's build sweep from t over G+ with the
+    // path set M ∪ label(arc). A state (y, A) the index already answers
+    // for h is pruned, and (y, (h, A)) is recorded otherwise. The prune
+    // tests read the pre-insert index, which is what makes them sound: a
+    // pruned y has h ~> y in the old G+, so whatever lies past y was
+    // already reached through h. So the recorded entries go in only after
+    // every hop is swept, into the delta overlay (the sealed pool is
+    // immutable). Like the pool they describe G+, not the live graph: a
+    // later resurrection of a tombstoned arc adds no labels, so the pairs
+    // it routes must have theirs already.
+    if (sweeper_ == nullptr) {
+      sweeper_ = std::make_shared<Sweeper>(overlay_.NumVertices());
+    }
+    std::vector<Entry> hops = InEntries(s);
+    hops.push_back(Traits::HopEntry(Rank(s)));
+    std::vector<std::pair<VertexId, Entry>> found;
+    for (const Entry& hop_entry : hops) {
+      const VertexId hop = ByRank(Traits::Rank(hop_entry));
+      const auto answered = [&](VertexId y, const Entry& e) {
+        return SupersetAnswer(hop, y, Traits::PathSet(e));
+      };
+      const Entry start = Traits::Extend(hop_entry, arc);
+      if (answered(t, start)) continue;
+      found.emplace_back(t, start);
+      sweeper_->Run(t, start, overlay_.SupersetOut(), answered,
+                    [&found](VertexId y, const Entry& e) {
+                      found.emplace_back(y, e);
+                    });
+    }
+    // Hops of one rank may find the same entry, or one that an entry found
+    // before already covers.
+    for (const auto& [y, e] : found) {
+      if (!Traits::Covered(delta_lin_[y], Traits::Rank(e),
+                           Traits::PathSet(e))) {
+        AddDeltaIn(y, e);
+      }
+    }
     return true;
+  }
+
+  // Adds `e` to the delta overlay of Lin(x), keeping it rank-sorted.
+  void AddDeltaIn(VertexId x, const Entry& e) {
+    const std::span<const Entry> list = delta_lin_[x];
+    delta_lin_.Insert(
+        x,
+        std::upper_bound(list.begin(), list.end(), Traits::Rank(e),
+                         [](uint32_t r, const Entry& d) {
+                           return r < Traits::Rank(d);
+                         }) -
+            list.begin(),
+        e);
   }
 
   bool ApplyDelete(VertexId s, const Arc& arc) {
@@ -1118,8 +1162,8 @@ class TwoHopCore {
   }
 
   // BFS over G+ from `start` into ws_->queue(); false once the queue
-  // outgrows `budget`.
-  bool SweepSuperset(VertexId start, bool backward, size_t budget) {
+  // outgrows `kLocalSearchBudget`.
+  bool SweepSuperset(VertexId start, bool backward) {
     SearchWorkspace& ws = *ws_;
     ws.Prepare(overlay_.NumVertices());
     std::vector<VertexId>& queue = ws.queue();
@@ -1130,7 +1174,7 @@ class TwoHopCore {
       return false;
     };
     for (size_t head = 0; head < queue.size(); ++head) {
-      if (queue.size() > budget) return false;
+      if (queue.size() > kLocalSearchBudget) return false;
       if (backward) {
         overlay_.SupersetIn()(queue[head], visit);
       } else {
@@ -1203,7 +1247,7 @@ class TwoHopCore {
                                const LostBits& bits) {
       if (bits == LostBits{}) return;
       LostSets& lost = lost_.Mutable();
-      if (!SweepSuperset(start, backward, kLocalSearchBudget)) {
+      if (!SweepSuperset(start, backward)) {
         lost.all = true;
         return;
       }
@@ -1313,7 +1357,8 @@ class TwoHopCore {
 
   // Rebases the overlay onto `base` (nullptr after a load) and clears the
   // post-build label state: delta, damage, the build price (`Build` sets
-  // it again) and the rent, in a meter of this core's own.
+  // it again), the rent, in a meter of this core's own, and the sweeper,
+  // sized for the old graph.
   void ResetDynamicState(const Graph* base) {
     overlay_.Reset(base);
     delta_lin_.Clear();
@@ -1321,6 +1366,7 @@ class TwoHopCore {
     rent_ = std::make_shared<RentMeter>(verify_ws_->NumSlots());
     damage_ = 0;
     lost_.Reset();
+    sweeper_.reset();
   }
 
   static std::string ListName(const char* side, size_t v) {
@@ -1451,9 +1497,12 @@ class TwoHopCore {
   // Lost sets (see `CutLostSets`), shared with copies until written, so a
   // copy that never cuts or adds an arc copies one pointer of them.
   CowBox<LostSets> lost_;
-  // Write-side traversal scratch (detour checks, lost-set sweeps, insert
-  // propagation), shared with copies (see the copy constructor).
+  // Write-side scratch, shared with copies (see the copy constructor): the
+  // workspace of the detour checks and lost-set sweeps, and the sweeper of
+  // the last build, which inserts resume (null after a load or `Rebase`
+  // until the first insert).
   std::shared_ptr<SearchWorkspace> ws_ = std::make_shared<SearchWorkspace>();
+  std::shared_ptr<Sweeper> sweeper_;
   // Per-slot scratch for damaged-positive verification, shared with copies,
   // and per-slot probes, fresh in each copy (slot-parallel queries must
   // not share a slot).

@@ -28,9 +28,10 @@ size_t GallopToRank(std::span<const E> entries, size_t from, uint32_t rank) {
       entries.begin());
 }
 
-// A label-BFS state: `vertex` reached with accumulated label set `mask`.
+// A label-BFS state: `vertex` reached with `entry`, whose mask is the
+// path's accumulated label set.
 struct State {
-  LabelSet mask;
+  LabeledTwoHopTraits::Entry entry;
   VertexId vertex;
 };
 
@@ -44,7 +45,7 @@ class BucketQueue {
     index_ = 0;
   }
 
-  void Push(State s) { buckets_[LabelCount(s.mask)].push_back(s); }
+  void Push(State s) { buckets_[LabelCount(s.entry.mask)].push_back(s); }
 
   // Returns false when empty. States pushed at the current level while
   // draining it are still popped (same-level growth).
@@ -95,56 +96,44 @@ class SeenSets {
 
 using Entry = LabeledTwoHopTraits::Entry;
 using Arc = LabeledDigraph::Arc;
-using LabeledCore = TwoHopCore<LabeledTwoHopTraits>;
 
-// The P2H+ label-BFS of one rank: forward populates Lin via hop -> x
-// states, backward populates Lout. States (vertex, label set) expand in
+// The P2H+ label-BFS from `start`. States (vertex, label set) expand in
 // nondecreasing |label set|, so recorded SPLSs are minimal; a state is
-// pruned when dominated within the sweep or when the index built so far
-// already answers the corresponding query.
+// dropped when a state of its vertex seen in this sweep has a subset of
+// its label set, and pruned by `prune`. A pruned state blocks its
+// supersets too: the build's and the insert's oracles are monotone in
+// the label set.
 class LabeledTwoHopTraits::Sweeper {
  public:
   explicit Sweeper(size_t n) : n_(n) {}
 
-  template <typename Emit>
-  void Run(const LabeledCore& core, uint32_t r, bool forward, Emit&& emit) {
-    const VertexId hop = core.ByRank(r);
+  template <typename Adjacency, typename Prune, typename Emit>
+  void Run(VertexId start, const Entry& entry, Adjacency&& adjacency,
+           Prune&& prune, Emit&& emit) {
     queue_.Clear();
     seen_.Reset(n_);
-    seen_.Add(hop, 0);
-    queue_.Push({0, hop});
+    seen_.Add(start, entry.mask);
+    queue_.Push({entry, start});
     State state;
     while (queue_.Pop(&state)) {
-      const auto visit = [&](const Arc& arc) {
+      adjacency(state.vertex, [&](const Arc& arc) {
         const VertexId x = arc.vertex;
-        if (x == hop || core.Rank(x) < r) return;
-        const LabelSet next = state.mask | LabelBit(arc.label);
-        if (seen_.Dominates(x, next)) return;
-        ++evaluations_;
-        const bool covered = forward ? core.LabelQuery(hop, x, next)
-                                     : core.LabelQuery(x, hop, next);
-        seen_.Add(x, next);  // covered: blocks supersets, already answerable
-        if (covered) return;
-        emit(x, Entry{r, next});
+        const Entry next = Extend(state.entry, arc);
+        if (seen_.Dominates(x, next.mask)) return false;
+        const bool pruned = prune(x, next);
+        seen_.Add(x, next.mask);
+        if (pruned) return false;
+        emit(x, next);
         queue_.Push({next, x});
-      };
-      if (forward) {
-        for (const Arc& arc : core.graph().OutArcs(state.vertex)) visit(arc);
-      } else {
-        for (const Arc& arc : core.graph().InArcs(state.vertex)) visit(arc);
-      }
+        return false;
+      });
     }
   }
-
-  /// States the pruning test ran on over every `Run` so far: the build
-  /// price.
-  uint64_t Evaluations() const { return evaluations_; }
 
  private:
   size_t n_;
   BucketQueue queue_;
   SeenSets seen_;
-  uint64_t evaluations_ = 0;
 };
 
 bool LabeledTwoHopTraits::Covered(std::span<const Entry> entries,
@@ -194,43 +183,6 @@ bool LabeledTwoHopTraits::Intersect(std::span<const Entry> out,
     }
   }
   return false;
-}
-
-void LabeledTwoHopTraits::PropagateInsert(LabeledCore& core, VertexId s,
-                                          const Arc& arc) {
-  // Every newly answerable pair (x, y, A) decomposes as x -> s (old paths,
-  // mask M1 ⊆ A), the new edge (label ∈ A), then t -> y (old paths,
-  // M2 ⊆ A). The old index answers (x, s, M1) through some hop entry of
-  // Lin(s) (or a virtual endpoint hop), so propagating each such hop
-  // through the new edge to everything reachable from t restores
-  // completeness. Traversal prunes only by per-sweep dominance, never by
-  // index queries — minimality is traded for correctness (see header).
-  std::vector<Entry> hops = core.InEntries(s);
-  hops.push_back({core.Rank(s), 0});
-  BucketQueue queue;
-  SeenSets seen;
-  State state;
-  for (const Entry& hop_entry : hops) {
-    const VertexId hop = core.ByRank(hop_entry.rank);
-    queue.Clear();
-    seen.Reset(core.NumVertices());
-    const LabelSet start = hop_entry.mask | LabelBit(arc.label);
-    seen.Add(arc.vertex, start);
-    queue.Push({start, arc.vertex});
-    while (queue.Pop(&state)) {
-      if (state.vertex != hop &&
-          !core.InCovered(state.vertex, hop_entry.rank, state.mask)) {
-        core.AddDeltaIn(state.vertex, {hop_entry.rank, state.mask});
-      }
-      core.overlay().SupersetOut()(state.vertex, [&](const Arc& a) {
-        const LabelSet next = state.mask | LabelBit(a.label);
-        if (seen.Dominates(a.vertex, next)) return false;
-        seen.Add(a.vertex, next);
-        queue.Push({next, a.vertex});
-        return false;
-      });
-    }
-  }
 }
 
 void PrunedLabeledTwoHop::Build(const LabeledDigraph& graph) {

@@ -28,9 +28,14 @@ struct LabeledTwoHopTraits {
   };
   using Graph = LabeledDigraph;
   using Constraint = LabelSet;
-  class Sweeper;  // the label-BFS of one rank (pruned_labeled_two_hop.cc)
+  class Sweeper;  // the label-BFS (pruned_labeled_two_hop.cc)
 
   static uint32_t Rank(const Entry& e) { return e.rank; }
+  static Entry HopEntry(uint32_t rank) { return {rank, 0}; }
+  static LabelSet PathSet(const Entry& e) { return e.mask; }
+  static Entry Extend(const Entry& e, const LabeledDigraph::Arc& arc) {
+    return {e.rank, e.mask | LabelBit(arc.label)};
+  }
   static bool ArcAllowed(const LabeledDigraph::Arc& arc, LabelSet allowed) {
     return IsSubsetOf(LabelBit(arc.label), allowed);
   }
@@ -57,11 +62,6 @@ struct LabeledTwoHopTraits {
                       LabelSet allowed);
   static bool Intersect(std::span<const Entry> out,
                         std::span<const Entry> in, LabelSet allowed);
-
-  /// Resumes a label-BFS through the new arc for every hop of
-  /// Lin(s) ∪ {s}.
-  static void PropagateInsert(TwoHopCore<LabeledTwoHopTraits>& core,
-                              VertexId s, const LabeledDigraph::Arc& arc);
 };
 
 /// P2H+-style pruned labeled 2-hop index (Peng et al. [33], paper §4.1.3),
@@ -82,10 +82,13 @@ struct LabeledTwoHopTraits {
 ///
 /// Dynamics (the DLCR row), all behind `ApplyUpdate`:
 ///
-///  * Inserts resume label-BFSs through the new arc for every hop that
-///    reaches its source, keeping the index correct (possibly with
-///    redundant entries — DLCR's redundancy elimination bookkeeping is
-///    out of scope; see DESIGN.md).
+///  * Inserts resume the build's label-BFS through the new arc (DLCR's
+///    insertion): for every entry (h, S) of Lin(s) ∪ {(s, ∅)}, a
+///    label-BFS from t starts with S plus the arc's label, adds (h, A) to
+///    the Lin of each state (y, A) it reaches, and stops where the index
+///    already answers Qr(h, y, A). It keeps the entries the new arc makes
+///    redundant (DLCR's redundancy elimination is out of scope; see
+///    DESIGN.md); `RebuildFromUpdates` re-minimizes.
 ///  * Deletes reuse the plain `PrunedTwoHop` decremental design,
 ///    generalized to labeled arcs. Labels always describe the *superset*
 ///    graph G+ (base ∪ everything ever inserted, tombstones ignored), so

@@ -8,84 +8,39 @@
 
 namespace reach {
 
-// One pruned BFS: hop = by_rank[r] adds itself to Lin of everything it
-// reaches (forward) or to Lout of everything reaching it (backward),
-// pruned where the labels built so far already answer Qr(hop, w) (resp.
-// Qr(w, hop)) and at higher-ranked vertices. A vertex is evaluated once
-// per sweep, so the plain oracle never sees the sweep's own entries.
-//
-// The oracle is the common-hop case of `LabelQuery` alone: at every
-// evaluation both of its covered cases are false. Take the forward sweep
-// of rank r and an evaluated w, so rank(w) > r (lower ranks are skipped).
-//  * Covered(Lin(w), r): a rank-r entry enters Lin(w) only through this
-//    sweep's emit(w, r), which follows w's one evaluation.
-//  * Covered(Lout(hop), rank(w)): a backward sweep of rank r' labels only
-//    vertices of rank > r', so Lout(hop) holds ranks < r; and rank(w) > r.
-// The backward sweep is the mirror image: Lin(hop) holds ranks < r, and
-// r enters Lout(w) only after w is evaluated.
+// One pruned BFS from `start`. A plain path has no labels to add, so
+// every state carries `entry`, and a vertex is visited once per sweep.
 class PlainTwoHopTraits::Sweeper {
  public:
   explicit Sweeper(size_t n) : mark_(n, 0) {}
 
-  template <typename Emit>
-  void Run(const TwoHopCore<PlainTwoHopTraits>& core, uint32_t r,
-           bool forward, Emit&& emit) {
-    const VertexId hop = core.ByRank(r);
-    ++epoch_;
+  template <typename Adjacency, typename Prune, typename Emit>
+  void Run(VertexId start, Entry entry, Adjacency&& adjacency, Prune&& prune,
+           Emit&& emit) {
+    if (++epoch_ == 0) {  // wrapped: clear once per 2^32 sweeps
+      std::fill(mark_.begin(), mark_.end(), 0);
+      epoch_ = 1;
+    }
     queue_.clear();
-    queue_.push_back(hop);
-    mark_[hop] = epoch_;
+    queue_.push_back(start);
+    mark_[start] = epoch_;
     for (size_t head = 0; head < queue_.size(); ++head) {
-      const auto visit = [&](VertexId w) {
-        if (mark_[w] == epoch_ || core.Rank(w) <= r) return;
+      adjacency(queue_[head], [&](VertexId w) {
+        if (mark_[w] == epoch_) return false;
         mark_[w] = epoch_;
-        ++evaluations_;
-        if (forward ? core.LabelIntersect(hop, w, {})
-                    : core.LabelIntersect(w, hop, {})) {
-          return;  // prune: already covered
-        }
-        emit(w, r);  // ranks arrive ascending: lists stay sorted
+        if (prune(w, entry)) return false;
+        emit(w, entry);  // a build's ranks arrive ascending: lists stay sorted
         queue_.push_back(w);
-      };
-      const VertexId x = queue_[head];
-      if (forward) {
-        for (VertexId w : core.graph().OutNeighbors(x)) visit(w);
-      } else {
-        for (VertexId w : core.graph().InNeighbors(x)) visit(w);
-      }
+        return false;
+      });
     }
   }
-
-  /// Oracle evaluations over every `Run` so far: the build price.
-  uint64_t Evaluations() const { return evaluations_; }
 
  private:
   std::vector<uint32_t> mark_;  // epoch-stamped visited marks
   uint32_t epoch_ = 0;
   std::vector<VertexId> queue_;
-  uint64_t evaluations_ = 0;
 };
-
-void PlainTwoHopTraits::PropagateInsert(TwoHopCore<PlainTwoHopTraits>& core,
-                                        VertexId s, VertexId t) {
-  // Any pair newly connected by (s, t) decomposes into x -> s (old paths)
-  // and t -> y (old paths); the old index answers x -> s with some hop
-  // h ∈ Lout(x) ∩ (Lin(s) ∪ {s}). Propagating every such h through the
-  // new edge to all of Reach(t) restores the invariant: h lands in Lin(y),
-  // so Qr(x, y) finds it. One shared sweep computes Reach(t); each hop is
-  // then added to the Lin of every vertex on it (one unpruned BFS per hop,
-  // without re-traversing the edges). No pruning beyond already-present
-  // labels: label minimality is traded for correctness (class comment).
-  std::vector<uint32_t> hops = core.InEntries(s);
-  hops.push_back(core.Rank(s));
-  const std::vector<VertexId>& reach = core.ReachableInSuperset(t);
-  for (uint32_t h : hops) {
-    const VertexId hop = core.ByRank(h);
-    for (VertexId x : reach) {
-      if (x != hop && !core.InCovered(x, h, {})) core.AddDeltaIn(x, h);
-    }
-  }
-}
 
 std::vector<VertexId> PrunedTwoHop::ComputeOrder(const Digraph& graph) const {
   if (order_ == VertexOrder::kDegree) return DegreeOrder(graph);

@@ -43,9 +43,14 @@ struct PlainTwoHopTraits {
   using Entry = uint32_t;
   using Graph = Digraph;
   struct Constraint {};
-  class Sweeper;  // the pruned BFS of one rank (pruned_two_hop.cc)
+  class Sweeper;  // the pruned BFS (pruned_two_hop.cc)
 
   static uint32_t Rank(Entry e) { return e; }
+  /// A plain path uses no labels, so an entry is its hop's rank and an arc
+  /// adds nothing to it.
+  static Entry HopEntry(uint32_t rank) { return rank; }
+  static Constraint PathSet(Entry) { return {}; }
+  static Entry Extend(Entry e, VertexId) { return e; }
   static bool ArcAllowed(VertexId, Constraint) { return true; }
   /// Any G- detour u ->* v reroutes every path through a deleted (u, v).
   static Constraint DetourConstraint(VertexId) { return {}; }
@@ -80,10 +85,6 @@ struct PlainTwoHopTraits {
                         Constraint) {
     return IntersectSorted(a.data(), a.size(), b.data(), b.size());
   }
-
-  /// Adds the hops of Lin(s) ∪ {s} to the Lin of everything `t` reaches.
-  static void PropagateInsert(TwoHopCore<PlainTwoHopTraits>& core,
-                              VertexId s, VertexId t);
 };
 
 /// The 2-hop labeling framework of Cohen et al. [14] computed with pruned
@@ -101,11 +102,12 @@ struct PlainTwoHopTraits {
 /// covered by their highest-ranked member).
 ///
 /// Dynamics (the TOL row's "Yes" in Table 1), via `ApplyUpdate`:
-///  * Inserts maintain correctness incrementally: for every hop h in
-///    Lin(u) ∪ {u}, h is propagated through the new edge (u, v) to all
-///    vertices reachable from v. Unlike TOL's full algorithm this may
-///    retain redundant entries (redundancy elimination is out of scope);
-///    `Build` can be re-run to re-minimize.
+///  * Inserts resume the build's pruned BFS through the new edge (u, v)
+///    (TOL's insertion): for every hop h in Lin(u) ∪ {u}, a BFS from v
+///    adds h to the Lin of each vertex it reaches, and stops where the
+///    index already answers Qr(h, w). Unlike TOL's full algorithm it keeps
+///    the entries the new edge makes redundant (redundancy elimination is
+///    out of scope); `RebuildFromUpdates` re-minimizes.
 ///  * Deletes are absorbed without rebuilding (DESIGN.md "Deletions"):
 ///    the sealed labels are kept as a *superset* labeling (they describe
 ///    base ∪ every-edge-ever-inserted, which only over-approximates the

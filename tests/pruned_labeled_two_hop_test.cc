@@ -1,6 +1,8 @@
 #include "lcr/pruned_labeled_two_hop.h"
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -104,6 +106,101 @@ TEST(PrunedLabeledTwoHopTest, InsertOffTheDetourLabelIsNotRedundant) {
       for (LabelSet mask = 0; mask < 4; ++mask) {
         EXPECT_EQ(index.Query(s, t, mask),
                   LcrBfsReachability(current, s, t, mask, ws))
+            << s << "->" << t << " mask=" << mask;
+      }
+    }
+  }
+}
+
+// h reaches a, and so c, through the hub g under {0, 1}; t reaches a and
+// b. Inserting (s, t) under label 1 resumes the sweeps of (h, {0}) (the
+// entry of Lin(s)) and (s, ∅) from t with {0, 1} and {1}: h's stops at a,
+// which the index answers under {0, 1} already, so h goes into Lin(t) and
+// Lin(b) only, while s goes into the Lin of all of t, a, b and c — six
+// entries, where adding each hop to all of Reach(t) takes eight. Under
+// label 0 the insert opens h -> a under {0}, which the index does not
+// answer, so nothing is pruned and it takes all eight.
+TEST(PrunedLabeledTwoHopTest, InsertStopsWhereAHopAlreadyReaches) {
+  constexpr VertexId g = 0, h = 1, a = 2, t = 3, s = 4, b = 5, c = 6;
+  // x1 = 7 and x2 = 8 only give g the top rank. Degree order: g, a, h, t,
+  // s, b, c, x1, x2.
+  const std::vector<LabeledEdge> edges = {
+      {h, g, 0}, {g, a, 1}, {g, 7, 0}, {g, 8, 0},
+      {a, c, 0}, {h, s, 0}, {t, a, 0}, {t, b, 1}};
+  for (const auto& [label, added] :
+       {std::pair<Label, size_t>{1, 6}, {0, 8}}) {
+    PrunedLabeledTwoHop index;
+    const LabeledDigraph before = LabeledDigraph::FromEdges(9, 2, edges);
+    index.Build(before);
+    ASSERT_TRUE(index.Query(h, c, 0b11));
+    ASSERT_FALSE(index.Query(h, c, 0b01));
+    const size_t entries = index.TotalEntries();
+    ASSERT_TRUE(
+        index.ApplyUpdate({LabeledEdgeUpdate::Insert(s, t, label)}).ok());
+    EXPECT_EQ(index.TotalEntries(), entries + added) << "label " << label;
+    std::vector<LabeledEdge> after = edges;
+    after.push_back({s, t, label});
+    const LabeledDigraph current = LabeledDigraph::FromEdges(9, 2, after);
+    SearchWorkspace ws;
+    for (VertexId x = 0; x < 9; ++x) {
+      for (VertexId y = 0; y < 9; ++y) {
+        for (LabelSet mask = 0; mask < 4; ++mask) {
+          EXPECT_EQ(index.Query(x, y, mask),
+                    LcrBfsReachability(current, x, y, mask, ws))
+              << x << "->" << y << " mask=" << mask << " label " << label;
+        }
+      }
+    }
+  }
+}
+
+// 64 random inserts into a 512-vertex, 4-label random graph, with no
+// rebuild between them: answers stay exact, and the index stays within a
+// small factor of a fresh build over the final graph.
+TEST(PrunedLabeledTwoHopTest, InsertStreamStaysNearAFreshBuild) {
+  constexpr VertexId n = 512;
+  constexpr Label num_labels = 4;
+  std::vector<LabeledEdge> edges =
+      RandomLabeledDigraph(n, 3 * n, num_labels, 0x1A5E).Edges();
+  PrunedLabeledTwoHop index;
+  const LabeledDigraph base = LabeledDigraph::FromEdges(n, num_labels, edges);
+  index.Build(base);
+  Xoshiro256ss rng(0x1A5F);
+  for (int inserts = 0; inserts < 64;) {
+    const VertexId u = static_cast<VertexId>(rng.NextBounded(n));
+    const VertexId v = static_cast<VertexId>(rng.NextBounded(n));
+    const Label l = static_cast<Label>(rng.NextBounded(num_labels));
+    if (u == v) continue;
+    const UpdateResult result =
+        index.ApplyUpdate({LabeledEdgeUpdate::Insert(u, v, l)});
+    ASSERT_EQ(result.status, UpdateStatus::kApplied);
+    if (result.applied == 0) continue;  // the arc was there already
+    edges.push_back({u, v, l});
+    ++inserts;
+  }
+  const LabeledDigraph current =
+      LabeledDigraph::FromEdges(n, num_labels, edges);
+  PrunedLabeledTwoHop fresh;
+  fresh.Build(current);
+  EXPECT_LE(index.TotalEntries(), 8 * fresh.TotalEntries())
+      << "fresh build: " << fresh.TotalEntries();
+  // Every mask from every 8th source: one constrained BFS each.
+  std::vector<uint8_t> seen(n);
+  std::vector<VertexId> queue;
+  for (LabelSet mask = 0; mask < (1u << num_labels); ++mask) {
+    for (VertexId s = 0; s < n; s += 8) {
+      std::fill(seen.begin(), seen.end(), 0);
+      queue.assign(1, s);
+      seen[s] = 1;
+      for (size_t head = 0; head < queue.size(); ++head) {
+        for (const auto& arc : current.OutArcs(queue[head])) {
+          if ((LabelBit(arc.label) & mask) == 0 || seen[arc.vertex]) continue;
+          seen[arc.vertex] = 1;
+          queue.push_back(arc.vertex);
+        }
+      }
+      for (VertexId t = 0; t < n; ++t) {
+        ASSERT_EQ(index.Query(s, t, mask), seen[t] != 0)
             << s << "->" << t << " mask=" << mask;
       }
     }

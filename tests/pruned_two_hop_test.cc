@@ -152,6 +152,33 @@ TEST(PrunedTwoHopTest, RedundantInsertAddsNoEntries) {
   ExpectMatchesOracle(index, oracle, 40, "after redundant inserts");
 }
 
+// h reaches a, and so c, through the hub g; t reaches a and b. Inserting
+// (s, t) resumes the sweeps of h (the hop of Lin(s)) and s from t: h's
+// stops at a, which the index already answers for it, so h goes into
+// Lin(t) and Lin(b) only, while s goes into the Lin of all of t, a, b and
+// c — six entries, where adding each hop to all of Reach(t) takes eight.
+TEST(PrunedTwoHopTest, InsertStopsWhereAHopAlreadyReaches) {
+  constexpr VertexId g = 0, h = 1, a = 2, t = 3, s = 4, b = 5, c = 6;
+  // x1 = 7 and x2 = 8 only give g the top rank. Degree order: g, a, h, t,
+  // s, b, c, x1, x2.
+  std::vector<Edge> edges = {{h, g}, {g, a}, {g, 7}, {g, 8},
+                             {a, c}, {h, s}, {t, a}, {t, b}};
+  PrunedTwoHop index;
+  const Digraph before = Digraph::FromEdges(9, edges);
+  index.Build(before);
+  ASSERT_EQ(index.InLabels(s), std::vector<uint32_t>({2}));  // h's rank
+  ASSERT_TRUE(index.Query(h, c));
+  const size_t entries = index.TotalLabelEntries();
+  ASSERT_TRUE(index.ApplyUpdate({EdgeUpdate::Insert(s, t)}).ok());
+  EXPECT_EQ(index.TotalLabelEntries(), entries + 6);
+  EXPECT_EQ(index.InLabels(a), std::vector<uint32_t>({0, 4}));
+  EXPECT_EQ(index.InLabels(b), std::vector<uint32_t>({2, 3, 4}));
+  edges.push_back({s, t});
+  TransitiveClosure oracle;
+  oracle.Build(Digraph::FromEdges(9, edges));
+  ExpectMatchesOracle(index, oracle, 9, "after inserting (s, t)");
+}
+
 TEST(PrunedTwoHopTest, RejectedBatchLeavesNoTrace) {
   const Digraph g = Chain(4);
   PrunedTwoHop index;

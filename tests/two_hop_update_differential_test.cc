@@ -8,6 +8,7 @@
 // as it did. Replay a failure from the spec, the seed and the step in the
 // assertion message.
 
+#include <algorithm>
 #include <cctype>
 #include <memory>
 #include <set>
@@ -178,8 +179,26 @@ Arc PickFrom(const Set& arcs, Xoshiro256ss& rng) {
   return *it;
 }
 
-// One random update of the kinds the header lists.
-Update NextUpdate(const Model& model, bool labeled, Xoshiro256ss& rng) {
+// The update mixes a sequence draws from.
+enum class Mix {
+  // Every kind the header lists; a quarter are inserts of random arcs.
+  kMixed,
+  // 85% inserts of new arcs, the rest drawn as in `kMixed`, so few
+  // deletes: inserts stack on earlier inserts' delta entries with no
+  // full build between them.
+  kInsertHeavy,
+};
+
+// Whether `u` inserts an arc that `model` has never seen.
+bool InsertsNewArc(const Model& model, const Update& u) {
+  return u.insert && model.live.count(u.arc) == 0 &&
+         model.dead.count(u.arc) == 0;
+}
+
+// One random update of the kinds the header lists, in the proportions of
+// `mix`.
+Update NextUpdate(const Model& model, bool labeled, Mix mix,
+                  Xoshiro256ss& rng) {
   const auto random_arc = [&] {
     Arc arc;
     arc.source = static_cast<VertexId>(rng.NextBounded(kN));
@@ -189,6 +208,11 @@ Update NextUpdate(const Model& model, bool labeled, Xoshiro256ss& rng) {
     arc.label = labeled ? static_cast<Label>(rng.NextBounded(kLabels)) : 0;
     return arc;
   };
+  if (mix == Mix::kInsertHeavy && rng.NextBounded(100) < 85) {
+    Update u{true, random_arc()};
+    while (!InsertsNewArc(model, u)) u.arc = random_arc();
+    return u;
+  }
   std::vector<Arc> resurrected;
   for (const Arc& arc : model.cut) {
     if (model.live.count(arc) != 0) resurrected.push_back(arc);
@@ -215,13 +239,16 @@ struct Stats {
   size_t copies = 0;
   size_t rebuilds = 0;
   size_t damaged_batches = 0;
+  // The most inserts of new arcs one sequence applied with no full build
+  // between them.
+  size_t stacked_inserts = 0;
 };
 
 // Runs one seeded sequence of `steps` batches from `subject`, built over
 // the arcs of `model.live`.
 void RunSequence(std::unique_ptr<Subject> subject, Model model, bool labeled,
-                 uint64_t seed, int steps, const std::string& context,
-                 Stats* stats) {
+                 Mix mix, uint64_t seed, int steps,
+                 const std::string& context, Stats* stats) {
   const std::span<const LabelSet> masks =
       labeled ? std::span<const LabelSet>(kLabeledMasks)
               : std::span<const LabelSet>(kPlainMasks);
@@ -229,6 +256,7 @@ void RunSequence(std::unique_ptr<Subject> subject, Model model, bool labeled,
   std::unique_ptr<Subject> source;  // the last copy's source
   Answers source_answers;
   ASSERT_EQ(subject->AllAnswers(), LiveAnswers(model.live, masks)) << context;
+  size_t stacked = 0;  // new-arc inserts since the last full build
   for (int step = 0; step < steps; ++step) {
     const std::string where =
         context + " seed " + std::to_string(seed) + " step " +
@@ -243,9 +271,11 @@ void RunSequence(std::unique_ptr<Subject> subject, Model model, bool labeled,
     }
     std::vector<Update> batch(1 + rng.NextBounded(3));
     for (Update& u : batch) {
-      u = NextUpdate(model, labeled, rng);
+      u = NextUpdate(model, labeled, mix, rng);
+      if (InsertsNewArc(model, u)) ++stacked;
       model.Apply(u);
     }
+    stats->stacked_inserts = std::max(stats->stacked_inserts, stacked);
     const UpdateResult result = subject->Apply(batch);
     ASSERT_NE(result.status, UpdateStatus::kRejected)
         << where << ": " << result.reason;
@@ -256,6 +286,7 @@ void RunSequence(std::unique_ptr<Subject> subject, Model model, bool labeled,
     if (result.status == UpdateStatus::kDeferredRebuild) {
       ASSERT_TRUE(subject->Rebuild()) << where;
       model.Rebuilt();
+      stacked = 0;
       ++stats->rebuilds;
       ASSERT_EQ(subject->AllAnswers(), live) << where << " rebuilt";
     }
@@ -276,56 +307,68 @@ std::string SpecName(const ::testing::TestParamInfo<std::string>& info) {
 class TwoHopUpdateDifferentialTest
     : public ::testing::TestWithParam<std::string> {};
 
-// Cyclic and acyclic inputs, four seeds each. Every sequence must have
-// seen damage, copies and at least one rent-triggered full build.
+// Cyclic and acyclic inputs, four seeds each, under both mixes. The mixed
+// sequences must have seen damage, copies and at least one rent-triggered
+// full build; the insert-heavy ones copies and a stack of at least 20
+// new-arc inserts.
 TEST_P(TwoHopUpdateDifferentialTest, CopyChainsMatchLiveBfs) {
   const std::string spec = GetParam();
   const bool labeled = spec.starts_with("lcr:");
-  Stats stats;
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    const bool dag = seed % 2 == 0;
-    const Digraph shape = dag ? RandomDag(kN, 2 * kN, 0xD1F0 + seed)
-                              : RandomDigraph(kN, 3 * kN, 0xD1F0 + seed);
-    Model model;
-    std::unique_ptr<Subject> subject;
-    // The graph outlives the index and every copy (their overlays point
-    // into it until a full build materializes a graph of their own).
-    std::shared_ptr<const void> graph;
-    MadeIndex made = MakeIndex(spec);
-    ASSERT_TRUE(made) << made.error;
-    if (labeled) {
-      auto g = std::make_shared<const LabeledDigraph>(
-          WithUniformLabels(shape, kLabels, 0x1AB + seed));
-      for (const LabeledEdge& e : g->Edges()) {
-        model.live.insert({e.source, e.target, e.label});
+  for (const Mix mix : {Mix::kMixed, Mix::kInsertHeavy}) {
+    const std::string mix_name =
+        mix == Mix::kMixed ? " mixed" : " insert-heavy";
+    Stats stats;
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      const bool dag = seed % 2 == 0;
+      const Digraph shape = dag ? RandomDag(kN, 2 * kN, 0xD1F0 + seed)
+                                : RandomDigraph(kN, 3 * kN, 0xD1F0 + seed);
+      Model model;
+      std::unique_ptr<Subject> subject;
+      // The graph outlives the index and every copy (their overlays point
+      // into it until a full build materializes a graph of their own).
+      std::shared_ptr<const void> graph;
+      MadeIndex made = MakeIndex(spec);
+      ASSERT_TRUE(made) << made.error;
+      if (labeled) {
+        auto g = std::make_shared<const LabeledDigraph>(
+            WithUniformLabels(shape, kLabels, 0x1AB + seed));
+        for (const LabeledEdge& e : g->Edges()) {
+          model.live.insert({e.source, e.target, e.label});
+        }
+        auto* index = dynamic_cast<PrunedLabeledTwoHop*>(made.lcr.get());
+        ASSERT_NE(index, nullptr) << spec;
+        made.lcr.release();
+        index->Build(*g);
+        subject = std::make_unique<LabeledSubject>(
+            std::unique_ptr<PrunedLabeledTwoHop>(index));
+        graph = g;
+      } else {
+        auto g = std::make_shared<const Digraph>(shape);
+        for (const Edge& e : g->Edges()) {
+          model.live.insert({e.source, e.target, 0});
+        }
+        auto* index =
+            dynamic_cast<DynamicReachabilityIndex*>(made.plain.get());
+        ASSERT_NE(index, nullptr) << spec;
+        made.plain.release();
+        index->Build(*g);
+        subject = std::make_unique<PlainSubject>(
+            std::unique_ptr<DynamicReachabilityIndex>(index));
+        graph = g;
       }
-      auto* index = dynamic_cast<PrunedLabeledTwoHop*>(made.lcr.get());
-      ASSERT_NE(index, nullptr) << spec;
-      made.lcr.release();
-      index->Build(*g);
-      subject = std::make_unique<LabeledSubject>(
-          std::unique_ptr<PrunedLabeledTwoHop>(index));
-      graph = g;
-    } else {
-      auto g = std::make_shared<const Digraph>(shape);
-      for (const Edge& e : g->Edges()) {
-        model.live.insert({e.source, e.target, 0});
-      }
-      auto* index = dynamic_cast<DynamicReachabilityIndex*>(made.plain.get());
-      ASSERT_NE(index, nullptr) << spec;
-      made.plain.release();
-      index->Build(*g);
-      subject = std::make_unique<PlainSubject>(
-          std::unique_ptr<DynamicReachabilityIndex>(index));
-      graph = g;
+      RunSequence(std::move(subject), std::move(model), labeled, mix, seed,
+                  /*steps=*/60, spec + mix_name + (dag ? " dag" : " cyclic"),
+                  &stats);
+      if (HasFatalFailure()) return;
     }
-    RunSequence(std::move(subject), std::move(model), labeled, seed,
-                /*steps=*/60, spec + (dag ? " dag" : " cyclic"), &stats);
-    if (HasFatalFailure()) return;
+    EXPECT_GT(stats.copies, 0u) << mix_name;
+    if (mix == Mix::kMixed) {
+      EXPECT_GT(stats.damaged_batches, 0u);
+      EXPECT_GT(stats.rebuilds, 0u);
+    } else {
+      EXPECT_GE(stats.stacked_inserts, 20u);
+    }
   }
-  EXPECT_GT(stats.damaged_batches, 0u);
-  EXPECT_GT(stats.copies, 0u);
-  EXPECT_GT(stats.rebuilds, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Specs, TwoHopUpdateDifferentialTest,
